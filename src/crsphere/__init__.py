@@ -9,6 +9,8 @@ zero CR Q-curvature solver (qcurvature).  The cli module wires them into
 reproducible command-line runs.
 """
 
+import importlib
+
 from .errors import (
     CapExceededError,
     ConfigError,
@@ -34,39 +36,33 @@ from .heisenberg import (
     model_identity_suite,
     sublaplacian_model,
 )
-from .parametrix import (
-    ParametrixChain,
-    build_chain_diagonal,
-    build_chain_matrix,
-    hatted_gjms,
-    partial_inverse,
-    smoothing_residual,
-    spectrum_diagonal,
-    spectrum_matrix,
-)
 from .poly import Poly
-from .qcurvature import (
-    ContactPerturbation,
-    QData,
-    SolveReport,
-    qhat,
-    solvability_check,
-    solve_zero_q,
-    total_q,
-)
 from .scalars import QI, parse_qi
-from .spectral import (
-    DiagonalOperator,
-    SpectralFunction,
-    Truncation,
-    critical_gjms,
-    l_mu,
-    order_diagnostic,
-    pluriharmonic_proj,
-    reeb_t,
-    sublaplacian,
-    szego,
-    szego_bar,
-)
 
 __version__ = "0.1.0"
+
+# The floating layers load numpy and scipy; they are imported on first use,
+# so the exact layers (and the CLI commands built on them) start without.
+_LAZY = {
+    "parametrix": (
+        "ParametrixChain", "build_chain_diagonal", "build_chain_matrix", "hatted_gjms",
+        "partial_inverse", "smoothing_residual", "spectrum_diagonal", "spectrum_matrix",
+    ),
+    "qcurvature": (
+        "ContactPerturbation", "QData", "SolveReport", "qhat", "solvability_check",
+        "solve_zero_q", "total_q",
+    ),
+    "spectral": (
+        "DiagonalOperator", "SpectralFunction", "Truncation", "critical_gjms", "l_mu",
+        "order_diagnostic", "pluriharmonic_proj", "reeb_t", "sublaplacian", "szego",
+        "szego_bar",
+    ),
+}
+_LAZY_NAMES = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    module = _LAZY_NAMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)

@@ -18,32 +18,15 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from .errors import ConfigError, NumericalError, ObstructionError
-from .galerkin import GalerkinContext
 from .harmonics import HarmonicBasis, dim_hpq
 from .heisenberg import LeftInvariantOp, box_b, model_identity_suite, sublaplacian_model
-from .parametrix import (
-    build_chain_diagonal,
-    build_chain_matrix,
-    hatted_gjms,
-    min_nonzero_abs_eigenvalue,
-    smoothing_residual,
-    spectrum_diagonal,
-    spectrum_matrix,
-)
-from .qcurvature import (
-    ContactPerturbation,
-    QData,
-    qhat,
-    solvability_check,
-    solve_zero_q,
-    total_q,
-)
 from .reportio import RunManifest, verify_manifest, write_csv, write_json
 from .scalars import parse_qi
-from .spectral import SpectralFunction, critical_gjms, l_mu, reeb_t, sublaplacian
+
+# galerkin, parametrix, qcurvature and spectral load numpy and scipy, so the
+# commands import them where they are used: `basis` and `heisenberg-selftest`
+# run without either library.
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -113,6 +96,8 @@ def _load_basis(cfg, degree=None):
 
 
 def _load_perturbation(cfg, basis):
+    from .qcurvature import ContactPerturbation
+
     with open(cfg.perturbation) as fh:
         data = json.load(fh)
     data.setdefault("taylor_depth", cfg.taylor_depth)
@@ -121,6 +106,8 @@ def _load_perturbation(cfg, basis):
 
 
 def _context_for(basis, pert):
+    from .galerkin import GalerkinContext
+
     degs = {p + q for (p, q) in pert.upsilon.coeffs}
     mult_degree = max(degs, default=0)
     return GalerkinContext(basis, mult_degree=max(1, mult_degree))
@@ -128,6 +115,9 @@ def _context_for(basis, pert):
 
 def _qdata_from_file(cfg, basis, ctx_holder):
     """QData for qcurv: either generated from the frame or given raw terms."""
+    from .qcurvature import QData, qhat
+    from .spectral import SpectralFunction
+
     pert, data = _load_perturbation(cfg, basis)
     ctx = None
     if not pert.is_zero():
@@ -176,6 +166,8 @@ def cmd_basis(cfg, manifest):
 
 
 def _eigentable_rows(basis_or_trunc, n, mus, exact):
+    from .spectral import critical_gjms, l_mu, reeb_t, sublaplacian
+
     it = reeb_t(basis_or_trunc)
     db = sublaplacian(basis_or_trunc)
     P = critical_gjms(basis_or_trunc)
@@ -193,6 +185,9 @@ def _eigentable_rows(basis_or_trunc, n, mus, exact):
 
 
 def cmd_spectrum(cfg, manifest):
+    from .parametrix import min_nonzero_abs_eigenvalue, spectrum_diagonal, spectrum_matrix
+    from .spectral import critical_gjms
+
     mus = [parse_qi(s).re for s in cfg.mu.split(",")] if cfg.mu else []
     sweep = parse_sweep(cfg.sweep) or [cfg.degree]
     header = ["p", "q", "dim", "lambda_deltab", "lambda_iT", "lambda_P"] + [
@@ -241,6 +236,14 @@ def cmd_spectrum(cfg, manifest):
 
 
 def cmd_parametrix_check(cfg, manifest):
+    from .parametrix import (
+        build_chain_diagonal,
+        build_chain_matrix,
+        hatted_gjms,
+        smoothing_residual,
+        spectrum_diagonal,
+    )
+
     basis, _ = _load_basis(cfg)
     chain = build_chain_diagonal(basis)
     report = chain.diagnostics.to_jsonable()
@@ -279,6 +282,8 @@ def cmd_parametrix_check(cfg, manifest):
 
 
 def cmd_qcurv(cfg, manifest):
+    from .qcurvature import solvability_check, solve_zero_q, total_q
+
     basis, _ = _load_basis(cfg)
     holder = []
     qdata, ctx = _qdata_from_file(cfg, basis, holder)
@@ -409,6 +414,12 @@ COMMANDS = {
 }
 
 
+def _linalg_error():
+    """numpy's LinAlgError once numpy is loaded; before that none can be raised."""
+    numpy = sys.modules.get("numpy")
+    return numpy.linalg.LinAlgError if numpy is not None else NumericalError
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -462,7 +473,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericalError, np.linalg.LinAlgError) as exc:
+    except (NumericalError, _linalg_error()) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

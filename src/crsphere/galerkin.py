@@ -13,6 +13,13 @@ polynomial projected to the truncation, i.e. as the matrix Taylor sum of
 M_{(n+1) Upsilon}; products beyond the truncation degree are dropped at each
 step, which is the same truncation leakage every Galerkin product has and is
 what the interior diagnostics measure.
+
+Multiplication matrices stay sparse (a degree-d multiplier couples only
+blocks whose degrees differ by at most d), and the weight keeps a single
+Cholesky factor that every weighted solve reuses.  Residual sizes use the
+certified bounds norm2_upper / norm2_lower instead of a full SVD: a
+relative defect divides an upper bound by a lower bound, so it is never
+below the spectral-norm ratio it stands for.
 """
 
 from __future__ import annotations
@@ -27,6 +34,21 @@ import scipy.sparse
 from .errors import ConfigError, NumericalError
 from .harmonics import HarmonicBasis, _integral_equal_exponents, monomials_homogeneous
 from .poly import Poly
+
+
+def norm2_upper(X) -> float:
+    """Upper bound on the spectral norm: sqrt(||X||_1 ||X||_inf) >= ||X||_2."""
+    if X.size == 0:
+        return 0.0
+    A = np.abs(X)
+    return math.sqrt(float(A.sum(axis=0).max()) * float(A.sum(axis=1).max()))
+
+
+def norm2_lower(X) -> float:
+    """Lower bound on the spectral norm: the largest column norm max_j ||X e_j||_2."""
+    if X.size == 0:
+        return 0.0
+    return float(np.linalg.norm(X, axis=0).max())
 
 
 class MonomialIndex:
@@ -122,16 +144,15 @@ class GalerkinContext:
         self.K = pairing_matrix(self.idx_basis, self.idx_big, basis.n)
         self._BK = (self.B_conj @ self.K).tocsr()
 
-    def mult_matrix(self, f: Poly) -> np.ndarray:
-        """Galerkin matrix of multiplication by f (floating coefficients ok)."""
+    def mult_matrix(self, f: Poly) -> scipy.sparse.csr_matrix:
+        """Sparse (CSR) Galerkin matrix of multiplication by f (floating coefficients ok)."""
         degs = {sum(b) + sum(g) for (a, b, g) in f.terms}
         if degs and max(degs) > self.mult_degree:
             raise ConfigError(
                 f"multiplier degree {max(degs)} exceeds context bound {self.mult_degree}"
             )
         S = shift_matrix(f, self.idx_basis, self.idx_big)
-        M = self._BK @ (S @ self.B.T.tocsr())
-        return np.asarray(M.todense())
+        return (self._BK @ (S @ self.B.T.tocsr())).tocsr()
 
 
 def full_context(basis: HarmonicBasis) -> GalerkinContext:
@@ -143,17 +164,22 @@ def full_context(basis: HarmonicBasis) -> GalerkinContext:
     return ctx
 
 
-def taylor_exp_matrix(M: np.ndarray, K: int) -> np.ndarray:
-    """Sum_{k<=K} M^k / k! by Horner; each product stays on the truncation."""
+def taylor_exp_matrix(M, K: int) -> np.ndarray:
+    """Sum_{k<=K} M^k / k! by Horner; each product stays on the truncation.
+
+    M may be sparse or dense; the sum is dense.
+    """
     D = M.shape[0]
     E = np.eye(D, dtype=M.dtype)
     for k in range(K, 0, -1):
-        E = np.eye(D, dtype=M.dtype) + (M @ E) / k
+        E = M @ E
+        E /= k
+        E.flat[:: D + 1] += 1
     return E
 
 
-def taylor_exp_apply(M: np.ndarray, K: int, vec: np.ndarray) -> np.ndarray:
-    """Apply sum_{k<=K} M^k / k! to a vector without forming the matrix."""
+def taylor_exp_apply(M, K: int, vec: np.ndarray) -> np.ndarray:
+    """Apply sum_{k<=K} M^k / k! (M sparse or dense) to a vector without forming the matrix."""
     out = vec.astype(complex)
     for k in range(K, 0, -1):
         out = vec + (M @ out) / k
@@ -166,7 +192,8 @@ class InnerProductWeight:
 
     Must be Hermitian positive definite; construction fails hard otherwise
     (a non-positive weight means the conformal factor left the regime the
-    truncation can represent).
+    truncation can represent).  The matrix is factored once (Cholesky) and
+    every solve reuses the factor.
     """
 
     matrix: np.ndarray
@@ -174,19 +201,23 @@ class InnerProductWeight:
     upsilon_label: str = ""
     tail_bound: float = 0.0
     min_eigenvalue: float = field(init=False)
+    hermitian_defect: float = field(init=False)
+    _cholesky: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         W = self.matrix
-        herm_defect = float(np.linalg.norm(W - W.conj().T, 2))
+        self.hermitian_defect = norm2_upper(W - W.conj().T)
         W = 0.5 * (W + W.conj().T)
         self.matrix = W
-        eigs = scipy.linalg.eigvalsh(W)
-        self.min_eigenvalue = float(eigs[0])
-        self.hermitian_defect = herm_defect
+        self.min_eigenvalue = float(scipy.linalg.eigvalsh(W)[0])
         if self.min_eigenvalue <= 0:
             raise NumericalError(
                 f"weight lost positivity (min eigenvalue {self.min_eigenvalue:.3e})"
             )
+        try:
+            self._cholesky = scipy.linalg.cho_factor(W)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"weight Cholesky factorization failed: {exc}") from exc
 
     @classmethod
     def identity(cls, dim):
@@ -201,7 +232,8 @@ class InnerProductWeight:
         return cls(W, taylor_depth=K, upsilon_label=label, tail_bound=tail)
 
     def solve(self, rhs):
-        return scipy.linalg.solve(self.matrix, rhs, assume_a="her")
+        """W^{-1} rhs from the stored Cholesky factor."""
+        return scipy.linalg.cho_solve(self._cholesky, rhs)
 
     def inner(self, u, v):
         """<u, v>_hat for coefficient vectors."""
@@ -227,11 +259,15 @@ class InnerProductWeight:
         return self.solve(X.conj().T @ self.matrix)
 
     def adjoint_defect(self, X):
-        """Relative asymmetry of X with respect to the weighted inner product."""
-        nx = np.linalg.norm(X, 2)
+        """Relative asymmetry ||X - X^dagger|| / ||X|| in the weighted inner product.
+
+        An upper bound on the spectral-norm ratio: certified upper bound over
+        certified lower bound.
+        """
+        nx = norm2_lower(X)
         if nx == 0:
             return 0.0
-        return float(np.linalg.norm(X - self.weighted_adjoint(X), 2) / nx)
+        return norm2_upper(X - self.weighted_adjoint(X)) / nx
 
 
 @dataclass

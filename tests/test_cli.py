@@ -1,6 +1,8 @@
 import filecmp
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -146,11 +148,47 @@ class TestCommands:
         op = LeftInvariantOp.from_jsonable(rep["runs"][0]["operators"]["box_b"])
         assert op == box_b(1)
 
+    def test_linalg_error_exit_code(self, tmp_path, monkeypatch):
+        import numpy as np
+
+        from crsphere import cli
+
+        def fail(cfg, manifest):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setitem(cli.COMMANDS, "spectrum", fail)
+        assert run("spectrum", "--out", str(tmp_path / "o")) == EXIT_NUMERICAL
+
     def test_bad_config_exit_code(self, tmp_path):
         assert run("basis", "--n", "0", "--out", str(tmp_path / "o")) == EXIT_CONFIG
         assert run("qcurv", "check", "--n", "1", "--degree", "4",
                    "--perturbation", str(tmp_path / "missing.json"),
                    "--out", str(tmp_path / "o2")) == EXIT_CONFIG
+
+
+def test_exact_commands_load_neither_numpy_nor_scipy(tmp_path):
+    # importing the CLI, building a basis and the model self-test stay free of
+    # the dense libraries; the floating layers still resolve from the package
+    script = (
+        "import sys\n"
+        "import crsphere.cli\n"
+        "def dense():\n"
+        "    return sorted(m for m in ('numpy', 'scipy') if m in sys.modules)\n"
+        "assert dense() == [], dense()\n"
+        f"out = {str(tmp_path)!r}\n"
+        "assert crsphere.cli.main(['basis', '--n', '1', '--degree', '3', '--out', out + '/b']) == 0\n"
+        "assert crsphere.cli.main(['heisenberg-selftest', '--n', '1', '--out', out + '/h']) == 0\n"
+        "assert dense() == [], dense()\n"
+        "import crsphere\n"
+        "assert callable(crsphere.build_chain_matrix) and callable(crsphere.solve_zero_q)\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestDeterminismAndManifest:

@@ -2,6 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from crsphere.errors import ConfigError, NumericalError
@@ -10,6 +14,8 @@ from crsphere.galerkin import (
     InnerProductWeight,
     MonomialIndex,
     full_context,
+    norm2_lower,
+    norm2_upper,
     taylor_exp_apply,
     taylor_exp_matrix,
 )
@@ -39,12 +45,12 @@ class TestMultiplicationMatrix:
     def test_column_zero_recovers_coefficients(self, ctx8, basis8):
         # e_0 = 1, so <f e_0, e_j> is the coefficient vector of f
         f = real_test_function(basis8)
-        M = ctx8.mult_matrix(f.to_poly_float())
+        M = ctx8.mult_matrix(f.to_poly_float()).toarray()
         assert np.linalg.norm(M[:, 0] - f.to_vector()) < 1e-12
 
     def test_hermitian_for_real_multiplier(self, ctx8, basis8):
         f = real_test_function(basis8)
-        M = ctx8.mult_matrix(f.to_poly_float())
+        M = ctx8.mult_matrix(f.to_poly_float()).toarray()
         assert np.linalg.norm(M - M.conj().T, 2) < 1e-12
 
     def test_entries_against_direct_integrals(self, ctx8, basis8):
@@ -144,6 +150,109 @@ class TestWeight:
         X = X + 1j * rng.standard_normal(X.shape)
         again = W.weighted_adjoint(W.weighted_adjoint(X))
         assert np.linalg.norm(again - X, 2) / np.linalg.norm(X, 2) < 1e-10
+
+
+def _draw_matrix(kind, rows, cols, seed, scale):
+    rng = np.random.default_rng(seed)
+
+    def cvec(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    if kind == "random":
+        return scale * cvec(rows, cols)
+    if kind == "rank1":
+        return scale * np.outer(cvec(rows), cvec(cols))
+    if kind == "diagonal":
+        return scale * np.diag(cvec(rows))
+    return np.zeros((rows, cols), dtype=complex)
+
+
+class TestNormBounds:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        kind=st.sampled_from(["random", "rank1", "diagonal", "zero"]),
+        rows=st.integers(1, 24),
+        cols=st.integers(1, 24),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-14, 1.0, 1e6]),
+    )
+    def test_bounds_bracket_spectral_norm(self, kind, rows, cols, seed, scale):
+        X = _draw_matrix(kind, rows, cols, seed, scale)
+        exact = np.linalg.norm(X, 2)
+        slack = 1e-12 * exact
+        assert norm2_lower(X) <= exact + slack
+        assert exact <= norm2_upper(X) + slack
+
+    def test_empty_matrix(self):
+        X = np.zeros((0, 0), dtype=complex)
+        assert norm2_lower(X) == norm2_upper(X) == 0.0
+
+
+class TestFastPathsAgainstReference:
+    """The Cholesky weight and the sparse multiplier against the dense routes at N=8."""
+
+    @pytest.fixture(scope="class")
+    def weight8(self, ctx8, basis8):
+        ups = real_test_function(basis8, 0.05)
+        return InnerProductWeight.from_multiplier(ctx8, ups.to_poly_float().scale(2.0), K=12)
+
+    @pytest.fixture(scope="class")
+    def X8(self, basis8):
+        rng = np.random.default_rng(5)
+        D = basis8.total_dim
+        return rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+
+    def test_cholesky_solve_matches_hermitian_solve(self, weight8, X8):
+        ref = scipy.linalg.solve(weight8.matrix, X8, assume_a="her")
+        assert np.linalg.norm(weight8.solve(X8) - ref, 2) <= 1e-12 * np.linalg.norm(ref, 2)
+
+    def test_weighted_adjoint_matches_hermitian_solve(self, weight8, X8):
+        W = weight8.matrix
+        ref = scipy.linalg.solve(W, X8.conj().T @ W, assume_a="her")
+        got = weight8.weighted_adjoint(X8)
+        assert np.linalg.norm(got - ref, 2) <= 1e-12 * np.linalg.norm(ref, 2)
+
+    def test_adjoint_defect_bounds_the_svd_formula(self, weight8, basis8, X8):
+        W = weight8.matrix
+        mask = np.array([q == 0 for p, q, _, _ in basis8.index_blocks()])
+        for X in (X8, weight8.projector(mask), X8 + weight8.weighted_adjoint(X8)):
+            got = weight8.adjoint_defect(X)
+            # the same matrix: the certified ratio brackets the SVD ratio
+            svd = np.linalg.norm(X - weight8.weighted_adjoint(X), 2) / np.linalg.norm(X, 2)
+            assert svd * (1 - 1e-12) <= got <= basis8.total_dim * svd
+            # the old route (Bunch-Kaufman solve, SVD norms): equal up to its rounding
+            adj = scipy.linalg.solve(W, X.conj().T @ W, assume_a="her")
+            old = np.linalg.norm(X - adj, 2) / np.linalg.norm(X, 2)
+            assert old * (1 - 1e-12) <= got + 1e-13
+
+    def test_hermitian_defect_is_an_upper_bound(self, ctx8, basis8):
+        M = ctx8.mult_matrix(real_test_function(basis8, 0.05).to_poly_float())
+        raw = taylor_exp_matrix(M, 12)
+        raw[0, 1] += 1e-9
+        weight = InnerProductWeight(raw.copy(), taylor_depth=12)
+        assert weight.hermitian_defect >= np.linalg.norm(raw - raw.conj().T, 2) * (1 - 1e-12)
+
+    def test_failed_factorization_is_numerical_error(self, weight8, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", fail)
+        with pytest.raises(NumericalError):
+            InnerProductWeight(weight8.matrix.copy(), taylor_depth=12)
+
+    def test_multiplier_is_sparse(self, ctx8, basis8):
+        M = ctx8.mult_matrix(real_test_function(basis8).to_poly_float())
+        assert scipy.sparse.issparse(M) and M.format == "csr"
+        assert M.nnz < 0.25 * basis8.total_dim**2
+
+    def test_sparse_horner_matches_dense(self, ctx8, basis8):
+        M = ctx8.mult_matrix(real_test_function(basis8, 0.1).to_poly_float())
+        dense = M.toarray()
+        assert np.abs(taylor_exp_matrix(M, 12) - taylor_exp_matrix(dense, 12)).max() <= 1e-14
+        rng = np.random.default_rng(2)
+        v = rng.standard_normal(basis8.total_dim) + 1j * rng.standard_normal(basis8.total_dim)
+        diff = taylor_exp_apply(-M, 12, v) - taylor_exp_apply(-dense, 12, v)
+        assert np.abs(diff).max() <= 1e-14 * np.abs(v).max()
 
 
 def test_monomial_index_counts():

@@ -199,6 +199,51 @@ class TestMatrixChain:
             assert rep["Pi_minus_PiInf_norm_full"] < 1e-10
 
 
+def test_chain_norms_bound_svd_values(basis8):
+    # every reported residual and relative defect is at least the SVD value
+    # of the same matrix, rebuilt from the chain members
+    pert = perturbation(basis8, 0.08)
+    weight = pert.weight(GalerkinContext(basis8, mult_degree=4))
+    chain = build_chain_matrix(hatted_gjms(basis8, weight), weight)
+    d = chain.diagnostics.entries
+    m = chain.members
+    P, G, Pi, GInf, PiInf = m["P_hat"], m["G"], m["Pi"], m["GInf"], m["PiInf"]
+    W = weight.matrix
+    ident = np.eye(basis8.total_dim)
+    interior = np.array([p + q <= basis8.N - 4 for p, q, _, _ in basis8.index_blocks()])
+    residuals = {
+        "PG_plus_Pi_minus_I": P @ G + Pi - ident,
+        "GP_plus_Pi_minus_I": G @ P + Pi - ident,
+        "PGInf_plus_PiInf_minus_I": P @ GInf + PiInf - ident,
+        "R_inf": GInf @ P + PiInf - ident,
+        "PiInf_sq_minus_PiInf": PiInf @ PiInf - PiInf,
+        "Pi_minus_PiInf": Pi - PiInf,
+        "G_minus_GInf": G - GInf,
+        "PiG": Pi @ G,
+        "PPi": P @ Pi,
+        "R0": m["R0"],
+    }
+
+    def svd(X):
+        return np.linalg.norm(X, 2) if X.size else 0.0
+
+    def at_least(name, value, reference):
+        assert value >= reference * (1 - 1e-12), (name, value, reference)
+
+    for name, X in residuals.items():
+        at_least(f"{name}_full", d[f"{name}_full"], svd(X))
+        at_least(f"{name}_interior", d[f"{name}_interior"],
+                 svd(X[np.ix_(interior, interior)]))
+    for name in ("P_hat", "G", "Pi", "PiInf", "GInf"):
+        X = m[name]
+        at_least(name, d[f"{name}_adjoint_defect"],
+                 svd(X - weight.weighted_adjoint(X)) / svd(X))
+    scale = svd(Pi) * svd(W) * svd(P)
+    at_least("ran", d["ran_orthogonality_defect"], svd(Pi.conj().T @ W @ P) / scale)
+    at_least("ran_PiInf", d["ran_orthogonality_defect_PiInf"],
+             svd(PiInf.conj().T @ W @ P) / scale)
+
+
 def test_radius_estimator_on_known_matrix():
     R = np.diag([0.5, -0.25, 0.1]).astype(complex)
     assert abs(_estimate_spectral_radius(R) - 0.5) < 1e-6
