@@ -43,7 +43,6 @@ class RunConfig:
     degree: int = 8
     taylor_depth: int = 12
     mode: str = "exact"
-    neumann_depth: int = 30
     cache_dir: str | None = None
     out_dir: str = "out"
     perturbation: str | None = None
@@ -111,6 +110,12 @@ def _context_for(basis, pert):
     degs = {p + q for (p, q) in pert.upsilon.coeffs}
     mult_degree = max(degs, default=0)
     return GalerkinContext(basis, mult_degree=max(1, mult_degree))
+
+
+def _sup_records(pert):
+    """sup|Upsilon|: the certified bound the tail bound rests on, and a sampled value."""
+    return {"upsilon_sup_bound": pert.upsilon.sup_norm_bound(),
+            "upsilon_sup_sampled": pert.sup_estimate()}
 
 
 def _qdata_from_file(cfg, basis, ctx_holder):
@@ -239,7 +244,6 @@ def cmd_parametrix_check(cfg, manifest):
     from .parametrix import (
         build_chain_diagonal,
         build_chain_matrix,
-        hatted_gjms,
         smoothing_residual,
         spectrum_diagonal,
     )
@@ -248,8 +252,7 @@ def cmd_parametrix_check(cfg, manifest):
     chain = build_chain_diagonal(basis)
     report = chain.diagnostics.to_jsonable()
     report["smoothing"] = smoothing_residual(chain)
-    report["config"] = {"n": cfg.n, "N": cfg.degree, "mode": "exact",
-                        "upsilon": "0", "neumann_depth": cfg.neumann_depth}
+    report["config"] = {"n": cfg.n, "N": cfg.degree, "mode": "exact", "upsilon": "0"}
     manifest.add(write_json(os.path.join(cfg.out_dir, "parametrix_diagonal.json"), report))
     sd = spectrum_diagonal(chain.member("P"))
     manifest.add(write_csv(
@@ -268,16 +271,14 @@ def cmd_parametrix_check(cfg, manifest):
         pert, _ = _load_perturbation(cfg, basis)
         ctx = _context_for(basis, pert)
         weight = pert.weight(ctx)
-        P_hat = hatted_gjms(basis, weight)
-        mchain = build_chain_matrix(P_hat, weight, neumann_depth=cfg.neumann_depth)
+        mchain = build_chain_matrix(basis, weight)
         mreport = mchain.diagnostics.to_jsonable()
         mreport["smoothing"] = smoothing_residual(mchain)
+        mreport.update(_sup_records(pert))
         mreport["config"] = {"n": cfg.n, "N": cfg.degree, "mode": "float",
-                             "upsilon": pert.label, "taylor_depth": pert.K,
-                             "neumann_depth": cfg.neumann_depth}
+                             "upsilon": pert.label, "taylor_depth": pert.K}
         manifest.add(write_json(os.path.join(cfg.out_dir, "parametrix_matrix.json"), mreport))
-        print(f"matrix chain: A0 via {mchain.diagnostics.entries['A0_method']}, "
-              f"R0 radius {mchain.diagnostics.entries['spectral_radius_R0_estimate']:.3f}")
+        print(f"matrix chain: A0 residual {mchain.diagnostics.entries['A0_residual']:.3e}")
     return EXIT_OK
 
 
@@ -303,6 +304,7 @@ def cmd_qcurv(cfg, manifest):
             "exact": qdata.exact, "tail_bound": qdata.tail_bound,
             "qhat_norm": qdata.qhat.norm(),
             "total_q": value, "total_q_vanishes": passed,
+            **_sup_records(qdata.frame),
         }
         manifest.add(write_json(os.path.join(cfg.out_dir, "qcurv_compute.json"), report))
         print(f"total Q = {value:.3e} ({'PASS' if passed else 'FAIL'})")
@@ -387,7 +389,6 @@ def build_parser():
         p.add_argument("--taylor-depth", type=int, default=12,
                        help="Taylor depth K for the conformal factor")
         p.add_argument("--mode", choices=["exact", "float"], default="exact")
-        p.add_argument("--neumann-depth", type=int, default=30)
         p.add_argument("--perturbation", help="perturbation specification JSON")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--cache", default=os.environ.get(CACHE_ENV),
@@ -444,7 +445,6 @@ def main(argv=None):
             degree=args.degree,
             taylor_depth=args.taylor_depth,
             mode=args.mode,
-            neumann_depth=args.neumann_depth,
             cache_dir=args.cache,
             out_dir=args.out,
             perturbation=args.perturbation,

@@ -223,14 +223,6 @@ class InnerProductWeight:
     def identity(cls, dim):
         return cls(np.eye(dim, dtype=complex), taylor_depth=0, upsilon_label="0")
 
-    @classmethod
-    def from_multiplier(cls, ctx: GalerkinContext, scaled_upsilon: Poly, K: int,
-                        label="", sup_estimate=0.0):
-        M = ctx.mult_matrix(scaled_upsilon)
-        W = taylor_exp_matrix(M, K)
-        tail = sup_estimate ** (K + 1) / math.factorial(K + 1) * math.exp(sup_estimate)
-        return cls(W, taylor_depth=K, upsilon_label=label, tail_bound=tail)
-
     def solve(self, rhs):
         """W^{-1} rhs from the stored Cholesky factor."""
         return scipy.linalg.cho_solve(self._cholesky, rhs)
@@ -268,20 +260,3 @@ class InnerProductWeight:
         if nx == 0:
             return 0.0
         return norm2_upper(X - self.weighted_adjoint(X)) / nx
-
-
-@dataclass
-class OperatorMatrix:
-    """Dense operator on the truncated basis, tied to an inner-product weight."""
-
-    entries: np.ndarray
-    weight: InnerProductWeight
-    basis: HarmonicBasis
-    label: str = ""
-
-    @property
-    def N(self):
-        return self.basis.N
-
-    def adjoint_defect(self):
-        return self.weight.adjoint_defect(self.entries)

@@ -256,10 +256,6 @@ class BasisElement:
     poly: Poly
     norm2: Fraction
 
-    def float_coeffs(self):
-        scale = 1.0 / math.sqrt(float(self.norm2))
-        return {key: complex(c) * scale for key, c in self.poly.terms.items()}
-
 
 class HarmonicBasis:
     """Orthogonal bases of every H_{p,q}, p + q <= N, with exact Gram data."""
@@ -280,9 +276,6 @@ class HarmonicBasis:
     def m(self):
         return self.n + 1
 
-    def block_dim(self, p, q):
-        return len(self.blocks[(p, q)])
-
     def global_index(self, p, q, i):
         return self.offsets[(p, q)] + i
 
@@ -292,19 +285,6 @@ class HarmonicBasis:
             off = self.offsets[(p, q)]
             for i in range(len(self.blocks[(p, q)])):
                 yield p, q, i, off + i
-
-    def conjugate_permutation(self):
-        """Global index permutation realizing function conjugation."""
-        perm = [0] * self.total_dim
-        for p, q, i, g in self.index_blocks():
-            perm[g] = self.global_index(q, p, i)
-        return perm
-
-    def degree_mask(self, max_degree):
-        mask = []
-        for p, q, _, _ in self.index_blocks():
-            mask.append(p + q <= max_degree)
-        return mask
 
     # -- construction --------------------------------------------------------
 

@@ -5,7 +5,7 @@ The chain follows one recipe in two regimes:
     G_0   = N_n N_{n-2} ... N_{-n}       (partial inverses of the L_mu)
     Pi_0  = S + Sbar
     R_0   = P G_0 + Pi_0 - I
-    A_0   = (I + R_0)^{-1}               (closed form, Neumann, or direct)
+    A_0   = (I + R_0)^{-1}               (closed form on the sphere, else direct)
     Pi_oo = Pi_0 A_0
     G_oo  = (I - Pi_oo) G_0 A_0
 
@@ -20,9 +20,12 @@ weight transformation law makes the sesquilinear form of P_hat equal the
 standard diagonal form).  S and Sbar become the weight-orthogonal
 projectors onto the unchanged holomorphic / antiholomorphic subspaces, and
 G_0 transports as G_0 M_w with w the truncated conformal volume factor.
-The final Pi and G are the spectral kernel projector and partial inverse of
-the truncated operator; every chain identity is recorded as a residual
-norm on the full truncation and on the interior blocks.
+P_hat has exactly the kernel of P_diag, the pluriharmonic coordinates K,
+so the final Pi and G have closed forms: Pi is the W-orthogonal projector
+onto K and G = (I - Pi) P_diag^+ W (I - Pi).  The generalized eigensolver
+(spectrum_matrix) serves only where the whole spectrum is the output.
+Every chain identity is recorded as a residual norm on the full truncation
+and on the interior blocks.
 
 Reported residual norms are certified upper bounds on the spectral norm,
 sqrt(||X||_1 ||X||_inf) (galerkin.norm2_upper), not SVD values, so every
@@ -41,7 +44,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericalError
-from .galerkin import InnerProductWeight, OperatorMatrix, norm2_lower, norm2_upper
+from .galerkin import InnerProductWeight, norm2_lower, norm2_upper
 from .harmonics import HarmonicBasis, dim_hpq
 from .spectral import (
     DiagonalOperator,
@@ -52,11 +55,6 @@ from .spectral import (
     szego,
     szego_bar,
 )
-
-
-def partial_inverse(D: DiagonalOperator) -> DiagonalOperator:
-    """Reciprocal eigentable off the kernel, zero on it."""
-    return D.partial_inverse()
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +122,7 @@ def build_chain_diagonal(basis_or_trunc) -> ParametrixChain:
     Pi0 = DiagonalOperator(n, N, (S + Sb).table, order_tag=0, label="Pi0")
     R0 = DiagonalOperator(n, N, (P.compose(G0) + Pi0 - ident).table, order_tag=-1, label="R0")
 
-    # R_0 is idempotent on the sphere, so the Neumann series sums in closed form
+    # R_0 is idempotent on the sphere, so (I + R_0)^{-1} = I - R_0/2
     r0_idempotent = R0.compose(R0).equals(R0)
     if r0_idempotent:
         A0 = ident - R0.scale(Fraction(1, 2))
@@ -267,7 +265,17 @@ def min_nonzero_abs_eigenvalue(result: SpectrumResult):
 # ---------------------------------------------------------------------------
 
 
-def hatted_gjms(basis: HarmonicBasis, weight: InnerProductWeight) -> OperatorMatrix:
+def kernel_mask(basis: HarmonicBasis):
+    """Coordinates of Ker P, the pluriharmonic blocks p q = 0 (in every frame)."""
+    return np.array([p * q == 0 for p, q, _, _ in basis.index_blocks()])
+
+
+def interior_mask(basis: HarmonicBasis, margin=4):
+    """Blocks p + q <= N - margin, away from the truncation boundary."""
+    return np.array([p + q <= basis.N - margin for p, q, _, _ in basis.index_blocks()])
+
+
+def hatted_gjms(basis: HarmonicBasis, weight: InnerProductWeight) -> np.ndarray:
     """Galerkin matrix of P_hat = e^{-(n+1)Upsilon} P, i.e. W^{-1} P_diag.
 
     The critical-weight law makes <P_hat u, v>_hat = <P u, v>_std, so the
@@ -275,42 +283,71 @@ def hatted_gjms(basis: HarmonicBasis, weight: InnerProductWeight) -> OperatorMat
     operator matrix is the weight inverse applied to it.
     """
     P_d = critical_gjms(basis).to_diag_vector(basis)
-    entries = weight.solve(np.diag(P_d).astype(complex))
-    return OperatorMatrix(entries, weight, basis, label="P_hat")
+    return weight.solve(np.diag(P_d).astype(complex))
 
 
-def _estimate_spectral_radius(R, iters=60, seed=11):
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(R.shape[0]) + 1j * rng.standard_normal(R.shape[0])
-    v /= np.linalg.norm(v)
-    radius = 0.0
-    for _ in range(iters):
-        w = R @ v
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            return 0.0
-        radius = nw
-        v = w / nw
-    return float(radius)
+def apply_partial_inverse(P_d, weight: InnerProductWeight, ker, X):
+    """G X = (I - Pi) P_d^+ W (I - Pi) X, G the partial inverse of W^{-1} P_d.
+
+    Pi = weight.projector(ker) is the W-orthogonal projector onto the
+    kernel coordinates; it is applied through its nonzero rows
+    W_KK^{-1} W_K:, so neither Pi nor G is formed.  X is a vector or a
+    matrix (the identity gives G itself).
+    """
+    W = weight.matrix
+    rows = scipy.linalg.solve(W[np.ix_(ker, ker)], W[ker], assume_a="her")
+    inv = np.where(ker, 0.0, 1.0 / np.where(ker, 1.0, P_d))
+    Y = np.array(X, dtype=complex)
+    Y[ker] -= rows @ Y
+    Y = W @ Y
+    Y *= inv.reshape((-1,) + (1,) * (Y.ndim - 1))
+    Y[ker] -= rows @ Y
+    return Y
 
 
-def build_chain_matrix(P_hat: OperatorMatrix, weight: InnerProductWeight,
-                       neumann_depth=30, radius_threshold=0.95,
-                       kernel_tol=1e-10) -> ParametrixChain:
+def nonzero_eigenvalue_range(P_d, weight: InnerProductWeight, ker):
+    """Smallest and largest nonzero eigenvalue of the pencil P_d x = lambda W x.
+
+    With K the kernel coordinates and C the rest, lambda != 0 forces
+    x_K = -W_KK^{-1} W_KC x_C and leaves P_C x_C = lambda S x_C with the
+    Schur complement S = W_CC - W_CK W_KK^{-1} W_KC.  P_C is positive, so
+    the nonzero eigenvalues are 1/b for the eigenvalues b of
+    P_C^{-1/2} S P_C^{-1/2}.  Returns (None, None) when P_d has no nonzero
+    entry.
+    """
+    C = ~ker
+    if not C.any():
+        return None, None
+    W = weight.matrix
+    S = W[np.ix_(C, C)]
+    S -= W[np.ix_(C, ker)] @ scipy.linalg.solve(
+        W[np.ix_(ker, ker)], W[np.ix_(ker, C)], assume_a="her")
+    r = 1.0 / np.sqrt(P_d[C])
+    S *= r[:, None]
+    S *= r[None, :]
+    # S is Hermitian, so its transpose (Fortran order: LAPACK works on it
+    # in place) has the same eigenvalues
+    b = scipy.linalg.eigvalsh(S.T, overwrite_a=True)
+    return float(1.0 / b[-1]), float(1.0 / b[0])
+
+
+def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> ParametrixChain:
     """Parametrix chain with matrix arithmetic on the truncated basis.
 
-    A_0 uses the truncated Neumann series when the estimated spectral radius
-    of R_0 permits, else reports the radius and falls back to direct
-    inversion of I + R_0 (on the round sphere the radius is 1, so the
-    fallback is the normal path there).
+    A_0 = (I + R_0)^{-1} is a direct solve: R_0 = Pi_0 - W^{-1} I_K W, whose
+    W-adjoint Pi_0 - I_K fixes the constant function, so its spectral
+    radius is at least one in every frame and the series sum_k (-R_0)^k
+    for A_0 diverges.  A0_residual records ||(I + R_0) A_0 - I||.  The final Pi and
+    G are the closed forms Pi = weight.projector(K) and
+    G = (I - Pi) P_d^+ W (I - Pi), K the pluriharmonic coordinates (the
+    kernel of P_hat = W^{-1} P_d in every frame).
     """
-    basis = P_hat.basis
     n, N = basis.n, basis.N
     D = basis.total_dim
     W = weight.matrix
     ident = np.eye(D, dtype=complex)
-    interior = np.array([p + q <= N - 4 for p, q, _, _ in basis.index_blocks()])
-
+    interior = interior_mask(basis)
+    ker = kernel_mask(basis)
     holo = np.array([q == 0 for p, q, _, _ in basis.index_blocks()])
     anti = np.array([p == 0 for p, q, _, _ in basis.index_blocks()])
 
@@ -321,40 +358,22 @@ def build_chain_matrix(P_hat: OperatorMatrix, weight: InnerProductWeight,
     Sb_hat = weight.projector(anti)
     Pi0 = S_hat + Sb_hat
     G0 = G0_d[:, None] * W  # Galerkin of G0 . M_w; G0 is block diagonal, no leakage
-    Pmat = P_hat.entries
+    Pmat = hatted_gjms(basis, weight)
 
     R0 = Pmat @ G0 + Pi0 - ident
-    radius = _estimate_spectral_radius(R0)
-    if radius < radius_threshold and neumann_depth > 0:
-        A0 = ident.copy()
-        term = ident.copy()
-        for _ in range(neumann_depth):
-            term = -(R0 @ term)
-            A0 += term
-        a0_method = f"neumann_depth_{neumann_depth}"
-    else:
-        A0 = scipy.linalg.solve(ident + R0, ident)
-        a0_method = "direct_inverse"
+    A0 = scipy.linalg.solve(ident + R0, ident)
 
     PiInf = Pi0 @ A0
     GInf = (ident - PiInf) @ G0 @ A0
 
-    spec = spectrum_matrix(P_d, weight, kernel_tol=kernel_tol)
-    V = spec.eigenvectors
-    lam = spec.eigenvalues
-    kernel_mask = np.abs(lam) <= spec.kernel_tol
-    inv_lam = np.where(kernel_mask, 0.0, np.where(lam != 0, 1.0 / np.where(lam == 0, 1.0, lam), 0.0))
-    # V is W-orthonormal: V^* W V = I, so V^* W is the analysis map
-    VW = V.conj().T @ W
-    G = (V * inv_lam[None, :]) @ VW
-    Pi = V[:, kernel_mask] @ VW[kernel_mask, :]
+    Pi = weight.projector(ker)
+    G = apply_partial_inverse(P_d, weight, ker, ident)
+    lam_min, _ = nonzero_eigenvalue_range(P_d, weight, ker)
 
     diag = ChainDiagnostics("matrix")
-    diag.record("spectral_radius_R0_estimate", radius)
-    diag.record("A0_method", a0_method)
-    diag.record("kernel_dim", spec.kernel_dim)
-    diag.record("kernel_tol", spec.kernel_tol)
-    diag.record("min_nonzero_abs_eigenvalue", min_nonzero_abs_eigenvalue(spec))
+    diag.record("A0_residual", norm2_upper((ident + R0) @ A0 - ident))
+    diag.record("kernel_dim", int(ker.sum()))
+    diag.record("min_nonzero_abs_eigenvalue", lam_min)
     diag.record("weight_min_eigenvalue", weight.min_eigenvalue)
     diag.record("weight_tail_bound", weight.tail_bound)
 
@@ -390,7 +409,7 @@ def build_chain_matrix(P_hat: OperatorMatrix, weight: InnerProductWeight,
         "P_hat": Pmat, "S": S_hat, "Sbar": Sb_hat,
         "G0": G0, "Pi0": Pi0, "R0": R0, "A0": A0,
         "PiInf": PiInf, "GInf": GInf, "Pi": Pi, "G": G,
-        "P_diag": P_d, "eigenvalues": lam, "eigenvectors": V,
+        "P_diag": P_d,
     }
     return ParametrixChain(n, N, "matrix", members, diag, weight=weight, basis=basis)
 

@@ -202,10 +202,6 @@ class Poly:
             out.setdefault(key, {})[(a, b, g)] = c
         return {key: Poly(self.m, terms) for key, terms in sorted(out.items())}
 
-    def weighted_degrees(self):
-        """Set of parabolic degrees 2a + |beta| + |gamma| present."""
-        return {2 * a + sum(b) + sum(g) for (a, b, g) in self.terms}
-
     def map_coeff(self, fn):
         return Poly(self.m, {k: fn(c) for k, c in self.terms.items()})
 

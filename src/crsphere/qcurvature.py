@@ -27,28 +27,19 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConfigError, ObstructionError
-from .galerkin import (
-    GalerkinContext,
-    InnerProductWeight,
-    full_context,
-    taylor_exp_apply,
-    taylor_exp_matrix,
-)
+from .galerkin import GalerkinContext, InnerProductWeight, taylor_exp_apply, taylor_exp_matrix
 from .harmonics import HarmonicBasis
-from .parametrix import min_nonzero_abs_eigenvalue, spectrum_matrix
+from .parametrix import (
+    apply_partial_inverse,
+    interior_mask,
+    kernel_mask,
+    nonzero_eigenvalue_range,
+)
 from .scalars import QI, parse_qi
 from .spectral import SpectralFunction, critical_gjms
 
 DEFAULT_TAYLOR_DEPTH = 12
 DEFAULT_OBSTRUCTION_TOL = 1e-8
-
-
-def kernel_mask(basis: HarmonicBasis):
-    return np.array([p * q == 0 for p, q, _, _ in basis.index_blocks()])
-
-
-def interior_mask(basis: HarmonicBasis, margin=4):
-    return np.array([p + q <= basis.N - margin for p, q, _, _ in basis.index_blocks()])
 
 
 class ContactPerturbation:
@@ -120,13 +111,18 @@ class ContactPerturbation:
         return not self.upsilon.coeffs
 
     def sup_estimate(self):
+        """Sampled sup|Upsilon| (an estimate: it can fall below the true sup)."""
         if self._sup is None:
             self._sup = self.upsilon.sup_norm_estimate()
         return self._sup
 
     def exp_tail_bound(self):
-        """Taylor tail of e^x at x = (n+1) sup|Upsilon|, |x|^{K+1}/(K+1)! e^|x|."""
-        x = (self.n + 1) * self.sup_estimate()
+        """Taylor tail |x|^{K+1}/(K+1)! e^|x| of e^x at x = (n+1) B(Upsilon).
+
+        B(Upsilon) >= sup|Upsilon| (SpectralFunction.sup_norm_bound), so this
+        bounds the tail at every point of the sphere.
+        """
+        x = (self.n + 1) * self.upsilon.sup_norm_bound()
         return x ** (self.K + 1) / math.factorial(self.K + 1) * math.exp(x)
 
     def multiplier_matrix(self, ctx: GalerkinContext):
@@ -315,8 +311,10 @@ def solve_zero_q(qdata: QData, ctx: GalerkinContext | None = None,
 
     Raises ObstructionError when the solvability check fails.  In the
     standard frame with exact data the solve is exact on the eigentable; in
-    a perturbed frame the partial inverse comes from the weighted spectral
-    decomposition of the truncated operator.
+    a perturbed frame G is the closed form (I - Pi) P_d^+ W (I - Pi) applied
+    to the vector Q_hat (parametrix.apply_partial_inverse), and the
+    condition number comes from the Schur-complement spectrum
+    (parametrix.nonzero_eigenvalue_range).
     """
     report = solvability_check(qdata, ctx, tol=tol)
     if not report.solvable:
@@ -341,13 +339,9 @@ def solve_zero_q(qdata: QData, ctx: GalerkinContext | None = None,
     else:
         weight = qdata.frame.weight(ctx)
         P_d = P.to_diag_vector(basis)
-        spec = spectrum_matrix(P_d, weight)
-        lam, V = spec.eigenvalues, spec.eigenvectors
-        ker = np.abs(lam) <= spec.kernel_tol
-        inv_lam = np.where(ker, 0.0, 1.0 / np.where(ker, 1.0, lam))
+        ker = kernel_mask(basis)
         qvec = qdata.vector()
-        coords = V.conj().T @ (weight.matrix @ qvec)
-        ups_vec = -(V @ (inv_lam * coords))
+        ups_vec = -apply_partial_inverse(P_d, weight, ker, qvec)
         # drop coefficients at relative machine noise; everything downstream
         # (residual, final verification) is recomputed from the pruned solution
         noise = 1e-15 * max(1.0, float(np.max(np.abs(ups_vec), initial=0.0)))
@@ -355,12 +349,11 @@ def solve_zero_q(qdata: QData, ctx: GalerkinContext | None = None,
         # P_hat upsilon + qhat, measured in the hatted norm
         resid_vec = weight.solve(P_d * ups_vec) + qvec
         report.residual = weight.norm(resid_vec)
-        mn = min_nonzero_abs_eigenvalue(spec)
-        report.condition = float(np.max(np.abs(lam)) / mn) if mn else None
+        lam_min, lam_max = nonzero_eigenvalue_range(P_d, weight, ker)
+        report.condition = lam_max / lam_min if lam_min else None
         ups = SpectralFunction.from_vector(basis, ups_vec, prune=0.0).realized()
         report.upsilon_sol = ups
-        report.notes["mode"] = "weighted_spectral"
-        report.notes["numerical_kernel_dim"] = spec.kernel_dim
+        report.notes["mode"] = "weighted_closed_form"
 
     if verify_final and report.upsilon_sol is not None:
         report.final_q_norm = recompute_final_q_norm(qdata, report.upsilon_sol, ctx)
@@ -369,12 +362,14 @@ def solve_zero_q(qdata: QData, ctx: GalerkinContext | None = None,
 
 def recompute_final_q_norm(qdata: QData, upsilon_sol: SpectralFunction,
                            ctx: GalerkinContext | None = None):
-    """Norm of the Q-curvature of the final frame e^{Upsilon_sol} theta_hat.
+    """Certified bound on the norm of the Q-curvature of e^{Upsilon_sol} theta_hat.
 
     The transformation law applied to the input Q-datum gives
-    Q_final = e^{-(n+1) Upsilon_sol} (Q_hat + P_hat Upsilon_sol); the
-    conformal factor needs the full-degree multiplication context because
-    the solution can carry components up to the truncation degree.
+    Q_final = e^{-(n+1) Upsilon_sol} r with r = Q_hat + P_hat Upsilon_sol.
+    The truncated factor T_K(-M) (M the Galerkin matrix of multiplication
+    by (n+1) Upsilon_sol) has ||T_K(-M)|| <= e^{||M||} and
+    ||M|| <= (n+1) sup|Upsilon_sol| <= (n+1) B(Upsilon_sol), so
+    e^{(n+1) B(Upsilon_sol)} ||r|| bounds ||T_K(-M) r|| without building M.
     """
     basis = qdata.frame.basis
     P = critical_gjms(basis)
@@ -389,7 +384,5 @@ def recompute_final_q_norm(qdata: QData, upsilon_sol: SpectralFunction,
         if not qdata.frame.is_zero():
             p_ups = qdata.frame.weight(ctx).solve(p_ups)
         resid_vec = p_ups + qdata.vector()
-    big = full_context(basis)
-    M_sol = big.mult_matrix(upsilon_sol.to_poly_float().scale(float(basis.n + 1)))
-    out = taylor_exp_apply(-M_sol, qdata.frame.K, resid_vec)
-    return float(np.linalg.norm(out))
+    factor = math.exp((basis.n + 1) * upsilon_sol.sup_norm_bound())
+    return factor * float(np.linalg.norm(resid_vec))

@@ -178,9 +178,3 @@ def conj(x):
     if isinstance(x, complex):
         return x.conjugate()
     return x
-
-
-def as_complex(x) -> complex:
-    if isinstance(x, QI):
-        return complex(x)
-    return complex(x)

@@ -468,7 +468,7 @@ class SpectralFunction:
         return out
 
     def sup_norm_estimate(self, samples=4096, seed=7):
-        """Sampled sup-norm bound over random sphere points (estimate, not a proof)."""
+        """Max |f| over random sphere points: an estimate that can fall below sup|f|."""
         poly = self.to_poly_float()
         if poly.is_zero():
             return 0.0
@@ -481,9 +481,16 @@ class SpectralFunction:
         vals = poly.evaluate(0.0, [z[:, j] for j in range(m)])
         return float(np.max(np.abs(vals)))
 
-    def restrict_degree(self, max_degree):
-        out = {k: v for k, v in self.coeffs.items() if k[0] + k[1] <= max_degree}
-        return SpectralFunction(self.basis, out)
+    def sup_norm_bound(self):
+        """Certified sup|f| <= B(f) = sum_{p,q} sqrt(dim H_pq) ||f_pq||.
+
+        On the mass-one sphere the reproducing kernel of H_pq has diagonal
+        dim H_pq, so |f_pq(x)| <= sqrt(dim H_pq) ||f_pq|| at every point.
+        """
+        return float(sum(
+            math.sqrt(dim_hpq(self.basis.n, p, q) * sum(abs(complex(v)) ** 2 for v in vals))
+            for (p, q), vals in self.coeffs.items()
+        ))
 
     def terms(self):
         for (p, q) in sorted(self.coeffs, key=lambda pq: (pq[0] + pq[1], pq[0])):

@@ -20,7 +20,6 @@ from crsphere.heisenberg import model_identity_suite
 from crsphere.parametrix import (
     build_chain_diagonal,
     build_chain_matrix,
-    hatted_gjms,
     min_nonzero_abs_eigenvalue,
     spectrum_diagonal,
     spectrum_matrix,
@@ -163,7 +162,7 @@ def test_criterion_5_perturbed_regime(basis16):
     assert pert12.sup_estimate() <= 0.1 + 1e-9
     ctx12 = GalerkinContext(basis12, mult_degree=3)
     weight12 = pert12.weight(ctx12)
-    chain = build_chain_matrix(hatted_gjms(basis12, weight12), weight12)
+    chain = build_chain_matrix(basis12, weight12)
     d = chain.diagnostics.entries
     assert d["PG_plus_Pi_minus_I_interior"] <= 1e-8
     assert d["P_hat_adjoint_defect"] <= 1e-10

@@ -6,7 +6,16 @@ import sys
 
 import pytest
 
-from crsphere.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OBSTRUCTION, EXIT_OK, RunConfig, main, parse_sweep
+from crsphere.cli import (
+    EXIT_CONFIG,
+    EXIT_NUMERICAL,
+    EXIT_OBSTRUCTION,
+    EXIT_OK,
+    RunConfig,
+    build_parser,
+    main,
+    parse_sweep,
+)
 from crsphere.errors import ConfigError
 
 
@@ -109,8 +118,19 @@ class TestCommands:
         assert diag["PG_plus_Pi_minus_I_sup"] == "0"
         assert diag["R0_rank"] == 1
         mat = json.loads((tmp_path / "out" / "parametrix_matrix.json").read_text())
-        assert mat["A0_method"] == "direct_inverse"
+        assert mat["A0_residual"] <= 1e-12
         assert mat["PG_plus_Pi_minus_I_interior"] <= 1e-8
+        assert mat["upsilon_sup_bound"] >= mat["upsilon_sup_sampled"] > 0
+
+    def test_options(self):
+        # every command takes exactly these options; argparse rejects any other
+        # with exit code 2
+        sub = next(a for a in build_parser()._actions if a.choices and "basis" in a.choices)
+        for name, parser in sub.choices.items():
+            opts = {o for a in parser._actions for o in a.option_strings}
+            assert opts == {"-h", "--help", "--n", "--degree", "--taylor-depth", "--mode",
+                            "--perturbation", "--out", "--cache", "--sweep", "--seed", "--mu",
+                            "--cap", "--obstruction-tol", "--verify"}, name
 
     def test_qcurv_flow(self, tmp_path, pert_file):
         out = str(tmp_path / "out")
@@ -118,6 +138,7 @@ class TestCommands:
                    "--perturbation", pert_file, "--out", out) == EXIT_OK
         comp = json.loads((tmp_path / "out" / "qcurv_compute.json").read_text())
         assert comp["total_q_vanishes"]
+        assert comp["upsilon_sup_bound"] >= comp["upsilon_sup_sampled"] > 0
         assert run("qcurv", "check", "--n", "1", "--degree", "8",
                    "--perturbation", pert_file, "--out", out) == EXIT_OK
         assert run("qcurv", "solve", "--n", "1", "--degree", "8",

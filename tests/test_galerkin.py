@@ -30,6 +30,11 @@ def ctx8(basis8):
     return GalerkinContext(basis8, mult_degree=6)
 
 
+def weight_from(ctx, scaled_upsilon, K):
+    """Weight of e^{scaled_upsilon} at Taylor depth K."""
+    return InnerProductWeight(taylor_exp_matrix(ctx.mult_matrix(scaled_upsilon), K), taylor_depth=K)
+
+
 def real_test_function(basis, scale=1.0):
     f = SpectralFunction.from_terms(
         basis, [(1, 1, 0, QI(1)), (2, 0, 1, QI(1, 2)), (1, 0, 0, QI(0, 1))]
@@ -98,7 +103,7 @@ class TestTaylorExponential:
 
 class TestWeight:
     def test_zero_exponent_gives_identity(self, ctx8, basis8):
-        W = InnerProductWeight.from_multiplier(ctx8, Poly.zero(2).to_float(), K=12)
+        W = weight_from(ctx8, Poly.zero(2).to_float(), 12)
         assert np.linalg.norm(W.matrix - np.eye(basis8.total_dim), 2) < 1e-13
         assert W.min_eigenvalue > 0.99
 
@@ -106,7 +111,7 @@ class TestWeight:
         # <1, 1>_hat must equal int exp((n+1) Upsilon) dsigma
         ups = real_test_function(basis8, 0.05)
         mult = ups.to_poly_float().scale(2.0)
-        W = InnerProductWeight.from_multiplier(ctx8, mult, K=12, sup_estimate=0.3)
+        W = weight_from(ctx8, mult, 12)
         e0 = np.zeros(basis8.total_dim)
         e0[0] = 1.0
         val = W.inner(e0, e0).real
@@ -128,11 +133,11 @@ class TestWeight:
         # a large exponent with a shallow Taylor depth loses positivity
         ups = real_test_function(basis8, 3.0)
         with pytest.raises(NumericalError):
-            InnerProductWeight.from_multiplier(ctx8, ups.to_poly_float().scale(2.0), K=3)
+            weight_from(ctx8, ups.to_poly_float().scale(2.0), 3)
 
     def test_projector_properties(self, ctx8, basis8):
         ups = real_test_function(basis8, 0.05)
-        W = InnerProductWeight.from_multiplier(ctx8, ups.to_poly_float().scale(2.0), K=12)
+        W = weight_from(ctx8, ups.to_poly_float().scale(2.0), 12)
         mask = np.array([q == 0 for p, q, _, _ in basis8.index_blocks()])
         S = W.projector(mask)
         assert np.linalg.norm(S @ S - S, 2) < 1e-10
@@ -144,7 +149,7 @@ class TestWeight:
 
     def test_weighted_adjoint_involution(self, ctx8, basis8):
         ups = real_test_function(basis8, 0.05)
-        W = InnerProductWeight.from_multiplier(ctx8, ups.to_poly_float().scale(2.0), K=12)
+        W = weight_from(ctx8, ups.to_poly_float().scale(2.0), 12)
         rng = np.random.default_rng(3)
         X = rng.standard_normal((basis8.total_dim, basis8.total_dim))
         X = X + 1j * rng.standard_normal(X.shape)
@@ -194,7 +199,7 @@ class TestFastPathsAgainstReference:
     @pytest.fixture(scope="class")
     def weight8(self, ctx8, basis8):
         ups = real_test_function(basis8, 0.05)
-        return InnerProductWeight.from_multiplier(ctx8, ups.to_poly_float().scale(2.0), K=12)
+        return weight_from(ctx8, ups.to_poly_float().scale(2.0), 12)
 
     @pytest.fixture(scope="class")
     def X8(self, basis8):

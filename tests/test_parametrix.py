@@ -2,21 +2,24 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from crsphere.galerkin import GalerkinContext, InnerProductWeight
+from crsphere.harmonics import HarmonicBasis, dim_hpq
 from crsphere.parametrix import (
+    apply_partial_inverse,
     build_chain_diagonal,
     build_chain_matrix,
     cluster_eigenvalues,
-    hatted_gjms,
+    kernel_mask,
     min_nonzero_abs_eigenvalue,
-    partial_inverse,
+    nonzero_eigenvalue_range,
     smoothing_residual,
     spectrum_diagonal,
     spectrum_matrix,
-    _estimate_spectral_radius,
 )
-from crsphere.qcurvature import ContactPerturbation
+from crsphere.qcurvature import ContactPerturbation, qhat, solve_zero_q, total_q
 from crsphere.scalars import QI
 from crsphere.spectral import SpectralFunction, Truncation, critical_gjms, l_mu
 
@@ -97,12 +100,12 @@ class TestDiagonalChain:
 class TestPartialInverse:
     def test_examples(self):
         tr = Truncation(1, 6)
-        N1 = partial_inverse(l_mu(tr, 1))
+        N1 = l_mu(tr, 1).partial_inverse()
         for d in range(7):
             assert N1.value(d, 0) == 0
         P = critical_gjms(tr)
-        assert partial_inverse(P).value(1, 1) == Fraction(1, 16)
-        again = partial_inverse(partial_inverse(P))
+        assert P.partial_inverse().value(1, 1) == Fraction(1, 16)
+        again = P.partial_inverse().partial_inverse()
         for key, v in P.table.items():
             if v:
                 assert again.table[key] == v
@@ -136,7 +139,7 @@ class TestDiagonalSpectrum:
 class TestMatrixChain:
     def test_zero_perturbation_reduces_to_diagonal(self, basis8):
         W = InnerProductWeight.identity(basis8.total_dim)
-        chain = build_chain_matrix(hatted_gjms(basis8, W), W)
+        chain = build_chain_matrix(basis8, W)
         d = chain.diagnostics.entries
         for key in ["PG_plus_Pi_minus_I", "GP_plus_Pi_minus_I", "PGInf_plus_PiInf_minus_I",
                     "R_inf", "PiInf_sq_minus_PiInf", "Pi_minus_PiInf", "G_minus_GInf"]:
@@ -148,20 +151,19 @@ class TestMatrixChain:
             ref = np.diag(diag.member(name).to_diag_vector(basis8))
             assert np.linalg.norm(chain.member(name) - ref, 2) < 1e-11, name
 
-    def test_r0_radius_one_triggers_direct_inverse(self, basis8):
-        # S Sbar keeps an eigenvalue 1 inside R0, so the Neumann guard must
-        # report radius ~ 1 and fall back
-        W = InnerProductWeight.identity(basis8.total_dim)
-        chain = build_chain_matrix(hatted_gjms(basis8, W), W)
-        d = chain.diagnostics.entries
-        assert abs(d["spectral_radius_R0_estimate"] - 1.0) < 1e-6
-        assert d["A0_method"] == "direct_inverse"
+    def test_r0_radius_at_least_one_and_direct_inverse(self, basis8):
+        # R0 = Pi0 - W^{-1} I_K W: its W-adjoint fixes the constant function,
+        # so the series sum_k (-R0)^k diverges; A0 is a direct solve
+        weight = perturbation(basis8, 0.08).weight(GalerkinContext(basis8, mult_degree=4))
+        chain = build_chain_matrix(basis8, weight)
+        assert np.max(np.abs(np.linalg.eigvals(chain.member("R0")))) >= 1 - 1e-12
+        assert chain.diagnostics.entries["A0_residual"] <= 1e-12
 
     def test_perturbed_chain_identities(self, basis12):
         pert = perturbation(basis12, 0.08)
         ctx = GalerkinContext(basis12, mult_degree=4)
         weight = pert.weight(ctx)
-        chain = build_chain_matrix(hatted_gjms(basis12, weight), weight)
+        chain = build_chain_matrix(basis12, weight)
         d = chain.diagnostics.entries
         assert d["PG_plus_Pi_minus_I_interior"] <= 1e-8
         assert d["GP_plus_Pi_minus_I_interior"] <= 1e-8
@@ -193,7 +195,7 @@ class TestMatrixChain:
             pert = perturbation(basisN, 0.05, degree=1)
             ctx = GalerkinContext(basisN, mult_degree=4)
             weight = pert.weight(ctx)
-            chain = build_chain_matrix(hatted_gjms(basisN, weight), weight)
+            chain = build_chain_matrix(basisN, weight)
             rep = smoothing_residual(chain)
             assert rep["R_inf_norm_full"] < 1e-12
             assert rep["Pi_minus_PiInf_norm_full"] < 1e-10
@@ -204,7 +206,7 @@ def test_chain_norms_bound_svd_values(basis8):
     # of the same matrix, rebuilt from the chain members
     pert = perturbation(basis8, 0.08)
     weight = pert.weight(GalerkinContext(basis8, mult_degree=4))
-    chain = build_chain_matrix(hatted_gjms(basis8, weight), weight)
+    chain = build_chain_matrix(basis8, weight)
     d = chain.diagnostics.entries
     m = chain.members
     P, G, Pi, GInf, PiInf = m["P_hat"], m["G"], m["Pi"], m["GInf"], m["PiInf"]
@@ -244,6 +246,90 @@ def test_chain_norms_bound_svd_values(basis8):
              svd(PiInf.conj().T @ W @ P) / scale)
 
 
-def test_radius_estimator_on_known_matrix():
-    R = np.diag([0.5, -0.25, 0.1]).astype(complex)
-    assert abs(_estimate_spectral_radius(R) - 0.5) < 1e-6
+def spectral_oracle(P_d, weight):
+    """Pi, G and the nonzero eigenvalue range from the generalized eigensolver."""
+    spec = spectrum_matrix(P_d, weight)
+    V, lam = spec.eigenvectors, spec.eigenvalues
+    ker = np.abs(lam) <= spec.kernel_tol
+    inv_lam = np.where(ker, 0.0, 1.0 / np.where(ker, 1.0, lam))
+    VW = V.conj().T @ weight.matrix  # V is W-orthonormal
+    G = (V * inv_lam[None, :]) @ VW
+    Pi = V[:, ker] @ VW[ker, :]
+    lam_min = min_nonzero_abs_eigenvalue(spec)
+    return spec, Pi, G, lam_min, float(np.max(np.abs(lam))) / lam_min
+
+
+def assert_close(got, ref, rel=1e-12):
+    assert np.max(np.abs(got - ref)) <= rel * np.max(np.abs(ref)), (got, ref)
+
+
+@pytest.mark.parametrize("scale,seed", [(0.05, 0), (0.1, 1)])
+def test_closed_forms_match_spectral_oracle(basis8, scale, seed):
+    pert = perturbation(basis8, scale, degree=2)
+    ctx = GalerkinContext(basis8, mult_degree=4)
+    weight = pert.weight(ctx)
+    P_d = critical_gjms(basis8).to_diag_vector(basis8)
+    spec, Pi_ref, G_ref, lam_min_ref, cond_ref = spectral_oracle(P_d, weight)
+    chain = build_chain_matrix(basis8, weight)
+    assert chain.diagnostics.entries["kernel_dim"] == spec.kernel_dim
+    assert_close(chain.member("Pi"), Pi_ref)
+    assert_close(chain.member("G"), G_ref)
+    lam_min, lam_max = nonzero_eigenvalue_range(P_d, weight, kernel_mask(basis8))
+    assert_close(chain.diagnostics.entries["min_nonzero_abs_eigenvalue"], lam_min_ref)
+    assert_close(lam_max / lam_min, cond_ref)
+    # G applied to a vector is the formed G times it
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(basis8.total_dim) + 1j * rng.standard_normal(basis8.total_dim)
+    assert_close(apply_partial_inverse(P_d, weight, kernel_mask(basis8), x), G_ref @ x)
+    rep = solve_zero_q(qhat(pert, ctx), ctx)
+    assert_close(rep.condition, cond_ref)
+
+
+def test_nonzero_eigenvalue_range_without_nonzero_eigenvalues(basis16):
+    basis = basis16.restrict(1)  # degree <= 1: every block is pluriharmonic
+    weight = InnerProductWeight.identity(basis.total_dim)
+    P_d = critical_gjms(basis).to_diag_vector(basis)
+    assert nonzero_eigenvalue_range(P_d, weight, kernel_mask(basis)) == (None, None)
+
+
+@pytest.fixture(scope="module")
+def bases_small(basis8):
+    return {1: basis8, 2: HarmonicBasis.build(2, 5)}
+
+
+@settings(max_examples=8, deadline=None)
+@given(n=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1),
+       size=st.floats(0.01, 0.1))
+def test_zero_q_properties_random_exponent(bases_small, n, seed, size):
+    # a random real Upsilon of degree <= 3, scaled so the certified sup bound
+    # is `size`: total Q vanishes, the solve round-trips, and the closed-form
+    # solution and condition agree with the generalized eigensolver
+    basis = bases_small[n]
+    rng = np.random.default_rng(seed)
+    terms = []
+    for _ in range(rng.integers(1, 5)):
+        d = int(rng.integers(1, 4))
+        p = int(rng.integers(0, d + 1))
+        i = int(rng.integers(0, dim_hpq(n, p, d - p)))
+        terms.append((p, d - p, i, complex(*rng.standard_normal(2))))
+    f = SpectralFunction.from_terms(basis, terms).realized()
+    assume(f.sup_norm_bound() > 0)
+    pert = ContactPerturbation(basis, f.scale(size / f.sup_norm_bound()), label="drawn")
+    ctx = GalerkinContext(basis, mult_degree=3)
+    qd = qhat(pert, ctx)
+    value, passed = total_q(qd, ctx)
+    assert passed and abs(value) <= 1e-8
+    assume(not qd.exact)  # a pluriharmonic Upsilon gives Q_hat = 0 exactly
+    rep = solve_zero_q(qd, ctx)
+    drift = (pert.upsilon + rep.upsilon_sol).apply_diagonal(critical_gjms(basis)).norm()
+    assert drift <= 1e-7
+    assert rep.final_q_norm <= 1e-6
+
+    P_d = critical_gjms(basis).to_diag_vector(basis)
+    spec, _, G_ref, _, cond_ref = spectral_oracle(P_d, pert.weight(ctx))
+    assert spec.kernel_dim == rep.kernel_dim
+    ref = SpectralFunction.from_vector(basis, -G_ref @ qd.vector()).realized().to_vector()
+    got = rep.upsilon_sol.to_vector()
+    # the solver prunes coefficients below 1e-15 max(1, max|u|)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+    assert_close(rep.condition, cond_ref)

@@ -1,15 +1,21 @@
+import math
 import random
 
 import numpy as np
 import pytest
 
 from crsphere.errors import ConfigError, ObstructionError
-from crsphere.galerkin import GalerkinContext, taylor_exp_apply, taylor_exp_matrix
+from crsphere.galerkin import (
+    GalerkinContext,
+    full_context,
+    taylor_exp_apply,
+    taylor_exp_matrix,
+)
+from crsphere.harmonics import dim_hpq
+from crsphere.parametrix import interior_mask, kernel_mask
 from crsphere.qcurvature import (
     ContactPerturbation,
     QData,
-    interior_mask,
-    kernel_mask,
     qhat,
     recompute_final_q_norm,
     solvability_check,
@@ -35,8 +41,6 @@ def random_small_perturbation(basis, rng, sup_bound=0.05, max_degree=3):
         d = rng.randint(1, max_degree)
         p = rng.randint(0, d)
         q = d - p
-        from crsphere.harmonics import dim_hpq
-
         i = rng.randint(0, dim_hpq(basis.n, p, q) - 1)
         terms.append((p, q, i, complex(rng.uniform(-1, 1), rng.uniform(-1, 1))))
     f = SpectralFunction.from_terms(basis, terms).realized()
@@ -201,7 +205,7 @@ class TestSolve:
         pert = ContactPerturbation(basis12, phi11(basis12).scale(eps), label="round")
         qd = qhat(pert, ctx12)
         rep = solve_zero_q(qd, ctx12)
-        assert rep.notes["mode"] == "weighted_spectral"
+        assert rep.notes["mode"] == "weighted_closed_form"
         total = pert.upsilon + rep.upsilon_sol
         drift = total.apply_diagonal(critical_gjms(basis12)).norm()
         assert drift <= 1e-7
@@ -244,7 +248,33 @@ class TestFinalVerification:
         via_law = recompute_final_q_norm(qd, rep.upsilon_sol, ctx12)
         total = (pert.upsilon + rep.upsilon_sol).realized()
         pert_total = ContactPerturbation(basis12, total, taylor_depth=12)
-        from crsphere.galerkin import full_context
-
         via_total = qhat(pert_total, full_context(basis12)).qhat.norm()
         assert via_law <= 1e-6 and via_total <= 1e-6
+
+
+def galerkin_final_q_norm(qdata, upsilon_sol, ctx):
+    """The former final-Q value: ||T_K(-M_sol) r|| with the full-degree multiplier."""
+    basis = qdata.frame.basis
+    P_d = critical_gjms(basis).to_diag_vector(basis)
+    resid = qdata.frame.weight(ctx).solve(P_d * upsilon_sol.to_vector()) + qdata.vector()
+    M = full_context(basis).mult_matrix(upsilon_sol.to_poly_float().scale(float(basis.n + 1)))
+    return float(np.linalg.norm(taylor_exp_apply(-M, qdata.frame.K, resid)))
+
+
+def test_final_q_bound_dominates_galerkin_value(basis8):
+    # e^{(n+1) B(Upsilon_sol)} ||r|| is never below ||T_K(-M_sol) r||
+    ctx = GalerkinContext(basis8, mult_degree=3)
+    rng = random.Random(3)
+    for _ in range(3):
+        qd = qhat(random_small_perturbation(basis8, rng, sup_bound=0.08), ctx)
+        sol = solve_zero_q(qd, ctx, verify_final=False).upsilon_sol
+        bound = recompute_final_q_norm(qd, sol, ctx)
+        assert galerkin_final_q_norm(qd, sol, ctx) <= bound <= 1e-6
+
+
+def test_tail_bound_rests_on_certified_sup(basis12):
+    pert = ContactPerturbation(basis12, phi11(basis12).scale(0.05), label="tail")
+    bound = pert.upsilon.sup_norm_bound()
+    assert bound >= pert.sup_estimate() > 0
+    x = (pert.n + 1) * bound
+    assert pert.exp_tail_bound() == x ** (pert.K + 1) / math.factorial(pert.K + 1) * math.exp(x)

@@ -220,6 +220,18 @@ class TestSpectralFunction:
     def test_sup_norm_of_constant(self, basis8):
         one = SpectralFunction.from_terms(basis8, [(0, 0, 0, QI(1))])
         assert abs(one.sup_norm_estimate(samples=256) - 1.0) < 1e-12
+        assert one.sup_norm_bound() == 1.0
+
+    def test_sup_norm_bound_dominates_samples(self, basis8):
+        # B(f) = sum sqrt(dim H_pq) ||f_pq|| is a true bound; every sample is
+        # a value of |f|, so no sample may exceed it
+        rng = np.random.default_rng(2)
+        for _ in range(5):
+            terms = [(p, q, 0, complex(*rng.standard_normal(2)))
+                     for p, q in [(1, 0), (1, 1), (2, 1), (0, 3)]]
+            f = SpectralFunction.from_terms(basis8, terms).realized()
+            assert f.sup_norm_estimate(samples=20000) <= f.sup_norm_bound()
+        assert SpectralFunction.zero(basis8).sup_norm_bound() == 0.0
 
     def test_pointwise_evaluation_matches_blocks(self, basis8):
         # |z1|^2 - 1/2 is (up to scale) the first H_{1,1} element; evaluate both
