@@ -16,16 +16,24 @@ what the interior diagnostics measure.
 
 Multiplication matrices stay sparse (a degree-d multiplier couples only
 blocks whose degrees differ by at most d), and the weight keeps a single
-Cholesky factor that every weighted solve reuses.  Residual sizes use the
-certified bounds norm2_upper / norm2_lower instead of a full SVD: a
-relative defect divides an upper bound by a lower bound, so it is never
-below the spectral-norm ratio it stands for.
+Cholesky factor that every weighted solve reuses, plus one factor per
+principal block W_MM it is asked to solve with.  No eigensolver runs on
+the weight: W = T_K(M) is a polynomial in the Hermitian multiplier M and
+||M|| <= a, so min_{|x|<=a} T_K(x), less an a-priori bound on the rounding
+of Horner's rule, is a lower bound on its smallest eigenvalue.  Residual
+sizes use the certified bounds norm2_upper / norm2_lower instead of a full
+SVD: a relative defect divides an upper bound by a lower bound, so it is
+never below the spectral-norm ratio it stands for.  The weighted
+adjointness defect needs no solve either: X - W^{-1} X^* W =
+W^{-1} (Y - Y^*) with Y = W X, bounded through the eigenvalue bound and
+an a-priori bound on the rounding of the product W X.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
@@ -71,29 +79,37 @@ class MonomialIndex:
         return len(self.keys)
 
 
+def _row_codes(X):
+    """One int64 code per row of a non-negative integer matrix (mixed radix)."""
+    return X @ (int(X.max(initial=0)) + 1) ** np.arange(X.shape[1], dtype=np.int64)
+
+
 def pairing_matrix(row_idx: MonomialIndex, col_idx: MonomialIndex, n):
     """Sparse K[r, c] = <mono_c, mono_r> over the sphere, exact values.
 
     <z^A zbar^B, z^A' zbar^B'> is nonzero iff A - B == A' - B' componentwise,
-    with value integral(A + B').
+    with value integral(A + B').  Rows and columns are matched by sector
+    A - B with numpy; the exact integral is evaluated once per distinct
+    exponent tuple A_c + B_r and rounded to float.
     """
-    sectors = {}
-    for c, (A, B) in enumerate(col_idx.keys):
-        sectors.setdefault(tuple(a - b for a, b in zip(A, B)), []).append(c)
-    rows, cols, vals = [], [], []
-    for r, (A, B) in enumerate(row_idx.keys):
-        sector = sectors.get(tuple(a - b for a, b in zip(A, B)))
-        if not sector:
-            continue
-        for c in sector:
-            Ac, Bc = col_idx.keys[c]
-            exps = tuple(a + b for a, b in zip(Ac, B))
-            rows.append(r)
-            cols.append(c)
-            vals.append(float(_integral_equal_exponents(n, exps)))
-    return scipy.sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(len(row_idx), len(col_idx))
-    )
+    R, C = len(row_idx), len(col_idx)
+    rows_ab = np.array(row_idx.keys, dtype=np.int64).reshape(R, 2, -1)
+    cols_ab = np.array(col_idx.keys, dtype=np.int64).reshape(C, 2, -1)
+    top = max(row_idx.max_degree, col_idx.max_degree)
+    sector = _row_codes(top + np.concatenate(
+        [rows_ab[:, 0] - rows_ab[:, 1], cols_ab[:, 0] - cols_ab[:, 1]]))
+    row_sector, col_sector = sector[:R], sector[R:]
+    # columns grouped by sector (ascending within one), one run per row
+    order = np.argsort(col_sector, kind="stable")
+    start = np.searchsorted(col_sector[order], row_sector, side="left")
+    count = np.searchsorted(col_sector[order], row_sector, side="right") - start
+    rows = np.repeat(np.arange(R), count)
+    cols = order[np.arange(len(rows)) - np.repeat(np.cumsum(count) - count - start, count)]
+    exps = cols_ab[cols, 0] + rows_ab[rows, 1]
+    _, first, which = np.unique(_row_codes(exps), return_index=True, return_inverse=True)
+    table = np.array([float(_integral_equal_exponents(n, tuple(e)))
+                      for e in exps[first].tolist()])
+    return scipy.sparse.csr_matrix((table[which], (rows, cols)), shape=(R, C))
 
 
 def shift_matrix(f: Poly, src_idx: MonomialIndex, dst_idx: MonomialIndex):
@@ -186,33 +202,99 @@ def taylor_exp_apply(M, K: int, vec: np.ndarray) -> np.ndarray:
     return out
 
 
+# unit roundoff of float64 / complex128 arithmetic
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), the a-priori bound on k rounded operations."""
+    return k * UNIT_ROUNDOFF / (1 - k * UNIT_ROUNDOFF)
+
+
+def taylor_exp_min(a: float, K: int) -> float:
+    """min over |x| <= a of T_K(x) = sum_{k<=K} x^k / k!, in rational arithmetic.
+
+    T_K' = T_{K-1}.  For odd K, T_{K-1} has even degree and no real root,
+    so T_K increases and the minimum is T_K(-a); for even K the same holds
+    when T_{K-1}(-a) > 0 (T_{K-1} increases).  Otherwise the minimum is at
+    the one real root r in [-a, 0) of T_{K-1}, where T_K(r) = r^K / K!;
+    bisection keeps a point h in (r, 0), and h^K / K! <= r^K / K!.
+    """
+    def T(x, k):
+        return sum(x**j / math.factorial(j) for j in range(k + 1))
+
+    x = -Fraction(a)
+    if K == 0 or K % 2 or T(x, K - 1) > 0:
+        return float(T(x, K))
+    lo, hi = x, Fraction(0)
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        if T(mid, K - 1) > 0:
+            hi = mid
+        else:
+            lo = mid
+    return float(hi**K / math.factorial(K))
+
+
+def taylor_rounding_bound(a: float, D: int) -> float:
+    """Bound rho on ||fl(W) - T_K(M)||_2 for the weight W = T_K(M), ||M||_2 <= a.
+
+    Horner's rule (taylor_exp_matrix) computes E_k = M E_{k+1} / k + I.
+    One step commits at most c (|M| |E_{k+1}| / k + I) entrywise,
+    c = sqrt(2) gamma_{2D+2}: each real part of a length-D complex inner
+    product is a sum of 2D products, plus the division and the diagonal
+    add (Higham, Accuracy and Stability of Numerical Algorithms, 3.5-3.6).
+    With ||abs(X)||_2 <= sqrt(D) ||X||_2 and ||E_k|| <= e^a, the committed
+    errors, carried forward by factors a^j / j!, sum to at most
+    c e^a (2 D a e^a + 1); the symmetrization 0.5 (W + W^*) adds at most
+    2 sqrt(D) u e^a.  Both are below 2 sqrt(2) gamma_{2D+2} (D a + 1) e^{2a}.
+    M is taken as assembled: its own rounding, of relative order u per
+    entry, is not bounded separately.
+    """
+    return 2 * math.sqrt(2) * gamma(2 * D + 2) * (D * a + 1) * math.exp(2 * a)
+
+
 @dataclass
 class InnerProductWeight:
     """Gram matrix of the truncated basis under e^{(n+1) Upsilon} dsigma.
 
-    Must be Hermitian positive definite; construction fails hard otherwise
-    (a non-positive weight means the conformal factor left the regime the
-    truncation can represent).  The matrix is factored once (Cholesky) and
-    every solve reuses the factor.
+    The matrix is the Taylor sum W = T_K(M) of the multiplier M of
+    (n+1) Upsilon, and multiplier_bound is a >= ||M||_2.  Since
+    eig(W) = T_K(eig(M)), min_eigenvalue_bound = min_{|x|<=a} T_K(x) - rho
+    (taylor_exp_min, taylor_rounding_bound) is a lower bound on
+    lambda_min(W) with no eigensolver.  W must be Hermitian positive
+    definite: a bound <= 0 or a failed Cholesky factorization raises
+    NumericalError (a non-positive weight means the conformal factor left
+    the regime the truncation can represent).  The matrix is factored once
+    and every solve reuses the factor; principal blocks W_MM get one
+    Cholesky factor per mask (block_solve).
     """
 
     matrix: np.ndarray
     taylor_depth: int
+    multiplier_bound: float
     upsilon_label: str = ""
     tail_bound: float = 0.0
-    min_eigenvalue: float = field(init=False)
+    min_eigenvalue_bound: float = field(init=False)
     hermitian_defect: float = field(init=False)
+    _norm_upper: float = field(init=False, repr=False)
     _cholesky: tuple = field(init=False, repr=False)
+    _block_factors: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         W = self.matrix
         self.hermitian_defect = norm2_upper(W - W.conj().T)
         W = 0.5 * (W + W.conj().T)
         self.matrix = W
-        self.min_eigenvalue = float(scipy.linalg.eigvalsh(W)[0])
-        if self.min_eigenvalue <= 0:
+        self._norm_upper = norm2_upper(W)
+        a = self.multiplier_bound
+        self.min_eigenvalue_bound = (taylor_exp_min(a, self.taylor_depth)
+                                     - taylor_rounding_bound(a, W.shape[0]))
+        if self.min_eigenvalue_bound <= 0:
             raise NumericalError(
-                f"weight lost positivity (min eigenvalue {self.min_eigenvalue:.3e})"
+                f"weight not certified positive (lower eigenvalue bound "
+                f"{self.min_eigenvalue_bound:.3e} for ||M|| <= {a:.3e}, "
+                f"Taylor depth {self.taylor_depth})"
             )
         try:
             self._cholesky = scipy.linalg.cho_factor(W)
@@ -221,11 +303,27 @@ class InnerProductWeight:
 
     @classmethod
     def identity(cls, dim):
-        return cls(np.eye(dim, dtype=complex), taylor_depth=0, upsilon_label="0")
+        return cls(np.eye(dim, dtype=complex), taylor_depth=0, multiplier_bound=0.0,
+                   upsilon_label="0")
 
     def solve(self, rhs):
         """W^{-1} rhs from the stored Cholesky factor."""
         return scipy.linalg.cho_solve(self._cholesky, rhs)
+
+    def block_solve(self, mask, rhs):
+        """W_MM^{-1} rhs, W_MM the principal block on the coordinates in mask.
+
+        The block's Cholesky factor is made once per mask and kept.
+        """
+        key = np.asarray(mask, dtype=bool).tobytes()
+        factor = self._block_factors.get(key)
+        if factor is None:
+            try:
+                factor = scipy.linalg.cho_factor(self.matrix[np.ix_(mask, mask)])
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(f"weight block factorization failed: {exc}") from exc
+            self._block_factors[key] = factor
+        return scipy.linalg.cho_solve(factor, rhs)
 
     def inner(self, u, v):
         """<u, v>_hat for coefficient vectors."""
@@ -235,28 +333,34 @@ class InnerProductWeight:
         return math.sqrt(max(self.inner(u, u).real, 0.0))
 
     def projector(self, mask):
-        """W-orthogonal projector onto the coordinate subspace given by mask."""
+        """W-orthogonal projector onto the coordinate subspace given by mask.
+
+        Its rows outside mask are exactly zero; its rows in mask are
+        W_MM^{-1} W_M:.
+        """
         mask = np.asarray(mask, dtype=bool)
-        if not mask.any():
-            return np.zeros_like(self.matrix)
-        G = self.matrix[np.ix_(mask, mask)]
-        rows = self.matrix[mask, :]
-        X = scipy.linalg.solve(G, rows, assume_a="her")
         P = np.zeros_like(self.matrix)
-        P[mask, :] = X
+        if mask.any():
+            P[mask] = self.block_solve(mask, self.matrix[mask])
         return P
 
-    def weighted_adjoint(self, X):
-        """X^dagger = W^{-1} X^* W."""
-        return self.solve(X.conj().T @ self.matrix)
+    def adjoint_defect(self, X, rows=None):
+        """Certified upper bound on ||X - X^dagger|| / ||X||, X^dagger = W^{-1} X^* W.
 
-    def adjoint_defect(self, X):
-        """Relative asymmetry ||X - X^dagger|| / ||X|| in the weighted inner product.
-
-        An upper bound on the spectral-norm ratio: certified upper bound over
-        certified lower bound.
+        X - X^dagger = W^{-1} (Y - Y^*) with Y = W X (W is Hermitian), so
+        no solve is needed: ||X - X^dagger|| <= ||Y - Y^*|| / lambda_min(W).
+        The computed Y differs from W X by at most sqrt(2) gamma_{2D} |W| |X|
+        entrywise, whatever the summation order (Higham, 3.5-3.6), which
+        adds 2 sqrt(2) gamma_{2D} ||W|| ||X|| to ||Y - Y^*||.  Numerator
+        norms are norm2_upper, ||X|| in the denominator is norm2_lower and
+        lambda_min(W) is min_eigenvalue_bound.  rows, if given, marks the
+        only nonzero rows of X, and Y is formed from them alone.
         """
         nx = norm2_lower(X)
         if nx == 0:
             return 0.0
-        return norm2_upper(X - self.weighted_adjoint(X)) / nx
+        W = self.matrix
+        Y = W @ X if rows is None else W[:, rows] @ X[rows]
+        Y -= Y.conj().T
+        rounding = 2 * math.sqrt(2) * gamma(2 * W.shape[0]) * self._norm_upper * norm2_upper(X)
+        return (norm2_upper(Y) + rounding) / (self.min_eigenvalue_bound * nx)

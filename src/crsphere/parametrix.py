@@ -27,12 +27,21 @@ onto K and G = (I - Pi) P_diag^+ W (I - Pi).  The generalized eigensolver
 Every chain identity is recorded as a residual norm on the full truncation
 and on the interior blocks.
 
+S, Sbar, Pi_0, Pi_oo and Pi are nonzero only on their rows in K (the
+projectors are W_KK^{-1} W_K: there), so the matrix chain forms every
+product with one of them on the left from those rows alone, about a
+fifth of the rows at n=1.
+
 Reported residual norms are certified upper bounds on the spectral norm,
 sqrt(||X||_1 ||X||_inf) (galerkin.norm2_upper), not SVD values, so every
 gate on them is at least as strict as a gate on the spectral norm.  A
 relative defect divides the upper bound of its numerator by the lower bound
 max_j ||X e_j||_2 (galerkin.norm2_lower) of its denominator, so the ratio
-is still an upper bound on the spectral-norm ratio.
+is still an upper bound on the spectral-norm ratio.  The weighted
+adjointness defects solve nothing: X - W^{-1} X^* W = W^{-1} (Y - Y^*)
+with Y = W X, divided by the weight's certified lower eigenvalue bound,
+with an a-priori term for the rounding of the product W X
+(InnerProductWeight.adjoint_defect).
 """
 
 from __future__ import annotations
@@ -286,20 +295,23 @@ def hatted_gjms(basis: HarmonicBasis, weight: InnerProductWeight) -> np.ndarray:
     return weight.solve(np.diag(P_d).astype(complex))
 
 
-def apply_partial_inverse(P_d, weight: InnerProductWeight, ker, X):
+def apply_partial_inverse(P_d, weight: InnerProductWeight, ker, X=None):
     """G X = (I - Pi) P_d^+ W (I - Pi) X, G the partial inverse of W^{-1} P_d.
 
     Pi = weight.projector(ker) is the W-orthogonal projector onto the
     kernel coordinates; it is applied through its nonzero rows
     W_KK^{-1} W_K:, so neither Pi nor G is formed.  X is a vector or a
-    matrix (the identity gives G itself).
+    matrix; X=None gives G itself, from W (I - Pi) = W - W_:K (W_KK^{-1} W_K:).
     """
     W = weight.matrix
-    rows = scipy.linalg.solve(W[np.ix_(ker, ker)], W[ker], assume_a="her")
+    rows = weight.block_solve(ker, W[ker])
     inv = np.where(ker, 0.0, 1.0 / np.where(ker, 1.0, P_d))
-    Y = np.array(X, dtype=complex)
-    Y[ker] -= rows @ Y
-    Y = W @ Y
+    if X is None:
+        Y = W - W[:, ker] @ rows
+    else:
+        Y = np.array(X, dtype=complex)
+        Y[ker] -= rows @ Y
+        Y = W @ Y
     Y *= inv.reshape((-1,) + (1,) * (Y.ndim - 1))
     Y[ker] -= rows @ Y
     return Y
@@ -320,8 +332,7 @@ def nonzero_eigenvalue_range(P_d, weight: InnerProductWeight, ker):
         return None, None
     W = weight.matrix
     S = W[np.ix_(C, C)]
-    S -= W[np.ix_(C, ker)] @ scipy.linalg.solve(
-        W[np.ix_(ker, ker)], W[np.ix_(ker, C)], assume_a="her")
+    S -= W[np.ix_(C, ker)] @ weight.block_solve(ker, W[np.ix_(ker, C)])
     r = 1.0 / np.sqrt(P_d[C])
     S *= r[:, None]
     S *= r[None, :]
@@ -341,15 +352,20 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
     G are the closed forms Pi = weight.projector(K) and
     G = (I - Pi) P_d^+ W (I - Pi), K the pluriharmonic coordinates (the
     kernel of P_hat = W^{-1} P_d in every frame).
+
+    S, Sbar, Pi_0, Pi_oo and Pi vanish outside their rows in K, so every
+    product with one of them on the left is formed from those rows alone
+    (and P_hat Pi from the K columns of P_hat), and the residuals made of
+    such rows are measured on them.  The members stay full D x D arrays.
     """
     n, N = basis.n, basis.N
     D = basis.total_dim
     W = weight.matrix
-    ident = np.eye(D, dtype=complex)
     interior = interior_mask(basis)
     ker = kernel_mask(basis)
     holo = np.array([q == 0 for p, q, _, _ in basis.index_blocks()])
     anti = np.array([p == 0 for p, q, _, _ in basis.index_blocks()])
+    diagonal = slice(None, None, D + 1)  # the diagonal of a flattened D x D array
 
     P_d = critical_gjms(basis).to_diag_vector(basis)
     G0_d = critical_gjms(basis).partial_inverse().to_diag_vector(basis)
@@ -360,50 +376,71 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
     G0 = G0_d[:, None] * W  # Galerkin of G0 . M_w; G0 is block diagonal, no leakage
     Pmat = hatted_gjms(basis, weight)
 
-    R0 = Pmat @ G0 + Pi0 - ident
-    A0 = scipy.linalg.solve(ident + R0, ident)
+    R0 = Pmat @ G0
+    R0[ker] += Pi0[ker]
+    R0.flat[diagonal] -= 1
+    X = R0.copy()  # I + R0
+    X.flat[diagonal] += 1
+    A0 = scipy.linalg.solve(X, np.eye(D, dtype=complex))
+    X = X @ A0
+    X.flat[diagonal] -= 1
+    a0_residual = norm2_upper(X)
 
-    PiInf = Pi0 @ A0
-    GInf = (ident - PiInf) @ G0 @ A0
+    PiInf = np.zeros_like(A0)
+    PiInf[ker] = Pi0[ker] @ A0
+    GInf = G0 @ A0
+    GInf[ker] -= PiInf[ker] @ GInf
 
     Pi = weight.projector(ker)
-    G = apply_partial_inverse(P_d, weight, ker, ident)
+    G = apply_partial_inverse(P_d, weight, ker)
     lam_min, _ = nonzero_eigenvalue_range(P_d, weight, ker)
 
     diag = ChainDiagnostics("matrix")
-    diag.record("A0_residual", norm2_upper((ident + R0) @ A0 - ident))
+    diag.record("A0_residual", a0_residual)
     diag.record("kernel_dim", int(ker.sum()))
     diag.record("min_nonzero_abs_eigenvalue", lam_min)
-    diag.record("weight_min_eigenvalue", weight.min_eigenvalue)
+    diag.record("weight_min_eigenvalue_bound", weight.min_eigenvalue_bound)
     diag.record("weight_tail_bound", weight.tail_bound)
 
-    def rec(name, X):
+    def rec(name, X, rows=None):
+        # X is the whole residual, or, with rows, its only nonzero rows
+        inner = interior if rows is None else interior[rows]
         diag.record(f"{name}_full", norm2_upper(X))
-        diag.record(f"{name}_interior", norm2_upper(X[np.ix_(interior, interior)]))
+        diag.record(f"{name}_interior", norm2_upper(X[np.ix_(inner, interior)]))
 
-    rec("PG_plus_Pi_minus_I", Pmat @ G + Pi - ident)
-    rec("GP_plus_Pi_minus_I", G @ Pmat + Pi - ident)
-    rec("PGInf_plus_PiInf_minus_I", Pmat @ GInf + PiInf - ident)
-    rec("R_inf", GInf @ Pmat + PiInf - ident)
-    rec("PiInf_sq_minus_PiInf", PiInf @ PiInf - PiInf)
-    rec("Pi_minus_PiInf", Pi - PiInf)
+    for name, left, right, proj in (
+        ("PG_plus_Pi_minus_I", Pmat, G, Pi),
+        ("GP_plus_Pi_minus_I", G, Pmat, Pi),
+        ("PGInf_plus_PiInf_minus_I", Pmat, GInf, PiInf),
+        ("R_inf", GInf, Pmat, PiInf),
+    ):
+        np.matmul(left, right, out=X)
+        X[ker] += proj[ker]
+        X.flat[diagonal] -= 1
+        rec(name, X)
+    del X
+    PiInf_K = PiInf[ker]
+    rec("PiInf_sq_minus_PiInf", PiInf_K[:, ker] @ PiInf_K - PiInf_K, ker)
+    rec("Pi_minus_PiInf", Pi[ker] - PiInf_K, ker)
     rec("G_minus_GInf", G - GInf)
-    rec("PiG", Pi @ G)
-    rec("PPi", Pmat @ Pi)
+    rec("PiG", Pi[ker] @ G, ker)
+    rec("PPi", Pmat[:, ker] @ Pi[ker])
     rec("R0", R0)
 
     diag.record("P_hat_adjoint_defect", weight.adjoint_defect(Pmat))
     diag.record("G_adjoint_defect", weight.adjoint_defect(G))
-    diag.record("Pi_adjoint_defect", weight.adjoint_defect(Pi))
-    diag.record("PiInf_adjoint_defect", weight.adjoint_defect(PiInf))
+    diag.record("Pi_adjoint_defect", weight.adjoint_defect(Pi, rows=ker))
+    diag.record("PiInf_adjoint_defect", weight.adjoint_defect(PiInf, rows=ker))
     diag.record("GInf_adjoint_defect", weight.adjoint_defect(GInf))
 
-    # Ran P_hat orthogonal to Ran Pi in the weighted inner product
-    pairing = Pi.conj().T @ W @ Pmat
+    # Ran P_hat orthogonal to Ran Pi in the weighted inner product:
+    # Pi^* W P_hat = Pi_K:^* (W_K: P_hat)
+    WP_K = W[ker] @ Pmat
     scale = max(norm2_lower(Pi) * norm2_lower(W) * norm2_lower(Pmat), 1e-300)
-    diag.record("ran_orthogonality_defect", norm2_upper(pairing) / scale)
-    pairing_inf = PiInf.conj().T @ W @ Pmat
-    diag.record("ran_orthogonality_defect_PiInf", norm2_upper(pairing_inf) / scale)
+    diag.record("ran_orthogonality_defect",
+                norm2_upper(Pi[ker].conj().T @ WP_K) / scale)
+    diag.record("ran_orthogonality_defect_PiInf",
+                norm2_upper(PiInf_K.conj().T @ WP_K) / scale)
 
     members = {
         "P_hat": Pmat, "S": S_hat, "Sbar": Sb_hat,

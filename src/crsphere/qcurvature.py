@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigError, ObstructionError
 from .galerkin import GalerkinContext, InnerProductWeight, taylor_exp_apply, taylor_exp_matrix
@@ -116,13 +115,21 @@ class ContactPerturbation:
             self._sup = self.upsilon.sup_norm_estimate()
         return self._sup
 
+    def multiplier_norm_bound(self):
+        """a = (n+1) B(Upsilon) >= (n+1) sup|Upsilon| >= ||M||, M the multiplier matrix.
+
+        B(Upsilon) >= sup|Upsilon| (SpectralFunction.sup_norm_bound), and a
+        compression of multiplication by a function has norm at most its sup.
+        """
+        return (self.n + 1) * self.upsilon.sup_norm_bound()
+
     def exp_tail_bound(self):
         """Taylor tail |x|^{K+1}/(K+1)! e^|x| of e^x at x = (n+1) B(Upsilon).
 
-        B(Upsilon) >= sup|Upsilon| (SpectralFunction.sup_norm_bound), so this
-        bounds the tail at every point of the sphere.
+        x bounds (n+1) |Upsilon| at every point of the sphere, so this bounds
+        the tail everywhere.
         """
-        x = (self.n + 1) * self.upsilon.sup_norm_bound()
+        x = self.multiplier_norm_bound()
         return x ** (self.K + 1) / math.factorial(self.K + 1) * math.exp(x)
 
     def multiplier_matrix(self, ctx: GalerkinContext):
@@ -139,6 +146,7 @@ class ContactPerturbation:
             self._weight = InnerProductWeight(
                 taylor_exp_matrix(M, self.K),
                 taylor_depth=self.K,
+                multiplier_bound=self.multiplier_norm_bound(),
                 upsilon_label=self.label,
                 tail_bound=self.exp_tail_bound(),
             )
@@ -275,13 +283,11 @@ def solvability_check(qdata: QData, ctx: GalerkinContext | None = None,
         obstruction = float(np.linalg.norm(pairings))
         obstruction_int = float(np.linalg.norm(wq[ker & inter]))
     else:
-        G = W[np.ix_(ker, ker)]
-        sol = scipy.linalg.solve(G, pairings, assume_a="her")
+        sol = weight.block_solve(ker, pairings)
         obstruction = float(math.sqrt(max(np.vdot(pairings, sol).real, 0.0)))
         ki = ker & inter
-        Gi = W[np.ix_(ki, ki)]
         pi = wq[ki]
-        soli = scipy.linalg.solve(Gi, pi, assume_a="her")
+        soli = weight.block_solve(ki, pi)
         obstruction_int = float(math.sqrt(max(np.vdot(pi, soli).real, 0.0)))
 
     kernel_dim = int(ker.sum())

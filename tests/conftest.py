@@ -17,3 +17,9 @@ def basis12(basis16):
 @pytest.fixture(scope="session")
 def basis8(basis16):
     return basis16.restrict(8)
+
+
+@pytest.fixture(scope="session")
+def bases_small(basis8):
+    """The small bases of the property tests, by n."""
+    return {1: basis8, 2: HarmonicBasis.build(2, 5)}

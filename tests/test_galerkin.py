@@ -1,10 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
@@ -16,10 +17,14 @@ from crsphere.galerkin import (
     full_context,
     norm2_lower,
     norm2_upper,
+    pairing_matrix,
     taylor_exp_apply,
     taylor_exp_matrix,
+    taylor_exp_min,
 )
-from crsphere.harmonics import inner_sphere
+from crsphere.harmonics import dim_hpq
+from crsphere.qcurvature import ContactPerturbation
+from crsphere.harmonics import _integral_equal_exponents, inner_sphere
 from crsphere.poly import Poly
 from crsphere.scalars import QI
 from crsphere.spectral import SpectralFunction
@@ -31,8 +36,32 @@ def ctx8(basis8):
 
 
 def weight_from(ctx, scaled_upsilon, K):
-    """Weight of e^{scaled_upsilon} at Taylor depth K."""
-    return InnerProductWeight(taylor_exp_matrix(ctx.mult_matrix(scaled_upsilon), K), taylor_depth=K)
+    """Weight of e^{scaled_upsilon} at Taylor depth K; norm2_upper bounds ||M||."""
+    M = ctx.mult_matrix(scaled_upsilon)
+    return InnerProductWeight(taylor_exp_matrix(M, K), taylor_depth=K,
+                              multiplier_bound=norm2_upper(M.toarray()))
+
+
+def weighted_adjoint(weight, X):
+    """Reference W-adjoint X^dagger = W^{-1} X^* W, by a solve."""
+    return weight.solve(X.conj().T @ weight.matrix)
+
+
+def pairing_matrix_loop(row_idx, col_idx, n):
+    """Reference pairing matrix: one Python step and one exact integral per pair."""
+    sectors = {}
+    for c, (A, B) in enumerate(col_idx.keys):
+        sectors.setdefault(tuple(a - b for a, b in zip(A, B)), []).append(c)
+    rows, cols, vals = [], [], []
+    for r, (A, B) in enumerate(row_idx.keys):
+        for c in sectors.get(tuple(a - b for a, b in zip(A, B)), ()):
+            Ac, _ = col_idx.keys[c]
+            rows.append(r)
+            cols.append(c)
+            vals.append(float(_integral_equal_exponents(n, tuple(a + b for a, b in zip(Ac, B)))))
+    return scipy.sparse.csr_matrix(
+        (vals, (rows, cols)), shape=(len(row_idx), len(col_idx))
+    )
 
 
 def real_test_function(basis, scale=1.0):
@@ -105,7 +134,7 @@ class TestWeight:
     def test_zero_exponent_gives_identity(self, ctx8, basis8):
         W = weight_from(ctx8, Poly.zero(2).to_float(), 12)
         assert np.linalg.norm(W.matrix - np.eye(basis8.total_dim), 2) < 1e-13
-        assert W.min_eigenvalue > 0.99
+        assert W.min_eigenvalue_bound > 0.99
 
     def test_hat_volume_against_quadrature(self, ctx8, basis8):
         # <1, 1>_hat must equal int exp((n+1) Upsilon) dsigma
@@ -153,7 +182,7 @@ class TestWeight:
         rng = np.random.default_rng(3)
         X = rng.standard_normal((basis8.total_dim, basis8.total_dim))
         X = X + 1j * rng.standard_normal(X.shape)
-        again = W.weighted_adjoint(W.weighted_adjoint(X))
+        again = weighted_adjoint(W, weighted_adjoint(W, X))
         assert np.linalg.norm(again - X, 2) / np.linalg.norm(X, 2) < 1e-10
 
 
@@ -214,17 +243,20 @@ class TestFastPathsAgainstReference:
     def test_weighted_adjoint_matches_hermitian_solve(self, weight8, X8):
         W = weight8.matrix
         ref = scipy.linalg.solve(W, X8.conj().T @ W, assume_a="her")
-        got = weight8.weighted_adjoint(X8)
+        got = weighted_adjoint(weight8, X8)
         assert np.linalg.norm(got - ref, 2) <= 1e-12 * np.linalg.norm(ref, 2)
 
     def test_adjoint_defect_bounds_the_svd_formula(self, weight8, basis8, X8):
         W = weight8.matrix
         mask = np.array([q == 0 for p, q, _, _ in basis8.index_blocks()])
-        for X in (X8, weight8.projector(mask), X8 + weight8.weighted_adjoint(X8)):
+        for X in (X8, weight8.projector(mask), X8 + weighted_adjoint(weight8, X8)):
             got = weight8.adjoint_defect(X)
-            # the same matrix: the certified ratio brackets the SVD ratio
-            svd = np.linalg.norm(X - weight8.weighted_adjoint(X), 2) / np.linalg.norm(X, 2)
-            assert svd * (1 - 1e-12) <= got <= basis8.total_dim * svd
+            # the same matrix: the certified ratio is at least the SVD ratio
+            svd = np.linalg.norm(X - weighted_adjoint(weight8, X), 2) / np.linalg.norm(X, 2)
+            assert svd * (1 - 1e-12) <= got
+            # and not far above it: within a factor D of an O(1) defect, at
+            # the a-priori rounding floor of the product W X for a W-self-adjoint X
+            assert got <= basis8.total_dim * max(svd, 1e-12)
             # the old route (Bunch-Kaufman solve, SVD norms): equal up to its rounding
             adj = scipy.linalg.solve(W, X.conj().T @ W, assume_a="her")
             old = np.linalg.norm(X - adj, 2) / np.linalg.norm(X, 2)
@@ -234,7 +266,8 @@ class TestFastPathsAgainstReference:
         M = ctx8.mult_matrix(real_test_function(basis8, 0.05).to_poly_float())
         raw = taylor_exp_matrix(M, 12)
         raw[0, 1] += 1e-9
-        weight = InnerProductWeight(raw.copy(), taylor_depth=12)
+        weight = InnerProductWeight(raw.copy(), taylor_depth=12,
+                                    multiplier_bound=norm2_upper(M.toarray()))
         assert weight.hermitian_defect >= np.linalg.norm(raw - raw.conj().T, 2) * (1 - 1e-12)
 
     def test_failed_factorization_is_numerical_error(self, weight8, monkeypatch):
@@ -243,7 +276,8 @@ class TestFastPathsAgainstReference:
 
         monkeypatch.setattr(scipy.linalg, "cho_factor", fail)
         with pytest.raises(NumericalError):
-            InnerProductWeight(weight8.matrix.copy(), taylor_depth=12)
+            InnerProductWeight(weight8.matrix.copy(), taylor_depth=12,
+                               multiplier_bound=weight8.multiplier_bound)
 
     def test_multiplier_is_sparse(self, ctx8, basis8):
         M = ctx8.mult_matrix(real_test_function(basis8).to_poly_float())
@@ -258,6 +292,95 @@ class TestFastPathsAgainstReference:
         v = rng.standard_normal(basis8.total_dim) + 1j * rng.standard_normal(basis8.total_dim)
         diff = taylor_exp_apply(-M, 12, v) - taylor_exp_apply(-dense, 12, v)
         assert np.abs(diff).max() <= 1e-14 * np.abs(v).max()
+
+
+@pytest.mark.parametrize("n,N", [(1, 8), (1, 12), (2, 5)])
+def test_pairing_matrix_matches_loop(n, N):
+    # same floats in the same places: the CSR arrays are bit-identical
+    rows, cols = MonomialIndex(n + 1, N), MonomialIndex(n + 1, N + 6)
+    got, ref = pairing_matrix(rows, cols, n), pairing_matrix_loop(rows, cols, n)
+    for part in ("data", "indices", "indptr"):
+        a, b = getattr(got, part), getattr(ref, part)
+        assert a.dtype == b.dtype and np.array_equal(a, b), part
+
+
+class TestWeightEigenvalueBound:
+    @pytest.mark.parametrize("K", range(14))
+    def test_taylor_min_against_a_grid(self, K):
+        # both branches for even K: T_{K-1}(-a) > 0, and the root of T_{K-1}
+        for a in (0.0, 0.1, 1.0, 3.0, 4.5, 8.0):
+            x = np.linspace(-a, a, 4001)
+            T = sum(x**j / math.factorial(j) for j in range(K + 1))
+            got = taylor_exp_min(a, K)
+            assert got <= T.min() + 1e-12 * max(1.0, np.abs(T).max())
+            assert got >= T.min() - 1e-5 * max(1.0, np.abs(T).max())
+
+    @settings(max_examples=12, deadline=None)
+    @given(n=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1),
+           size=st.floats(0.01, 1.5), K=st.sampled_from([5, 8, 12]))
+    def test_bound_below_smallest_eigenvalue(self, bases_small, n, seed, size, K):
+        basis = bases_small[n]
+        rng = np.random.default_rng(seed)
+        terms = []
+        for _ in range(rng.integers(1, 5)):
+            d = int(rng.integers(1, 4))
+            p = int(rng.integers(0, d + 1))
+            i = int(rng.integers(0, dim_hpq(n, p, d - p)))
+            terms.append((p, d - p, i, complex(*rng.standard_normal(2))))
+        f = SpectralFunction.from_terms(basis, terms).realized()
+        assume(f.sup_norm_bound() > 0)
+        pert = ContactPerturbation(basis, f.scale(size / f.sup_norm_bound()), taylor_depth=K)
+        try:
+            weight = pert.weight(GalerkinContext(basis, mult_degree=3))
+        except NumericalError:
+            assume(False)  # the bound gave up: no claim to check
+        assert 0 < weight.min_eigenvalue_bound <= scipy.linalg.eigvalsh(weight.matrix)[0]
+
+    def test_bound_at_or_below_zero_is_numerical_error(self, basis8):
+        with pytest.raises(NumericalError):
+            InnerProductWeight(np.eye(basis8.total_dim, dtype=complex), taylor_depth=1,
+                               multiplier_bound=1.0)
+
+
+def _exact_2x2_defect(w, X):
+    """||X - W^{-1} X^T W|| / ||X|| in rational arithmetic, W = diag(w), X real, zero diagonal."""
+    w = [Fraction(v) for v in w]
+    x = [[Fraction(float(v.real)) for v in row] for row in X]
+    z01 = x[0][1] - x[1][0] * w[1] / w[0]
+    z10 = x[1][0] - x[0][1] * w[0] / w[1]
+    return max(abs(z01), abs(z10)) / max(abs(x[0][1]), abs(x[1][0]))
+
+
+class TestSolveFreeAdjointDefect:
+    """2 x 2 weights W = I + diag(0, m), so ||M|| = |m| and T_1 gives W exactly."""
+
+    @staticmethod
+    def weight(w):
+        return InnerProductWeight(np.diag([1.0, w]).astype(complex), taylor_depth=1,
+                                  multiplier_bound=abs(w - 1.0))
+
+    def test_divides_by_the_eigenvalue_bound(self):
+        # W^{-1} scales the defect by 1/lambda_min(W) = 2
+        X = np.array([[0, 1], [0, 0]], dtype=complex)
+        got = self.weight(0.5).adjoint_defect(X)
+        assert Fraction(got) >= _exact_2x2_defect([1.0, 0.5], X) == 2
+
+    def test_covers_the_rounding_of_the_product(self):
+        # b = fl(1/w) with fl(w b) = 1 exactly but w b != 1: the computed
+        # W X is exactly Hermitian, the exact one is not
+        for w in np.linspace(0.6, 1.4, 81):
+            b = 1.0 / w
+            if w * b == 1.0 and Fraction(w) * Fraction(b) != 1:
+                break
+        else:
+            pytest.fail("no w with fl(w fl(1/w)) = 1 != w fl(1/w)")
+        X = np.array([[0, 1], [b, 0]], dtype=complex)
+        weight = self.weight(w)
+        Y = weight.matrix @ X
+        assert np.all(Y == Y.conj().T)
+        exact = _exact_2x2_defect([1.0, w], X)
+        assert exact > 0
+        assert Fraction(weight.adjoint_defect(X)) >= exact
 
 
 def test_monomial_index_counts():

@@ -66,7 +66,7 @@ class TestPerturbation:
     def test_weight_positive_definite(self, basis12, ctx12):
         pert = ContactPerturbation(basis12, phi11(basis12).scale(0.05), label="small")
         W = pert.weight(ctx12)
-        assert W.min_eigenvalue > 0.5
+        assert W.min_eigenvalue_bound > 0.5
         assert W.tail_bound < 1e-12
 
 
