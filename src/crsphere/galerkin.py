@@ -20,7 +20,8 @@ Cholesky factor that every weighted solve reuses, plus one factor per
 principal block W_MM it is asked to solve with.  No eigensolver runs on
 the weight: W = T_K(M) is a polynomial in the Hermitian multiplier M and
 ||M|| <= a, so min_{|x|<=a} T_K(x), less an a-priori bound on the rounding
-of Horner's rule, is a lower bound on its smallest eigenvalue.  Residual
+of Horner's rule and on the skew-Hermitian part of the assembled M, is a
+lower bound on its smallest eigenvalue (a bound <= 0 refuses the weight).  Residual
 sizes use the certified bounds norm2_upper / norm2_lower instead of a full
 SVD: a relative defect divides an upper bound by a lower bound, so it is
 never below the spectral-norm ratio it stands for.  The weighted
@@ -45,7 +46,7 @@ from .poly import Poly
 
 
 def norm2_upper(X) -> float:
-    """Upper bound on the spectral norm: sqrt(||X||_1 ||X||_inf) >= ||X||_2."""
+    """Upper bound on the spectral norm: sqrt(||X||_1 ||X||_inf) >= ||X||_2 (dense or sparse X)."""
     if X.size == 0:
         return 0.0
     A = np.abs(X)
@@ -248,8 +249,9 @@ def taylor_rounding_bound(a: float, D: int) -> float:
     errors, carried forward by factors a^j / j!, sum to at most
     c e^a (2 D a e^a + 1); the symmetrization 0.5 (W + W^*) adds at most
     2 sqrt(D) u e^a.  Both are below 2 sqrt(2) gamma_{2D+2} (D a + 1) e^{2a}.
-    M is taken as assembled: its own rounding, of relative order u per
-    entry, is not bounded separately.
+    The bound is on Horner's rule applied to M as assembled; how far the
+    assembled M is from the exact Galerkin matrix is not part of it (see
+    InnerProductWeight).
     """
     return 2 * math.sqrt(2) * gamma(2 * D + 2) * (D * a + 1) * math.exp(2 * a)
 
@@ -258,21 +260,39 @@ def taylor_rounding_bound(a: float, D: int) -> float:
 class InnerProductWeight:
     """Gram matrix of the truncated basis under e^{(n+1) Upsilon} dsigma.
 
-    The matrix is the Taylor sum W = T_K(M) of the multiplier M of
-    (n+1) Upsilon, and multiplier_bound is a >= ||M||_2.  Since
-    eig(W) = T_K(eig(M)), min_eigenvalue_bound = min_{|x|<=a} T_K(x) - rho
+    The matrix is the Taylor sum W = T_K(M) of the assembled multiplier
+    M = H + S of (n+1) Upsilon, H its Hermitian and S its skew-Hermitian
+    part.  multiplier_bound is a >= ||H||_2 and multiplier_skew is
+    s >= ||S||_2.  Since eig(T_K(H)) = T_K(eig(H)), ||M|| <= a + s and
+    ||T_K(M) - T_K(H)|| <= s e^{a+s} (telescoping M^k - H^k), the number
+    min_eigenvalue_bound = min_{|x|<=a} T_K(x) - rho(a + s) - s e^{a+s}
     (taylor_exp_min, taylor_rounding_bound) is a lower bound on
-    lambda_min(W) with no eigensolver.  W must be Hermitian positive
-    definite: a bound <= 0 or a failed Cholesky factorization raises
-    NumericalError (a non-positive weight means the conformal factor left
-    the regime the truncation can represent).  The matrix is factored once
-    and every solve reuses the factor; principal blocks W_MM get one
-    Cholesky factor per mask (block_solve).
+    lambda_min(W) with no eigensolver.
+
+    ContactPerturbation.weight passes a = (n+1) B(Upsilon), a bound on the
+    exact Galerkin matrix, and s = norm2_upper(M - M^*) / 2 of the assembled
+    one, which covers a Upsilon that is real only to a tolerance.  Not
+    covered: the rounding of the assembly M = conj(B) K S_f B^T, a chain of
+    sparse products of rounded factors, would have to lift ||H|| above a
+    to break the bound (at criterion 5's Upsilon, a = 0.27, ||H|| = 0.18
+    and ||S|| ~ 3e-15).
+
+    The bound is below T_K on the whole interval [-a, a], so it can be
+    <= 0 while W is still positive definite: for odd K, T_K has a real
+    root r_K (r_1 = -1, r_3 = -1.60, r_5 = -2.18, r_7 = -2.76,
+    r_9 = -3.33, r_11 = -3.91), and every a >= |r_K| gives a bound <= 0
+    whatever the spectrum of M.  Such a weight is refused: a bound <= 0,
+    like a failed Cholesky factorization, raises NumericalError (a
+    non-positive weight means the conformal factor left the regime the
+    truncation can represent).  The matrix is factored once and every solve
+    reuses the factor; principal blocks W_MM get one Cholesky factor per
+    mask (block_solve).
     """
 
     matrix: np.ndarray
     taylor_depth: int
     multiplier_bound: float
+    multiplier_skew: float = 0.0
     upsilon_label: str = ""
     tail_bound: float = 0.0
     min_eigenvalue_bound: float = field(init=False)
@@ -287,14 +307,16 @@ class InnerProductWeight:
         W = 0.5 * (W + W.conj().T)
         self.matrix = W
         self._norm_upper = norm2_upper(W)
-        a = self.multiplier_bound
+        a, s = self.multiplier_bound, self.multiplier_skew
         self.min_eigenvalue_bound = (taylor_exp_min(a, self.taylor_depth)
-                                     - taylor_rounding_bound(a, W.shape[0]))
+                                     - taylor_rounding_bound(a + s, W.shape[0])
+                                     - s * math.exp(a + s))
         if self.min_eigenvalue_bound <= 0:
             raise NumericalError(
                 f"weight not certified positive (lower eigenvalue bound "
                 f"{self.min_eigenvalue_bound:.3e} for ||M|| <= {a:.3e}, "
-                f"Taylor depth {self.taylor_depth})"
+                f"Taylor depth {self.taylor_depth}; a larger depth or a "
+                f"smaller Upsilon raises it)"
             )
         try:
             self._cholesky = scipy.linalg.cho_factor(W)

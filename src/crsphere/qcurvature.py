@@ -26,7 +26,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ObstructionError
-from .galerkin import GalerkinContext, InnerProductWeight, taylor_exp_apply, taylor_exp_matrix
+from .galerkin import (
+    GalerkinContext,
+    InnerProductWeight,
+    norm2_upper,
+    taylor_exp_apply,
+    taylor_exp_matrix,
+)
 from .harmonics import HarmonicBasis
 from .parametrix import (
     apply_partial_inverse,
@@ -116,7 +122,7 @@ class ContactPerturbation:
         return self._sup
 
     def multiplier_norm_bound(self):
-        """a = (n+1) B(Upsilon) >= (n+1) sup|Upsilon| >= ||M||, M the multiplier matrix.
+        """a = (n+1) B(Upsilon) >= (n+1) sup|Upsilon| >= ||M||, M the exact multiplier matrix.
 
         B(Upsilon) >= sup|Upsilon| (SpectralFunction.sup_norm_bound), and a
         compression of multiplication by a function has norm at most its sup.
@@ -147,6 +153,7 @@ class ContactPerturbation:
                 taylor_exp_matrix(M, self.K),
                 taylor_depth=self.K,
                 multiplier_bound=self.multiplier_norm_bound(),
+                multiplier_skew=0.5 * norm2_upper(M - M.conj().T),
                 upsilon_label=self.label,
                 tail_bound=self.exp_tail_bound(),
             )

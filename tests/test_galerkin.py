@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
@@ -15,12 +15,14 @@ from crsphere.galerkin import (
     InnerProductWeight,
     MonomialIndex,
     full_context,
+    gamma,
     norm2_lower,
     norm2_upper,
     pairing_matrix,
     taylor_exp_apply,
     taylor_exp_matrix,
     taylor_exp_min,
+    taylor_rounding_bound,
 )
 from crsphere.harmonics import dim_hpq
 from crsphere.qcurvature import ContactPerturbation
@@ -254,9 +256,12 @@ class TestFastPathsAgainstReference:
             # the same matrix: the certified ratio is at least the SVD ratio
             svd = np.linalg.norm(X - weighted_adjoint(weight8, X), 2) / np.linalg.norm(X, 2)
             assert svd * (1 - 1e-12) <= got
-            # and not far above it: within a factor D of an O(1) defect, at
-            # the a-priori rounding floor of the product W X for a W-self-adjoint X
-            assert got <= basis8.total_dim * max(svd, 1e-12)
+            # and not far above it: within a factor D of the SVD value, plus
+            # the a-priori rounding floor of the product W X, computed here
+            D = basis8.total_dim
+            floor = (2 * math.sqrt(2) * gamma(2 * D) * norm2_upper(W) * norm2_upper(X)
+                     / (weight8.min_eigenvalue_bound * norm2_lower(X)))
+            assert got <= D * svd + floor * (1 + 1e-12)
             # the old route (Bunch-Kaufman solve, SVD norms): equal up to its rounding
             adj = scipy.linalg.solve(W, X.conj().T @ W, assume_a="her")
             old = np.linalg.norm(X - adj, 2) / np.linalg.norm(X, 2)
@@ -318,6 +323,8 @@ class TestWeightEigenvalueBound:
     @settings(max_examples=12, deadline=None)
     @given(n=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1),
            size=st.floats(0.01, 1.5), K=st.sampled_from([5, 8, 12]))
+    @example(n=2, seed=0, size=1.5, K=5)  # a = 4.5 is past r_5 = -2.18: refused
+    @example(n=1, seed=0, size=0.1, K=5)
     def test_bound_below_smallest_eigenvalue(self, bases_small, n, seed, size, K):
         basis = bases_small[n]
         rng = np.random.default_rng(seed)
@@ -330,16 +337,48 @@ class TestWeightEigenvalueBound:
         f = SpectralFunction.from_terms(basis, terms).realized()
         assume(f.sup_norm_bound() > 0)
         pert = ContactPerturbation(basis, f.scale(size / f.sup_norm_bound()), taylor_depth=K)
-        try:
-            weight = pert.weight(GalerkinContext(basis, mult_degree=3))
-        except NumericalError:
-            assume(False)  # the bound gave up: no claim to check
+        ctx = GalerkinContext(basis, mult_degree=3)
+        M = pert.multiplier_matrix(ctx)
+        a, s = pert.multiplier_norm_bound(), 0.5 * norm2_upper(M - M.conj().T)
+        expected = (taylor_exp_min(a, K) - taylor_rounding_bound(a + s, basis.total_dim)
+                    - s * math.exp(a + s))
+        if expected <= 0:
+            # refused exactly when the bound is not positive (odd K, large a)
+            with pytest.raises(NumericalError, match="not certified positive"):
+                pert.weight(ctx)
+            return
+        weight = pert.weight(ctx)
+        assert weight.multiplier_skew == s
+        assert weight.min_eigenvalue_bound == expected
         assert 0 < weight.min_eigenvalue_bound <= scipy.linalg.eigvalsh(weight.matrix)[0]
 
     def test_bound_at_or_below_zero_is_numerical_error(self, basis8):
         with pytest.raises(NumericalError):
             InnerProductWeight(np.eye(basis8.total_dim, dtype=complex), taylor_depth=1,
                                multiplier_bound=1.0)
+
+    def test_skew_part_of_the_multiplier_lowers_the_bound(self):
+        # M = H + S with H = -I (||H|| = 1, the minimum of T_2 at -1) and S
+        # skew: W = T_2(M) has Hermitian part (1 - t^2) / 2 I, below
+        # min T_2 = 1/2; the skew term takes the bound under it
+        t = 0.1
+        M = np.array([[-1, t], [-t, -1]], dtype=complex)
+        weight = InnerProductWeight(taylor_exp_matrix(M, 2), taylor_depth=2,
+                                    multiplier_bound=1.0, multiplier_skew=t)
+        assert 0 < weight.min_eigenvalue_bound <= scipy.linalg.eigvalsh(weight.matrix)[0]
+
+    def test_positive_weight_refused_past_the_root_of_odd_taylor_sum(self, ctx8, basis8):
+        # T_5 has its real root at -2.18: with a = (n+1) B(Upsilon) = 2.5 the
+        # bound is negative, though the spectrum of M stays inside (-2.18, 2.18)
+        # and W = T_5(M) is positive definite.  The weight is refused all the same.
+        f = real_test_function(basis8)
+        pert = ContactPerturbation(basis8, f.scale(1.25 / f.sup_norm_bound()), taylor_depth=5)
+        assert pert.multiplier_norm_bound() == pytest.approx(2.5)
+        M = pert.multiplier_matrix(ctx8).toarray()
+        assert np.abs(scipy.linalg.eigvalsh(0.5 * (M + M.conj().T))).max() < 2.18
+        assert scipy.linalg.eigvalsh(taylor_exp_matrix(M, 5))[0] > 0
+        with pytest.raises(NumericalError, match="not certified positive"):
+            pert.weight(ctx8)
 
 
 def _exact_2x2_defect(w, X):
