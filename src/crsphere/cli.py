@@ -104,30 +104,18 @@ def _load_perturbation(cfg, basis):
     return pert, data
 
 
-def _context_for(basis, pert):
-    from .galerkin import GalerkinContext
-
-    degs = {p + q for (p, q) in pert.upsilon.coeffs}
-    mult_degree = max(degs, default=0)
-    return GalerkinContext(basis, mult_degree=max(1, mult_degree))
-
-
 def _sup_records(pert):
     """sup|Upsilon|: the certified bound the tail bound rests on, and a sampled value."""
     return {"upsilon_sup_bound": pert.upsilon.sup_norm_bound(),
             "upsilon_sup_sampled": pert.sup_estimate()}
 
 
-def _qdata_from_file(cfg, basis, ctx_holder):
+def _qdata_from_file(cfg, basis):
     """QData for qcurv: either generated from the frame or given raw terms."""
     from .qcurvature import QData, qhat
     from .spectral import SpectralFunction
 
     pert, data = _load_perturbation(cfg, basis)
-    ctx = None
-    if not pert.is_zero():
-        ctx = _context_for(basis, pert)
-    ctx_holder.append(ctx)
     if "qdata_terms" in data:
         terms = []
         for item in data["qdata_terms"]:
@@ -135,10 +123,10 @@ def _qdata_from_file(cfg, basis, ctx_holder):
             c = parse_qi(c) if isinstance(c, str) else complex(c)
             terms.append((item["p"], item["q"], item.get("index", 0), c))
         q = SpectralFunction.from_terms(basis, terms)
-        return QData(q, pert, q.is_exact and pert.is_zero(), pert.K, pert.exp_tail_bound()), ctx
+        return QData(q, pert, q.is_exact and pert.is_zero(), pert.K, pert.exp_tail_bound())
     if pert.is_zero():
         raise ConfigError("qcurv needs a nonzero perturbation or explicit qdata_terms")
-    return qhat(pert, ctx), ctx
+    return qhat(pert)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +178,7 @@ def _eigentable_rows(basis_or_trunc, n, mus, exact):
 
 
 def cmd_spectrum(cfg, manifest):
-    from .parametrix import min_nonzero_abs_eigenvalue, spectrum_diagonal, spectrum_matrix
+    from .parametrix import min_nonzero_abs_eigenvalue, spectrum_diagonal, spectrum_pencil
     from .spectral import critical_gjms
 
     mus = [parse_qi(s).re for s in cfg.mu.split(",")] if cfg.mu else []
@@ -206,10 +194,7 @@ def cmd_spectrum(cfg, manifest):
             os.path.join(cfg.out_dir, f"eigentable_n{cfg.n}_N{N}.csv"), header, rows))
         if cfg.perturbation:
             pert, _ = _load_perturbation(cfg, basis)
-            ctx = _context_for(basis, pert)
-            weight = pert.weight(ctx)
-            P_d = critical_gjms(basis).to_diag_vector(basis)
-            spec = spectrum_matrix(P_d, weight)
+            spec = spectrum_pencil(basis, pert.weight())
             manifest.add(write_csv(
                 os.path.join(cfg.out_dir, f"matrix_spectrum_n{cfg.n}_N{N}.csv"),
                 ["k", "eigenvalue"],
@@ -223,12 +208,10 @@ def cmd_spectrum(cfg, manifest):
                 os.path.join(cfg.out_dir, f"clusters_n{cfg.n}_N{N}.json"),
                 {"N": N, "kernel_dim": spec.kernel_dim, "clusters": clusters},
             ))
-            stability.append({"N": N, "min_nonzero_abs": min_nonzero_abs_eigenvalue(spec),
-                              "kernel_dim": spec.kernel_dim})
         else:
-            sd = spectrum_diagonal(critical_gjms(basis))
-            stability.append({"N": N, "min_nonzero_abs": min_nonzero_abs_eigenvalue(sd),
-                              "kernel_dim": sd.kernel_dim})
+            spec = spectrum_diagonal(critical_gjms(basis))
+        stability.append({"N": N, "min_nonzero_abs": min_nonzero_abs_eigenvalue(spec),
+                          "kernel_dim": spec.kernel_dim})
         print(f"spectrum N={N} done")
     if len(sweep) > 1:
         vals = [s["min_nonzero_abs"] for s in stability]
@@ -269,9 +252,7 @@ def cmd_parametrix_check(cfg, manifest):
 
     if cfg.perturbation:
         pert, _ = _load_perturbation(cfg, basis)
-        ctx = _context_for(basis, pert)
-        weight = pert.weight(ctx)
-        mchain = build_chain_matrix(basis, weight)
+        mchain = build_chain_matrix(basis, pert.weight())
         mreport = mchain.diagnostics.to_jsonable()
         mreport["smoothing"] = smoothing_residual(mchain)
         mreport.update(_sup_records(pert))
@@ -286,8 +267,7 @@ def cmd_qcurv(cfg, manifest):
     from .qcurvature import solvability_check, solve_zero_q, total_q
 
     basis, _ = _load_basis(cfg)
-    holder = []
-    qdata, ctx = _qdata_from_file(cfg, basis, holder)
+    qdata = _qdata_from_file(cfg, basis)
     sub = cfg.subaction
 
     qrows = [
@@ -298,7 +278,7 @@ def cmd_qcurv(cfg, manifest):
         ["p", "q", "index", "re", "im"], qrows))
 
     if sub == "compute":
-        value, passed = total_q(qdata, ctx)
+        value, passed = total_q(qdata)
         report = {
             "n": cfg.n, "N": cfg.degree, "taylor_depth": qdata.taylor_depth,
             "exact": qdata.exact, "tail_bound": qdata.tail_bound,
@@ -311,7 +291,7 @@ def cmd_qcurv(cfg, manifest):
         return EXIT_OK
 
     if sub == "check":
-        report = solvability_check(qdata, ctx, tol=cfg.obstruction_tol)
+        report = solvability_check(qdata, tol=cfg.obstruction_tol)
         manifest.add(write_json(
             os.path.join(cfg.out_dir, "qcurv_check.json"), report.to_jsonable()))
         print(f"solvable: {report.solvable} "
@@ -320,7 +300,7 @@ def cmd_qcurv(cfg, manifest):
 
     # solve
     try:
-        report = solve_zero_q(qdata, ctx, tol=cfg.obstruction_tol)
+        report = solve_zero_q(qdata, tol=cfg.obstruction_tol)
     except ObstructionError as exc:
         payload = {"solvable": False, "obstruction_norm": exc.obstruction_norm,
                    "error": str(exc)}

@@ -22,8 +22,11 @@ projectors onto the unchanged holomorphic / antiholomorphic subspaces, and
 G_0 transports as G_0 M_w with w the truncated conformal volume factor.
 P_hat has exactly the kernel of P_diag, the pluriharmonic coordinates K,
 so the final Pi and G have closed forms: Pi is the W-orthogonal projector
-onto K and G = (I - Pi) P_diag^+ W (I - Pi).  The generalized eigensolver
-(spectrum_matrix) serves only where the whole spectrum is the output.
+onto K and G = (I - Pi) P_diag^+ W (I - Pi).  The pencil's spectrum is
+|K| exact zeros plus the nonzero eigenvalues from one Hermitian
+eigensolve of the Schur complement of W_KK (nonzero_eigenvalues); the
+chain, the solver and the spectrum command all read it there.  The
+generalized eigensolver (spectrum_matrix) is kept as a test oracle.
 Every chain identity is recorded as a residual norm on the full truncation
 and on the interior blocks.
 
@@ -84,12 +87,7 @@ class ChainDiagnostics:
     def to_jsonable(self):
         out = {"mode": self.mode}
         for k, v in sorted(self.entries.items()):
-            if isinstance(v, Fraction):
-                out[k] = str(v)
-            elif isinstance(v, float):
-                out[k] = v
-            else:
-                out[k] = v
+            out[k] = str(v) if isinstance(v, Fraction) else v
         return out
 
 
@@ -226,7 +224,6 @@ class SpectrumResult:
     eigenvalues: np.ndarray
     multiplicity_clusters: list
     kernel_dim: int
-    max_imag: float = 0.0
     eigenvectors: np.ndarray | None = None
     kernel_tol: float = 0.0
 
@@ -248,7 +245,9 @@ def spectrum_matrix(P_diag_vec, weight: InnerProductWeight, kernel_tol=1e-10,
     """Generalized Hermitian eigenproblem P_d x = lambda W x.
 
     Returns real eigenvalues, W-orthonormal eigenvectors, and the numerical
-    kernel dimension at the given absolute tolerance.
+    kernel dimension at the given absolute tolerance.  The program reads the
+    pencil's spectrum from spectrum_pencil; this dense route is the
+    reference the tests hold it to.
     """
     D = len(P_diag_vec)
     # A is local and in LAPACK's (Fortran) order, so eigh can overwrite it
@@ -261,7 +260,44 @@ def spectrum_matrix(P_diag_vec, weight: InnerProductWeight, kernel_tol=1e-10,
     tol = max(kernel_tol, 1e-13 * float(np.max(np.abs(evals), initial=0.0)))
     kernel = int(np.sum(np.abs(evals) <= tol))
     clusters = cluster_eigenvalues(evals, np.ones(D, dtype=int), rel_tol)
-    return SpectrumResult(evals, clusters, kernel, 0.0, evecs, tol)
+    return SpectrumResult(evals, clusters, kernel, evecs, tol)
+
+
+def nonzero_eigenvalues(P_d, weight: InnerProductWeight, ker):
+    """Ascending nonzero eigenvalues of the pencil P_d x = lambda W x.
+
+    With K the kernel coordinates and C the rest, lambda != 0 forces
+    x_K = -W_KK^{-1} W_KC x_C and leaves P_C x_C = lambda S x_C with the
+    Schur complement S = W_CC - W_CK W_KK^{-1} W_KC.  P_C is positive, so
+    the nonzero eigenvalues are 1/b for the eigenvalues b of
+    P_C^{-1/2} S P_C^{-1/2}; the rest of the spectrum is |K| exact zeros.
+    Returns an empty array when P_d has no nonzero entry.
+    """
+    C = ~ker
+    if not C.any():
+        return np.zeros(0)
+    W = weight.matrix
+    S = W[np.ix_(C, C)]
+    S -= W[np.ix_(C, ker)] @ weight.block_solve(ker, W[np.ix_(ker, C)])
+    r = 1.0 / np.sqrt(P_d[C])
+    S *= r[:, None]
+    S *= r[None, :]
+    # S is Hermitian, so its transpose (Fortran order: LAPACK works on it
+    # in place) has the same eigenvalues
+    b = scipy.linalg.eigvalsh(S.T, overwrite_a=True)
+    return 1.0 / b[::-1]
+
+
+def spectrum_pencil(basis: HarmonicBasis, weight: InnerProductWeight,
+                    rel_tol=1e-8) -> SpectrumResult:
+    """Spectrum of the pencil P_d x = lambda W x: the kernel coordinates K
+    give |K| exact zeros, followed by nonzero_eigenvalues."""
+    P_d = critical_gjms(basis).to_diag_vector(basis)
+    ker = kernel_mask(basis)
+    kernel = int(ker.sum())
+    evals = np.concatenate([np.zeros(kernel), nonzero_eigenvalues(P_d, weight, ker)])
+    clusters = cluster_eigenvalues(evals, np.ones(evals.size, dtype=int), rel_tol)
+    return SpectrumResult(evals, clusters, kernel)
 
 
 def min_nonzero_abs_eigenvalue(result: SpectrumResult):
@@ -317,31 +353,6 @@ def apply_partial_inverse(P_d, weight: InnerProductWeight, ker, X=None):
     return Y
 
 
-def nonzero_eigenvalue_range(P_d, weight: InnerProductWeight, ker):
-    """Smallest and largest nonzero eigenvalue of the pencil P_d x = lambda W x.
-
-    With K the kernel coordinates and C the rest, lambda != 0 forces
-    x_K = -W_KK^{-1} W_KC x_C and leaves P_C x_C = lambda S x_C with the
-    Schur complement S = W_CC - W_CK W_KK^{-1} W_KC.  P_C is positive, so
-    the nonzero eigenvalues are 1/b for the eigenvalues b of
-    P_C^{-1/2} S P_C^{-1/2}.  Returns (None, None) when P_d has no nonzero
-    entry.
-    """
-    C = ~ker
-    if not C.any():
-        return None, None
-    W = weight.matrix
-    S = W[np.ix_(C, C)]
-    S -= W[np.ix_(C, ker)] @ weight.block_solve(ker, W[np.ix_(ker, C)])
-    r = 1.0 / np.sqrt(P_d[C])
-    S *= r[:, None]
-    S *= r[None, :]
-    # S is Hermitian, so its transpose (Fortran order: LAPACK works on it
-    # in place) has the same eigenvalues
-    b = scipy.linalg.eigvalsh(S.T, overwrite_a=True)
-    return float(1.0 / b[-1]), float(1.0 / b[0])
-
-
 def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> ParametrixChain:
     """Parametrix chain with matrix arithmetic on the truncated basis.
 
@@ -393,12 +404,12 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
 
     Pi = weight.projector(ker)
     G = apply_partial_inverse(P_d, weight, ker)
-    lam_min, _ = nonzero_eigenvalue_range(P_d, weight, ker)
+    lam = nonzero_eigenvalues(P_d, weight, ker)
 
     diag = ChainDiagnostics("matrix")
     diag.record("A0_residual", a0_residual)
     diag.record("kernel_dim", int(ker.sum()))
-    diag.record("min_nonzero_abs_eigenvalue", lam_min)
+    diag.record("min_nonzero_abs_eigenvalue", float(lam[0]) if lam.size else None)
     diag.record("weight_min_eigenvalue_bound", weight.min_eigenvalue_bound)
     diag.record("weight_tail_bound", weight.tail_bound)
 

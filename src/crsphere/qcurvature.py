@@ -15,7 +15,10 @@ the partial inverse from the parametrix engine.
 
 The conformal factors e^{+-(n+1) Upsilon} are degree-K Taylor polynomials
 projected to the truncation; the recorded tail bound quantifies the only
-approximation in the pipeline.
+approximation in the pipeline.  Each frame owns its Galerkin data: a
+ContactPerturbation builds the multiplier matrix of (n+1) Upsilon on a
+context of Upsilon's own degree, and the weight from it, once, so every
+function here takes only the frame's data.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .parametrix import (
     apply_partial_inverse,
     interior_mask,
     kernel_mask,
-    nonzero_eigenvalue_range,
+    nonzero_eigenvalues,
 )
 from .scalars import QI, parse_qi
 from .spectral import SpectralFunction, critical_gjms
@@ -138,17 +141,23 @@ class ContactPerturbation:
         x = self.multiplier_norm_bound()
         return x ** (self.K + 1) / math.factorial(self.K + 1) * math.exp(x)
 
-    def multiplier_matrix(self, ctx: GalerkinContext):
-        """Galerkin matrix of multiplication by (n+1) Upsilon."""
+    def multiplier_matrix(self):
+        """Galerkin matrix of multiplication by (n+1) Upsilon.
+
+        Built once, on a GalerkinContext of Upsilon's own degree (at least
+        one); the context is dropped as soon as the matrix is formed.
+        """
         if self._mult is None:
+            degree = max((p + q for (p, q) in self.upsilon.coeffs), default=0)
+            ctx = GalerkinContext(self.basis, mult_degree=max(1, degree))
             poly = self.upsilon.to_poly_float().scale(float(self.n + 1))
             self._mult = ctx.mult_matrix(poly)
         return self._mult
 
-    def weight(self, ctx: GalerkinContext) -> InnerProductWeight:
+    def weight(self) -> InnerProductWeight:
         """Gram matrix of the basis under e^{(n+1) Upsilon} dsigma (Taylor depth K)."""
         if self._weight is None:
-            M = self.multiplier_matrix(ctx)
+            M = self.multiplier_matrix()
             self._weight = InnerProductWeight(
                 taylor_exp_matrix(M, self.K),
                 taylor_depth=self.K,
@@ -174,7 +183,7 @@ class QData:
         return self.qhat.to_vector()
 
 
-def qhat(pert: ContactPerturbation, ctx: GalerkinContext | None = None) -> QData:
+def qhat(pert: ContactPerturbation) -> QData:
     """Q_hat = e^{-(n+1) Upsilon} P Upsilon on the truncation.
 
     Exact in rational mode whenever P Upsilon vanishes identically (Upsilon
@@ -186,9 +195,7 @@ def qhat(pert: ContactPerturbation, ctx: GalerkinContext | None = None) -> QData
     p_ups = pert.upsilon.apply_diagonal(P)
     if p_ups.is_exact and not p_ups.coeffs:
         return QData(SpectralFunction.zero(basis), pert, True, pert.K, 0.0)
-    if ctx is None:
-        raise ConfigError("a GalerkinContext is required for a non-pluriharmonic exponent")
-    M = pert.multiplier_matrix(ctx)
+    M = pert.multiplier_matrix()
     qvec = taylor_exp_apply(-M, pert.K, p_ups.to_vector())
     return QData(
         SpectralFunction.from_vector(basis, qvec),
@@ -199,7 +206,7 @@ def qhat(pert: ContactPerturbation, ctx: GalerkinContext | None = None) -> QData
     )
 
 
-def total_q(qdata: QData, ctx: GalerkinContext | None = None, tol=1e-8):
+def total_q(qdata: QData, tol=1e-8):
     """Total Q-curvature integral int Q_hat e^{(n+1) Upsilon} dsigma.
 
     Computed up to the fixed positive volume constant of theta ^ (dtheta)^n
@@ -207,7 +214,7 @@ def total_q(qdata: QData, ctx: GalerkinContext | None = None, tol=1e-8):
     """
     if qdata.exact and not qdata.qhat.coeffs:
         return 0.0, True
-    M = qdata.frame.multiplier_matrix(ctx)
+    M = qdata.frame.multiplier_matrix()
     vec = taylor_exp_apply(M, qdata.frame.K, qdata.vector())
     value = float(vec[0].real)
     return value, abs(value) <= tol
@@ -256,16 +263,14 @@ def _exact_kernel_norm2(q: SpectralFunction):
     return total.re
 
 
-def solvability_check(qdata: QData, ctx: GalerkinContext | None = None,
-                      tol=DEFAULT_OBSTRUCTION_TOL, extra_kernel_vectors=None) -> SolveReport:
+def solvability_check(qdata: QData, tol=DEFAULT_OBSTRUCTION_TOL) -> SolveReport:
     """Obstruction of the zero-Q problem: projection of Q_hat onto Ker P.
 
-    The kernel basis is the pluriharmonic coordinate block (the kernel of
-    the truncated operator in every frame, since P_hat = e^{-(n+1)Upsilon} P)
-    plus any supplied numerically detected kernel vectors.  The obstruction
-    norm is measured in the hatted inner product; the solvable flag uses the
-    interior blocks so truncation-boundary leakage is not misread as a
-    genuine obstruction.  pairings_std records the frame-independent
+    The kernel basis is the pluriharmonic coordinate block, exactly the
+    kernel of the truncated operator in every frame, since
+    P_hat = e^{-(n+1)Upsilon} P.  The obstruction norm is measured in the
+    hatted inner product; the solvable flag uses the interior blocks so
+    truncation-boundary leakage is not misread as a genuine obstruction.  pairings_std records the frame-independent
     pairings against the standard-orthonormal kernel basis.
     """
     basis = qdata.frame.basis
@@ -281,7 +286,7 @@ def solvability_check(qdata: QData, ctx: GalerkinContext | None = None,
         W = None
         wq = qvec
     else:
-        weight = qdata.frame.weight(ctx)
+        weight = qdata.frame.weight()
         W = weight.matrix
         wq = W @ qvec
 
@@ -297,28 +302,18 @@ def solvability_check(qdata: QData, ctx: GalerkinContext | None = None,
         soli = weight.block_solve(ki, pi)
         obstruction_int = float(math.sqrt(max(np.vdot(pi, soli).real, 0.0)))
 
-    kernel_dim = int(ker.sum())
-    notes = {"kernel_basis": "pluriharmonic blocks"}
-    if extra_kernel_vectors is not None and len(extra_kernel_vectors):
-        notes["extra_kernel_vectors"] = int(len(extra_kernel_vectors))
-        for v in extra_kernel_vectors:
-            extra = abs(np.vdot(v, wq))
-            obstruction = math.hypot(obstruction, extra)
-        kernel_dim += int(len(extra_kernel_vectors))
-
     return SolveReport(
         solvable=obstruction_int <= tol,
         obstruction_norm=obstruction,
         obstruction_norm_interior=obstruction_int,
-        kernel_dim=kernel_dim,
+        kernel_dim=int(ker.sum()),
         pairings_std=[complex(x) for x in pairings],
         obstruction_norm2_exact=None if exact_norm2 is None else str(exact_norm2),
-        notes=notes,
+        notes={"kernel_basis": "pluriharmonic blocks"},
     )
 
 
-def solve_zero_q(qdata: QData, ctx: GalerkinContext | None = None,
-                 tol=DEFAULT_OBSTRUCTION_TOL, verify_final=True) -> SolveReport:
+def solve_zero_q(qdata: QData, tol=DEFAULT_OBSTRUCTION_TOL, verify_final=True) -> SolveReport:
     """Upsilon_sol = -G Q_hat, making the final frame e^{Upsilon_sol} theta_hat
     have zero Q-curvature up to the reported residual.
 
@@ -327,9 +322,9 @@ def solve_zero_q(qdata: QData, ctx: GalerkinContext | None = None,
     a perturbed frame G is the closed form (I - Pi) P_d^+ W (I - Pi) applied
     to the vector Q_hat (parametrix.apply_partial_inverse), and the
     condition number comes from the Schur-complement spectrum
-    (parametrix.nonzero_eigenvalue_range).
+    (parametrix.nonzero_eigenvalues).
     """
-    report = solvability_check(qdata, ctx, tol=tol)
+    report = solvability_check(qdata, tol=tol)
     if not report.solvable:
         raise ObstructionError(
             f"Q-datum is obstructed (interior obstruction {report.obstruction_norm_interior:.3e})",
@@ -350,7 +345,7 @@ def solve_zero_q(qdata: QData, ctx: GalerkinContext | None = None,
         report.condition = max(nonzero) / min(nonzero) if nonzero else None
         report.notes["mode"] = "exact_diagonal"
     else:
-        weight = qdata.frame.weight(ctx)
+        weight = qdata.frame.weight()
         P_d = P.to_diag_vector(basis)
         ker = kernel_mask(basis)
         qvec = qdata.vector()
@@ -362,19 +357,18 @@ def solve_zero_q(qdata: QData, ctx: GalerkinContext | None = None,
         # P_hat upsilon + qhat, measured in the hatted norm
         resid_vec = weight.solve(P_d * ups_vec) + qvec
         report.residual = weight.norm(resid_vec)
-        lam_min, lam_max = nonzero_eigenvalue_range(P_d, weight, ker)
-        report.condition = lam_max / lam_min if lam_min else None
+        lam = nonzero_eigenvalues(P_d, weight, ker)
+        report.condition = float(lam[-1] / lam[0]) if lam.size else None
         ups = SpectralFunction.from_vector(basis, ups_vec, prune=0.0).realized()
         report.upsilon_sol = ups
         report.notes["mode"] = "weighted_closed_form"
 
     if verify_final and report.upsilon_sol is not None:
-        report.final_q_norm = recompute_final_q_norm(qdata, report.upsilon_sol, ctx)
+        report.final_q_norm = recompute_final_q_norm(qdata, report.upsilon_sol)
     return report
 
 
-def recompute_final_q_norm(qdata: QData, upsilon_sol: SpectralFunction,
-                           ctx: GalerkinContext | None = None):
+def recompute_final_q_norm(qdata: QData, upsilon_sol: SpectralFunction):
     """Certified bound on the norm of the Q-curvature of e^{Upsilon_sol} theta_hat.
 
     The transformation law applied to the input Q-datum gives
@@ -395,7 +389,7 @@ def recompute_final_q_norm(qdata: QData, upsilon_sol: SpectralFunction,
         P_d = P.to_diag_vector(basis)
         p_ups = P_d * upsilon_sol.to_vector()
         if not qdata.frame.is_zero():
-            p_ups = qdata.frame.weight(ctx).solve(p_ups)
+            p_ups = qdata.frame.weight().solve(p_ups)
         resid_vec = p_ups + qdata.vector()
     factor = math.exp((basis.n + 1) * upsilon_sol.sup_norm_bound())
     return factor * float(np.linalg.norm(resid_vec))

@@ -102,6 +102,35 @@ class TestCommands:
         expected = spectrum_diagonal(critical_gjms(Truncation(1, 4))).eigenvalues
         assert max(abs(a - b) for a, b in zip(eigs, expected)) < 1e-12
 
+    def test_spectrum_perturbed_kernel_is_exact(self, tmp_path, pert_file, basis8):
+        # Ker P_hat is the pluriharmonic coordinates K: |K| exact zeros in one
+        # cluster, then the nonzero spectrum of the generalized eigenproblem
+        from crsphere.parametrix import kernel_mask, spectrum_matrix
+        from crsphere.qcurvature import ContactPerturbation
+        from crsphere.spectral import critical_gjms
+
+        out = tmp_path / "out"
+        assert run("spectrum", "--n", "1", "--degree", "8",
+                   "--perturbation", pert_file, "--out", str(out)) == EXIT_OK
+        kernel = int(kernel_mask(basis8).sum())
+        rows = (out / "matrix_spectrum_n1_N8.csv").read_text().splitlines()[1:]
+        eigs = [float(r.split(",")[1]) for r in rows]
+        assert len(eigs) == basis8.total_dim
+        assert eigs.count(0.0) == kernel
+        clusters = json.loads((out / "clusters_n1_N8.json").read_text())
+        assert clusters["kernel_dim"] == kernel
+        assert clusters["clusters"][0] == {"value": 0.0, "multiplicity": kernel}
+        assert all(c["value"] > 0 for c in clusters["clusters"][1:])
+
+        with open(pert_file) as fh:
+            pert = ContactPerturbation.from_dict(basis8, json.load(fh))
+        P_d = critical_gjms(basis8).to_diag_vector(basis8)
+        ref = spectrum_matrix(P_d, pert.weight())
+        assert ref.kernel_dim == kernel
+        ref_nonzero = ref.eigenvalues[kernel:]
+        got = eigs[kernel:]
+        assert max(abs(a - b) / b for a, b in zip(got, ref_nonzero)) <= 1e-12
+
     def test_spectrum_sweep_emits_summary(self, tmp_path):
         out = str(tmp_path / "out")
         assert run("spectrum", "--n", "1", "--degree", "4", "--sweep", "4..6",
@@ -146,6 +175,21 @@ class TestCommands:
         solve = json.loads((tmp_path / "out" / "qcurv_solve.json").read_text())
         assert solve["solvable"] and solve["residual"] <= 1e-8
         assert (tmp_path / "out" / "upsilon_sol.csv").exists()
+
+    def test_qcurv_floating_datum_in_standard_frame(self, tmp_path):
+        # a floating Q-datum with no perturbation takes the weighted route; the
+        # frame builds its own (zero) multiplier and weight W = I
+        path = tmp_path / "float.json"
+        path.write_text(json.dumps({"terms": [], "qdata_terms": [
+            {"p": 1, "q": 1, "index": 0, "coeff": 16.5}]}))
+        for sub in ("compute", "solve"):
+            assert run("qcurv", sub, "--n", "1", "--degree", "4", "--perturbation",
+                       str(path), "--out", str(tmp_path / sub)) == EXIT_OK
+        solve = json.loads((tmp_path / "solve" / "qcurv_solve.json").read_text())
+        assert solve["notes"]["mode"] == "weighted_closed_form"
+        assert solve["residual"] <= 1e-12
+        assert solve["upsilon_sol"] == [
+            {"p": 1, "q": 1, "index": 0, "re": -16.5 / 16, "im": 0.0}]
 
     def test_qcurv_obstruction_exit_code(self, tmp_path, plh_file):
         out = str(tmp_path / "out")
@@ -210,6 +254,15 @@ def test_exact_commands_load_neither_numpy_nor_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_lazy_exports_resolve():
+    # every name the package exports on first use exists in its module
+    import crsphere
+
+    for names in crsphere._LAZY.values():
+        for name in names:
+            assert getattr(crsphere, name) is not None, name
 
 
 class TestDeterminismAndManifest:

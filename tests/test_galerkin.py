@@ -116,6 +116,16 @@ class TestMultiplicationMatrix:
         assert c1 is c2
         assert c1.mult_degree == basis8.N
 
+    def test_perturbation_owns_its_context(self, ctx8, basis8):
+        # the multiplier is built on a context of Upsilon's own degree; a
+        # larger context gives the same matrix, entry for entry
+        f = real_test_function(basis8, 0.1)
+        M = ContactPerturbation(basis8, f).multiplier_matrix()
+        poly = f.to_poly_float().scale(float(basis8.n + 1))
+        degree = max(p + q for p, q in f.coeffs)
+        for ctx in (GalerkinContext(basis8, mult_degree=degree), ctx8, full_context(basis8)):
+            assert np.array_equal(M.toarray(), ctx.mult_matrix(poly).toarray()), ctx.mult_degree
+
 
 class TestTaylorExponential:
     def test_matrix_vs_vector_application(self, ctx8, basis8):
@@ -337,17 +347,16 @@ class TestWeightEigenvalueBound:
         f = SpectralFunction.from_terms(basis, terms).realized()
         assume(f.sup_norm_bound() > 0)
         pert = ContactPerturbation(basis, f.scale(size / f.sup_norm_bound()), taylor_depth=K)
-        ctx = GalerkinContext(basis, mult_degree=3)
-        M = pert.multiplier_matrix(ctx)
+        M = pert.multiplier_matrix()
         a, s = pert.multiplier_norm_bound(), 0.5 * norm2_upper(M - M.conj().T)
         expected = (taylor_exp_min(a, K) - taylor_rounding_bound(a + s, basis.total_dim)
                     - s * math.exp(a + s))
         if expected <= 0:
             # refused exactly when the bound is not positive (odd K, large a)
             with pytest.raises(NumericalError, match="not certified positive"):
-                pert.weight(ctx)
+                pert.weight()
             return
-        weight = pert.weight(ctx)
+        weight = pert.weight()
         assert weight.multiplier_skew == s
         assert weight.min_eigenvalue_bound == expected
         assert 0 < weight.min_eigenvalue_bound <= scipy.linalg.eigvalsh(weight.matrix)[0]
@@ -374,11 +383,11 @@ class TestWeightEigenvalueBound:
         f = real_test_function(basis8)
         pert = ContactPerturbation(basis8, f.scale(1.25 / f.sup_norm_bound()), taylor_depth=5)
         assert pert.multiplier_norm_bound() == pytest.approx(2.5)
-        M = pert.multiplier_matrix(ctx8).toarray()
+        M = pert.multiplier_matrix().toarray()
         assert np.abs(scipy.linalg.eigvalsh(0.5 * (M + M.conj().T))).max() < 2.18
         assert scipy.linalg.eigvalsh(taylor_exp_matrix(M, 5))[0] > 0
         with pytest.raises(NumericalError, match="not certified positive"):
-            pert.weight(ctx8)
+            pert.weight()
 
 
 def _exact_2x2_defect(w, X):

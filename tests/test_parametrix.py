@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from crsphere.galerkin import GalerkinContext, InnerProductWeight
+from crsphere.galerkin import InnerProductWeight
 from crsphere.harmonics import dim_hpq
 from crsphere.parametrix import (
     apply_partial_inverse,
@@ -14,7 +14,7 @@ from crsphere.parametrix import (
     cluster_eigenvalues,
     kernel_mask,
     min_nonzero_abs_eigenvalue,
-    nonzero_eigenvalue_range,
+    nonzero_eigenvalues,
     smoothing_residual,
     spectrum_diagonal,
     spectrum_matrix,
@@ -154,15 +154,14 @@ class TestMatrixChain:
     def test_r0_radius_at_least_one_and_direct_inverse(self, basis8):
         # R0 = Pi0 - W^{-1} I_K W: its W-adjoint fixes the constant function,
         # so the series sum_k (-R0)^k diverges; A0 is a direct solve
-        weight = perturbation(basis8, 0.08).weight(GalerkinContext(basis8, mult_degree=4))
+        weight = perturbation(basis8, 0.08).weight()
         chain = build_chain_matrix(basis8, weight)
         assert np.max(np.abs(np.linalg.eigvals(chain.member("R0")))) >= 1 - 1e-12
         assert chain.diagnostics.entries["A0_residual"] <= 1e-12
 
     def test_perturbed_chain_identities(self, basis12):
         pert = perturbation(basis12, 0.08)
-        ctx = GalerkinContext(basis12, mult_degree=4)
-        weight = pert.weight(ctx)
+        weight = pert.weight()
         chain = build_chain_matrix(basis12, weight)
         d = chain.diagnostics.entries
         assert d["PG_plus_Pi_minus_I_interior"] <= 1e-8
@@ -177,8 +176,7 @@ class TestMatrixChain:
 
     def test_matrix_spectrum_real_and_stable(self, basis12):
         pert = perturbation(basis12, 0.08)
-        ctx = GalerkinContext(basis12, mult_degree=4)
-        weight = pert.weight(ctx)
+        weight = pert.weight()
         P_d = critical_gjms(basis12).to_diag_vector(basis12)
         spec = spectrum_matrix(P_d, weight)
         assert np.max(np.abs(np.imag(spec.eigenvalues))) <= 1e-12
@@ -193,8 +191,7 @@ class TestMatrixChain:
         for N in (6, 8, 10):
             basisN = basis16.restrict(N)
             pert = perturbation(basisN, 0.05, degree=1)
-            ctx = GalerkinContext(basisN, mult_degree=4)
-            weight = pert.weight(ctx)
+            weight = pert.weight()
             chain = build_chain_matrix(basisN, weight)
             rep = smoothing_residual(chain)
             assert rep["R_inf_norm_full"] < 1e-12
@@ -204,7 +201,7 @@ class TestMatrixChain:
 def test_projectors_vanish_outside_their_rows(basis8):
     # the chain forms its products from these rows alone
     pert = perturbation(basis8, 0.08)
-    chain = build_chain_matrix(basis8, pert.weight(GalerkinContext(basis8, mult_degree=4)))
+    chain = build_chain_matrix(basis8, pert.weight())
     blocks = list(basis8.index_blocks())
     holo = np.array([q == 0 for p, q, _, _ in blocks])
     anti = np.array([p == 0 for p, q, _, _ in blocks])
@@ -219,7 +216,7 @@ def test_chain_norms_bound_svd_values(basis8):
     # every reported residual and relative defect is at least the SVD value
     # of the same matrix, rebuilt from the chain members
     pert = perturbation(basis8, 0.08)
-    weight = pert.weight(GalerkinContext(basis8, mult_degree=4))
+    weight = pert.weight()
     chain = build_chain_matrix(basis8, weight)
     d = chain.diagnostics.entries
     m = chain.members
@@ -280,30 +277,30 @@ def assert_close(got, ref, rel=1e-12):
 @pytest.mark.parametrize("scale,seed", [(0.05, 0), (0.1, 1)])
 def test_closed_forms_match_spectral_oracle(basis8, scale, seed):
     pert = perturbation(basis8, scale, degree=2)
-    ctx = GalerkinContext(basis8, mult_degree=4)
-    weight = pert.weight(ctx)
+    weight = pert.weight()
     P_d = critical_gjms(basis8).to_diag_vector(basis8)
     spec, Pi_ref, G_ref, lam_min_ref, cond_ref = spectral_oracle(P_d, weight)
     chain = build_chain_matrix(basis8, weight)
     assert chain.diagnostics.entries["kernel_dim"] == spec.kernel_dim
     assert_close(chain.member("Pi"), Pi_ref)
     assert_close(chain.member("G"), G_ref)
-    lam_min, lam_max = nonzero_eigenvalue_range(P_d, weight, kernel_mask(basis8))
-    assert_close(chain.diagnostics.entries["min_nonzero_abs_eigenvalue"], lam_min_ref)
-    assert_close(lam_max / lam_min, cond_ref)
+    lam = nonzero_eigenvalues(P_d, weight, kernel_mask(basis8))
+    assert chain.diagnostics.entries["min_nonzero_abs_eigenvalue"] == lam[0]
+    assert_close(lam[0], lam_min_ref)
+    assert_close(lam[-1] / lam[0], cond_ref)
     # G applied to a vector is the formed G times it
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(basis8.total_dim) + 1j * rng.standard_normal(basis8.total_dim)
     assert_close(apply_partial_inverse(P_d, weight, kernel_mask(basis8), x), G_ref @ x)
-    rep = solve_zero_q(qhat(pert, ctx), ctx)
+    rep = solve_zero_q(qhat(pert))
     assert_close(rep.condition, cond_ref)
 
 
-def test_nonzero_eigenvalue_range_without_nonzero_eigenvalues(basis16):
+def test_nonzero_eigenvalues_empty_without_nonzero_spectrum(basis16):
     basis = basis16.restrict(1)  # degree <= 1: every block is pluriharmonic
     weight = InnerProductWeight.identity(basis.total_dim)
     P_d = critical_gjms(basis).to_diag_vector(basis)
-    assert nonzero_eigenvalue_range(P_d, weight, kernel_mask(basis)) == (None, None)
+    assert nonzero_eigenvalues(P_d, weight, kernel_mask(basis)).size == 0
 
 
 @settings(max_examples=8, deadline=None)
@@ -324,18 +321,17 @@ def test_zero_q_properties_random_exponent(bases_small, n, seed, size):
     f = SpectralFunction.from_terms(basis, terms).realized()
     assume(f.sup_norm_bound() > 0)
     pert = ContactPerturbation(basis, f.scale(size / f.sup_norm_bound()), label="drawn")
-    ctx = GalerkinContext(basis, mult_degree=3)
-    qd = qhat(pert, ctx)
-    value, passed = total_q(qd, ctx)
+    qd = qhat(pert)
+    value, passed = total_q(qd)
     assert passed and abs(value) <= 1e-8
     assume(not qd.exact)  # a pluriharmonic Upsilon gives Q_hat = 0 exactly
-    rep = solve_zero_q(qd, ctx)
+    rep = solve_zero_q(qd)
     drift = (pert.upsilon + rep.upsilon_sol).apply_diagonal(critical_gjms(basis)).norm()
     assert drift <= 1e-7
     assert rep.final_q_norm <= 1e-6
 
     P_d = critical_gjms(basis).to_diag_vector(basis)
-    spec, _, G_ref, _, cond_ref = spectral_oracle(P_d, pert.weight(ctx))
+    spec, _, G_ref, _, cond_ref = spectral_oracle(P_d, pert.weight())
     assert spec.kernel_dim == rep.kernel_dim
     ref = SpectralFunction.from_vector(basis, -G_ref @ qd.vector()).realized().to_vector()
     got = rep.upsilon_sol.to_vector()

@@ -5,12 +5,7 @@ import numpy as np
 import pytest
 
 from crsphere.errors import ConfigError, ObstructionError
-from crsphere.galerkin import (
-    GalerkinContext,
-    full_context,
-    taylor_exp_apply,
-    taylor_exp_matrix,
-)
+from crsphere.galerkin import full_context, taylor_exp_apply, taylor_exp_matrix
 from crsphere.harmonics import dim_hpq
 from crsphere.parametrix import interior_mask, kernel_mask
 from crsphere.qcurvature import (
@@ -24,11 +19,6 @@ from crsphere.qcurvature import (
 )
 from crsphere.scalars import QI
 from crsphere.spectral import SpectralFunction, critical_gjms
-
-
-@pytest.fixture(scope="module")
-def ctx12(basis12):
-    return GalerkinContext(basis12, mult_degree=6)
 
 
 def phi11(basis):
@@ -63,35 +53,35 @@ class TestPerturbation:
         with pytest.raises(ConfigError):
             ContactPerturbation(basis12, SpectralFunction.zero(basis12), taylor_depth=0)
 
-    def test_weight_positive_definite(self, basis12, ctx12):
+    def test_weight_positive_definite(self, basis12):
         pert = ContactPerturbation(basis12, phi11(basis12).scale(0.05), label="small")
-        W = pert.weight(ctx12)
+        W = pert.weight()
         assert W.min_eigenvalue_bound > 0.5
         assert W.tail_bound < 1e-12
 
 
 class TestQhat:
-    def test_zero_exponent(self, basis12, ctx12):
-        q = qhat(ContactPerturbation.zero(basis12), ctx12)
+    def test_zero_exponent(self, basis12):
+        q = qhat(ContactPerturbation.zero(basis12))
         assert q.exact and not q.qhat.coeffs
 
-    def test_pluriharmonic_exponent_gives_zero(self, basis12, ctx12):
+    def test_pluriharmonic_exponent_gives_zero(self, basis12):
         # any combination of p q = 0 blocks lies in Ker P, so Q_hat = 0 exactly
         pert = ContactPerturbation.from_terms(
             basis12, [(3, 0, 1, QI(1, -2)), (2, 0, 0, QI(5)), (0, 0, 0, QI(1))], epsilon=0.1
         )
-        q = qhat(pert, ctx12)
+        q = qhat(pert)
         assert q.exact and not q.qhat.coeffs
-        value, passed = total_q(q, ctx12)
+        value, passed = total_q(q)
         assert value == 0.0 and passed
 
-    def test_eigenblock_exponent(self, basis12, ctx12):
+    def test_eigenblock_exponent(self, basis12):
         # P(eps phi) = 16 eps phi; Q_hat = exp(-2 Upsilon) * that
         eps = 0.03
         pert = ContactPerturbation(basis12, phi11(basis12).scale(eps), label="eps phi")
         p_ups = pert.upsilon.apply_diagonal(critical_gjms(basis12))
         assert (p_ups - phi11(basis12).scale(16 * eps)).norm() < 1e-14
-        q = qhat(pert, ctx12)
+        q = qhat(pert)
         assert not q.exact
         # pointwise oracle: Q_hat(x) = exp(-2 Upsilon(x)) * 16 eps phi(x)
         rng = np.random.default_rng(7)
@@ -104,23 +94,18 @@ class TestQhat:
         via_q = q.qhat.to_poly_float().evaluate(0.0, pts).real
         assert np.max(np.abs(direct - via_q)) < 1e-6
 
-    def test_context_required_for_generic_exponent(self, basis12):
-        pert = ContactPerturbation(basis12, phi11(basis12).scale(0.01))
-        with pytest.raises(ConfigError):
-            qhat(pert, None)
-
 
 class TestTotalQ:
-    def test_eigenblock_case_tiny(self, basis12, ctx12):
+    def test_eigenblock_case_tiny(self, basis12):
         pert = ContactPerturbation(basis12, phi11(basis12).scale(0.04), label="phi")
-        value, passed = total_q(qhat(pert, ctx12), ctx12)
+        value, passed = total_q(qhat(pert))
         assert passed and abs(value) <= 1e-9
 
-    def test_random_small_perturbations(self, basis12, ctx12):
+    def test_random_small_perturbations(self, basis12):
         rng = random.Random(101)
         for _ in range(4):
             pert = random_small_perturbation(basis12, rng)
-            value, passed = total_q(qhat(pert, ctx12), ctx12)
+            value, passed = total_q(qhat(pert))
             assert passed and abs(value) <= 1e-8
 
 
@@ -136,10 +121,10 @@ class TestSolvability:
         assert rep.obstruction_norm2_exact == str(Q.norm2().re)
         assert abs(rep.obstruction_norm - Q.norm()) < 1e-15
 
-    def test_generated_qhat_is_solvable(self, basis12, ctx12):
+    def test_generated_qhat_is_solvable(self, basis12):
         rng = random.Random(5)
         pert = random_small_perturbation(basis12, rng)
-        rep = solvability_check(qhat(pert, ctx12), ctx12)
+        rep = solvability_check(qhat(pert))
         assert rep.solvable
         assert rep.obstruction_norm_interior <= 1e-8
 
@@ -151,7 +136,7 @@ class TestSolvability:
         assert rep.obstruction_norm == 0.0
         assert rep.obstruction_norm2_exact == "0"
 
-    def test_frame_independence_of_pairings(self, basis12, ctx12):
+    def test_frame_independence_of_pairings(self, basis12):
         # the kernel pairings of corresponding data agree across frames:
         # <f, Q_hat>_hat = <f, Q>_std for f in Ker P
         rng = random.Random(7)
@@ -162,12 +147,12 @@ class TestSolvability:
         q_std_vec = Q_std.to_vector()
         # transported datum in the hatted frame
         P_d = critical_gjms(basis12).to_diag_vector(basis12)
-        M = pert.multiplier_matrix(ctx12)
+        M = pert.multiplier_matrix()
         q_hat_vec = taylor_exp_apply(-M, pert.K, q_std_vec + P_d * pert.upsilon.to_vector())
         qdat_hat = QData(
             SpectralFunction.from_vector(basis12, q_hat_vec), pert, False, pert.K, 0.0
         )
-        rep_hat = solvability_check(qdat_hat, ctx12)
+        rep_hat = solvability_check(qdat_hat)
         ker = kernel_mask(basis12)
         std_pairings = q_std_vec[ker]
         diff = np.array(rep_hat.pairings_std) - std_pairings
@@ -175,36 +160,36 @@ class TestSolvability:
 
 
 class TestSolve:
-    def test_exact_eigenblock_solve(self, basis12, ctx12):
+    def test_exact_eigenblock_solve(self, basis12):
         Q = phi11(basis12).scale(QI(16))
         qdat = QData(Q, ContactPerturbation.zero(basis12), True, 12, 0.0)
-        rep = solve_zero_q(qdat, ctx12)
+        rep = solve_zero_q(qdat)
         assert rep.residual == 0.0
         assert (rep.upsilon_sol + phi11(basis12)).norm() < 1e-15
         assert rep.final_q_norm == 0.0
         assert rep.notes["mode"] == "exact_diagonal"
 
-    def test_zero_datum(self, basis12, ctx12):
+    def test_zero_datum(self, basis12):
         qdat = QData(
             SpectralFunction.zero(basis12), ContactPerturbation.zero(basis12), True, 12, 0.0
         )
-        rep = solve_zero_q(qdat, ctx12)
+        rep = solve_zero_q(qdat)
         assert rep.residual == 0.0
         assert not rep.upsilon_sol.coeffs
 
-    def test_obstructed_datum_raises(self, basis12, ctx12):
+    def test_obstructed_datum_raises(self, basis12):
         Q = SpectralFunction.from_terms(basis12, [(1, 0, 0, QI(1)), (0, 1, 0, QI(1))])
         qdat = QData(Q, ContactPerturbation.zero(basis12), True, 12, 0.0)
         with pytest.raises(ObstructionError) as exc:
-            solve_zero_q(qdat, ctx12)
+            solve_zero_q(qdat)
         assert abs(exc.value.obstruction_norm - Q.norm()) < 1e-12
 
-    def test_round_trip_perturbed_frame(self, basis12, ctx12):
+    def test_round_trip_perturbed_frame(self, basis12):
         # Q_hat from a perturbation solves back to a kernel shift of -Upsilon
         eps = 0.05
         pert = ContactPerturbation(basis12, phi11(basis12).scale(eps), label="round")
-        qd = qhat(pert, ctx12)
-        rep = solve_zero_q(qd, ctx12)
+        qd = qhat(pert)
+        rep = solve_zero_q(qd)
         assert rep.notes["mode"] == "weighted_closed_form"
         total = pert.upsilon + rep.upsilon_sol
         drift = total.apply_diagonal(critical_gjms(basis12)).norm()
@@ -213,22 +198,22 @@ class TestSolve:
         assert rep.final_q_norm <= max(10 * rep.residual, 1e-12)
         assert rep.upsilon_sol.is_real(1e-10)
 
-    def test_solve_then_verify_bound(self, basis12, ctx12):
+    def test_solve_then_verify_bound(self, basis12):
         rng = random.Random(11)
         pert = random_small_perturbation(basis12, rng)
-        rep = solve_zero_q(qhat(pert, ctx12), ctx12)
+        rep = solve_zero_q(qhat(pert))
         assert rep.final_q_norm <= max(10 * rep.residual, 1e-10)
 
 
 class TestConformalCovariance:
-    def test_dual_route_transport(self, basis12, ctx12):
+    def test_dual_route_transport(self, basis12):
         # the Galerkin matrix W^{-1} P_diag must match the direct transport
         # route E_K(-M) P_diag on the interior blocks
         pert = ContactPerturbation(basis12, phi11(basis12).scale(0.05), label="cov")
-        W = pert.weight(ctx12)
+        W = pert.weight()
         P_d = np.diag(critical_gjms(basis12).to_diag_vector(basis12)).astype(complex)
         route_weight = W.solve(P_d)
-        M = pert.multiplier_matrix(ctx12)
+        M = pert.multiplier_matrix()
         route_taylor = taylor_exp_matrix(-M, pert.K) @ P_d
         inter = interior_mask(basis12)
         diff = (route_weight - route_taylor)[np.ix_(inter, inter)]
@@ -237,39 +222,38 @@ class TestConformalCovariance:
 
 
 class TestFinalVerification:
-    def test_recompute_matches_transformation_law(self, basis12, ctx12):
+    def test_recompute_matches_transformation_law(self, basis12):
         # for data generated by qhat the two final-frame routes agree:
         # transformation law on (Q_hat, Upsilon_sol) vs direct qhat at the
         # total exponent
         eps = 0.04
         pert = ContactPerturbation(basis12, phi11(basis12).scale(eps), label="fin")
-        qd = qhat(pert, ctx12)
-        rep = solve_zero_q(qd, ctx12, verify_final=False)
-        via_law = recompute_final_q_norm(qd, rep.upsilon_sol, ctx12)
+        qd = qhat(pert)
+        rep = solve_zero_q(qd, verify_final=False)
+        via_law = recompute_final_q_norm(qd, rep.upsilon_sol)
         total = (pert.upsilon + rep.upsilon_sol).realized()
         pert_total = ContactPerturbation(basis12, total, taylor_depth=12)
-        via_total = qhat(pert_total, full_context(basis12)).qhat.norm()
+        via_total = qhat(pert_total).qhat.norm()
         assert via_law <= 1e-6 and via_total <= 1e-6
 
 
-def galerkin_final_q_norm(qdata, upsilon_sol, ctx):
+def galerkin_final_q_norm(qdata, upsilon_sol):
     """The former final-Q value: ||T_K(-M_sol) r|| with the full-degree multiplier."""
     basis = qdata.frame.basis
     P_d = critical_gjms(basis).to_diag_vector(basis)
-    resid = qdata.frame.weight(ctx).solve(P_d * upsilon_sol.to_vector()) + qdata.vector()
+    resid = qdata.frame.weight().solve(P_d * upsilon_sol.to_vector()) + qdata.vector()
     M = full_context(basis).mult_matrix(upsilon_sol.to_poly_float().scale(float(basis.n + 1)))
     return float(np.linalg.norm(taylor_exp_apply(-M, qdata.frame.K, resid)))
 
 
 def test_final_q_bound_dominates_galerkin_value(basis8):
     # e^{(n+1) B(Upsilon_sol)} ||r|| is never below ||T_K(-M_sol) r||
-    ctx = GalerkinContext(basis8, mult_degree=3)
     rng = random.Random(3)
     for _ in range(3):
-        qd = qhat(random_small_perturbation(basis8, rng, sup_bound=0.08), ctx)
-        sol = solve_zero_q(qd, ctx, verify_final=False).upsilon_sol
-        bound = recompute_final_q_norm(qd, sol, ctx)
-        assert galerkin_final_q_norm(qd, sol, ctx) <= bound <= 1e-6
+        qd = qhat(random_small_perturbation(basis8, rng, sup_bound=0.08))
+        sol = solve_zero_q(qd, verify_final=False).upsilon_sol
+        bound = recompute_final_q_norm(qd, sol)
+        assert galerkin_final_q_norm(qd, sol) <= bound <= 1e-6
 
 
 def test_tail_bound_rests_on_certified_sup(basis12):
