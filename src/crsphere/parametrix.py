@@ -288,15 +288,14 @@ def nonzero_eigenvalues(P_d, weight: InnerProductWeight, ker):
     return 1.0 / b[::-1]
 
 
-def spectrum_pencil(basis: HarmonicBasis, weight: InnerProductWeight,
-                    rel_tol=1e-8) -> SpectrumResult:
+def spectrum_pencil(basis: HarmonicBasis, weight: InnerProductWeight) -> SpectrumResult:
     """Spectrum of the pencil P_d x = lambda W x: the kernel coordinates K
     give |K| exact zeros, followed by nonzero_eigenvalues."""
     P_d = critical_gjms(basis).to_diag_vector(basis)
     ker = kernel_mask(basis)
     kernel = int(ker.sum())
     evals = np.concatenate([np.zeros(kernel), nonzero_eigenvalues(P_d, weight, ker)])
-    clusters = cluster_eigenvalues(evals, np.ones(evals.size, dtype=int), rel_tol)
+    clusters = cluster_eigenvalues(evals, np.ones(evals.size, dtype=int))
     return SpectrumResult(evals, clusters, kernel)
 
 

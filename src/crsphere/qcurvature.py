@@ -270,8 +270,9 @@ def solvability_check(qdata: QData, tol=DEFAULT_OBSTRUCTION_TOL) -> SolveReport:
     kernel of the truncated operator in every frame, since
     P_hat = e^{-(n+1)Upsilon} P.  The obstruction norm is measured in the
     hatted inner product; the solvable flag uses the interior blocks so
-    truncation-boundary leakage is not misread as a genuine obstruction.  pairings_std records the frame-independent
-    pairings against the standard-orthonormal kernel basis.
+    truncation-boundary leakage is not misread as a genuine obstruction.
+    pairings_std records the frame-independent pairings against the
+    standard-orthonormal kernel basis.
     """
     basis = qdata.frame.basis
     ker = kernel_mask(basis)
