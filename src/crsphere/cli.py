@@ -112,17 +112,12 @@ def _sup_records(pert):
 
 def _qdata_from_file(cfg, basis):
     """QData for qcurv: either generated from the frame or given raw terms."""
-    from .qcurvature import QData, qhat
+    from .qcurvature import QData, parse_terms, qhat
     from .spectral import SpectralFunction
 
     pert, data = _load_perturbation(cfg, basis)
     if "qdata_terms" in data:
-        terms = []
-        for item in data["qdata_terms"]:
-            c = item["coeff"]
-            c = parse_qi(c) if isinstance(c, str) else complex(c)
-            terms.append((item["p"], item["q"], item.get("index", 0), c))
-        q = SpectralFunction.from_terms(basis, terms)
+        q = SpectralFunction.from_terms(basis, parse_terms(data["qdata_terms"]))
         return QData(q, pert, q.is_exact and pert.is_zero(), pert.K, pert.exp_tail_bound())
     if pert.is_zero():
         raise ConfigError("qcurv needs a nonzero perturbation or explicit qdata_terms")

@@ -11,6 +11,14 @@ its restriction blocks give the joint eigenspaces of the sphere operators.
 Blocks are built as the exact nullspace of the ambient Laplacian
 sum_j d^2/dz_j dzbar_j on bidegree-(p, q) monomials, then orthogonalized by
 classical Gram-Schmidt (exact arithmetic makes the classical variant fine).
+One Gauss-Jordan routine does all row reduction: the nullspace, and the
+choice of independent real candidates in the diagonal blocks.
+
+inner_sphere is the one exact pairing (poly.matched_pairing) with the
+monomial weight above: only terms of equal sector beta - gamma meet, so no
+product polynomial is formed.  galerkin.pairing_matrix evaluates the same
+rule vectorized in floats over whole monomial index sets; it stays separate
+so that the shared exact code does not branch on its caller.
 
 Basis elements are stored unnormalized with their exact squared norm; the
 normalized element is poly / sqrt(norm2).  Coefficients stay Gaussian
@@ -29,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import CapExceededError, ConfigError
-from .poly import Poly
+from .poly import Poly, matched_pairing
 from .scalars import QI, qi
 
 BASIS_CACHE_VERSION = 1
@@ -62,26 +70,27 @@ def sphere_integral(f: Poly, n: int):
     Returns QI iff every coefficient is exact, complex otherwise.
     """
     exact = all(isinstance(c, QI) for c in f.terms.values())
-    if exact:
-        total = QI(0)
-        for (a, b, g), c in f.terms.items():
-            if a:
-                raise ValueError("sphere integrand must be t-free")
-            if b == g:
-                total = total + c * qi(_integral_equal_exponents(n, tuple(b)))
-        return total
-    total = 0j
+    total = QI(0) if exact else 0j
     for (a, b, g), c in f.terms.items():
         if a:
             raise ValueError("sphere integrand must be t-free")
         if b == g:
-            total += complex(c) * float(_integral_equal_exponents(n, tuple(b)))
+            w = _integral_equal_exponents(n, tuple(b))
+            total = total + (c * qi(w) if exact else complex(c) * float(w))
     return total
 
 
 def inner_sphere(f: Poly, g: Poly, n: int):
-    """L2(dsigma) inner product <f, g> = int f conj(g)."""
-    return sphere_integral(f * g.conj_fn(), n)
+    """L2(dsigma) inner product <f, g> = int f conj(g).
+
+    The one exponent-matched pairing (poly.matched_pairing) with the sphere
+    monomial weight; equal to sphere_integral(f * g.conj_fn(), n) without
+    forming the product.  Like that integral it refuses a t term, which
+    the product of two nonzero polynomials keeps whenever either has one.
+    """
+    if f.terms and g.terms and any(a for h in (f, g) for (a, _, _) in h.terms):
+        raise ValueError("sphere integrand must be t-free")
+    return matched_pairing(f, g, lambda a, exps: _integral_equal_exponents(n, exps))
 
 
 def amb_laplacian(f: Poly) -> Poly:
@@ -115,13 +124,18 @@ def dim_hpq(n: int, p: int, q: int) -> int:
     return int(val)
 
 
-def _nullspace_fractions(matrix, ncols):
-    """Exact nullspace basis of a dense Fraction matrix (rows x ncols)."""
-    rows = [list(r) for r in matrix]
+def _gauss_jordan(rows, ncols, max_rank=None):
+    """Reduce a dense Fraction matrix (a list of rows) in place; return its pivot columns.
+
+    The pivot columns are the columns independent of all earlier ones, in
+    order.  With max_rank the reduction stops once that many are found.
+    """
     nrows = len(rows)
     pivot_cols = []
-    r = 0
     for c in range(ncols):
+        r = len(pivot_cols)
+        if r == nrows or r == max_rank:
+            break
         pivot = None
         for rr in range(r, nrows):
             if rows[rr][c] != 0:
@@ -135,20 +149,9 @@ def _nullspace_fractions(matrix, ncols):
         for rr in range(nrows):
             if rr != r and rows[rr][c] != 0:
                 factor = rows[rr][c]
-                rows[rr] = [x - factor * y for x, y in zip(rows[rr], rows[r])]
+                rows[rr] = [x - factor * y if y else x for x, y in zip(rows[rr], rows[r])]
         pivot_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
-    basis = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivot_cols):
-            vec[pc] = -rows[i][fc]
-        basis.append(vec)
-    return basis
+    return pivot_cols
 
 
 def harmonic_block_polys(n: int, p: int, q: int):
@@ -170,71 +173,47 @@ def harmonic_block_polys(n: int, p: int, q: int):
                 ng[j] -= 1
                 row = tgt_index[(tuple(nb), tuple(ng))]
                 matrix[row][col] += Fraction(b[j] * g[j])
-    null = _nullspace_fractions(matrix, len(src))
+    # one nullspace vector per free column: 1 there, -rref[i][col] at pivot i
+    pivot_cols = _gauss_jordan(matrix, len(src))
     polys = []
-    for vec in null:
-        terms = {}
-        for coeff, (b, g) in zip(vec, src):
-            if coeff:
-                terms[(0, b, g)] = QI(coeff)
-        polys.append(Poly(m, terms))
+    for col in range(len(src)):
+        if col in pivot_cols:
+            continue
+        vec = {col: Fraction(1)}
+        for i, pc in enumerate(pivot_cols):
+            vec[pc] = -matrix[i][col]
+        polys.append(Poly(m, {(0, *src[k]): QI(c) for k, c in sorted(vec.items())}))
     return polys
 
 
-def _conj_swap(f: Poly) -> Poly:
-    """Swap z and zbar exponents without conjugating coefficients."""
-    return Poly(f.m, {(a, g, b): c for (a, b, g), c in f.terms.items()})
-
-
-def _real_valued_block_basis(polys, n):
+def _real_valued_block_basis(polys):
     """Rebase a conjugation-stable block (p = q) on real-valued functions.
 
     Each rational v splits into the real functions (v + sigma v)/2 and
     (v - sigma v)/(2i) where sigma is function conjugation.  The combined
     family spans the block; exact row reduction picks an independent subset.
     """
-    m = n + 1
     candidates = []
     for v in polys:
-        sv = _conj_swap(v)  # coefficients are rational, so conj(v) = sigma-swap
+        sv = v.conj_fn()  # rational coefficients: conjugation only swaps z and zbar
         sym = (v + sv).scale(QI(Fraction(1, 2)))
         anti = (v - sv).scale(QI(0, Fraction(-1, 2)))
         for cand in (sym, anti):
             if not cand.is_zero():
                 candidates.append(cand)
-    # independence over Q: coefficients are rational or purely imaginary rational
+    # independence over Q: coefficients are rational or purely imaginary
+    # rational.  Keeping the first independent candidates keeps exactly the
+    # pivot columns of the matrix whose columns are the candidates.
     keys = sorted({k for cand in candidates for k in cand.terms})
     key_index = {k: i for i, k in enumerate(keys)}
-    chosen = []
-    rows = []  # reduced rational rows, with leading-entry bookkeeping
-
-    def reduce_vector(vec):
-        for row, lead in rows:
-            if vec[lead]:
-                factor = vec[lead]
-                for i in range(len(vec)):
-                    vec[i] -= factor * row[i]
-        for i, x in enumerate(vec):
-            if x:
-                inv = Fraction(1) / x
-                return [y * inv for y in vec], i
-        return None, None
-
-    target = len(polys)
-    for cand in candidates:
-        vec = [Fraction(0)] * len(keys)
+    matrix = [[Fraction(0)] * len(candidates) for _ in keys]
+    for col, cand in enumerate(candidates):
         for k, c in cand.terms.items():
-            # components are either purely real or purely imaginary rationals
-            vec[key_index[k]] = c.re if c.re else c.im
-        red, lead = reduce_vector(vec)
-        if red is not None:
-            rows.append((red, lead))
-            chosen.append(cand)
-            if len(chosen) == target:
-                break
-    if len(chosen) != target:
+            matrix[key_index[k]][col] = c.re if c.re else c.im
+    pivots = _gauss_jordan(matrix, len(candidates), max_rank=len(polys))
+    if len(pivots) != len(polys):
         raise ConfigError("real rebasing of a diagonal block failed to span")
-    return chosen
+    return [candidates[col] for col in pivots]
 
 
 def gram_schmidt_exact(polys, n):
@@ -303,7 +282,7 @@ class HarmonicBasis:
                 if validate and len(raw) != dim_hpq(n, p, q):
                     raise ConfigError(f"block ({p},{q}) dimension {len(raw)} != formula")
                 if p == q:
-                    raw = _real_valued_block_basis(raw, n)
+                    raw = _real_valued_block_basis(raw)
                 ortho = gram_schmidt_exact(raw, n)
                 blocks[(p, q)] = [BasisElement(u, n2) for u, n2 in ortho]
                 if p != q:

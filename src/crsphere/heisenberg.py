@@ -25,16 +25,24 @@ Model operators, with the Levi form normalized to 2*delta_ab:
 
 which satisfy box_b = (1/2) delta_b + (i/2) n T exactly in the algebra.
 
+LeftInvariantOp shares its term storage and linear structure with Poly
+(poly.TermDict); apply and weighted_apply share one walk over each PBW
+word.  The adjoint oracle's Gaussian pairing is poly.matched_pairing, the
+package's one exact pairing, with the Gaussian monomial weight; only
+galerkin.pairing_matrix, a vectorized floating path over whole monomial
+index sets, computes a pairing of its own.
+
 All arithmetic is exact; floating point appears nowhere in this module.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatchError
-from .poly import Poly
+from .poly import Poly, TermDict, accumulate, matched_pairing
 from .scalars import QI, qi
 
 _I = QI(0, 1)
@@ -125,91 +133,30 @@ def dilate_poly(f: Poly, d: Dilation) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-class LeftInvariantOp:
+class LeftInvariantOp(TermDict):
     """Element of the enveloping algebra, stored in PBW normal form.
 
     terms maps (a, beta, gamma) -> QI coefficient, meaning the normally
-    ordered word T^a Z^beta Zbar^gamma.
+    ordered word T^a Z^beta Zbar^gamma.  The linear structure is TermDict's;
+    the dimension is n, the CR dimension of the model.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
+    dim_key = "n"
+    symbols = ("T", "Z", "Zb")
 
-    def __init__(self, n: int, terms=None):
-        self.n = n
-        self.terms = {}
-        if terms:
-            for key, c in terms.items():
-                if c:
-                    self.terms[key] = c
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, n):
-        return cls(n)
+    @property
+    def n(self):
+        return self.m
 
     @classmethod
     def identity(cls, n):
-        zero = (0,) * n
-        return cls(n, {(0, zero, zero): QI(1)})
+        return cls.const(n, QI(1))
 
-    @classmethod
-    def t_gen(cls, n):
-        zero = (0,) * n
-        return cls(n, {(1, zero, zero): QI(1)})
-
-    @classmethod
-    def z_gen(cls, n, a):
-        zero = (0,) * n
-        e = tuple(1 if k == a else 0 for k in range(n))
-        return cls(n, {(0, e, zero): QI(1)})
-
-    @classmethod
-    def zbar_gen(cls, n, a):
-        zero = (0,) * n
-        e = tuple(1 if k == a else 0 for k in range(n))
-        return cls(n, {(0, zero, e): QI(1)})
-
-    # -- linear structure ----------------------------------------------------
-
-    def _check(self, other):
-        if self.n != other.n:
-            raise DimensionMismatchError("operators over different dimensions")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-        return LeftInvariantOp(self.n, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return LeftInvariantOp(self.n, {k: -c for k, c in self.terms.items()})
-
-    def scale(self, c):
-        c = qi(c)
-        if not c:
-            return LeftInvariantOp.zero(self.n)
-        return LeftInvariantOp(self.n, {k: v * c for k, v in self.terms.items()})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, LeftInvariantOp):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        raise TypeError("LeftInvariantOp is not hashable")
+    # the frame's names for the generators T, Z_a and Zbar_a
+    t_gen = classmethod(TermDict.var_t.__func__)
+    z_gen = classmethod(TermDict.var_z.__func__)
+    zbar_gen = classmethod(TermDict.var_zbar.__func__)
 
     # -- normal-ordered multiplication ----------------------------------------
 
@@ -220,23 +167,14 @@ class LeftInvariantOp:
         # T^a Z^beta Zbar^gamma Z_alpha
         #   = T^a Z^(beta+e) Zbar^gamma + 2i gamma_alpha T^(a+1) Z^beta Zbar^(gamma-e)
         out = {}
-
-        def acc(key, c):
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-
         for (a, b, g), c in self.terms.items():
             nb = list(b)
             nb[alpha] += 1
-            acc((a, tuple(nb), g), c)
+            accumulate(out, (a, tuple(nb), g), c)
             if g[alpha]:
                 ng = list(g)
                 ng[alpha] -= 1
-                acc((a + 1, b, tuple(ng)), c * _TWO_I * g[alpha])
+                accumulate(out, (a + 1, b, tuple(ng)), c * _TWO_I * g[alpha])
         return LeftInvariantOp(self.n, out)
 
     def _rmul_zbar(self, alpha):
@@ -244,9 +182,7 @@ class LeftInvariantOp:
         for (a, b, g), c in self.terms.items():
             ng = list(g)
             ng[alpha] += 1
-            key = (a, b, tuple(ng))
-            s = out.get(key)
-            out[key] = c if s is None else s + c
+            accumulate(out, (a, b, tuple(ng)), c)
         return LeftInvariantOp(self.n, out)
 
     # -- operations of the module ----------------------------------------------
@@ -268,25 +204,39 @@ class LeftInvariantOp:
             total = total + cur.scale(c)
         return total
 
-    def apply(self, f: Poly) -> Poly:
-        """Apply the differential operator to a polynomial, exactly."""
+    def _walk(self, f: Poly, on_t, on_z, on_zbar) -> Poly:
+        """sum c * (T^a Z^beta Zbar^gamma)(f), given the generators' actions on f.
+
+        The rightmost factors act first: Zbar^gamma from the last index,
+        then Z^beta, then T^a.  on_t(f), on_z(f, a) and on_zbar(f, a) are
+        the actions of T, Z_a and Zbar_a.
+        """
         if f.m != self.n:
             raise DimensionMismatchError("operator and polynomial dimensions differ")
         n = self.n
         result = Poly.zero(n)
         for (a, b, g), c in self.terms.items():
             cur = f
-            # rightmost factors act first: Zbar^gamma, then Z^beta, then T^a
             for alpha in range(n - 1, -1, -1):
                 for _ in range(g[alpha]):
-                    cur = cur.diff_zbar(alpha) - (Poly.var_z(n, alpha) * cur.diff_t()).scale(_I)
+                    cur = on_zbar(cur, alpha)
             for alpha in range(n - 1, -1, -1):
                 for _ in range(b[alpha]):
-                    cur = cur.diff_z(alpha) + (Poly.var_zbar(n, alpha) * cur.diff_t()).scale(_I)
+                    cur = on_z(cur, alpha)
             for _ in range(a):
-                cur = cur.diff_t()
+                cur = on_t(cur)
             result = result + cur.scale(c)
         return result
+
+    def apply(self, f: Poly) -> Poly:
+        """Apply the differential operator to a polynomial, exactly."""
+        n = self.n
+        return self._walk(
+            f,
+            Poly.diff_t,
+            lambda cur, a: cur.diff_z(a) + (Poly.var_zbar(n, a) * cur.diff_t()).scale(_I),
+            lambda cur, a: cur.diff_zbar(a) - (Poly.var_z(n, a) * cur.diff_t()).scale(_I),
+        )
 
     def formal_adjoint(self) -> "LeftInvariantOp":
         """Formal adjoint for the Haar (Lebesgue) measure.
@@ -300,10 +250,7 @@ class LeftInvariantOp:
         out = {}
         for (a, b, g), c in self.terms.items():
             sign = -1 if (a + sum(b) + sum(g)) % 2 else 1
-            key = (a, g, b)
-            val = c.conjugate() * sign
-            s = out.get(key)
-            out[key] = val if s is None else s + val
+            accumulate(out, (a, g, b), c.conjugate() * sign)
         return LeftInvariantOp(self.n, out)
 
     def homogeneity_degree(self):
@@ -312,40 +259,6 @@ class LeftInvariantOp:
         if len(degs) == 1:
             return degs.pop()
         return None
-
-    # -- serialization -----------------------------------------------------------
-
-    def to_jsonable(self):
-        items = []
-        for (a, b, g), c in sorted(self.terms.items()):
-            items.append({"t": a, "z": list(b), "zbar": list(g), "coeff": str(c)})
-        return {"n": self.n, "terms": items}
-
-    @classmethod
-    def from_jsonable(cls, data):
-        from .scalars import parse_qi
-
-        terms = {}
-        for item in data["terms"]:
-            terms[(item["t"], tuple(item["z"]), tuple(item["zbar"]))] = parse_qi(item["coeff"])
-        return cls(data["n"], terms)
-
-    def __repr__(self):
-        if not self.terms:
-            return "LeftInvariantOp(0)"
-        bits = []
-        for (a, b, g), c in sorted(self.terms.items()):
-            word = []
-            if a:
-                word.append(f"T^{a}" if a > 1 else "T")
-            for j, e in enumerate(b):
-                if e:
-                    word.append(f"Z{j+1}" + (f"^{e}" if e > 1 else ""))
-            for j, e in enumerate(g):
-                if e:
-                    word.append(f"Zb{j+1}" + (f"^{e}" if e > 1 else ""))
-            bits.append(f"({c})" + ("*" + "*".join(word) if word else ""))
-        return " + ".join(bits)
 
 
 # spec-facing functional aliases
@@ -514,61 +427,31 @@ def weighted_apply(op: LeftInvariantOp, p: Poly) -> Poly:
         df = f.diff_zbar(a) - Poly.var_z(n, a) * f
         return df - (Poly.var_z(n, a) * gen_t(f)).scale(_I)
 
-    result = Poly.zero(n)
-    for (a, b, g), c in op.terms.items():
-        cur = p
-        for alpha in range(n - 1, -1, -1):
-            for _ in range(g[alpha]):
-                cur = gen_zbar(cur, alpha)
-        for alpha in range(n - 1, -1, -1):
-            for _ in range(b[alpha]):
-                cur = gen_z(cur, alpha)
-        for _ in range(a):
-            cur = gen_t(cur)
-        result = result + cur.scale(c)
-    return result
+    return op._walk(p, gen_t, gen_z, gen_zbar)
+
+
+def _gaussian_weight(a, exps):
+    """<t^a z^e zbar^e> against exp(-2 t^2 - 2 |z|^2), Gaussian volume divided out.
+
+    t^{2k} gives (2k-1)!!/4^k = (2k)!/(k! 8^k), odd powers of t give 0, and
+    z^j zbar^j gives j!/2^j per coordinate.
+    """
+    if a % 2:
+        return Fraction(0)
+    num, den = math.factorial(a), math.factorial(a // 2) * 8 ** (a // 2)
+    for e in exps:
+        num *= math.factorial(e)
+        den *= 2**e
+    return Fraction(num, den)
 
 
 def gaussian_pairing(p: Poly, q: Poly) -> QI:
     """Exact pairing <p w, q w> with w = exp(-t^2 - |z|^2), normalized.
 
-    Monomial values against exp(-2 t^2 - 2 |z|^2) reduce to rationals after
-    dividing out the Gaussian volume: t^{2m} gives (2m-1)!!/4^m and the pair
-    z^j zbar^j gives j!/2^j per coordinate.
+    The one exponent-matched pairing (poly.matched_pairing) with the
+    Gaussian monomial weight.
     """
-    n = p.m
-
-    def t_factor(a):
-        if a % 2:
-            return Fraction(0)
-        m = a // 2
-        val = Fraction(1)
-        for j in range(1, m + 1):
-            val *= Fraction(2 * j - 1, 4)
-        return val
-
-    def z_factor(j):
-        val = Fraction(1)
-        for k in range(1, j + 1):
-            val *= Fraction(k, 2)
-        return val
-
-    total = QI(0)
-    for (a1, b1, g1), c1 in p.terms.items():
-        for (a2, b2, g2), c2 in q.terms.items():
-            # p * conj(q): the conjugate swaps the exponent roles of q
-            zexp = tuple(x + y for x, y in zip(b1, g2))
-            zbexp = tuple(x + y for x, y in zip(g1, b2))
-            if zexp != zbexp:
-                continue
-            tf = t_factor(a1 + a2)
-            if not tf:
-                continue
-            weight = tf
-            for e in zexp:
-                weight *= z_factor(e)
-            total = total + c1 * c2.conjugate() * qi(weight)
-    return total
+    return matched_pairing(p, q, _gaussian_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -600,15 +483,7 @@ def _random_poly(rng, n, max_monomials=4, max_exp=2):
 
 
 def _random_op(rng, n, max_terms=3):
-    terms = {}
-    for _ in range(max_terms):
-        key = (
-            rng.randint(0, 1),
-            tuple(rng.randint(0, 1) for _ in range(n)),
-            tuple(rng.randint(0, 1) for _ in range(n)),
-        )
-        terms[key] = QI(_random_rational(rng), _random_rational(rng))
-    return LeftInvariantOp(n, terms)
+    return LeftInvariantOp(n, _random_poly(rng, n, max_terms, 1).terms)
 
 
 def _spanning_monomials(n, weighted_degree):

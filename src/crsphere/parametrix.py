@@ -129,17 +129,10 @@ def build_chain_diagonal(basis_or_trunc) -> ParametrixChain:
     Pi0 = DiagonalOperator(n, N, (S + Sb).table, order_tag=0, label="Pi0")
     R0 = DiagonalOperator(n, N, (P.compose(G0) + Pi0 - ident).table, order_tag=-1, label="R0")
 
-    # R_0 is idempotent on the sphere, so (I + R_0)^{-1} = I - R_0/2
+    # R_0 = S Sbar is idempotent in every truncation, so (I + R_0)^{-1} = I - R_0/2;
+    # the report keeps recording both facts
     r0_idempotent = R0.compose(R0).equals(R0)
-    if r0_idempotent:
-        A0 = ident - R0.scale(Fraction(1, 2))
-        a0_method = "closed_form"
-    else:
-        A0 = DiagonalOperator(
-            n, N, {k: Fraction(1) / (1 + v) for k, v in R0.table.items()}, 0, "A0"
-        )
-        a0_method = "diagonal_inverse"
-    A0 = DiagonalOperator(n, N, A0.table, order_tag=0, label="A0")
+    A0 = DiagonalOperator(n, N, (ident - R0.scale(Fraction(1, 2))).table, order_tag=0, label="A0")
 
     PiInf = DiagonalOperator(n, N, Pi0.compose(A0).table, order_tag=0, label="PiInf")
     GInf = DiagonalOperator(
@@ -176,7 +169,7 @@ def build_chain_diagonal(basis_or_trunc) -> ParametrixChain:
     rec("PiP", Pi.compose(P))
     rec("PiInf_minus_S_Sbar_combination", PiInf - (S + Sb - SSb))
     diag.record("Pi_self_adjoint", Pi.is_real)
-    diag.record("A0_method", a0_method)
+    diag.record("A0_method", "closed_form")
     diag.record("R0_idempotent", r0_idempotent)
 
     members = {

@@ -1,22 +1,48 @@
-"""Sparse polynomials in t, z_1..z_m, zbar_1..z_m.
+"""Sparse term algebras over the monomials t^a z^beta zbar^gamma.
 
-One class serves both halves of the package: the Heisenberg model uses the
-full variable set (t, z, zbar) with QI coefficients, the sphere modules use
-ambient polynomials on C^m (t-exponent always zero) with QI or complex
-coefficients.  Coefficient types only need +, *, unary -, conjugation and
-truthiness, so exact and floating data move through the same code paths.
+A term key is (a, beta, gamma): the t-exponent and the z / zbar exponent
+tuples.  Zero coefficients are never stored.  :class:`TermDict` holds the
+linear structure shared by the package's two term algebras:
 
-A monomial key is (a, beta, gamma): the t-exponent and the z / zbar
-exponent tuples.  Zero coefficients are never stored.
+* :class:`Poly` (here): commutative polynomials in t, z_1..z_m,
+  zbar_1..zbar_m.  The Heisenberg model uses the full variable set with QI
+  coefficients, the sphere modules use ambient polynomials on C^m
+  (t-exponent always zero) with QI or complex coefficients.
+* ``heisenberg.LeftInvariantOp``: PBW words T^a Z^beta Zbar^gamma, composed
+  by the commutation rule instead of by adding exponents.
+
+Coefficient types only need +, *, unary -, conjugation and truthiness, so
+exact and floating data move through the same code paths.
+
+:func:`matched_pairing` is the package's one exact pairing: the sphere
+inner product (``harmonics.inner_sphere``) and the Gaussian pairing of the
+Heisenberg adjoint oracle (``heisenberg.gaussian_pairing``) differ only in
+the weight they give a matched monomial.  ``galerkin.pairing_matrix`` stays
+a separate, vectorized floating path over whole coefficient arrays.
 """
 
 from __future__ import annotations
 
-from .scalars import QI, conj, qi
+from .errors import DimensionMismatchError
+from .scalars import QI, conj, parse_qi, qi
 
 
-class Poly:
+def accumulate(out, key, c):
+    """out[key] += c, keeping no zero coefficient."""
+    s = out.get(key)
+    s = c if s is None else s + c
+    if s:
+        out[key] = s
+    elif key in out:
+        del out[key]
+
+
+class TermDict:
+    """Sparse map (a, beta, gamma) -> coefficient over m complex variables."""
+
     __slots__ = ("m", "terms")
+    dim_key = "m"  # the dimension's key in to_jsonable
+    symbols = ("t", "z", "zb")  # repr names of the t, z and zbar factors
 
     def __init__(self, m: int, terms=None):
         self.m = m
@@ -58,29 +84,106 @@ class Poly:
         e = tuple(1 if k == j else 0 for k in range(m))
         return cls(m, {(0, zero, e): QI(1)})
 
-    # -- ring operations ---------------------------------------------------
+    # -- linear structure ----------------------------------------------------
 
     def _check(self, other):
         if self.m != other.m:
-            raise ValueError("polynomials over different variable counts")
+            raise DimensionMismatchError("operands over different dimensions")
 
     def __add__(self, other):
         self._check(other)
         out = dict(self.terms)
         for key, c in other.terms.items():
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-        return Poly(self.m, out)
+            accumulate(out, key, c)
+        return type(self)(self.m, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Poly(self.m, {k: -c for k, c in self.terms.items()})
+        return type(self)(self.m, {k: -c for k, c in self.terms.items()})
+
+    def scale(self, c):
+        if not c:
+            return type(self)(self.m)
+        return type(self)(self.m, {k: v * c for k, v in self.terms.items()})
+
+    def is_zero(self):
+        return not self.terms
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.m == other.m and self.terms == other.terms
+
+    def __hash__(self):
+        raise TypeError(f"{type(self).__name__} is not hashable")
+
+    def __repr__(self):
+        if not self.terms:
+            return f"{type(self).__name__}(0)"
+        t_sym, z_sym, zb_sym = self.symbols
+        bits = []
+        for (a, b, g), c in sorted(self.terms.items()):
+            word = []
+            if a:
+                word.append(f"{t_sym}^{a}" if a > 1 else t_sym)
+            for sym, exps in ((z_sym, b), (zb_sym, g)):
+                for j, e in enumerate(exps):
+                    if e:
+                        word.append(f"{sym}{j+1}" + (f"^{e}" if e > 1 else ""))
+            bits.append(f"({c})" + ("*" + "*".join(word) if word else ""))
+        return " + ".join(bits)
+
+    # -- serialization ---------------------------------------------------------
+
+    def to_jsonable(self):
+        items = []
+        for (a, b, g), c in sorted(self.terms.items()):
+            if not isinstance(c, QI):
+                raise TypeError("only exact terms serialize")
+            items.append({"t": a, "z": list(b), "zbar": list(g), "coeff": str(c)})
+        return {self.dim_key: self.m, "terms": items}
+
+    @classmethod
+    def from_jsonable(cls, data):
+        terms = {}
+        for item in data["terms"]:
+            terms[(item["t"], tuple(item["z"]), tuple(item["zbar"]))] = parse_qi(item["coeff"])
+        return cls(data[cls.dim_key], terms)
+
+
+def matched_pairing(f: TermDict, g: TermDict, weight):
+    """sum c1 conj(c2) weight(a1 + a2, beta1 + gamma2) over the terms of f conj(g)
+    whose z and zbar exponents agree.
+
+    The f-term (a1, beta1, gamma1) times the conjugate of the g-term
+    (a2, beta2, gamma2) has exponents (a1 + a2, beta1 + gamma2,
+    gamma1 + beta2); they agree exactly when beta1 - gamma1 = beta2 - gamma2.
+    So g's terms are bucketed by that sector and no product is formed.
+    ``weight(a, exps)`` returns a Fraction.  The result is QI when every
+    coefficient of f and g is QI, complex otherwise.
+    """
+    exact = all(isinstance(c, QI) for t in (f, g) for c in t.terms.values())
+    sectors = {}
+    for (a2, b2, g2), c2 in g.terms.items():
+        sector = tuple(x - y for x, y in zip(b2, g2))
+        sectors.setdefault(sector, []).append((a2, g2, conj(c2)))
+    total = QI(0) if exact else 0j
+    for (a1, b1, g1), c1 in f.terms.items():
+        for a2, g2, c2 in sectors.get(tuple(x - y for x, y in zip(b1, g1)), ()):
+            w = weight(a1 + a2, tuple(x + y for x, y in zip(b1, g2)))
+            if w:
+                total = total + c1 * c2 * (qi(w) if exact else float(w))
+    return total
+
+
+class Poly(TermDict):
+    """Commutative polynomial in t, z_1..z_m, zbar_1..zbar_m."""
+
+    __slots__ = ()
+
+    # -- ring operations ---------------------------------------------------
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
@@ -94,21 +197,10 @@ class Poly:
                     tuple(x + y for x, y in zip(b1, b2)),
                     tuple(x + y for x, y in zip(g1, g2)),
                 )
-                c = c1 * c2
-                s = out.get(key)
-                s = c if s is None else s + c
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
+                accumulate(out, key, c1 * c2)
         return Poly(self.m, out)
 
     __rmul__ = __mul__
-
-    def scale(self, c):
-        if not c:
-            return Poly(self.m)
-        return Poly(self.m, {k: v * c for k, v in self.terms.items()})
 
     def __pow__(self, k: int):
         out = Poly.const(self.m, QI(1))
@@ -181,17 +273,6 @@ class Poly:
 
     # -- queries -------------------------------------------------------------
 
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.m == other.m and self.terms == other.terms
-
-    def __hash__(self):
-        raise TypeError("Poly is not hashable")
-
     def bidegree_components(self):
         """Split into bihomogeneous parts, keyed by (|beta|, |gamma|). Requires t-free."""
         out = {}
@@ -222,41 +303,3 @@ class Poly:
                     val = val * zvals[j].conjugate() ** g[j]
             total = total + val
         return total
-
-    def __repr__(self):
-        if not self.terms:
-            return "Poly(0)"
-        bits = []
-        for (a, b, g), c in sorted(self.terms.items()):
-            mono = []
-            if a:
-                mono.append(f"t^{a}" if a > 1 else "t")
-            for j, e in enumerate(b):
-                if e:
-                    mono.append(f"z{j+1}" + (f"^{e}" if e > 1 else ""))
-            for j, e in enumerate(g):
-                if e:
-                    mono.append(f"zb{j+1}" + (f"^{e}" if e > 1 else ""))
-            body = "*".join(mono) if mono else "1"
-            bits.append(f"({c})*{body}")
-        return " + ".join(bits)
-
-    # -- serialization ---------------------------------------------------------
-
-    def to_jsonable(self):
-        items = []
-        for (a, b, g), c in sorted(self.terms.items()):
-            if not isinstance(c, QI):
-                raise TypeError("only exact polynomials serialize")
-            items.append({"t": a, "z": list(b), "zbar": list(g), "coeff": str(c)})
-        return {"m": self.m, "terms": items}
-
-    @classmethod
-    def from_jsonable(cls, data):
-        from .scalars import parse_qi
-
-        terms = {}
-        for item in data["terms"]:
-            key = (item["t"], tuple(item["z"]), tuple(item["zbar"]))
-            terms[key] = parse_qi(item["coeff"])
-        return cls(data["m"], terms)

@@ -50,6 +50,43 @@ DEFAULT_TAYLOR_DEPTH = 12
 DEFAULT_OBSTRUCTION_TOL = 1e-8
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x):
+    return _is_int(x) or isinstance(x, float)
+
+
+def _parse_coeff(c):
+    if isinstance(c, str):
+        try:
+            return parse_qi(c)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+    if _is_number(c):
+        return complex(c)
+    if isinstance(c, list) and len(c) == 2 and all(_is_number(x) for x in c):
+        return complex(c[0], c[1])
+    raise ConfigError(f"coefficient must be a number, an exact string or [re, im]: {c!r}")
+
+
+def parse_terms(items):
+    """[(p, q, index, coeff)] from a file's [{"p", "q", "index", "coeff"}] list.
+
+    A coefficient is a number or a [re, im] pair (read as complex) or an
+    exact string "a/b+c/di" (read as QI).  A term without integer p and q
+    (and index, if given), or any other coefficient, is a ConfigError.
+    """
+    terms = []
+    for item in items:
+        if not (isinstance(item, dict) and "p" in item and "q" in item
+                and all(_is_int(item.get(k, 0)) for k in ("p", "q", "index"))):
+            raise ConfigError(f"coefficient term needs integer p, q and index: {item!r}")
+        terms.append((item["p"], item["q"], item.get("index", 0), _parse_coeff(item.get("coeff"))))
+    return terms
+
+
 class ContactPerturbation:
     """Conformal exponent Upsilon with its truncation and Taylor depth.
 
@@ -88,19 +125,9 @@ class ContactPerturbation:
     @classmethod
     def from_dict(cls, basis, data):
         """Perturbation file: {"terms": [{"p","q","index","coeff"}], "epsilon", ...}."""
-        terms = []
-        for item in data.get("terms", []):
-            c = item["coeff"]
-            if isinstance(c, str):
-                c = parse_qi(c)
-            elif isinstance(c, (list, tuple)):
-                c = complex(c[0], c[1])
-            elif isinstance(c, (int, float)):
-                c = complex(c)
-            terms.append((item["p"], item["q"], item.get("index", 0), c))
         return cls.from_terms(
             basis,
-            terms,
+            parse_terms(data.get("terms", [])),
             epsilon=data.get("epsilon", 1.0),
             taylor_depth=data.get("taylor_depth", DEFAULT_TAYLOR_DEPTH),
             normalize_sup=data.get("normalize_sup", False),

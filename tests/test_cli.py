@@ -1,4 +1,5 @@
 import filecmp
+import hashlib
 import json
 import os
 import subprocess
@@ -224,6 +225,36 @@ class TestCommands:
         monkeypatch.setitem(cli.COMMANDS, "spectrum", fail)
         assert run("spectrum", "--out", str(tmp_path / "o")) == EXIT_NUMERICAL
 
+    def test_coefficient_pair_reads_like_the_number(self, tmp_path):
+        # a [re, im] coefficient is the same datum as the plain number
+        reports = []
+        for name, coeff in (("number", 16.0), ("pair", [16.0, 0.0])):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"terms": [], "qdata_terms": [
+                {"p": 1, "q": 1, "index": 0, "coeff": coeff}]}))
+            out = tmp_path / name
+            assert run("qcurv", "compute", "--n", "1", "--degree", "4",
+                       "--perturbation", str(path), "--out", str(out)) == EXIT_OK
+            reports.append((out / "qcurv_compute.json").read_bytes())
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("key", ["qdata_terms", "terms"])
+    @pytest.mark.parametrize("term", [
+        {"p": 1, "q": 1, "coeff": True},
+        {"p": 1, "q": 1, "coeff": {}},
+        {"p": 1, "q": 1, "coeff": [1]},
+        {"p": 1, "q": 1, "coeff": "x"},
+        {"q": 1, "coeff": 1.0},
+        {"p": 1, "coeff": 1.0},
+        {"p": [1], "q": 1, "coeff": 1.0},
+        {"p": 1, "q": 1, "index": "0", "coeff": 1.0},
+    ])
+    def test_bad_coefficient_term_exit_code(self, tmp_path, key, term):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"terms": [], key: [term]}))
+        assert run("qcurv", "compute", "--n", "1", "--degree", "4", "--perturbation",
+                   str(path), "--out", str(tmp_path / "o")) == EXIT_CONFIG
+
     def test_bad_config_exit_code(self, tmp_path):
         assert run("basis", "--n", "0", "--out", str(tmp_path / "o")) == EXIT_CONFIG
         assert run("qcurv", "check", "--n", "1", "--degree", "4",
@@ -263,6 +294,29 @@ def test_lazy_exports_resolve():
     for names in crsphere._LAZY.values():
         for name in names:
             assert getattr(crsphere, name) is not None, name
+
+
+# sha256 of the exact outputs as first recorded; any change to the exact
+# layer that alters a byte of them fails here
+PINNED_SHA256 = {
+    "basis_n1_N6_v1_exact.json":
+        "362776f826d8ad0fac42db7f78ea06567aaadd21e93bb55cd6581c896a2529e4",
+    "basis_n2_N3_v1_exact.json":
+        "13f72deed3b663bfea606e0d4e60e7e5f544807591706a0170ed253c77f37b64",
+    "heisenberg_selftest.json":
+        "b269be1ed951b663d7352e7fd9e8bfa1b2543b618518940779355dffd116b725",
+}
+
+
+def test_exact_outputs_are_pinned(tmp_path):
+    cache, out = tmp_path / "cache", tmp_path / "out"
+    for n, degree in (("1", "6"), ("2", "3")):
+        assert run("basis", "--n", n, "--degree", degree, "--cache", str(cache),
+                   "--out", str(out)) == EXIT_OK
+    assert run("heisenberg-selftest", "--sweep", "1..2", "--out", str(out)) == EXIT_OK
+    paths = [cache / name for name in PINNED_SHA256 if name.startswith("basis_")]
+    paths.append(out / "heisenberg_selftest.json")
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths} == PINNED_SHA256
 
 
 class TestDeterminismAndManifest:

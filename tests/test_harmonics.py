@@ -68,6 +68,65 @@ class TestSphereIntegral:
             assert abs(exact - quad) < 1e-10
 
 
+def random_exact_poly(rng, m, bidegrees, nterms=4):
+    """Random Gaussian-rational polynomial mixing the given bidegrees."""
+    terms = {}
+    for _ in range(nterms):
+        p, q = rng.choice(bidegrees)
+        b = rng.choice(monomials_homogeneous(m, p))
+        g = rng.choice(monomials_homogeneous(m, q))
+        terms[(0, b, g)] = QI(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                              Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+    return Poly(m, terms)
+
+
+class TestInnerSphere:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_equals_integral_of_the_product(self, n):
+        # the sector-matched pairing against its definition int f conj(g)
+        rng = random.Random(41 + n)
+        m = n + 1
+        bidegrees = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (2, 2), (3, 1)]
+        for _ in range(12):
+            f = random_exact_poly(rng, m, bidegrees)
+            g = random_exact_poly(rng, m, bidegrees)
+            val = inner_sphere(f, g, n)
+            assert isinstance(val, QI)
+            assert val == sphere_integral(f * g.conj_fn(), n)
+            assert val == inner_sphere(g, f, n).conjugate()
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_different_bidegrees(self, n):
+        rng = random.Random(53 + n)
+        m = n + 1
+        # the last three pairs share the sector p - q, so their terms do match
+        pairs = [((1, 0), (0, 1)), ((2, 1), (1, 1)), ((2, 1), (1, 0)), ((2, 2), (1, 1)),
+                 ((3, 1), (2, 0))]
+        for (pq1, pq2) in pairs:
+            f = random_exact_poly(rng, m, [pq1])
+            g = random_exact_poly(rng, m, [pq2])
+            assert inner_sphere(f, g, n) == sphere_integral(f * g.conj_fn(), n)
+
+    def test_floating_data_give_complex(self):
+        rng = random.Random(59)
+        bidegrees = [(0, 0), (1, 1), (2, 1), (1, 2)]
+        f = random_exact_poly(rng, 2, bidegrees)
+        g = random_exact_poly(rng, 2, bidegrees)
+        val = inner_sphere(f.to_float(), g.to_float(), 1)
+        assert isinstance(val, complex)
+        assert abs(val - complex(inner_sphere(f, g, 1))) < 1e-12
+
+    def test_t_term_rejected(self):
+        # as by sphere_integral of the product, matched partner or not
+        f = Poly.var_t(2) * Poly.var_z(2, 0)
+        for g in (Poly.var_z(2, 0), Poly.var_z(2, 1)):
+            with pytest.raises(ValueError):
+                inner_sphere(f, g, 1)
+            with pytest.raises(ValueError):
+                inner_sphere(g, f, 1)
+        assert inner_sphere(f, Poly.zero(2), 1) == QI(0)
+
+
 class TestBlockConstruction:
     def test_constants_block(self, basis8):
         assert len(basis8.blocks[(0, 0)]) == 1

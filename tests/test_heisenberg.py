@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -260,6 +261,41 @@ class TestAdjoint:
             assert formal_adjoint(compose(L1, L2)) == compose(
                 formal_adjoint(L2), formal_adjoint(L1)
             )
+
+
+class TestGaussianPairing:
+    # closed forms against exp(-2 t^2 - 2 |z|^2), Gaussian volume divided out
+
+    def test_powers_of_t(self):
+        n = 2
+        zero = (0,) * n
+        one = Poly.const(n, QI(1))
+        for k in range(5):
+            double_factorial = math.prod(range(2 * k - 1, 0, -2))
+            even = Poly.monomial(n, 2 * k, zero, zero)
+            assert gaussian_pairing(even, one) == QI(Fraction(double_factorial, 4**k))
+            assert gaussian_pairing(Poly.monomial(n, 2 * k + 1, zero, zero), one) == QI(0)
+
+    def test_matched_z_powers(self):
+        n = 2
+        zero = (0,) * n
+        one = Poly.const(n, QI(1))
+        for j in [(0, 0), (1, 0), (0, 2), (2, 3), (4, 1)]:
+            expect = math.prod(Fraction(math.factorial(e), 2**e) for e in j)
+            zj = Poly.monomial(n, 0, j, zero)
+            assert gaussian_pairing(zj, zj) == QI(expect)
+            assert gaussian_pairing(Poly.monomial(n, 0, j, j), one) == QI(expect)
+            c1, c2 = QI(Fraction(2, 3), -1), QI(5, Fraction(1, 2))
+            assert gaussian_pairing(zj.scale(c1), zj.scale(c2)) == c1 * c2.conjugate() * expect
+
+    def test_mismatched_exponents_vanish(self):
+        n = 2
+        zero = (0,) * n
+        for (b1, g1, b2, g2) in [((1, 0), zero, (0, 1), zero), ((1, 0), zero, zero, zero),
+                                 ((2, 1), (0, 1), (1, 1), zero), (zero, (1, 0), (1, 0), zero)]:
+            f = Poly.monomial(n, 0, b1, g1)
+            g = Poly.monomial(n, 2, b2, g2)
+            assert gaussian_pairing(f, g) == QI(0)
 
 
 class TestHomogeneity:
