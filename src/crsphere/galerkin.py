@@ -1,12 +1,18 @@
 """Dense-matrix machinery on the truncated harmonic basis.
 
 The perturbed (non-diagonal) regime works with matrices over the truncated
-basis.  Multiplication operators are assembled from exact monomial
-integrals, never quadrature: with B the (normalized) basis-in-monomials
-matrix, S_f the exponent-shift matrix of the multiplier, and K the exact
-monomial pairing, the Galerkin matrix of multiplication by f is
+basis, written in its real frame (RealFrame): the orthonormal basis of real
+functions r_a = (e_a + e_b)/sqrt2, r_b = i (e_a - e_b)/sqrt2 on each
+conjugate pair a = (p, q, i), b = (q, p, i), p < q, and r_k = e_k on the
+real-valued (p, p) blocks.  Upsilon is real, so its multiplier, the weight
+and every operator built from them are real matrices in this frame, and
+the dense algebra runs in float64.  Multiplication operators are assembled
+from exact monomial integrals, never quadrature: with B the frame's
+basis-in-monomials matrix, S_f the exponent-shift matrix of the multiplier,
+and K the exact monomial pairing, the Galerkin matrix of multiplication by
+f is
 
-    M_f[j, i] = <f e_i, e_j> = (conj(B) K S_f B^T)[j, i].
+    M_f[j, i] = <f r_i, r_j> = (conj(B) K S_f B^T)[j, i].
 
 The conformal weight exp((n+1) Upsilon) is realized as its degree-K Taylor
 polynomial projected to the truncation, i.e. as the matrix Taylor sum of
@@ -18,16 +24,18 @@ Multiplication matrices stay sparse (a degree-d multiplier couples only
 blocks whose degrees differ by at most d), and the weight keeps a single
 Cholesky factor that every weighted solve reuses, plus one factor per
 principal block W_MM it is asked to solve with.  No eigensolver runs on
-the weight: W = T_K(M) is a polynomial in the Hermitian multiplier M and
-||M|| <= a, so min_{|x|<=a} T_K(x), less an a-priori bound on the rounding
-of Horner's rule and on the skew-Hermitian part of the assembled M, is a
-lower bound on its smallest eigenvalue (a bound <= 0 refuses the weight).  Residual
+the weight: W = T_K(M) is a polynomial in the multiplier M and ||M|| <= a,
+so min_{|x|<=a} T_K(x), less an a-priori bound on the rounding of Horner's
+rule and on how far the assembled M is from a Hermitian matrix, is a lower
+bound on its smallest eigenvalue (a bound <= 0 refuses the weight).  Residual
 sizes use the certified bounds norm2_upper / norm2_lower instead of a full
 SVD: a relative defect divides an upper bound by a lower bound, so it is
 never below the spectral-norm ratio it stands for.  The weighted
 adjointness defect needs no solve either: X - W^{-1} X^* W =
 W^{-1} (Y - Y^*) with Y = W X, bounded through the eigenvalue bound and
-an a-priori bound on the rounding of the product W X.
+an a-priori bound on the rounding of the product W X.  The weight is a
+float64 matrix; a complex right-hand side is split into its real and
+imaginary columns (real_matmul), so W is never cast to complex.
 """
 
 from __future__ import annotations
@@ -114,34 +122,118 @@ def pairing_matrix(row_idx: MonomialIndex, col_idx: MonomialIndex, n):
 
 
 def shift_matrix(f: Poly, src_idx: MonomialIndex, dst_idx: MonomialIndex):
-    """Multiplication by f on monomial coordinates (exponent shifts)."""
-    rows, cols, vals = [], [], []
-    for (a, C, D), coeff in f.terms.items():
-        if a:
-            raise ValueError("multiplier must be t-free")
-        value = complex(coeff)
-        for c, (A, B) in enumerate(src_idx.keys):
-            key = (tuple(x + y for x, y in zip(A, C)), tuple(x + y for x, y in zip(B, D)))
-            r = dst_idx.index.get(key)
-            if r is not None:
-                rows.append(r)
-                cols.append(c)
-                vals.append(value)
+    """Multiplication by f on monomial coordinates (exponent shifts).
+
+    Every term (C, D) of f moves the source monomial (A, B) to
+    (A + C, B + D); the moved exponents are matched against the
+    destination index with numpy, one int64 code per exponent row.
+    """
+    if any(a for (a, _, _) in f.terms):
+        raise ValueError("multiplier must be t-free")
+    width = 2 * src_idx.m
+    shifts = np.array([C + D for (_, C, D) in f.terms], dtype=np.int64).reshape(-1, width)
+    values = np.array([complex(c) for c in f.terms.values()], dtype=complex)
+    src = np.array(src_idx.keys, dtype=np.int64).reshape(-1, width)
+    dst = np.array(dst_idx.keys, dtype=np.int64).reshape(-1, width)
+    moved = (shifts[:, None, :] + src[None, :, :]).reshape(-1, width)
+    codes = _row_codes(np.concatenate([dst, moved]))
+    dst_codes, moved_codes = codes[: len(dst)], codes[len(dst):]
+    order = np.argsort(dst_codes)
+    pos = np.minimum(np.searchsorted(dst_codes[order], moved_codes), len(dst) - 1)
+    hit = dst_codes[order[pos]] == moved_codes
+    cols = np.tile(np.arange(len(src)), len(values))
     return scipy.sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(len(dst_idx), len(src_idx)), dtype=complex
+        (np.repeat(values, len(src))[hit], (order[pos[hit]], cols[hit])),
+        shape=(len(dst_idx), len(src_idx)), dtype=complex,
     )
 
 
+_SQRT_HALF = math.sqrt(0.5)
+
+
+class RealFrame:
+    """The real orthonormal frame of a truncated basis and its unitary U.
+
+    harmonics builds every (q, p) block, p < q, from the conjugates of the
+    (p, q) elements, element by element and with the same norm, and every
+    (p, p) block from real-valued functions.  So for each conjugate pair
+    a = (p, q, i), b = (q, p, i) with p < q the functions
+    r_a = (e_a + e_b)/sqrt2 and r_b = i (e_a - e_b)/sqrt2 are real, and with
+    r_k = e_k on the (p, p) blocks they form an orthonormal basis.  Basis
+    coefficients c and frame coefficients x of one function are related by
+    c = U x: c_a = (x_a + i x_b)/sqrt2 and c_b = (x_a - i x_b)/sqrt2.  A
+    real function has real frame coefficients, an operator that commutes
+    with conjugation (P, multiplication by a real function, the weight)
+    has a real frame matrix, and conjugation of functions is plain complex
+    conjugation of frame coefficients.  U has at most two nonzeros per row
+    and maps every coordinate mask closed under (p, q) <-> (q, p) (the
+    kernel, interior and complement masks) onto itself.
+    """
+
+    def __init__(self, basis: HarmonicBasis):
+        self.dim = basis.total_dim
+        pairs = [(g, basis.global_index(q, p, i))
+                 for p, q, i, g in basis.index_blocks() if p < q]
+        self.lo = np.array([a for a, _ in pairs], dtype=np.intp)
+        self.hi = np.array([b for _, b in pairs], dtype=np.intp)
+
+    def to_frame(self, c):
+        """x = U^* c, along the first axis."""
+        x = np.array(c, dtype=complex)
+        a, b = x[self.lo], x[self.hi]
+        x[self.lo] = (a + b) * _SQRT_HALF
+        x[self.hi] = (a - b) * (-1j * _SQRT_HALF)
+        return x
+
+    def from_frame(self, x):
+        """c = U x, along the first axis."""
+        c = np.array(x, dtype=complex)
+        a, b = c[self.lo], c[self.hi]
+        c[self.lo] = (a + 1j * b) * _SQRT_HALF
+        c[self.hi] = (a - 1j * b) * _SQRT_HALF
+        return c
+
+    def unitary(self):
+        """U as a sparse (CSR) matrix; column k holds r_k in the basis e."""
+        lo, hi, h = self.lo, self.hi, _SQRT_HALF
+        same = np.setdiff1d(np.arange(self.dim), np.concatenate([lo, hi]))
+        rows = np.concatenate([same, lo, lo, hi, hi])
+        cols = np.concatenate([same, lo, hi, lo, hi])
+        vals = np.concatenate([np.ones(same.size)] + [np.full(lo.size, v)
+                                                      for v in (h, 1j * h, h, -1j * h)])
+        return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(self.dim, self.dim),
+                                       dtype=complex)
+
+
 def basis_matrix(basis: HarmonicBasis, idx: MonomialIndex):
-    """Normalized basis coefficients as a sparse (total_dim x monomials) matrix."""
+    """Frame rows as a sparse (total_dim x monomials) matrix: row k is r_k.
+
+    A (p, p) row is v / sqrt(norm2), v the stored element; a conjugate pair
+    a, b gives the rows (v_a + v_b) s and i (v_a - v_b) s with
+    s = 1/sqrt(2 norm2).  v_a and v_b have disjoint monomials (bidegrees
+    (p, q) and (q, p)), so every entry is one exact coefficient times one
+    rounded scale, as for the unpaired elements.
+    """
     rows, cols, vals = [], [], []
-    for p, q, i, g in basis.index_blocks():
-        el = basis.blocks[(p, q)][i]
-        scale = 1.0 / math.sqrt(float(el.norm2))
-        for (a, A, B), c in el.poly.terms.items():
-            rows.append(g)
+
+    def add(row, poly, scale):
+        for (a, A, B), c in poly.terms.items():
+            rows.append(row)
             cols.append(idx.index[(A, B)])
             vals.append(complex(c) * scale)
+
+    for p, q, i, g in basis.index_blocks():
+        el = basis.blocks[(p, q)][i]
+        if p == q:
+            add(g, el.poly, 1.0 / math.sqrt(float(el.norm2)))
+        elif p < q:
+            h = basis.global_index(q, p, i)
+            conj = basis.blocks[(q, p)][i].poly
+            s = 1.0 / math.sqrt(2 * float(el.norm2))
+            add(g, el.poly, s)
+            add(g, conj, s)
+            add(h, el.poly, 1j * s)
+            add(h, conj, -1j * s)
     return scipy.sparse.csr_matrix(
         (vals, (rows, cols)), shape=(basis.total_dim, len(idx)), dtype=complex
     )
@@ -162,7 +254,10 @@ class GalerkinContext:
         self._BK = (self.B_conj @ self.K).tocsr()
 
     def mult_matrix(self, f: Poly) -> scipy.sparse.csr_matrix:
-        """Sparse (CSR) Galerkin matrix of multiplication by f (floating coefficients ok)."""
+        """Sparse (CSR) frame Galerkin matrix of multiplication by f (floating coefficients ok).
+
+        Complex in general; real up to rounding when f is real valued.
+        """
         degs = {sum(b) + sum(g) for (a, b, g) in f.terms}
         if degs and max(degs) > self.mult_degree:
             raise ConfigError(
@@ -184,11 +279,16 @@ def full_context(basis: HarmonicBasis) -> GalerkinContext:
 def taylor_exp_matrix(M, K: int) -> np.ndarray:
     """Sum_{k<=K} M^k / k! by Horner; each product stays on the truncation.
 
-    M may be sparse or dense; the sum is dense.
+    M may be sparse or dense; the sum is dense.  The first step,
+    M I / K + I, starts from M itself: no product with the identity.
     """
     D = M.shape[0]
-    E = np.eye(D, dtype=M.dtype)
-    for k in range(K, 0, -1):
+    if K == 0:
+        return np.eye(D, dtype=M.dtype)
+    E = M.toarray() if scipy.sparse.issparse(M) else np.array(M)
+    E /= K
+    E.flat[:: D + 1] += 1
+    for k in range(K - 1, 0, -1):
         E = M @ E
         E /= k
         E.flat[:: D + 1] += 1
@@ -245,6 +345,8 @@ def taylor_rounding_bound(a: float, D: int) -> float:
     c = sqrt(2) gamma_{2D+2}: each real part of a length-D complex inner
     product is a sum of 2D products, plus the division and the diagonal
     add (Higham, Accuracy and Stability of Numerical Algorithms, 3.5-3.6).
+    A real M (the frame multiplier) commits at most gamma_{D+2} per
+    entry, below c, so the same constant covers it.
     With ||abs(X)||_2 <= sqrt(D) ||X||_2 and ||E_k|| <= e^a, the committed
     errors, carried forward by factors a^j / j!, sum to at most
     c e^a (2 D a e^a + 1); the symmetrization 0.5 (W + W^*) adds at most
@@ -256,26 +358,47 @@ def taylor_rounding_bound(a: float, D: int) -> float:
     return 2 * math.sqrt(2) * gamma(2 * D + 2) * (D * a + 1) * math.exp(2 * a)
 
 
+def real_matmul(A, X):
+    """A @ X for a real A without casting A to complex.
+
+    A complex X (vector or matrix) is multiplied as its real and imaginary
+    parts, side by side in one real array.  A is a matrix or a callable
+    applying a real linear map to the columns of a real array.
+    """
+    apply = A if callable(A) else A.__matmul__
+    if not np.iscomplexobj(X):
+        return apply(X)
+    X = np.ascontiguousarray(X, dtype=complex)
+    parts = X.view(np.float64).reshape(X.shape[0], -1)  # columns re, im, re, im, ...
+    return np.ascontiguousarray(apply(parts)).view(complex).reshape(X.shape)
+
+
 @dataclass
 class InnerProductWeight:
     """Gram matrix of the truncated basis under e^{(n+1) Upsilon} dsigma.
 
-    The matrix is the Taylor sum W = T_K(M) of the assembled multiplier
-    M = H + S of (n+1) Upsilon, H its Hermitian and S its skew-Hermitian
-    part.  multiplier_bound is a >= ||H||_2 and multiplier_skew is
-    s >= ||S||_2.  Since eig(T_K(H)) = T_K(eig(H)), ||M|| <= a + s and
+    A real (float64) matrix: the Gram matrix of a real weight in the real
+    frame (RealFrame).  It is the Taylor sum W = T_K(M) of M = Re M_c, M_c
+    the assembled frame Galerkin matrix of (n+1) Upsilon.  Let H be the
+    Hermitian part of M_c.  Then M - H = S - i A with S = (M - M^T)/2 the
+    skew part of M and A = (Im M_c - Im M_c^T)/2, so
+    ||M - H|| <= ||S|| + ||Im M_c||: the skew part of M and the imaginary
+    part dropped from M_c together bound the gap.  multiplier_bound is
+    a >= ||H||_2 and multiplier_skew is s >= ||M - H||_2.  Since
+    eig(T_K(H)) = T_K(eig(H)), ||M|| <= a + s and
     ||T_K(M) - T_K(H)|| <= s e^{a+s} (telescoping M^k - H^k), the number
     min_eigenvalue_bound = min_{|x|<=a} T_K(x) - rho(a + s) - s e^{a+s}
     (taylor_exp_min, taylor_rounding_bound) is a lower bound on
     lambda_min(W) with no eigensolver.
 
     ContactPerturbation.weight passes a = (n+1) B(Upsilon), a bound on the
-    exact Galerkin matrix, and s = norm2_upper(M - M^*) / 2 of the assembled
-    one, which covers a Upsilon that is real only to a tolerance.  Not
-    covered: the rounding of the assembly M = conj(B) K S_f B^T, a chain of
-    sparse products of rounded factors, would have to lift ||H|| above a
-    to break the bound (at criterion 5's Upsilon, a = 0.27, ||H|| = 0.18
-    and ||S|| ~ 3e-15).
+    exact Galerkin matrix in any orthonormal frame, and
+    s = norm2_upper(M - M^T) / 2 + norm2_upper(Im M_c), which also covers
+    a Upsilon that is real only to a tolerance.  Not covered: the rounding
+    of the assembly M_c = conj(B) K S_f B^T, a chain of sparse products of
+    rounded factors, would have to lift ||H|| above a to break the bound
+    (at criterion 5's Upsilon, a = 0.27, ||H|| = 0.18, s = 3.6e-15 and
+    norm2_upper(Im M_c) = 1e-16).
 
     The bound is below T_K on the whole interval [-a, a], so it can be
     <= 0 while W is still positive definite: for odd K, T_K has a real
@@ -286,7 +409,8 @@ class InnerProductWeight:
     non-positive weight means the conformal factor left the regime the
     truncation can represent).  The matrix is factored once and every solve
     reuses the factor; principal blocks W_MM get one Cholesky factor per
-    mask (block_solve).
+    mask (block_solve).  Complex right-hand sides are solved and multiplied
+    as their real and imaginary parts (real_matmul).
     """
 
     matrix: np.ndarray
@@ -303,8 +427,10 @@ class InnerProductWeight:
 
     def __post_init__(self):
         W = self.matrix
-        self.hermitian_defect = norm2_upper(W - W.conj().T)
-        W = 0.5 * (W + W.conj().T)
+        if np.iscomplexobj(W):
+            raise TypeError("the weight is a real matrix: build it in the real frame")
+        self.hermitian_defect = norm2_upper(W - W.T)
+        W = 0.5 * (W + W.T)
         self.matrix = W
         self._norm_upper = norm2_upper(W)
         a, s = self.multiplier_bound, self.multiplier_skew
@@ -325,12 +451,11 @@ class InnerProductWeight:
 
     @classmethod
     def identity(cls, dim):
-        return cls(np.eye(dim, dtype=complex), taylor_depth=0, multiplier_bound=0.0,
-                   upsilon_label="0")
+        return cls(np.eye(dim), taylor_depth=0, multiplier_bound=0.0, upsilon_label="0")
 
     def solve(self, rhs):
         """W^{-1} rhs from the stored Cholesky factor."""
-        return scipy.linalg.cho_solve(self._cholesky, rhs)
+        return real_matmul(lambda b: scipy.linalg.cho_solve(self._cholesky, b), rhs)
 
     def block_solve(self, mask, rhs):
         """W_MM^{-1} rhs, W_MM the principal block on the coordinates in mask.
@@ -345,11 +470,11 @@ class InnerProductWeight:
             except np.linalg.LinAlgError as exc:
                 raise NumericalError(f"weight block factorization failed: {exc}") from exc
             self._block_factors[key] = factor
-        return scipy.linalg.cho_solve(factor, rhs)
+        return real_matmul(lambda b: scipy.linalg.cho_solve(factor, b), rhs)
 
     def inner(self, u, v):
         """<u, v>_hat for coefficient vectors."""
-        return complex(np.vdot(v, self.matrix @ u))
+        return complex(np.vdot(v, real_matmul(self.matrix, u)))
 
     def norm(self, u):
         return math.sqrt(max(self.inner(u, u).real, 0.0))
@@ -369,20 +494,21 @@ class InnerProductWeight:
     def adjoint_defect(self, X, rows=None):
         """Certified upper bound on ||X - X^dagger|| / ||X||, X^dagger = W^{-1} X^* W.
 
-        X - X^dagger = W^{-1} (Y - Y^*) with Y = W X (W is Hermitian), so
+        X - X^dagger = W^{-1} (Y - Y^*) with Y = W X (W is symmetric), so
         no solve is needed: ||X - X^dagger|| <= ||Y - Y^*|| / lambda_min(W).
         The computed Y differs from W X by at most sqrt(2) gamma_{2D} |W| |X|
-        entrywise, whatever the summation order (Higham, 3.5-3.6), which
-        adds 2 sqrt(2) gamma_{2D} ||W|| ||X|| to ||Y - Y^*||.  Numerator
-        norms are norm2_upper, ||X|| in the denominator is norm2_lower and
-        lambda_min(W) is min_eigenvalue_bound.  rows, if given, marks the
-        only nonzero rows of X, and Y is formed from them alone.
+        entrywise, whatever the summation order (Higham, 3.5-3.6; a real X
+        commits gamma_D), which adds 2 sqrt(2) gamma_{2D} ||W|| ||X|| to
+        ||Y - Y^*||.  Numerator norms are norm2_upper, ||X|| in the
+        denominator is norm2_lower and lambda_min(W) is
+        min_eigenvalue_bound.  rows, if given, marks the only nonzero rows
+        of X, and Y is formed from them alone.
         """
         nx = norm2_lower(X)
         if nx == 0:
             return 0.0
         W = self.matrix
-        Y = W @ X if rows is None else W[:, rows] @ X[rows]
+        Y = real_matmul(W, X) if rows is None else real_matmul(W[:, rows], X[rows])
         Y -= Y.conj().T
         rounding = 2 * math.sqrt(2) * gamma(2 * W.shape[0]) * self._norm_upper * norm2_upper(X)
         return (norm2_upper(Y) + rounding) / (self.min_eigenvalue_bound * nx)

@@ -30,10 +30,18 @@ generalized eigensolver (spectrum_matrix) is kept as a test oracle.
 Every chain identity is recorded as a residual norm on the full truncation
 and on the interior blocks.
 
-S, Sbar, Pi_0, Pi_oo and Pi are nonzero only on their rows in K (the
-projectors are W_KK^{-1} W_K: there), so the matrix chain forms every
-product with one of them on the left from those rows alone, about a
-fifth of the rows at n=1.
+The perturbed chain runs in the real frame of the basis (galerkin.RealFrame),
+where P is real and Upsilon, and so W, is real: P_hat, G_0, R_0, A_0, Pi_oo,
+G_oo, Pi and G are float64 matrices.  Only S is complex (szego_projector):
+the holomorphic functions are not real, Sbar = conj(S) and Pi_0 = 2 Re S.
+The kernel, interior and complement masks and the diagonal tables of P
+and G_0 are the same in both frames, and the frame change is unitary, so
+every norm, eigenvalue and gate means what it does in the basis e.
+
+S, Sbar, Pi_0, Pi_oo and Pi are nonzero only on their rows in K (Pi is
+W_KK^{-1} W_K: there; the holomorphic and antiholomorphic coordinates
+are paired inside K), so the matrix chain forms every product with one of
+them on the left from those rows alone, about a fifth of the rows at n=1.
 
 Reported residual norms are certified upper bounds on the spectral norm,
 sqrt(||X||_1 ||X||_inf) (galerkin.norm2_upper), not SVD values, so every
@@ -56,7 +64,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericalError
-from .galerkin import InnerProductWeight, norm2_lower, norm2_upper
+from .galerkin import InnerProductWeight, RealFrame, norm2_lower, norm2_upper, real_matmul
 from .harmonics import HarmonicBasis, dim_hpq
 from .spectral import (
     DiagonalOperator,
@@ -245,7 +253,7 @@ def spectrum_matrix(P_diag_vec, weight: InnerProductWeight, kernel_tol=1e-10,
     D = len(P_diag_vec)
     # A is local and in LAPACK's (Fortran) order, so eigh can overwrite it
     # instead of copying it
-    A = np.diag(P_diag_vec).astype(complex, order="F")
+    A = np.diag(P_diag_vec).astype(float, order="F")
     try:
         evals, evecs = scipy.linalg.eigh(A, weight.matrix, overwrite_a=True)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover
@@ -320,7 +328,7 @@ def hatted_gjms(basis: HarmonicBasis, weight: InnerProductWeight) -> np.ndarray:
     operator matrix is the weight inverse applied to it.
     """
     P_d = critical_gjms(basis).to_diag_vector(basis)
-    return weight.solve(np.diag(P_d).astype(complex))
+    return weight.solve(np.diag(P_d))
 
 
 def apply_partial_inverse(P_d, weight: InnerProductWeight, ker, X=None):
@@ -330,19 +338,44 @@ def apply_partial_inverse(P_d, weight: InnerProductWeight, ker, X=None):
     kernel coordinates; it is applied through its nonzero rows
     W_KK^{-1} W_K:, so neither Pi nor G is formed.  X is a vector or a
     matrix; X=None gives G itself, from W (I - Pi) = W - W_:K (W_KK^{-1} W_K:).
+    G is real (frame coordinates), and a complex X is applied as its real
+    and imaginary parts.
     """
+    if np.iscomplexobj(X):
+        return real_matmul(lambda Y: apply_partial_inverse(P_d, weight, ker, Y), X)
     W = weight.matrix
     rows = weight.block_solve(ker, W[ker])
     inv = np.where(ker, 0.0, 1.0 / np.where(ker, 1.0, P_d))
     if X is None:
         Y = W - W[:, ker] @ rows
     else:
-        Y = np.array(X, dtype=complex)
+        Y = np.array(X, dtype=float)
         Y[ker] -= rows @ Y
         Y = W @ Y
     Y *= inv.reshape((-1,) + (1,) * (Y.ndim - 1))
     Y[ker] -= rows @ Y
     return Y
+
+
+def szego_projector(basis: HarmonicBasis, weight: InnerProductWeight) -> np.ndarray:
+    """S in the real frame: the W-orthogonal projector onto the holomorphic functions.
+
+    The holomorphic coordinates H (q = 0) are, in the frame, the columns
+    F = U^*[:, H] (RealFrame), whose nonzero rows lie in the kernel
+    coordinates K.  S = F (F^* W F)^{-1} F^* W is complex, its rows outside
+    K vanish, and its rows in K are V^* (V W_KK V^*)^{-1} V W_K: with
+    V = U[H, K], so only |H| x |K| and |K| x D arrays are complex on the
+    way.  The antiholomorphic functions are the conjugates of the
+    holomorphic ones and W is real, so Sbar = conj(S) and S + Sbar = 2 Re S.
+    """
+    ker = kernel_mask(basis)
+    holo = np.array([q == 0 for p, q, _, _ in basis.index_blocks()])
+    V = RealFrame(basis).unitary()[holo][:, ker].toarray()
+    W = weight.matrix
+    factor = scipy.linalg.cho_factor(V @ W[np.ix_(ker, ker)] @ V.conj().T)
+    S = np.zeros(W.shape, dtype=complex)
+    S[ker] = V.conj().T @ scipy.linalg.cho_solve(factor, V @ W[ker])
+    return S
 
 
 def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> ParametrixChain:
@@ -359,23 +392,22 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
     S, Sbar, Pi_0, Pi_oo and Pi vanish outside their rows in K, so every
     product with one of them on the left is formed from those rows alone
     (and P_hat Pi from the K columns of P_hat), and the residuals made of
-    such rows are measured on them.  The members stay full D x D arrays.
+    such rows are measured on them.  The members stay full D x D arrays in
+    the real frame (RealFrame), float64 except the complex S and Sbar.
     """
     n, N = basis.n, basis.N
     D = basis.total_dim
     W = weight.matrix
     interior = interior_mask(basis)
     ker = kernel_mask(basis)
-    holo = np.array([q == 0 for p, q, _, _ in basis.index_blocks()])
-    anti = np.array([p == 0 for p, q, _, _ in basis.index_blocks()])
     diagonal = slice(None, None, D + 1)  # the diagonal of a flattened D x D array
 
     P_d = critical_gjms(basis).to_diag_vector(basis)
     G0_d = critical_gjms(basis).partial_inverse().to_diag_vector(basis)
 
-    S_hat = weight.projector(holo)
-    Sb_hat = weight.projector(anti)
-    Pi0 = S_hat + Sb_hat
+    S_hat = szego_projector(basis, weight)
+    Sb_hat = S_hat.conj()
+    Pi0 = 2 * S_hat.real
     G0 = G0_d[:, None] * W  # Galerkin of G0 . M_w; G0 is block diagonal, no leakage
     Pmat = hatted_gjms(basis, weight)
 
@@ -384,7 +416,7 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
     R0.flat[diagonal] -= 1
     X = R0.copy()  # I + R0
     X.flat[diagonal] += 1
-    A0 = scipy.linalg.solve(X, np.eye(D, dtype=complex))
+    A0 = scipy.linalg.solve(X, np.eye(D))
     X = X @ A0
     X.flat[diagonal] -= 1
     a0_residual = norm2_upper(X)

@@ -19,6 +19,13 @@ approximation in the pipeline.  Each frame owns its Galerkin data: a
 ContactPerturbation builds the multiplier matrix of (n+1) Upsilon on a
 context of Upsilon's own degree, and the weight from it, once, so every
 function here takes only the frame's data.
+
+The multiplier and the weight are real matrices in the real frame of the
+basis (galerkin.RealFrame).  Spectral functions keep their coefficients
+in the basis e; the functions here move a vector into the frame
+(to_frame) before the multiplier or the weight acts on it, and the solution
+back out (from_frame).  The frame maps the kernel coordinates onto
+themselves, so the kernel pairings are reported in the basis e as before.
 """
 
 from __future__ import annotations
@@ -32,7 +39,9 @@ from .errors import ConfigError, ObstructionError
 from .galerkin import (
     GalerkinContext,
     InnerProductWeight,
+    RealFrame,
     norm2_upper,
+    real_matmul,
     taylor_exp_apply,
     taylor_exp_matrix,
 )
@@ -106,6 +115,7 @@ class ContactPerturbation:
         self.label = label or "upsilon"
         self._sup = None
         self._mult = None
+        self._mult_dropped = None  # norm2_upper of the imaginary part dropped from it
         self._weight = None
 
     @classmethod
@@ -169,27 +179,32 @@ class ContactPerturbation:
         return x ** (self.K + 1) / math.factorial(self.K + 1) * math.exp(x)
 
     def multiplier_matrix(self):
-        """Galerkin matrix of multiplication by (n+1) Upsilon.
+        """Real-frame Galerkin matrix of multiplication by (n+1) Upsilon (float64 CSR).
 
         Built once, on a GalerkinContext of Upsilon's own degree (at least
         one); the context is dropped as soon as the matrix is formed.
+        Upsilon is real, so the frame matrix is real: its real part is kept,
+        and the norm bound of the imaginary part it drops goes into the
+        weight's multiplier_skew (InnerProductWeight).
         """
         if self._mult is None:
             degree = max((p + q for (p, q) in self.upsilon.coeffs), default=0)
             ctx = GalerkinContext(self.basis, mult_degree=max(1, degree))
             poly = self.upsilon.to_poly_float().scale(float(self.n + 1))
-            self._mult = ctx.mult_matrix(poly)
+            M = ctx.mult_matrix(poly)
+            self._mult = M.real
+            self._mult_dropped = norm2_upper(M.imag)
         return self._mult
 
     def weight(self) -> InnerProductWeight:
-        """Gram matrix of the basis under e^{(n+1) Upsilon} dsigma (Taylor depth K)."""
+        """Gram matrix of the basis under e^{(n+1) Upsilon} dsigma (Taylor depth K), real frame."""
         if self._weight is None:
             M = self.multiplier_matrix()
             self._weight = InnerProductWeight(
                 taylor_exp_matrix(M, self.K),
                 taylor_depth=self.K,
                 multiplier_bound=self.multiplier_norm_bound(),
-                multiplier_skew=0.5 * norm2_upper(M - M.conj().T),
+                multiplier_skew=0.5 * norm2_upper(M - M.T) + self._mult_dropped,
                 upsilon_label=self.label,
                 tail_bound=self.exp_tail_bound(),
             )
@@ -222,8 +237,9 @@ def qhat(pert: ContactPerturbation) -> QData:
     p_ups = pert.upsilon.apply_diagonal(P)
     if p_ups.is_exact and not p_ups.coeffs:
         return QData(SpectralFunction.zero(basis), pert, True, pert.K, 0.0)
+    frame = RealFrame(basis)
     M = pert.multiplier_matrix()
-    qvec = taylor_exp_apply(-M, pert.K, p_ups.to_vector())
+    qvec = frame.from_frame(taylor_exp_apply(-M, pert.K, frame.to_frame(p_ups.to_vector())))
     return QData(
         SpectralFunction.from_vector(basis, qvec),
         pert,
@@ -242,8 +258,9 @@ def total_q(qdata: QData, tol=1e-8):
     if qdata.exact and not qdata.qhat.coeffs:
         return 0.0, True
     M = qdata.frame.multiplier_matrix()
-    vec = taylor_exp_apply(M, qdata.frame.K, qdata.vector())
-    value = float(vec[0].real)
+    # the constant function is its own frame element, coordinate 0 in both
+    x = RealFrame(qdata.frame.basis).to_frame(qdata.vector())
+    value = float(taylor_exp_apply(M, qdata.frame.K, x)[0].real)
     return value, abs(value) <= tol
 
 
@@ -311,24 +328,21 @@ def solvability_check(qdata: QData, tol=DEFAULT_OBSTRUCTION_TOL) -> SolveReport:
         exact_norm2 = _exact_kernel_norm2(qdata.qhat)
 
     if qdata.frame.is_zero():
-        W = None
-        wq = qvec
+        pairings = qvec[ker]
+        obstruction = float(np.linalg.norm(pairings))
+        obstruction_int = float(np.linalg.norm(qvec[ker & inter]))
     else:
         weight = qdata.frame.weight()
-        W = weight.matrix
-        wq = W @ qvec
+        frame = RealFrame(basis)
+        wq = real_matmul(weight.matrix, frame.to_frame(qvec))
+        pairings = frame.from_frame(wq)[ker]
 
-    pairings = wq[ker]
-    if W is None:
-        obstruction = float(np.linalg.norm(pairings))
-        obstruction_int = float(np.linalg.norm(wq[ker & inter]))
-    else:
-        sol = weight.block_solve(ker, pairings)
-        obstruction = float(math.sqrt(max(np.vdot(pairings, sol).real, 0.0)))
-        ki = ker & inter
-        pi = wq[ki]
-        soli = weight.block_solve(ki, pi)
-        obstruction_int = float(math.sqrt(max(np.vdot(pi, soli).real, 0.0)))
+        def kernel_norm(mask):
+            y = wq[mask]
+            return float(math.sqrt(max(np.vdot(y, weight.block_solve(mask, y)).real, 0.0)))
+
+        obstruction = kernel_norm(ker)
+        obstruction_int = kernel_norm(ker & inter)
 
     return SolveReport(
         solvable=obstruction_int <= tol,
@@ -350,7 +364,9 @@ def solve_zero_q(qdata: QData, tol=DEFAULT_OBSTRUCTION_TOL, verify_final=True) -
     a perturbed frame G is the closed form (I - Pi) P_d^+ W (I - Pi) applied
     to the vector Q_hat (parametrix.apply_partial_inverse), and the
     condition number comes from the Schur-complement spectrum
-    (parametrix.nonzero_eigenvalues).
+    (parametrix.nonzero_eigenvalues).  The perturbed solve runs in the real
+    frame: Q_hat moves in, Upsilon_sol moves back out, and machine-noise
+    pruning and the residual act on the frame coefficients.
     """
     report = solvability_check(qdata, tol=tol)
     if not report.solvable:
@@ -374,20 +390,22 @@ def solve_zero_q(qdata: QData, tol=DEFAULT_OBSTRUCTION_TOL, verify_final=True) -
         report.notes["mode"] = "exact_diagonal"
     else:
         weight = qdata.frame.weight()
+        frame = RealFrame(basis)
         P_d = P.to_diag_vector(basis)
         ker = kernel_mask(basis)
-        qvec = qdata.vector()
-        ups_vec = -apply_partial_inverse(P_d, weight, ker, qvec)
+        x = frame.to_frame(qdata.vector())
+        ups_x = -apply_partial_inverse(P_d, weight, ker, x)
         # drop coefficients at relative machine noise; everything downstream
         # (residual, final verification) is recomputed from the pruned solution
-        noise = 1e-15 * max(1.0, float(np.max(np.abs(ups_vec), initial=0.0)))
-        ups_vec[np.abs(ups_vec) < noise] = 0.0
-        # P_hat upsilon + qhat, measured in the hatted norm
-        resid_vec = weight.solve(P_d * ups_vec) + qvec
-        report.residual = weight.norm(resid_vec)
+        noise = 1e-15 * max(1.0, float(np.max(np.abs(ups_x), initial=0.0)))
+        ups_x[np.abs(ups_x) < noise] = 0.0
+        # P_hat upsilon + qhat, measured in the hatted norm (P_d is the same
+        # diagonal in the frame: its table is symmetric in p <-> q)
+        resid_x = weight.solve(P_d * ups_x) + x
+        report.residual = weight.norm(resid_x)
         lam = nonzero_eigenvalues(P_d, weight, ker)
         report.condition = float(lam[-1] / lam[0]) if lam.size else None
-        ups = SpectralFunction.from_vector(basis, ups_vec, prune=0.0).realized()
+        ups = SpectralFunction.from_vector(basis, frame.from_frame(ups_x), prune=0.0).realized()
         report.upsilon_sol = ups
         report.notes["mode"] = "weighted_closed_form"
 
@@ -416,8 +434,13 @@ def recompute_final_q_norm(qdata: QData, upsilon_sol: SpectralFunction):
     else:
         P_d = P.to_diag_vector(basis)
         p_ups = P_d * upsilon_sol.to_vector()
+        q = qdata.vector()
         if not qdata.frame.is_zero():
-            p_ups = qdata.frame.weight().solve(p_ups)
-        resid_vec = p_ups + qdata.vector()
+            # in the frame, where the weight acts; the frame change is
+            # unitary, so the norm below is the same in either coordinates
+            frame = RealFrame(basis)
+            p_ups = qdata.frame.weight().solve(frame.to_frame(p_ups))
+            q = frame.to_frame(q)
+        resid_vec = p_ups + q
     factor = math.exp((basis.n + 1) * upsilon_sol.sup_norm_bound())
     return factor * float(np.linalg.norm(resid_vec))

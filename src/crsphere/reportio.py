@@ -2,8 +2,9 @@
 
 Exact-mode payloads contain only strings and integers, so identical
 configurations produce byte-identical files.  The manifest lists every
-emitted file with its content hash; timestamps live only in the manifest,
-never in the hashed payloads.
+emitted file with its content hash; timestamps and the BLAS thread-pool
+variables the process saw live only in the manifest, never in the hashed
+payloads.
 """
 
 from __future__ import annotations
@@ -17,6 +18,9 @@ import time
 from .errors import ConfigError
 
 ARTIFACT_VERSION = "0.1.0"
+# the variables that size the BLAS / OpenMP thread pool numpy loads with;
+# an unpinned pool takes one thread per core
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def sha256_file(path):
@@ -55,6 +59,7 @@ class RunManifest:
         }
         self.files = []
         self.started = time.time()
+        self.blas_env = {name: os.environ.get(name) for name in BLAS_ENV}
 
     def add(self, path):
         self.files.append(path)
@@ -70,6 +75,7 @@ class RunManifest:
                 for p in sorted(self.files)
             ],
             "timestamps": {"started": self.started, "written": time.time()},
+            "blas_env": self.blas_env,
         }
         return write_json(os.path.join(self.out_dir, "manifest.json"), payload)
 

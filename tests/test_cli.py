@@ -355,5 +355,17 @@ class TestDeterminismAndManifest:
         target.write_text(target.read_text() + "tampered\n")
         assert run("spectrum", "--out", out, "--verify") == EXIT_NUMERICAL
 
+    def test_manifest_records_the_blas_pool_variables(self, tmp_path, monkeypatch):
+        # what the process saw, null when unset; outside the hashed payloads
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        out = tmp_path / "e"
+        assert run("basis", "--n", "1", "--degree", "2", "--out", str(out)) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["blas_env"] == {"OPENBLAS_NUM_THREADS": "3",
+                                        "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": None}
+        assert [e["path"] for e in manifest["emitted"]] == ["basis_report.json"]
+
     def test_verify_without_manifest(self, tmp_path):
         assert run("spectrum", "--out", str(tmp_path / "nope"), "--verify") == EXIT_CONFIG

@@ -14,17 +14,20 @@ from crsphere.galerkin import (
     GalerkinContext,
     InnerProductWeight,
     MonomialIndex,
+    RealFrame,
     full_context,
     gamma,
     norm2_lower,
     norm2_upper,
     pairing_matrix,
+    shift_matrix,
     taylor_exp_apply,
     taylor_exp_matrix,
     taylor_exp_min,
     taylor_rounding_bound,
 )
 from crsphere.harmonics import dim_hpq
+from crsphere.parametrix import interior_mask, kernel_mask
 from crsphere.qcurvature import ContactPerturbation
 from crsphere.harmonics import _integral_equal_exponents, inner_sphere
 from crsphere.poly import Poly
@@ -39,7 +42,7 @@ def ctx8(basis8):
 
 def weight_from(ctx, scaled_upsilon, K):
     """Weight of e^{scaled_upsilon} at Taylor depth K; norm2_upper bounds ||M||."""
-    M = ctx.mult_matrix(scaled_upsilon)
+    M = ctx.mult_matrix(scaled_upsilon).real
     return InnerProductWeight(taylor_exp_matrix(M, K), taylor_depth=K,
                               multiplier_bound=norm2_upper(M.toarray()))
 
@@ -66,6 +69,34 @@ def pairing_matrix_loop(row_idx, col_idx, n):
     )
 
 
+def shift_matrix_loop(f, src_idx, dst_idx):
+    """Reference shift matrix: one dictionary lookup per term and source monomial."""
+    rows, cols, vals = [], [], []
+    for (a, C, D), coeff in f.terms.items():
+        value = complex(coeff)
+        for c, (A, B) in enumerate(src_idx.keys):
+            key = (tuple(x + y for x, y in zip(A, C)), tuple(x + y for x, y in zip(B, D)))
+            r = dst_idx.index.get(key)
+            if r is not None:
+                rows.append(r)
+                cols.append(c)
+                vals.append(value)
+    return scipy.sparse.csr_matrix(
+        (vals, (rows, cols)), shape=(len(dst_idx), len(src_idx)), dtype=complex
+    )
+
+
+def taylor_exp_matrix_loop(M, K):
+    """Reference Horner sum, starting from the identity."""
+    D = M.shape[0]
+    E = np.eye(D, dtype=M.dtype)
+    for k in range(K, 0, -1):
+        E = M @ E
+        E /= k
+        E.flat[:: D + 1] += 1
+    return E
+
+
 def real_test_function(basis, scale=1.0):
     f = SpectralFunction.from_terms(
         basis, [(1, 1, 0, QI(1)), (2, 0, 1, QI(1, 2)), (1, 0, 0, QI(0, 1))]
@@ -79,10 +110,10 @@ class TestMultiplicationMatrix:
         assert np.linalg.norm(M - np.eye(basis8.total_dim), 2) < 1e-12
 
     def test_column_zero_recovers_coefficients(self, ctx8, basis8):
-        # e_0 = 1, so <f e_0, e_j> is the coefficient vector of f
+        # r_0 = e_0 = 1, so <f r_0, r_j> is the frame coefficient vector of f
         f = real_test_function(basis8)
         M = ctx8.mult_matrix(f.to_poly_float()).toarray()
-        assert np.linalg.norm(M[:, 0] - f.to_vector()) < 1e-12
+        assert np.linalg.norm(M[:, 0] - RealFrame(basis8).to_frame(f.to_vector())) < 1e-12
 
     def test_hermitian_for_real_multiplier(self, ctx8, basis8):
         f = real_test_function(basis8)
@@ -124,7 +155,8 @@ class TestMultiplicationMatrix:
         poly = f.to_poly_float().scale(float(basis8.n + 1))
         degree = max(p + q for p, q in f.coeffs)
         for ctx in (GalerkinContext(basis8, mult_degree=degree), ctx8, full_context(basis8)):
-            assert np.array_equal(M.toarray(), ctx.mult_matrix(poly).toarray()), ctx.mult_degree
+            other = ctx.mult_matrix(poly).real
+            assert np.array_equal(M.toarray(), other.toarray()), ctx.mult_degree
 
 
 class TestTaylorExponential:
@@ -140,6 +172,13 @@ class TestTaylorExponential:
         M = np.array([[0.3]])
         E = taylor_exp_matrix(M, 15)
         assert abs(E[0, 0] - math.exp(0.3)) < 1e-14
+
+    def test_first_step_skips_the_identity_product(self, ctx8, basis8):
+        # starting from M / K + I gives the same floats as M @ I / K + I
+        M = ctx8.mult_matrix(real_test_function(basis8, 0.1).to_poly_float())
+        for X in (M.real, M.real.toarray(), M, np.array([[0.3]])):
+            for K in (1, 2, 12):
+                assert np.array_equal(taylor_exp_matrix(X, K), taylor_exp_matrix_loop(X, K))
 
 
 class TestWeight:
@@ -278,7 +317,7 @@ class TestFastPathsAgainstReference:
             assert old * (1 - 1e-12) <= got + 1e-13
 
     def test_hermitian_defect_is_an_upper_bound(self, ctx8, basis8):
-        M = ctx8.mult_matrix(real_test_function(basis8, 0.05).to_poly_float())
+        M = ctx8.mult_matrix(real_test_function(basis8, 0.05).to_poly_float()).real
         raw = taylor_exp_matrix(M, 12)
         raw[0, 1] += 1e-9
         weight = InnerProductWeight(raw.copy(), taylor_depth=12,
@@ -307,6 +346,57 @@ class TestFastPathsAgainstReference:
         v = rng.standard_normal(basis8.total_dim) + 1j * rng.standard_normal(basis8.total_dim)
         diff = taylor_exp_apply(-M, 12, v) - taylor_exp_apply(-dense, 12, v)
         assert np.abs(diff).max() <= 1e-14 * np.abs(v).max()
+
+
+@pytest.mark.parametrize("n,N", [(1, 8), (1, 12), (2, 5)])
+def test_shift_matrix_matches_loop(n, N):
+    # every monomial of degree <= 3 plus one of degree 6, so some shifts
+    # leave the destination index: the CSR arrays are bit-identical
+    m = n + 1
+    rng = np.random.default_rng(N)
+    terms = {(0, A, B): complex(*rng.standard_normal(2))
+             for A, B in MonomialIndex(m, 3).keys}
+    terms[(0, (6,) + (0,) * n, (0,) * m)] = 0.5 - 0.25j
+    f = Poly(m, terms)
+    src, dst = MonomialIndex(m, N), MonomialIndex(m, N + 4)
+    got, ref = shift_matrix(f, src, dst), shift_matrix_loop(f, src, dst)
+    assert got.nnz < len(terms) * len(src)
+    for part in ("data", "indices", "indptr"):
+        a, b = getattr(got, part), getattr(ref, part)
+        assert a.dtype == b.dtype and np.array_equal(a, b), part
+    empty = shift_matrix(Poly.zero(m), src, dst)
+    assert empty.nnz == 0 and empty.shape == (len(dst), len(src))
+    with pytest.raises(ValueError):
+        shift_matrix(Poly.monomial(m, 1, (0,) * m, (0,) * m, 1.0), src, dst)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_real_frame_unitary_and_round_trip(bases_small, n):
+    basis = bases_small[n]
+    frame = RealFrame(basis)
+    U = frame.unitary().toarray()
+    D = basis.total_dim
+    assert np.abs(U.conj().T @ U - np.eye(D)).max() <= 1e-15
+    assert np.count_nonzero(U, axis=1).max() <= 2
+    # the masks the chain uses are closed under the frame change
+    for mask in (kernel_mask(basis), interior_mask(basis)):
+        assert not U[np.ix_(mask, ~mask)].any() and not U[np.ix_(~mask, mask)].any()
+    rng = np.random.default_rng(n)
+    for shape in ((D,), (D, 3)):
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        x = frame.to_frame(c)
+        assert np.abs(x - U.conj().T @ c).max() <= 1e-15 * np.abs(c).max()
+        assert np.abs(frame.from_frame(x) - c).max() <= 1e-15 * np.abs(c).max()
+    # a real function has exactly real frame coefficients
+    f = real_test_function(basis) if n == 1 else SpectralFunction.from_terms(
+        basis, [(2, 1, 3, 0.3 - 0.7j), (1, 1, 2, 1.5)]).realized()
+    assert not frame.to_frame(f.to_vector()).imag.any()
+
+
+def test_frame_multiplier_of_a_real_function_is_real(ctx8, basis8):
+    # real up to the rounding of the assembly
+    M = ctx8.mult_matrix(real_test_function(basis8).to_poly_float())
+    assert norm2_upper(M.imag) <= 1e-15 * norm2_upper(M.real)
 
 
 @pytest.mark.parametrize("n,N", [(1, 8), (1, 12), (2, 5)])
@@ -347,8 +437,13 @@ class TestWeightEigenvalueBound:
         f = SpectralFunction.from_terms(basis, terms).realized()
         assume(f.sup_norm_bound() > 0)
         pert = ContactPerturbation(basis, f.scale(size / f.sup_norm_bound()), taylor_depth=K)
-        M = pert.multiplier_matrix()
-        a, s = pert.multiplier_norm_bound(), 0.5 * norm2_upper(M - M.conj().T)
+        # the frame multiplier as assembled: the weight keeps its real part
+        degree = max(p + q for p, q in f.coeffs)
+        M = GalerkinContext(basis, mult_degree=max(1, degree)).mult_matrix(
+            pert.upsilon.to_poly_float().scale(float(n + 1)))
+        assert np.array_equal(pert.multiplier_matrix().toarray(), M.real.toarray())
+        a = pert.multiplier_norm_bound()
+        s = 0.5 * norm2_upper(M.real - M.real.T) + norm2_upper(M.imag)
         expected = (taylor_exp_min(a, K) - taylor_rounding_bound(a + s, basis.total_dim)
                     - s * math.exp(a + s))
         if expected <= 0:
@@ -361,9 +456,35 @@ class TestWeightEigenvalueBound:
         assert weight.min_eigenvalue_bound == expected
         assert 0 < weight.min_eigenvalue_bound <= scipy.linalg.eigvalsh(weight.matrix)[0]
 
+    def test_dropped_imaginary_part_counts_in_the_skew_bound(self, basis8):
+        # Upsilon real only to the constructor's 1e-12 tolerance: its
+        # imaginary part gives the frame multiplier an imaginary part that
+        # the weight drops with Re, so multiplier_skew must carry it
+        f = real_test_function(basis8, 0.05)
+        g = SpectralFunction.from_terms(basis8, [(1, 1, 0, QI(1)), (2, 0, 1, QI(1))])
+        ups = f + g.scale(2e-13j)
+        assert ups.is_real(1e-12) and not ups.is_real(0.0)
+        pert = ContactPerturbation(basis8, ups)
+        degree = max(p + q for p, q in ups.coeffs)
+        M = GalerkinContext(basis8, mult_degree=degree).mult_matrix(
+            ups.to_poly_float().scale(2.0))
+        dropped = norm2_upper(M.imag)
+        assert dropped > 1e-13
+        weight = pert.weight()
+        assert weight.multiplier_skew >= dropped
+        assert weight.multiplier_skew == (0.5 * norm2_upper(M.real - M.real.T) + dropped)
+        assert 0 < weight.min_eigenvalue_bound <= scipy.linalg.eigvalsh(weight.matrix)[0]
+
+    def test_weight_is_real(self, basis8):
+        pert = ContactPerturbation(basis8, real_test_function(basis8, 0.05))
+        assert pert.multiplier_matrix().dtype == np.float64
+        assert pert.weight().matrix.dtype == np.float64
+        with pytest.raises(TypeError):
+            InnerProductWeight(np.eye(3, dtype=complex), taylor_depth=1, multiplier_bound=0.1)
+
     def test_bound_at_or_below_zero_is_numerical_error(self, basis8):
         with pytest.raises(NumericalError):
-            InnerProductWeight(np.eye(basis8.total_dim, dtype=complex), taylor_depth=1,
+            InnerProductWeight(np.eye(basis8.total_dim), taylor_depth=1,
                                multiplier_bound=1.0)
 
     def test_skew_part_of_the_multiplier_lowers_the_bound(self):
@@ -371,7 +492,7 @@ class TestWeightEigenvalueBound:
         # skew: W = T_2(M) has Hermitian part (1 - t^2) / 2 I, below
         # min T_2 = 1/2; the skew term takes the bound under it
         t = 0.1
-        M = np.array([[-1, t], [-t, -1]], dtype=complex)
+        M = np.array([[-1, t], [-t, -1]], dtype=float)
         weight = InnerProductWeight(taylor_exp_matrix(M, 2), taylor_depth=2,
                                     multiplier_bound=1.0, multiplier_skew=t)
         assert 0 < weight.min_eigenvalue_bound <= scipy.linalg.eigvalsh(weight.matrix)[0]
@@ -404,7 +525,7 @@ class TestSolveFreeAdjointDefect:
 
     @staticmethod
     def weight(w):
-        return InnerProductWeight(np.diag([1.0, w]).astype(complex), taylor_depth=1,
+        return InnerProductWeight(np.diag([1.0, w]), taylor_depth=1,
                                   multiplier_bound=abs(w - 1.0))
 
     def test_divides_by_the_eigenvalue_bound(self):
@@ -445,8 +566,10 @@ def test_reeb_commutator_with_multiplication(ctx8, basis8):
     f = real_test_function(basis8)
     it = reeb_t(basis8)
     iT_f = f.apply_diagonal(it)
-    Mf = ctx8.mult_matrix(f.to_poly_float())
-    M_itf = ctx8.mult_matrix(iT_f.to_poly_float())
+    # iT is diagonal in the basis e, not in the real frame: map both back
+    U = RealFrame(basis8).unitary()
+    Mf = U @ ctx8.mult_matrix(f.to_poly_float()) @ U.conj().T
+    M_itf = U @ ctx8.mult_matrix(iT_f.to_poly_float()) @ U.conj().T
     it_diag = np.diag(it.to_diag_vector(basis8)).astype(complex)
     comm = it_diag @ Mf - Mf @ it_diag
     assert np.linalg.norm(comm - M_itf, 2) <= 1e-11

@@ -187,6 +187,19 @@ class TestBlockConstruction:
                 for el in basis8.blocks[(p, q)]:
                     assert el.poly.conj_fn() == el.poly
 
+    @pytest.mark.parametrize("n,N", [(2, 5), (3, 4)])
+    def test_real_frame_pairing_in_higher_dimensions(self, bases_small, n, N):
+        # what galerkin.RealFrame rests on, beyond n = 1 (the two tests
+        # above): each (q, p) element is the exact conjugate of its (p, q)
+        # partner with the same norm, and every (p, p) element is real valued
+        basis = bases_small[n] if (n, N) == (2, 5) else HarmonicBasis.build(n, N)
+        assert basis.N == N
+        for (p, q), els in basis.blocks.items():
+            for i, el in enumerate(els):
+                partner = basis.blocks[(q, p)][i]
+                assert partner.poly == el.poly.conj_fn(), (p, q, i)
+                assert partner.norm2 == el.norm2
+
     def test_total_dimension_n1(self, basis8):
         assert basis8.total_dim == sum((d + 1) ** 2 for d in range(9))
 

@@ -1,11 +1,19 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from crsphere.galerkin import InnerProductWeight
+from crsphere.galerkin import (
+    GalerkinContext,
+    InnerProductWeight,
+    RealFrame,
+    shift_matrix,
+    taylor_exp_matrix,
+)
 from crsphere.harmonics import dim_hpq
 from crsphere.parametrix import (
     apply_partial_inverse,
@@ -202,12 +210,11 @@ def test_projectors_vanish_outside_their_rows(basis8):
     # the chain forms its products from these rows alone
     pert = perturbation(basis8, 0.08)
     chain = build_chain_matrix(basis8, pert.weight())
-    blocks = list(basis8.index_blocks())
-    holo = np.array([q == 0 for p, q, _, _ in blocks])
-    anti = np.array([p == 0 for p, q, _, _ in blocks])
+    # in the real frame every one of them lives on the kernel rows K (the
+    # holomorphic and antiholomorphic pairs both fill K)
     ker = kernel_mask(basis8)
-    for name, rows in (("S", holo), ("Sbar", anti), ("Pi0", ker), ("PiInf", ker), ("Pi", ker)):
-        X = chain.member(name)
+    for name in ("S", "Sbar", "Pi0", "PiInf", "Pi"):
+        X, rows = chain.member(name), ker
         assert np.all(X[~rows] == 0), name
         assert np.all(np.abs(X[rows]).sum(axis=1) > 0), name
 
@@ -333,8 +340,92 @@ def test_zero_q_properties_random_exponent(bases_small, n, seed, size):
     P_d = critical_gjms(basis).to_diag_vector(basis)
     spec, _, G_ref, _, cond_ref = spectral_oracle(P_d, pert.weight())
     assert spec.kernel_dim == rep.kernel_dim
-    ref = SpectralFunction.from_vector(basis, -G_ref @ qd.vector()).realized().to_vector()
+    frame = RealFrame(basis)  # G_ref acts on frame coefficients
+    ref_vec = frame.from_frame(-G_ref @ frame.to_frame(qd.vector()))
+    ref = SpectralFunction.from_vector(basis, ref_vec).realized().to_vector()
     got = rep.upsilon_sol.to_vector()
     # the solver prunes coefficients below 1e-15 max(1, max|u|)
     assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
     assert_close(rep.condition, cond_ref)
+
+
+def test_chain_members_are_float64_but_the_szego_pair(basis8):
+    # a stray cast to complex fails here instead of tripling the chain's cost
+    chain = build_chain_matrix(basis8, perturbation(basis8, 0.08).weight())
+    assert chain.weight.matrix.dtype == np.float64
+    for name, X in chain.members.items():
+        want = np.complex128 if name in ("S", "Sbar") else np.float64
+        assert X.dtype == want, name
+    S = chain.member("S")
+    assert np.array_equal(chain.member("Sbar"), S.conj())
+    assert np.array_equal(chain.member("Pi0"), 2 * S.real)
+
+
+def drawn_perturbation(basis, seed, size=0.1):
+    """A seeded real Upsilon of degree <= 3 with certified sup bound `size`."""
+    rng = np.random.default_rng(seed)
+    terms = []
+    for d, p in ((1, 0), (2, 1), (3, 2), (3, 0)):
+        i = int(rng.integers(0, dim_hpq(basis.n, p, d - p)))
+        terms.append((p, d - p, i, complex(*rng.standard_normal(2))))
+    f = SpectralFunction.from_terms(basis, terms).realized()
+    return ContactPerturbation(basis, f.scale(size / f.sup_norm_bound()), label="drawn")
+
+
+def complex_chain_reference(basis, pert):
+    """Pi, G, A0, PiInf, GInf, S and Pi0 in the basis e, complex128 throughout.
+
+    The multiplier is assembled from the normalized basis elements e_k
+    (no frame), and every member follows its defining formula with dense
+    solves: W-orthogonal coordinate projectors W_MM^{-1} W_M:, G0 = G0_d W,
+    P_hat = W^{-1} P_d, A0 = (P_hat G0 + Pi0)^{-1}.
+    """
+    D = basis.total_dim
+    ctx = GalerkinContext(basis, mult_degree=3)
+    rows, cols, vals = [], [], []
+    for p, q, i, g in basis.index_blocks():
+        el = basis.blocks[(p, q)][i]
+        for (_, A, B), c in el.poly.terms.items():
+            rows.append(g)
+            cols.append(ctx.idx_basis.index[(A, B)])
+            vals.append(complex(c) / math.sqrt(float(el.norm2)))
+    Bc = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(D, len(ctx.idx_basis)))
+    poly = pert.upsilon.to_poly_float().scale(float(basis.n + 1))
+    M = (Bc.conj() @ ctx.K @ shift_matrix(poly, ctx.idx_basis, ctx.idx_big) @ Bc.T).toarray()
+    W = taylor_exp_matrix(M, pert.K)
+    W = 0.5 * (W + W.conj().T)
+
+    def proj(mask):
+        X = np.zeros((D, D), dtype=complex)
+        X[mask] = np.linalg.solve(W[np.ix_(mask, mask)], W[mask])
+        return X
+
+    blocks = list(basis.index_blocks())
+    holo = np.array([q == 0 for p, q, _, _ in blocks])
+    anti = np.array([p == 0 for p, q, _, _ in blocks])
+    ker = kernel_mask(basis)
+    P_d = critical_gjms(basis).to_diag_vector(basis)
+    G0_d = critical_gjms(basis).partial_inverse().to_diag_vector(basis)
+    ident = np.eye(D)
+    S = proj(holo)
+    Pi0 = S + proj(anti)
+    A0 = np.linalg.inv(np.linalg.solve(W, np.diag(P_d)) @ (G0_d[:, None] * W) + Pi0)
+    PiInf = Pi0 @ A0
+    Pi = proj(ker)
+    P_plus = np.where(ker, 0.0, 1.0 / np.where(ker, 1.0, P_d))
+    return {
+        "Pi": Pi, "G": (ident - Pi) @ (P_plus[:, None] * W) @ (ident - Pi),
+        "A0": A0, "PiInf": PiInf, "GInf": (ident - PiInf) @ (G0_d[:, None] * W) @ A0,
+        "S": S, "Pi0": Pi0,
+    }
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_frame_chain_matches_complex_reference(basis8, seed):
+    # the real-frame members, mapped back with U, against the complex chain
+    pert = drawn_perturbation(basis8, seed)
+    chain = build_chain_matrix(basis8, pert.weight())
+    U = RealFrame(basis8).unitary().toarray()
+    for name, ref in complex_chain_reference(basis8, pert).items():
+        got = U @ chain.member(name) @ U.conj().T
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), name

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from crsphere.errors import ConfigError, ObstructionError
-from crsphere.galerkin import full_context, taylor_exp_apply, taylor_exp_matrix
+from crsphere.galerkin import RealFrame, full_context, taylor_exp_apply, taylor_exp_matrix
 from crsphere.harmonics import dim_hpq
 from crsphere.parametrix import interior_mask, kernel_mask
 from crsphere.qcurvature import (
@@ -148,7 +148,9 @@ class TestSolvability:
         # transported datum in the hatted frame
         P_d = critical_gjms(basis12).to_diag_vector(basis12)
         M = pert.multiplier_matrix()
-        q_hat_vec = taylor_exp_apply(-M, pert.K, q_std_vec + P_d * pert.upsilon.to_vector())
+        frame = RealFrame(basis12)  # M acts on frame coefficients
+        q_hat_vec = frame.from_frame(taylor_exp_apply(
+            -M, pert.K, frame.to_frame(q_std_vec + P_d * pert.upsilon.to_vector())))
         qdat_hat = QData(
             SpectralFunction.from_vector(basis12, q_hat_vec), pert, False, pert.K, 0.0
         )
@@ -241,7 +243,9 @@ def galerkin_final_q_norm(qdata, upsilon_sol):
     """The former final-Q value: ||T_K(-M_sol) r|| with the full-degree multiplier."""
     basis = qdata.frame.basis
     P_d = critical_gjms(basis).to_diag_vector(basis)
-    resid = qdata.frame.weight().solve(P_d * upsilon_sol.to_vector()) + qdata.vector()
+    frame = RealFrame(basis)  # the weight and M_sol act on frame coefficients
+    resid = (qdata.frame.weight().solve(frame.to_frame(P_d * upsilon_sol.to_vector()))
+             + frame.to_frame(qdata.vector()))
     M = full_context(basis).mult_matrix(upsilon_sol.to_poly_float().scale(float(basis.n + 1)))
     return float(np.linalg.norm(taylor_exp_apply(-M, qdata.frame.K, resid)))
 
