@@ -172,6 +172,22 @@ def _eigentable_rows(basis_or_trunc, n, mus, exact):
     return rows
 
 
+# relative differences of float64 eigenvalue minima below this are rounding
+ROUNDING_FLOOR = 1e-12
+
+
+def max_relative_decrease(vals):
+    """Largest relative fall of a sweep's minima below the first one.
+
+    Minima that agree to rounding differ by ~1e-14 relative; a fall of at
+    most ROUNDING_FLOOR is reported as 0.0, not as a decrease.
+    """
+    if not vals or not vals[0]:
+        return 0.0
+    worst = max((vals[0] - v) / vals[0] for v in vals)
+    return worst if worst > ROUNDING_FLOOR else 0.0
+
+
 def cmd_spectrum(cfg, manifest):
     from .parametrix import min_nonzero_abs_eigenvalue, spectrum_diagonal, spectrum_pencil
     from .spectral import critical_gjms
@@ -210,10 +226,9 @@ def cmd_spectrum(cfg, manifest):
         print(f"spectrum N={N} done")
     if len(sweep) > 1:
         vals = [s["min_nonzero_abs"] for s in stability]
-        worst = max(
-            (vals[0] - v) / vals[0] for v in vals
-        ) if vals and vals[0] else 0.0
-        summary = {"sweep": stability, "max_relative_decrease_from_first": worst}
+        summary = {"sweep": stability,
+                   "max_relative_decrease_from_first": max_relative_decrease(vals),
+                   "rounding_floor": ROUNDING_FLOOR}
         manifest.add(write_json(os.path.join(cfg.out_dir, "stability_summary.json"), summary))
     return EXIT_OK
 

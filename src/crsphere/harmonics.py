@@ -20,6 +20,14 @@ product polynomial is formed.  galerkin.pairing_matrix evaluates the same
 rule vectorized in floats over whole monomial index sets; it stays separate
 so that the shared exact code does not branch on its caller.
 
+Gram-Schmidt rests on the projection identity <u, w_j> = <v, w_j>: the
+finished elements w_j are orthogonal, so subtracting the earlier
+projections from a candidate v does not change its pairing with w_j.  Each
+coefficient pairs the sparse raw candidate through w_j's pairing
+functional (poly.PairingFunctional: monomial key -> sum conj(c2) weight
+over w_j's terms in the key's sector, memoized), which all later candidates
+of the block share.  The functionals are dropped with their block.
+
 Basis elements are stored unnormalized with their exact squared norm; the
 normalized element is poly / sqrt(norm2).  Coefficients stay Gaussian
 rational: blocks with p > q are rational, the mirror blocks are their
@@ -37,7 +45,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import CapExceededError, ConfigError
-from .poly import Poly, matched_pairing
+from .poly import PairingFunctional, Poly, accumulate, matched_pairing
 from .scalars import QI, qi
 
 BASIS_CACHE_VERSION = 1
@@ -90,7 +98,7 @@ def inner_sphere(f: Poly, g: Poly, n: int):
     """
     if f.terms and g.terms and any(a for h in (f, g) for (a, _, _) in h.terms):
         raise ValueError("sphere integrand must be t-free")
-    return matched_pairing(f, g, lambda a, exps: _integral_equal_exponents(n, exps))
+    return matched_pairing(f, g, _sphere_weight(n))
 
 
 def amb_laplacian(f: Poly) -> Poly:
@@ -145,7 +153,7 @@ def _gauss_jordan(rows, ncols, max_rank=None):
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        rows[r] = [x * inv if x else x for x in rows[r]]
         for rr in range(nrows):
             if rr != r and rows[rr][c] != 0:
                 factor = rows[rr][c]
@@ -216,17 +224,38 @@ def _real_valued_block_basis(polys):
     return [candidates[col] for col in pivots]
 
 
+def _sphere_weight(n):
+    return lambda a, exps: _integral_equal_exponents(n, exps)
+
+
 def gram_schmidt_exact(polys, n):
-    """Classical Gram-Schmidt; returns (orthogonal poly, exact squared norm) pairs."""
+    """Classical Gram-Schmidt; returns (orthogonal poly, exact squared norm) pairs.
+
+    The finished w_j are orthogonal, so the running u_k = v - sum_{i<k} c_i w_i
+    has <u_k, w_j> = <v, w_j> for every k <= j: each coefficient
+    c_j = <v, w_j> / |w_j|^2 pairs the sparse raw candidate v, not the dense
+    growing u.  The pairing goes through w_j's PairingFunctional, whose
+    values at the block's monomials are memoized and shared by all later
+    candidates.  Exact arithmetic gives the same u as pairing u itself; the
+    subtractions keep the same order, so u's terms do too.  The functionals
+    live only for the block.
+    """
+    weight = _sphere_weight(n)
     out = []
+    functionals = []
     for v in polys:
-        u = v
-        for w, w_norm2 in out:
-            coeff = inner_sphere(u, w, n) / qi(w_norm2)
-            u = u - w.scale(coeff)
+        terms = dict(v.terms)
+        for (w, w_norm2), phi in zip(out, functionals):
+            coeff = phi(v) / w_norm2
+            if coeff:
+                neg = -coeff
+                for key, c in w.terms.items():
+                    accumulate(terms, key, c * neg)
+        u = Poly(v.m, terms)
         norm2 = inner_sphere(u, u, n)
         assert norm2.im == 0 and norm2.re > 0
         out.append((u, norm2.re))
+        functionals.append(PairingFunctional(u, weight))
     return out
 
 

@@ -43,9 +43,10 @@ from fractions import Fraction
 
 from .errors import DimensionMismatchError
 from .poly import Poly, TermDict, accumulate, matched_pairing
-from .scalars import QI, qi
+from .scalars import ONE, QI, qi
 
 _I = QI(0, 1)
+_MINUS_I = QI(0, -1)
 _TWO_I = QI(0, 2)
 
 
@@ -151,7 +152,7 @@ class LeftInvariantOp(TermDict):
 
     @classmethod
     def identity(cls, n):
-        return cls.const(n, QI(1))
+        return cls.const(n, ONE)
 
     # the frame's names for the generators T, Z_a and Zbar_a
     t_gen = classmethod(TermDict.var_t.__func__)
@@ -229,13 +230,16 @@ class LeftInvariantOp(TermDict):
         return result
 
     def apply(self, f: Poly) -> Poly:
-        """Apply the differential operator to a polynomial, exactly."""
-        n = self.n
+        """Apply the differential operator to a polynomial, exactly.
+
+        Z_a = d/dz_a + i zbar_a d/dt and Zbar_a = d/dzbar_a - i z_a d/dt:
+        the d/dt part is an exponent shift with one scalar product a term.
+        """
         return self._walk(
             f,
             Poly.diff_t,
-            lambda cur, a: cur.diff_z(a) + (Poly.var_zbar(n, a) * cur.diff_t()).scale(_I),
-            lambda cur, a: cur.diff_zbar(a) - (Poly.var_z(n, a) * cur.diff_t()).scale(_I),
+            lambda cur, a: cur.diff_z(a) + cur.diff_t().times_var("zb", a, _I),
+            lambda cur, a: cur.diff_zbar(a) + cur.diff_t().times_var("z", a, _MINUS_I),
         )
 
     def formal_adjoint(self) -> "LeftInvariantOp":
@@ -321,22 +325,22 @@ def sublaplacian_model(n: int) -> LeftInvariantOp:
 
 def _frame_vector_fields(n):
     """Coefficient dicts of T, Z_a, Zbar_a in the coordinate frame."""
-    t_field = {("t", 0): Poly.const(n, QI(1))}
+    t_field = {("t", 0): Poly.const(n, ONE)}
     z_fields = []
     zb_fields = []
     for a in range(n):
         z_fields.append(
-            {("z", a): Poly.const(n, QI(1)), ("t", 0): Poly.var_zbar(n, a).scale(_I)}
+            {("z", a): Poly.const(n, ONE), ("t", 0): Poly.var_zbar(n, a).scale(_I)}
         )
         zb_fields.append(
-            {("zb", a): Poly.const(n, QI(1)), ("t", 0): Poly.var_z(n, a).scale(-_I)}
+            {("zb", a): Poly.const(n, ONE), ("t", 0): Poly.var_z(n, a).scale(-_I)}
         )
     return t_field, z_fields, zb_fields
 
 
 def contact_form(n):
     """theta = dt + i sum_a (z^a dzbar^a - zbar^a dz^a), as coefficient dict."""
-    theta = {("t", 0): Poly.const(n, QI(1))}
+    theta = {("t", 0): Poly.const(n, ONE)}
     for a in range(n):
         theta[("zb", a)] = Poly.var_z(n, a).scale(_I)
         theta[("z", a)] = Poly.var_zbar(n, a).scale(-_I)
@@ -414,18 +418,17 @@ def weighted_apply(op: LeftInvariantOp, p: Poly) -> Poly:
     Used by the adjoint oracle: the Gaussian factor makes integration by
     parts exact on polynomials.
     """
-    n = op.n
 
     def gen_t(f):
-        return f.diff_t() - Poly.var_t(n).scale(qi(2)) * f
+        return f.diff_t() + f.times_var("t", c=-2)
 
     def gen_z(f, a):
-        df = f.diff_z(a) - Poly.var_zbar(n, a) * f
-        return df + (Poly.var_zbar(n, a) * gen_t(f)).scale(_I)
+        df = f.diff_z(a) + f.times_var("zb", a, -1)
+        return df + gen_t(f).times_var("zb", a, _I)
 
     def gen_zbar(f, a):
-        df = f.diff_zbar(a) - Poly.var_z(n, a) * f
-        return df - (Poly.var_z(n, a) * gen_t(f)).scale(_I)
+        df = f.diff_zbar(a) + f.times_var("z", a, -1)
+        return df + gen_t(f).times_var("z", a, _MINUS_I)
 
     return op._walk(p, gen_t, gen_z, gen_zbar)
 
@@ -645,13 +648,13 @@ def contact_frame_checks(n):
     theta = contact_form(n)
     dtheta = _d_one_form(theta, n)
     t_field, z_fields, _ = _frame_vector_fields(n)
-    pairing_t = _eval_one_form(theta, t_field, n) - Poly.const(n, QI(1))
+    pairing_t = _eval_one_form(theta, t_field, n) - Poly.const(n, ONE)
     pairings_z = [_eval_one_form(theta, zf, n) for zf in z_fields]
     # T interior product dtheta evaluated against every coordinate field
     basis = [("t", 0)] + [("z", j) for j in range(n)] + [("zb", j) for j in range(n)]
     contractions = []
     for var in basis:
-        probe = {var: Poly.const(n, QI(1))}
+        probe = {var: Poly.const(n, ONE)}
         contractions.append(_eval_two_form(dtheta, t_field, probe, n))
     return {
         "theta_of_T_minus_one": pairing_t,

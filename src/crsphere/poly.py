@@ -17,14 +17,17 @@ exact and floating data move through the same code paths.
 :func:`matched_pairing` is the package's one exact pairing: the sphere
 inner product (``harmonics.inner_sphere``) and the Gaussian pairing of the
 Heisenberg adjoint oracle (``heisenberg.gaussian_pairing``) differ only in
-the weight they give a matched monomial.  ``galerkin.pairing_matrix`` stays
-a separate, vectorized floating path over whole coefficient arrays.
+the weight they give a matched monomial.  It is a sum over f's terms of
+g's :class:`PairingFunctional`, which ``harmonics.gram_schmidt_exact`` also
+keeps for each finished basis element of a block.
+``galerkin.pairing_matrix`` stays a separate, vectorized floating path over
+whole coefficient arrays.
 """
 
 from __future__ import annotations
 
 from .errors import DimensionMismatchError
-from .scalars import QI, conj, parse_qi, qi
+from .scalars import ONE, QI, ZERO, conj, parse_qi
 
 
 def accumulate(out, key, c):
@@ -64,25 +67,25 @@ class TermDict:
         return cls(m, {(0, zero, zero): c})
 
     @classmethod
-    def monomial(cls, m, a, beta, gamma, c=QI(1)):
+    def monomial(cls, m, a, beta, gamma, c=ONE):
         return cls(m, {(a, tuple(beta), tuple(gamma)): c})
 
     @classmethod
     def var_t(cls, m):
         zero = (0,) * m
-        return cls(m, {(1, zero, zero): QI(1)})
+        return cls(m, {(1, zero, zero): ONE})
 
     @classmethod
     def var_z(cls, m, j):
         zero = (0,) * m
         e = tuple(1 if k == j else 0 for k in range(m))
-        return cls(m, {(0, e, zero): QI(1)})
+        return cls(m, {(0, e, zero): ONE})
 
     @classmethod
     def var_zbar(cls, m, j):
         zero = (0,) * m
         e = tuple(1 if k == j else 0 for k in range(m))
-        return cls(m, {(0, zero, e): QI(1)})
+        return cls(m, {(0, zero, e): ONE})
 
     # -- linear structure ----------------------------------------------------
 
@@ -153,29 +156,68 @@ class TermDict:
         return cls(data[cls.dim_key], terms)
 
 
-def matched_pairing(f: TermDict, g: TermDict, weight):
-    """sum c1 conj(c2) weight(a1 + a2, beta1 + gamma2) over the terms of f conj(g)
-    whose z and zbar exponents agree.
+def _sector(beta, gamma):
+    return tuple(x - y for x, y in zip(beta, gamma))
+
+
+class PairingFunctional:
+    """The functional f -> <f, g> of a fixed g under a monomial weight.
 
     The f-term (a1, beta1, gamma1) times the conjugate of the g-term
     (a2, beta2, gamma2) has exponents (a1 + a2, beta1 + gamma2,
     gamma1 + beta2); they agree exactly when beta1 - gamma1 = beta2 - gamma2.
-    So g's terms are bucketed by that sector and no product is formed.
-    ``weight(a, exps)`` returns a Fraction.  The result is QI when every
-    coefficient of f and g is QI, complex otherwise.
+    So g's terms are bucketed by that sector, no product is formed, and the
+    value at one key,
+
+        phi(a1, beta1, gamma1) = sum conj(c2) weight(a1 + a2, beta1 + gamma2)
+
+    over g's terms in the key's sector, is memoized: ``<f, g>`` is
+    ``sum c1 phi(key)`` over f's terms.  ``weight(a, exps)`` returns a
+    Fraction.  With exact (QI) g the values are QI, with floating g complex.
     """
-    exact = all(isinstance(c, QI) for t in (f, g) for c in t.terms.values())
-    sectors = {}
-    for (a2, b2, g2), c2 in g.terms.items():
-        sector = tuple(x - y for x, y in zip(b2, g2))
-        sectors.setdefault(sector, []).append((a2, g2, conj(c2)))
-    total = QI(0) if exact else 0j
-    for (a1, b1, g1), c1 in f.terms.items():
-        for a2, g2, c2 in sectors.get(tuple(x - y for x, y in zip(b1, g1)), ()):
-            w = weight(a1 + a2, tuple(x + y for x, y in zip(b1, g2)))
-            if w:
-                total = total + c1 * c2 * (qi(w) if exact else float(w))
-    return total
+
+    __slots__ = ("_sectors", "_weight", "_exact", "_memo")
+
+    def __init__(self, g: TermDict, weight):
+        self._weight = weight
+        self._exact = all(isinstance(c, QI) for c in g.terms.values())
+        self._sectors = {}
+        for (a2, b2, g2), c2 in g.terms.items():
+            self._sectors.setdefault(_sector(b2, g2), []).append((a2, g2, conj(c2)))
+        self._memo = {}
+
+    def at(self, key):
+        """phi(key): the pairing of the monomial key (coefficient 1) with g."""
+        val = self._memo.get(key)
+        if val is None:
+            a1, b1, g1 = key
+            val = ZERO if self._exact else 0j
+            for a2, g2, c2 in self._sectors.get(_sector(b1, g1), ()):
+                w = self._weight(a1 + a2, tuple(x + y for x, y in zip(b1, g2)))
+                if w:
+                    val = val + c2 * (w if self._exact else float(w))
+            self._memo[key] = val
+        return val
+
+    def __call__(self, f: TermDict):
+        """<f, g>: QI when every coefficient of f and g is QI, complex otherwise."""
+        exact = self._exact and all(isinstance(c, QI) for c in f.terms.values())
+        total = ZERO if exact else 0j
+        for key, c1 in f.terms.items():
+            val = self.at(key)
+            if val:
+                total = total + c1 * val
+        return total
+
+
+def matched_pairing(f: TermDict, g: TermDict, weight):
+    """sum c1 conj(c2) weight(a1 + a2, beta1 + gamma2) over the terms of f conj(g)
+    whose z and zbar exponents agree: ``PairingFunctional(g, weight)(f)``.
+
+    The package's one pairing; see :class:`PairingFunctional` for the
+    sector rule that keeps it product-free.
+    """
+    return PairingFunctional(g, weight)(f)
 
 
 class Poly(TermDict):
@@ -203,7 +245,7 @@ class Poly(TermDict):
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        out = Poly.const(self.m, QI(1))
+        out = Poly.const(self.m, ONE)
         base = self
         while k:
             if k & 1:
@@ -239,6 +281,23 @@ class Poly(TermDict):
                 out[(a, b, tuple(ng))] = c * g[j]
         return Poly(self.m, out)
 
+    def times_var(self, var, j=0, c=ONE):
+        """c * v * self for the variable v = t, z_j or zbar_j (var "t", "z", "zb").
+
+        An exponent shift and one scalar product a term: the shifted keys
+        stay distinct, so nothing accumulates.
+        """
+        out = {}
+        for (a, b, g), v in self.terms.items():
+            if var == "t":
+                key = (a + 1, b, g)
+            elif var == "z":
+                key = (a, b[:j] + (b[j] + 1,) + b[j + 1:], g)
+            else:
+                key = (a, b, g[:j] + (g[j] + 1,) + g[j + 1:])
+            out[key] = v * c
+        return Poly(self.m, out)
+
     def conj_fn(self):
         """Complex conjugate as a function: swap z and zbar, conjugate coefficients."""
         return Poly(self.m, {(a, g, b): conj(c) for (a, b, g), c in self.terms.items()})
@@ -254,7 +313,7 @@ class Poly(TermDict):
 
         def cached_pow(tag, p, k):
             if k == 0:
-                return Poly.const(m, QI(1))
+                return Poly.const(m, ONE)
             got = pow_cache.get((tag, k))
             if got is None:
                 got = p ** k

@@ -5,6 +5,17 @@ of Gaussian rationals a + b*i with Fraction components.  Identity checks in
 exact mode are therefore binary: a residual either is the zero scalar or it
 is not.
 
+The ring operations take fast paths that give the same values as the
+textbook formulas:
+
+* their results are made by the unchecked constructor :func:`_of`, since
+  Fraction arithmetic yields Fractions; the public ``QI(...)`` constructor
+  still validates (and rejects floats);
+* ``+``, ``-`` and ``*`` skip zero components, so a real times a real costs
+  one Fraction product, not four products and two sums;
+* a real divisor divides each component once, with no squared norm;
+* an ``int`` or ``Fraction`` operand is used as it is, not coerced to QI.
+
 Serialized form is the string "a/b+c/di" (e.g. "1/2-3/4i", "2", "i"),
 parsed back by :func:`parse_qi`.
 """
@@ -14,6 +25,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+_F0 = Fraction(0)
+_RATIONAL = (int, Fraction)
+
 
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -22,6 +36,22 @@ def _frac(x) -> Fraction:
         # floats are rejected: exact layer only
         raise TypeError("QI components must be exact (int, Fraction, str)")
     return Fraction(x)
+
+
+def _of(re: Fraction, im: Fraction) -> "QI":
+    """QI from two Fractions, unchecked: for results of Fraction arithmetic."""
+    z = object.__new__(QI)
+    z.re = re
+    z.im = im
+    return z
+
+
+def _sum(x: Fraction, y: Fraction) -> Fraction:
+    return y if not x else x if not y else x + y
+
+
+def _diff(x: Fraction, y: Fraction) -> Fraction:
+    return x if not y else -y if not x else x - y
 
 
 class QI:
@@ -36,47 +66,66 @@ class QI:
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other):
+        if isinstance(other, _RATIONAL):
+            return _of(self.re + other, self.im)
         other = qi(other)
-        return QI(self.re + other.re, self.im + other.im)
+        return _of(_sum(self.re, other.re), _sum(self.im, other.im))
 
     __radd__ = __add__
 
     def __sub__(self, other):
+        if isinstance(other, _RATIONAL):
+            return _of(self.re - other, self.im)
         other = qi(other)
-        return QI(self.re - other.re, self.im - other.im)
+        return _of(_diff(self.re, other.re), _diff(self.im, other.im))
 
     def __rsub__(self, other):
         return qi(other) - self
 
     def __mul__(self, other):
+        if isinstance(other, _RATIONAL):
+            a, b = self.re, self.im
+            return _of(a * other if a else _F0, b * other if b else _F0)
         other = qi(other)
-        return QI(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if not b:
+            return _of(a * c, a * d if d else _F0)
+        if not d:
+            return _of(a * c if a else _F0, b * c)
+        if not a:
+            return _of(-(b * d), b * c if c else _F0)
+        if not c:
+            return _of(-(b * d), a * d)
+        return _of(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = qi(other)
-        n2 = other.norm2()
-        if n2 == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return QI(
-            (self.re * other.re + self.im * other.im) / n2,
-            (self.im * other.re - self.re * other.im) / n2,
+        if isinstance(other, _RATIONAL):
+            c, d = other, 0
+        else:
+            other = qi(other)
+            c, d = other.re, other.im
+        if not d:
+            if not c:
+                raise ZeroDivisionError("division by zero Gaussian rational")
+            return _of(self.re / c if self.re else _F0, self.im / c if self.im else _F0)
+        n2 = c * c + d * d
+        return _of(
+            (self.re * c + self.im * d) / n2,
+            (self.im * c - self.re * d) / n2,
         )
 
     def __rtruediv__(self, other):
         return qi(other) / self
 
     def __neg__(self):
-        return QI(-self.re, -self.im)
+        return _of(-self.re, -self.im)
 
     def __pow__(self, k: int):
         if k < 0:
-            return qi(1) / self ** (-k)
-        out = QI(1)
+            return ONE / self ** (-k)
+        out = ONE
         base = self
         while k:
             if k & 1:
@@ -88,17 +137,17 @@ class QI:
     # -- structure -------------------------------------------------------
 
     def conjugate(self) -> "QI":
-        return QI(self.re, -self.im)
+        return _of(self.re, -self.im)
 
     def norm2(self) -> Fraction:
         return self.re * self.re + self.im * self.im
 
     @property
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self.im
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return bool(self.re) or bool(self.im)
 
     def __eq__(self, other):
         if isinstance(other, QI):
@@ -108,7 +157,7 @@ class QI:
         return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
+        if not self.im:
             return hash(self.re)
         return hash((self.re, self.im))
 

@@ -23,3 +23,9 @@ def basis8(basis16):
 def bases_small(basis8):
     """The small bases of the property tests, by n."""
     return {1: basis8, 2: HarmonicBasis.build(2, 5)}
+
+
+@pytest.fixture(scope="session")
+def basis_n3_N4():
+    """The n = 3 basis of the exact_cold benchmark workload."""
+    return HarmonicBasis.build(3, 4)

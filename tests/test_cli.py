@@ -12,9 +12,11 @@ from crsphere.cli import (
     EXIT_NUMERICAL,
     EXIT_OBSTRUCTION,
     EXIT_OK,
+    ROUNDING_FLOOR,
     RunConfig,
     build_parser,
     main,
+    max_relative_decrease,
     parse_sweep,
 )
 from crsphere.errors import ConfigError
@@ -45,6 +47,19 @@ def plh_file(tmp_path):
         ],
     }))
     return str(path)
+
+
+def test_max_relative_decrease_clamps_rounding():
+    v = 15.940155406672053
+    # a fall of 5.9e-14 relative (the size seen between float64 runs) is noise
+    assert max_relative_decrease([v, v * (1 - 5.9e-14), v * (1 + 3e-15)]) == 0.0
+    assert max_relative_decrease([v, v * (1 - ROUNDING_FLOOR)]) == 0.0
+    assert max_relative_decrease([v, v * 1.5]) == 0.0
+    # a real decrease is reported as it is
+    assert max_relative_decrease([2.0, 1.5, 1.9]) == 0.25
+    assert max_relative_decrease([1.0, 1.0 - 1e-9]) == pytest.approx(1e-9, rel=1e-6)
+    assert max_relative_decrease([]) == 0.0
+    assert max_relative_decrease([0.0, 1.0]) == 0.0
 
 
 class TestRunConfig:
@@ -138,7 +153,20 @@ class TestCommands:
                    "--out", out) == EXIT_OK
         summary = json.loads((tmp_path / "out" / "stability_summary.json").read_text())
         assert [s["N"] for s in summary["sweep"]] == [4, 6]
-        assert summary["max_relative_decrease_from_first"] <= 0.0 + 1e-12
+        assert summary["max_relative_decrease_from_first"] == 0.0
+        assert summary["rounding_floor"] == ROUNDING_FLOOR == 1e-12
+
+    def test_sweep_minima_equal_to_rounding_report_no_decrease(self, tmp_path, pert_file):
+        # the perturbed minima at N = 10, 12, 14 agree to ~1e-15 relative:
+        # their differences are rounding, not a decrease
+        out = tmp_path / "out"
+        assert run("spectrum", "--n", "1", "--degree", "10", "--sweep", "10..14",
+                   "--perturbation", pert_file, "--out", str(out)) == EXIT_OK
+        summary = json.loads((out / "stability_summary.json").read_text())
+        mins = [s["min_nonzero_abs"] for s in summary["sweep"]]
+        assert len(mins) == 3 and max(mins) - min(mins) <= 1e-12 * mins[0]
+        assert summary["max_relative_decrease_from_first"] == 0.0
+        assert summary["rounding_floor"] == 1e-12
 
     def test_parametrix_check(self, tmp_path, pert_file):
         out = str(tmp_path / "out")
@@ -303,6 +331,11 @@ PINNED_SHA256 = {
         "362776f826d8ad0fac42db7f78ea06567aaadd21e93bb55cd6581c896a2529e4",
     "basis_n2_N3_v1_exact.json":
         "13f72deed3b663bfea606e0d4e60e7e5f544807591706a0170ed253c77f37b64",
+    # the two bases of the exact_cold benchmark workload
+    "basis_n2_N5_v1_exact.json":
+        "8b743ba4b1bbf92051a0abae763fd88abca1a32caa46e8044dece64bbedb1caf",
+    "basis_n3_N4_v1_exact.json":
+        "06e0782f2870872f47432134964651956a2a9b9a055e5247b019d91038724526",
     "heisenberg_selftest.json":
         "b269be1ed951b663d7352e7fd9e8bfa1b2543b618518940779355dffd116b725",
 }
@@ -310,7 +343,7 @@ PINNED_SHA256 = {
 
 def test_exact_outputs_are_pinned(tmp_path):
     cache, out = tmp_path / "cache", tmp_path / "out"
-    for n, degree in (("1", "6"), ("2", "3")):
+    for n, degree in (("1", "6"), ("2", "3"), ("2", "5"), ("3", "4")):
         assert run("basis", "--n", n, "--degree", degree, "--cache", str(cache),
                    "--out", str(out)) == EXIT_OK
     assert run("heisenberg-selftest", "--sweep", "1..2", "--out", str(out)) == EXIT_OK

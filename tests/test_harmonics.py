@@ -9,10 +9,12 @@ from numpy.polynomial.legendre import leggauss
 from crsphere.errors import CapExceededError, ConfigError
 from crsphere.harmonics import (
     HarmonicBasis,
+    _real_valued_block_basis,
     amb_laplacian,
     decompose_bihomogeneous,
     dim_hpq,
     expand_in_basis,
+    gram_schmidt_exact,
     harmonic_block_polys,
     inner_sphere,
     integral_monomial,
@@ -21,7 +23,7 @@ from crsphere.harmonics import (
     sphere_reduce,
 )
 from crsphere.poly import Poly
-from crsphere.scalars import QI
+from crsphere.scalars import QI, qi
 
 
 def quadrature_integral_s3(f: Poly, ng=40):
@@ -127,6 +129,52 @@ class TestInnerSphere:
         assert inner_sphere(f, Poly.zero(2), 1) == QI(0)
 
 
+def assert_gram_is_identity(basis):
+    """Normalized Gram = I exactly, every pair through inner_sphere itself:
+    off-diagonal inner products vanish, diagonal ones equal the stored norms."""
+    for (p, q) in basis.block_order:
+        els = basis.blocks[(p, q)]
+        for i in range(len(els)):
+            for j in range(i + 1):
+                val = inner_sphere(els[i].poly, els[j].poly, basis.n)
+                if i == j:
+                    assert val == QI(els[i].norm2)
+                else:
+                    assert val == QI(0), ((p, q), i, j)
+
+
+def gram_schmidt_pairing_running_u(polys, n):
+    """Textbook classical Gram-Schmidt: each coefficient pairs the running u."""
+    out = []
+    for v in polys:
+        u = v
+        for w, w_norm2 in out:
+            coeff = inner_sphere(u, w, n) / qi(w_norm2)
+            u = u - w.scale(coeff)
+        norm2 = inner_sphere(u, u, n)
+        assert norm2.im == 0 and norm2.re > 0
+        out.append((u, norm2.re))
+    return out
+
+
+@pytest.mark.parametrize("n,N", [(1, 8), (2, 4), (3, 3)])
+def test_gram_schmidt_matches_running_u_oracle(n, N):
+    # <v, w_j> through w_j's functional against <u, w_j> on the running u:
+    # the same polynomials (terms in the same order) and squared norms
+    for d in range(N + 1):
+        for p in range(d, (d - 1) // 2, -1):
+            raw = harmonic_block_polys(n, p, d - p)
+            if p == d - p:
+                raw = _real_valued_block_basis(raw)
+            got = gram_schmidt_exact(raw, n)
+            want = gram_schmidt_pairing_running_u(raw, n)
+            assert len(got) == len(want) == dim_hpq(n, p, d - p)
+            for (u, norm2), (u_ref, norm2_ref) in zip(got, want):
+                assert u == u_ref, (p, d - p)
+                assert list(u.terms) == list(u_ref.terms)
+                assert norm2 == norm2_ref
+
+
 class TestBlockConstruction:
     def test_constants_block(self, basis8):
         assert len(basis8.blocks[(0, 0)]) == 1
@@ -149,17 +197,11 @@ class TestBlockConstruction:
         assert len(harmonic_block_polys(2, 2, 1)) == 15 == dim_hpq(2, 2, 1)
 
     def test_full_gram_is_identity(self, basis8):
-        # normalized Gram = I exactly: off-diagonal inner products vanish and
-        # diagonal ones equal the stored squared norms
-        for (p, q) in basis8.block_order:
-            els = basis8.blocks[(p, q)]
-            for i in range(len(els)):
-                for j in range(i + 1):
-                    val = inner_sphere(els[i].poly, els[j].poly, 1)
-                    if i == j:
-                        assert val == QI(els[i].norm2)
-                    else:
-                        assert val == QI(0)
+        assert_gram_is_identity(basis8)
+
+    @pytest.mark.parametrize("n,N", [(2, 5), (3, 4)])
+    def test_full_gram_is_identity_higher_dimensions(self, bases_small, basis_n3_N4, n, N):
+        assert_gram_is_identity(bases_small[2] if n == 2 else basis_n3_N4)
 
     def test_cross_block_orthogonality(self, basis8):
         pairs = [((1, 0), (2, 1)), ((1, 1), (0, 0)), ((2, 0), (0, 2)), ((3, 1), (1, 3))]
@@ -188,11 +230,11 @@ class TestBlockConstruction:
                     assert el.poly.conj_fn() == el.poly
 
     @pytest.mark.parametrize("n,N", [(2, 5), (3, 4)])
-    def test_real_frame_pairing_in_higher_dimensions(self, bases_small, n, N):
+    def test_real_frame_pairing_in_higher_dimensions(self, bases_small, basis_n3_N4, n, N):
         # what galerkin.RealFrame rests on, beyond n = 1 (the two tests
         # above): each (q, p) element is the exact conjugate of its (p, q)
         # partner with the same norm, and every (p, p) element is real valued
-        basis = bases_small[n] if (n, N) == (2, 5) else HarmonicBasis.build(n, N)
+        basis = bases_small[2] if n == 2 else basis_n3_N4
         assert basis.N == N
         for (p, q), els in basis.blocks.items():
             for i, el in enumerate(els):

@@ -26,6 +26,7 @@ from crsphere.heisenberg import (
     sublaplacian_model,
     translate_poly,
     weighted_apply,
+    _random_poly,
     _spanning_monomials,
 )
 from crsphere.poly import Poly
@@ -128,6 +129,33 @@ class TestFrameAction:
             g = rnd_element(rng, n)
             for L in gens:
                 assert apply_op(L, translate_poly(f, g)) == translate_poly(apply_op(L, f), g)
+
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_generator_actions_against_product_formulas(self, n):
+        # the exponent-shift actions against multiplying by a fresh variable
+        # polynomial and scaling, on random polynomials in t, z and zbar
+        rng = random.Random(17 + n)
+        I = QI(0, 1)
+        for _ in range(6):
+            f = _random_poly(rng, n, 5, 2)
+            for var, j, mono in [("t", 0, Poly.var_t(n))] + [
+                (kind, a, ctor(n, a))
+                for a in range(n)
+                for kind, ctor in (("z", Poly.var_z), ("zb", Poly.var_zbar))
+            ]:
+                for c in (QI(1), I, -2, QI(Fraction(-1, 3), 2)):
+                    assert f.times_var(var, j, c) == (mono * f).scale(qi(c))
+            for a in range(n):
+                Z, Zb = LeftInvariantOp.z_gen(n, a), LeftInvariantOp.zbar_gen(n, a)
+                dt = f.diff_t()
+                assert Z.apply(f) == f.diff_z(a) + (Poly.var_zbar(n, a) * dt).scale(I)
+                assert Zb.apply(f) == f.diff_zbar(a) - (Poly.var_z(n, a) * dt).scale(I)
+                gt = dt - Poly.var_t(n).scale(qi(2)) * f
+                assert weighted_apply(Z, f) == (
+                    f.diff_z(a) - Poly.var_zbar(n, a) * f + (Poly.var_zbar(n, a) * gt).scale(I))
+                assert weighted_apply(Zb, f) == (
+                    f.diff_zbar(a) - Poly.var_z(n, a) * f - (Poly.var_z(n, a) * gt).scale(I))
 
 
 class TestEnvelopingAlgebra:
