@@ -1,4 +1,4 @@
-"""Dense-matrix machinery on the truncated harmonic basis.
+"""Galerkin machinery on the truncated harmonic basis: multipliers, the weight, the frame.
 
 The perturbed (non-diagonal) regime works with matrices over the truncated
 basis, written in its real frame (RealFrame): the orthonormal basis of real
@@ -21,13 +21,18 @@ step, which is the same truncation leakage every Galerkin product has and is
 what the interior diagnostics measure.
 
 Multiplication matrices stay sparse (a degree-d multiplier couples only
-blocks whose degrees differ by at most d), and the weight keeps a single
-Cholesky factor that every weighted solve reuses, plus one factor per
-principal block W_MM it is asked to solve with.  No eigensolver runs on
-the weight: W = T_K(M) is a polynomial in the multiplier M and ||M|| <= a,
-so min_{|x|<=a} T_K(x), less an a-priori bound on the rounding of Horner's
-rule and on how far the assembled M is from a Hermitian matrix, is a lower
-bound on its smallest eigenvalue (a bound <= 0 refuses the weight).  Residual
+blocks whose degrees differ by at most d).  The weight is an operator
+first: it applies W = T_K(M) to vectors and column blocks by Horner's rule
+on the sparse M (taylor_exp_apply), forms its columns W[:, S] on a
+coordinate set S the same way, and keeps one Cholesky factor per principal
+block W_SS it solves with; the zero-Q solve needs nothing more.  The dense
+matrix and its Cholesky factor are built only when the chain or the pencil
+spectrum asks for them.  No eigensolver runs on the weight: W = T_K(M) is
+a polynomial in the multiplier M and ||M|| <= a, so min_{|x|<=a} T_K(x),
+less a-priori bounds on the rounding of Horner's rule, of the assembly of M
+and on how far the assembled M is from a Hermitian matrix, is a lower
+bound on its smallest eigenvalue (a bound <= 0 refuses the weight), and
+T_K(a) plus the same terms an upper bound on its largest.  Residual
 sizes use the certified bounds norm2_upper / norm2_lower instead of a full
 SVD: a relative defect divides an upper bound by a lower bound, so it is
 never below the spectral-norm ratio it stands for.  The weighted
@@ -266,6 +271,40 @@ class GalerkinContext:
         S = shift_matrix(f, self.idx_basis, self.idx_big)
         return (self._BK @ (S @ self.B.T.tocsr())).tocsr()
 
+    def assembly_rounding(self, f_abs: Poly, coeff_roundings: int) -> float:
+        """A-priori bound e_asm >= ||fl(M_f) - M_f||_2 on the rounding of mult_matrix.
+
+        M_f = conj(B) K S_f B^T is formed as (conj(B) K) (S_f B^T) from
+        rounded factors: an entry of B is one exact coefficient times a
+        rounded scale (5 roundings: the coefficient, norm2, the square root,
+        the quotient, the product), an entry of K one exact integral rounded
+        once, and the computed coefficients of f are within
+        gamma_{coeff_roundings} f_abs of the exact ones, f_abs a polynomial
+        with non-negative coefficients.  A complex inner product of length L
+        commits at most gamma_{L+2} relative to |x|^T |y| (a complex product
+        is within sqrt(2) gamma_2 <= gamma_3 of exact, an addition within u:
+        Higham, Accuracy and Stability of Numerical Algorithms, 3.5-3.6), and
+        (1 + theta_j)(1 + theta_k) = 1 + theta_{j+k} (Higham, Lemma 3.3).
+        So entrywise |fl(M_f) - M_f| <= gamma_k X with
+        X = |B| K S_{f_abs} |B|^T, k = 11 + coeff_roundings + L_1 + L_2 + L_3 + 6,
+        where L is the largest number of terms one entry of each sparse
+        product sums: the most nonzeros in a row of its left factor
+        (conj(B), S_f and conj(B) K).
+        For |E| <= X entrywise, ||E||_2 <= ||X||_2 <= sqrt(||X||_1 ||X||_inf),
+        and X's largest row and column sums come from the same sparse chain
+        on absolute values, applied to a vector of ones, with no matrix
+        product formed.  The factor 2 covers the second-order terms: the
+        chain runs on the rounded |B| and its sums are rounded.
+        """
+        S = shift_matrix(f_abs, self.idx_basis, self.idx_big).real
+        absB = abs(self.B)
+        L = sum(int(np.diff(X.indptr).max(initial=0)) for X in (absB, S, self._BK))
+        ones = np.ones(absB.shape[0])
+        row_sums = absB @ (self.K @ (S @ (absB.T @ ones)))
+        col_sums = absB @ (S.T @ (self.K.T @ (absB.T @ ones)))
+        k = 11 + coeff_roundings + L + 6
+        return 2 * gamma(k) * math.sqrt(float(row_sums.max()) * float(col_sums.max()))
+
 
 def full_context(basis: HarmonicBasis) -> GalerkinContext:
     """Context accepting multipliers of any degree the truncation can hold."""
@@ -295,11 +334,25 @@ def taylor_exp_matrix(M, K: int) -> np.ndarray:
     return E
 
 
-def taylor_exp_apply(M, K: int, vec: np.ndarray) -> np.ndarray:
-    """Apply sum_{k<=K} M^k / k! (M sparse or dense) to a vector without forming the matrix."""
-    out = vec.astype(complex)
+def taylor_exp_apply(M, K: int, X) -> np.ndarray:
+    """T_K(M) X = sum_{k<=K} M^k X / k! by Horner, for a vector or a block of columns X.
+
+    The one Horner routine on vectors: the weight's matvec, its kernel
+    columns and the conformal factors of qcurvature all run here, and no
+    matrix of the size of M is formed.  Real for a real M and X; a complex X
+    with a real M runs as its real and imaginary parts (real_matmul).  On the
+    unit columns E_S of a coordinate set S it gives taylor_exp_matrix(M, K)[:, S]
+    bit for bit when M is sparse: the first product M E_S is exact, and every
+    later step is the same CSR product, column by column, as the full sum's.
+    """
+    X = np.asarray(X)
+    if np.iscomplexobj(X) and not np.iscomplexobj(M):
+        return real_matmul(lambda Y: taylor_exp_apply(M, K, Y), X)
+    out = np.array(X, dtype=np.result_type(M.dtype, X.dtype, np.float64))
     for k in range(K, 0, -1):
-        out = vec + (M @ out) / k
+        out = M @ out
+        out /= k
+        out += X
     return out
 
 
@@ -312,6 +365,10 @@ def gamma(k: int) -> float:
     return k * UNIT_ROUNDOFF / (1 - k * UNIT_ROUNDOFF)
 
 
+def _taylor_sum(x: Fraction, k: int) -> Fraction:
+    return sum(x**j / math.factorial(j) for j in range(k + 1))
+
+
 def taylor_exp_min(a: float, K: int) -> float:
     """min over |x| <= a of T_K(x) = sum_{k<=K} x^k / k!, in rational arithmetic.
 
@@ -320,17 +377,15 @@ def taylor_exp_min(a: float, K: int) -> float:
     when T_{K-1}(-a) > 0 (T_{K-1} increases).  Otherwise the minimum is at
     the one real root r in [-a, 0) of T_{K-1}, where T_K(r) = r^K / K!;
     bisection keeps a point h in (r, 0), and h^K / K! <= r^K / K!.
+    (The maximum is T_K(a): |T_K(-y)| <= T_K(y) for y >= 0.)
     """
-    def T(x, k):
-        return sum(x**j / math.factorial(j) for j in range(k + 1))
-
     x = -Fraction(a)
-    if K == 0 or K % 2 or T(x, K - 1) > 0:
-        return float(T(x, K))
+    if K == 0 or K % 2 or _taylor_sum(x, K - 1) > 0:
+        return float(_taylor_sum(x, K))
     lo, hi = x, Fraction(0)
     for _ in range(60):
         mid = (lo + hi) / 2
-        if T(mid, K - 1) > 0:
+        if _taylor_sum(mid, K - 1) > 0:
             hi = mid
         else:
             lo = mid
@@ -352,10 +407,22 @@ def taylor_rounding_bound(a: float, D: int) -> float:
     c e^a (2 D a e^a + 1); the symmetrization 0.5 (W + W^*) adds at most
     2 sqrt(D) u e^a.  Both are below 2 sqrt(2) gamma_{2D+2} (D a + 1) e^{2a}.
     The bound is on Horner's rule applied to M as assembled; how far the
-    assembled M is from the exact Galerkin matrix is not part of it (see
-    InnerProductWeight).
+    assembled M is from the exact Galerkin matrix is the multiplier's
+    skew term (GalerkinContext.assembly_rounding, InnerProductWeight).
     """
     return 2 * math.sqrt(2) * gamma(2 * D + 2) * (D * a + 1) * math.exp(2 * a)
+
+
+def taylor_apply_rounding_bound(a: float, D: int) -> float:
+    """Bound on ||fl(T_K(M) x) - T_K(M) x|| / ||x|| for Horner on a vector (taylor_exp_apply).
+
+    The steps of taylor_rounding_bound on one column: each commits at most
+    c (|M| |e_{k+1}| / k + |x|) with ||abs(x)|| = ||x||, so only |M| costs
+    a factor sqrt(D), and the same sum gives
+    2 sqrt(2) gamma_{2D+2} (sqrt(D) a + 1) e^{2a}.  It holds for every
+    column of a block.
+    """
+    return 2 * math.sqrt(2) * gamma(2 * D + 2) * (math.sqrt(D) * a + 1) * math.exp(2 * a)
 
 
 def real_matmul(A, X):
@@ -373,111 +440,165 @@ def real_matmul(A, X):
     return np.ascontiguousarray(apply(parts)).view(complex).reshape(X.shape)
 
 
+def _cholesky(A, what):
+    try:
+        return scipy.linalg.cho_factor(A)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"{what} Cholesky factorization failed: {exc}") from exc
+
+
 @dataclass
 class InnerProductWeight:
-    """Gram matrix of the truncated basis under e^{(n+1) Upsilon} dsigma.
+    """Gram matrix W = T_K(M) of the truncated basis under e^{(n+1) Upsilon} dsigma.
 
-    A real (float64) matrix: the Gram matrix of a real weight in the real
-    frame (RealFrame).  It is the Taylor sum W = T_K(M) of M = Re M_c, M_c
-    the assembled frame Galerkin matrix of (n+1) Upsilon.  Let H be the
-    Hermitian part of M_c.  Then M - H = S - i A with S = (M - M^T)/2 the
-    skew part of M and A = (Im M_c - Im M_c^T)/2, so
-    ||M - H|| <= ||S|| + ||Im M_c||: the skew part of M and the imaginary
-    part dropped from M_c together bound the gap.  multiplier_bound is
-    a >= ||H||_2 and multiplier_skew is s >= ||M - H||_2.  Since
-    eig(T_K(H)) = T_K(eig(H)), ||M|| <= a + s and
-    ||T_K(M) - T_K(H)|| <= s e^{a+s} (telescoping M^k - H^k), the number
-    min_eigenvalue_bound = min_{|x|<=a} T_K(x) - rho(a + s) - s e^{a+s}
-    (taylor_exp_min, taylor_rounding_bound) is a lower bound on
-    lambda_min(W) with no eigensolver.
+    An operator first: the weight is the real (float64) frame multiplier M
+    of (n+1) Upsilon (RealFrame) with the Taylor depth K, and it acts by
+    Horner's rule (taylor_exp_apply) without forming W.  Its operator core
+    is apply (W x), columns (W[:, S] for a coordinate set S, by Horner on
+    the unit columns E_S), block_solve (one Cholesky factor of the
+    principal block W_SS per set, made from those columns) and the bounds
+    below; the zero-Q solve needs nothing else (S = K, the kernel
+    coordinates).  The dense matrix, symmetrized, and its full Cholesky
+    factor are built on first use, by the chain and the pencil spectrum
+    (matrix, solve, projector, adjoint_defect); once the matrix exists,
+    columns are sliced from it.
+
+    M = Re M_c, M_c the assembled complex frame Galerkin matrix of
+    (n+1) Upsilon, and H the exact Galerkin matrix's Hermitian part.
+    multiplier_bound is a >= ||H||_2 and multiplier_skew is
+    s >= ||M - H||_2.  Since eig(T_K(H)) = T_K(eig(H)), ||M|| <= a + s and
+    ||T_K(M) - T_K(H)|| <= s e^{a+s} (telescoping M^k - H^k), the numbers
+
+        min_eigenvalue_bound = min_{|x|<=a} T_K(x) - rho - s e^{a+s}
+        max_eigenvalue_bound = T_K(a) + rho + s e^{a+s}
+
+    with rho = taylor_rounding_bound(a + s, D) bracket the spectrum of the
+    symmetric part of T_K(M) and of the dense matrix, with no eigensolver
+    (taylor_exp_min).  apply_rounding_bound = taylor_apply_rounding_bound(a + s, D)
+    bounds the rounding of apply: ||apply(x) - T_K(M) x|| <= it times ||x||.
 
     ContactPerturbation.weight passes a = (n+1) B(Upsilon), a bound on the
     exact Galerkin matrix in any orthonormal frame, and
-    s = norm2_upper(M - M^T) / 2 + norm2_upper(Im M_c), which also covers
-    a Upsilon that is real only to a tolerance.  Not covered: the rounding
-    of the assembly M_c = conj(B) K S_f B^T, a chain of sparse products of
-    rounded factors, would have to lift ||H|| above a to break the bound
-    (at criterion 5's Upsilon, a = 0.27, ||H|| = 0.18, s = 3.6e-15 and
-    norm2_upper(Im M_c) = 1e-16).
+    s = norm2_upper(M - M^T) / 2 + norm2_upper(Im M_c) + e_asm: the skew
+    part of M and the imaginary part dropped from M_c bound ||M - H_c||,
+    H_c the Hermitian part of M_c, and e_asm >= ||M_c - M_exact|| is the
+    a-priori bound on the rounding of the assembly
+    (GalerkinContext.assembly_rounding), which bounds ||H_c - H||.
 
-    The bound is below T_K on the whole interval [-a, a], so it can be
+    The lower bound is below T_K on the whole interval [-a, a], so it can be
     <= 0 while W is still positive definite: for odd K, T_K has a real
     root r_K (r_1 = -1, r_3 = -1.60, r_5 = -2.18, r_7 = -2.76,
     r_9 = -3.33, r_11 = -3.91), and every a >= |r_K| gives a bound <= 0
     whatever the spectrum of M.  Such a weight is refused: a bound <= 0,
-    like a failed Cholesky factorization, raises NumericalError (a
-    non-positive weight means the conformal factor left the regime the
-    truncation can represent).  The matrix is factored once and every solve
-    reuses the factor; principal blocks W_MM get one Cholesky factor per
-    mask (block_solve).  Complex right-hand sides are solved and multiplied
-    as their real and imaginary parts (real_matmul).
+    like a failed Cholesky factorization of W_SS or of W, raises
+    NumericalError (a non-positive weight means the conformal factor left
+    the regime the truncation can represent).  Complex right-hand sides
+    are applied and solved as their real and imaginary parts (real_matmul).
     """
 
-    matrix: np.ndarray
+    multiplier: object  # M: real D x D, sparse (CSR) or dense
     taylor_depth: int
     multiplier_bound: float
     multiplier_skew: float = 0.0
     upsilon_label: str = ""
     tail_bound: float = 0.0
+    apply_rounding_bound: float = field(init=False)
     min_eigenvalue_bound: float = field(init=False)
-    hermitian_defect: float = field(init=False)
-    _norm_upper: float = field(init=False, repr=False)
-    _cholesky: tuple = field(init=False, repr=False)
+    max_eigenvalue_bound: float = field(init=False)
+    _matrix: np.ndarray | None = field(init=False, repr=False, default=None)
+    _hermitian_defect: float = field(init=False, repr=False, default=0.0)
+    _norm_upper: float = field(init=False, repr=False, default=0.0)
+    _cholesky: tuple | None = field(init=False, repr=False, default=None)
+    _columns: list = field(init=False, repr=False, default_factory=list)
     _block_factors: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
-        W = self.matrix
-        if np.iscomplexobj(W):
-            raise TypeError("the weight is a real matrix: build it in the real frame")
-        self.hermitian_defect = norm2_upper(W - W.T)
-        W = 0.5 * (W + W.T)
-        self.matrix = W
-        self._norm_upper = norm2_upper(W)
-        a, s = self.multiplier_bound, self.multiplier_skew
-        self.min_eigenvalue_bound = (taylor_exp_min(a, self.taylor_depth)
-                                     - taylor_rounding_bound(a + s, W.shape[0])
-                                     - s * math.exp(a + s))
+        M = self.multiplier
+        if np.iscomplexobj(M):
+            raise TypeError("the weight is real: build its multiplier in the real frame")
+        a, s, K = self.multiplier_bound, self.multiplier_skew, self.taylor_depth
+        rho = taylor_rounding_bound(a + s, M.shape[0])
+        self.apply_rounding_bound = taylor_apply_rounding_bound(a + s, M.shape[0])
+        skew = s * math.exp(a + s)
+        self.min_eigenvalue_bound = taylor_exp_min(a, K) - rho - skew
+        self.max_eigenvalue_bound = float(_taylor_sum(Fraction(a), K)) + rho + skew
         if self.min_eigenvalue_bound <= 0:
             raise NumericalError(
                 f"weight not certified positive (lower eigenvalue bound "
                 f"{self.min_eigenvalue_bound:.3e} for ||M|| <= {a:.3e}, "
-                f"Taylor depth {self.taylor_depth}; a larger depth or a "
+                f"Taylor depth {K}; a larger depth or a "
                 f"smaller Upsilon raises it)"
             )
-        try:
-            self._cholesky = scipy.linalg.cho_factor(W)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"weight Cholesky factorization failed: {exc}") from exc
 
     @classmethod
     def identity(cls, dim):
-        return cls(np.eye(dim), taylor_depth=0, multiplier_bound=0.0, upsilon_label="0")
+        return cls(scipy.sparse.csr_matrix((dim, dim)), taylor_depth=0,
+                   multiplier_bound=0.0, upsilon_label="0")
 
-    def solve(self, rhs):
-        """W^{-1} rhs from the stored Cholesky factor."""
-        return real_matmul(lambda b: scipy.linalg.cho_solve(self._cholesky, b), rhs)
+    @property
+    def dim(self):
+        return self.multiplier.shape[0]
+
+    def apply(self, x):
+        """W x by Horner on x (a vector or a block of columns); W is not formed."""
+        return taylor_exp_apply(self.multiplier, self.taylor_depth, x)
+
+    def columns(self, mask):
+        """W[:, mask]: Horner on the unit columns E_mask (bit-identical to the
+        columns of taylor_exp_matrix), kept, and sliced for every subset of
+        mask; from the dense matrix once that is built."""
+        mask = np.asarray(mask, dtype=bool)
+        if self._matrix is not None:
+            return self._matrix[:, mask]
+        for kept, cols in self._columns:
+            if not (mask & ~kept).any():
+                return cols[:, mask[kept]]
+        E = np.zeros((mask.size, int(mask.sum())))
+        E[np.flatnonzero(mask), np.arange(E.shape[1])] = 1.0
+        cols = self.apply(E)
+        self._columns.append((mask, cols))
+        return cols
 
     def block_solve(self, mask, rhs):
         """W_MM^{-1} rhs, W_MM the principal block on the coordinates in mask.
 
-        The block's Cholesky factor is made once per mask and kept.
+        The block's Cholesky factor is made once per mask, from columns(mask),
+        and kept.
         """
-        key = np.asarray(mask, dtype=bool).tobytes()
+        mask = np.asarray(mask, dtype=bool)
+        key = mask.tobytes()
         factor = self._block_factors.get(key)
         if factor is None:
-            try:
-                factor = scipy.linalg.cho_factor(self.matrix[np.ix_(mask, mask)])
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(f"weight block factorization failed: {exc}") from exc
+            factor = _cholesky(self.columns(mask)[mask], "weight block")
             self._block_factors[key] = factor
         return real_matmul(lambda b: scipy.linalg.cho_solve(factor, b), rhs)
 
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense weight 0.5 (W + W^T), W = taylor_exp_matrix(M, K), built on first use."""
+        if self._matrix is None:
+            W = taylor_exp_matrix(self.multiplier, self.taylor_depth)
+            self._hermitian_defect = norm2_upper(W - W.T)
+            W = 0.5 * (W + W.T)
+            self._norm_upper = norm2_upper(W)
+            self._matrix = W
+        return self._matrix
+
+    @property
+    def hermitian_defect(self) -> float:
+        """norm2_upper(W - W^T) of the dense Taylor sum before symmetrization."""
+        self.matrix
+        return self._hermitian_defect
+
+    def solve(self, rhs):
+        """W^{-1} rhs from the Cholesky factor of the dense matrix, made once."""
+        if self._cholesky is None:
+            self._cholesky = _cholesky(self.matrix, "weight")
+        return real_matmul(lambda b: scipy.linalg.cho_solve(self._cholesky, b), rhs)
+
     def inner(self, u, v):
         """<u, v>_hat for coefficient vectors."""
-        return complex(np.vdot(v, real_matmul(self.matrix, u)))
-
-    def norm(self, u):
-        return math.sqrt(max(self.inner(u, u).real, 0.0))
+        return complex(np.vdot(v, self.apply(u)))
 
     def projector(self, mask):
         """W-orthogonal projector onto the coordinate subspace given by mask.
@@ -486,9 +607,9 @@ class InnerProductWeight:
         W_MM^{-1} W_M:.
         """
         mask = np.asarray(mask, dtype=bool)
-        P = np.zeros_like(self.matrix)
+        P = np.zeros((self.dim, self.dim))
         if mask.any():
-            P[mask] = self.block_solve(mask, self.matrix[mask])
+            P[mask] = self.block_solve(mask, self.columns(mask).T)
         return P
 
     def adjoint_defect(self, X, rows=None):

@@ -22,10 +22,13 @@ projectors onto the unchanged holomorphic / antiholomorphic subspaces, and
 G_0 transports as G_0 M_w with w the truncated conformal volume factor.
 P_hat has exactly the kernel of P_diag, the pluriharmonic coordinates K,
 so the final Pi and G have closed forms: Pi is the W-orthogonal projector
-onto K and G = (I - Pi) P_diag^+ W (I - Pi).  The pencil's spectrum is
-|K| exact zeros plus the nonzero eigenvalues from one Hermitian
-eigensolve of the Schur complement of W_KK (nonzero_eigenvalues); the
-chain, the solver and the spectrum command all read it there.  The
+onto K and G = (I - Pi) P_diag^+ W (I - Pi).  Applied to a vector
+(apply_partial_inverse) G needs only the weight's operator core: W by
+Horner, its kernel columns W[:, K] and the Cholesky factor of W_KK.  The
+pencil's spectrum is |K| exact zeros plus the nonzero eigenvalues from one
+Hermitian eigensolve of the Schur complement of W_KK (nonzero_eigenvalues);
+the chain and the spectrum command read it there, and the zero-Q solver
+reports a bracket on it from the weight's eigenvalue bounds instead.  The
 generalized eigensolver (spectrum_matrix) is kept as a test oracle.
 Every chain identity is recorded as a residual norm on the full truncation
 and on the interior blocks.
@@ -334,26 +337,23 @@ def hatted_gjms(basis: HarmonicBasis, weight: InnerProductWeight) -> np.ndarray:
 def apply_partial_inverse(P_d, weight: InnerProductWeight, ker, X=None):
     """G X = (I - Pi) P_d^+ W (I - Pi) X, G the partial inverse of W^{-1} P_d.
 
-    Pi = weight.projector(ker) is the W-orthogonal projector onto the
-    kernel coordinates; it is applied through its nonzero rows
-    W_KK^{-1} W_K:, so neither Pi nor G is formed.  X is a vector or a
-    matrix; X=None gives G itself, from W (I - Pi) = W - W_:K (W_KK^{-1} W_K:).
-    G is real (frame coordinates), and a complex X is applied as its real
-    and imaginary parts.
+    Pi is the W-orthogonal projector onto the kernel coordinates K; its
+    nonzero rows are W_KK^{-1} W_K:, so Pi Y = E_K W_KK^{-1} (W Y)_K, and
+    with W E_K = W[:, K] (weight.columns) the product
+    W (I - Pi) X = W X - W[:, K] W_KK^{-1} (W X)_K needs W only applied to
+    X (weight.apply, Horner) and the kernel columns; the last projection
+    reads (W Y)_K as W[:, K]^T Y.  Neither Pi nor G nor, for a vector or a
+    block X, the dense W is formed.  X=None gives G itself from the dense
+    matrix (the chain).  G is real (frame coordinates), and a complex X is
+    applied as its real and imaginary parts.
     """
     if np.iscomplexobj(X):
         return real_matmul(lambda Y: apply_partial_inverse(P_d, weight, ker, Y), X)
-    W = weight.matrix
-    rows = weight.block_solve(ker, W[ker])
-    inv = np.where(ker, 0.0, 1.0 / np.where(ker, 1.0, P_d))
-    if X is None:
-        Y = W - W[:, ker] @ rows
-    else:
-        Y = np.array(X, dtype=float)
-        Y[ker] -= rows @ Y
-        Y = W @ Y
-    Y *= inv.reshape((-1,) + (1,) * (Y.ndim - 1))
-    Y[ker] -= rows @ Y
+    C = weight.columns(ker)
+    Y = weight.matrix.copy() if X is None else weight.apply(np.asarray(X, dtype=float))
+    Y -= C @ weight.block_solve(ker, Y[ker])
+    Y *= np.where(ker, 0.0, 1.0 / np.where(ker, 1.0, P_d)).reshape((-1,) + (1,) * (Y.ndim - 1))
+    Y[ker] -= weight.block_solve(ker, C.T @ Y)
     return Y
 
 

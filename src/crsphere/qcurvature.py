@@ -20,6 +20,12 @@ ContactPerturbation builds the multiplier matrix of (n+1) Upsilon on a
 context of Upsilon's own degree, and the weight from it, once, so every
 function here takes only the frame's data.
 
+The weight acts as an operator (galerkin.InnerProductWeight): the Q-datum,
+the solvability check, the solve and the final verification use W only
+applied to vectors by Horner, its kernel columns W[:, K] and the Cholesky
+factor of W_KK, and report certified bounds built from the weight's
+eigenvalue bounds in place of values that would need the dense W.
+
 The multiplier and the weight are real matrices in the real frame of the
 basis (galerkin.RealFrame).  Spectral functions keep their coefficients
 in the basis e; the functions here move a vector into the frame
@@ -40,18 +46,12 @@ from .galerkin import (
     GalerkinContext,
     InnerProductWeight,
     RealFrame,
+    gamma,
     norm2_upper,
-    real_matmul,
     taylor_exp_apply,
-    taylor_exp_matrix,
 )
 from .harmonics import HarmonicBasis
-from .parametrix import (
-    apply_partial_inverse,
-    interior_mask,
-    kernel_mask,
-    nonzero_eigenvalues,
-)
+from .parametrix import apply_partial_inverse, interior_mask, kernel_mask
 from .scalars import QI, parse_qi
 from .spectral import SpectralFunction, critical_gjms
 
@@ -115,7 +115,7 @@ class ContactPerturbation:
         self.label = label or "upsilon"
         self._sup = None
         self._mult = None
-        self._mult_dropped = None  # norm2_upper of the imaginary part dropped from it
+        self._mult_defect = None  # its dropped imaginary part and assembly rounding, bounded
         self._weight = None
 
     @classmethod
@@ -182,29 +182,36 @@ class ContactPerturbation:
         """Real-frame Galerkin matrix of multiplication by (n+1) Upsilon (float64 CSR).
 
         Built once, on a GalerkinContext of Upsilon's own degree (at least
-        one); the context is dropped as soon as the matrix is formed.
-        Upsilon is real, so the frame matrix is real: its real part is kept,
-        and the norm bound of the imaginary part it drops goes into the
+        one); the context is dropped as soon as the matrix and the a-priori
+        bound on its assembly rounding are formed.  Upsilon is real, so the
+        frame matrix is real: its real part is kept, and the norm bound of
+        the imaginary part it drops, plus the assembly bound, go into the
         weight's multiplier_skew (InnerProductWeight).
         """
         if self._mult is None:
             degree = max((p + q for (p, q) in self.upsilon.coeffs), default=0)
             ctx = GalerkinContext(self.basis, mult_degree=max(1, degree))
-            poly = self.upsilon.to_poly_float().scale(float(self.n + 1))
-            M = ctx.mult_matrix(poly)
+            scale = float(self.n + 1)
+            M = ctx.mult_matrix(self.upsilon.to_poly_float().scale(scale))
+            # to_poly_float rounds 8 times per term (the coefficient, norm2, the
+            # square root, the quotient, the basis coefficient, the complex
+            # product's 3) and once per further term it adds; the scale by n+1
+            # once more
+            roundings = 8 + sum(1 for _ in self.upsilon.terms())
+            rounding = ctx.assembly_rounding(self.upsilon.abs_poly_float().scale(scale), roundings)
             self._mult = M.real
-            self._mult_dropped = norm2_upper(M.imag)
+            self._mult_defect = norm2_upper(M.imag) + rounding
         return self._mult
 
     def weight(self) -> InnerProductWeight:
-        """Gram matrix of the basis under e^{(n+1) Upsilon} dsigma (Taylor depth K), real frame."""
+        """Gram operator of the basis under e^{(n+1) Upsilon} dsigma (Taylor depth K), real frame."""
         if self._weight is None:
             M = self.multiplier_matrix()
             self._weight = InnerProductWeight(
-                taylor_exp_matrix(M, self.K),
+                M,
                 taylor_depth=self.K,
                 multiplier_bound=self.multiplier_norm_bound(),
-                multiplier_skew=0.5 * norm2_upper(M - M.T) + self._mult_dropped,
+                multiplier_skew=0.5 * norm2_upper(M - M.T) + self._mult_defect,
                 upsilon_label=self.label,
                 tail_bound=self.exp_tail_bound(),
             )
@@ -274,7 +281,9 @@ class SolveReport:
     obstruction_norm2_exact: str | None = None
     upsilon_sol: SpectralFunction | None = None
     residual: float | None = None
-    condition: float | None = None
+    condition: float | None = None  # exact-diagonal route
+    condition_bound: float | None = None  # operator route
+    weight_min_eigenvalue_bound: float | None = None  # operator route
     final_q_norm: float | None = None
     notes: dict = field(default_factory=dict)
 
@@ -286,10 +295,12 @@ class SolveReport:
             "kernel_dim": self.kernel_dim,
             "obstruction_norm2_exact": self.obstruction_norm2_exact,
             "residual": self.residual,
-            "condition": self.condition,
             "final_q_norm": self.final_q_norm,
             "notes": self.notes,
         }
+        for key in ("condition", "condition_bound", "weight_min_eigenvalue_bound"):
+            if getattr(self, key) is not None:
+                out[key] = getattr(self, key)
         if self.upsilon_sol is not None:
             out["upsilon_sol"] = [
                 {"p": p, "q": q, "index": i, "re": complex(c).real, "im": complex(c).imag}
@@ -334,7 +345,7 @@ def solvability_check(qdata: QData, tol=DEFAULT_OBSTRUCTION_TOL) -> SolveReport:
     else:
         weight = qdata.frame.weight()
         frame = RealFrame(basis)
-        wq = real_matmul(weight.matrix, frame.to_frame(qvec))
+        wq = weight.apply(frame.to_frame(qvec))
         pairings = frame.from_frame(wq)[ker]
 
         def kernel_norm(mask):
@@ -360,13 +371,33 @@ def solve_zero_q(qdata: QData, tol=DEFAULT_OBSTRUCTION_TOL, verify_final=True) -
     have zero Q-curvature up to the reported residual.
 
     Raises ObstructionError when the solvability check fails.  In the
-    standard frame with exact data the solve is exact on the eigentable; in
-    a perturbed frame G is the closed form (I - Pi) P_d^+ W (I - Pi) applied
-    to the vector Q_hat (parametrix.apply_partial_inverse), and the
-    condition number comes from the Schur-complement spectrum
-    (parametrix.nonzero_eigenvalues).  The perturbed solve runs in the real
-    frame: Q_hat moves in, Upsilon_sol moves back out, and machine-noise
-    pruning and the residual act on the frame coefficients.
+    standard frame with exact data the solve is exact on the eigentable and
+    reports the condition number of P on the nonzero blocks.  In a perturbed
+    frame G is the closed form (I - Pi) P_d^+ W (I - Pi) applied to the
+    vector Q_hat (parametrix.apply_partial_inverse) through the weight's
+    operator core alone: W by Horner on vectors, its kernel columns W[:, K]
+    and the Cholesky factor of W_KK; the dense W is never formed.  The
+    residual ||W^{-1} P_d u + x||_W (u the solution, x = Q_hat) is reported
+    as its certified bound: with y = P_d u + W x it equals
+    sqrt(y^T W^{-1} y) <= ||y|| / sqrt(lambda_min), and the computed W x is
+    within rho ||x|| of the exact one (rho the weight's
+    apply_rounding_bound, the Horner rounding term of a matvec), so
+
+        residual = (||y|| + rho ||x||) / sqrt(lambda_lb),
+
+    with ||y|| taken times 1 + gamma_{D+2} for the rounding of forming it
+    (_weighted_residual_bound).
+
+    In place of the condition number the report gives
+    condition_bound = (max P_C / min P_C) (W_ub / lambda_lb): every nonzero
+    eigenvalue of the pencil P_d x = lambda W x lies in
+    [min P_C / W_ub, max P_C / lambda_lb], C the coordinates outside K:
+    they are P_C's Rayleigh quotients against the Schur complement S of
+    W_KK, and S^{-1} = (W^{-1})_CC puts eig(S) inside W's spectrum.
+    lambda_lb and W_ub are the weight's min_eigenvalue_bound and
+    max_eigenvalue_bound.  The perturbed solve runs in the real frame:
+    Q_hat moves in, Upsilon_sol moves back out, and machine-noise pruning
+    and the residual act on the frame coefficients.
     """
     report = solvability_check(qdata, tol=tol)
     if not report.solvable:
@@ -399,19 +430,36 @@ def solve_zero_q(qdata: QData, tol=DEFAULT_OBSTRUCTION_TOL, verify_final=True) -
         # (residual, final verification) is recomputed from the pruned solution
         noise = 1e-15 * max(1.0, float(np.max(np.abs(ups_x), initial=0.0)))
         ups_x[np.abs(ups_x) < noise] = 0.0
-        # P_hat upsilon + qhat, measured in the hatted norm (P_d is the same
-        # diagonal in the frame: its table is symmetric in p <-> q)
-        resid_x = weight.solve(P_d * ups_x) + x
-        report.residual = weight.norm(resid_x)
-        lam = nonzero_eigenvalues(P_d, weight, ker)
-        report.condition = float(lam[-1] / lam[0]) if lam.size else None
+        # P_d is the same diagonal in the frame: its table is symmetric in p <-> q
+        report.residual = _weighted_residual_bound(weight, P_d * ups_x, x) / math.sqrt(
+            weight.min_eigenvalue_bound)
+        P_C = P_d[~ker]
+        if P_C.size:
+            report.condition_bound = float(P_C.max() / P_C.min() * weight.max_eigenvalue_bound
+                                           / weight.min_eigenvalue_bound)
+        report.weight_min_eigenvalue_bound = weight.min_eigenvalue_bound
         ups = SpectralFunction.from_vector(basis, frame.from_frame(ups_x), prune=0.0).realized()
         report.upsilon_sol = ups
         report.notes["mode"] = "weighted_closed_form"
+        report.notes["weight_form"] = "operator"
 
     if verify_final and report.upsilon_sol is not None:
         report.final_q_norm = recompute_final_q_norm(qdata, report.upsilon_sol)
     return report
+
+
+def _weighted_residual_bound(weight: InnerProductWeight, p_ups, x):
+    """(1 + gamma_{D+2}) ||y|| + rho ||x|| >= ||P_d u + W x||, y the computed P_d u + W x.
+
+    rho ||x|| bounds the rounding of W x (apply_rounding_bound).  The sum
+    and the product P_d u commit at most 2u ||y|| + 3u ||W x|| more, and the
+    norm gamma_D ||y||: the gamma_{D+2} factor takes the parts in ||y||,
+    and 3u ||W x|| <= 3u e^{a+s} ||x|| lies inside rho's slack over
+    Horner's own errors (at least sqrt(2) gamma_{2D+2} e^{2a} ||x||).
+    """
+    y = p_ups + weight.apply(x)
+    return ((1 + gamma(x.shape[0] + 2)) * float(np.linalg.norm(y))
+            + weight.apply_rounding_bound * float(np.linalg.norm(x)))
 
 
 def recompute_final_q_norm(qdata: QData, upsilon_sol: SpectralFunction):
@@ -423,24 +471,23 @@ def recompute_final_q_norm(qdata: QData, upsilon_sol: SpectralFunction):
     by (n+1) Upsilon_sol) has ||T_K(-M)|| <= e^{||M||} and
     ||M|| <= (n+1) sup|Upsilon_sol| <= (n+1) B(Upsilon_sol), so
     e^{(n+1) B(Upsilon_sol)} ||r|| bounds ||T_K(-M) r|| without building M.
+    In a perturbed frame r = W^{-1} y with y = P_d u + W q, and
+    ||W^{-1} y|| <= ||y|| / lambda_min, so the bound is
+    e^{(n+1) B(Upsilon_sol)} (||y|| + rho ||q||) / lambda_lb with the
+    weight's Horner rounding term rho (see solve_zero_q); no solve with W.
     """
     basis = qdata.frame.basis
     P = critical_gjms(basis)
+    factor = math.exp((basis.n + 1) * upsilon_sol.sup_norm_bound())
     if qdata.frame.is_zero() and qdata.qhat.is_exact and upsilon_sol.is_exact:
         resid = upsilon_sol.apply_diagonal(P) + qdata.qhat
         if not resid.coeffs:
             return 0.0
-        resid_vec = resid.to_vector()
-    else:
-        P_d = P.to_diag_vector(basis)
-        p_ups = P_d * upsilon_sol.to_vector()
-        q = qdata.vector()
-        if not qdata.frame.is_zero():
-            # in the frame, where the weight acts; the frame change is
-            # unitary, so the norm below is the same in either coordinates
-            frame = RealFrame(basis)
-            p_ups = qdata.frame.weight().solve(frame.to_frame(p_ups))
-            q = frame.to_frame(q)
-        resid_vec = p_ups + q
-    factor = math.exp((basis.n + 1) * upsilon_sol.sup_norm_bound())
-    return factor * float(np.linalg.norm(resid_vec))
+        return factor * float(np.linalg.norm(resid.to_vector()))
+    p_ups = P.to_diag_vector(basis) * upsilon_sol.to_vector()
+    # in the frame, where the weight acts; the frame change is unitary, so
+    # the norms are the same in either coordinates
+    frame = RealFrame(basis)
+    weight = qdata.frame.weight()
+    bound = _weighted_residual_bound(weight, frame.to_frame(p_ups), frame.to_frame(qdata.vector()))
+    return factor * bound / weight.min_eigenvalue_bound

@@ -467,6 +467,22 @@ class SpectralFunction:
                     out = out + el.poly.to_float().scale(scale)
         return out
 
+    def abs_poly_float(self) -> Poly:
+        """Termwise absolute value of to_poly_float: sum |c| |v| / sqrt(norm2) over its terms.
+
+        A coefficient of to_poly_float is a sum of such terms; this bounds its
+        size before cancellation, which is what its rounding is relative to
+        (galerkin.GalerkinContext.assembly_rounding).
+        """
+        out = {}
+        for (p, q), vals in self.coeffs.items():
+            for v, el in zip(vals, self.basis.blocks[(p, q)]):
+                scale = abs(complex(v)) / math.sqrt(float(el.norm2))
+                if scale:
+                    for key, c in el.poly.terms.items():
+                        out[key] = out.get(key, 0.0) + scale * abs(complex(c))
+        return Poly(self.basis.m, out)
+
     def sup_norm_estimate(self, samples=4096, seed=7):
         """Max |f| over random sphere points: an estimate that can fall below sup|f|."""
         poly = self.to_poly_float()

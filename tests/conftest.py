@@ -29,3 +29,9 @@ def bases_small(basis8):
 def basis_n3_N4():
     """The n = 3 basis of the exact_cold benchmark workload."""
     return HarmonicBasis.build(3, 4)
+
+
+@pytest.fixture(scope="session")
+def basis_n2_N8():
+    """The n = 2 basis of the float pipeline's n = 2 tests."""
+    return HarmonicBasis.build(2, 8)

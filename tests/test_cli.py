@@ -402,3 +402,86 @@ class TestDeterminismAndManifest:
 
     def test_verify_without_manifest(self, tmp_path):
         assert run("spectrum", "--out", str(tmp_path / "nope"), "--verify") == EXIT_CONFIG
+
+
+def shaped_terms(n, seed, sup_bound):
+    """Real (p, q, index, coeff) terms of the benchmark's shape with sup bound sup_bound."""
+    import random
+
+    from crsphere.harmonics import dim_hpq
+
+    rng = random.Random(seed)
+    terms = []
+    for p, q in ((1, 1), (2, 1), (1, 0), (2, 0)):
+        i = rng.randrange(dim_hpq(n, p, q))
+        c = complex(rng.uniform(-1, 1), 0.0 if p == q else rng.uniform(-1, 1))
+        terms.append((p, q, i, c))
+        if p != q:
+            terms.append((q, p, i, c.conjugate()))
+    bound = sum(abs(c) * dim_hpq(n, p, q) ** 0.5 for p, q, _, c in terms)
+    return [(p, q, i, c * sup_bound / bound) for p, q, i, c in terms]
+
+
+def perturbation_file(path, terms, **extra):
+    path.write_text(json.dumps({
+        "label": "drawn", "terms": [{"p": p, "q": q, "index": i, "coeff": [c.real, c.imag]}
+                                    for p, q, i, c in terms], **extra}))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def cache_n2_N8(tmp_path_factory, basis_n2_N8):
+    cache = tmp_path_factory.mktemp("cache_n2_N8")
+    basis_n2_N8.save(str(cache))
+    return str(cache)
+
+
+class TestQcurvAtN2:
+    """The zero-Q criterion through the CLI at n = 2, N = 8 (D = 2079)."""
+
+    def test_round_trip(self, tmp_path, cache_n2_N8, basis_n2_N8):
+        from crsphere.spectral import SpectralFunction, critical_gjms
+
+        terms = shaped_terms(2, 7, 0.05)
+        out = tmp_path / "out"
+        assert run("qcurv", "solve", "--n", "2", "--degree", "8", "--cache", cache_n2_N8,
+                   "--perturbation", perturbation_file(tmp_path / "p.json", terms),
+                   "--out", str(out)) == EXIT_OK
+        solve = json.loads((out / "qcurv_solve.json").read_text())
+        assert solve["solvable"] and solve["notes"]["weight_form"] == "operator"
+        assert "condition" not in solve and solve["condition_bound"] > 1
+        assert 0 < solve["weight_min_eigenvalue_bound"] < 1
+        assert solve["residual"] <= 1e-8 and solve["final_q_norm"] <= 1e-6
+        sol = [(t["p"], t["q"], t["index"], complex(t["re"], t["im"]))
+               for t in solve["upsilon_sol"]]
+        total = SpectralFunction.from_terms(basis_n2_N8, terms + sol)
+        assert total.apply_diagonal(critical_gjms(basis_n2_N8)).norm() <= 1e-7
+
+    def test_pluriharmonic_datum_is_obstructed(self, tmp_path, cache_n2_N8):
+        # a floating pluriharmonic Q-datum in a perturbed frame: the weighted
+        # obstruction (through the Cholesky factor of W_KK) rejects it
+        path = perturbation_file(tmp_path / "p.json", shaped_terms(2, 8, 0.05), qdata_terms=[
+            {"p": 1, "q": 0, "index": 1, "coeff": 1.0}, {"p": 0, "q": 1, "index": 1, "coeff": 1.0}])
+        out = tmp_path / "out"
+        assert run("qcurv", "solve", "--n", "2", "--degree", "8", "--cache", cache_n2_N8,
+                   "--perturbation", path, "--out", str(out)) == EXIT_OBSTRUCTION
+        solve = json.loads((out / "qcurv_solve.json").read_text())
+        assert not solve["solvable"] and solve["obstruction_norm"] > 1
+
+
+def test_qcurv_weight_failures_exit_numerical(tmp_path, monkeypatch):
+    import numpy as np
+    import scipy.linalg
+
+    # a lower eigenvalue bound <= 0: a = 2.5 is past the root -2.18 of T_5
+    big = perturbation_file(tmp_path / "big.json", shaped_terms(1, 3, 1.25), taylor_depth=5)
+    assert run("qcurv", "solve", "--n", "1", "--degree", "6", "--perturbation", big,
+               "--out", str(tmp_path / "big")) == EXIT_NUMERICAL
+    # a failed Cholesky factorization of W_KK
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", fail)
+    small = perturbation_file(tmp_path / "small.json", shaped_terms(1, 3, 0.05))
+    assert run("qcurv", "solve", "--n", "1", "--degree", "6", "--perturbation", small,
+               "--out", str(tmp_path / "small")) == EXIT_NUMERICAL

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -43,13 +44,19 @@ def ctx8(basis8):
 def weight_from(ctx, scaled_upsilon, K):
     """Weight of e^{scaled_upsilon} at Taylor depth K; norm2_upper bounds ||M||."""
     M = ctx.mult_matrix(scaled_upsilon).real
-    return InnerProductWeight(taylor_exp_matrix(M, K), taylor_depth=K,
-                              multiplier_bound=norm2_upper(M.toarray()))
+    return InnerProductWeight(M, taylor_depth=K, multiplier_bound=norm2_upper(M.toarray()))
 
 
 def weighted_adjoint(weight, X):
     """Reference W-adjoint X^dagger = W^{-1} X^* W, by a solve."""
     return weight.solve(X.conj().T @ weight.matrix)
+
+
+def assembly_rounding(ctx, upsilon, n):
+    """The assembly term of multiplier_skew for (n+1) upsilon: 8 roundings per
+    term of to_poly_float, one per further term and one for the scale."""
+    return ctx.assembly_rounding(upsilon.abs_poly_float().scale(float(n + 1)),
+                                 8 + sum(1 for _ in upsilon.terms()))
 
 
 def pairing_matrix_loop(row_idx, col_idx, n):
@@ -317,21 +324,25 @@ class TestFastPathsAgainstReference:
             assert old * (1 - 1e-12) <= got + 1e-13
 
     def test_hermitian_defect_is_an_upper_bound(self, ctx8, basis8):
-        M = ctx8.mult_matrix(real_test_function(basis8, 0.05).to_poly_float()).real
+        M = ctx8.mult_matrix(real_test_function(basis8, 0.05).to_poly_float()).real.toarray()
+        M[0, 1] += 1e-9
         raw = taylor_exp_matrix(M, 12)
-        raw[0, 1] += 1e-9
-        weight = InnerProductWeight(raw.copy(), taylor_depth=12,
-                                    multiplier_bound=norm2_upper(M.toarray()))
+        weight = InnerProductWeight(M, taylor_depth=12, multiplier_bound=norm2_upper(M))
         assert weight.hermitian_defect >= np.linalg.norm(raw - raw.conj().T, 2) * (1 - 1e-12)
+        assert np.array_equal(weight.matrix, 0.5 * (raw + raw.T))
 
     def test_failed_factorization_is_numerical_error(self, weight8, monkeypatch):
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("not positive definite")
 
         monkeypatch.setattr(scipy.linalg, "cho_factor", fail)
-        with pytest.raises(NumericalError):
-            InnerProductWeight(weight8.matrix.copy(), taylor_depth=12,
-                               multiplier_bound=weight8.multiplier_bound)
+        weight = InnerProductWeight(weight8.multiplier, taylor_depth=12,
+                                    multiplier_bound=weight8.multiplier_bound)
+        v = np.ones(weight.dim)
+        with pytest.raises(NumericalError, match="weight block Cholesky"):
+            weight.block_solve(v > 0, v)
+        with pytest.raises(NumericalError, match="weight Cholesky"):
+            weight.solve(v)
 
     def test_multiplier_is_sparse(self, ctx8, basis8):
         M = ctx8.mult_matrix(real_test_function(basis8).to_poly_float())
@@ -439,11 +450,12 @@ class TestWeightEigenvalueBound:
         pert = ContactPerturbation(basis, f.scale(size / f.sup_norm_bound()), taylor_depth=K)
         # the frame multiplier as assembled: the weight keeps its real part
         degree = max(p + q for p, q in f.coeffs)
-        M = GalerkinContext(basis, mult_degree=max(1, degree)).mult_matrix(
-            pert.upsilon.to_poly_float().scale(float(n + 1)))
+        ctx = GalerkinContext(basis, mult_degree=max(1, degree))
+        M = ctx.mult_matrix(pert.upsilon.to_poly_float().scale(float(n + 1)))
         assert np.array_equal(pert.multiplier_matrix().toarray(), M.real.toarray())
         a = pert.multiplier_norm_bound()
-        s = 0.5 * norm2_upper(M.real - M.real.T) + norm2_upper(M.imag)
+        s = 0.5 * norm2_upper(M.real - M.real.T) + (norm2_upper(M.imag)
+                                                     + assembly_rounding(ctx, pert.upsilon, n))
         expected = (taylor_exp_min(a, K) - taylor_rounding_bound(a + s, basis.total_dim)
                     - s * math.exp(a + s))
         if expected <= 0:
@@ -466,13 +478,14 @@ class TestWeightEigenvalueBound:
         assert ups.is_real(1e-12) and not ups.is_real(0.0)
         pert = ContactPerturbation(basis8, ups)
         degree = max(p + q for p, q in ups.coeffs)
-        M = GalerkinContext(basis8, mult_degree=degree).mult_matrix(
-            ups.to_poly_float().scale(2.0))
+        ctx = GalerkinContext(basis8, mult_degree=degree)
+        M = ctx.mult_matrix(ups.to_poly_float().scale(2.0))
         dropped = norm2_upper(M.imag)
         assert dropped > 1e-13
         weight = pert.weight()
         assert weight.multiplier_skew >= dropped
-        assert weight.multiplier_skew == (0.5 * norm2_upper(M.real - M.real.T) + dropped)
+        assert weight.multiplier_skew == (0.5 * norm2_upper(M.real - M.real.T)
+                                          + (dropped + assembly_rounding(ctx, ups, 1)))
         assert 0 < weight.min_eigenvalue_bound <= scipy.linalg.eigvalsh(weight.matrix)[0]
 
     def test_weight_is_real(self, basis8):
@@ -493,8 +506,7 @@ class TestWeightEigenvalueBound:
         # min T_2 = 1/2; the skew term takes the bound under it
         t = 0.1
         M = np.array([[-1, t], [-t, -1]], dtype=float)
-        weight = InnerProductWeight(taylor_exp_matrix(M, 2), taylor_depth=2,
-                                    multiplier_bound=1.0, multiplier_skew=t)
+        weight = InnerProductWeight(M, taylor_depth=2, multiplier_bound=1.0, multiplier_skew=t)
         assert 0 < weight.min_eigenvalue_bound <= scipy.linalg.eigvalsh(weight.matrix)[0]
 
     def test_positive_weight_refused_past_the_root_of_odd_taylor_sum(self, ctx8, basis8):
@@ -525,7 +537,8 @@ class TestSolveFreeAdjointDefect:
 
     @staticmethod
     def weight(w):
-        return InnerProductWeight(np.diag([1.0, w]), taylor_depth=1,
+        # M = diag(0, w - 1): w - 1 and 1 + (w - 1) are exact for w in [0.5, 2]
+        return InnerProductWeight(np.diag([0.0, w - 1.0]), taylor_depth=1,
                                   multiplier_bound=abs(w - 1.0))
 
     def test_divides_by_the_eigenvalue_bound(self):
@@ -573,3 +586,127 @@ def test_reeb_commutator_with_multiplication(ctx8, basis8):
     it_diag = np.diag(it.to_diag_vector(basis8)).astype(complex)
     comm = it_diag @ Mf - Mf @ it_diag
     assert np.linalg.norm(comm - M_itf, 2) <= 1e-11
+
+
+def frame_polys(basis):
+    """(w_k, d_k) with r_k = w_k / sqrt(d_k) exactly: the rows of basis_matrix."""
+    out = [None] * basis.total_dim
+    for p, q, i, g in basis.index_blocks():
+        el = basis.blocks[(p, q)][i]
+        if p == q:
+            out[g] = (el.poly, el.norm2)
+        elif p < q:
+            conj = basis.blocks[(q, p)][i].poly
+            out[g] = (el.poly + conj, 2 * el.norm2)
+            out[basis.global_index(q, p, i)] = ((el.poly - conj).scale(QI(0, 1)), 2 * el.norm2)
+    return out
+
+
+def poly_sectors(poly):
+    return {tuple(b - c for b, c in zip(beta, gamma)) for (_, beta, gamma) in poly.terms}
+
+
+def mp_frame_multiplier(basis, upsilon):
+    """<f r_i, r_j> for f = (n+1) Upsilon to 50 digits, as mpmath numbers.
+
+    The frame polynomials and Upsilon's float coefficients are exact (QI),
+    each pairing <v_a w_i, w_j> is an exact sphere integral, and only the
+    square roots of the norms are mpmath numbers.
+    """
+    def mp_of(x):
+        return mpmath.mpc(mpmath.mpf(x.re.numerator) / x.re.denominator,
+                          mpmath.mpf(x.im.numerator) / x.im.denominator)
+
+    def inv_sqrt(r):
+        return 1 / mpmath.sqrt(mpmath.mpf(r.numerator) / r.denominator)
+
+    frame = frame_polys(basis)
+    sectors = [poly_sectors(w) for w, _ in frame]
+    D = basis.total_dim
+    with mpmath.workdps(50):
+        scales = [inv_sqrt(d) for _, d in frame]
+        M = [[mpmath.mpc(0)] * D for _ in range(D)]
+        for (p, q), vals in upsilon.coeffs.items():
+            for v, el in zip(vals, basis.blocks[(p, q)]):
+                c = complex(v)
+                if not c:
+                    continue
+                coeff = QI(Fraction(c.real), Fraction(c.imag)) * (basis.n + 1)
+                s_a = inv_sqrt(el.norm2)
+                for i, (w_i, _) in enumerate(frame):
+                    prod = el.poly * w_i
+                    hit = poly_sectors(prod)
+                    for j, (w_j, _) in enumerate(frame):
+                        if hit & sectors[j]:
+                            val = inner_sphere(prod, w_j, basis.n) * coeff
+                            if val:
+                                M[j][i] += mp_of(val) * s_a * scales[i] * scales[j]
+        return M
+
+
+@pytest.mark.parametrize("n,N", [(1, 4), (2, 3)])
+def test_assembly_rounding_bounds_the_assembly_error(bases_small, n, N):
+    # the assembled frame multiplier against a 50-digit assembly of the same
+    # (float) Upsilon: e_asm bounds the difference, a bounds the exact
+    # multiplier's Hermitian part H and multiplier_skew bounds ||M - H||
+    basis = bases_small[n].restrict(N)
+    rng = np.random.default_rng(N)
+    terms = []
+    for p, q in ((1, 1), (2, 1), (1, 0), (2, 0)):
+        i = int(rng.integers(dim_hpq(n, p, q)))
+        terms.append((p, q, i, complex(*rng.uniform(-1, 1, 2))))
+    f = SpectralFunction.from_terms(basis, terms).realized()
+    pert = ContactPerturbation(basis, f.scale(0.1 / f.sup_norm_bound()))
+    ctx = GalerkinContext(basis, mult_degree=3)
+    M_c = ctx.mult_matrix(pert.upsilon.to_poly_float().scale(float(n + 1))).toarray()
+    exact = mp_frame_multiplier(basis, pert.upsilon)
+    with mpmath.workdps(50):
+        err = np.array([[complex(mpmath.mpc(M_c[j, i]) - exact[j][i]) for i in range(len(M_c))]
+                        for j in range(len(M_c))])
+        H = np.array([[complex((exact[j][i] + mpmath.conj(exact[i][j])) / 2)
+                       for i in range(len(M_c))] for j in range(len(M_c))])
+    e_asm = assembly_rounding(ctx, pert.upsilon, n)
+    assert 0 < np.linalg.norm(err, 2) <= e_asm <= 1e-12
+    weight = pert.weight()
+    assert np.linalg.norm(H, 2) <= weight.multiplier_bound
+    M = pert.multiplier_matrix().toarray()
+    assert np.linalg.norm(M - H, 2) <= weight.multiplier_skew
+
+
+@pytest.mark.parametrize("N", [8, 12])
+def test_horner_columns_are_the_taylor_matrix_columns(basis16, N):
+    # Horner on the unit columns of the kernel coordinates gives the columns
+    # of the full Taylor sum bit for bit, in float64; a subset is sliced
+    basis = basis16.restrict(N)
+    pert = ContactPerturbation(basis, real_test_function(basis, 0.05))
+    M = pert.multiplier_matrix()
+    full = taylor_exp_matrix(M, pert.K)
+    weight = pert.weight()
+    ker = kernel_mask(basis)
+    cols = weight.columns(ker)
+    assert cols.dtype == np.float64 and np.array_equal(cols, full[:, ker])
+    inner = ker & interior_mask(basis)
+    assert np.array_equal(weight.columns(inner), full[:, inner])
+    # a real vector stays real; a complex one is its real and imaginary parts
+    rng = np.random.default_rng(N)
+    x, y = rng.standard_normal((2, basis.total_dim))
+    wx = taylor_exp_apply(M, pert.K, x)
+    assert wx.dtype == np.float64
+    z = taylor_exp_apply(M, pert.K, x + 1j * y)
+    assert np.array_equal(z.real, wx) and np.array_equal(z.imag, taylor_exp_apply(M, pert.K, y))
+
+
+def test_weight_operator_core_against_the_dense_matrix(basis8):
+    pert = ContactPerturbation(basis8, real_test_function(basis8, 0.05))
+    weight = pert.weight()
+    ker = kernel_mask(basis8)
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal(basis8.total_dim)
+    wx = weight.apply(x)
+    kernel_solve = weight.block_solve(ker, x[ker])  # factor of the Horner block W_KK
+    W = weight.matrix
+    assert np.linalg.norm(wx - W @ x) <= 1e-14 * np.linalg.norm(x)
+    assert np.isclose(weight.inner(x, x).real, x @ W @ x, rtol=1e-14)
+    ref = np.linalg.solve(W[np.ix_(ker, ker)], x[ker])
+    assert np.abs(kernel_solve - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.array_equal(weight.columns(ker), W[:, ker])  # sliced once W exists

@@ -300,7 +300,7 @@ def test_closed_forms_match_spectral_oracle(basis8, scale, seed):
     x = rng.standard_normal(basis8.total_dim) + 1j * rng.standard_normal(basis8.total_dim)
     assert_close(apply_partial_inverse(P_d, weight, kernel_mask(basis8), x), G_ref @ x)
     rep = solve_zero_q(qhat(pert))
-    assert_close(rep.condition, cond_ref)
+    assert cond_ref <= rep.condition_bound
 
 
 def test_nonzero_eigenvalues_empty_without_nonzero_spectrum(basis16):
@@ -315,8 +315,9 @@ def test_nonzero_eigenvalues_empty_without_nonzero_spectrum(basis16):
        size=st.floats(0.01, 0.1))
 def test_zero_q_properties_random_exponent(bases_small, n, seed, size):
     # a random real Upsilon of degree <= 3, scaled so the certified sup bound
-    # is `size`: total Q vanishes, the solve round-trips, and the closed-form
-    # solution and condition agree with the generalized eigensolver
+    # is `size`: total Q vanishes, the solve round-trips, the closed-form
+    # solution agrees with the generalized eigensolver and the condition
+    # bound is at least its condition number
     basis = bases_small[n]
     rng = np.random.default_rng(seed)
     terms = []
@@ -346,7 +347,7 @@ def test_zero_q_properties_random_exponent(bases_small, n, seed, size):
     got = rep.upsilon_sol.to_vector()
     # the solver prunes coefficients below 1e-15 max(1, max|u|)
     assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
-    assert_close(rep.condition, cond_ref)
+    assert cond_ref <= rep.condition_bound
 
 
 def test_chain_members_are_float64_but_the_szego_pair(basis8):

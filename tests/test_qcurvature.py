@@ -3,11 +3,13 @@ import random
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from crsphere import galerkin
 from crsphere.errors import ConfigError, ObstructionError
 from crsphere.galerkin import RealFrame, full_context, taylor_exp_apply, taylor_exp_matrix
 from crsphere.harmonics import dim_hpq
-from crsphere.parametrix import interior_mask, kernel_mask
+from crsphere.parametrix import interior_mask, kernel_mask, nonzero_eigenvalues
 from crsphere.qcurvature import (
     ContactPerturbation,
     QData,
@@ -266,3 +268,94 @@ def test_tail_bound_rests_on_certified_sup(basis12):
     assert bound >= pert.sup_estimate() > 0
     x = (pert.n + 1) * bound
     assert pert.exp_tail_bound() == x ** (pert.K + 1) / math.factorial(pert.K + 1) * math.exp(x)
+
+
+# the bidegrees of the benchmark's draws (perfbench.workloads.DRAW_SHAPE): a
+# real (1,1) term, a degree-3 conjugate pair and two pluriharmonic pairs
+DRAW_SHAPE = ((1, 1), (2, 1), (1, 0), (2, 0))
+
+
+def shaped_perturbation(basis, seed, sup_bound=0.05):
+    """A real Upsilon of the benchmark's shape whose certified sup bound is sup_bound."""
+    rng = np.random.default_rng(seed)
+    terms = []
+    for p, q in DRAW_SHAPE:
+        i = int(rng.integers(dim_hpq(basis.n, p, q)))
+        terms.append((p, q, i, complex(rng.uniform(-1, 1), 0.0 if p == q else rng.uniform(-1, 1))))
+    f = SpectralFunction.from_terms(basis, terms).realized()
+    return ContactPerturbation(basis, f.scale(sup_bound / f.sup_norm_bound()), label="shaped")
+
+
+def dense_partial_inverse(P_d, W, ker, x):
+    """G x = (I - Pi) P_d^+ W (I - Pi) x with the dense W; Pi's rows are W_KK^{-1} W_K:."""
+    rows = np.linalg.solve(W[np.ix_(ker, ker)], W[ker])
+    y = np.array(x, dtype=complex)
+    y[ker] -= rows @ y
+    y = W @ y
+    y *= np.where(ker, 0.0, 1.0 / np.where(ker, 1.0, P_d))
+    y[ker] -= rows @ y
+    return y
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_operator_solve_matches_dense_partial_inverse(basis12, seed):
+    # the matrix-free Upsilon_sol against -G Q_hat from the dense weight
+    pert = shaped_perturbation(basis12, seed)
+    qd = qhat(pert)
+    rep = solve_zero_q(qd)
+    frame = RealFrame(basis12)
+    P_d = critical_gjms(basis12).to_diag_vector(basis12)
+    x = frame.to_frame(qd.vector())
+    ref_vec = frame.from_frame(-dense_partial_inverse(P_d, pert.weight().matrix,
+                                                      kernel_mask(basis12), x))
+    ref = SpectralFunction.from_vector(basis12, ref_vec).realized().to_vector()
+    got = rep.upsilon_sol.to_vector()
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_solve_never_forms_the_dense_weight(basis12, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense weight or eigensolver on the zero-Q route")
+
+    monkeypatch.setattr(galerkin, "taylor_exp_matrix", refuse)
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(scipy.linalg, name, refuse)
+    pert = shaped_perturbation(basis12, 3)
+    qd = qhat(pert)
+    assert total_q(qd)[1] and solvability_check(qd).solvable
+    rep = solve_zero_q(qd)
+    assert rep.notes["weight_form"] == "operator" and rep.final_q_norm <= 1e-6
+    with pytest.raises(AssertionError, match="dense weight"):
+        pert.weight().matrix
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_operator_bounds_dominate_dense_values(n, request):
+    # every bound the matrix-free solve reports against the dense value it
+    # replaces, at N = 8: the residual, the final-Q value, the condition
+    # number and the weight's eigenvalue range
+    basis = request.getfixturevalue("basis8" if n == 1 else "basis_n2_N8")
+    pert = shaped_perturbation(basis, seed=n, sup_bound=0.1)
+    qd = qhat(pert)
+    rep = solve_zero_q(qd)
+    weight = pert.weight()
+    W = weight.matrix
+    lam = scipy.linalg.eigvalsh(W)
+    assert 0 < weight.min_eigenvalue_bound <= lam[0]
+    assert lam[-1] <= weight.max_eigenvalue_bound
+    assert rep.weight_min_eigenvalue_bound == weight.min_eigenvalue_bound
+
+    P_d = critical_gjms(basis).to_diag_vector(basis)
+    frame = RealFrame(basis)
+    r = weight.solve(frame.to_frame(P_d * rep.upsilon_sol.to_vector())) + frame.to_frame(qd.vector())
+    assert math.sqrt(np.vdot(r, W @ r).real) <= rep.residual
+    factor = math.exp((n + 1) * rep.upsilon_sol.sup_norm_bound())
+    assert factor * np.linalg.norm(r) <= rep.final_q_norm <= 1e-6
+
+    # the condition number the solver reported before, from the Schur route
+    # (held to the generalized eigensolver by test_parametrix at N = 8 for
+    # n = 1 and N = 5 for n = 2)
+    lam = nonzero_eigenvalues(P_d, weight, kernel_mask(basis))
+    assert lam.size == (~kernel_mask(basis)).sum()
+    assert lam[-1] / lam[0] <= rep.condition_bound
+    assert rep.condition is None
