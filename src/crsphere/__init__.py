@@ -41,7 +41,7 @@ from .scalars import QI, parse_qi
 
 __version__ = "0.1.0"
 
-# The floating layers load numpy and scipy; they are imported on first use,
+# The floating layers load numpy; they are imported on first use,
 # so the exact layers (and the CLI commands built on them) start without.
 _LAZY = {
     "parametrix": (

@@ -24,9 +24,9 @@ from .heisenberg import LeftInvariantOp, box_b, model_identity_suite, sublaplaci
 from .reportio import RunManifest, verify_manifest, write_csv, write_json
 from .scalars import parse_qi
 
-# galerkin, parametrix, qcurvature and spectral load numpy and scipy, so the
+# galerkin, parametrix, qcurvature and spectral load numpy, so the
 # commands import them where they are used: `basis` and `heisenberg-selftest`
-# run without either library.
+# run without it.
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

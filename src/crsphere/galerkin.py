@@ -21,13 +21,14 @@ step, which is the same truncation leakage every Galerkin product has and is
 what the interior diagnostics measure.
 
 Multiplication matrices stay sparse (a degree-d multiplier couples only
-blocks whose degrees differ by at most d).  The weight is an operator
-first: it applies W = T_K(M) to vectors and column blocks by Horner's rule
-on the sparse M (taylor_exp_apply), forms its columns W[:, S] on a
-coordinate set S the same way, and keeps one Cholesky factor per principal
-block W_SS it solves with; the zero-Q solve needs nothing more.  The dense
-matrix and its Cholesky factor are built only when the chain or the pencil
-spectrum asks for them.  No eigensolver runs on the weight: W = T_K(M) is
+blocks whose degrees differ by at most d), in the module's own CSR type on
+numpy alone: the floating layer imports no scipy.  The weight is an
+operator first: it applies W = T_K(M) to vectors by Horner's rule on the
+sparse M (taylor_exp_apply) and solves with a principal block W_SS by
+conjugate gradients on that matvec, with an iteration cap from the
+certified condition bound; the zero-Q solve needs nothing more.  The dense
+matrix is built, by dense matmuls, only when the chain or the pencil
+spectrum asks for it.  No eigensolver runs on the weight: W = T_K(M) is
 a polynomial in the multiplier M and ||M|| <= a, so min_{|x|<=a} T_K(x),
 less a-priori bounds on the rounding of Horner's rule, of the assembly of M
 and on how far the assembled M is from a Hermitian matrix, is a lower
@@ -50,8 +51,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
 
 from .errors import ConfigError, NumericalError
 from .harmonics import HarmonicBasis, _integral_equal_exponents, monomials_homogeneous
@@ -59,10 +58,13 @@ from .poly import Poly
 
 
 def norm2_upper(X) -> float:
-    """Upper bound on the spectral norm: sqrt(||X||_1 ||X||_inf) >= ||X||_2 (dense or sparse X)."""
+    """Upper bound on the spectral norm: sqrt(||X||_1 ||X||_inf) >= ||X||_2 (dense or CSR X).
+
+    The row and column sums are those of |X|, so it bounds ||abs(X)||_2 too.
+    """
     if X.size == 0:
         return 0.0
-    A = np.abs(X)
+    A = abs(X)
     return math.sqrt(float(A.sum(axis=0).max()) * float(A.sum(axis=1).max()))
 
 
@@ -71,6 +73,220 @@ def norm2_lower(X) -> float:
     if X.size == 0:
         return 0.0
     return float(np.linalg.norm(X, axis=0).max())
+
+
+# entries of one block of a sparse product expanded at a time (CSR.__matmul__)
+_PRODUCT_BLOCK = 1 << 18
+
+
+class CSR:
+    """A sparse matrix in compressed sparse rows, on numpy alone.
+
+    Row i holds the columns indices[indptr[i]:indptr[i+1]], ascending and
+    without repeats, with their values data[...].  Index arrays are int32
+    when they fit.  It carries what the Galerkin layer needs: assembly from
+    coordinate triples with duplicates summed (from_coo), sparse products,
+    sums and differences, the transpose, the entrywise real and imaginary
+    parts, conjugate and absolute value, row and column sums, the dense
+    form, and products with dense vectors and blocks (on the right).
+
+    The product with a vector gathers the vector at the column indices
+    (np.take) and sums each row's products in order (np.add.reduceat); a
+    block of columns runs column by column, so every column of a block is
+    bit for bit the product with that column alone.
+    """
+
+    __array_ufunc__ = None  # an ndarray operand raises instead of looping over this object
+
+    def __init__(self, data, indices, indptr, shape):
+        self.data = data
+        self.indices = indices
+        self.indptr = indptr
+        self.shape = (int(shape[0]), int(shape[1]))
+        self._plan = None  # the matvec's gather indices and row starts, made on first use
+
+    @classmethod
+    def from_coo(cls, vals, rows, cols, shape, dtype=None):
+        """The matrix with entries vals at (rows, cols); repeated positions are
+        summed in the order given."""
+        vals = np.asarray(vals, dtype=dtype)
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        R, C = shape
+        order = np.argsort(rows * C + cols, kind="stable")
+        return cls._from_sorted(vals[order], rows[order], cols[order], shape)
+
+    @classmethod
+    def _from_sorted(cls, vals, rows, cols, shape, drop_zeros=False):
+        """from_coo for entries already ordered by row, then column."""
+        vals, rows, cols = _sum_runs(vals, rows, cols, drop_zeros)
+        R, C = shape
+        itype = np.int32 if max(R, C, rows.size) < 2**31 else np.int64
+        indptr = np.zeros(R + 1, dtype=itype)
+        np.cumsum(np.bincount(rows, minlength=R), out=indptr[1:])
+        return cls(vals, cols.astype(itype), indptr, shape)
+
+    @classmethod
+    def zeros(cls, shape, dtype=float):
+        empty = np.zeros(0, dtype=np.int64)
+        return cls.from_coo(np.zeros(0, dtype=dtype), empty, empty, shape)
+
+    @property
+    def dtype(self):
+        return self.data.dtype
+
+    @property
+    def nnz(self):
+        return self.data.size
+
+    size = nnz  # as for scipy.sparse: the stored entries
+
+    def row_ids(self):
+        """The row of every stored entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def max_row_length(self):
+        """The most entries stored in one row."""
+        return int(np.diff(self.indptr).max(initial=0))
+
+    def _with_data(self, data):
+        return CSR(data, self.indices, self.indptr, self.shape)
+
+    @property
+    def real(self):
+        return self._with_data(self.data.real.copy())
+
+    @property
+    def imag(self):
+        return self._with_data(self.data.imag.copy())
+
+    def conj(self):
+        return self._with_data(self.data.conj())
+
+    def __abs__(self):
+        return self._with_data(np.abs(self.data))
+
+    def __neg__(self):
+        return self._with_data(-self.data)
+
+    def __mul__(self, c):
+        if not np.isscalar(c):
+            return NotImplemented
+        return self._with_data(self.data * c)
+
+    __rmul__ = __mul__
+
+    @property
+    def T(self):
+        # a stable sort by column keeps the rows ascending inside each column
+        order = np.argsort(self.indices, kind="stable")
+        indptr = np.zeros(self.shape[1] + 1, dtype=self.indptr.dtype)
+        np.cumsum(np.bincount(self.indices, minlength=self.shape[1]), out=indptr[1:])
+        return CSR(self.data[order], self.row_ids()[order].astype(self.indices.dtype), indptr,
+                   self.shape[::-1])
+
+    def toarray(self):
+        out = np.zeros(self.shape, dtype=self.dtype)
+        out[self.row_ids(), self.indices] = self.data
+        return out
+
+    def sum(self, axis):
+        """Row (axis=1) or column (axis=0) sums of a real matrix, as a dense vector."""
+        if axis == 1:
+            return self @ np.ones(self.shape[1])
+        return np.bincount(self.indices, self.data, minlength=self.shape[1])
+
+    def __add__(self, other):
+        if not isinstance(other, CSR):
+            return NotImplemented
+        rows = np.concatenate([self.row_ids(), other.row_ids()])
+        cols = np.concatenate([self.indices, other.indices])
+        return CSR.from_coo(np.concatenate([self.data, other.data]), rows, cols, self.shape)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __matmul__(self, other):
+        if isinstance(other, CSR):
+            return self._sparse_product(other)
+        X = np.asarray(other)
+        if X.ndim == 1:
+            return self._matvec(X)
+        out = np.empty((X.shape[1], self.shape[0]), dtype=np.result_type(self.dtype, X.dtype))
+        for j, x in enumerate(np.ascontiguousarray(X.T)):
+            out[j] = self._matvec(x)
+        return out.T
+
+    def _matvec(self, x):
+        if x.shape[0] != self.shape[1]:
+            raise ValueError(f"dimension mismatch: {self.shape} @ {x.shape}")
+        if self._plan is None:
+            # gather indices in the platform's index type (np.take converts
+            # any other on every call), and the starts of the nonempty rows
+            nonempty = np.diff(self.indptr) > 0
+            starts = self.indptr[:-1][nonempty]
+            self._plan = (self.indices.astype(np.intp), starts,
+                          None if nonempty.all() else nonempty)
+        gather, starts, nonempty = self._plan
+        if not starts.size:
+            return np.zeros(self.shape[0], dtype=np.result_type(self.dtype, x.dtype))
+        sums = np.add.reduceat(self.data * np.take(x, gather), starts)
+        if nonempty is None:
+            return sums
+        out = np.zeros(self.shape[0], dtype=sums.dtype)
+        out[nonempty] = sums
+        return out
+
+    def _sparse_product(self, other):
+        """self @ other, expanded a block of rows at a time.
+
+        Each stored A[i, k] meets row k of B.  The pairs of one block of
+        rows (at most _PRODUCT_BLOCK of them, or one row) are sorted stably
+        by (i, j), so each entry sums its terms in ascending k, and exact
+        zeros are dropped; no more than one block is expanded at once.
+        """
+        if self.shape[1] != other.shape[0]:
+            raise ValueError(f"dimension mismatch: {self.shape} @ {other.shape}")
+        R, C = self.shape[0], other.shape[1]
+        count = np.diff(other.indptr).astype(np.int64)[self.indices]
+        # pairs[e] = the pairs of the entries before entry e, so row i's end at pairs[indptr[i + 1]]
+        pairs = np.concatenate([[0], np.cumsum(count)])
+        row_end = pairs[self.indptr[1:]]
+        parts = []
+        r0 = 0
+        while r0 < R:
+            r1 = max(r0 + 1, int(np.searchsorted(row_end, pairs[self.indptr[r0]] + _PRODUCT_BLOCK,
+                                                 side="right")))
+            lo, hi = self.indptr[r0], self.indptr[r1]
+            n = count[lo:hi]
+            # the pairs of entry e are B's entries indptr[k] .. indptr[k] + n_e - 1
+            take = np.repeat(other.indptr[self.indices[lo:hi]] - (pairs[lo:hi] - pairs[lo]), n)
+            take += np.arange(take.size)
+            i = np.repeat(np.repeat(np.arange(r0, r1), np.diff(self.indptr[r0:r1 + 1])), n)
+            j = other.indices[take].astype(np.int64)
+            order = np.argsort(i * C + j, kind="stable")
+            v = np.repeat(self.data[lo:hi], n)[order] * other.data[take[order]]
+            parts.append(_sum_runs(v, i[order], j[order], drop_zeros=True))
+            r0 = r1
+        vals, rows, cols = (np.concatenate(x) for x in zip(*parts)) if parts else (
+            np.zeros(0, np.result_type(self.dtype, other.dtype)), np.zeros(0, np.int64),
+            np.zeros(0, np.int64))
+        return CSR._from_sorted(vals, rows, cols, (R, C))
+
+
+def _sum_runs(vals, rows, cols, drop_zeros=False):
+    """Sum the adjacent entries of equal (row, col), in order; optionally drop exact zeros."""
+    if rows.size:
+        first = np.ones(rows.size, dtype=bool)
+        first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        starts = np.flatnonzero(first)
+        if starts.size < rows.size:
+            vals = np.add.reduceat(vals, starts)
+            rows, cols = rows[starts], cols[starts]
+    if drop_zeros:
+        keep = vals != 0
+        vals, rows, cols = vals[keep], rows[keep], cols[keep]
+    return np.array(vals), rows, cols
 
 
 class MonomialIndex:
@@ -123,7 +339,7 @@ def pairing_matrix(row_idx: MonomialIndex, col_idx: MonomialIndex, n):
     _, first, which = np.unique(_row_codes(exps), return_index=True, return_inverse=True)
     table = np.array([float(_integral_equal_exponents(n, tuple(e)))
                       for e in exps[first].tolist()])
-    return scipy.sparse.csr_matrix((table[which], (rows, cols)), shape=(R, C))
+    return CSR.from_coo(table[which], rows, cols, (R, C))
 
 
 def shift_matrix(f: Poly, src_idx: MonomialIndex, dst_idx: MonomialIndex):
@@ -147,10 +363,8 @@ def shift_matrix(f: Poly, src_idx: MonomialIndex, dst_idx: MonomialIndex):
     pos = np.minimum(np.searchsorted(dst_codes[order], moved_codes), len(dst) - 1)
     hit = dst_codes[order[pos]] == moved_codes
     cols = np.tile(np.arange(len(src)), len(values))
-    return scipy.sparse.csr_matrix(
-        (np.repeat(values, len(src))[hit], (order[pos[hit]], cols[hit])),
-        shape=(len(dst_idx), len(src_idx)), dtype=complex,
-    )
+    return CSR.from_coo(np.repeat(values, len(src))[hit], order[pos[hit]], cols[hit],
+                        (len(dst_idx), len(src_idx)), dtype=complex)
 
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -206,8 +420,7 @@ class RealFrame:
         cols = np.concatenate([same, lo, hi, lo, hi])
         vals = np.concatenate([np.ones(same.size)] + [np.full(lo.size, v)
                                                       for v in (h, 1j * h, h, -1j * h)])
-        return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(self.dim, self.dim),
-                                       dtype=complex)
+        return CSR.from_coo(vals, rows, cols, (self.dim, self.dim), dtype=complex)
 
 
 def basis_matrix(basis: HarmonicBasis, idx: MonomialIndex):
@@ -239,9 +452,7 @@ def basis_matrix(basis: HarmonicBasis, idx: MonomialIndex):
             add(g, conj, s)
             add(h, el.poly, 1j * s)
             add(h, conj, -1j * s)
-    return scipy.sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(basis.total_dim, len(idx)), dtype=complex
-    )
+    return CSR.from_coo(vals, rows, cols, (basis.total_dim, len(idx)), dtype=complex)
 
 
 class GalerkinContext:
@@ -254,11 +465,11 @@ class GalerkinContext:
         self.idx_basis = MonomialIndex(m, basis.N)
         self.idx_big = MonomialIndex(m, basis.N + mult_degree)
         self.B = basis_matrix(basis, self.idx_basis)
-        self.B_conj = self.B.conjugate()
+        self.B_conj = self.B.conj()
         self.K = pairing_matrix(self.idx_basis, self.idx_big, basis.n)
-        self._BK = (self.B_conj @ self.K).tocsr()
+        self._BK = self.B_conj @ self.K
 
-    def mult_matrix(self, f: Poly) -> scipy.sparse.csr_matrix:
+    def mult_matrix(self, f: Poly) -> CSR:
         """Sparse (CSR) frame Galerkin matrix of multiplication by f (floating coefficients ok).
 
         Complex in general; real up to rounding when f is real valued.
@@ -269,7 +480,7 @@ class GalerkinContext:
                 f"multiplier degree {max(degs)} exceeds context bound {self.mult_degree}"
             )
         S = shift_matrix(f, self.idx_basis, self.idx_big)
-        return (self._BK @ (S @ self.B.T.tocsr())).tocsr()
+        return self._BK @ (S @ self.B.T)
 
     def assembly_rounding(self, f_abs: Poly, coeff_roundings: int) -> float:
         """A-priori bound e_asm >= ||fl(M_f) - M_f||_2 on the rounding of mult_matrix.
@@ -298,7 +509,7 @@ class GalerkinContext:
         """
         S = shift_matrix(f_abs, self.idx_basis, self.idx_big).real
         absB = abs(self.B)
-        L = sum(int(np.diff(X.indptr).max(initial=0)) for X in (absB, S, self._BK))
+        L = sum(X.max_row_length() for X in (absB, S, self._BK))
         ones = np.ones(absB.shape[0])
         row_sums = absB @ (self.K @ (S @ (absB.T @ ones)))
         col_sums = absB @ (S.T @ (self.K.T @ (absB.T @ ones)))
@@ -318,14 +529,15 @@ def full_context(basis: HarmonicBasis) -> GalerkinContext:
 def taylor_exp_matrix(M, K: int) -> np.ndarray:
     """Sum_{k<=K} M^k / k! by Horner; each product stays on the truncation.
 
-    M may be sparse or dense; the sum is dense.  The first step,
-    M I / K + I, starts from M itself: no product with the identity.
+    M may be CSR or dense; the sum is dense, and every product is a dense
+    matmul on the dense M.  The first step, M I / K + I, starts from M
+    itself: no product with the identity.
     """
     D = M.shape[0]
     if K == 0:
         return np.eye(D, dtype=M.dtype)
-    E = M.toarray() if scipy.sparse.issparse(M) else np.array(M)
-    E /= K
+    M = M.toarray() if isinstance(M, CSR) else np.asarray(M)
+    E = M / K
     E.flat[:: D + 1] += 1
     for k in range(K - 1, 0, -1):
         E = M @ E
@@ -337,13 +549,11 @@ def taylor_exp_matrix(M, K: int) -> np.ndarray:
 def taylor_exp_apply(M, K: int, X) -> np.ndarray:
     """T_K(M) X = sum_{k<=K} M^k X / k! by Horner, for a vector or a block of columns X.
 
-    The one Horner routine on vectors: the weight's matvec, its kernel
-    columns and the conformal factors of qcurvature all run here, and no
-    matrix of the size of M is formed.  Real for a real M and X; a complex X
-    with a real M runs as its real and imaginary parts (real_matmul).  On the
-    unit columns E_S of a coordinate set S it gives taylor_exp_matrix(M, K)[:, S]
-    bit for bit when M is sparse: the first product M E_S is exact, and every
-    later step is the same CSR product, column by column, as the full sum's.
+    The one Horner routine on vectors: the weight's matvec and the conformal
+    factors of qcurvature run here, and no matrix of the size of M is
+    formed.  Real for a real M and X; a complex X with a real M runs as its
+    real and imaginary parts (real_matmul).  With a CSR M every column of a
+    block is bit for bit the result for that column alone.
     """
     X = np.asarray(X)
     if np.iscomplexobj(X) and not np.iscomplexobj(M):
@@ -413,38 +623,81 @@ def taylor_rounding_bound(a: float, D: int) -> float:
     return 2 * math.sqrt(2) * gamma(2 * D + 2) * (D * a + 1) * math.exp(2 * a)
 
 
-def taylor_apply_rounding_bound(a: float, D: int) -> float:
+def taylor_apply_rounding_bound(a: float, L: int, A: float) -> float:
     """Bound on ||fl(T_K(M) x) - T_K(M) x|| / ||x|| for Horner on a vector (taylor_exp_apply).
 
-    The steps of taylor_rounding_bound on one column: each commits at most
-    c (|M| |e_{k+1}| / k + |x|) with ||abs(x)|| = ||x||, so only |M| costs
-    a factor sqrt(D), and the same sum gives
-    2 sqrt(2) gamma_{2D+2} (sqrt(D) a + 1) e^{2a}.  It holds for every
-    column of a block.
+    M is real with ||M||_2 <= a, at most L entries in a row, and
+    ||abs(M)||_2 <= A (norm2_upper(M) is one such A).  Horner computes
+    u_{k-1} = M u_k / k + x from u_K = x, and ||u_k|| <= e^a ||x||.  One
+    step commits at most gamma_{L+2} (|M| |u_k| / k + |x|) entrywise (an
+    inner product of length L, the division and the add: Higham, Accuracy
+    and Stability of Numerical Algorithms, 3.5), of norm at most
+    gamma_{L+2} (A e^a / k + 1) ||x||.  The error of step k reaches the
+    result through M^{k-1} / (k-1)!, of norm at most a^{k-1} / (k-1)!, so
+    the errors sum to at most gamma_{L+2} e^a (A e^a + 1) ||x||, below
+    gamma_{L+2} (A + 1) e^{2a} ||x||.  The factor 2 takes the second-order
+    terms (the computed u_k for the exact ones) and leaves a slack of at
+    least gamma_{L+2} e^{2a} ||x||.  It holds for every column of a block,
+    and for a complex x applied as its real and imaginary parts.
     """
-    return 2 * math.sqrt(2) * gamma(2 * D + 2) * (math.sqrt(D) * a + 1) * math.exp(2 * a)
+    return 2 * gamma(L + 2) * (A + 1) * math.exp(2 * a)
+
+
+def cg_iteration_cap(kappa: float, tol: float) -> int:
+    """Iterations within which conjugate gradients reaches ||r_k|| <= tol ||b||, cond(A) <= kappa.
+
+    In exact arithmetic ||e_k||_A <= 2 q^k ||e_0||_A with
+    q = (sqrt(kappa) - 1) / (sqrt(kappa) + 1), and ||r|| <= sqrt(lambda_max) ||e||_A,
+    ||e_0||_A <= ||b|| / sqrt(lambda_min), so ||r_k|| <= 2 sqrt(kappa) q^k ||b||.  The
+    cap is the first k where that is at most tol, plus CG_SLACK iterations
+    for the delay rounding brings to the recursively updated residual.
+    """
+    q = (math.sqrt(kappa) - 1) / (math.sqrt(kappa) + 1)
+    if q <= 0:
+        return 1 + CG_SLACK
+    return max(1, math.ceil(math.log(tol / (2 * math.sqrt(kappa))) / math.log(q))) + CG_SLACK
+
+
+# the stopping rule of the block solve: ||r|| <= CG_TOL ||b||
+CG_TOL = UNIT_ROUNDOFF
+CG_SLACK = 10
+
+
+def _max_row_length(M) -> int:
+    return M.max_row_length() if isinstance(M, CSR) else int(np.count_nonzero(M, axis=1).max(initial=0))
 
 
 def real_matmul(A, X):
     """A @ X for a real A without casting A to complex.
 
     A complex X (vector or matrix) is multiplied as its real and imaginary
-    parts, side by side in one real array.  A is a matrix or a callable
-    applying a real linear map to the columns of a real array.
+    parts, side by side in one real array; a complex X with no imaginary
+    part (a real function's frame coefficients) as its real part alone.  A
+    is a matrix or a callable applying a real linear map to the columns of
+    a real array.
     """
     apply = A if callable(A) else A.__matmul__
     if not np.iscomplexobj(X):
         return apply(X)
+    if not np.imag(X).any():
+        return apply(np.ascontiguousarray(np.real(X))).astype(complex)
     X = np.ascontiguousarray(X, dtype=complex)
     parts = X.view(np.float64).reshape(X.shape[0], -1)  # columns re, im, re, im, ...
     return np.ascontiguousarray(apply(parts)).view(complex).reshape(X.shape)
 
 
-def _cholesky(A, what):
+def positive_solve(A, B, what):
+    """A^{-1} B for a dense Hermitian positive definite A.
+
+    A Cholesky factorization is the positivity gate: if it fails the run
+    raises NumericalError.  numpy has no triangular solve to reuse the
+    factor with, so the solve itself is np.linalg.solve.
+    """
     try:
-        return scipy.linalg.cho_factor(A)
+        np.linalg.cholesky(A)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"{what} Cholesky factorization failed: {exc}") from exc
+    return np.linalg.solve(A, B)
 
 
 @dataclass
@@ -454,14 +707,24 @@ class InnerProductWeight:
     An operator first: the weight is the real (float64) frame multiplier M
     of (n+1) Upsilon (RealFrame) with the Taylor depth K, and it acts by
     Horner's rule (taylor_exp_apply) without forming W.  Its operator core
-    is apply (W x), columns (W[:, S] for a coordinate set S, by Horner on
-    the unit columns E_S), block_solve (one Cholesky factor of the
-    principal block W_SS per set, made from those columns) and the bounds
-    below; the zero-Q solve needs nothing else (S = K, the kernel
-    coordinates).  The dense matrix, symmetrized, and its full Cholesky
-    factor are built on first use, by the chain and the pencil spectrum
-    (matrix, solve, projector, adjoint_defect); once the matrix exists,
-    columns are sliced from it.
+    is apply (W x), apply_transpose (W^T x, Horner on M^T), block_solve and
+    the bounds below; the zero-Q solve needs nothing else.  The dense
+    matrix, symmetrized, is built on first use, by the chain and the pencil
+    spectrum (matrix, solve, projector, adjoint_defect).
+
+    block_solve(S, b) solves with the principal block W_SS.  Without the
+    dense matrix it runs conjugate gradients on apply restricted to S, from
+    zero, until ||r|| <= CG_TOL ||b||.  W_SS is symmetric positive definite
+    with its spectrum inside [min_eigenvalue_bound, max_eigenvalue_bound]
+    (interlacing), so cond(W_SS) <= kappa = max / min bound, and
+    cg_iteration_cap (from kappa) bounds the iterations a converging run
+    needs: reaching it, or a breakdown p^T W_SS p <= 0, raises
+    NumericalError.  A caller that turns a solve into a number it reports
+    accounts for where CG stopped: for any z and r = b - W_SS z,
+    b^T W_SS^{-1} b = b^T z + z^T r + r^T W_SS^{-1} r, and the last term is
+    at most ||r||^2 / lambda_lb (qcurvature.solvability_check).  With the
+    dense matrix, block_solve is a dense solve behind a Cholesky gate
+    (positive_solve), as is solve (W^{-1}).
 
     M = Re M_c, M_c the assembled complex frame Galerkin matrix of
     (n+1) Upsilon, and H the exact Galerkin matrix's Hermitian part.
@@ -474,8 +737,10 @@ class InnerProductWeight:
 
     with rho = taylor_rounding_bound(a + s, D) bracket the spectrum of the
     symmetric part of T_K(M) and of the dense matrix, with no eigensolver
-    (taylor_exp_min).  apply_rounding_bound = taylor_apply_rounding_bound(a + s, D)
-    bounds the rounding of apply: ||apply(x) - T_K(M) x|| <= it times ||x||.
+    (taylor_exp_min).  apply_rounding_bound =
+    taylor_apply_rounding_bound(a + s, L, norm2_upper(M)), L the most
+    entries in a row of M, bounds the rounding of apply:
+    ||apply(x) - T_K(M) x|| <= it times ||x||.
 
     ContactPerturbation.weight passes a = (n+1) B(Upsilon), a bound on the
     exact Galerkin matrix in any orthonormal frame, and
@@ -490,13 +755,13 @@ class InnerProductWeight:
     root r_K (r_1 = -1, r_3 = -1.60, r_5 = -2.18, r_7 = -2.76,
     r_9 = -3.33, r_11 = -3.91), and every a >= |r_K| gives a bound <= 0
     whatever the spectrum of M.  Such a weight is refused: a bound <= 0,
-    like a failed Cholesky factorization of W_SS or of W, raises
+    like a CG breakdown or a failed Cholesky factorization, raises
     NumericalError (a non-positive weight means the conformal factor left
     the regime the truncation can represent).  Complex right-hand sides
     are applied and solved as their real and imaginary parts (real_matmul).
     """
 
-    multiplier: object  # M: real D x D, sparse (CSR) or dense
+    multiplier: object  # M: real D x D, CSR or dense
     taylor_depth: int
     multiplier_bound: float
     multiplier_skew: float = 0.0
@@ -505,12 +770,12 @@ class InnerProductWeight:
     apply_rounding_bound: float = field(init=False)
     min_eigenvalue_bound: float = field(init=False)
     max_eigenvalue_bound: float = field(init=False)
+    cg_iteration_cap: int = field(init=False)
+    cg_iterations: list = field(init=False, default_factory=list)  # one entry per CG solve
+    _transpose: object = field(init=False, repr=False, default=None)
     _matrix: np.ndarray | None = field(init=False, repr=False, default=None)
     _hermitian_defect: float = field(init=False, repr=False, default=0.0)
     _norm_upper: float = field(init=False, repr=False, default=0.0)
-    _cholesky: tuple | None = field(init=False, repr=False, default=None)
-    _columns: list = field(init=False, repr=False, default_factory=list)
-    _block_factors: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         M = self.multiplier
@@ -518,7 +783,8 @@ class InnerProductWeight:
             raise TypeError("the weight is real: build its multiplier in the real frame")
         a, s, K = self.multiplier_bound, self.multiplier_skew, self.taylor_depth
         rho = taylor_rounding_bound(a + s, M.shape[0])
-        self.apply_rounding_bound = taylor_apply_rounding_bound(a + s, M.shape[0])
+        self.apply_rounding_bound = taylor_apply_rounding_bound(a + s, _max_row_length(M),
+                                                                norm2_upper(M))
         skew = s * math.exp(a + s)
         self.min_eigenvalue_bound = taylor_exp_min(a, K) - rho - skew
         self.max_eigenvalue_bound = float(_taylor_sum(Fraction(a), K)) + rho + skew
@@ -529,11 +795,13 @@ class InnerProductWeight:
                 f"Taylor depth {K}; a larger depth or a "
                 f"smaller Upsilon raises it)"
             )
+        self.cg_iteration_cap = cg_iteration_cap(
+            self.max_eigenvalue_bound / self.min_eigenvalue_bound, CG_TOL)
 
     @classmethod
     def identity(cls, dim):
-        return cls(scipy.sparse.csr_matrix((dim, dim)), taylor_depth=0,
-                   multiplier_bound=0.0, upsilon_label="0")
+        return cls(CSR.zeros((dim, dim)), taylor_depth=0, multiplier_bound=0.0,
+                   upsilon_label="0")
 
     @property
     def dim(self):
@@ -543,35 +811,62 @@ class InnerProductWeight:
         """W x by Horner on x (a vector or a block of columns); W is not formed."""
         return taylor_exp_apply(self.multiplier, self.taylor_depth, x)
 
-    def columns(self, mask):
-        """W[:, mask]: Horner on the unit columns E_mask (bit-identical to the
-        columns of taylor_exp_matrix), kept, and sliced for every subset of
-        mask; from the dense matrix once that is built."""
+    def apply_transpose(self, x):
+        """W^T x = T_K(M^T) x by Horner on M^T, kept once made."""
+        if self._transpose is None:
+            self._transpose = self.multiplier.T
+        return taylor_exp_apply(self._transpose, self.taylor_depth, x)
+
+    def block_apply(self, mask, x):
+        """W_MM x for the principal block on the coordinates in mask, by Horner."""
         mask = np.asarray(mask, dtype=bool)
-        if self._matrix is not None:
-            return self._matrix[:, mask]
-        for kept, cols in self._columns:
-            if not (mask & ~kept).any():
-                return cols[:, mask[kept]]
-        E = np.zeros((mask.size, int(mask.sum())))
-        E[np.flatnonzero(mask), np.arange(E.shape[1])] = 1.0
-        cols = self.apply(E)
-        self._columns.append((mask, cols))
-        return cols
+        full = np.zeros((mask.size,) + np.shape(x)[1:], dtype=np.result_type(x, np.float64))
+        full[mask] = x
+        return self.apply(full)[mask]
 
     def block_solve(self, mask, rhs):
         """W_MM^{-1} rhs, W_MM the principal block on the coordinates in mask.
 
-        The block's Cholesky factor is made once per mask, from columns(mask),
-        and kept.
+        Conjugate gradients on block_apply, one run for all the columns of
+        a block; a dense solve once the dense matrix exists.
         """
         mask = np.asarray(mask, dtype=bool)
-        key = mask.tobytes()
-        factor = self._block_factors.get(key)
-        if factor is None:
-            factor = _cholesky(self.columns(mask)[mask], "weight block")
-            self._block_factors[key] = factor
-        return real_matmul(lambda b: scipy.linalg.cho_solve(factor, b), rhs)
+        if self._matrix is not None:
+            block = self._matrix[np.ix_(mask, mask)]
+            return real_matmul(lambda b: positive_solve(block, b, "weight block"), rhs)
+        return real_matmul(lambda b: self._conjugate_gradients(mask, b), rhs)
+
+    def _conjugate_gradients(self, mask, B):
+        """W_MM^{-1} B (real B) by CG from zero, each column stopped at ||r|| <= CG_TOL ||b||."""
+        X = np.zeros(B.shape)
+        R = np.array(B, dtype=float)
+        P = R.copy()
+        rr = np.sum(R * R, axis=0)
+        stop = (CG_TOL**2) * rr
+        for it in range(self.cg_iteration_cap + 1):
+            live = ~(rr <= stop)  # a NaN residual stays live and breaks down below
+            if not live.any():
+                self.cg_iterations.append(it)
+                return X
+            if it == self.cg_iteration_cap:
+                break
+            Q = self.block_apply(mask, P)
+            pq = np.sum(P * Q, axis=0)
+            if np.any(~(pq > 0) & live):
+                raise NumericalError(
+                    f"weight block not positive: conjugate gradients broke down "
+                    f"(p^T W p = {np.min(pq):.3e}) at iteration {it}")
+            alpha = np.where(live, rr / np.where(live, pq, 1.0), 0.0)
+            X += alpha * P
+            R -= alpha * Q
+            rr_next = np.sum(R * R, axis=0)
+            P *= np.where(live, rr_next / np.where(live, rr, 1.0), 0.0)
+            P += R
+            rr = rr_next
+        raise NumericalError(
+            f"conjugate gradients on the weight block did not reach a relative residual "
+            f"{CG_TOL:.1e} within {self.cg_iteration_cap} iterations, the cap its "
+            f"condition bound {self.max_eigenvalue_bound / self.min_eigenvalue_bound:.3g} allows")
 
     @property
     def matrix(self) -> np.ndarray:
@@ -591,10 +886,8 @@ class InnerProductWeight:
         return self._hermitian_defect
 
     def solve(self, rhs):
-        """W^{-1} rhs from the Cholesky factor of the dense matrix, made once."""
-        if self._cholesky is None:
-            self._cholesky = _cholesky(self.matrix, "weight")
-        return real_matmul(lambda b: scipy.linalg.cho_solve(self._cholesky, b), rhs)
+        """W^{-1} rhs with the dense matrix (positive_solve)."""
+        return real_matmul(lambda b: positive_solve(self.matrix, b, "weight"), rhs)
 
     def inner(self, u, v):
         """<u, v>_hat for coefficient vectors."""
@@ -604,14 +897,13 @@ class InnerProductWeight:
         """W-orthogonal projector onto the coordinate subspace given by mask.
 
         Its rows outside mask are exactly zero; its rows in mask are
-        W_MM^{-1} W_M:.
+        W_MM^{-1} W_M: (the dense matrix, which is symmetric).
         """
         mask = np.asarray(mask, dtype=bool)
         P = np.zeros((self.dim, self.dim))
         if mask.any():
-            P[mask] = self.block_solve(mask, self.columns(mask).T)
+            P[mask] = self.block_solve(mask, self.matrix[mask])
         return P
-
     def adjoint_defect(self, X, rows=None):
         """Certified upper bound on ||X - X^dagger|| / ||X||, X^dagger = W^{-1} X^* W.
 

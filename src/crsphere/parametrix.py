@@ -23,8 +23,8 @@ G_0 transports as G_0 M_w with w the truncated conformal volume factor.
 P_hat has exactly the kernel of P_diag, the pluriharmonic coordinates K,
 so the final Pi and G have closed forms: Pi is the W-orthogonal projector
 onto K and G = (I - Pi) P_diag^+ W (I - Pi).  Applied to a vector
-(apply_partial_inverse) G needs only the weight's operator core: W by
-Horner, its kernel columns W[:, K] and the Cholesky factor of W_KK.  The
+(apply_partial_inverse) G needs only the weight's operator core: W and
+W^T by Horner and solves with W_KK by conjugate gradients.  The
 pencil's spectrum is |K| exact zeros plus the nonzero eigenvalues from one
 Hermitian eigensolve of the Schur complement of W_KK (nonzero_eigenvalues);
 the chain and the spectrum command read it there, and the zero-Q solver
@@ -64,10 +64,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalError
-from .galerkin import InnerProductWeight, RealFrame, norm2_lower, norm2_upper, real_matmul
+from .galerkin import (
+    InnerProductWeight,
+    RealFrame,
+    norm2_lower,
+    norm2_upper,
+    positive_solve,
+    real_matmul,
+)
 from .harmonics import HarmonicBasis, dim_hpq
 from .spectral import (
     DiagonalOperator,
@@ -254,13 +260,14 @@ def spectrum_matrix(P_diag_vec, weight: InnerProductWeight, kernel_tol=1e-10,
     reference the tests hold it to.
     """
     D = len(P_diag_vec)
-    # A is local and in LAPACK's (Fortran) order, so eigh can overwrite it
-    # instead of copying it
-    A = np.diag(P_diag_vec).astype(float, order="F")
+    # reduced to a standard eigenproblem by W = L L^T:
+    # L^{-1} P_d L^{-T} y = lambda y, x = L^{-T} y
     try:
-        evals, evecs = scipy.linalg.eigh(A, weight.matrix, overwrite_a=True)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover
+        L_inv = np.linalg.inv(np.linalg.cholesky(weight.matrix))
+        evals, Y = np.linalg.eigh((L_inv * np.asarray(P_diag_vec, dtype=float)) @ L_inv.T)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericalError(f"generalized eigensolver failed: {exc}") from exc
+    evecs = L_inv.T @ Y
     tol = max(kernel_tol, 1e-13 * float(np.max(np.abs(evals), initial=0.0)))
     kernel = int(np.sum(np.abs(evals) <= tol))
     clusters = cluster_eigenvalues(evals, np.ones(D, dtype=int), rel_tol)
@@ -286,9 +293,7 @@ def nonzero_eigenvalues(P_d, weight: InnerProductWeight, ker):
     r = 1.0 / np.sqrt(P_d[C])
     S *= r[:, None]
     S *= r[None, :]
-    # S is Hermitian, so its transpose (Fortran order: LAPACK works on it
-    # in place) has the same eigenvalues
-    b = scipy.linalg.eigvalsh(S.T, overwrite_a=True)
+    b = np.linalg.eigvalsh(S)
     return 1.0 / b[::-1]
 
 
@@ -338,22 +343,31 @@ def apply_partial_inverse(P_d, weight: InnerProductWeight, ker, X=None):
     """G X = (I - Pi) P_d^+ W (I - Pi) X, G the partial inverse of W^{-1} P_d.
 
     Pi is the W-orthogonal projector onto the kernel coordinates K; its
-    nonzero rows are W_KK^{-1} W_K:, so Pi Y = E_K W_KK^{-1} (W Y)_K, and
-    with W E_K = W[:, K] (weight.columns) the product
-    W (I - Pi) X = W X - W[:, K] W_KK^{-1} (W X)_K needs W only applied to
-    X (weight.apply, Horner) and the kernel columns; the last projection
-    reads (W Y)_K as W[:, K]^T Y.  Neither Pi nor G nor, for a vector or a
-    block X, the dense W is formed.  X=None gives G itself from the dense
-    matrix (the chain).  G is real (frame coordinates), and a complex X is
-    applied as its real and imaginary parts.
+    nonzero rows are W_KK^{-1} W_K:, so Pi Y = E_K W_KK^{-1} (W Y)_K.  For a
+    vector or a block X nothing of the size of W is formed:
+    W (I - Pi) X = W X - W E_K z with z = W_KK^{-1} (W X)_K, and the last
+    projection reads (W Y)_K as (W^T Y)_K, the rows K of Horner on M^T
+    (weight.apply_transpose), with the solves by conjugate gradients
+    (weight.block_solve).  X=None gives G itself from the dense matrix (the
+    chain).  G is real (frame coordinates), and a complex X is applied as
+    its real and imaginary parts.
     """
     if np.iscomplexobj(X):
         return real_matmul(lambda Y: apply_partial_inverse(P_d, weight, ker, Y), X)
-    C = weight.columns(ker)
-    Y = weight.matrix.copy() if X is None else weight.apply(np.asarray(X, dtype=float))
-    Y -= C @ weight.block_solve(ker, Y[ker])
-    Y *= np.where(ker, 0.0, 1.0 / np.where(ker, 1.0, P_d)).reshape((-1,) + (1,) * (Y.ndim - 1))
-    Y[ker] -= weight.block_solve(ker, C.T @ Y)
+    p_inv = np.where(ker, 0.0, 1.0 / np.where(ker, 1.0, P_d))
+    if X is None:
+        W = weight.matrix
+        Y = W.copy()
+        Y -= W[:, ker] @ weight.block_solve(ker, Y[ker])
+        Y *= p_inv[:, None]
+        Y[ker] -= weight.block_solve(ker, W[ker] @ Y)
+        return Y
+    Y = weight.apply(np.asarray(X, dtype=float))
+    Z = np.zeros_like(Y)
+    Z[ker] = weight.block_solve(ker, Y[ker])
+    Y -= weight.apply(Z)
+    Y *= p_inv.reshape((-1,) + (1,) * (Y.ndim - 1))
+    Y[ker] -= weight.block_solve(ker, weight.apply_transpose(Y)[ker])
     return Y
 
 
@@ -370,11 +384,13 @@ def szego_projector(basis: HarmonicBasis, weight: InnerProductWeight) -> np.ndar
     """
     ker = kernel_mask(basis)
     holo = np.array([q == 0 for p, q, _, _ in basis.index_blocks()])
-    V = RealFrame(basis).unitary()[holo][:, ker].toarray()
+    E_K = np.zeros((basis.total_dim, int(ker.sum())))
+    E_K[ker] = np.eye(E_K.shape[1])
+    V = RealFrame(basis).from_frame(E_K)[holo]  # U[H, K]
     W = weight.matrix
-    factor = scipy.linalg.cho_factor(V @ W[np.ix_(ker, ker)] @ V.conj().T)
     S = np.zeros(W.shape, dtype=complex)
-    S[ker] = V.conj().T @ scipy.linalg.cho_solve(factor, V @ W[ker])
+    S[ker] = V.conj().T @ positive_solve(V @ W[np.ix_(ker, ker)] @ V.conj().T, V @ W[ker],
+                                         "holomorphic weight block")
     return S
 
 
@@ -416,7 +432,7 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
     R0.flat[diagonal] -= 1
     X = R0.copy()  # I + R0
     X.flat[diagonal] += 1
-    A0 = scipy.linalg.solve(X, np.eye(D))
+    A0 = np.linalg.inv(X)
     X = X @ A0
     X.flat[diagonal] -= 1
     a0_residual = norm2_upper(X)

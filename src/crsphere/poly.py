@@ -308,12 +308,10 @@ class Poly(TermDict):
         t_poly = t_poly if t_poly is not None else Poly.var_t(m)
         z_polys = z_polys if z_polys is not None else [Poly.var_z(m, j) for j in range(m)]
         zbar_polys = zbar_polys if zbar_polys is not None else [Poly.var_zbar(m, j) for j in range(m)]
-        out = Poly(m)
+        out = {}
         pow_cache = {}
 
         def cached_pow(tag, p, k):
-            if k == 0:
-                return Poly.const(m, ONE)
             got = pow_cache.get((tag, k))
             if got is None:
                 got = p ** k
@@ -321,14 +319,19 @@ class Poly(TermDict):
             return got
 
         for (a, b, g), c in self.terms.items():
-            term = cached_pow("t", t_poly, a)
+            # the powers of the exponents present; no product with the constant 1
+            factors = [cached_pow("t", t_poly, a)] if a else []
             for j in range(m):
                 if b[j]:
-                    term = term * cached_pow(("z", j), z_polys[j], b[j])
+                    factors.append(cached_pow(("z", j), z_polys[j], b[j]))
                 if g[j]:
-                    term = term * cached_pow(("zb", j), zbar_polys[j], g[j])
-            out = out + term.scale(c)
-        return out
+                    factors.append(cached_pow(("zb", j), zbar_polys[j], g[j]))
+            term = factors[0] if factors else Poly.const(m, ONE)
+            for factor in factors[1:]:
+                term = term * factor
+            for key, v in term.terms.items():
+                accumulate(out, key, v * c)
+        return Poly(m, out)
 
     # -- queries -------------------------------------------------------------
 

@@ -22,9 +22,9 @@ function here takes only the frame's data.
 
 The weight acts as an operator (galerkin.InnerProductWeight): the Q-datum,
 the solvability check, the solve and the final verification use W only
-applied to vectors by Horner, its kernel columns W[:, K] and the Cholesky
-factor of W_KK, and report certified bounds built from the weight's
-eigenvalue bounds in place of values that would need the dense W.
+applied to vectors by Horner and solves with W_KK by conjugate gradients,
+and report certified bounds built from the weight's eigenvalue bounds in
+place of values that would need the dense W.
 
 The multiplier and the weight are real matrices in the real frame of the
 basis (galerkin.RealFrame).  Spectral functions keep their coefficients
@@ -328,6 +328,14 @@ def solvability_check(qdata: QData, tol=DEFAULT_OBSTRUCTION_TOL) -> SolveReport:
     truncation-boundary leakage is not misread as a genuine obstruction.
     pairings_std records the frame-independent pairings against the
     standard-orthonormal kernel basis.
+
+    In a perturbed frame the squared norm on a coordinate set S is
+    y^T W_SS^{-1} y, y = (W q)_S.  The solve z ~ W_SS^{-1} y is iterative
+    (InnerProductWeight.block_solve), so the report takes where it stopped
+    into account: with r = y - W_SS z and W_SS symmetric,
+    y^T W_SS^{-1} y = y^T z + z^T r + r^T W_SS^{-1} r exactly, and the last
+    term is at most ||r||^2 / lambda_lb, so a solve stopped early cannot
+    lower the reported norm.
     """
     basis = qdata.frame.basis
     ker = kernel_mask(basis)
@@ -350,7 +358,11 @@ def solvability_check(qdata: QData, tol=DEFAULT_OBSTRUCTION_TOL) -> SolveReport:
 
         def kernel_norm(mask):
             y = wq[mask]
-            return float(math.sqrt(max(np.vdot(y, weight.block_solve(mask, y)).real, 0.0)))
+            z = weight.block_solve(mask, y)
+            r = y - weight.block_apply(mask, z)
+            norm2 = ((np.vdot(y, z) + np.vdot(z, r)).real
+                     + np.vdot(r, r).real / weight.min_eigenvalue_bound)
+            return math.sqrt(max(norm2, 0.0))
 
         obstruction = kernel_norm(ker)
         obstruction_int = kernel_norm(ker & inter)
@@ -375,8 +387,8 @@ def solve_zero_q(qdata: QData, tol=DEFAULT_OBSTRUCTION_TOL, verify_final=True) -
     reports the condition number of P on the nonzero blocks.  In a perturbed
     frame G is the closed form (I - Pi) P_d^+ W (I - Pi) applied to the
     vector Q_hat (parametrix.apply_partial_inverse) through the weight's
-    operator core alone: W by Horner on vectors, its kernel columns W[:, K]
-    and the Cholesky factor of W_KK; the dense W is never formed.  The
+    operator core alone: W and W^T by Horner on vectors and solves with
+    W_KK by conjugate gradients; the dense W is never formed.  The
     residual ||W^{-1} P_d u + x||_W (u the solution, x = Q_hat) is reported
     as its certified bound: with y = P_d u + W x it equals
     sqrt(y^T W^{-1} y) <= ||y|| / sqrt(lambda_min), and the computed W x is
@@ -442,6 +454,8 @@ def solve_zero_q(qdata: QData, tol=DEFAULT_OBSTRUCTION_TOL, verify_final=True) -
         report.upsilon_sol = ups
         report.notes["mode"] = "weighted_closed_form"
         report.notes["weight_form"] = "operator"
+        report.notes["cg_iterations_max"] = max(weight.cg_iterations, default=0)
+        report.notes["cg_iteration_cap"] = weight.cg_iteration_cap
 
     if verify_final and report.upsilon_sol is not None:
         report.final_q_norm = recompute_final_q_norm(qdata, report.upsilon_sol)
@@ -455,7 +469,7 @@ def _weighted_residual_bound(weight: InnerProductWeight, p_ups, x):
     and the product P_d u commit at most 2u ||y|| + 3u ||W x|| more, and the
     norm gamma_D ||y||: the gamma_{D+2} factor takes the parts in ||y||,
     and 3u ||W x|| <= 3u e^{a+s} ||x|| lies inside rho's slack over
-    Horner's own errors (at least sqrt(2) gamma_{2D+2} e^{2a} ||x||).
+    Horner's own errors (at least gamma_{L+2} e^{2(a+s)} ||x||, L >= 1).
     """
     y = p_ups + weight.apply(x)
     return ((1 + gamma(x.shape[0] + 2)) * float(np.linalg.norm(y))

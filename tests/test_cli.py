@@ -315,6 +315,32 @@ def test_exact_commands_load_neither_numpy_nor_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_floating_commands_load_no_scipy(tmp_path, pert_file):
+    # the floating layers (sparse multiplier, weight, chain, spectrum, zero-Q
+    # solve) run on numpy alone
+    script = (
+        "import sys\n"
+        "import crsphere.cli\n"
+        f"out, pert = {str(tmp_path)!r}, {pert_file!r}\n"
+        "common = ['--n', '1', '--degree', '6', '--perturbation', pert]\n"
+        "assert crsphere.cli.main(['qcurv', 'solve', *common, '--out', out + '/q']) == 0\n"
+        "assert crsphere.cli.main(['parametrix-check', *common, '--out', out + '/c']) == 0\n"
+        "assert crsphere.cli.main(['spectrum', '--sweep', '4..6', *common,\n"
+        "                          '--out', out + '/s']) == 0\n"
+        "assert 'numpy' in sys.modules\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'scipy loaded'\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    solve = json.loads((tmp_path / "q" / "qcurv_solve.json").read_text())
+    assert solve["notes"]["weight_form"] == "operator"
+    assert 0 < solve["notes"]["cg_iterations_max"] <= solve["notes"]["cg_iteration_cap"]
+
+
 def test_lazy_exports_resolve():
     # every name the package exports on first use exists in its module
     import crsphere
@@ -470,18 +496,15 @@ class TestQcurvAtN2:
 
 
 def test_qcurv_weight_failures_exit_numerical(tmp_path, monkeypatch):
-    import numpy as np
-    import scipy.linalg
+    from crsphere.galerkin import InnerProductWeight
 
     # a lower eigenvalue bound <= 0: a = 2.5 is past the root -2.18 of T_5
     big = perturbation_file(tmp_path / "big.json", shaped_terms(1, 3, 1.25), taylor_depth=5)
     assert run("qcurv", "solve", "--n", "1", "--degree", "6", "--perturbation", big,
                "--out", str(tmp_path / "big")) == EXIT_NUMERICAL
-    # a failed Cholesky factorization of W_KK
-    def fail(*args, **kwargs):
-        raise np.linalg.LinAlgError("not positive definite")
-
-    monkeypatch.setattr(scipy.linalg, "cho_factor", fail)
+    # a breakdown of conjugate gradients on W_KK: an indefinite weight operator
+    apply = InnerProductWeight.apply
+    monkeypatch.setattr(InnerProductWeight, "apply", lambda self, x: -apply(self, x))
     small = perturbation_file(tmp_path / "small.json", shaped_terms(1, 3, 0.05))
     assert run("qcurv", "solve", "--n", "1", "--degree", "6", "--perturbation", small,
                "--out", str(tmp_path / "small")) == EXIT_NUMERICAL

@@ -11,7 +11,10 @@ from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from crsphere.errors import ConfigError, NumericalError
+from crsphere import galerkin
 from crsphere.galerkin import (
+    CSR,
+    CG_TOL,
     GalerkinContext,
     InnerProductWeight,
     MonomialIndex,
@@ -24,6 +27,8 @@ from crsphere.galerkin import (
     shift_matrix,
     taylor_exp_apply,
     taylor_exp_matrix,
+    cg_iteration_cap,
+    taylor_apply_rounding_bound,
     taylor_exp_min,
     taylor_rounding_bound,
 )
@@ -113,7 +118,7 @@ def real_test_function(basis, scale=1.0):
 
 class TestMultiplicationMatrix:
     def test_identity_multiplier(self, ctx8, basis8):
-        M = ctx8.mult_matrix(Poly.const(2, 1.0 + 0j))
+        M = ctx8.mult_matrix(Poly.const(2, 1.0 + 0j)).toarray()
         assert np.linalg.norm(M - np.eye(basis8.total_dim), 2) < 1e-12
 
     def test_column_zero_recovers_coefficients(self, ctx8, basis8):
@@ -131,7 +136,7 @@ class TestMultiplicationMatrix:
         # dual route: one matrix entry vs a hand-assembled exact triple product
         f = real_test_function(basis8)
         fp = f.to_poly_float()
-        M = ctx8.mult_matrix(fp)
+        M = ctx8.mult_matrix(fp).toarray()
         probes = [((1, 0), 0, (2, 1), 1), ((1, 1), 0, (1, 1), 2), ((0, 0), 0, (2, 2), 0)]
         for (bi, i, bj, j) in probes:
             ei = basis8.blocks[bi][i]
@@ -181,11 +186,14 @@ class TestTaylorExponential:
         assert abs(E[0, 0] - math.exp(0.3)) < 1e-14
 
     def test_first_step_skips_the_identity_product(self, ctx8, basis8):
-        # starting from M / K + I gives the same floats as M @ I / K + I
+        # starting from M / K + I gives the same floats as M @ I / K + I; a
+        # CSR M runs as its dense form
         M = ctx8.mult_matrix(real_test_function(basis8, 0.1).to_poly_float())
-        for X in (M.real, M.real.toarray(), M, np.array([[0.3]])):
+        for X in (M.real.toarray(), M.toarray(), np.array([[0.3]])):
             for K in (1, 2, 12):
                 assert np.array_equal(taylor_exp_matrix(X, K), taylor_exp_matrix_loop(X, K))
+        for X in (M.real, M):
+            assert np.array_equal(taylor_exp_matrix(X, 12), taylor_exp_matrix(X.toarray(), 12))
 
 
 class TestWeight:
@@ -335,18 +343,36 @@ class TestFastPathsAgainstReference:
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("not positive definite")
 
-        monkeypatch.setattr(scipy.linalg, "cho_factor", fail)
         weight = InnerProductWeight(weight8.multiplier, taylor_depth=12,
                                     multiplier_bound=weight8.multiplier_bound)
+        weight.matrix  # the dense route: block solves are dense solves
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
         v = np.ones(weight.dim)
         with pytest.raises(NumericalError, match="weight block Cholesky"):
             weight.block_solve(v > 0, v)
         with pytest.raises(NumericalError, match="weight Cholesky"):
             weight.solve(v)
 
+    def test_conjugate_gradient_failures_are_numerical_errors(self, weight8, monkeypatch):
+        # the operator route: an indefinite block breaks CG down, and a
+        # solve that needs more iterations than the cap is refused
+        weight = InnerProductWeight(weight8.multiplier, taylor_depth=12,
+                                    multiplier_bound=weight8.multiplier_bound)
+        mask = np.arange(weight.dim) % 3 == 0
+        v = np.linspace(1.0, 2.0, int(mask.sum()))
+        monkeypatch.setattr(weight, "apply", lambda x: -taylor_exp_apply(weight.multiplier, 12, x))
+        with pytest.raises(NumericalError, match="broke down"):
+            weight.block_solve(mask, v)
+        monkeypatch.undo()
+        with pytest.raises(NumericalError, match="broke down"):  # a NaN is not positive either
+            weight.block_solve(mask, np.full(v.size, np.nan))
+        weight.cg_iteration_cap = 2
+        with pytest.raises(NumericalError, match="within 2 iterations"):
+            weight.block_solve(mask, v)
+
     def test_multiplier_is_sparse(self, ctx8, basis8):
         M = ctx8.mult_matrix(real_test_function(basis8).to_poly_float())
-        assert scipy.sparse.issparse(M) and M.format == "csr"
+        assert isinstance(M, CSR)
         assert M.nnz < 0.25 * basis8.total_dim**2
 
     def test_sparse_horner_matches_dense(self, ctx8, basis8):
@@ -581,8 +607,8 @@ def test_reeb_commutator_with_multiplication(ctx8, basis8):
     iT_f = f.apply_diagonal(it)
     # iT is diagonal in the basis e, not in the real frame: map both back
     U = RealFrame(basis8).unitary()
-    Mf = U @ ctx8.mult_matrix(f.to_poly_float()) @ U.conj().T
-    M_itf = U @ ctx8.mult_matrix(iT_f.to_poly_float()) @ U.conj().T
+    Mf = (U @ ctx8.mult_matrix(f.to_poly_float()) @ U.conj().T).toarray()
+    M_itf = (U @ ctx8.mult_matrix(iT_f.to_poly_float()) @ U.conj().T).toarray()
     it_diag = np.diag(it.to_diag_vector(basis8)).astype(complex)
     comm = it_diag @ Mf - Mf @ it_diag
     assert np.linalg.norm(comm - M_itf, 2) <= 1e-11
@@ -676,17 +702,20 @@ def test_assembly_rounding_bounds_the_assembly_error(bases_small, n, N):
 @pytest.mark.parametrize("N", [8, 12])
 def test_horner_columns_are_the_taylor_matrix_columns(basis16, N):
     # Horner on the unit columns of the kernel coordinates gives the columns
-    # of the full Taylor sum bit for bit, in float64; a subset is sliced
+    # of the full Taylor sum (dense matmuls) up to rounding, in float64
     basis = basis16.restrict(N)
     pert = ContactPerturbation(basis, real_test_function(basis, 0.05))
     M = pert.multiplier_matrix()
     full = taylor_exp_matrix(M, pert.K)
     weight = pert.weight()
     ker = kernel_mask(basis)
-    cols = weight.columns(ker)
-    assert cols.dtype == np.float64 and np.array_equal(cols, full[:, ker])
-    inner = ker & interior_mask(basis)
-    assert np.array_equal(weight.columns(inner), full[:, inner])
+    E = np.eye(basis.total_dim)[:, ker]
+    cols = weight.apply(E)
+    assert cols.dtype == np.float64
+    assert np.abs(cols - full[:, ker]).max() <= weight.apply_rounding_bound
+    # each column of a block is the product with that column alone
+    j = int(ker.sum()) // 2
+    assert np.array_equal(cols[:, j], weight.apply(E[:, j]))
     # a real vector stays real; a complex one is its real and imaginary parts
     rng = np.random.default_rng(N)
     x, y = rng.standard_normal((2, basis.total_dim))
@@ -703,10 +732,104 @@ def test_weight_operator_core_against_the_dense_matrix(basis8):
     rng = np.random.default_rng(4)
     x = rng.standard_normal(basis8.total_dim)
     wx = weight.apply(x)
-    kernel_solve = weight.block_solve(ker, x[ker])  # factor of the Horner block W_KK
+    wtx = weight.apply_transpose(x)
+    kernel_solve = weight.block_solve(ker, x[ker])  # conjugate gradients on W_KK
+    assert weight.cg_iterations and max(weight.cg_iterations) <= weight.cg_iteration_cap
     W = weight.matrix
     assert np.linalg.norm(wx - W @ x) <= 1e-14 * np.linalg.norm(x)
+    assert np.linalg.norm(wtx - W @ x) <= 1e-14 * np.linalg.norm(x)
     assert np.isclose(weight.inner(x, x).real, x @ W @ x, rtol=1e-14)
     ref = np.linalg.solve(W[np.ix_(ker, ker)], x[ker])
     assert np.abs(kernel_solve - ref).max() <= 1e-13 * np.abs(ref).max()
-    assert np.array_equal(weight.columns(ker), W[:, ker])  # sliced once W exists
+    # once W exists, block solves are dense solves
+    assert np.abs(weight.block_solve(ker, x[ker]) - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert len(weight.cg_iterations) == 1
+
+
+def test_apply_rounding_bound_charges_the_rows_of_the_multiplier(basis8):
+    # the vector Horner term charges the longest row L and ||abs(M)||, not D
+    pert = ContactPerturbation(basis8, real_test_function(basis8, 0.05))
+    weight = pert.weight()
+    M = pert.multiplier_matrix()
+    # the stored entries of a row, explicit zeros included, bound its nonzeros
+    L = M.max_row_length()
+    assert np.count_nonzero(M.toarray(), axis=1).max() <= L < basis8.total_dim
+    a = weight.multiplier_bound + weight.multiplier_skew
+    assert weight.apply_rounding_bound == taylor_apply_rounding_bound(a, L, norm2_upper(M))
+    assert weight.apply_rounding_bound <= 1e-12
+    # against an extended-precision Horner on one vector
+    x = np.random.default_rng(8).standard_normal(basis8.total_dim)
+    dense = M.toarray()
+    with mpmath.workdps(40):
+        Mm = mpmath.matrix(dense.tolist())
+        xm = mpmath.matrix(x.tolist())
+        u = xm
+        for k in range(pert.K, 0, -1):
+            u = Mm * u / k + xm
+        exact = np.array([float(v) for v in u])
+    err = np.linalg.norm(weight.apply(x) - exact)
+    assert err <= weight.apply_rounding_bound * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("kappa", [1.0, 1.2, 1.5, 4.0, 100.0])
+def test_cg_cap_covers_the_exact_arithmetic_bound(kappa):
+    cap = cg_iteration_cap(kappa, CG_TOL)
+    q = (math.sqrt(kappa) - 1) / (math.sqrt(kappa) + 1)
+    k = cap - galerkin.CG_SLACK
+    assert k >= 1 and 2 * math.sqrt(kappa) * q**k <= CG_TOL
+    if k > 1:
+        assert 2 * math.sqrt(kappa) * q ** (k - 1) > CG_TOL
+
+
+def to_scipy(X):
+    return scipy.sparse.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
+
+
+def random_coo(rng, shape, nnz, dtype):
+    rows = rng.integers(0, shape[0], nnz)
+    cols = rng.integers(0, shape[1], nnz)
+    vals = rng.standard_normal(nnz)
+    if dtype == complex:
+        vals = vals + 1j * rng.standard_normal(nnz)
+    return vals, rows, cols
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_csr_against_scipy_sparse(dtype, seed, monkeypatch):
+    # repeated coordinates, empty rows and columns, products in small blocks
+    rng = np.random.default_rng(seed)
+    monkeypatch.setattr(galerkin, "_PRODUCT_BLOCK", 7)
+    A_coo = random_coo(rng, (30, 20), 80, dtype)
+    B_coo = random_coo(rng, (20, 25), 60, float)
+    A = CSR.from_coo(*A_coo, (30, 20))
+    B = CSR.from_coo(*B_coo, (20, 25))
+    A_ref = scipy.sparse.csr_matrix((A_coo[0], (A_coo[1], A_coo[2])), shape=(30, 20))
+    B_ref = scipy.sparse.csr_matrix((B_coo[0], (B_coo[1], B_coo[2])), shape=(20, 25))
+    A_ref.sum_duplicates()
+    assert np.diff(A.indptr).min() == 0  # some row is empty
+    for got, ref in ((A, A_ref), (A.T, A_ref.T), (A.conj(), A_ref.conj()),
+                     (abs(A), abs(A_ref)), (A.real, A_ref.real), (A.imag, A_ref.imag),
+                     (A @ B, A_ref @ B_ref), (A - (A @ B) @ B.T, A_ref - (A_ref @ B_ref) @ B_ref.T),
+                     (-A * 2.0, -A_ref * 2.0)):
+        dense = ref.toarray()
+        assert got.shape == dense.shape
+        assert np.abs(got.toarray() - dense).max() <= 1e-14 * max(1.0, np.abs(dense).max())
+        assert all(np.all(np.diff(got.indices[lo:hi]) > 0)
+                   for lo, hi in zip(got.indptr[:-1], got.indptr[1:]))
+    x = rng.standard_normal(20) + 1j * rng.standard_normal(20)
+    X = rng.standard_normal((20, 3))
+    assert np.abs(A @ x - A_ref @ x).max() <= 1e-14 * np.abs(A_ref @ x).max()
+    assert np.abs(A @ X - A_ref @ X).max() <= 1e-14 * np.abs(A_ref @ X).max()
+    for axis in (0, 1):
+        assert np.allclose(abs(A).sum(axis=axis), np.ravel(abs(A_ref).sum(axis=axis)),
+                           rtol=1e-14, atol=0)
+    assert norm2_upper(A) == pytest.approx(norm2_upper(A_ref.toarray()), rel=1e-14)
+    assert A.max_row_length() == np.diff(A_ref.indptr).max()
+    # the product keeps the same entries as scipy's (exact zeros dropped)
+    P, P_ref = A @ B, A_ref @ B_ref
+    P_ref.sort_indices()
+    assert np.array_equal(P.indptr, P_ref.indptr) and np.array_equal(P.indices, P_ref.indices)
+    empty = CSR.zeros((4, 3))
+    assert empty.nnz == 0 and not (empty @ np.ones(3)).any()
+    assert (empty @ CSR.zeros((3, 5))).shape == (4, 5)

@@ -392,7 +392,9 @@ def complex_chain_reference(basis, pert):
             vals.append(complex(c) / math.sqrt(float(el.norm2)))
     Bc = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(D, len(ctx.idx_basis)))
     poly = pert.upsilon.to_poly_float().scale(float(basis.n + 1))
-    M = (Bc.conj() @ ctx.K @ shift_matrix(poly, ctx.idx_basis, ctx.idx_big) @ Bc.T).toarray()
+    K, S = (scipy.sparse.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
+            for X in (ctx.K, shift_matrix(poly, ctx.idx_basis, ctx.idx_big)))
+    M = (Bc.conj() @ K @ S @ Bc.T).toarray()
     W = taylor_exp_matrix(M, pert.K)
     W = 0.5 * (W + W.conj().T)
 

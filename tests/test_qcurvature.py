@@ -313,13 +313,53 @@ def test_operator_solve_matches_dense_partial_inverse(basis12, seed):
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def test_operator_solve_matches_dense_partial_inverse_n2(basis_n2_N8):
+    # the same agreement at n = 2, N = 8 (D = 2079), and every conjugate
+    # gradient solve of the route within the cap its condition bound gives
+    pert = shaped_perturbation(basis_n2_N8, 4)
+    qd = qhat(pert)
+    rep = solve_zero_q(qd)
+    weight = pert.weight()
+    assert len(weight.cg_iterations) == 4  # two in the solvability check, two in G
+    assert max(weight.cg_iterations) == rep.notes["cg_iterations_max"] <= weight.cg_iteration_cap
+    frame = RealFrame(basis_n2_N8)
+    P_d = critical_gjms(basis_n2_N8).to_diag_vector(basis_n2_N8)
+    x = frame.to_frame(qd.vector())
+    ref_vec = frame.from_frame(-dense_partial_inverse(P_d, weight.matrix,
+                                                      kernel_mask(basis_n2_N8), x))
+    ref = SpectralFunction.from_vector(basis_n2_N8, ref_vec).realized().to_vector()
+    got = rep.upsilon_sol.to_vector()
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("cg_tol", [galerkin.CG_TOL, 1e-2])
+def test_obstruction_norm_never_below_the_dense_value(basis8, monkeypatch, cg_tol):
+    # a floating datum with kernel components in a perturbed frame: the
+    # reported weighted obstruction is at least sqrt(y^T W_SS^{-1} y) from a
+    # dense solve, also when conjugate gradients stops early (cg_tol 1e-2)
+    monkeypatch.setattr(galerkin, "CG_TOL", cg_tol)
+    pert = shaped_perturbation(basis8, 6, sup_bound=0.1)
+    rng = np.random.default_rng(6)
+    Q = SpectralFunction.from_vector(
+        basis8, rng.standard_normal(basis8.total_dim)).realized()
+    rep = solvability_check(QData(Q, pert, False, pert.K, 0.0))
+    W = pert.weight().matrix
+    frame = RealFrame(basis8)
+    wq = W @ frame.to_frame(Q.to_vector()).real
+    for mask, got in ((kernel_mask(basis8), rep.obstruction_norm),
+                      (kernel_mask(basis8) & interior_mask(basis8), rep.obstruction_norm_interior)):
+        y = wq[mask]
+        ref = math.sqrt(y @ np.linalg.solve(W[np.ix_(mask, mask)], y))
+        assert ref * (1 - 1e-13) <= got <= ref * (1 + (1e-12 if cg_tol < 1e-15 else 1e-2))
+
+
 def test_solve_never_forms_the_dense_weight(basis12, monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("dense weight or eigensolver on the zero-Q route")
+        raise AssertionError("dense weight or dense solver on the zero-Q route")
 
     monkeypatch.setattr(galerkin, "taylor_exp_matrix", refuse)
-    for name in ("eigh", "eigvalsh"):
-        monkeypatch.setattr(scipy.linalg, name, refuse)
+    for name in ("eigh", "eigvalsh", "cholesky", "solve", "inv"):
+        monkeypatch.setattr(np.linalg, name, refuse)
     pert = shaped_perturbation(basis12, 3)
     qd = qhat(pert)
     assert total_q(qd)[1] and solvability_check(qd).solvable
