@@ -27,10 +27,13 @@ operator first: it applies W = T_K(M) to vectors by Horner's rule on the
 sparse M (taylor_exp_apply) and solves with a principal block W_SS by
 conjugate gradients on that matvec, with an iteration cap from the
 certified condition bound; the zero-Q solve needs nothing more.  The dense
-matrix is built, by dense matmuls, only when the chain or the pencil
-spectrum asks for it.  No eigensolver runs on the weight: W = T_K(M) is
-a polynomial in the multiplier M and ||M|| <= a, so min_{|x|<=a} T_K(x),
-less a-priori bounds on the rounding of Horner's rule, of the assembly of M
+matrix is built only when the chain or the pencil spectrum asks for it,
+by Paterson and Stockmeyer's evaluation of the Taylor sum on the dense M
+(taylor_exp_matrix: 5 dense matmuls at K = 12), and the chain inverts it
+once (InnerProductWeight.inverse).  No eigensolver runs on the weight:
+W = T_K(M) is a polynomial in the multiplier M and ||M|| <= a, so
+min_{|x|<=a} T_K(x), less a-priori bounds on the rounding of the Taylor
+sum, of the assembly of M
 and on how far the assembled M is from a Hermitian matrix, is a lower
 bound on its smallest eigenvalue (a bound <= 0 refuses the weight), and
 T_K(a) plus the same terms an upper bound on its largest.  Residual
@@ -527,22 +530,50 @@ def full_context(basis: HarmonicBasis) -> GalerkinContext:
 
 
 def taylor_exp_matrix(M, K: int) -> np.ndarray:
-    """Sum_{k<=K} M^k / k! by Horner; each product stays on the truncation.
+    """Sum_{k<=K} M^k / k! by Paterson and Stockmeyer; each product stays on the truncation.
 
-    M may be CSR or dense; the sum is dense, and every product is a dense
-    matmul on the dense M.  The first step, M I / K + I, starts from M
-    itself: no product with the identity.
+    With s = ceil(sqrt K) and r = floor(K / s) the sum is Horner's rule in
+    the power X = M^s,
+
+        T_K(M) = sum_{j<=r} B_j X^j,   B_j = sum_{i<s, js+i<=K} M^i / (js+i)!,
+
+    so it takes the s - 1 products M^2 .. M^s and r products in X, one
+    fewer when s divides K (then B_r = I / K! and the first step is
+    X / K! + B_{r-1}): 5 dense matmuls at K = 12, where Horner's rule in M
+    takes 11 (Paterson and Stockmeyer, SIAM J. Comput. 2, 1973; Higham,
+    Functions of Matrices, 4.2).  M may be CSR or dense; the sum is dense,
+    and every product is a dense matmul on the dense M.  The coefficients
+    are 1 / k! correctly rounded, and the identity term of each B_j goes
+    on the diagonal alone.  taylor_rounding_bound bounds the rounding of
+    this evaluation order.
     """
     D = M.shape[0]
     if K == 0:
         return np.eye(D, dtype=M.dtype)
     M = M.toarray() if isinstance(M, CSR) else np.asarray(M)
-    E = M / K
-    E.flat[:: D + 1] += 1
-    for k in range(K - 1, 0, -1):
-        E = M @ E
-        E /= k
-        E.flat[:: D + 1] += 1
+    s = math.isqrt(K - 1) + 1
+    r = K // s
+    powers = [None, M]  # powers[i] = M^i
+    for _ in range(s - 1):
+        powers.append(M @ powers[-1])
+    X = powers[s]
+
+    def block(j, out=None):
+        """B_j; with out, out + B_j formed in out."""
+        B = np.zeros((D, D), dtype=M.dtype) if out is None else out
+        for i in range(1, min(s - 1, K - j * s) + 1):
+            B += powers[i] * (1 / math.factorial(j * s + i))
+        B.flat[:: D + 1] += 1 / math.factorial(j * s)
+        return B
+
+    if r * s == K:  # B_r = I / K!: the first step needs no product
+        E = block(r - 1, X * (1 / math.factorial(K)))
+        top = r - 1
+    else:
+        E = block(r)
+        top = r
+    for j in range(top - 1, -1, -1):
+        E = block(j, X @ E)
     return E
 
 
@@ -602,25 +633,48 @@ def taylor_exp_min(a: float, K: int) -> float:
     return float(hi**K / math.factorial(K))
 
 
-def taylor_rounding_bound(a: float, D: int) -> float:
-    """Bound rho on ||fl(W) - T_K(M)||_2 for the weight W = T_K(M), ||M||_2 <= a.
+def taylor_rounding_bound(a: float, D: int, K: int) -> float:
+    """Bound rho on ||fl(W) - T_K(M)||_2 for the dense weight W = T_K(M), ||M||_2 <= a.
 
-    Horner's rule (taylor_exp_matrix) computes E_k = M E_{k+1} / k + I.
-    One step commits at most c (|M| |E_{k+1}| / k + I) entrywise,
-    c = sqrt(2) gamma_{2D+2}: each real part of a length-D complex inner
-    product is a sum of 2D products, plus the division and the diagonal
-    add (Higham, Accuracy and Stability of Numerical Algorithms, 3.5-3.6).
-    A real M (the frame multiplier) commits at most gamma_{D+2} per
-    entry, below c, so the same constant covers it.
-    With ||abs(X)||_2 <= sqrt(D) ||X||_2 and ||E_k|| <= e^a, the committed
-    errors, carried forward by factors a^j / j!, sum to at most
-    c e^a (2 D a e^a + 1); the symmetrization 0.5 (W + W^*) adds at most
-    2 sqrt(D) u e^a.  Both are below 2 sqrt(2) gamma_{2D+2} (D a + 1) e^{2a}.
-    The bound is on Horner's rule applied to M as assembled; how far the
-    assembled M is from the exact Galerkin matrix is the multiplier's
-    skew term (GalerkinContext.assembly_rounding, InnerProductWeight).
+    It also bounds the distance of the symmetrized fl(W) from the symmetric
+    part of T_K(M).
+
+    W is taylor_exp_matrix (Paterson and Stockmeyer, s = ceil(sqrt K),
+    X = M^s, T_K(M) = sum_j B_j X^j), symmetrized as 0.5 (W + W^*).  Every
+    rounded step commits, entrywise, at most c = sqrt(2) gamma_{2D+s+2}
+    times the absolute values it combines (Higham, Accuracy and Stability
+    of Numerical Algorithms, 3.5-3.6: the real part of a length-D complex
+    inner product is a sum of 2D products; a real M commits less):
+      - a power P_i = fl(M P_{i-1}), at most c |M| |P_{i-1}|;
+      - a Horner step fl(X E_{j+1} + B_j), with B_j's s terms
+        (1 / k! rounded once, its product rounded once) summed into the
+        product, at most c (|X| |E_{j+1}| + I / (js)! + sum_{i>=1} |M^i| / (js+i)!);
+        the identity term sits on the diagonal alone.
+    With ||abs(Y)||_2 <= sqrt(D) ||Y||_2, ||M^k|| <= a^k and T_K(a) <= e^a,
+    to first order in c:
+      - the power errors: P_i is off by at most (i-1) c D a^i, and term
+        k = js + i of the sum reaches it through (i-1) + j (s-1) <= k-1
+        products, so they add at most c D sum_k (k-1) a^k / k! <= c D a^2 e^a;
+      - step j's error reaches the result through X^j (norm a^{sj}).  With
+        b_j = sum_{i>=1} a^i / (js+i)!, ||B_j|| <= 1 / (js)! + b_j and
+        ||E_{j+1}|| <= sum_{l>j} a^{s(l-j-1)} ||B_l||, so the product terms
+        sum to c D sum_{l>=1} l a^{sl} ||B_l|| <= c D (a / s) e^a (l <= k / s
+        for every term k of B_l), and the B_j terms to
+        c sum_j a^{sj} (1 / (js)! + sqrt(D) b_j) <= c e^a (1 + sqrt(D) a);
+      - the symmetrization is exact on the diagonal and rounds each
+        off-diagonal entry once, at most u sqrt(D) ||offdiag(W)|| <= 2 sqrt(D) u a e^a,
+        below c sqrt(D) a e^a.
+    The sum is c e^a (D a (a + 1/s) + 2 sqrt(D) a + 1).  The factor 2 of
+    rho takes the second-order terms (errors measured on computed rather
+    than exact factors, and products of two errors), smaller than the
+    first-order ones by a factor of order c D K, below 1e-6 for D up to
+    10^4 at K = 12.  The bound is on the sum applied to M as assembled; how far the
+    assembled M is from the exact Galerkin matrix is the multiplier's skew
+    term (GalerkinContext.assembly_rounding, InnerProductWeight).
     """
-    return 2 * math.sqrt(2) * gamma(2 * D + 2) * (D * a + 1) * math.exp(2 * a)
+    s = math.isqrt(K - 1) + 1 if K > 0 else 1
+    c = math.sqrt(2) * gamma(2 * D + s + 2)
+    return 2 * c * math.exp(a) * (D * a * (a + 1 / s) + 2 * math.sqrt(D) * a + 1)
 
 
 def taylor_apply_rounding_bound(a: float, L: int, A: float) -> float:
@@ -686,17 +740,56 @@ def real_matmul(A, X):
     return np.ascontiguousarray(apply(parts)).view(complex).reshape(X.shape)
 
 
-def positive_solve(A, B, what):
-    """A^{-1} B for a dense Hermitian positive definite A.
+def positive_definite_gate(A, what):
+    """A Cholesky factorization of a dense Hermitian A as its positivity gate.
 
-    A Cholesky factorization is the positivity gate: if it fails the run
-    raises NumericalError.  numpy has no triangular solve to reuse the
-    factor with, so the solve itself is np.linalg.solve.
+    If it fails the run raises NumericalError.  numpy has no triangular
+    solve to reuse the factor with, so the solves and inverses behind the
+    gate are np.linalg's.
     """
     try:
         np.linalg.cholesky(A)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"{what} Cholesky factorization failed: {exc}") from exc
+
+
+# order of the blocks positive_inverse hands to np.linalg.inv
+_INVERSE_LEAF = 256
+
+
+def positive_inverse(A):
+    """A^{-1} for a dense symmetric positive definite A, by 2 x 2 blocks in matmuls.
+
+    For A = [[A11, A21^T], [A21, A22]], X = A21 A11^{-1} and the Schur
+    complement S = A22 - X A21^T (positive definite), the inverse is
+    [[A11^{-1} + X^T S^{-1} X, -(S^{-1} X)^T], [-S^{-1} X, S^{-1}]]; A11 and
+    S recurse down to np.linalg.inv at _INVERSE_LEAF rows.  That is 4/3 D^3
+    flops, nearly all in matmuls, where np.linalg.inv (LU, then a solve
+    with the D columns of I) takes 8/3 D^3 in slower kernels.  Block
+    elimination without interchanges is stable on a positive definite
+    matrix (Higham, Accuracy and Stability of Numerical Algorithms, 13.3).
+    It checks nothing: callers gate A first (positive_definite_gate).
+    """
+    D = A.shape[0]
+    if D <= _INVERSE_LEAF:
+        return np.linalg.inv(A)
+    h = D // 2
+    A11_inv = positive_inverse(A[:h, :h])
+    X = A[h:, :h] @ A11_inv
+    S = A[h:, h:] - X @ A[:h, h:]
+    S_inv = positive_inverse(S)
+    Y = S_inv @ X
+    out = np.empty_like(A)
+    out[:h, :h] = A11_inv + X.T @ Y
+    out[h:, :h] = -Y
+    out[:h, h:] = out[h:, :h].T
+    out[h:, h:] = S_inv
+    return out
+
+
+def positive_solve(A, B, what):
+    """A^{-1} B for a dense Hermitian positive definite A, behind positive_definite_gate."""
+    positive_definite_gate(A, what)
     return np.linalg.solve(A, B)
 
 
@@ -710,7 +803,8 @@ class InnerProductWeight:
     is apply (W x), apply_transpose (W^T x, Horner on M^T), block_solve and
     the bounds below; the zero-Q solve needs nothing else.  The dense
     matrix, symmetrized, is built on first use, by the chain and the pencil
-    spectrum (matrix, solve, projector, adjoint_defect).
+    spectrum (matrix, solve, inverse, projector_rows, projector,
+    adjoint_defect).
 
     block_solve(S, b) solves with the principal block W_SS.  Without the
     dense matrix it runs conjugate gradients on apply restricted to S, from
@@ -735,7 +829,7 @@ class InnerProductWeight:
         min_eigenvalue_bound = min_{|x|<=a} T_K(x) - rho - s e^{a+s}
         max_eigenvalue_bound = T_K(a) + rho + s e^{a+s}
 
-    with rho = taylor_rounding_bound(a + s, D) bracket the spectrum of the
+    with rho = taylor_rounding_bound(a + s, D, K) bracket the spectrum of the
     symmetric part of T_K(M) and of the dense matrix, with no eigensolver
     (taylor_exp_min).  apply_rounding_bound =
     taylor_apply_rounding_bound(a + s, L, norm2_upper(M)), L the most
@@ -782,7 +876,7 @@ class InnerProductWeight:
         if np.iscomplexobj(M):
             raise TypeError("the weight is real: build its multiplier in the real frame")
         a, s, K = self.multiplier_bound, self.multiplier_skew, self.taylor_depth
-        rho = taylor_rounding_bound(a + s, M.shape[0])
+        rho = taylor_rounding_bound(a + s, M.shape[0], K)
         self.apply_rounding_bound = taylor_apply_rounding_bound(a + s, _max_row_length(M),
                                                                 norm2_upper(M))
         skew = s * math.exp(a + s)
@@ -889,21 +983,32 @@ class InnerProductWeight:
         """W^{-1} rhs with the dense matrix (positive_solve)."""
         return real_matmul(lambda b: positive_solve(self.matrix, b, "weight"), rhs)
 
+    def inverse(self) -> np.ndarray:
+        """W^{-1}, dense (positive_inverse), behind the Cholesky gate of the full dense matrix."""
+        positive_definite_gate(self.matrix, "weight")
+        return positive_inverse(self.matrix)
+
     def inner(self, u, v):
         """<u, v>_hat for coefficient vectors."""
         return complex(np.vdot(v, self.apply(u)))
 
-    def projector(self, mask):
-        """W-orthogonal projector onto the coordinate subspace given by mask.
+    def projector_rows(self, mask):
+        """The rows in mask of the W-orthogonal projector onto the coordinates in mask.
 
-        Its rows outside mask are exactly zero; its rows in mask are
-        W_MM^{-1} W_M: (the dense matrix, which is symmetric).
+        They are W_MM^{-1} W_M: (the dense matrix, which is symmetric); the
+        projector's other rows are exactly zero.
         """
+        mask = np.asarray(mask, dtype=bool)
+        return self.block_solve(mask, self.matrix[mask])
+
+    def projector(self, mask):
+        """W-orthogonal projector onto the coordinate subspace given by mask (projector_rows)."""
         mask = np.asarray(mask, dtype=bool)
         P = np.zeros((self.dim, self.dim))
         if mask.any():
-            P[mask] = self.block_solve(mask, self.matrix[mask])
+            P[mask] = self.projector_rows(mask)
         return P
+
     def adjoint_defect(self, X, rows=None):
         """Certified upper bound on ||X - X^dagger|| / ||X||, X^dagger = W^{-1} X^* W.
 

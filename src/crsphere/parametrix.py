@@ -5,7 +5,7 @@ The chain follows one recipe in two regimes:
     G_0   = N_n N_{n-2} ... N_{-n}       (partial inverses of the L_mu)
     Pi_0  = S + Sbar
     R_0   = P G_0 + Pi_0 - I
-    A_0   = (I + R_0)^{-1}               (closed form on the sphere, else direct)
+    A_0   = (I + R_0)^{-1}               (closed form on the sphere, else Woodbury)
     Pi_oo = Pi_0 A_0
     G_oo  = (I - Pi_oo) G_0 A_0
 
@@ -29,13 +29,18 @@ pencil's spectrum is |K| exact zeros plus the nonzero eigenvalues from one
 Hermitian eigensolve of the Schur complement of W_KK (nonzero_eigenvalues);
 the chain and the spectrum command read it there, and the zero-Q solver
 reports a bracket on it from the weight's eigenvalue bounds instead.  The
-generalized eigensolver (spectrum_matrix) is kept as a test oracle.
+matrix chain inverts the dense W once and solves with W_KK once: P_hat is
+W^{-1} with its columns scaled by P_diag (its columns in K are zero),
+A_0 follows from the Woodbury identity on I + R_0, a rank-2|K| change of
+the identity (woodbury_a0), and Pi, G and the Schur complement share the
+rows K of Pi.  The generalized eigensolver (spectrum_matrix) is kept as a
+test oracle.
 Every chain identity is recorded as a residual norm on the full truncation
 and on the interior blocks.
 
 The perturbed chain runs in the real frame of the basis (galerkin.RealFrame),
 where P is real and Upsilon, and so W, is real: P_hat, G_0, R_0, A_0, Pi_oo,
-G_oo, Pi and G are float64 matrices.  Only S is complex (szego_projector):
+G_oo, Pi and G are float64 matrices.  Only S is complex (szego_rows):
 the holomorphic functions are not real, Sbar = conj(S) and Pi_0 = 2 Re S.
 The kernel, interior and complement masks and the diagonal tables of P
 and G_0 are the same in both frames, and the frame change is unitary, so
@@ -119,6 +124,11 @@ class ParametrixChain:
     basis: HarmonicBasis | None = None
 
     def member(self, name):
+        """A member by name.  The matrix chain keeps S alone of the Szego
+        pair and forms Sbar = conj(S) and Pi0 = 2 Re S from it on request."""
+        if self.mode == "matrix" and name in ("Sbar", "Pi0"):
+            S = self.members["S"]
+            return S.conj() if name == "Sbar" else 2 * S.real
         return self.members[name]
 
 
@@ -274,7 +284,7 @@ def spectrum_matrix(P_diag_vec, weight: InnerProductWeight, kernel_tol=1e-10,
     return SpectrumResult(evals, clusters, kernel, evecs, tol)
 
 
-def nonzero_eigenvalues(P_d, weight: InnerProductWeight, ker):
+def nonzero_eigenvalues(P_d, weight: InnerProductWeight, ker, pi_rows=None):
     """Ascending nonzero eigenvalues of the pencil P_d x = lambda W x.
 
     With K the kernel coordinates and C the rest, lambda != 0 forces
@@ -282,14 +292,18 @@ def nonzero_eigenvalues(P_d, weight: InnerProductWeight, ker):
     Schur complement S = W_CC - W_CK W_KK^{-1} W_KC.  P_C is positive, so
     the nonzero eigenvalues are 1/b for the eigenvalues b of
     P_C^{-1/2} S P_C^{-1/2}; the rest of the spectrum is |K| exact zeros.
-    Returns an empty array when P_d has no nonzero entry.
+    W_KK^{-1} W_KC are the C columns of pi_rows, the rows K of the
+    W-orthogonal projector onto K (weight.projector_rows), solved for when
+    not given.  Returns an empty array when P_d has no nonzero entry.
     """
     C = ~ker
     if not C.any():
         return np.zeros(0)
+    if pi_rows is None:
+        pi_rows = weight.projector_rows(ker)
     W = weight.matrix
     S = W[np.ix_(C, C)]
-    S -= W[np.ix_(C, ker)] @ weight.block_solve(ker, W[np.ix_(ker, C)])
+    S -= W[np.ix_(C, ker)] @ pi_rows[:, C]
     r = 1.0 / np.sqrt(P_d[C])
     S *= r[:, None]
     S *= r[None, :]
@@ -328,18 +342,25 @@ def interior_mask(basis: HarmonicBasis, margin=4):
     return np.array([p + q <= basis.N - margin for p, q, _, _ in basis.index_blocks()])
 
 
-def hatted_gjms(basis: HarmonicBasis, weight: InnerProductWeight) -> np.ndarray:
-    """Galerkin matrix of P_hat = e^{-(n+1)Upsilon} P, i.e. W^{-1} P_diag.
+def hatted_gjms(basis: HarmonicBasis, weight: InnerProductWeight):
+    """Galerkin matrix of P_hat = e^{-(n+1)Upsilon} P, i.e. W^{-1} P_diag, and W^{-1}[:, K].
 
     The critical-weight law makes <P_hat u, v>_hat = <P u, v>_std, so the
     hatted operator's sesquilinear form is the exact diagonal table and the
-    operator matrix is the weight inverse applied to it.
+    operator matrix is the weight inverse applied to it.  One inverse of W,
+    behind the Cholesky gate of the dense weight (weight.inverse), gives
+    both: P_hat is W^{-1} with its columns scaled by P_d, so its columns in
+    the kernel coordinates K are exactly zero, and the columns K of W^{-1}
+    are kept before the scaling.  Returns (P_hat, W^{-1}[:, K]).
     """
     P_d = critical_gjms(basis).to_diag_vector(basis)
-    return weight.solve(np.diag(P_d))
+    P_hat = weight.inverse()
+    inv_K = P_hat[:, kernel_mask(basis)]
+    P_hat *= P_d
+    return P_hat, inv_K
 
 
-def apply_partial_inverse(P_d, weight: InnerProductWeight, ker, X=None):
+def apply_partial_inverse(P_d, weight: InnerProductWeight, ker, X):
     """G X = (I - Pi) P_d^+ W (I - Pi) X, G the partial inverse of W^{-1} P_d.
 
     Pi is the W-orthogonal projector onto the kernel coordinates K; its
@@ -348,20 +369,13 @@ def apply_partial_inverse(P_d, weight: InnerProductWeight, ker, X=None):
     W (I - Pi) X = W X - W E_K z with z = W_KK^{-1} (W X)_K, and the last
     projection reads (W Y)_K as (W^T Y)_K, the rows K of Horner on M^T
     (weight.apply_transpose), with the solves by conjugate gradients
-    (weight.block_solve).  X=None gives G itself from the dense matrix (the
-    chain).  G is real (frame coordinates), and a complex X is applied as
-    its real and imaginary parts.
+    (weight.block_solve).  G is real (frame coordinates), and a complex X
+    is applied as its real and imaginary parts.  partial_inverse_matrix
+    forms G itself.
     """
     if np.iscomplexobj(X):
         return real_matmul(lambda Y: apply_partial_inverse(P_d, weight, ker, Y), X)
     p_inv = np.where(ker, 0.0, 1.0 / np.where(ker, 1.0, P_d))
-    if X is None:
-        W = weight.matrix
-        Y = W.copy()
-        Y -= W[:, ker] @ weight.block_solve(ker, Y[ker])
-        Y *= p_inv[:, None]
-        Y[ker] -= weight.block_solve(ker, W[ker] @ Y)
-        return Y
     Y = weight.apply(np.asarray(X, dtype=float))
     Z = np.zeros_like(Y)
     Z[ker] = weight.block_solve(ker, Y[ker])
@@ -371,8 +385,23 @@ def apply_partial_inverse(P_d, weight: InnerProductWeight, ker, X=None):
     return Y
 
 
-def szego_projector(basis: HarmonicBasis, weight: InnerProductWeight) -> np.ndarray:
-    """S in the real frame: the W-orthogonal projector onto the holomorphic functions.
+def partial_inverse_matrix(P_d, weight: InnerProductWeight, ker, pi_rows):
+    """G = (I - Pi) P_d^+ W (I - Pi) as a dense matrix, from pi_rows = Pi_K: = W_KK^{-1} W_K:.
+
+    W (I - Pi) = W - W_:K Pi_K:, and P_d^+ vanishes on K, so P_d^+ W (I - Pi)
+    has the rows P_C^{-1} (W_C: - W_CK Pi_K:) in C and zero rows in K, and
+    the left factor I - Pi subtracts Pi_K: times it from the rows K.
+    """
+    W = weight.matrix
+    G = np.matmul(W[:, ker], pi_rows)
+    np.subtract(W, G, out=G)
+    G *= np.where(ker, 0.0, 1.0 / np.where(ker, 1.0, P_d))[:, None]
+    G[ker] = -(pi_rows @ G)
+    return G
+
+
+def szego_rows(basis: HarmonicBasis, weight: InnerProductWeight) -> np.ndarray:
+    """The rows K of S in the real frame, S the W-orthogonal projector onto the holomorphic functions.
 
     The holomorphic coordinates H (q = 0) are, in the frame, the columns
     F = U^*[:, H] (RealFrame), whose nonzero rows lie in the kernel
@@ -388,28 +417,59 @@ def szego_projector(basis: HarmonicBasis, weight: InnerProductWeight) -> np.ndar
     E_K[ker] = np.eye(E_K.shape[1])
     V = RealFrame(basis).from_frame(E_K)[holo]  # U[H, K]
     W = weight.matrix
-    S = np.zeros(W.shape, dtype=complex)
-    S[ker] = V.conj().T @ positive_solve(V @ W[np.ix_(ker, ker)] @ V.conj().T, V @ W[ker],
-                                         "holomorphic weight block")
-    return S
+    return V.conj().T @ positive_solve(V @ W[np.ix_(ker, ker)] @ V.conj().T, V @ W[ker],
+                                       "holomorphic weight block")
+
+
+def woodbury_a0(Pi0_K, W, inv_K, ker):
+    """A_0 = (I + R_0)^{-1} through a matrix of order 2|K|, with Pi0_K = Pi_0[K] and inv_K = W^{-1}[:, K].
+
+    P_d G0_d is the indicator of C = ~K, so P_hat G_0 = W^{-1} P_d G0_d W =
+    I - W^{-1}[:, K] W_K:, and Pi_0 = E_K Pi0_K.  So I + R_0 = I + U V with
+    U = [E_K, -W^{-1}[:, K]] and V = [Pi0_K; W_K:], and by the Woodbury
+    identity A_0 = I - U (I_{2|K|} + V U)^{-1} V: the inverse of order 2|K|
+    and matmuls, one of them D x |K| x D, where the inverse of I + R_0
+    costs several D x D x D.  A0_residual in the chain checks the result
+    against the dense R_0.
+    """
+    k = inv_K.shape[1]
+    V = np.concatenate([Pi0_K, W[ker]])
+    T = -(V @ inv_K)  # V U, its right half
+    T = np.concatenate([V[:, ker], T], axis=1)
+    T.flat[:: 2 * k + 1] += 1
+    Z = np.linalg.inv(T) @ V
+    A0 = inv_K @ Z[k:]
+    A0[ker] -= Z[:k]
+    A0.flat[:: A0.shape[0] + 1] += 1
+    return A0
 
 
 def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> ParametrixChain:
     """Parametrix chain with matrix arithmetic on the truncated basis.
 
-    A_0 = (I + R_0)^{-1} is a direct solve: R_0 = Pi_0 - W^{-1} I_K W, whose
-    W-adjoint Pi_0 - I_K fixes the constant function, so its spectral
-    radius is at least one in every frame and the series sum_k (-R_0)^k
-    for A_0 diverges.  A0_residual records ||(I + R_0) A_0 - I||.  The final Pi and
-    G are the closed forms Pi = weight.projector(K) and
-    G = (I - Pi) P_d^+ W (I - Pi), K the pluriharmonic coordinates (the
-    kernel of P_hat = W^{-1} P_d in every frame).
+    One inverse of W, behind the Cholesky gate of the dense weight, gives
+    P_hat = W^{-1} P_d by scaling columns (hatted_gjms); its columns in K,
+    the pluriharmonic coordinates (the kernel of P_hat in every frame), are
+    exactly zero.  A_0 = (I + R_0)^{-1} comes from the Woodbury identity on
+    I + R_0 = I + U V, U and V of rank 2|K| (woodbury_a0); the Neumann
+    series would not do: R_0 = Pi_0 - W^{-1} I_K W, whose W-adjoint
+    Pi_0 - I_K fixes the constant function, has spectral radius at least
+    one in every frame.  A0_residual records ||(I + R_0) A_0 - I|| against
+    R_0 formed as the dense product P_hat G_0, so it certifies A_0 whatever
+    route formed it.  The final Pi and G are the closed forms: Pi is the
+    W-orthogonal projector onto K and G = (I - Pi) P_d^+ W (I - Pi), both
+    from the one solve Pi_K: = W_KK^{-1} W_K: (weight.projector_rows),
+    which the Schur complement of nonzero_eigenvalues reuses.
 
     S, Sbar, Pi_0, Pi_oo and Pi vanish outside their rows in K, so every
     product with one of them on the left is formed from those rows alone
     (and P_hat Pi from the K columns of P_hat), and the residuals made of
-    such rows are measured on them.  The members stay full D x D arrays in
-    the real frame (RealFrame), float64 except the complex S and Sbar.
+    such rows are measured on them.  Products with P_hat run on the whole
+    matrix: restricting them to its columns C = ~K saves a fifth of each
+    product at n=1 but costs as much in copies of the restricted operands.
+    The members are full D x D arrays in the real frame (RealFrame),
+    float64 except the complex S; Sbar and Pi_0 are formed from S on
+    request (ParametrixChain.member).
     """
     n, N = basis.n, basis.N
     D = basis.total_dim
@@ -421,33 +481,36 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
     P_d = critical_gjms(basis).to_diag_vector(basis)
     G0_d = critical_gjms(basis).partial_inverse().to_diag_vector(basis)
 
-    S_hat = szego_projector(basis, weight)
-    Sb_hat = S_hat.conj()
-    Pi0 = 2 * S_hat.real
+    S_K = szego_rows(basis, weight)
+    Pi0_K = 2 * S_K.real
     G0 = G0_d[:, None] * W  # Galerkin of G0 . M_w; G0 is block diagonal, no leakage
-    Pmat = hatted_gjms(basis, weight)
+    Pmat, inv_K = hatted_gjms(basis, weight)
 
     R0 = Pmat @ G0
-    R0[ker] += Pi0[ker]
+    R0[ker] += Pi0_K
     R0.flat[diagonal] -= 1
-    X = R0.copy()  # I + R0
-    X.flat[diagonal] += 1
-    A0 = np.linalg.inv(X)
-    X = X @ A0
+    A0 = woodbury_a0(Pi0_K, W, inv_K, ker)
+    del inv_K
+    X = R0 @ A0  # (I + R0) A0 - I
+    X += A0
     X.flat[diagonal] -= 1
     a0_residual = norm2_upper(X)
 
     PiInf = np.zeros_like(A0)
-    PiInf[ker] = Pi0[ker] @ A0
+    PiInf[ker] = Pi0_K @ A0
+    PiInf_K = PiInf[ker]
     GInf = G0 @ A0
-    GInf[ker] -= PiInf[ker] @ GInf
+    GInf[ker] -= PiInf_K @ GInf
 
-    Pi = weight.projector(ker)
-    G = apply_partial_inverse(P_d, weight, ker)
-    lam = nonzero_eigenvalues(P_d, weight, ker)
+    Pi_K = weight.projector_rows(ker)
+    Pi = np.zeros_like(A0)
+    Pi[ker] = Pi_K
+    G = partial_inverse_matrix(P_d, weight, ker, Pi_K)
+    lam = nonzero_eigenvalues(P_d, weight, ker, Pi_K)
 
     diag = ChainDiagnostics("matrix")
     diag.record("A0_residual", a0_residual)
+    diag.record("A0_method", "woodbury")
     diag.record("kernel_dim", int(ker.sum()))
     diag.record("min_nonzero_abs_eigenvalue", float(lam[0]) if lam.size else None)
     diag.record("weight_min_eigenvalue_bound", weight.min_eigenvalue_bound)
@@ -459,23 +522,22 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
         diag.record(f"{name}_full", norm2_upper(X))
         diag.record(f"{name}_interior", norm2_upper(X[np.ix_(inner, interior)]))
 
-    for name, left, right, proj in (
-        ("PG_plus_Pi_minus_I", Pmat, G, Pi),
-        ("GP_plus_Pi_minus_I", G, Pmat, Pi),
-        ("PGInf_plus_PiInf_minus_I", Pmat, GInf, PiInf),
-        ("R_inf", GInf, Pmat, PiInf),
+    for name, left, right, proj_K in (
+        ("PG_plus_Pi_minus_I", Pmat, G, Pi_K),
+        ("GP_plus_Pi_minus_I", G, Pmat, Pi_K),
+        ("PGInf_plus_PiInf_minus_I", Pmat, GInf, PiInf_K),
+        ("R_inf", GInf, Pmat, PiInf_K),
     ):
         np.matmul(left, right, out=X)
-        X[ker] += proj[ker]
+        X[ker] += proj_K
         X.flat[diagonal] -= 1
         rec(name, X)
     del X
-    PiInf_K = PiInf[ker]
     rec("PiInf_sq_minus_PiInf", PiInf_K[:, ker] @ PiInf_K - PiInf_K, ker)
-    rec("Pi_minus_PiInf", Pi[ker] - PiInf_K, ker)
+    rec("Pi_minus_PiInf", Pi_K - PiInf_K, ker)
     rec("G_minus_GInf", G - GInf)
-    rec("PiG", Pi[ker] @ G, ker)
-    rec("PPi", Pmat[:, ker] @ Pi[ker])
+    rec("PiG", Pi_K @ G, ker)
+    rec("PPi", Pmat[:, ker] @ Pi_K)
     rec("R0", R0)
 
     diag.record("P_hat_adjoint_defect", weight.adjoint_defect(Pmat))
@@ -489,13 +551,15 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
     WP_K = W[ker] @ Pmat
     scale = max(norm2_lower(Pi) * norm2_lower(W) * norm2_lower(Pmat), 1e-300)
     diag.record("ran_orthogonality_defect",
-                norm2_upper(Pi[ker].conj().T @ WP_K) / scale)
+                norm2_upper(Pi_K.conj().T @ WP_K) / scale)
     diag.record("ran_orthogonality_defect_PiInf",
                 norm2_upper(PiInf_K.conj().T @ WP_K) / scale)
 
+    S_hat = np.zeros((D, D), dtype=complex)
+    S_hat[ker] = S_K
     members = {
-        "P_hat": Pmat, "S": S_hat, "Sbar": Sb_hat,
-        "G0": G0, "Pi0": Pi0, "R0": R0, "A0": A0,
+        "P_hat": Pmat, "S": S_hat,
+        "G0": G0, "R0": R0, "A0": A0,
         "PiInf": PiInf, "GInf": GInf, "Pi": Pi, "G": G,
         "P_diag": P_d,
     }

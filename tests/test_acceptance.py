@@ -191,6 +191,32 @@ def test_criterion_5_perturbed_regime(basis16):
                 f"N in {{10,12,14,16}} moved {drop:+.2%} (limit 10%)")
 
 
+def test_criterion_5_chain_gates_at_n2(basis_n2_N8):
+    """Matrix chain at n=2, N=6, |Upsilon| <= 0.1: the criterion-5 gates and the spectral window."""
+    t0 = time.monotonic()
+    basis = basis_n2_N8.restrict(6)
+    terms = [(1, 1, 0, QI(1)), (2, 1, 0, QI(1, 1)), (1, 2, 0, QI(1, -1))]
+    pert = bounded_perturbation(basis, terms, 0.1, seed=4)
+    weight = pert.weight()
+    d = build_chain_matrix(basis, weight).diagnostics.entries
+    assert d["PG_plus_Pi_minus_I_interior"] <= 1e-8
+    assert d["P_hat_adjoint_defect"] <= 1e-10
+    assert d["G_adjoint_defect"] <= 1e-10
+    assert d["Pi_adjoint_defect"] <= 1e-10
+    assert d["ran_orthogonality_defect"] <= 1e-10
+    assert d["A0_residual"] <= 1e-12
+    assert d["kernel_dim"] == sum(dim_hpq(2, p, k - p) for k in range(7) for p in range(k + 1)
+                                  if p * (k - p) == 0)
+    # W_lb <= Schur complement of W_KK <= W_ub, so the smallest nonzero
+    # eigenvalue lies between min P_C / W_ub and min P_C / W_lb
+    P_d = critical_gjms(basis).to_diag_vector(basis)
+    lam = min(P_d[~kernel_mask(basis)])
+    assert lam / weight.max_eigenvalue_bound <= d["min_nonzero_abs_eigenvalue"]
+    assert d["min_nonzero_abs_eigenvalue"] <= lam / weight.min_eigenvalue_bound
+    elapsed = time.monotonic() - t0
+    announce(5, f"perturbed chain gates at n=2, N=6 (D={basis.total_dim}) in {elapsed:.2f}s")
+
+
 def test_criterion_6_total_q_vanishing(basis12):
     """Ten randomized perturbations, degree <= 3, |Upsilon| <= 0.05: |total Q| <= 1e-8."""
     rng = random.Random(20260810)

@@ -109,6 +109,50 @@ def taylor_exp_matrix_loop(M, K):
     return E
 
 
+def horner_rounding_bound(a, D):
+    """Bound on the rounding of taylor_exp_matrix_loop for ||M||_2 <= a.
+
+    Step k commits at most c (|M| |E_{k+1}| / k + I) entrywise,
+    c = sqrt(2) gamma_{2D+2}; with ||abs(X)||_2 <= sqrt(D) ||X||_2 and
+    ||E_k|| <= e^a, the errors, carried forward by a^j / j!, sum to at most
+    c e^a (D a e^a + 1), doubled for the second-order terms.
+    """
+    return 2 * math.sqrt(2) * gamma(2 * D + 2) * (D * a + 1) * math.exp(2 * a)
+
+
+def taylor_exp_matrix_fixed_point(M, K, bits=200):
+    """T_K(M) 2^bits for a real CSR M, as an integer (object) matrix.
+
+    Horner's rule E_k = M E_{k+1} / k + I runs in fixed point on Python
+    integers: M and every E_k are integer multiples of 2^-bits, and each
+    step floors once per entry, so every entry is within about K e^||M||
+    units of 2^-bits of the exact sum (60 digits at bits=200).  Each step
+    runs on the stored entries of M alone: nnz(M) D integer products.
+    """
+    one = 1 << bits
+    D = M.shape[0]
+    rows = []
+    for i in range(D):
+        lo, hi = M.indptr[i], M.indptr[i + 1]
+        scaled = [int(math.ldexp(float(v), bits)) for v in M.data[lo:hi]]
+        rows.append((M.indices[lo:hi], np.array(scaled, dtype=object)))
+    ident = np.zeros((D, D), dtype=object)
+    ident[np.arange(D), np.arange(D)] = one
+    E = ident.copy()
+    for k in range(K, 0, -1):
+        ME = np.array([vals.dot(E[idx]) if idx.size else np.zeros(D, dtype=object)
+                       for idx, vals in rows])
+        E = ME // (one * k) + ident
+    return E
+
+
+def fixed_point_error(X, exact, bits=200):
+    """The float X less the fixed-point matrix exact / 2^bits, entry by entry."""
+    got = np.array([int(math.ldexp(float(x), bits)) for x in X.ravel()], dtype=object)
+    diff = got.reshape(X.shape) - exact
+    return np.array([math.ldexp(float(d), -bits) for d in diff.ravel()]).reshape(X.shape)
+
+
 def real_test_function(basis, scale=1.0):
     f = SpectralFunction.from_terms(
         basis, [(1, 1, 0, QI(1)), (2, 0, 1, QI(1, 2)), (1, 0, 0, QI(0, 1))]
@@ -185,15 +229,34 @@ class TestTaylorExponential:
         E = taylor_exp_matrix(M, 15)
         assert abs(E[0, 0] - math.exp(0.3)) < 1e-14
 
-    def test_first_step_skips_the_identity_product(self, ctx8, basis8):
-        # starting from M / K + I gives the same floats as M @ I / K + I; a
-        # CSR M runs as its dense form
+    def test_paterson_stockmeyer_against_horner_loop(self, ctx8, basis8):
+        # the two evaluation orders of T_K(M) differ by at most the sum of
+        # their rounding bounds, for real and complex M; a CSR M runs as its
+        # dense form
         M = ctx8.mult_matrix(real_test_function(basis8, 0.1).to_poly_float())
-        for X in (M.real.toarray(), M.toarray(), np.array([[0.3]])):
-            for K in (1, 2, 12):
-                assert np.array_equal(taylor_exp_matrix(X, K), taylor_exp_matrix_loop(X, K))
+        rng = np.random.default_rng(3)
+        Z = (rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))) / 40
+        for X in (M.real.toarray(), M.toarray(), Z, np.array([[0.3]])):
+            a, D = norm2_upper(X), X.shape[0]
+            for K in (1, 2, 12, 15):
+                diff = norm2_upper(taylor_exp_matrix(X, K) - taylor_exp_matrix_loop(X, K))
+                assert diff <= taylor_rounding_bound(a, D, K) + horner_rounding_bound(a, D), (D, K)
         for X in (M.real, M):
             assert np.array_equal(taylor_exp_matrix(X, 12), taylor_exp_matrix(X.toarray(), 12))
+
+    def test_rounding_bound_covers_the_dense_weight(self, basis16):
+        # the dense weight at n=1 N=6 against a 60-digit fixed-point Horner
+        # sum of the same multiplier: the Taylor sum as computed and its
+        # symmetrization are within rho of T_K(M) and of its symmetric part
+        basis = basis16.restrict(6)
+        weight = ContactPerturbation(basis, real_test_function(basis, 0.1)).weight()
+        M, K, D = weight.multiplier, weight.taylor_depth, basis.total_dim
+        rho = taylor_rounding_bound(weight.multiplier_bound + weight.multiplier_skew, D, K)
+        exact = taylor_exp_matrix_fixed_point(M, K)
+        err = np.linalg.norm(fixed_point_error(taylor_exp_matrix(M, K), exact), 2)
+        sym_err = np.linalg.norm(fixed_point_error(weight.matrix, (exact + exact.T) // 2), 2)
+        assert 0 < err <= rho
+        assert 0 < sym_err <= rho
 
 
 class TestWeight:
@@ -339,6 +402,16 @@ class TestFastPathsAgainstReference:
         assert weight.hermitian_defect >= np.linalg.norm(raw - raw.conj().T, 2) * (1 - 1e-12)
         assert np.array_equal(weight.matrix, 0.5 * (raw + raw.T))
 
+    @pytest.mark.parametrize("D", [5, 601])
+    def test_positive_inverse_matches_the_lu_inverse(self, D):
+        # the 2 x 2 block recursion (two levels, uneven halves at D = 601)
+        # against np.linalg.inv on a positive definite matrix
+        rng = np.random.default_rng(D)
+        B = rng.standard_normal((D, D)) / math.sqrt(D)
+        A = np.eye(D) + 0.3 * (B + B.T)
+        ref = np.linalg.inv(A)
+        assert np.abs(galerkin.positive_inverse(A) - ref).max() <= 1e-13 * np.abs(ref).max()
+
     def test_failed_factorization_is_numerical_error(self, weight8, monkeypatch):
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("not positive definite")
@@ -352,6 +425,8 @@ class TestFastPathsAgainstReference:
             weight.block_solve(v > 0, v)
         with pytest.raises(NumericalError, match="weight Cholesky"):
             weight.solve(v)
+        with pytest.raises(NumericalError, match="weight Cholesky"):
+            weight.inverse()
 
     def test_conjugate_gradient_failures_are_numerical_errors(self, weight8, monkeypatch):
         # the operator route: an indefinite block breaks CG down, and a
@@ -482,7 +557,7 @@ class TestWeightEigenvalueBound:
         a = pert.multiplier_norm_bound()
         s = 0.5 * norm2_upper(M.real - M.real.T) + (norm2_upper(M.imag)
                                                      + assembly_rounding(ctx, pert.upsilon, n))
-        expected = (taylor_exp_min(a, K) - taylor_rounding_bound(a + s, basis.total_dim)
+        expected = (taylor_exp_min(a, K) - taylor_rounding_bound(a + s, basis.total_dim, K)
                     - s * math.exp(a + s))
         if expected <= 0:
             # refused exactly when the bound is not positive (odd K, large a)

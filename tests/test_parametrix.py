@@ -161,7 +161,8 @@ class TestMatrixChain:
 
     def test_r0_radius_at_least_one_and_direct_inverse(self, basis8):
         # R0 = Pi0 - W^{-1} I_K W: its W-adjoint fixes the constant function,
-        # so the series sum_k (-R0)^k diverges; A0 is a direct solve
+        # so the series sum_k (-R0)^k diverges; A0 is an inverse, certified
+        # by A0_residual
         weight = perturbation(basis8, 0.08).weight()
         chain = build_chain_matrix(basis8, weight)
         assert np.max(np.abs(np.linalg.eigvals(chain.member("R0")))) >= 1 - 1e-12
@@ -432,3 +433,39 @@ def test_frame_chain_matches_complex_reference(basis8, seed):
     for name, ref in complex_chain_reference(basis8, pert).items():
         got = U @ chain.member(name) @ U.conj().T
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+def test_chain_routes_match_the_direct_solves(basis8, seed):
+    # the chain's one inverse of W, its Woodbury A0 and its one solve with
+    # W_KK against direct solves: P_hat = W^{-1} P_d, A0 = (I + R0)^{-1},
+    # Pi_K: = W_KK^{-1} W_K:, G by two block solves, the Schur spectrum
+    pert = drawn_perturbation(basis8, seed)
+    weight = pert.weight()
+    chain = build_chain_matrix(basis8, weight)
+    W = weight.matrix
+    D = basis8.total_dim
+    ker = kernel_mask(basis8)
+    C = ~ker
+    P_d = chain.member("P_diag")
+    assert chain.diagnostics.entries["A0_method"] == "woodbury"
+    assert_close(chain.member("A0"), np.linalg.inv(np.eye(D) + chain.member("R0")))
+    assert_close(chain.member("P_hat"), np.linalg.solve(W, np.diag(P_d)))
+    assert np.all(chain.member("P_hat")[:, ker] == 0)
+
+    def kernel_solve(B):
+        return np.linalg.solve(W[np.ix_(ker, ker)], B)
+
+    Pi = np.zeros((D, D))
+    Pi[ker] = kernel_solve(W[ker])
+    assert_close(chain.member("Pi"), Pi)
+    G = W - W[:, ker] @ kernel_solve(W[ker])
+    G *= np.where(ker, 0.0, 1.0 / np.where(ker, 1.0, P_d))[:, None]
+    G[ker] -= kernel_solve(W[ker] @ G)
+    assert_close(chain.member("G"), G)
+    S = W[np.ix_(C, C)] - W[np.ix_(C, ker)] @ kernel_solve(W[np.ix_(ker, C)])
+    r = 1 / np.sqrt(P_d[C])
+    lam = 1 / np.linalg.eigvalsh(r[:, None] * S * r[None, :])[::-1]
+    assert_close(nonzero_eigenvalues(P_d, weight, ker), lam)
+    assert chain.diagnostics.entries["min_nonzero_abs_eigenvalue"] == nonzero_eigenvalues(
+        P_d, weight, ker)[0]
