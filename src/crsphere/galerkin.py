@@ -71,6 +71,53 @@ def norm2_upper(X) -> float:
     return math.sqrt(float(A.sum(axis=0).max()) * float(A.sum(axis=1).max()))
 
 
+def norm2_upper_abs(*terms) -> float:
+    """norm2_upper of sum_t |F_t1| |F_t2| ... |F_tk|, from its row and column sums alone.
+
+    Each term is a tuple of factors: 2-D arrays, or 1-D arrays standing for
+    the diagonal matrices they hold; every term has the same shape.  The
+    row sums of a product of nonnegative matrices are |F_1| (... (|F_k| 1))
+    and its column sums (((1^T |F_1|) ...) |F_k|, so the product is never
+    formed: each factor costs two matrix-vector products, with |F| taken a
+    block of rows at a time (no array of the size of F is made).  An
+    entrywise rounding bound gamma |A| |B| has a norm of at most gamma
+    times norm2_upper_abs((A, B)), and a sum of such bounds the sum of the
+    terms.
+    """
+    rows = cols = 0.0
+    for factors in terms:
+        r = np.ones(factors[-1].shape[-1])
+        for F in reversed(factors):
+            r = _abs_matvec(F, r)
+        c = np.ones(factors[0].shape[0])
+        for F in factors:
+            c = _abs_matvec(F, c, left=True)
+        rows = rows + r
+        cols = cols + c
+    if np.size(rows) == 0 or np.size(cols) == 0:
+        return 0.0
+    return math.sqrt(float(np.max(rows)) * float(np.max(cols)))
+
+
+# entries of |F| formed at a time by _abs_matvec
+_ABS_BLOCK = 1 << 15
+
+
+def _abs_matvec(F, x, left=False):
+    """|F| x, or x^T |F| with left, for a 2-D F or a 1-D F standing for its diagonal."""
+    if F.ndim == 1:
+        return abs(F) * x
+    out = np.zeros(F.shape[1]) if left else np.empty(F.shape[0])
+    step = max(1, _ABS_BLOCK // max(F.shape[1], 1))
+    for i in range(0, F.shape[0], step):
+        block = abs(F[i:i + step])
+        if left:
+            out += x[i:i + step] @ block
+        else:
+            out[i:i + step] = block @ x
+    return out
+
+
 def norm2_lower(X) -> float:
     """Lower bound on the spectral norm: the largest column norm max_j ||X e_j||_2."""
     if X.size == 0:
@@ -606,6 +653,30 @@ def gamma(k: int) -> float:
     return k * UNIT_ROUNDOFF / (1 - k * UNIT_ROUNDOFF)
 
 
+# the smallest inner block of blocked_matmul: narrower matmuls run far below peak
+_MATMUL_BLOCK = 64
+
+
+def blocked_matmul(A, B):
+    """A @ B summed over blocks of the inner dimension, and the order k of its rounding bound gamma_k.
+
+    With n the inner dimension, each of the m = ceil(n / b) block products,
+    b = max(ceil(sqrt n), _MATMUL_BLOCK), commits at most gamma_b |A_j| |B_j|
+    whatever its summation order, and adding them in turn at most
+    gamma_{m-1} of their absolute sum (Higham, Accuracy and Stability of
+    Numerical Algorithms, 3.1 and 3.5), so the result is within
+    gamma_{b+m-1} |A| |B| of the exact product, where one matmul is only
+    within gamma_n.  For products whose rounding bound matters more than
+    their cost.
+    """
+    n = A.shape[1]
+    b = max(math.isqrt(max(n - 1, 0)) + 1, _MATMUL_BLOCK)
+    out = A[:, :b] @ B[:b]
+    for i in range(b, n, b):
+        out += A[:, i:i + b] @ B[i:i + b]
+    return out, b + max(-(-n // b) - 1, 0)
+
+
 def _taylor_sum(x: Fraction, k: int) -> Fraction:
     return sum(x**j / math.factorial(j) for j in range(k + 1))
 
@@ -974,6 +1045,12 @@ class InnerProductWeight:
         return self._matrix
 
     @property
+    def norm_upper(self) -> float:
+        """norm2_upper of the dense weight (matrix)."""
+        self.matrix
+        return self._norm_upper
+
+    @property
     def hermitian_defect(self) -> float:
         """norm2_upper(W - W^T) of the dense Taylor sum before symmetrization."""
         self.matrix
@@ -984,9 +1061,17 @@ class InnerProductWeight:
         return real_matmul(lambda b: positive_solve(self.matrix, b, "weight"), rhs)
 
     def inverse(self) -> np.ndarray:
-        """W^{-1}, dense (positive_inverse), behind the Cholesky gate of the full dense matrix."""
+        """W^{-1}, dense (positive_inverse) and symmetrized, behind the Cholesky gate of the full dense matrix.
+
+        The symmetrization makes V W = (W V)^T exactly, which the chain's
+        identities read from the one measured defect W V - I
+        (parametrix.inverse_defect).
+        """
         positive_definite_gate(self.matrix, "weight")
-        return positive_inverse(self.matrix)
+        V = positive_inverse(self.matrix)
+        V += V.T  # numpy buffers the overlapping operand
+        V *= 0.5
+        return V
 
     def inner(self, u, v):
         """<u, v>_hat for coefficient vectors."""

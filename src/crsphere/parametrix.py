@@ -35,8 +35,11 @@ A_0 follows from the Woodbury identity on I + R_0, a rank-2|K| change of
 the identity (woodbury_a0), and Pi, G and the Schur complement share the
 rows K of Pi.  The generalized eigensolver (spectrum_matrix) is kept as a
 test oracle.
-Every chain identity is recorded as a residual norm on the full truncation
-and on the interior blocks.
+Every chain identity is recorded as a norm on the full truncation and on
+the interior blocks, with its route: the identities with P_hat on the
+left are certified bounds derived from the chain's factors and one
+measured inverse defect W W^{-1} - I, the others are formed and measured
+(build_chain_matrix says what each entry bounds).
 
 The perturbed chain runs in the real frame of the basis (galerkin.RealFrame),
 where P is real and Upsilon, and so W, is real: P_hat, G_0, R_0, A_0, Pi_oo,
@@ -48,19 +51,22 @@ every norm, eigenvalue and gate means what it does in the basis e.
 
 S, Sbar, Pi_0, Pi_oo and Pi are nonzero only on their rows in K (Pi is
 W_KK^{-1} W_K: there; the holomorphic and antiholomorphic coordinates
-are paired inside K), so the matrix chain forms every product with one of
-them on the left from those rows alone, about a fifth of the rows at n=1.
+are paired inside K), so the matrix chain stores S, Pi_oo and Pi as those
+rows and forms every product with one of them on the left from them alone,
+about a fifth of the rows at n=1.
 
-Reported residual norms are certified upper bounds on the spectral norm,
-sqrt(||X||_1 ||X||_inf) (galerkin.norm2_upper), not SVD values, so every
-gate on them is at least as strict as a gate on the spectral norm.  A
-relative defect divides the upper bound of its numerator by the lower bound
-max_j ||X e_j||_2 (galerkin.norm2_lower) of its denominator, so the ratio
-is still an upper bound on the spectral-norm ratio.  The weighted
-adjointness defects solve nothing: X - W^{-1} X^* W = W^{-1} (Y - Y^*)
-with Y = W X, divided by the weight's certified lower eigenvalue bound,
-with an a-priori term for the rounding of the product W X
-(InnerProductWeight.adjoint_defect).
+Reported residual norms are upper bounds on the spectral norm, never SVD
+values: sqrt(||X||_1 ||X||_inf) (galerkin.norm2_upper) of a residual
+formed as a matrix, or a bound derived from norms of factors and defects
+plus a-priori rounding terms, so every gate on them is at least as strict
+as a gate on the spectral norm.  A relative defect divides the upper bound
+of its numerator by the lower bound max_j ||X e_j||_2
+(galerkin.norm2_lower) of its denominator, so the ratio is still an upper
+bound on the spectral-norm ratio.  The weighted adjointness defects solve
+nothing: X - W^{-1} X^* W = W^{-1} (Y - Y^*) with Y = W X, so they divide
+a bound on ||Y - Y^*|| by the weight's certified lower eigenvalue bound;
+the chain derives that bound from its factors, and
+InnerProductWeight.adjoint_defect forms Y for any other X.
 """
 
 from __future__ import annotations
@@ -74,8 +80,11 @@ from .errors import NumericalError
 from .galerkin import (
     InnerProductWeight,
     RealFrame,
+    blocked_matmul,
+    gamma,
     norm2_lower,
     norm2_upper,
+    norm2_upper_abs,
     positive_solve,
     real_matmul,
 )
@@ -98,18 +107,29 @@ from .spectral import (
 
 @dataclass
 class ChainDiagnostics:
-    """Residuals of the chain identities; nothing is silently dropped."""
+    """Residuals of the chain identities; nothing is silently dropped.
+
+    A residual recorded with a route says how its value was obtained:
+    "factored" (a certified bound derived from the defects of the chain's
+    factors), "dense" (norm2_upper of the residual formed as a matrix) or
+    "structural" (zero by construction, not measured).
+    """
 
     mode: str
     entries: dict = field(default_factory=dict)
+    routes: dict = field(default_factory=dict)
 
-    def record(self, name, value):
+    def record(self, name, value, route=None):
         self.entries[name] = value
+        if route is not None:
+            self.routes[name] = route
 
     def to_jsonable(self):
         out = {"mode": self.mode}
         for k, v in sorted(self.entries.items()):
             out[k] = str(v) if isinstance(v, Fraction) else v
+        if self.routes:
+            out["residual_routes"] = dict(sorted(self.routes.items()))
         return out
 
 
@@ -124,12 +144,27 @@ class ParametrixChain:
     basis: HarmonicBasis | None = None
 
     def member(self, name):
-        """A member by name.  The matrix chain keeps S alone of the Szego
-        pair and forms Sbar = conj(S) and Pi0 = 2 Re S from it on request."""
-        if self.mode == "matrix" and name in ("Sbar", "Pi0"):
-            S = self.members["S"]
-            return S.conj() if name == "Sbar" else 2 * S.real
-        return self.members[name]
+        """A member by name, as a full matrix.
+
+        The matrix chain stores S, Pi and Pi_oo as their rows in K, the
+        only rows that are not zero, and keeps S alone of the Szego pair:
+        this expands the rows and forms Sbar = conj(S) and Pi0 = 2 Re S.
+        """
+        if self.mode != "matrix" or name not in _ROW_MEMBERS:
+            return self.members[name]
+        rows = self.members[_ROW_MEMBERS[name]]
+        if name == "Sbar":
+            rows = rows.conj()
+        elif name == "Pi0":
+            rows = 2 * rows.real
+        ker = kernel_mask(self.basis)
+        X = np.zeros((ker.size, rows.shape[1]), dtype=rows.dtype)
+        X[ker] = rows
+        return X
+
+
+# members the matrix chain stores as their rows in K, by the stored name they come from
+_ROW_MEMBERS = {"S": "S", "Sbar": "S", "Pi0": "S", "Pi": "Pi", "PiInf": "PiInf"}
 
 
 # ---------------------------------------------------------------------------
@@ -342,22 +377,74 @@ def interior_mask(basis: HarmonicBasis, margin=4):
     return np.array([p + q <= basis.N - margin for p, q, _, _ in basis.index_blocks()])
 
 
+@dataclass
+class InverseDefect:
+    """Bounds read from the one measured defect E = W V - I of the dense inverse V of W.
+
+    norm >= ||E||; hat_adjoint >= ||W P_hat - (W P_hat)^T|| and
+    range_rows >= ||W_K: P_hat||, for P_hat = V P_d as stored.
+    """
+
+    norm: float
+    hat_adjoint: float
+    range_rows: float
+
+
+def inverse_defect(weight: InnerProductWeight, V, P_d, ker) -> InverseDefect:
+    """Measure E = W V - I once, V the computed symmetric inverse of the dense weight W.
+
+    The computed E is within gamma_D |W| |V| + gamma_1 |E| of the exact one
+    (one matmul, then 1 subtracted on the diagonal; Higham, Accuracy and
+    Stability of Numerical Algorithms, 3.5), so ||E|| <= (1 + gamma_1) ||fl(E)|| +
+    gamma_D ||W|| ||V||.  P_hat = V P_d is V with its columns scaled,
+    stored within u |V| P_d of exact, and W V P_d = P_d + E P_d, so
+
+        W P_hat - (W P_hat)^T = E P_d - P_d E^T + (rounding of P_hat),
+        W_K: P_hat = E_K: P_d + (rounding of P_hat)       (P_d vanishes on K).
+
+    E P_d - P_d E^T is Q - Q^T for Q = E P_d, formed entrywise.  Every
+    rounding term carries P_d inside an absolute value, as ||W|| || |V| P_d ||
+    (norm2_upper_abs), which is of the size of ||W|| ||P_hat||: P_d is
+    never bounded apart from the rounding it scales.
+    """
+    W = weight.matrix
+    D = W.shape[0]
+    E = W @ V
+    E.flat[:: D + 1] -= 1
+    e = norm2_upper(E)
+    E *= P_d  # Q = E P_d
+    q = norm2_upper(E)
+    q_rows = norm2_upper(E[ker])
+    E -= E.T  # numpy buffers the overlapping operand
+    q_skew = norm2_upper(E)
+    del E
+    n_w, n_vp = weight.norm_upper, norm2_upper_abs((V, P_d))
+    return InverseDefect(
+        norm=(1 + gamma(1)) * e + gamma(D) * n_w * norm2_upper(V),
+        hat_adjoint=(1 + gamma(1)) * q_skew + gamma(5) * q + 2 * gamma(D + 1) * n_w * n_vp,
+        range_rows=(1 + gamma(3)) * q_rows + gamma(D + 1) * norm2_upper(W[ker]) * n_vp,
+    )
+
+
 def hatted_gjms(basis: HarmonicBasis, weight: InnerProductWeight):
-    """Galerkin matrix of P_hat = e^{-(n+1)Upsilon} P, i.e. W^{-1} P_diag, and W^{-1}[:, K].
+    """Galerkin matrix of P_hat = e^{-(n+1)Upsilon} P, i.e. W^{-1} P_diag, W^{-1}[:, K] and the inverse's defect.
 
     The critical-weight law makes <P_hat u, v>_hat = <P u, v>_std, so the
     hatted operator's sesquilinear form is the exact diagonal table and the
-    operator matrix is the weight inverse applied to it.  One inverse of W,
-    behind the Cholesky gate of the dense weight (weight.inverse), gives
-    both: P_hat is W^{-1} with its columns scaled by P_d, so its columns in
-    the kernel coordinates K are exactly zero, and the columns K of W^{-1}
-    are kept before the scaling.  Returns (P_hat, W^{-1}[:, K]).
+    operator matrix is the weight inverse applied to it.  One inverse V of
+    W, behind the Cholesky gate of the dense weight (weight.inverse), gives
+    both: P_hat is V with its columns scaled by P_d, so its columns in the
+    kernel coordinates K are exactly zero, and the columns K of V are kept
+    before the scaling.  The defect W V - I is measured before the scaling
+    and dropped (inverse_defect).  Returns (P_hat, V[:, K], InverseDefect).
     """
     P_d = critical_gjms(basis).to_diag_vector(basis)
+    ker = kernel_mask(basis)
     P_hat = weight.inverse()
-    inv_K = P_hat[:, kernel_mask(basis)]
+    defect = inverse_defect(weight, P_hat, P_d, ker)
+    inv_K = P_hat[:, ker]
     P_hat *= P_d
-    return P_hat, inv_K
+    return P_hat, inv_K, defect
 
 
 def apply_partial_inverse(P_d, weight: InnerProductWeight, ker, X):
@@ -425,110 +512,181 @@ def woodbury_a0(Pi0_K, W, inv_K, ker):
     """A_0 = (I + R_0)^{-1} through a matrix of order 2|K|, with Pi0_K = Pi_0[K] and inv_K = W^{-1}[:, K].
 
     P_d G0_d is the indicator of C = ~K, so P_hat G_0 = W^{-1} P_d G0_d W =
-    I - W^{-1}[:, K] W_K:, and Pi_0 = E_K Pi0_K.  So I + R_0 = I + U V with
-    U = [E_K, -W^{-1}[:, K]] and V = [Pi0_K; W_K:], and by the Woodbury
-    identity A_0 = I - U (I_{2|K|} + V U)^{-1} V: the inverse of order 2|K|
-    and matmuls, one of them D x |K| x D, where the inverse of I + R_0
-    costs several D x D x D.  A0_residual in the chain checks the result
-    against the dense R_0.
+    I - W^{-1}[:, K] W_K:, and Pi_0 = E_K Pi0_K.  So I + R_0 = I + U Vf with
+    U = [E_K, -W^{-1}[:, K]] and Vf = [Pi0_K; W_K:], and by the Woodbury
+    identity A_0 = I - U Z, Z = T^{-1} Vf, T = I_{2|K|} + Vf U: the inverse
+    of order 2|K| and matmuls, one of them D x |K| x D, where the inverse of
+    I + R_0 costs several D x D x D.
+
+    (I + U Vf)(I - U Z) - I = U (Vf - T Z) for the exact T, so the returned
+    solve_defect >= ||Vf - (I + Vf U) Z|| (the measured F = Vf - T Z plus
+    the rounding of T and of F, both formed by blocked_matmul) and
+    a0_rounding >= ||A_0 - (I - U Z)|| (the rounding of the D x |K| x D
+    product) bound ||(I + U Vf) A_0 - I|| with the norms of U and I + U Vf.
+    Returns (A_0, U, Vf, solve_defect, a0_rounding).
     """
-    k = inv_K.shape[1]
-    V = np.concatenate([Pi0_K, W[ker]])
-    T = -(V @ inv_K)  # V U, its right half
-    T = np.concatenate([V[:, ker], T], axis=1)
+    D, k = inv_K.shape
+    U = np.zeros((D, 2 * k))
+    U[ker, :k] = np.eye(k)
+    np.negative(inv_K, out=U[:, k:])
+    Vf = np.concatenate([Pi0_K, W[ker]])
+    T, t_order = blocked_matmul(Vf, U[:, k:])
+    T = np.concatenate([Vf[:, ker], T], axis=1)  # Vf U
     T.flat[:: 2 * k + 1] += 1
-    Z = np.linalg.inv(T) @ V
+    Z = np.linalg.inv(T) @ Vf
+    TZ, f_order = blocked_matmul(T, Z)
+    F = Vf - TZ
+    # T is within gamma_{t+1} (|Vf| |U| + I) of I + Vf U, F within
+    # gamma_{f+1} (|Vf| + |T| |Z|) of Vf - T Z
+    solve_defect = (norm2_upper(F) + gamma(f_order + 1) * norm2_upper_abs((Vf,), (T, Z))
+                    + gamma(t_order + 1) * norm2_upper_abs((Vf, U, Z), (Z,)))
     A0 = inv_K @ Z[k:]
     A0[ker] -= Z[:k]
-    A0.flat[:: A0.shape[0] + 1] += 1
-    return A0
+    A0.flat[:: D + 1] += 1
+    a0_rounding = gamma(k + 2) * norm2_upper_abs((U, Z), (np.ones(D),))
+    return A0, U, Vf, solve_defect, a0_rounding
+
+
+def scaling_defect(P_d, *inverses):
+    """max |p g - 1| over the nonzero p of P_d and the matching entries g of each inverse, exactly.
+
+    The chain scales by P_d and by float inverses of it (G0_d, P_d^+); each
+    p g is 1 + c with |c| at most this.
+    """
+    nz = P_d != 0
+    pairs = {(p, g) for inv in inverses for p, g in zip(P_d[nz].tolist(), inv[nz].tolist())}
+    return float(max((abs(Fraction(p) * Fraction(g) - 1) for p, g in pairs), default=0))
 
 
 def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> ParametrixChain:
     """Parametrix chain with matrix arithmetic on the truncated basis.
 
-    One inverse of W, behind the Cholesky gate of the dense weight, gives
-    P_hat = W^{-1} P_d by scaling columns (hatted_gjms); its columns in K,
-    the pluriharmonic coordinates (the kernel of P_hat in every frame), are
+    One inverse V of W, behind the Cholesky gate of the dense weight, gives
+    P_hat = V P_d by scaling columns (hatted_gjms); its columns in K, the
+    pluriharmonic coordinates (the kernel of P_hat in every frame), are
     exactly zero.  A_0 = (I + R_0)^{-1} comes from the Woodbury identity on
-    I + R_0 = I + U V, U and V of rank 2|K| (woodbury_a0); the Neumann
+    I + R_0 = I + U Vf, U and Vf of rank 2|K| (woodbury_a0); the Neumann
     series would not do: R_0 = Pi_0 - W^{-1} I_K W, whose W-adjoint
     Pi_0 - I_K fixes the constant function, has spectral radius at least
-    one in every frame.  A0_residual records ||(I + R_0) A_0 - I|| against
-    R_0 formed as the dense product P_hat G_0, so it certifies A_0 whatever
-    route formed it.  The final Pi and G are the closed forms: Pi is the
+    one in every frame.  The final Pi and G are the closed forms: Pi is the
     W-orthogonal projector onto K and G = (I - Pi) P_d^+ W (I - Pi), both
     from the one solve Pi_K: = W_KK^{-1} W_K: (weight.projector_rows),
     which the Schur complement of nonzero_eigenvalues reuses.
 
-    S, Sbar, Pi_0, Pi_oo and Pi vanish outside their rows in K, so every
-    product with one of them on the left is formed from those rows alone
-    (and P_hat Pi from the K columns of P_hat), and the residuals made of
-    such rows are measured on them.  Products with P_hat run on the whole
-    matrix: restricting them to its columns C = ~K saves a fifth of each
-    product at n=1 but costs as much in copies of the restricted operands.
-    The members are full D x D arrays in the real frame (RealFrame),
-    float64 except the complex S; Sbar and Pi_0 are formed from S on
-    request (ParametrixChain.member).
+    The identities with P_hat on the left are not formed: they reduce by
+    algebra to three small defects, E = W V - I (measured once by
+    inverse_defect, then dropped), r = W_K: - W_KK Pi_K: (the equations
+    Pi_K: solves) and F = Vf - T Z (the Woodbury solve), and to
+    c = P_d P_d^+ - 1_C (at most u per entry, scaling_defect).  V is
+    symmetric, so V W = I + E^T, and P_hat G0 = I + E^T - V_:K W_K: up to c
+    and the scalings' rounding:
+
+        R_0 = U Vf + E^T + ...,  formed (the member R_0) as U Vf
+        (I + R_0) A_0 - I = U (Vf - T Z) + (E^T + ...) A_0
+        P_hat G_oo + Pi_oo - I = (I + R_0) A_0 - I    (P_hat Pi_oo = 0)
+        P_hat G + Pi - I = E^T (I - Pi) - V_:K r + ...
+        W P_hat - (W P_hat)^T = E P_d - P_d E^T + ...
+        W Pi - Pi^T W = r^T Pi_K: - Pi_K:^T r,  W G - (W G)^T from it
+        W_K: P_hat = E_K: P_d + ...
+
+    Each "..." is an a-priori rounding term on the members as stored
+    (gamma_k = k u / (1 - k u), Higham, 3.5), written as the norm of a
+    product of absolute values (norm2_upper_abs), with the P_d and P_d^+
+    scalings cancelled entrywise inside it (|P_hat| |G_0| is of the size of
+    |V| |W|), never as ||P_d|| times a rounding norm.  Every such entry
+    ("factored" in residual_routes) is a certified upper bound on the
+    spectral norm of the identity evaluated exactly on the stored members;
+    its interior entry repeats the full bound (a restriction does not raise
+    a norm), except R0_interior, which restricts the stored R_0.  The
+    defects of Pi_oo and G_oo add (1 + kappa) ||Pi - Pi_oo|| and
+    (1 + kappa) ||G - G_oo||, kappa = W_ub / lambda_lb, to those of Pi and
+    G.  P_hat Pi is zero by construction ("structural").  G P_hat + Pi - I
+    and R_oo = G_oo P_hat + Pi_oo - I are formed and measured ("dense"): with
+    G on the left a norm bound would scale the rounding by max P_d /
+    min P_d.  So are the cheap differences Pi - Pi_oo, G - G_oo,
+    Pi_oo^2 - Pi_oo and Pi G, from the rows K where they live.
+
+    The members are D x D arrays in the real frame (RealFrame), float64
+    except the complex S; S, Pi and Pi_oo are stored as their rows in K and
+    Sbar and Pi_0 are formed from S on request (ParametrixChain.member).
     """
     n, N = basis.n, basis.N
     D = basis.total_dim
     W = weight.matrix
     interior = interior_mask(basis)
     ker = kernel_mask(basis)
+    k = int(ker.sum())
     diagonal = slice(None, None, D + 1)  # the diagonal of a flattened D x D array
 
-    P_d = critical_gjms(basis).to_diag_vector(basis)
-    G0_d = critical_gjms(basis).partial_inverse().to_diag_vector(basis)
+    P = critical_gjms(basis)
+    P_d = P.to_diag_vector(basis)
+    G0_d = P.partial_inverse().to_diag_vector(basis)
+    # eta >= |x - 1| and |x - 1| / |x| for x = p g (1 + d)(1 + d'), |d|, |d'| <= u:
+    # a column scaled by P_d and a row by its float inverse, both rounded,
+    # against the indicator of C (G0_d and P_d^+ of partial_inverse_matrix)
+    eta = 2 * scaling_defect(P_d, G0_d, np.where(ker, 0.0, 1.0 / np.where(ker, 1.0, P_d)))
+    eta += gamma(4)
 
     S_K = szego_rows(basis, weight)
     Pi0_K = 2 * S_K.real
-    G0 = G0_d[:, None] * W  # Galerkin of G0 . M_w; G0 is block diagonal, no leakage
-    Pmat, inv_K = hatted_gjms(basis, weight)
-
-    R0 = Pmat @ G0
-    R0[ker] += Pi0_K
-    R0.flat[diagonal] -= 1
-    A0 = woodbury_a0(Pi0_K, W, inv_K, ker)
-    del inv_K
-    X = R0 @ A0  # (I + R0) A0 - I
-    X += A0
-    X.flat[diagonal] -= 1
-    a0_residual = norm2_upper(X)
-
-    PiInf = np.zeros_like(A0)
-    PiInf[ker] = Pi0_K @ A0
-    PiInf_K = PiInf[ker]
-    GInf = G0 @ A0
-    GInf[ker] -= PiInf_K @ GInf
-
+    Pmat, inv_K, inv_defect = hatted_gjms(basis, weight)
+    e_E = inv_defect.norm
     Pi_K = weight.projector_rows(ker)
-    Pi = np.zeros_like(A0)
-    Pi[ker] = Pi_K
     G = partial_inverse_matrix(P_d, weight, ker, Pi_K)
     lam = nonzero_eigenvalues(P_d, weight, ker, Pi_K)
 
     diag = ChainDiagnostics("matrix")
-    diag.record("A0_residual", a0_residual)
     diag.record("A0_method", "woodbury")
-    diag.record("kernel_dim", int(ker.sum()))
+    diag.record("kernel_dim", k)
     diag.record("min_nonzero_abs_eigenvalue", float(lam[0]) if lam.size else None)
     diag.record("weight_min_eigenvalue_bound", weight.min_eigenvalue_bound)
     diag.record("weight_tail_bound", weight.tail_bound)
+    diag.record("inverse_defect_bound", e_E)
 
     def rec(name, X, rows=None):
         # X is the whole residual, or, with rows, its only nonzero rows
         inner = interior if rows is None else interior[rows]
-        diag.record(f"{name}_full", norm2_upper(X))
-        diag.record(f"{name}_interior", norm2_upper(X[np.ix_(inner, interior)]))
+        diag.record(f"{name}_full", norm2_upper(X), "dense")
+        diag.record(f"{name}_interior", norm2_upper(X[np.ix_(inner, interior)]), "dense")
 
-    for name, left, right, proj_K in (
-        ("PG_plus_Pi_minus_I", Pmat, G, Pi_K),
-        ("GP_plus_Pi_minus_I", G, Pmat, Pi_K),
-        ("PGInf_plus_PiInf_minus_I", Pmat, GInf, PiInf_K),
-        ("R_inf", GInf, Pmat, PiInf_K),
-    ):
-        np.matmul(left, right, out=X)
+    def bound(name, full, interior_value=None):
+        diag.record(f"{name}_full", full, "factored")
+        diag.record(f"{name}_interior", full if interior_value is None else interior_value,
+                    "factored")
+
+    W_K = W[ker]  # W_:K = W_K:^T, W symmetric
+    G0 = G0_d[:, None] * W  # Galerkin of G0 . M_w; G0 is block diagonal, no leakage
+    # |P_hat| G0_d is |V| 1_C up to the scalings: P_d cancels entrywise, and
+    # || |P_hat| |G_0| || <= n_pw (G_0 = G0_d W within u); eta times that
+    # bounds ||P_hat G_0 - V 1_C W||
+    n_w = weight.norm_upper
+    n_v = norm2_upper_abs((Pmat, G0_d))
+    n_pw = (1 + gamma(1)) * n_v * n_w
+    n_scaled = eta * n_pw
+
+    # R_0 and A_0, bounded while the Woodbury factors are at hand
+    A0, U, Vf, solve_defect, a0_rounding = woodbury_a0(Pi0_K, W, inv_K, ker)
+    n_a0 = norm2_upper(A0)
+    R0 = U[:, k:] @ Vf[k:]  # U Vf
+    R0[ker] += Pi0_K
+    n_r0 = norm2_upper(R0)
+    r0_rounding = gamma(k + 1) * (norm2_upper_abs((inv_K, W_K)) + norm2_upper(Pi0_K))
+    r0_defect = r0_rounding + e_E + n_scaled
+    bound("R0", n_r0 + r0_defect, norm2_upper(R0[np.ix_(interior, interior)]) + r0_defect)
+    # (I + R_0) A_0 - I = U (Vf - T Z) + (R_0 - U Vf) A_0 + (I + U Vf) (A_0 - I + U Z)
+    a0_residual = (norm2_upper(U) * solve_defect + (e_E + n_scaled) * n_a0
+                   + (1 + n_r0 + r0_rounding) * a0_rounding)
+    del U, Vf
+    diag.record("A0_residual", a0_residual, "factored")
+    bound("PGInf_plus_PiInf_minus_I", a0_residual + gamma(D) * (n_pw + norm2_upper(Pi0_K)) * n_a0)
+
+    PiInf_K = Pi0_K @ A0
+    GInf = G0 @ A0
+    GInf[ker] -= PiInf_K @ GInf
+
+    X = np.empty_like(G)
+    for name, left, proj_K in (("GP_plus_Pi_minus_I", G, Pi_K), ("R_inf", GInf, PiInf_K)):
+        np.matmul(left, Pmat, out=X)
         X[ker] += proj_K
         X.flat[diagonal] -= 1
         rec(name, X)
@@ -537,33 +695,64 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
     rec("Pi_minus_PiInf", Pi_K - PiInf_K, ker)
     rec("G_minus_GInf", G - GInf)
     rec("PiG", Pi_K @ G, ker)
-    rec("PPi", Pmat[:, ker] @ Pi_K)
-    rec("R0", R0)
+    for part in ("full", "interior"):
+        diag.record(f"PPi_{part}", 0.0, "structural")  # P_hat[:, K] = 0 exactly
 
-    diag.record("P_hat_adjoint_defect", weight.adjoint_defect(Pmat))
-    diag.record("G_adjoint_defect", weight.adjoint_defect(G))
-    diag.record("Pi_adjoint_defect", weight.adjoint_defect(Pi, rows=ker))
-    diag.record("PiInf_adjoint_defect", weight.adjoint_defect(PiInf, rows=ker))
-    diag.record("GInf_adjoint_defect", weight.adjoint_defect(GInf))
+    # P_hat G + Pi - I; r is the defect of Pi_K:, H = W (I - Pi) as computed
+    n_pi = norm2_upper(Pi_K)
+    n_g = norm2_upper(G)
+    W_KK = W_K[:, ker]
+    r = W_K - W_KK @ Pi_K
+    n_r = norm2_upper(r) + gamma(k + 1) * norm2_upper_abs((W_K,), (W_KK, Pi_K))
+    n_h = (1 + eta) * gamma(k + 1)  # times |P^+| (|W| + |W_:K| |Pi_K:|) bounds P^+ (H - exact H)
+    n_wpi = norm2_upper_abs((W_K.T, Pi_K))
+    bound("PG_plus_Pi_minus_I",
+          e_E * (1 + n_pi) + norm2_upper(inv_K) * n_r
+          + n_h * n_v * (n_w + n_wpi)
+          + eta * n_v * norm2_upper_abs((P_d, G)))  # |P_hat| |G| <= (|P_hat| G0_d) (P_d |G|)
+
+    # weighted adjointness defects ||X - W^{-1} X^T W|| / ||X|| <= ||W X - (W X)^T|| / (lambda_lb ||X||)
+    lam_lb = weight.min_eigenvalue_bound
+    kappa = weight.max_eigenvalue_bound / lam_lb
+    n_gh = n_h * float(np.max(G0_d)) * (n_w + n_wpi)
+    n_delta = 2 * n_pi * n_r  # >= ||W Pi - Pi^T W||
+    # W G - (W G)^T = -Delta P^+ B - B^T P^+ Delta for the exact G, B = W (I - Pi),
+    # plus W e_G - (W e_G)^T for the rounding e_G of the stored G
+    n_pb = (1 + eta) * n_g + n_gh
+    n_eg = (1 + n_pi) * (n_gh + eta * n_g) + gamma(D) * n_pi * n_g
+    g_skew = 2 * n_delta * n_pb + 2 * n_w * n_eg
+    diff = 1 + gamma(1)  # a computed difference against the exact one
+    n_p_lower = norm2_lower(Pmat)
+    for name, value in (
+        ("P_hat", _ratio(inv_defect.hat_adjoint, lam_lb * n_p_lower)),
+        ("G", _ratio(g_skew, lam_lb * norm2_lower(G))),
+        ("Pi", _ratio(n_delta, lam_lb * norm2_lower(Pi_K))),
+        ("PiInf", _ratio(n_delta / lam_lb + (1 + kappa) * diff
+                         * diag.entries["Pi_minus_PiInf_full"], norm2_lower(PiInf_K))),
+        ("GInf", _ratio(g_skew / lam_lb + (1 + kappa) * diff
+                        * diag.entries["G_minus_GInf_full"], norm2_lower(GInf))),
+    ):
+        diag.record(f"{name}_adjoint_defect", value, "factored")
 
     # Ran P_hat orthogonal to Ran Pi in the weighted inner product:
     # Pi^* W P_hat = Pi_K:^* (W_K: P_hat)
-    WP_K = W[ker] @ Pmat
-    scale = max(norm2_lower(Pi) * norm2_lower(W) * norm2_lower(Pmat), 1e-300)
-    diag.record("ran_orthogonality_defect",
-                norm2_upper(Pi_K.conj().T @ WP_K) / scale)
+    scale = max(norm2_lower(Pi_K) * norm2_lower(W) * n_p_lower, 1e-300)
+    diag.record("ran_orthogonality_defect", n_pi * inv_defect.range_rows / scale, "factored")
     diag.record("ran_orthogonality_defect_PiInf",
-                norm2_upper(PiInf_K.conj().T @ WP_K) / scale)
+                norm2_upper(PiInf_K) * inv_defect.range_rows / scale, "factored")
 
-    S_hat = np.zeros((D, D), dtype=complex)
-    S_hat[ker] = S_K
     members = {
-        "P_hat": Pmat, "S": S_hat,
+        "P_hat": Pmat, "S": S_K,
         "G0": G0, "R0": R0, "A0": A0,
-        "PiInf": PiInf, "GInf": GInf, "Pi": Pi, "G": G,
+        "PiInf": PiInf_K, "GInf": GInf, "Pi": Pi_K, "G": G,
         "P_diag": P_d,
     }
     return ParametrixChain(n, N, "matrix", members, diag, weight=weight, basis=basis)
+
+
+def _ratio(num, den):
+    """num / den, and 0 for a zero member (den = 0 means the member is zero)."""
+    return num / den if den > 0 else 0.0
 
 
 # ---------------------------------------------------------------------------

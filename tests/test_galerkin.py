@@ -23,6 +23,7 @@ from crsphere.galerkin import (
     gamma,
     norm2_lower,
     norm2_upper,
+    norm2_upper_abs,
     pairing_matrix,
     shift_matrix,
     taylor_exp_apply,
@@ -349,6 +350,34 @@ class TestNormBounds:
     def test_empty_matrix(self):
         X = np.zeros((0, 0), dtype=complex)
         assert norm2_lower(X) == norm2_upper(X) == 0.0
+
+    def test_abs_product_bound_is_that_of_the_formed_product(self):
+        # row and column sums through the factors, |F| a block of rows at a
+        # time (300 x 300 spans several blocks), against the product formed
+        rng = np.random.default_rng(3)
+        A, B, C = (rng.standard_normal(shape) for shape in ((300, 40), (40, 300), (300, 300)))
+        d = rng.standard_normal(300)
+        formed = np.abs(A) @ np.abs(B) * np.abs(d) + np.abs(C)
+        got = norm2_upper_abs((A, B, d), (C,))
+        assert got == pytest.approx(norm2_upper(formed), rel=1e-13)
+        assert got >= np.linalg.norm(formed, 2)
+        assert norm2_upper_abs((np.zeros((0, 3)), np.zeros((3, 4)))) == 0.0
+
+    @pytest.mark.parametrize("n", [1, 50, 300])
+    def test_blocked_matmul_within_its_rounding_bound(self, n):
+        # the blocked product against the exact one (Fractions of the same
+        # floats): within gamma_k |A| |B| entrywise for the order k it returns
+        rng = np.random.default_rng(n)
+        A, B = rng.standard_normal((6, n)), rng.standard_normal((n, 4))
+        got, k = galerkin.blocked_matmul(A, B)
+        b = max(math.isqrt(n - 1) + 1, 64)
+        assert k == b + (n + b - 1) // b - 1
+        exact = [[sum(Fraction(A[i, j]) * Fraction(B[j, l]) for j in range(n))
+                  for l in range(4)] for i in range(6)]
+        allowance = gamma(k) * (np.abs(A) @ np.abs(B))
+        for i in range(6):
+            for l in range(4):
+                assert abs(Fraction(got[i, l]) - exact[i][l]) <= Fraction(allowance[i, l])
 
 
 class TestFastPathsAgainstReference:

@@ -220,19 +220,33 @@ def test_projectors_vanish_outside_their_rows(basis8):
         assert np.all(np.abs(X[rows]).sum(axis=1) > 0), name
 
 
-def test_chain_norms_bound_svd_values(basis8):
-    # every reported residual and relative defect is at least the SVD value
-    # of the same matrix, rebuilt from the chain members
-    pert = perturbation(basis8, 0.08)
-    weight = pert.weight()
-    chain = build_chain_matrix(basis8, weight)
-    d = chain.diagnostics.entries
-    m = chain.members
-    P, G, Pi, GInf, PiInf = m["P_hat"], m["G"], m["Pi"], m["GInf"], m["PiInf"]
-    W = weight.matrix
-    ident = np.eye(basis8.total_dim)
-    interior = np.array([p + q <= basis8.N - 4 for p, q, _, _ in basis8.index_blocks()])
-    residuals = {
+# the gates the matrix chain's entries answer to: criterion 5 and the A0 certificate
+CHAIN_GATES = {
+    "PG_plus_Pi_minus_I_interior": 1e-8,
+    "GP_plus_Pi_minus_I_interior": 1e-8,
+    "PiInf_sq_minus_PiInf_interior": 1e-8,
+    "A0_residual": 1e-12,
+    "ran_orthogonality_defect": 1e-10,
+    "ran_orthogonality_defect_PiInf": 1e-10,
+    **{f"{name}_adjoint_defect": 1e-10 for name in ("P_hat", "G", "Pi", "PiInf", "GInf")},
+}
+ORACLE_BASES = {
+    "n2_N5": lambda request: request.getfixturevalue("bases_small")[2],
+    "n3_N4": lambda request: request.getfixturevalue("basis_n3_N4"),
+}
+
+
+def svd(X):
+    return np.linalg.norm(X, 2) if X.size else 0.0
+
+
+def dense_residuals(chain):
+    """Every residual of the matrix chain formed densely from its members, R0 from its definition."""
+    P, G, Pi, GInf, PiInf, G0, A0 = (
+        chain.member(name) for name in ("P_hat", "G", "Pi", "GInf", "PiInf", "G0", "A0"))
+    ident = np.eye(P.shape[0])
+    R0 = P @ G0 + chain.member("Pi0") - ident
+    return {
         "PG_plus_Pi_minus_I": P @ G + Pi - ident,
         "GP_plus_Pi_minus_I": G @ P + Pi - ident,
         "PGInf_plus_PiInf_minus_I": P @ GInf + PiInf - ident,
@@ -242,27 +256,82 @@ def test_chain_norms_bound_svd_values(basis8):
         "G_minus_GInf": G - GInf,
         "PiG": Pi @ G,
         "PPi": P @ Pi,
-        "R0": m["R0"],
+        "R0": R0,
+        "A0": (ident + R0) @ A0 - ident,
     }
 
-    def svd(X):
-        return np.linalg.norm(X, 2) if X.size else 0.0
+
+def test_chain_norms_bound_svd_values(basis8):
+    check_dense_oracle(basis8)
+
+
+@pytest.mark.parametrize("which", sorted(ORACLE_BASES))
+def test_chain_norms_bound_svd_values_at_n2_n3(request, which):
+    check_dense_oracle(ORACLE_BASES[which](request))
+
+
+def check_dense_oracle(basis):
+    """The dense oracle of the factored chain.
+
+    Every reported residual and relative defect is at least the SVD value of
+    the same matrix, rebuilt from the chain members (R0 from its definition
+    P_hat G0 + Pi0 - I, not from the stored factor product), and every gated
+    entry is at most its gate; an error in the algebra the factored bounds
+    assume fails here.
+    """
+    weight = perturbation(basis, 0.08).weight()
+    chain = build_chain_matrix(basis, weight)
+    d = chain.diagnostics.entries
+    W = weight.matrix
+    interior = np.array([p + q <= basis.N - 4 for p, q, _, _ in basis.index_blocks()])
+    dense = dense_residuals(chain)
 
     def at_least(name, value, reference):
         assert value >= reference * (1 - 1e-12), (name, value, reference)
 
-    for name, X in residuals.items():
+    assert_close(chain.member("R0"), dense["R0"])
+    at_least("A0_residual", d["A0_residual"], svd(dense.pop("A0")))
+    for name, X in dense.items():
         at_least(f"{name}_full", d[f"{name}_full"], svd(X))
         at_least(f"{name}_interior", d[f"{name}_interior"],
                  svd(X[np.ix_(interior, interior)]))
     for name in ("P_hat", "G", "Pi", "PiInf", "GInf"):
-        X = m[name]
+        X = chain.member(name)
         at_least(name, d[f"{name}_adjoint_defect"],
                  svd(X - weight.solve(X.conj().T @ W)) / svd(X))
+    P, Pi, PiInf = chain.member("P_hat"), chain.member("Pi"), chain.member("PiInf")
     scale = svd(Pi) * svd(W) * svd(P)
     at_least("ran", d["ran_orthogonality_defect"], svd(Pi.conj().T @ W @ P) / scale)
     at_least("ran_PiInf", d["ran_orthogonality_defect_PiInf"],
              svd(PiInf.conj().T @ W @ P) / scale)
+    V = weight.inverse()
+    assert np.array_equal(V, V.T)  # the algebra reads V W as (W V)^T
+    at_least("inverse_defect", d["inverse_defect_bound"], svd(W @ V - np.eye(basis.total_dim)))
+    for key, gate in CHAIN_GATES.items():
+        assert d[key] <= gate, (key, d[key], gate)
+    # every residual entry names its route, and the structural one is exactly zero
+    residual_keys = {k for k in d if k.endswith(("_full", "_interior", "_adjoint_defect"))
+                     or k.startswith("ran_orthogonality") or k == "A0_residual"}
+    assert set(chain.diagnostics.routes) == residual_keys
+    assert set(chain.diagnostics.routes.values()) == {"factored", "dense", "structural"}
+    assert d["PPi_full"] == d["PPi_interior"] == 0.0
+
+
+def test_pi_rows_on_the_diagonal_of_w_kk_fail_the_derived_pg_bound(basis8, monkeypatch):
+    # Pi_K: solved on diag(W_KK) alone leaves the defect r = W_K: - W_KK Pi_K:
+    # of the size of W_KK's off-diagonal part; the derived P_hat G + Pi - I
+    # bound carries it over its gate, and still bounds the dense residual
+    weight = perturbation(basis8, 0.08).weight()
+    ker = kernel_mask(basis8)
+    W = weight.matrix
+    rows = W[ker] / np.diag(W)[ker][:, None]
+    monkeypatch.setattr(weight, "projector_rows", lambda mask: rows)
+    chain = build_chain_matrix(basis8, weight)
+    d = chain.diagnostics.entries
+    assert d["PG_plus_Pi_minus_I_interior"] > 1e-8
+    dense = dense_residuals(chain)["PG_plus_Pi_minus_I"]
+    assert d["PG_plus_Pi_minus_I_full"] >= svd(dense)
+    assert svd(dense) > 1e-8
 
 
 def spectral_oracle(P_d, weight):
