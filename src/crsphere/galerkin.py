@@ -88,10 +88,10 @@ def norm2_upper_abs(*terms) -> float:
     for factors in terms:
         r = np.ones(factors[-1].shape[-1])
         for F in reversed(factors):
-            r = _abs_matvec(F, r)
+            r = abs_matvec(F, r)
         c = np.ones(factors[0].shape[0])
         for F in factors:
-            c = _abs_matvec(F, c, left=True)
+            c = abs_matvec(F, c, left=True)
         rows = rows + r
         cols = cols + c
     if np.size(rows) == 0 or np.size(cols) == 0:
@@ -99,11 +99,11 @@ def norm2_upper_abs(*terms) -> float:
     return math.sqrt(float(np.max(rows)) * float(np.max(cols)))
 
 
-# entries of |F| formed at a time by _abs_matvec
+# entries of |F| formed at a time by abs_matvec
 _ABS_BLOCK = 1 << 15
 
 
-def _abs_matvec(F, x, left=False):
+def abs_matvec(F, x, left=False):
     """|F| x, or x^T |F| with left, for a 2-D F or a 1-D F standing for its diagonal."""
     if F.ndim == 1:
         return abs(F) * x
@@ -657,7 +657,7 @@ def gamma(k: int) -> float:
 _MATMUL_BLOCK = 64
 
 
-def blocked_matmul(A, B):
+def blocked_matmul(A, B, parts=None):
     """A @ B summed over blocks of the inner dimension, and the order k of its rounding bound gamma_k.
 
     With n the inner dimension, each of the m = ceil(n / b) block products,
@@ -667,10 +667,16 @@ def blocked_matmul(A, B):
     Numerical Algorithms, 3.1 and 3.5), so the result is within
     gamma_{b+m-1} |A| |B| of the exact product, where one matmul is only
     within gamma_n.  For products whose rounding bound matters more than
-    their cost.
+    their cost.  With parts, b = ceil(n / parts): wider blocks, for a
+    product of two D x D matrices whose cost matters too (at D = 819 four
+    parts take 26 ms against 20 ms for one matmul and 36 ms for blocks of
+    64, one BLAS thread).
     """
     n = A.shape[1]
-    b = max(math.isqrt(max(n - 1, 0)) + 1, _MATMUL_BLOCK)
+    if parts is None:
+        b = max(math.isqrt(max(n - 1, 0)) + 1, _MATMUL_BLOCK)
+    else:
+        b = max(-(-n // parts), 1)
     out = A[:, :b] @ B[:b]
     for i in range(b, n, b):
         out += A[:, i:i + b] @ B[i:i + b]
@@ -811,19 +817,6 @@ def real_matmul(A, X):
     return np.ascontiguousarray(apply(parts)).view(complex).reshape(X.shape)
 
 
-def positive_definite_gate(A, what):
-    """A Cholesky factorization of a dense Hermitian A as its positivity gate.
-
-    If it fails the run raises NumericalError.  numpy has no triangular
-    solve to reuse the factor with, so the solves and inverses behind the
-    gate are np.linalg's.
-    """
-    try:
-        np.linalg.cholesky(A)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"{what} Cholesky factorization failed: {exc}") from exc
-
-
 # order of the blocks positive_inverse hands to np.linalg.inv
 _INVERSE_LEAF = 256
 
@@ -839,11 +832,15 @@ def positive_inverse(A):
     with the D columns of I) takes 8/3 D^3 in slower kernels.  Block
     elimination without interchanges is stable on a positive definite
     matrix (Higham, Accuracy and Stability of Numerical Algorithms, 13.3).
-    It checks nothing: callers gate A first (positive_definite_gate).
+    The result is exactly symmetric: the off-diagonal blocks are copies of
+    each other, and the blocks that are not (the leaves from np.linalg.inv
+    and the upper-left A11^{-1} + X^T S^{-1} X) are symmetrized, an add of
+    their own size.  It checks nothing: a caller certifies the result by
+    its defect A X - I.
     """
     D = A.shape[0]
     if D <= _INVERSE_LEAF:
-        return np.linalg.inv(A)
+        return _symmetrized(np.linalg.inv(A))
     h = D // 2
     A11_inv = positive_inverse(A[:h, :h])
     X = A[h:, :h] @ A11_inv
@@ -851,16 +848,32 @@ def positive_inverse(A):
     S_inv = positive_inverse(S)
     Y = S_inv @ X
     out = np.empty_like(A)
-    out[:h, :h] = A11_inv + X.T @ Y
+    A11_inv += X.T @ Y
+    out[:h, :h] = _symmetrized(A11_inv)
     out[h:, :h] = -Y
     out[:h, h:] = out[h:, :h].T
     out[h:, h:] = S_inv
     return out
 
 
+def _symmetrized(X):
+    """(X + X^T) / 2, in place (numpy buffers the overlapping operand)."""
+    X += X.T
+    X *= 0.5
+    return X
+
+
 def positive_solve(A, B, what):
-    """A^{-1} B for a dense Hermitian positive definite A, behind positive_definite_gate."""
-    positive_definite_gate(A, what)
+    """A^{-1} B for a dense Hermitian positive definite A, behind a Cholesky gate.
+
+    A failed Cholesky factorization of A raises NumericalError.  numpy has
+    no triangular solve to reuse the factor with, so the solve is
+    np.linalg's.
+    """
+    try:
+        np.linalg.cholesky(A)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"{what} Cholesky factorization failed: {exc}") from exc
     return np.linalg.solve(A, B)
 
 
@@ -1061,17 +1074,19 @@ class InnerProductWeight:
         return real_matmul(lambda b: positive_solve(self.matrix, b, "weight"), rhs)
 
     def inverse(self) -> np.ndarray:
-        """W^{-1}, dense (positive_inverse) and symmetrized, behind the Cholesky gate of the full dense matrix.
+        """W^{-1}, dense and exactly symmetric (positive_inverse).
 
-        The symmetrization makes V W = (W V)^T exactly, which the chain's
-        identities read from the one measured defect W V - I
-        (parametrix.inverse_defect).
+        No factorization gates it: min_eigenvalue_bound > 0 has already
+        certified W positive definite, and the chain certifies the computed
+        inverse V by its measured defect W V - I (parametrix.inverse_defect,
+        which refuses a defect that is not finite).  The symmetry makes
+        V W = (W V)^T exactly, which the chain's identities read from that
+        one defect.
         """
-        positive_definite_gate(self.matrix, "weight")
-        V = positive_inverse(self.matrix)
-        V += V.T  # numpy buffers the overlapping operand
-        V *= 0.5
-        return V
+        try:
+            return positive_inverse(self.matrix)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"weight inverse failed: {exc}") from exc
 
     def inner(self, u, v):
         """<u, v>_hat for coefficient vectors."""

@@ -32,28 +32,32 @@ reports a bracket on it from the weight's eigenvalue bounds instead.  The
 matrix chain inverts the dense W once and solves with W_KK once: P_hat is
 W^{-1} with its columns scaled by P_diag (its columns in K are zero),
 A_0 follows from the Woodbury identity on I + R_0, a rank-2|K| change of
-the identity (woodbury_a0), and Pi, G and the Schur complement share the
-rows K of Pi.  The generalized eigensolver (spectrum_matrix) is kept as a
-test oracle.
+the identity (woodbury_a0), and Pi, G, the Woodbury solve and the Schur
+complement share the rows K of Pi.  The generalized eigensolver
+(spectrum_matrix) is kept as a test oracle.
 Every chain identity is recorded as a norm on the full truncation and on
-the interior blocks, with its route: the identities with P_hat on the
-left are certified bounds derived from the chain's factors and one
-measured inverse defect W W^{-1} - I, the others are formed and measured
-(build_chain_matrix says what each entry bounds).
+the interior blocks, with its route: the parametrix identities, on either
+side, are certified bounds derived from the chain's factors and one
+measured inverse defect W W^{-1} - I, the cheap differences are formed
+and measured (build_chain_matrix says what each entry bounds).
 
 The perturbed chain runs in the real frame of the basis (galerkin.RealFrame),
-where P is real and Upsilon, and so W, is real: P_hat, G_0, R_0, A_0, Pi_oo,
-G_oo, Pi and G are float64 matrices.  Only S is complex (szego_rows):
-the holomorphic functions are not real, Sbar = conj(S) and Pi_0 = 2 Re S.
-The kernel, interior and complement masks and the diagonal tables of P
-and G_0 are the same in both frames, and the frame change is unitary, so
-every norm, eigenvalue and gate means what it does in the basis e.
+where P is real and Upsilon, and so W, is real: every member is float64.
+Only S is complex (szego_rows): the holomorphic functions are not real,
+Sbar = conj(S) and Pi_0 = 2 Re S.  The kernel, interior and complement
+masks and the diagonal tables of P and G_0 are the same in both frames,
+and the frame change is unitary, so every norm, eigenvalue and gate means
+what it does in the basis e.
 
-S, Sbar, Pi_0, Pi_oo and Pi are nonzero only on their rows in K (Pi is
-W_KK^{-1} W_K: there; the holomorphic and antiholomorphic coordinates
-are paired inside K), so the matrix chain stores S, Pi_oo and Pi as those
-rows and forms every product with one of them on the left from them alone,
-about a fifth of the rows at n=1.
+The matrix chain stores two D x D arrays, W and P_hat; every other member
+is a diagonal, W, or factors with at most 2|K| rows or columns.  S, Sbar,
+Pi_0, Pi_oo and Pi are nonzero only on their rows in K (Pi is W_KK^{-1}
+W_K: there; the holomorphic and antiholomorphic coordinates are paired
+inside K), so the chain stores S, Pi_oo and Pi as those rows, about a
+fifth of the rows at n=1.  G_0 is G0_d W, R_0 = U Vf and A_0 = I - U Z
+with the Woodbury factors, and G and G_oo are P^+ W and G0_d W less
+products through |K| or 2|K| columns on the rows C, with their rows K
+stored (build_chain_matrix).  ParametrixChain.member expands any of them.
 
 Reported residual norms are upper bounds on the spectral norm, never SVD
 values: sqrt(||X||_1 ||X||_inf) (galerkin.norm2_upper) of a residual
@@ -71,6 +75,7 @@ InnerProductWeight.adjoint_defect forms Y for any other X.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -80,6 +85,7 @@ from .errors import NumericalError
 from .galerkin import (
     InnerProductWeight,
     RealFrame,
+    abs_matvec,
     blocked_matmul,
     gamma,
     norm2_lower,
@@ -149,7 +155,12 @@ class ParametrixChain:
         The matrix chain stores S, Pi and Pi_oo as their rows in K, the
         only rows that are not zero, and keeps S alone of the Szego pair:
         this expands the rows and forms Sbar = conj(S) and Pi0 = 2 Re S.
+        G0, R0, A0, G and GInf it keeps as factors, and forms them here a
+        block of rows at a time (_FactoredRows), as its norms were formed.
         """
+        if self.mode == "matrix" and name in _FACTORED_MEMBERS:
+            rows = _FactoredRows(self.members, self.weight.matrix, kernel_mask(self.basis))
+            return rows.full(name)
         if self.mode != "matrix" or name not in _ROW_MEMBERS:
             return self.members[name]
         rows = self.members[_ROW_MEMBERS[name]]
@@ -165,6 +176,8 @@ class ParametrixChain:
 
 # members the matrix chain stores as their rows in K, by the stored name they come from
 _ROW_MEMBERS = {"S": "S", "Sbar": "S", "Pi0": "S", "Pi": "Pi", "PiInf": "PiInf"}
+# members the matrix chain keeps as factors
+_FACTORED_MEMBERS = ("G0", "R0", "A0", "G", "GInf")
 
 
 # ---------------------------------------------------------------------------
@@ -381,48 +394,68 @@ def interior_mask(basis: HarmonicBasis, margin=4):
 class InverseDefect:
     """Bounds read from the one measured defect E = W V - I of the dense inverse V of W.
 
-    norm >= ||E||; hat_adjoint >= ||W P_hat - (W P_hat)^T|| and
-    range_rows >= ||W_K: P_hat||, for P_hat = V P_d as stored.
+    With P_hat = V P_d as stored and P^+ the pseudo-inverse diagonal of
+    P_d: norm >= ||E||; hat_adjoint >= ||W P_hat - (W P_hat)^T||;
+    range_rows >= ||E_K: P_d|| and >= ||W_K: P_hat||; scaled >= ||P^+ E P_d||.
+    product_K is the computed W V[:, K], I_:K up to the defect.
     """
 
     norm: float
     hat_adjoint: float
     range_rows: float
+    scaled: float
+    product_K: np.ndarray
+
+
+def pseudo_inverse_diag(P_d, ker):
+    """P_d^+ as a vector: 1 / P_d off the kernel coordinates K, 0 on them."""
+    return np.where(ker, 0.0, 1.0 / np.where(ker, 1.0, P_d))
 
 
 def inverse_defect(weight: InnerProductWeight, V, P_d, ker) -> InverseDefect:
     """Measure E = W V - I once, V the computed symmetric inverse of the dense weight W.
 
-    The computed E is within gamma_D |W| |V| + gamma_1 |E| of the exact one
-    (one matmul, then 1 subtracted on the diagonal; Higham, Accuracy and
-    Stability of Numerical Algorithms, 3.5), so ||E|| <= (1 + gamma_1) ||fl(E)|| +
-    gamma_D ||W|| ||V||.  P_hat = V P_d is V with its columns scaled,
-    stored within u |V| P_d of exact, and W V P_d = P_d + E P_d, so
+    The product W V is summed in four blocks of the inner dimension
+    (blocked_matmul), so the computed E is within gamma_o |W| |V| +
+    gamma_1 |E| of the exact one with o = D/4 + 3, not D (Higham, Accuracy
+    and Stability of Numerical Algorithms, 3.5), and ||E|| <= (1 + gamma_1)
+    ||fl(E)|| + gamma_o ||W|| ||V||.  A defect that is not finite (a
+    failed inverse) raises NumericalError.  P_hat = V P_d is V with its
+    columns scaled, stored within u |V| P_d of exact, and W V P_d = P_d +
+    E P_d, so
 
         W P_hat - (W P_hat)^T = E P_d - P_d E^T + (rounding of P_hat),
-        W_K: P_hat = E_K: P_d + (rounding of P_hat)       (P_d vanishes on K).
+        W_K: P_hat = E_K: P_d + (rounding of P_hat)       (P_d vanishes on K),
 
-    E P_d - P_d E^T is Q - Q^T for Q = E P_d, formed entrywise.  Every
-    rounding term carries P_d inside an absolute value, as ||W|| || |V| P_d ||
-    (norm2_upper_abs), which is of the size of ||W|| ||P_hat||: P_d is
-    never bounded apart from the rounding it scales.
+    and P^+ E P_d is measured from the same Q = E P_d.  E P_d - P_d E^T is
+    Q - Q^T, formed entrywise.  Every rounding term carries P_d inside an
+    absolute value, as || |W| |V| P_d || or || P^+ |W| |V| P_d ||
+    (norm2_upper_abs), which is of the size of ||W|| ||P_hat|| or of
+    ||P^+ W P_hat||: P_d is never bounded apart from the rounding it scales.
     """
     W = weight.matrix
     D = W.shape[0]
-    E = W @ V
+    E, order = blocked_matmul(W, V, parts=4)
+    product_K = E[:, ker]
     E.flat[:: D + 1] -= 1
     e = norm2_upper(E)
+    if not math.isfinite(e):
+        raise NumericalError(f"weight inverse defect ||W V - I|| is not finite ({e})")
+    p = pseudo_inverse_diag(P_d, ker)
     E *= P_d  # Q = E P_d
     q = norm2_upper(E)
     q_rows = norm2_upper(E[ker])
+    q_scaled = norm2_upper_abs((p, E))
     E -= E.T  # numpy buffers the overlapping operand
     q_skew = norm2_upper(E)
     del E
     n_w, n_vp = weight.norm_upper, norm2_upper_abs((V, P_d))
     return InverseDefect(
-        norm=(1 + gamma(1)) * e + gamma(D) * n_w * norm2_upper(V),
-        hat_adjoint=(1 + gamma(1)) * q_skew + gamma(5) * q + 2 * gamma(D + 1) * n_w * n_vp,
-        range_rows=(1 + gamma(3)) * q_rows + gamma(D + 1) * norm2_upper(W[ker]) * n_vp,
+        norm=(1 + gamma(1)) * e + gamma(order) * n_w * norm2_upper(V),
+        hat_adjoint=(1 + gamma(1)) * q_skew + gamma(5) * q + 2 * gamma(order + 1) * n_w * n_vp,
+        range_rows=(1 + gamma(3)) * q_rows + gamma(order + 1) * norm2_upper_abs((W[ker], V, P_d)),
+        scaled=(1 + gamma(3)) * q_scaled + gamma(order) * norm2_upper_abs((p, W, V, P_d)),
+        product_K=product_K,
     )
 
 
@@ -432,11 +465,11 @@ def hatted_gjms(basis: HarmonicBasis, weight: InnerProductWeight):
     The critical-weight law makes <P_hat u, v>_hat = <P u, v>_std, so the
     hatted operator's sesquilinear form is the exact diagonal table and the
     operator matrix is the weight inverse applied to it.  One inverse V of
-    W, behind the Cholesky gate of the dense weight (weight.inverse), gives
-    both: P_hat is V with its columns scaled by P_d, so its columns in the
-    kernel coordinates K are exactly zero, and the columns K of V are kept
-    before the scaling.  The defect W V - I is measured before the scaling
-    and dropped (inverse_defect).  Returns (P_hat, V[:, K], InverseDefect).
+    W (weight.inverse) gives both: P_hat is V with its columns scaled by
+    P_d, so its columns in the kernel coordinates K are exactly zero, and
+    the columns K of V are kept before the scaling.  The defect W V - I is
+    measured before the scaling and dropped (inverse_defect); it certifies
+    V.  Returns (P_hat, V[:, K], InverseDefect).
     """
     P_d = critical_gjms(basis).to_diag_vector(basis)
     ker = kernel_mask(basis)
@@ -457,12 +490,12 @@ def apply_partial_inverse(P_d, weight: InnerProductWeight, ker, X):
     projection reads (W Y)_K as (W^T Y)_K, the rows K of Horner on M^T
     (weight.apply_transpose), with the solves by conjugate gradients
     (weight.block_solve).  G is real (frame coordinates), and a complex X
-    is applied as its real and imaginary parts.  partial_inverse_matrix
-    forms G itself.
+    is applied as its real and imaginary parts.  The matrix chain keeps G
+    as its factors (build_chain_matrix).
     """
     if np.iscomplexobj(X):
         return real_matmul(lambda Y: apply_partial_inverse(P_d, weight, ker, Y), X)
-    p_inv = np.where(ker, 0.0, 1.0 / np.where(ker, 1.0, P_d))
+    p_inv = pseudo_inverse_diag(P_d, ker)
     Y = weight.apply(np.asarray(X, dtype=float))
     Z = np.zeros_like(Y)
     Z[ker] = weight.block_solve(ker, Y[ker])
@@ -470,21 +503,6 @@ def apply_partial_inverse(P_d, weight: InnerProductWeight, ker, X):
     Y *= p_inv.reshape((-1,) + (1,) * (Y.ndim - 1))
     Y[ker] -= weight.block_solve(ker, weight.apply_transpose(Y)[ker])
     return Y
-
-
-def partial_inverse_matrix(P_d, weight: InnerProductWeight, ker, pi_rows):
-    """G = (I - Pi) P_d^+ W (I - Pi) as a dense matrix, from pi_rows = Pi_K: = W_KK^{-1} W_K:.
-
-    W (I - Pi) = W - W_:K Pi_K:, and P_d^+ vanishes on K, so P_d^+ W (I - Pi)
-    has the rows P_C^{-1} (W_C: - W_CK Pi_K:) in C and zero rows in K, and
-    the left factor I - Pi subtracts Pi_K: times it from the rows K.
-    """
-    W = weight.matrix
-    G = np.matmul(W[:, ker], pi_rows)
-    np.subtract(W, G, out=G)
-    G *= np.where(ker, 0.0, 1.0 / np.where(ker, 1.0, P_d))[:, None]
-    G[ker] = -(pi_rows @ G)
-    return G
 
 
 def szego_rows(basis: HarmonicBasis, weight: InnerProductWeight) -> np.ndarray:
@@ -508,22 +526,29 @@ def szego_rows(basis: HarmonicBasis, weight: InnerProductWeight) -> np.ndarray:
                                        "holomorphic weight block")
 
 
-def woodbury_a0(Pi0_K, W, inv_K, ker):
-    """A_0 = (I + R_0)^{-1} through a matrix of order 2|K|, with Pi0_K = Pi_0[K] and inv_K = W^{-1}[:, K].
+def woodbury_a0(Pi0_K, Pi_K, W, inv_K, ker):
+    """A_0 = (I + R_0)^{-1} as I - U Z, with Pi0_K = Pi_0[K], Pi_K = Pi_K: and inv_K = W^{-1}[:, K].
 
     P_d G0_d is the indicator of C = ~K, so P_hat G_0 = W^{-1} P_d G0_d W =
     I - W^{-1}[:, K] W_K:, and Pi_0 = E_K Pi0_K.  So I + R_0 = I + U Vf with
     U = [E_K, -W^{-1}[:, K]] and Vf = [Pi0_K; W_K:], and by the Woodbury
-    identity A_0 = I - U Z, Z = T^{-1} Vf, T = I_{2|K|} + Vf U: the inverse
-    of order 2|K| and matmuls, one of them D x |K| x D, where the inverse of
-    I + R_0 costs several D x D x D.
+    identity A_0 = I - U Z with T Z = Vf, T = I_{2|K|} + Vf U.  With
+    Q = Pi0_K W^{-1}[:, K] and W_K: W^{-1}[:, K] = I + E_KK,
+
+        T = [[I + Pi0_KK, -Q], [W_KK, -E_KK]],
+
+    and E_KK vanishes up to the inverse defect, so the second block row
+    makes Z_1 = W_KK^{-1} W_K: = Pi_K:, already solved, and the first gives
+    Z_2 from one |K| x |K| solve, Q Z_2 = (I + Pi0_KK) Pi_K: - Pi0_K.  No
+    inverse of order 2|K| is formed; what the shortcut and the solves
+    leave is in the measured defect F = Vf - T Z.
 
     (I + U Vf)(I - U Z) - I = U (Vf - T Z) for the exact T, so the returned
-    solve_defect >= ||Vf - (I + Vf U) Z|| (the measured F = Vf - T Z plus
-    the rounding of T and of F, both formed by blocked_matmul) and
-    a0_rounding >= ||A_0 - (I - U Z)|| (the rounding of the D x |K| x D
-    product) bound ||(I + U Vf) A_0 - I|| with the norms of U and I + U Vf.
-    Returns (A_0, U, Vf, solve_defect, a0_rounding).
+    solve_defect >= ||Vf - (I + Vf U) Z|| (the measured F plus the rounding
+    of T and of F, both formed by blocked_matmul) and a0_rounding >=
+    ||A_0 - (I - U Z)|| (the rounding of the member A_0, formed a block of
+    rows at a time from U and Z) bound ||(I + U Vf) A_0 - I|| with the
+    norms of U and I + U Vf.  Returns (U, Vf, Z, solve_defect, a0_rounding).
     """
     D, k = inv_K.shape
     U = np.zeros((D, 2 * k))
@@ -533,18 +558,19 @@ def woodbury_a0(Pi0_K, W, inv_K, ker):
     T, t_order = blocked_matmul(Vf, U[:, k:])
     T = np.concatenate([Vf[:, ker], T], axis=1)  # Vf U
     T.flat[:: 2 * k + 1] += 1
-    Z = np.linalg.inv(T) @ Vf
+    try:
+        Z_2 = np.linalg.solve(-T[:k, k:], T[:k, :k] @ Pi_K - Pi0_K)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"Woodbury block of A0 singular: {exc}") from exc
+    Z = np.concatenate([Pi_K, Z_2])
     TZ, f_order = blocked_matmul(T, Z)
     F = Vf - TZ
     # T is within gamma_{t+1} (|Vf| |U| + I) of I + Vf U, F within
     # gamma_{f+1} (|Vf| + |T| |Z|) of Vf - T Z
     solve_defect = (norm2_upper(F) + gamma(f_order + 1) * norm2_upper_abs((Vf,), (T, Z))
                     + gamma(t_order + 1) * norm2_upper_abs((Vf, U, Z), (Z,)))
-    A0 = inv_K @ Z[k:]
-    A0[ker] -= Z[:k]
-    A0.flat[:: D + 1] += 1
     a0_rounding = gamma(k + 2) * norm2_upper_abs((U, Z), (np.ones(D),))
-    return A0, U, Vf, solve_defect, a0_rounding
+    return U, Vf, Z, solve_defect, a0_rounding
 
 
 def scaling_defect(P_d, *inverses):
@@ -558,12 +584,130 @@ def scaling_defect(P_d, *inverses):
     return float(max((abs(Fraction(p) * Fraction(g) - 1) for p, g in pairs), default=0))
 
 
+# entries of one block of rows of a factored member formed at a time
+_ROW_BLOCK = 1 << 17
+
+
+def _row_slices(D):
+    """The blocks of rows in which factored members are formed, the same for every use."""
+    step = max(1, _ROW_BLOCK // max(D, 1))
+    return [slice(i, min(i + step, D)) for i in range(0, D, step)]
+
+
+class _FactoredRows:
+    """Rows of the matrix chain's factored members, formed from the stored factors.
+
+    With E_K the columns K of I, Z = [Z_1; Z_2] and WU = W U as computed,
+    [W_:K, -W W^{-1}[:, K]]:
+
+        G0    = diag(G0_d) W
+        R0    = U Vf                  (the block E_K of U adds Pi0_K: on the rows K)
+        A0    = I - U Z
+        G     = diag(P^+) (W - W_:K Pi_K:)      on the rows C; the rows K are G_K
+        GInf  = diag(G0_d) (W - WU Z)           on the rows C; the rows K are GInf_K
+
+    G0_d and P^+ vanish on K, so the rows K of G and G_oo come from their
+    stored blocks alone.  member() and every norm of the chain form a
+    member through the same blocks of rows (_row_slices), so the norms
+    are those of the members member() returns, bit for bit.
+    """
+
+    def __init__(self, members, W, ker):
+        self.m, self.W, self.ker = members, W, ker
+        self.k = int(ker.sum())
+        self.pos = np.cumsum(ker) - 1  # the index of a kernel coordinate within K
+
+    def __call__(self, name, sl):
+        m, k = self.m, self.k
+        ker = self.ker[sl]
+        at = self.pos[sl][ker]  # the rows of the |K|-row blocks that fall in sl
+        if name == "G0":
+            return m["G0_diag"][sl, None] * self.W[sl]
+        if name == "R0":
+            X = m["U"][sl, k:] @ m["Vf"][k:]
+            X[ker] += m["Vf"][at]
+            return X
+        if name == "A0":
+            X = m["U"][sl, k:] @ m["Z"][k:]
+            np.negative(X, out=X)
+            X[ker] -= m["Z"][at]
+            X[np.arange(X.shape[0]), np.arange(sl.start, sl.stop)] += 1
+            return X
+        if name == "G":
+            X = m["WU"][sl, :k] @ m["Pi"]
+            np.subtract(self.W[sl], X, out=X)
+            X *= m["P_plus"][sl, None]
+            X[ker] = m["G_K"][at]
+            return X
+        X = m["WU"][sl] @ m["Z"]  # GInf
+        np.subtract(self.W[sl], X, out=X)
+        X *= m["G0_diag"][sl, None]
+        X[ker] = m["GInf_K"][at]
+        return X
+
+    def full(self, name):
+        D = self.W.shape[0]
+        return np.concatenate([self(name, sl) for sl in _row_slices(D)])
+
+
+class _AbsSums:
+    """Row and column sums of |X| for a D x D matrix X seen a block of rows at a time.
+
+    cols = 1^T |X| and rows = |X| 1 give norm2_upper, sq the squared column
+    norms norm2_lower.  With right = |F| 1 and left = 1^T |F| for a matrix
+    F (or |F| for a diagonal F) it also keeps |X| right and left^T |X|: the
+    inner sums of norm2_upper_abs((X, F)) and norm2_upper_abs((F, X)).
+    With interior, norm2_upper of X restricted to the interior rows and
+    columns too.
+    """
+
+    def __init__(self, D, right=None, left=None, interior=None):
+        self.cols, self.rows, self.sq = np.zeros(D), np.zeros(D), np.zeros(D)
+        self.right, self.left, self.interior = right, left, interior
+        self.x_right = np.zeros(D)
+        self.left_x = np.zeros(D)
+        self.int_cols = np.zeros(0 if interior is None else int(interior.sum()))
+        self.int_rows = 0.0
+
+    def add(self, sl, X):
+        A = np.abs(X)
+        self.cols += A.sum(axis=0)
+        self.rows[sl] = A.sum(axis=1)
+        self.sq += np.einsum("ij,ij->j", X, X)
+        if self.right is not None:
+            self.x_right[sl] = A @ self.right
+        if self.left is not None:
+            self.left_x += self.left[sl] @ A
+        if self.interior is not None:
+            inner = A[self.interior[sl]][:, self.interior]
+            self.int_cols += inner.sum(axis=0)
+            self.int_rows = max(self.int_rows, float(inner.sum(axis=1).max(initial=0.0)))
+
+    def upper(self):
+        return math.sqrt(float(self.rows.max()) * float(self.cols.max()))
+
+    def upper_interior(self):
+        return math.sqrt(self.int_rows * float(self.int_cols.max(initial=0.0)))
+
+    def lower(self):
+        return math.sqrt(float(self.sq.max()))
+
+    def abs_times(self, F):
+        """norm2_upper_abs((X, F)), right = |F| 1."""
+        cols = abs_matvec(F, self.cols, left=True)
+        return math.sqrt(float(self.x_right.max()) * float(cols.max()))
+
+    def abs_after(self, F):
+        """norm2_upper_abs((F, X)), left = 1^T |F|."""
+        return math.sqrt(float(abs_matvec(F, self.rows).max()) * float(self.left_x.max()))
+
+
 def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> ParametrixChain:
     """Parametrix chain with matrix arithmetic on the truncated basis.
 
-    One inverse V of W, behind the Cholesky gate of the dense weight, gives
-    P_hat = V P_d by scaling columns (hatted_gjms); its columns in K, the
-    pluriharmonic coordinates (the kernel of P_hat in every frame), are
+    One inverse V of W (weight.inverse, certified by its measured defect)
+    gives P_hat = V P_d by scaling columns (hatted_gjms); its columns in K,
+    the pluriharmonic coordinates (the kernel of P_hat in every frame), are
     exactly zero.  A_0 = (I + R_0)^{-1} comes from the Woodbury identity on
     I + R_0 = I + U Vf, U and Vf of rank 2|K| (woodbury_a0); the Neumann
     series would not do: R_0 = Pi_0 - W^{-1} I_K W, whose W-adjoint
@@ -571,44 +715,64 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
     one in every frame.  The final Pi and G are the closed forms: Pi is the
     W-orthogonal projector onto K and G = (I - Pi) P_d^+ W (I - Pi), both
     from the one solve Pi_K: = W_KK^{-1} W_K: (weight.projector_rows),
-    which the Schur complement of nonzero_eigenvalues reuses.
+    which the Schur complement of nonzero_eigenvalues and the Woodbury
+    solve reuse.
 
-    The identities with P_hat on the left are not formed: they reduce by
-    algebra to three small defects, E = W V - I (measured once by
-    inverse_defect, then dropped), r = W_K: - W_KK Pi_K: (the equations
-    Pi_K: solves) and F = Vf - T Z (the Woodbury solve), and to
-    c = P_d P_d^+ - 1_C (at most u per entry, scaling_defect).  V is
-    symmetric, so V W = I + E^T, and P_hat G0 = I + E^T - V_:K W_K: up to c
-    and the scalings' rounding:
+    What stays dense.  The chain holds two D x D arrays, W and P_hat.  Every
+    other member is a diagonal, W, or factors with at most 2|K| rows or
+    columns, expanded on request (ParametrixChain.member): G_0 = G0_d W,
+    R_0 = U Vf, A_0 = I - U Z, G and G_oo from W, W_:K, Pi_K:, WU = W U and
+    Z on the rows C and their stored rows K (_FactoredRows), Pi, Pi_oo and
+    S from their rows K.  Its D x D x D work is the Taylor sum of W, the
+    inverse V, the defect W V - I and the Schur eigvalsh; the rows K of G
+    and G_oo are one 2|K| x D x D product, and the norms of R_0, A_0, G,
+    G_oo and G - G_oo come from one pass over their blocks of rows, about
+    5 |K| D^2 multiply-adds in all.
+
+    The identities are not formed.  They reduce by algebra to three small
+    defects, E = W V - I (measured once by inverse_defect, then dropped),
+    r = W_K: - W_KK Pi_K: (the equations Pi_K: solves) and F = Vf - T Z
+    (the Woodbury solve), and to c = P_d P_d^+ - 1_C (at most u per entry,
+    scaling_defect).  V is symmetric, so V W = I + E^T, and P_hat G0 =
+    I + E^T - V_:K W_K: up to c and the scalings' rounding:
 
         R_0 = U Vf + E^T + ...,  formed (the member R_0) as U Vf
         (I + R_0) A_0 - I = U (Vf - T Z) + (E^T + ...) A_0
-        P_hat G_oo + Pi_oo - I = (I + R_0) A_0 - I    (P_hat Pi_oo = 0)
         P_hat G + Pi - I = E^T (I - Pi) - V_:K r + ...
+        G P_hat + Pi - I = -E_K W_KK^{-1} r_KK E_K^T
+                           + (I - Pi) (c + P^+ E P_d - P^+ W_:K Y) + ...,
+            Y = Pi_K: V P_d = W_KK^{-1} (E_K: P_d - r V P_d)
+        P_hat G_oo + Pi_oo - I = P_hat G + Pi - I + P_hat (G_oo - G) + (Pi_oo - Pi)
+        R_oo = G_oo P_hat + Pi_oo - I = G P_hat + Pi - I + (G_oo - G) P_hat + (Pi_oo - Pi)
         W P_hat - (W P_hat)^T = E P_d - P_d E^T + ...
         W Pi - Pi^T W = r^T Pi_K: - Pi_K:^T r,  W G - (W G)^T from it
         W_K: P_hat = E_K: P_d + ...
 
-    Each "..." is an a-priori rounding term on the members as stored
-    (gamma_k = k u / (1 - k u), Higham, 3.5), written as the norm of a
-    product of absolute values (norm2_upper_abs), with the P_d and P_d^+
-    scalings cancelled entrywise inside it (|P_hat| |G_0| is of the size of
-    |V| |W|), never as ||P_d|| times a rounding norm.  Every such entry
-    ("factored" in residual_routes) is a certified upper bound on the
-    spectral norm of the identity evaluated exactly on the stored members;
+    G_oo - G and Pi_oo - Pi are measured.  They hold only rounding: the
+    rows K of Pi_0 A_0 are Pi0_K: - Pi0_K: U Z = Z_1 = Pi_K: by the first
+    block row of T Z = Vf, and G_0 A_0 = G0_d (W - W_:K Z_1 + W V_:K Z_2) =
+    P^+ W (I - Pi) when W V = I (G0_d vanishes on K), so G_oo = G and
+    Pi_oo = Pi in exact arithmetic.  Each "..." is an a-priori rounding
+    term on the members as stored (gamma_k = k u / (1 - k u), Higham, 3.5),
+    written as the norm of a product of absolute values (norm2_upper_abs),
+    with the P_d and P_d^+ scalings inside it (|P_hat| |G_0| is of the size
+    of |V| |W|, P^+ |W| |P_hat| of P^+ |W| |V| P_d), never as
+    max P_d / min P_d times a rounding norm; so are the measured
+    ||P^+ E P_d||, ||(G_oo - G) P_hat|| and ||P_hat (G_oo - G)||, the last
+    two from the absolute values of G - G_oo.  Every such entry ("factored" in
+    residual_routes) is a certified upper bound on the spectral norm of the
+    identity evaluated exactly on the members as member() returns them;
     its interior entry repeats the full bound (a restriction does not raise
     a norm), except R0_interior, which restricts the stored R_0.  The
     defects of Pi_oo and G_oo add (1 + kappa) ||Pi - Pi_oo|| and
     (1 + kappa) ||G - G_oo||, kappa = W_ub / lambda_lb, to those of Pi and
-    G.  P_hat Pi is zero by construction ("structural").  G P_hat + Pi - I
-    and R_oo = G_oo P_hat + Pi_oo - I are formed and measured ("dense"): with
-    G on the left a norm bound would scale the rounding by max P_d /
-    min P_d.  So are the cheap differences Pi - Pi_oo, G - G_oo,
-    Pi_oo^2 - Pi_oo and Pi G, from the rows K where they live.
+    G.  P_hat Pi is zero by construction ("structural").  The differences
+    Pi - Pi_oo, G - G_oo, Pi_oo^2 - Pi_oo and Pi G are formed and measured
+    ("dense"), from the rows K where Pi and Pi_oo live and a block of rows
+    of G at a time.
 
-    The members are D x D arrays in the real frame (RealFrame), float64
-    except the complex S; S, Pi and Pi_oo are stored as their rows in K and
-    Sbar and Pi_0 are formed from S on request (ParametrixChain.member).
+    The members are arrays in the real frame (RealFrame), float64 except
+    the complex S; Sbar and Pi_0 are formed from S on request.
     """
     n, N = basis.n, basis.N
     D = basis.total_dim
@@ -616,23 +780,21 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
     interior = interior_mask(basis)
     ker = kernel_mask(basis)
     k = int(ker.sum())
-    diagonal = slice(None, None, D + 1)  # the diagonal of a flattened D x D array
 
     P = critical_gjms(basis)
     P_d = P.to_diag_vector(basis)
     G0_d = P.partial_inverse().to_diag_vector(basis)
+    p = pseudo_inverse_diag(P_d, ker)
     # eta >= |x - 1| and |x - 1| / |x| for x = p g (1 + d)(1 + d'), |d|, |d'| <= u:
     # a column scaled by P_d and a row by its float inverse, both rounded,
-    # against the indicator of C (G0_d and P_d^+ of partial_inverse_matrix)
-    eta = 2 * scaling_defect(P_d, G0_d, np.where(ker, 0.0, 1.0 / np.where(ker, 1.0, P_d)))
-    eta += gamma(4)
+    # against the indicator of C (G0_d and P^+)
+    eta = 2 * scaling_defect(P_d, G0_d, p) + gamma(4)
 
     S_K = szego_rows(basis, weight)
     Pi0_K = 2 * S_K.real
     Pmat, inv_K, inv_defect = hatted_gjms(basis, weight)
     e_E = inv_defect.norm
     Pi_K = weight.projector_rows(ker)
-    G = partial_inverse_matrix(P_d, weight, ker, Pi_K)
     lam = nonzero_eigenvalues(P_d, weight, ker, Pi_K)
 
     diag = ChainDiagnostics("matrix")
@@ -643,19 +805,58 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
     diag.record("weight_tail_bound", weight.tail_bound)
     diag.record("inverse_defect_bound", e_E)
 
-    def rec(name, X, rows=None):
-        # X is the whole residual, or, with rows, its only nonzero rows
-        inner = interior if rows is None else interior[rows]
+    def rec(name, X, rows):
+        # X holds the only nonzero rows of the residual
         diag.record(f"{name}_full", norm2_upper(X), "dense")
-        diag.record(f"{name}_interior", norm2_upper(X[np.ix_(inner, interior)]), "dense")
+        diag.record(f"{name}_interior", norm2_upper(X[np.ix_(interior[rows], interior)]), "dense")
 
     def bound(name, full, interior_value=None):
         diag.record(f"{name}_full", full, "factored")
         diag.record(f"{name}_interior", full if interior_value is None else interior_value,
                     "factored")
 
-    W_K = W[ker]  # W_:K = W_K:^T, W symmetric
-    G0 = G0_d[:, None] * W  # Galerkin of G0 . M_w; G0 is block diagonal, no leakage
+    W_K = W[ker]
+    W_cK = W_K.T  # W_:K, W symmetric
+    U, Vf, Z, solve_defect, a0_rounding = woodbury_a0(Pi0_K, Pi_K, W, inv_K, ker)
+    n_inv_K = norm2_upper(inv_K)
+    r0_rounding = gamma(k + 1) * (norm2_upper_abs((inv_K, W_K)) + norm2_upper(Pi0_K))
+    del inv_K
+    WU = np.concatenate([W_cK, -inv_defect.product_K], axis=1)
+    PiInf_K = Pi0_K - (Pi0_K @ U) @ Z  # Pi_0 A_0
+    # the rows K of G and G_oo: -(Pi_K: P^+) (W - W_:K Pi_K:) and
+    # -(PiInf_K: G0_d) (W - WU Z), with one 2|K| x D x D product
+    L = np.concatenate([Pi_K * p, PiInf_K * G0_d])
+    LW, lw_order = blocked_matmul(L, W, parts=4)
+    LWK, lwk_order = blocked_matmul(L[:k], W_cK)
+    G_K = LWK @ Pi_K - LW[:k]
+    GInf_K = (L[k:] @ WU) @ Z - LW[k:]
+    del L, LW, LWK
+    members = {
+        "P_hat": Pmat, "S": S_K, "P_diag": P_d, "G0_diag": G0_d, "P_plus": p,
+        "U": U, "Vf": Vf, "Z": Z, "WU": WU,
+        "Pi": Pi_K, "PiInf": PiInf_K, "G_K": G_K, "GInf_K": GInf_K,
+    }
+
+    # one pass over the rows of R_0, A_0, G and G_oo
+    rows = _FactoredRows(members, W, ker)
+    ones = np.ones(D)
+    hat_rows = abs_matvec(Pmat, ones)  # |P_hat| 1
+    hat_cols = abs_matvec(Pmat, ones, left=True)  # 1^T |P_hat|
+    s_r0, s_a0 = _AbsSums(D, interior=interior), _AbsSums(D)
+    s_g, s_ginf = _AbsSums(D, right=hat_rows, left=np.abs(P_d)), _AbsSums(D)
+    s_diff = _AbsSums(D, right=hat_rows, left=hat_cols, interior=interior)
+    PiG = np.zeros((k, D))
+    for sl in _row_slices(D):
+        s_r0.add(sl, rows("R0", sl))
+        s_a0.add(sl, rows("A0", sl))
+        G, GInf = rows("G", sl), rows("GInf", sl)
+        s_g.add(sl, G)
+        s_ginf.add(sl, GInf)
+        PiG += Pi_K[:, sl] @ G
+        G -= GInf
+        s_diff.add(sl, G)
+    del G, GInf
+
     # |P_hat| G0_d is |V| 1_C up to the scalings: P_d cancels entrywise, and
     # || |P_hat| |G_0| || <= n_pw (G_0 = G0_d W within u); eta times that
     # bounds ||P_hat G_0 - V 1_C W||
@@ -664,73 +865,76 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
     n_pw = (1 + gamma(1)) * n_v * n_w
     n_scaled = eta * n_pw
 
-    # R_0 and A_0, bounded while the Woodbury factors are at hand
-    A0, U, Vf, solve_defect, a0_rounding = woodbury_a0(Pi0_K, W, inv_K, ker)
-    n_a0 = norm2_upper(A0)
-    R0 = U[:, k:] @ Vf[k:]  # U Vf
-    R0[ker] += Pi0_K
-    n_r0 = norm2_upper(R0)
-    r0_rounding = gamma(k + 1) * (norm2_upper_abs((inv_K, W_K)) + norm2_upper(Pi0_K))
+    # R_0 and A_0
+    n_a0 = s_a0.upper()
+    n_r0 = s_r0.upper()
     r0_defect = r0_rounding + e_E + n_scaled
-    bound("R0", n_r0 + r0_defect, norm2_upper(R0[np.ix_(interior, interior)]) + r0_defect)
+    bound("R0", n_r0 + r0_defect, s_r0.upper_interior() + r0_defect)
     # (I + R_0) A_0 - I = U (Vf - T Z) + (R_0 - U Vf) A_0 + (I + U Vf) (A_0 - I + U Z)
     a0_residual = (norm2_upper(U) * solve_defect + (e_E + n_scaled) * n_a0
                    + (1 + n_r0 + r0_rounding) * a0_rounding)
-    del U, Vf
     diag.record("A0_residual", a0_residual, "factored")
-    bound("PGInf_plus_PiInf_minus_I", a0_residual + gamma(D) * (n_pw + norm2_upper(Pi0_K)) * n_a0)
 
-    PiInf_K = Pi0_K @ A0
-    GInf = G0 @ A0
-    GInf[ker] -= PiInf_K @ GInf
-
-    X = np.empty_like(G)
-    for name, left, proj_K in (("GP_plus_Pi_minus_I", G, Pi_K), ("R_inf", GInf, PiInf_K)):
-        np.matmul(left, Pmat, out=X)
-        X[ker] += proj_K
-        X.flat[diagonal] -= 1
-        rec(name, X)
-    del X
     rec("PiInf_sq_minus_PiInf", PiInf_K[:, ker] @ PiInf_K - PiInf_K, ker)
     rec("Pi_minus_PiInf", Pi_K - PiInf_K, ker)
-    rec("G_minus_GInf", G - GInf)
-    rec("PiG", Pi_K @ G, ker)
+    diag.record("G_minus_GInf_full", s_diff.upper(), "dense")
+    diag.record("G_minus_GInf_interior", s_diff.upper_interior(), "dense")
+    rec("PiG", PiG, ker)
     for part in ("full", "interior"):
         diag.record(f"PPi_{part}", 0.0, "structural")  # P_hat[:, K] = 0 exactly
 
-    # P_hat G + Pi - I; r is the defect of Pi_K:, H = W (I - Pi) as computed
+    # r is the defect of Pi_K:; the rows C of G are P^+ (W - W_:K Pi_K:)
+    # within gamma_{k+2} h, h = P^+ (|W| + |W_:K| |Pi_K:|), and its rows K
+    # within gamma_g |Pi_K:| h, g = max(lw, lwk + k) + 3 (G_K above)
+    lam_lb = weight.min_eigenvalue_bound
     n_pi = norm2_upper(Pi_K)
-    n_g = norm2_upper(G)
+    n_g = s_g.upper()
     W_KK = W_K[:, ker]
     r = W_K - W_KK @ Pi_K
     n_r = norm2_upper(r) + gamma(k + 1) * norm2_upper_abs((W_K,), (W_KK, Pi_K))
+    g_rows = gamma(k + 2) + gamma(max(lw_order, lwk_order + k) + 3) * n_pi
+    diff = 1 + gamma(1)  # a computed difference against the exact one
+
+    # P_hat G + Pi - I
     n_h = (1 + eta) * gamma(k + 1)  # times |P^+| (|W| + |W_:K| |Pi_K:|) bounds P^+ (H - exact H)
-    n_wpi = norm2_upper_abs((W_K.T, Pi_K))
-    bound("PG_plus_Pi_minus_I",
-          e_E * (1 + n_pi) + norm2_upper(inv_K) * n_r
-          + n_h * n_v * (n_w + n_wpi)
-          + eta * n_v * norm2_upper_abs((P_d, G)))  # |P_hat| |G| <= (|P_hat| G0_d) (P_d |G|)
+    n_wpi = norm2_upper_abs((W_cK, Pi_K))
+    b_pg = (e_E * (1 + n_pi) + n_inv_K * n_r
+            + n_h * n_v * (n_w + n_wpi)
+            + eta * n_v * s_g.abs_after(P_d))  # |P_hat| |G| <= (|P_hat| G0_d) (P_d |G|)
+    bound("PG_plus_Pi_minus_I", b_pg)
+
+    # G P_hat + Pi - I: ||Y|| <= (||E_K: P_d|| + ||r V P_d||) / lambda_lb, and
+    # |r V P_d| <= (1 + u) |r| |P_hat| with r as computed or as exact
+    n_rvp = (1 + gamma(1)) * (norm2_upper_abs((r, Pmat)) + gamma(k + 1) * norm2_upper_abs(
+        (W_K, Pmat), (W_KK, Pi_K, Pmat)))
+    n_y = (inv_defect.range_rows + n_rvp) / lam_lb
+    c_max = scaling_defect(P_d, p)
+    b_gp = (n_r / lam_lb
+            + (1 + n_pi) * (c_max + inv_defect.scaled + norm2_upper_abs((p, W_cK)) * n_y)
+            + diff * g_rows * norm2_upper_abs((p, W, Pmat), (p, W_cK, Pi_K, Pmat))
+            + gamma(1) * s_g.abs_times(Pmat))
+    bound("GP_plus_Pi_minus_I", b_gp)
+
+    # the identities of G_oo and Pi_oo from those of G and Pi and the measured differences
+    pi_diff = diff * diag.entries["Pi_minus_PiInf_full"]
+    bound("PGInf_plus_PiInf_minus_I", b_pg + pi_diff + diff * s_diff.abs_after(Pmat))
+    bound("R_inf", b_gp + pi_diff + diff * s_diff.abs_times(Pmat))
 
     # weighted adjointness defects ||X - W^{-1} X^T W|| / ||X|| <= ||W X - (W X)^T|| / (lambda_lb ||X||)
-    lam_lb = weight.min_eigenvalue_bound
     kappa = weight.max_eigenvalue_bound / lam_lb
-    n_gh = n_h * float(np.max(G0_d)) * (n_w + n_wpi)
     n_delta = 2 * n_pi * n_r  # >= ||W Pi - Pi^T W||
     # W G - (W G)^T = -Delta P^+ B - B^T P^+ Delta for the exact G, B = W (I - Pi),
-    # plus W e_G - (W e_G)^T for the rounding e_G of the stored G
-    n_pb = (1 + eta) * n_g + n_gh
-    n_eg = (1 + n_pi) * (n_gh + eta * n_g) + gamma(D) * n_pi * n_g
-    g_skew = 2 * n_delta * n_pb + 2 * n_w * n_eg
-    diff = 1 + gamma(1)  # a computed difference against the exact one
+    # with ||P^+ B|| <= ||exact G||, plus W e_G - (W e_G)^T for the rounding e_G of G
+    n_eg = g_rows * norm2_upper_abs((p, W), (p, W_cK, Pi_K))
+    g_skew = 2 * n_delta * (n_g + n_eg) + 2 * n_w * n_eg
     n_p_lower = norm2_lower(Pmat)
     for name, value in (
         ("P_hat", _ratio(inv_defect.hat_adjoint, lam_lb * n_p_lower)),
-        ("G", _ratio(g_skew, lam_lb * norm2_lower(G))),
+        ("G", _ratio(g_skew, lam_lb * s_g.lower())),
         ("Pi", _ratio(n_delta, lam_lb * norm2_lower(Pi_K))),
-        ("PiInf", _ratio(n_delta / lam_lb + (1 + kappa) * diff
-                         * diag.entries["Pi_minus_PiInf_full"], norm2_lower(PiInf_K))),
+        ("PiInf", _ratio(n_delta / lam_lb + (1 + kappa) * pi_diff, norm2_lower(PiInf_K))),
         ("GInf", _ratio(g_skew / lam_lb + (1 + kappa) * diff
-                        * diag.entries["G_minus_GInf_full"], norm2_lower(GInf))),
+                        * diag.entries["G_minus_GInf_full"], s_ginf.lower())),
     ):
         diag.record(f"{name}_adjoint_defect", value, "factored")
 
@@ -741,12 +945,6 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
     diag.record("ran_orthogonality_defect_PiInf",
                 norm2_upper(PiInf_K) * inv_defect.range_rows / scale, "factored")
 
-    members = {
-        "P_hat": Pmat, "S": S_K,
-        "G0": G0, "R0": R0, "A0": A0,
-        "PiInf": PiInf_K, "GInf": GInf, "Pi": Pi_K, "G": G,
-        "P_diag": P_d,
-    }
     return ParametrixChain(n, N, "matrix", members, diag, weight=weight, basis=basis)
 
 

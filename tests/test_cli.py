@@ -495,6 +495,18 @@ class TestQcurvAtN2:
         assert not solve["solvable"] and solve["obstruction_norm"] > 1
 
 
+def test_parametrix_nan_inverse_exits_numerical(tmp_path, pert_file, monkeypatch):
+    # no factorization gates the chain's inverse of W: its measured defect
+    # W V - I certifies it, and a defect that is not finite exits 4
+    import numpy as np
+
+    from crsphere import galerkin
+
+    monkeypatch.setattr(galerkin, "positive_inverse", lambda A: np.full(A.shape, np.nan))
+    assert run("parametrix-check", "--n", "1", "--degree", "6", "--perturbation", pert_file,
+               "--out", str(tmp_path / "out")) == EXIT_NUMERICAL
+
+
 def test_qcurv_weight_failures_exit_numerical(tmp_path, monkeypatch):
     from crsphere.galerkin import InnerProductWeight
 

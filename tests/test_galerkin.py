@@ -454,8 +454,6 @@ class TestFastPathsAgainstReference:
             weight.block_solve(v > 0, v)
         with pytest.raises(NumericalError, match="weight Cholesky"):
             weight.solve(v)
-        with pytest.raises(NumericalError, match="weight Cholesky"):
-            weight.inverse()
 
     def test_conjugate_gradient_failures_are_numerical_errors(self, weight8, monkeypatch):
         # the operator route: an indefinite block breaks CG down, and a

@@ -420,6 +420,56 @@ def test_zero_q_properties_random_exponent(bases_small, n, seed, size):
     assert cond_ref <= rep.condition_bound
 
 
+@pytest.mark.parametrize("which", ["n1_N8", "n2_N5"])
+def test_p_hat_is_the_only_dense_member(request, which):
+    # every other member is a diagonal or a factor with at most 2|K| rows
+    # or columns; member() expands them
+    basis = (request.getfixturevalue("basis8") if which == "n1_N8"
+             else request.getfixturevalue("bases_small")[2])
+    chain = build_chain_matrix(basis, perturbation(basis, 0.08).weight())
+    k = chain.diagnostics.entries["kernel_dim"]
+    D = basis.total_dim
+    assert 2 * k < D
+    for name, X in chain.members.items():
+        if name != "P_hat":
+            assert X.ndim == 1 or min(X.shape) <= 2 * k, (name, X.shape)
+    for name in ("G0", "R0", "A0", "G", "GInf", "Pi", "PiInf", "S"):
+        assert chain.member(name).shape == (D, D), name
+
+
+def test_members_follow_their_definitions_with_an_inexact_a0(basis8, monkeypatch):
+    # The Woodbury solve takes Z_1 = Pi_K:, which makes Pi_oo = Pi up to
+    # rounding; a Z_1 off by 1e-6 makes A0 inexact and Pi_oo differ from
+    # Pi.  Every expanded member must still follow its definition from the
+    # other members (G_oo = (I - Pi_oo) G0 A0, not (I - Pi) G0 A0), and
+    # every factored bound must still bound the residual formed densely.
+    from crsphere import parametrix
+
+    woodbury = parametrix.woodbury_a0
+    monkeypatch.setattr(parametrix, "woodbury_a0",
+                        lambda Pi0_K, Pi_K, *rest: woodbury(Pi0_K, Pi_K * (1 + 1e-6), *rest))
+    weight = perturbation(basis8, 0.08).weight()
+    chain = build_chain_matrix(basis8, weight)
+    d = chain.diagnostics.entries
+    m = chain.members
+    W = weight.matrix
+    D = basis8.total_dim
+    ident = np.eye(D)
+    G0, A0, Pi, PiInf = (chain.member(name) for name in ("G0", "A0", "Pi", "PiInf"))
+    assert d["Pi_minus_PiInf_full"] > 1e-8
+    assert_close(G0, m["G0_diag"][:, None] * W)
+    assert_close(chain.member("R0"), m["U"] @ m["Vf"])
+    assert_close(A0, ident - m["U"] @ m["Z"])
+    assert_close(PiInf, chain.member("Pi0") @ A0)
+    assert_close(chain.member("GInf"), (ident - PiInf) @ G0 @ A0)
+    assert_close(chain.member("G"), (ident - Pi) @ (m["P_plus"][:, None] * W) @ (ident - Pi))
+    dense = dense_residuals(chain)
+    assert d["A0_residual"] >= svd(dense.pop("A0"))
+    for name, X in dense.items():
+        if chain.diagnostics.routes[f"{name}_full"] == "factored":
+            assert d[f"{name}_full"] >= svd(X), name
+
+
 def test_chain_members_are_float64_but_the_szego_pair(basis8):
     # a stray cast to complex fails here instead of tripling the chain's cost
     chain = build_chain_matrix(basis8, perturbation(basis8, 0.08).weight())
