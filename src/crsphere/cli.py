@@ -74,16 +74,23 @@ class RunConfig:
 
 
 def parse_sweep(spec, default_step=2):
-    """Parse "10..16", "10..16:3", or "10,12,16" into a sorted list."""
+    """Parse "10..16", "10..16:3" or "10,12,16" into a sorted, non-empty list, else ConfigError."""
     if spec is None:
         return None
     spec = spec.strip()
-    if ".." in spec:
-        body, _, step = spec.partition(":")
-        a, _, b = body.partition("..")
-        step = int(step) if step else default_step
-        return list(range(int(a), int(b) + 1, step))
-    return sorted({int(x) for x in spec.split(",") if x})
+    try:
+        if ".." in spec:
+            body, _, step = spec.partition(":")
+            a, _, b = body.partition("..")
+            step = int(step) if step else default_step
+            values = list(range(int(a), int(b) + 1, step)) if step >= 1 else []
+        else:
+            values = sorted({int(x) for x in spec.split(",") if x})
+    except ValueError:
+        raise ConfigError(f"--sweep must read a..b, a..b:step or a,b,...: {spec!r}") from None
+    if not values:
+        raise ConfigError(f"--sweep {spec!r} has no value")
+    return values
 
 
 def _load_basis(cfg, degree=None):
@@ -98,7 +105,12 @@ def _load_perturbation(cfg, basis):
     from .qcurvature import ContactPerturbation
 
     with open(cfg.perturbation) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"perturbation file is not JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"a perturbation file must hold a JSON object: {data!r}")
     data.setdefault("taylor_depth", cfg.taylor_depth)
     pert = ContactPerturbation.from_dict(basis, data)
     return pert, data
@@ -192,7 +204,10 @@ def cmd_spectrum(cfg, manifest):
     from .parametrix import min_nonzero_abs_eigenvalue, spectrum_diagonal, spectrum_pencil
     from .spectral import critical_gjms
 
-    mus = [parse_qi(s).re for s in cfg.mu.split(",")] if cfg.mu else []
+    try:
+        mus = [parse_qi(s).re for s in cfg.mu.split(",")] if cfg.mu else []
+    except ValueError as exc:
+        raise ConfigError(f"--mu: {exc}") from None
     sweep = parse_sweep(cfg.sweep) or [cfg.degree]
     header = ["p", "q", "dim", "lambda_deltab", "lambda_iT", "lambda_P"] + [
         f"lambda_mu_{mu}" for mu in mus
@@ -332,6 +347,8 @@ def cmd_qcurv(cfg, manifest):
 
 def cmd_heisenberg_selftest(cfg, manifest):
     ns = parse_sweep(cfg.sweep, default_step=1) or [cfg.n]
+    if ns[0] < 1:
+        raise ConfigError(f"--sweep over n needs n >= 1: {cfg.sweep!r}")
     report = {"seed": cfg.seed, "runs": []}
     all_ok = True
     for n in ns:

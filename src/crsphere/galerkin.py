@@ -863,20 +863,6 @@ def _symmetrized(X):
     return X
 
 
-def positive_solve(A, B, what):
-    """A^{-1} B for a dense Hermitian positive definite A, behind a Cholesky gate.
-
-    A failed Cholesky factorization of A raises NumericalError.  numpy has
-    no triangular solve to reuse the factor with, so the solve is
-    np.linalg's.
-    """
-    try:
-        np.linalg.cholesky(A)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"{what} Cholesky factorization failed: {exc}") from exc
-    return np.linalg.solve(A, B)
-
-
 @dataclass
 class InnerProductWeight:
     """Gram matrix W = T_K(M) of the truncated basis under e^{(n+1) Upsilon} dsigma.
@@ -890,19 +876,21 @@ class InnerProductWeight:
     spectrum (matrix, solve, inverse, projector_rows, projector,
     adjoint_defect).
 
-    block_solve(S, b) solves with the principal block W_SS.  Without the
-    dense matrix it runs conjugate gradients on apply restricted to S, from
-    zero, until ||r|| <= CG_TOL ||b||.  W_SS is symmetric positive definite
-    with its spectrum inside [min_eigenvalue_bound, max_eigenvalue_bound]
-    (interlacing), so cond(W_SS) <= kappa = max / min bound, and
+    block_solve(S, b) solves with the principal block W_SS by conjugate
+    gradients on apply restricted to S, from zero, until
+    ||r|| <= CG_TOL ||b||, whether or not the dense matrix exists.  W_SS is
+    symmetric positive definite with its spectrum inside
+    [min_eigenvalue_bound, max_eigenvalue_bound] (interlacing), so
+    cond(W_SS) <= kappa = max / min bound, and
     cg_iteration_cap (from kappa) bounds the iterations a converging run
     needs: reaching it, or a breakdown p^T W_SS p <= 0, raises
     NumericalError.  A caller that turns a solve into a number it reports
     accounts for where CG stopped: for any z and r = b - W_SS z,
     b^T W_SS^{-1} b = b^T z + z^T r + r^T W_SS^{-1} r, and the last term is
-    at most ||r||^2 / lambda_lb (qcurvature.solvability_check).  With the
-    dense matrix, block_solve is a dense solve behind a Cholesky gate
-    (positive_solve), as is solve (W^{-1}).
+    at most ||r||^2 / lambda_lb (qcurvature.solvability_check).  The dense
+    forms (solve, projector_rows, inverse) test no positivity: the bounds
+    below bracket every principal block (interlacing) and every compression
+    V W V^* with orthonormal rows (parametrix.szego_rows).
 
     M = Re M_c, M_c the assembled complex frame Galerkin matrix of
     (n+1) Upsilon, and H the exact Galerkin matrix's Hermitian part.
@@ -933,17 +921,16 @@ class InnerProductWeight:
     root r_K (r_1 = -1, r_3 = -1.60, r_5 = -2.18, r_7 = -2.76,
     r_9 = -3.33, r_11 = -3.91), and every a >= |r_K| gives a bound <= 0
     whatever the spectrum of M.  Such a weight is refused: a bound <= 0,
-    like a CG breakdown or a failed Cholesky factorization, raises
-    NumericalError (a non-positive weight means the conformal factor left
-    the regime the truncation can represent).  Complex right-hand sides
-    are applied and solved as their real and imaginary parts (real_matmul).
+    like a CG breakdown, raises NumericalError (a non-positive weight means
+    the conformal factor left the regime the truncation can represent).
+    Complex right-hand sides are applied and solved as their real and
+    imaginary parts (real_matmul).
     """
 
     multiplier: object  # M: real D x D, CSR or dense
     taylor_depth: int
     multiplier_bound: float
     multiplier_skew: float = 0.0
-    upsilon_label: str = ""
     tail_bound: float = 0.0
     apply_rounding_bound: float = field(init=False)
     min_eigenvalue_bound: float = field(init=False)
@@ -952,7 +939,6 @@ class InnerProductWeight:
     cg_iterations: list = field(init=False, default_factory=list)  # one entry per CG solve
     _transpose: object = field(init=False, repr=False, default=None)
     _matrix: np.ndarray | None = field(init=False, repr=False, default=None)
-    _hermitian_defect: float = field(init=False, repr=False, default=0.0)
     _norm_upper: float = field(init=False, repr=False, default=0.0)
 
     def __post_init__(self):
@@ -978,8 +964,7 @@ class InnerProductWeight:
 
     @classmethod
     def identity(cls, dim):
-        return cls(CSR.zeros((dim, dim)), taylor_depth=0, multiplier_bound=0.0,
-                   upsilon_label="0")
+        return cls(CSR.zeros((dim, dim)), taylor_depth=0, multiplier_bound=0.0)
 
     @property
     def dim(self):
@@ -1006,12 +991,9 @@ class InnerProductWeight:
         """W_MM^{-1} rhs, W_MM the principal block on the coordinates in mask.
 
         Conjugate gradients on block_apply, one run for all the columns of
-        a block; a dense solve once the dense matrix exists.
+        a block.
         """
         mask = np.asarray(mask, dtype=bool)
-        if self._matrix is not None:
-            block = self._matrix[np.ix_(mask, mask)]
-            return real_matmul(lambda b: positive_solve(block, b, "weight block"), rhs)
         return real_matmul(lambda b: self._conjugate_gradients(mask, b), rhs)
 
     def _conjugate_gradients(self, mask, B):
@@ -1048,11 +1030,9 @@ class InnerProductWeight:
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense weight 0.5 (W + W^T), W = taylor_exp_matrix(M, K), built on first use."""
+        """The dense weight (W + W^T) / 2, W = taylor_exp_matrix(M, K), built on first use."""
         if self._matrix is None:
-            W = taylor_exp_matrix(self.multiplier, self.taylor_depth)
-            self._hermitian_defect = norm2_upper(W - W.T)
-            W = 0.5 * (W + W.T)
+            W = _symmetrized(taylor_exp_matrix(self.multiplier, self.taylor_depth))
             self._norm_upper = norm2_upper(W)
             self._matrix = W
         return self._matrix
@@ -1063,15 +1043,9 @@ class InnerProductWeight:
         self.matrix
         return self._norm_upper
 
-    @property
-    def hermitian_defect(self) -> float:
-        """norm2_upper(W - W^T) of the dense Taylor sum before symmetrization."""
-        self.matrix
-        return self._hermitian_defect
-
     def solve(self, rhs):
-        """W^{-1} rhs with the dense matrix (positive_solve)."""
-        return real_matmul(lambda b: positive_solve(self.matrix, b, "weight"), rhs)
+        """W^{-1} rhs by a dense solve with the matrix."""
+        return real_matmul(lambda b: np.linalg.solve(self.matrix, b), rhs)
 
     def inverse(self) -> np.ndarray:
         """W^{-1}, dense and exactly symmetric (positive_inverse).
@@ -1083,10 +1057,7 @@ class InnerProductWeight:
         V W = (W V)^T exactly, which the chain's identities read from that
         one defect.
         """
-        try:
-            return positive_inverse(self.matrix)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"weight inverse failed: {exc}") from exc
+        return positive_inverse(self.matrix)
 
     def inner(self, u, v):
         """<u, v>_hat for coefficient vectors."""
@@ -1095,11 +1066,13 @@ class InnerProductWeight:
     def projector_rows(self, mask):
         """The rows in mask of the W-orthogonal projector onto the coordinates in mask.
 
-        They are W_MM^{-1} W_M: (the dense matrix, which is symmetric); the
-        projector's other rows are exactly zero.
+        They are W_MM^{-1} W_M:, one dense solve with the block of the
+        matrix (which is symmetric); the projector's other rows are exactly
+        zero.
         """
         mask = np.asarray(mask, dtype=bool)
-        return self.block_solve(mask, self.matrix[mask])
+        W = self.matrix
+        return np.linalg.solve(W[np.ix_(mask, mask)], W[mask])
 
     def projector(self, mask):
         """W-orthogonal projector onto the coordinate subspace given by mask (projector_rows)."""

@@ -91,7 +91,6 @@ from .galerkin import (
     norm2_lower,
     norm2_upper,
     norm2_upper_abs,
-    positive_solve,
     real_matmul,
 )
 from .harmonics import HarmonicBasis, dim_hpq
@@ -513,8 +512,11 @@ def szego_rows(basis: HarmonicBasis, weight: InnerProductWeight) -> np.ndarray:
     coordinates K.  S = F (F^* W F)^{-1} F^* W is complex, its rows outside
     K vanish, and its rows in K are V^* (V W_KK V^*)^{-1} V W_K: with
     V = U[H, K], so only |H| x |K| and |K| x D arrays are complex on the
-    way.  The antiholomorphic functions are the conjugates of the
-    holomorphic ones and W is real, so Sbar = conj(S) and S + Sbar = 2 Re S.
+    way.  U is unitary and its rows H vanish outside K, so V has
+    orthonormal rows and the weight's certified bounds bracket V W_KK V^*
+    (InnerProductWeight).  The antiholomorphic functions are the conjugates
+    of the holomorphic ones and W is real, so Sbar = conj(S) and
+    S + Sbar = 2 Re S.
     """
     ker = kernel_mask(basis)
     holo = np.array([q == 0 for p, q, _, _ in basis.index_blocks()])
@@ -522,8 +524,7 @@ def szego_rows(basis: HarmonicBasis, weight: InnerProductWeight) -> np.ndarray:
     E_K[ker] = np.eye(E_K.shape[1])
     V = RealFrame(basis).from_frame(E_K)[holo]  # U[H, K]
     W = weight.matrix
-    return V.conj().T @ positive_solve(V @ W[np.ix_(ker, ker)] @ V.conj().T, V @ W[ker],
-                                       "holomorphic weight block")
+    return V.conj().T @ np.linalg.solve(V @ W[np.ix_(ker, ker)] @ V.conj().T, V @ W[ker])
 
 
 def woodbury_a0(Pi0_K, Pi_K, W, inv_K, ker):

@@ -85,8 +85,11 @@ def parse_terms(items):
 
     A coefficient is a number or a [re, im] pair (read as complex) or an
     exact string "a/b+c/di" (read as QI).  A term without integer p and q
-    (and index, if given), or any other coefficient, is a ConfigError.
+    (and index, if given), any other coefficient, or items that are not a
+    list, is a ConfigError.
     """
+    if not isinstance(items, list):
+        raise ConfigError(f"coefficient terms must be a list: {items!r}")
     terms = []
     for item in items:
         if not (isinstance(item, dict) and "p" in item and "q" in item
@@ -105,8 +108,8 @@ class ContactPerturbation:
 
     def __init__(self, basis: HarmonicBasis, upsilon: SpectralFunction,
                  taylor_depth=DEFAULT_TAYLOR_DEPTH, label=""):
-        if taylor_depth < 1:
-            raise ConfigError("taylor depth must be >= 1")
+        if not (_is_int(taylor_depth) and taylor_depth >= 1):
+            raise ConfigError(f"taylor depth must be an integer >= 1: {taylor_depth!r}")
         if not upsilon.is_real(tol=1e-12):
             raise ConfigError("perturbation exponent must be real valued")
         self.basis = basis
@@ -125,6 +128,10 @@ class ContactPerturbation:
     @classmethod
     def from_terms(cls, basis, terms, epsilon=1.0, taylor_depth=DEFAULT_TAYLOR_DEPTH,
                    normalize_sup=False, label=""):
+        if not (_is_number(epsilon) and math.isfinite(epsilon)):
+            raise ConfigError(f"epsilon must be a finite real number: {epsilon!r}")
+        if not isinstance(normalize_sup, bool):
+            raise ConfigError(f"normalize_sup must be true or false: {normalize_sup!r}")
         f = SpectralFunction.from_terms(basis, terms).realized()
         if normalize_sup:
             sup = f.sup_norm_estimate()
@@ -212,7 +219,6 @@ class ContactPerturbation:
                 taylor_depth=self.K,
                 multiplier_bound=self.multiplier_norm_bound(),
                 multiplier_skew=0.5 * norm2_upper(M - M.T) + self._mult_defect,
-                upsilon_label=self.label,
                 tail_bound=self.exp_tail_bound(),
             )
         return self._weight

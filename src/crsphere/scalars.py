@@ -192,9 +192,10 @@ def qi(x) -> QI:
     return QI(x)
 
 
+# a denominator is a positive integer: "1/0" does not parse
 _QI_RE = re.compile(
-    r"^\s*(?P<re>[+-]?\d+(?:/\d+)?)?\s*"
-    r"(?:(?P<sign>[+-])?\s*(?P<im>\d+(?:/\d+)?)?\s*(?P<unit>i))?\s*$"
+    r"^\s*(?P<re>[+-]?\d+(?:/0*[1-9]\d*)?)?\s*"
+    r"(?:(?P<sign>[+-])?\s*(?P<im>\d+(?:/0*[1-9]\d*)?)?\s*(?P<unit>i))?\s*$"
 )
 
 

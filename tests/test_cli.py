@@ -283,6 +283,39 @@ class TestCommands:
         assert run("qcurv", "compute", "--n", "1", "--degree", "4", "--perturbation",
                    str(path), "--out", str(tmp_path / "o")) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("payload", [
+        {"terms": [], "epsilon": "abc"},
+        {"terms": [], "epsilon": [1, 2]},
+        {"terms": [], "epsilon": float("nan")},
+        {"terms": [], "taylor_depth": "12"},
+        {"terms": [], "taylor_depth": True},
+        {"terms": [], "taylor_depth": 0},
+        {"terms": [], "normalize_sup": 1},
+        {"terms": 5},
+        {"terms": [], "qdata_terms": {"p": 1}},
+        [1, 2],
+    ])
+    def test_bad_perturbation_file_exit_code(self, tmp_path, capsys, payload):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        assert run("qcurv", "compute", "--n", "1", "--degree", "4", "--perturbation",
+                   str(path), "--out", str(tmp_path / "o")) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("configuration error:")
+
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--sweep", "x..y"),
+        ("spectrum", "--sweep", "10..16:0"),
+        ("spectrum", "--sweep", "4..2"),
+        ("spectrum", "--sweep", ","),
+        ("spectrum", "--mu", "abc"),
+        ("spectrum", "--mu", "1/0"),
+        ("heisenberg-selftest", "--sweep", "1..q"),
+        ("heisenberg-selftest", "--sweep", "0..1"),
+    ])
+    def test_bad_flag_exit_code(self, tmp_path, capsys, argv):
+        assert run(*argv, "--degree", "2", "--out", str(tmp_path / "o")) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("configuration error:")
+
     def test_bad_config_exit_code(self, tmp_path):
         assert run("basis", "--n", "0", "--out", str(tmp_path / "o")) == EXIT_CONFIG
         assert run("qcurv", "check", "--n", "1", "--degree", "4",
@@ -505,6 +538,81 @@ def test_parametrix_nan_inverse_exits_numerical(tmp_path, pert_file, monkeypatch
     monkeypatch.setattr(galerkin, "positive_inverse", lambda A: np.full(A.shape, np.nan))
     assert run("parametrix-check", "--n", "1", "--degree", "6", "--perturbation", pert_file,
                "--out", str(tmp_path / "out")) == EXIT_NUMERICAL
+
+
+@pytest.mark.parametrize("routine", ["solve", "inv"])
+def test_parametrix_failed_dense_solve_exits_numerical(tmp_path, pert_file, monkeypatch,
+                                                      capsys, routine):
+    # no factorization gates the chain's dense solves (W_KK, the holomorphic
+    # block, the Woodbury block) or its inverse of W: numpy's LinAlgError
+    # from a failed one exits 4
+    import numpy as np
+
+    calls = []
+
+    def fail(*args, **kwargs):
+        calls.append(args)
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, routine, fail)
+    assert run("parametrix-check", "--n", "1", "--degree", "6", "--perturbation", pert_file,
+               "--out", str(tmp_path / "out")) == EXIT_NUMERICAL
+    assert calls and capsys.readouterr().err.startswith("numerical failure:")
+
+
+def pluriharmonic_dim(n, N):
+    """|K|: the summed dimensions of the blocks p q = 0 of degree p + q <= N."""
+    from crsphere.harmonics import dim_hpq
+
+    return sum(dim_hpq(n, p, d - p) for d in range(N + 1) for p in range(d + 1)
+               if p * (d - p) == 0)
+
+
+def check_perturbed_spectrum(out, cache, n, N, pert_path):
+    """The kernel of a spectrum --perturbation run is |K|, its smallest nonzero
+    eigenvalue that of the dense pencil (spectrum_matrix); returns that value."""
+    from crsphere.harmonics import HarmonicBasis
+    from crsphere.parametrix import min_nonzero_abs_eigenvalue, spectrum_matrix
+    from crsphere.qcurvature import ContactPerturbation
+    from crsphere.spectral import critical_gjms
+
+    kernel = pluriharmonic_dim(n, N)
+    assert json.loads((out / f"clusters_n{n}_N{N}.json").read_text())["kernel_dim"] == kernel
+    rows = (out / f"matrix_spectrum_n{n}_N{N}.csv").read_text().splitlines()[1:]
+    eigs = [float(r.split(",")[1]) for r in rows]
+    assert eigs.count(0.0) == kernel
+    got = min(abs(v) for v in eigs if v != 0.0)
+    basis, hit = HarmonicBasis.load_or_build(n, N, cache_dir=cache)
+    assert hit
+    with open(pert_path) as fh:
+        weight = ContactPerturbation.from_dict(basis, json.load(fh)).weight()
+    ref = spectrum_matrix(critical_gjms(basis).to_diag_vector(basis), weight)
+    assert ref.kernel_dim == kernel
+    ref = min_nonzero_abs_eigenvalue(ref)
+    assert abs(got - ref) <= 1e-12 * ref
+    return got
+
+
+def test_perturbed_spectrum_sweep_at_n2(tmp_path):
+    cache, out = str(tmp_path / "cache"), tmp_path / "out"
+    pert = perturbation_file(tmp_path / "p.json", shaped_terms(2, 11, 0.1))
+    assert run("spectrum", "--mode", "float", "--n", "2", "--sweep", "4..6:1", "--cache", cache,
+               "--perturbation", pert, "--out", str(out)) == EXIT_OK
+    sweep = json.loads((out / "stability_summary.json").read_text())["sweep"]
+    assert [s["N"] for s in sweep] == [4, 5, 6]
+    for s in sweep:
+        assert s["kernel_dim"] == pluriharmonic_dim(2, s["N"])
+        assert s["min_nonzero_abs"] == check_perturbed_spectrum(out, cache, 2, s["N"], pert)
+
+
+def test_perturbed_spectrum_at_n3(tmp_path, basis_n3_N4):
+    cache, out = tmp_path / "cache", tmp_path / "out"
+    cache.mkdir()
+    basis_n3_N4.save(str(cache))
+    pert = perturbation_file(tmp_path / "p.json", shaped_terms(3, 12, 0.1))
+    assert run("spectrum", "--mode", "float", "--n", "3", "--degree", "4", "--cache", str(cache),
+               "--perturbation", pert, "--out", str(out)) == EXIT_OK
+    check_perturbed_spectrum(out, str(cache), 3, 4, pert)
 
 
 def test_qcurv_weight_failures_exit_numerical(tmp_path, monkeypatch):

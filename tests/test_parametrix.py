@@ -26,6 +26,7 @@ from crsphere.parametrix import (
     smoothing_residual,
     spectrum_diagonal,
     spectrum_matrix,
+    spectrum_pencil,
 )
 from crsphere.qcurvature import ContactPerturbation, qhat, solve_zero_q, total_q
 from crsphere.scalars import QI
@@ -205,6 +206,21 @@ class TestMatrixChain:
             rep = smoothing_residual(chain)
             assert rep["R_inf_norm_full"] < 1e-12
             assert rep["Pi_minus_PiInf_norm_full"] < 1e-10
+
+
+def test_chain_and_pencil_factor_nothing_by_cholesky(basis8, monkeypatch):
+    # the weight's certified lower eigenvalue bound is its one positivity
+    # check: the chain and the pencil spectrum run with Cholesky unavailable
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Cholesky factorization called")
+
+    monkeypatch.setattr(np.linalg, "cholesky", fail)
+    weight = perturbation(basis8, 0.08).weight()
+    d = build_chain_matrix(basis8, weight).diagnostics.entries
+    spec = spectrum_pencil(basis8, weight)
+    assert d["kernel_dim"] == spec.kernel_dim == int(kernel_mask(basis8).sum())
+    assert d["min_nonzero_abs_eigenvalue"] == pytest.approx(min_nonzero_abs_eigenvalue(spec),
+                                                            rel=1e-12)
 
 
 def test_projectors_vanish_outside_their_rows(basis8):
