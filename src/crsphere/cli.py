@@ -205,9 +205,12 @@ def cmd_spectrum(cfg, manifest):
     from .spectral import critical_gjms
 
     try:
-        mus = [parse_qi(s).re for s in cfg.mu.split(",")] if cfg.mu else []
+        mus = [parse_qi(s) for s in cfg.mu.split(",")] if cfg.mu else []
     except ValueError as exc:
         raise ConfigError(f"--mu: {exc}") from None
+    if any(mu.im for mu in mus):
+        raise ConfigError(f"--mu: L_mu needs a real mu: {cfg.mu}")
+    mus = [mu.re for mu in mus]
     sweep = parse_sweep(cfg.sweep) or [cfg.degree]
     header = ["p", "q", "dim", "lambda_deltab", "lambda_iT", "lambda_P"] + [
         f"lambda_mu_{mu}" for mu in mus
@@ -277,10 +280,11 @@ def cmd_parametrix_check(cfg, manifest):
 
     if cfg.perturbation:
         pert, _ = _load_perturbation(cfg, basis)
+        sups = _sup_records(pert)  # sampled before the chain's members take memory
         mchain = build_chain_matrix(basis, pert.weight())
         mreport = mchain.diagnostics.to_jsonable()
         mreport["smoothing"] = smoothing_residual(mchain)
-        mreport.update(_sup_records(pert))
+        mreport.update(sups)
         mreport["config"] = {"n": cfg.n, "N": cfg.degree, "mode": "float",
                              "upsilon": pert.label, "taylor_depth": pert.K}
         manifest.add(write_json(os.path.join(cfg.out_dir, "parametrix_matrix.json"), mreport))

@@ -22,14 +22,19 @@ what the interior diagnostics measure.
 
 Multiplication matrices stay sparse (a degree-d multiplier couples only
 blocks whose degrees differ by at most d), in the module's own CSR type on
-numpy alone: the floating layer imports no scipy.  The weight is an
+numpy alone: the floating layer imports no scipy.  The assembly streams:
+the pairing matrix, the sparse products and the skew bound of the weight
+expand a block of rows of at most _BLOCK_BYTES (1 MB) at a time, so
+besides its inputs and output no array of the assembly grows with the
+problem.  The weight is an
 operator first: it applies W = T_K(M) to vectors by Horner's rule on the
 sparse M (taylor_exp_apply) and solves with a principal block W_SS by
 conjugate gradients on that matvec, with an iteration cap from the
 certified condition bound; the zero-Q solve needs nothing more.  The dense
 matrix is built only when the chain or the pencil spectrum asks for it,
 by Paterson and Stockmeyer's evaluation of the Taylor sum on the dense M
-(taylor_exp_matrix: 5 dense matmuls at K = 12), and the chain inverts it
+(taylor_exp_matrix: 5 dense matmuls and five D x D arrays at K = 12),
+and the chain inverts it
 once (InnerProductWeight.inverse).  No eigensolver runs on the weight:
 W = T_K(M) is a polynomial in the multiplier M and ||M|| <= a, so
 min_{|x|<=a} T_K(x), less a-priori bounds on the rounding of the Taylor
@@ -60,15 +65,75 @@ from .harmonics import HarmonicBasis, _integral_equal_exponents, monomials_homog
 from .poly import Poly
 
 
+# bytes of working memory one block of a streamed computation takes: the
+# expansion of a sparse product or of the pairing matrix, a block of rows of
+# a dense array read by the norms and abs_matvec, or of X - X^T in
+# norm2_upper_skew.  1 MB (at n=2 N=10 a D x D float64 array is 200 MB);
+# of 1, 2, 4 and 8 MB it gave the lowest peak RSS of qcurv solve and
+# parametrix-check at n=1 N=12, with run times inside their run-to-run spread
+_BLOCK_BYTES = 1 << 20
+# entries of one block of rows of a dense array: _BLOCK_BYTES of complex128
+_DENSE_BLOCK = _BLOCK_BYTES // 16
+
+
+def row_slices(shape, budget):
+    """Consecutive blocks of rows of a matrix of this shape, of at most budget entries (or one row) each."""
+    step = max(1, budget // max(shape[1], 1))
+    return [slice(i, min(i + step, shape[0])) for i in range(0, shape[0], step)]
+
+
 def norm2_upper(X) -> float:
     """Upper bound on the spectral norm: sqrt(||X||_1 ||X||_inf) >= ||X||_2 (dense or CSR X).
 
     The row and column sums are those of |X|, so it bounds ||abs(X)||_2 too.
+    A dense X is read a block of rows at a time: no array of its size is made.
     """
     if X.size == 0:
         return 0.0
-    A = abs(X)
-    return math.sqrt(float(A.sum(axis=0).max()) * float(A.sum(axis=1).max()))
+    if isinstance(X, CSR):
+        A = abs(X)
+        return math.sqrt(float(A.sum(axis=0).max()) * float(A.sum(axis=1).max()))
+    return _dense_upper(X.shape, lambda sl: X[sl])
+
+
+def norm2_upper_skew(X) -> float:
+    """norm2_upper(X - X^T) for a square X, dense or CSR, without forming X - X^T.
+
+    Dense: a block of rows of X - X^T at a time.  CSR: each block of rows
+    holds the stored entries of X and of X^T in those rows, summed as
+    X - X^T would sum them.  |X - X^T| is symmetric with a symmetric
+    pattern, so the sum of column j is that of row j in the same order, and
+    both come out bit for bit as norm2_upper(X - X.T) gives them.
+    """
+    if X.size == 0:
+        return 0.0
+    if not isinstance(X, CSR):
+        return _dense_upper(X.shape, lambda sl: X[sl] - X[:, sl].T)
+    T = X.T
+    D = X.shape[0]
+    rows, cols = np.zeros(D), np.zeros(D)
+    for r0, r1 in _spans(X.indptr[1:].astype(np.int64) + T.indptr[1:], _PRODUCT_BLOCK):
+        (a, ia, ja), (b, ib, jb) = X._entries(r0, r1), T._entries(r0, r1)
+        i, j = np.concatenate([ia, ib]), np.concatenate([ja, jb])
+        order = np.argsort(i * D + j, kind="stable")
+        vals, i, _ = _sum_runs(np.concatenate([a, -b])[order], i[order], j[order])
+        if not i.size:
+            continue
+        vals = np.abs(vals)
+        starts = np.flatnonzero(np.r_[True, i[1:] != i[:-1]])
+        rows[i[starts]] = np.add.reduceat(vals, starts)
+        cols[r0:r1] = np.bincount(i - r0, vals, minlength=r1 - r0)
+    return math.sqrt(float(cols.max()) * float(rows.max()))
+
+
+def _dense_upper(shape, rows_of):
+    """norm2_upper of the dense matrix whose rows sl are rows_of(sl), a block of rows at a time."""
+    rows, cols = np.empty(shape[0]), np.zeros(shape[1])
+    for sl in row_slices(shape, _DENSE_BLOCK):
+        A = np.abs(rows_of(sl))
+        rows[sl] = A.sum(axis=1)
+        cols += A.sum(axis=0)
+    return math.sqrt(float(rows.max()) * float(cols.max()))
 
 
 def norm2_upper_abs(*terms) -> float:
@@ -99,34 +164,51 @@ def norm2_upper_abs(*terms) -> float:
     return math.sqrt(float(np.max(rows)) * float(np.max(cols)))
 
 
-# entries of |F| formed at a time by abs_matvec
-_ABS_BLOCK = 1 << 15
-
-
 def abs_matvec(F, x, left=False):
     """|F| x, or x^T |F| with left, for a 2-D F or a 1-D F standing for its diagonal."""
     if F.ndim == 1:
         return abs(F) * x
     out = np.zeros(F.shape[1]) if left else np.empty(F.shape[0])
-    step = max(1, _ABS_BLOCK // max(F.shape[1], 1))
-    for i in range(0, F.shape[0], step):
-        block = abs(F[i:i + step])
+    for sl in row_slices(F.shape, _DENSE_BLOCK):
+        block = abs(F[sl])
         if left:
-            out += x[i:i + step] @ block
+            out += x[sl] @ block
         else:
-            out[i:i + step] = block @ x
+            out[sl] = block @ x
     return out
 
 
 def norm2_lower(X) -> float:
-    """Lower bound on the spectral norm: the largest column norm max_j ||X e_j||_2."""
+    """Lower bound on the spectral norm: the largest column norm max_j ||X e_j||_2.
+
+    The squared column norms are summed a block of rows at a time.
+    """
     if X.size == 0:
         return 0.0
-    return float(np.linalg.norm(X, axis=0).max())
+    sq = np.zeros(X.shape[1])
+    for sl in row_slices(X.shape, _DENSE_BLOCK):
+        B = X[sl]
+        sq += np.einsum("ij,ij->j", B.conj(), B).real
+    return math.sqrt(float(sq.max()))
 
 
-# entries of one block of a sparse product expanded at a time (CSR.__matmul__)
-_PRODUCT_BLOCK = 1 << 18
+# pairs of one block of a sparse product (CSR.__matmul__) expanded at a time:
+# about 128 bytes each (the gathered indices, keys, sort order and values,
+# int64 and complex128), so 2^13 pairs in _BLOCK_BYTES
+_PRODUCT_BLOCK = _BLOCK_BYTES // 128
+
+
+def _spans(ends, budget):
+    """Consecutive row ranges (r0, r1) of at most budget entries each, or of one row.
+
+    ends[i] is the number of entries in rows 0 .. i (a cumulative count).
+    """
+    r0, R = 0, len(ends)
+    while r0 < R:
+        base = int(ends[r0 - 1]) if r0 else 0
+        r1 = max(r0 + 1, int(np.searchsorted(ends, base + budget, side="right")))
+        yield r0, r1
+        r0 = r1
 
 
 class CSR:
@@ -177,6 +259,21 @@ class CSR:
         return cls(vals, cols.astype(itype), indptr, shape)
 
     @classmethod
+    def _from_row_blocks(cls, blocks, shape, dtype):
+        """The matrix made of consecutive blocks of rows, each given as
+        (values, columns, entries per row) in row and column order."""
+        R, C = shape
+        nnz = sum(v.size for v, _, _ in blocks)
+        itype = np.int32 if max(R, C, nnz) < 2**31 else np.int64
+        indptr = np.zeros(R + 1, dtype=itype)
+        if not blocks:
+            return cls(np.zeros(0, dtype), np.zeros(0, itype), indptr, shape)
+        np.cumsum(np.concatenate([c for _, _, c in blocks]), out=indptr[1:])
+        return cls(np.concatenate([v for v, _, _ in blocks]).astype(dtype, copy=False),
+                   np.concatenate([j for _, j, _ in blocks]).astype(itype, copy=False),
+                   indptr, shape)
+
+    @classmethod
     def zeros(cls, shape, dtype=float):
         empty = np.zeros(0, dtype=np.int64)
         return cls.from_coo(np.zeros(0, dtype=dtype), empty, empty, shape)
@@ -194,6 +291,12 @@ class CSR:
     def row_ids(self):
         """The row of every stored entry."""
         return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def _entries(self, r0, r1):
+        """Values, rows and columns (int64) of the stored entries in rows r0 .. r1 - 1."""
+        lo, hi = self.indptr[r0], self.indptr[r1]
+        rows = np.repeat(np.arange(r0, r1), np.diff(self.indptr[r0:r1 + 1]))
+        return self.data[lo:hi], rows, self.indices[lo:hi].astype(np.int64)
 
     def max_row_length(self):
         """The most entries stored in one row."""
@@ -293,7 +396,8 @@ class CSR:
         Each stored A[i, k] meets row k of B.  The pairs of one block of
         rows (at most _PRODUCT_BLOCK of them, or one row) are sorted stably
         by (i, j), so each entry sums its terms in ascending k, and exact
-        zeros are dropped; no more than one block is expanded at once.
+        zeros are dropped; no more than one block is expanded at once, so
+        the result does not depend on the block size.
         """
         if self.shape[1] != other.shape[0]:
             raise ValueError(f"dimension mismatch: {self.shape} @ {other.shape}")
@@ -301,12 +405,8 @@ class CSR:
         count = np.diff(other.indptr).astype(np.int64)[self.indices]
         # pairs[e] = the pairs of the entries before entry e, so row i's end at pairs[indptr[i + 1]]
         pairs = np.concatenate([[0], np.cumsum(count)])
-        row_end = pairs[self.indptr[1:]]
-        parts = []
-        r0 = 0
-        while r0 < R:
-            r1 = max(r0 + 1, int(np.searchsorted(row_end, pairs[self.indptr[r0]] + _PRODUCT_BLOCK,
-                                                 side="right")))
+        blocks = []
+        for r0, r1 in _spans(pairs[self.indptr[1:]], _PRODUCT_BLOCK):
             lo, hi = self.indptr[r0], self.indptr[r1]
             n = count[lo:hi]
             # the pairs of entry e are B's entries indptr[k] .. indptr[k] + n_e - 1
@@ -316,12 +416,9 @@ class CSR:
             j = other.indices[take].astype(np.int64)
             order = np.argsort(i * C + j, kind="stable")
             v = np.repeat(self.data[lo:hi], n)[order] * other.data[take[order]]
-            parts.append(_sum_runs(v, i[order], j[order], drop_zeros=True))
-            r0 = r1
-        vals, rows, cols = (np.concatenate(x) for x in zip(*parts)) if parts else (
-            np.zeros(0, np.result_type(self.dtype, other.dtype)), np.zeros(0, np.int64),
-            np.zeros(0, np.int64))
-        return CSR._from_sorted(vals, rows, cols, (R, C))
+            v, i, j = _sum_runs(v, i[order], j[order], drop_zeros=True)
+            blocks.append((v, j, np.bincount(i - r0, minlength=r1 - r0)))
+        return CSR._from_row_blocks(blocks, (R, C), np.result_type(self.dtype, other.dtype))
 
 
 def _sum_runs(vals, rows, cols, drop_zeros=False):
@@ -359,9 +456,15 @@ class MonomialIndex:
         return len(self.keys)
 
 
-def _row_codes(X):
-    """One int64 code per row of a non-negative integer matrix (mixed radix)."""
-    return X @ (int(X.max(initial=0)) + 1) ** np.arange(X.shape[1], dtype=np.int64)
+def _place_values(radix, width):
+    """The place values radix^k of a mixed-radix code: code(x) = x @ _place_values(...)."""
+    return radix ** np.arange(width, dtype=np.int64)
+
+
+# entries of one block of the pairing matrix formed at a time: about 256 bytes
+# each (row and column, the gathered exponents, their codes and the sort of
+# the codes, int64), so 2^12 entries in _BLOCK_BYTES
+_PAIRING_BLOCK = _BLOCK_BYTES // 256
 
 
 def pairing_matrix(row_idx: MonomialIndex, col_idx: MonomialIndex, n):
@@ -370,26 +473,43 @@ def pairing_matrix(row_idx: MonomialIndex, col_idx: MonomialIndex, n):
     <z^A zbar^B, z^A' zbar^B'> is nonzero iff A - B == A' - B' componentwise,
     with value integral(A + B').  Rows and columns are matched by sector
     A - B with numpy; the exact integral is evaluated once per distinct
-    exponent tuple A_c + B_r and rounded to float.
+    exponent tuple A_c + B_r and rounded to float.  The entries are formed
+    a block of rows at a time (at most _PAIRING_BLOCK of them, or one row),
+    already in row and column order.
     """
     R, C = len(row_idx), len(col_idx)
     rows_ab = np.array(row_idx.keys, dtype=np.int64).reshape(R, 2, -1)
     cols_ab = np.array(col_idx.keys, dtype=np.int64).reshape(C, 2, -1)
     top = max(row_idx.max_degree, col_idx.max_degree)
-    sector = _row_codes(top + np.concatenate(
-        [rows_ab[:, 0] - rows_ab[:, 1], cols_ab[:, 0] - cols_ab[:, 1]]))
+    place = _place_values(2 * top + 1, rows_ab.shape[2])
+    # A - B lies in [-top, top] componentwise, A_c + B_r in [0, 2 top]
+    sector = (top + np.concatenate([rows_ab[:, 0] - rows_ab[:, 1],
+                                    cols_ab[:, 0] - cols_ab[:, 1]])) @ place
     row_sector, col_sector = sector[:R], sector[R:]
     # columns grouped by sector (ascending within one), one run per row
     order = np.argsort(col_sector, kind="stable")
     start = np.searchsorted(col_sector[order], row_sector, side="left")
     count = np.searchsorted(col_sector[order], row_sector, side="right") - start
-    rows = np.repeat(np.arange(R), count)
-    cols = order[np.arange(len(rows)) - np.repeat(np.cumsum(count) - count - start, count)]
-    exps = cols_ab[cols, 0] + rows_ab[rows, 1]
-    _, first, which = np.unique(_row_codes(exps), return_index=True, return_inverse=True)
-    table = np.array([float(_integral_equal_exponents(n, tuple(e)))
-                      for e in exps[first].tolist()])
-    return CSR.from_coo(table[which], rows, cols, (R, C))
+    # the integral of every exponent tuple met so far, by code (ascending),
+    # after a sentinel code above every real one
+    known, table = np.array([np.iinfo(np.int64).max]), np.zeros(1)
+    blocks = []
+    for r0, r1 in _spans(np.cumsum(count), _PAIRING_BLOCK):
+        cnt = count[r0:r1]
+        rows = np.repeat(np.arange(r0, r1), cnt)
+        cols = order[np.arange(rows.size) - np.repeat(np.cumsum(cnt) - cnt - start[r0:r1], cnt)]
+        exps = cols_ab[cols, 0] + rows_ab[rows, 1]
+        codes = exps @ place
+        new, first = np.unique(codes, return_index=True)
+        fresh = known[np.searchsorted(known, new)] != new
+        values = [float(_integral_equal_exponents(n, tuple(e)))
+                  for e in exps[first[fresh]].tolist()]
+        known = np.concatenate([known, new[fresh]])
+        table = np.concatenate([table, values])
+        by_code = np.argsort(known)
+        known, table = known[by_code], table[by_code]
+        blocks.append((table[np.searchsorted(known, codes)], cols, cnt))
+    return CSR._from_row_blocks(blocks, (R, C), np.float64)
 
 
 def shift_matrix(f: Poly, src_idx: MonomialIndex, dst_idx: MonomialIndex):
@@ -397,7 +517,10 @@ def shift_matrix(f: Poly, src_idx: MonomialIndex, dst_idx: MonomialIndex):
 
     Every term (C, D) of f moves the source monomial (A, B) to
     (A + C, B + D); the moved exponents are matched against the
-    destination index with numpy, one int64 code per exponent row.
+    destination index by one int64 code per exponent row, in a radix above
+    every moved and destination exponent.  Codes add: code(src + shift) =
+    code(src) + code(shift), so the moved codes come from one code per
+    source monomial and one per term, and no moved exponent row is formed.
     """
     if any(a for (a, _, _) in f.terms):
         raise ValueError("multiplier must be t-free")
@@ -406,9 +529,10 @@ def shift_matrix(f: Poly, src_idx: MonomialIndex, dst_idx: MonomialIndex):
     values = np.array([complex(c) for c in f.terms.values()], dtype=complex)
     src = np.array(src_idx.keys, dtype=np.int64).reshape(-1, width)
     dst = np.array(dst_idx.keys, dtype=np.int64).reshape(-1, width)
-    moved = (shifts[:, None, :] + src[None, :, :]).reshape(-1, width)
-    codes = _row_codes(np.concatenate([dst, moved]))
-    dst_codes, moved_codes = codes[: len(dst)], codes[len(dst):]
+    place = _place_values(max(int(src.max(initial=0)) + int(shifts.max(initial=0)),
+                              int(dst.max(initial=0))) + 1, width)
+    dst_codes = dst @ place
+    moved_codes = ((shifts @ place)[:, None] + (src @ place)[None, :]).ravel()
     order = np.argsort(dst_codes)
     pos = np.minimum(np.searchsorted(dst_codes[order], moved_codes), len(dst) - 1)
     hit = dst_codes[order[pos]] == moved_codes
@@ -593,34 +717,55 @@ def taylor_exp_matrix(M, K: int) -> np.ndarray:
     are 1 / k! correctly rounded, and the identity term of each B_j goes
     on the diagonal alone.  taylor_rounding_bound bounds the rounding of
     this evaluation order.
+
+    Working memory: s + 1 dense D x D arrays, 5 at K = 12.  The powers
+    M^2 .. M^s stay; the dense M lives only while they are formed (a CSR M
+    adds its term of each B_j from its stored entries, a dense one is the
+    caller's array).  Each step multiplies into the array the step before
+    left dead (np.matmul with out) and forms its scaled powers, one at a
+    time, in the accumulator the product has just consumed, so the sum
+    holds two work arrays besides the powers.  Every entry is rounded as
+    in the plain evaluation (products, then the scaled adds in ascending
+    i, then the diagonal), bit for bit.
     """
     D = M.shape[0]
     if K == 0:
         return np.eye(D, dtype=M.dtype)
-    M = M.toarray() if isinstance(M, CSR) else np.asarray(M)
     s = math.isqrt(K - 1) + 1
     r = K // s
-    powers = [None, M]  # powers[i] = M^i
+    sparse = isinstance(M, CSR)
+    dense = M.toarray() if sparse else np.asarray(M)
+    powers = [None, dense]  # powers[i] = M^i
     for _ in range(s - 1):
-        powers.append(M @ powers[-1])
+        powers.append(dense @ powers[-1])
+    if sparse and s > 1:
+        powers[1] = M  # the dense M goes; its term comes from the stored entries
+        rows = M.row_ids()
+    del dense
     X = powers[s]
 
-    def block(j, out=None):
-        """B_j; with out, out + B_j formed in out."""
-        B = np.zeros((D, D), dtype=M.dtype) if out is None else out
+    def add_block(j, B, scratch):
+        """B += B_j in place; scratch is a free D x D array."""
         for i in range(1, min(s - 1, K - j * s) + 1):
-            B += powers[i] * (1 / math.factorial(j * s + i))
+            c = 1 / math.factorial(j * s + i)
+            if i == 1 and sparse:
+                B[rows, M.indices] += M.data * c
+            else:
+                B += np.multiply(powers[i], c, out=scratch)
         B.flat[:: D + 1] += 1 / math.factorial(j * s)
-        return B
 
+    scratch = np.empty((D, D), dtype=X.dtype)
     if r * s == K:  # B_r = I / K!: the first step needs no product
-        E = block(r - 1, X * (1 / math.factorial(K)))
+        E = np.multiply(X, 1 / math.factorial(K))
         top = r - 1
     else:
-        E = block(r)
+        E = np.zeros((D, D), dtype=X.dtype)
         top = r
+    add_block(top, E, scratch)
     for j in range(top - 1, -1, -1):
-        E = block(j, X @ E)
+        np.matmul(X, E, out=scratch)  # E is dead once the product is formed
+        E, scratch = scratch, E
+        add_block(j, E, scratch)
     return E
 
 

@@ -91,7 +91,9 @@ from .galerkin import (
     norm2_lower,
     norm2_upper,
     norm2_upper_abs,
+    norm2_upper_skew,
     real_matmul,
+    row_slices,
 )
 from .harmonics import HarmonicBasis, dim_hpq
 from .spectral import (
@@ -396,7 +398,8 @@ class InverseDefect:
     With P_hat = V P_d as stored and P^+ the pseudo-inverse diagonal of
     P_d: norm >= ||E||; hat_adjoint >= ||W P_hat - (W P_hat)^T||;
     range_rows >= ||E_K: P_d|| and >= ||W_K: P_hat||; scaled >= ||P^+ E P_d||.
-    product_K is the computed W V[:, K], I_:K up to the defect.
+    product_K is the computed W V[:, K], I_:K up to the defect (the chain
+    drops it once WU holds it).
     """
 
     norm: float
@@ -427,7 +430,8 @@ def inverse_defect(weight: InnerProductWeight, V, P_d, ker) -> InverseDefect:
         W_K: P_hat = E_K: P_d + (rounding of P_hat)       (P_d vanishes on K),
 
     and P^+ E P_d is measured from the same Q = E P_d.  E P_d - P_d E^T is
-    Q - Q^T, formed entrywise.  Every rounding term carries P_d inside an
+    Q - Q^T, formed entrywise, a block of rows at a time
+    (norm2_upper_skew).  Every rounding term carries P_d inside an
     absolute value, as || |W| |V| P_d || or || P^+ |W| |V| P_d ||
     (norm2_upper_abs), which is of the size of ||W|| ||P_hat|| or of
     ||P^+ W P_hat||: P_d is never bounded apart from the rounding it scales.
@@ -445,8 +449,7 @@ def inverse_defect(weight: InnerProductWeight, V, P_d, ker) -> InverseDefect:
     q = norm2_upper(E)
     q_rows = norm2_upper(E[ker])
     q_scaled = norm2_upper_abs((p, E))
-    E -= E.T  # numpy buffers the overlapping operand
-    q_skew = norm2_upper(E)
+    q_skew = norm2_upper_skew(E)
     del E
     n_w, n_vp = weight.norm_upper, norm2_upper_abs((V, P_d))
     return InverseDefect(
@@ -585,14 +588,9 @@ def scaling_defect(P_d, *inverses):
     return float(max((abs(Fraction(p) * Fraction(g) - 1) for p, g in pairs), default=0))
 
 
-# entries of one block of rows of a factored member formed at a time
+# entries of one block of rows of a factored member formed at a time:
+# 2^17 float64, 1 MB
 _ROW_BLOCK = 1 << 17
-
-
-def _row_slices(D):
-    """The blocks of rows in which factored members are formed, the same for every use."""
-    step = max(1, _ROW_BLOCK // max(D, 1))
-    return [slice(i, min(i + step, D)) for i in range(0, D, step)]
 
 
 class _FactoredRows:
@@ -609,7 +607,7 @@ class _FactoredRows:
 
     G0_d and P^+ vanish on K, so the rows K of G and G_oo come from their
     stored blocks alone.  member() and every norm of the chain form a
-    member through the same blocks of rows (_row_slices), so the norms
+    member through the same blocks of rows (row_slices), so the norms
     are those of the members member() returns, bit for bit.
     """
 
@@ -648,7 +646,7 @@ class _FactoredRows:
 
     def full(self, name):
         D = self.W.shape[0]
-        return np.concatenate([self(name, sl) for sl in _row_slices(D)])
+        return np.concatenate([self(name, sl) for sl in row_slices((D, D), _ROW_BLOCK)])
 
 
 class _AbsSums:
@@ -729,6 +727,19 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
     and G_oo are one 2|K| x D x D product, and the norms of R_0, A_0, G,
     G_oo and G - G_oo come from one pass over their blocks of rows, about
     5 |K| D^2 multiply-adds in all.
+
+    Working memory.  The Taylor sum holds five D x D arrays at K = 12
+    (taylor_exp_matrix), the process's peak.  After it the chain keeps W
+    and P_hat, and its largest transient is the defect E = W V - I: E and
+    one block product of blocked_matmul beside W and V, four D x D arrays
+    in all (at n=2 N=8, 4.5 D^2 doubles traced with the |K|-row factors,
+    against 5.1 for the Taylor sum).  The norms of dense arrays, E - E^T
+    among them (norm2_upper_skew), read blocks of rows of at most 1 MB
+    (galerkin._BLOCK_BYTES), and the factored members are formed in blocks
+    of _ROW_BLOCK entries (1 MB); no D x D temporary is made for a norm.  The
+    factors that repeat blocks of others are views or dropped before the
+    row pass: W_K: and Pi0_K are the blocks of Vf, and W V[:, K] is
+    -WU[:, k:].
 
     The identities are not formed.  They reduce by algebra to three small
     defects, E = W V - I (measured once by inverse_defect, then dropped),
@@ -816,13 +827,14 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
         diag.record(f"{name}_interior", full if interior_value is None else interior_value,
                     "factored")
 
-    W_K = W[ker]
-    W_cK = W_K.T  # W_:K, W symmetric
     U, Vf, Z, solve_defect, a0_rounding = woodbury_a0(Pi0_K, Pi_K, W, inv_K, ker)
+    Pi0_K, W_K = Vf[:k], Vf[k:]  # the blocks of Vf, the same floats: no copies kept
+    W_cK = W_K.T  # W_:K, W symmetric
     n_inv_K = norm2_upper(inv_K)
     r0_rounding = gamma(k + 1) * (norm2_upper_abs((inv_K, W_K)) + norm2_upper(Pi0_K))
     del inv_K
     WU = np.concatenate([W_cK, -inv_defect.product_K], axis=1)
+    inv_defect.product_K = None  # it is -WU[:, k:]
     PiInf_K = Pi0_K - (Pi0_K @ U) @ Z  # Pi_0 A_0
     # the rows K of G and G_oo: -(Pi_K: P^+) (W - W_:K Pi_K:) and
     # -(PiInf_K: G0_d) (W - WU Z), with one 2|K| x D x D product
@@ -847,7 +859,7 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
     s_g, s_ginf = _AbsSums(D, right=hat_rows, left=np.abs(P_d)), _AbsSums(D)
     s_diff = _AbsSums(D, right=hat_rows, left=hat_cols, interior=interior)
     PiG = np.zeros((k, D))
-    for sl in _row_slices(D):
+    for sl in row_slices((D, D), _ROW_BLOCK):
         s_r0.add(sl, rows("R0", sl))
         s_a0.add(sl, rows("A0", sl))
         G, GInf = rows("G", sl), rows("GInf", sl)

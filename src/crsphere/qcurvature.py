@@ -48,6 +48,7 @@ from .galerkin import (
     RealFrame,
     gamma,
     norm2_upper,
+    norm2_upper_skew,
     taylor_exp_apply,
 )
 from .harmonics import HarmonicBasis
@@ -57,6 +58,9 @@ from .spectral import SpectralFunction, critical_gjms
 
 DEFAULT_TAYLOR_DEPTH = 12
 DEFAULT_OBSTRUCTION_TOL = 1e-8
+# the keys of a perturbation file (qdata_terms is read by qcurv)
+PERTURBATION_KEYS = frozenset(
+    {"label", "epsilon", "terms", "taylor_depth", "normalize_sup", "qdata_terms"})
 
 
 def _is_int(x):
@@ -141,7 +145,15 @@ class ContactPerturbation:
 
     @classmethod
     def from_dict(cls, basis, data):
-        """Perturbation file: {"terms": [{"p","q","index","coeff"}], "epsilon", ...}."""
+        """Perturbation file: {"terms": [{"p","q","index","coeff"}], "epsilon", ...}.
+
+        A key outside PERTURBATION_KEYS is a ConfigError, so a misspelled
+        key cannot fall back to its default unseen.
+        """
+        unknown = sorted(set(data) - PERTURBATION_KEYS)
+        if unknown:
+            raise ConfigError(f"unknown perturbation file keys {unknown}; "
+                              f"accepted: {sorted(PERTURBATION_KEYS)}")
         return cls.from_terms(
             basis,
             parse_terms(data.get("terms", [])),
@@ -218,7 +230,7 @@ class ContactPerturbation:
                 M,
                 taylor_depth=self.K,
                 multiplier_bound=self.multiplier_norm_bound(),
-                multiplier_skew=0.5 * norm2_upper(M - M.T) + self._mult_defect,
+                multiplier_skew=0.5 * norm2_upper_skew(M) + self._mult_defect,
                 tail_bound=self.exp_tail_bound(),
             )
         return self._weight

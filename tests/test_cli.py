@@ -294,6 +294,7 @@ class TestCommands:
         {"terms": 5},
         {"terms": [], "qdata_terms": {"p": 1}},
         [1, 2],
+        {"epsilom": 0.05, "terms": [{"p": 1, "q": 1, "index": 0, "coeff": 1.0}]},
     ])
     def test_bad_perturbation_file_exit_code(self, tmp_path, capsys, payload):
         path = tmp_path / "bad.json"
@@ -311,6 +312,7 @@ class TestCommands:
         ("spectrum", "--mu", "1/0"),
         ("heisenberg-selftest", "--sweep", "1..q"),
         ("heisenberg-selftest", "--sweep", "0..1"),
+        ("spectrum", "--mu", "1+2i"),
     ])
     def test_bad_flag_exit_code(self, tmp_path, capsys, argv):
         assert run(*argv, "--degree", "2", "--out", str(tmp_path / "o")) == EXIT_CONFIG

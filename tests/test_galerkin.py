@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -24,6 +25,7 @@ from crsphere.galerkin import (
     norm2_lower,
     norm2_upper,
     norm2_upper_abs,
+    norm2_upper_skew,
     pairing_matrix,
     shift_matrix,
     taylor_exp_apply,
@@ -916,3 +918,146 @@ def test_csr_against_scipy_sparse(dtype, seed, monkeypatch):
     empty = CSR.zeros((4, 3))
     assert empty.nnz == 0 and not (empty @ np.ones(3)).any()
     assert (empty @ CSR.zeros((3, 5))).shape == (4, 5)
+
+
+# ---------------------------------------------------------------------------
+# bounded working memory: the streamed assembly and the five-array Taylor sum
+# ---------------------------------------------------------------------------
+
+
+def taylor_exp_matrix_plain(M, K):
+    """Reference Paterson-Stockmeyer sum with every power and product kept:
+    the dense M, M^2 .. M^s, the accumulator, each product and each scaled
+    power in an array of its own (7 D x D arrays at K = 12)."""
+    D = M.shape[0]
+    if K == 0:
+        return np.eye(D, dtype=M.dtype)
+    M = M.toarray() if isinstance(M, CSR) else np.asarray(M)
+    s = math.isqrt(K - 1) + 1
+    r = K // s
+    powers = [None, M]
+    for _ in range(s - 1):
+        powers.append(M @ powers[-1])
+    X = powers[s]
+
+    def block(j, out=None):
+        B = np.zeros((D, D), dtype=M.dtype) if out is None else out
+        for i in range(1, min(s - 1, K - j * s) + 1):
+            B += powers[i] * (1 / math.factorial(j * s + i))
+        B.flat[:: D + 1] += 1 / math.factorial(j * s)
+        return B
+
+    if r * s == K:
+        E = block(r - 1, X * (1 / math.factorial(K)))
+        top = r - 1
+    else:
+        E = block(r)
+        top = r
+    for j in range(top - 1, -1, -1):
+        E = block(j, X @ E)
+    return E
+
+
+def seeded_multiplier(basis, seed=5, sup=0.1):
+    """The real frame multiplier of a seeded real Upsilon with sup bound about sup."""
+    rng = np.random.default_rng(seed)
+    terms = []
+    for p, q in ((1, 1), (2, 1), (1, 0)):
+        i = int(rng.integers(dim_hpq(basis.n, p, q)))
+        c = complex(*rng.uniform(-1, 1, 2))
+        terms.append((p, q, i, c.real if p == q else c))
+    f = SpectralFunction.from_terms(basis, terms).realized()
+    return ContactPerturbation(basis, f.scale(sup / f.sup_norm_bound()))
+
+
+@pytest.mark.parametrize("n,N", [(1, 6), (2, 4)])
+def test_taylor_matrix_bit_identical_to_the_plain_evaluation(bases_small, n, N):
+    pert = seeded_multiplier(bases_small[n].restrict(N))
+    M = pert.multiplier_matrix()
+    for X in (M, M.toarray()):
+        for K in (0, 1, 2, 3, 5, 12):
+            got, ref = taylor_exp_matrix(X, K), taylor_exp_matrix_plain(X, K)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref), (type(X), K)
+
+
+def _csr_parts(X):
+    return [(getattr(X, a).dtype, getattr(X, a).tolist()) for a in ("data", "indices", "indptr")]
+
+
+@pytest.mark.parametrize("n,N", [(1, 8), (2, 5)])
+def test_streamed_assembly_does_not_depend_on_the_block_size(bases_small, n, N, monkeypatch):
+    # the pairing matrix, the sparse products of mult_matrix (with its shift
+    # matrix) and the skew bound, with one row per block and with blocks of
+    # 2^18 entries, against the default blocks: the same arrays, bit for bit
+    basis = bases_small[n].restrict(N)
+    f = seeded_multiplier(basis).upsilon.to_poly_float()
+    rng = np.random.default_rng(N)
+    A = CSR.from_coo(*random_coo(rng, (60, 50), 400, complex), (60, 50))
+    B = CSR.from_coo(*random_coo(rng, (50, 40), 300, float), (50, 40))
+
+    def outputs():
+        ctx = GalerkinContext(basis, mult_degree=3)
+        M = ctx.mult_matrix(f)
+        return ([_csr_parts(X) for X in (ctx.K, ctx._BK, M, M.real @ M.real, A @ B)],
+                norm2_upper_skew(M.real))
+
+    default = outputs()
+    for size in (1, 1 << 18):
+        monkeypatch.setattr(galerkin, "_PRODUCT_BLOCK", size)
+        monkeypatch.setattr(galerkin, "_PAIRING_BLOCK", size)
+        assert outputs() == default, size
+
+
+@pytest.mark.parametrize("n,N", [(1, 8), (2, 5)])
+def test_skew_bound_is_that_of_the_formed_difference(bases_small, n, N):
+    M = seeded_multiplier(bases_small[n].restrict(N)).multiplier_matrix()
+    assert norm2_upper_skew(M) == norm2_upper(M - M.T)  # bit for bit
+    dense = M.toarray()
+    assert norm2_upper_skew(dense) == pytest.approx(norm2_upper(dense - dense.T), rel=1e-14)
+    Z = np.random.default_rng(0).standard_normal((30, 30))
+    assert norm2_upper_skew(Z) == pytest.approx(norm2_upper(Z - Z.T), rel=1e-14)
+    assert norm2_upper_skew(CSR.zeros((3, 3))) == 0.0
+
+
+def traced_peak(fn):
+    """fn(), and the most bytes it held allocated at once beyond what it returned."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak - kept
+
+
+def test_taylor_matrix_holds_five_dense_arrays(basis12):
+    M = seeded_multiplier(basis12).multiplier_matrix()
+    D = M.shape[0]
+    W, extra = traced_peak(lambda: taylor_exp_matrix(M, 12))
+    # the result is one of the five arrays; the rest is O(nnz)
+    assert extra + W.nbytes <= 8 * (5 * D * D) + 64 * M.nnz
+
+
+def test_dense_norms_read_blocks_of_rows():
+    D = 1200  # 11.5 MB, above the block budget
+    X = np.random.default_rng(1).standard_normal((D, D))
+    for fn in (norm2_upper, norm2_lower, norm2_upper_skew):
+        _, extra = traced_peak(lambda: fn(X))
+        assert extra < 8 * D * D, fn.__name__
+    Z = X + 1j * X
+    _, extra = traced_peak(lambda: norm2_lower(Z))
+    assert extra < 8 * D * D
+
+
+def test_assembly_transients_are_bounded(basis_n2_N8):
+    # at n=2 N=8 the unblocked assembly held 25 MB beyond its output
+    # (mult_matrix) and 17 MB (the weight, for its skew bound); streamed,
+    # what remains is of the size of the sparse outputs
+    pert = seeded_multiplier(basis_n2_N8)
+    ctx = GalerkinContext(basis_n2_N8, mult_degree=3)
+    f = pert.upsilon.to_poly_float().scale(3.0)
+    _, extra = traced_peak(lambda: ctx.mult_matrix(f))
+    assert extra <= 8e6
+    pert.multiplier_matrix()
+    _, extra = traced_peak(pert.weight)
+    assert extra <= 4e6
