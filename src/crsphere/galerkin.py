@@ -33,14 +33,14 @@ conjugate gradients on that matvec, with an iteration cap from the
 certified condition bound; the zero-Q solve needs nothing more.  The dense
 matrix is built only when the chain or the pencil spectrum asks for it,
 by Paterson and Stockmeyer's evaluation of the Taylor sum on the dense M
-(taylor_exp_matrix: 5 dense matmuls and five D x D arrays at K = 12),
-and the chain inverts it
-once (InnerProductWeight.inverse).  No eigensolver runs on the weight:
-W = T_K(M) is a polynomial in the multiplier M and ||M|| <= a, so
-min_{|x|<=a} T_K(x), less a-priori bounds on the rounding of the Taylor
-sum, of the assembly of M
-and on how far the assembled M is from a Hermitian matrix, is a lower
-bound on its smallest eigenvalue (a bound <= 0 refuses the weight), and
+(taylor_exp_matrix: 5 dense matmuls and four D x D arrays at K = 12),
+and the chain solves with it on the |K| columns of the kernel
+coordinates only (InnerProductWeight.solve): W^{-1} is never formed.  No
+eigensolver runs on the weight: W = T_K(M) is a polynomial in the
+multiplier M and ||M|| <= a, so min_{|x|<=a} T_K(x), less a-priori bounds
+on the rounding of the Taylor sum, of the assembly of M and on how far
+the assembled M is from a Hermitian matrix, is a lower bound on its
+smallest eigenvalue (a bound <= 0 refuses the weight), and
 T_K(a) plus the same terms an upper bound on its largest.  Residual
 sizes use the certified bounds norm2_upper / norm2_lower instead of a full
 SVD: a relative defect divides an upper bound by a lower bound, so it is
@@ -93,7 +93,7 @@ def norm2_upper(X) -> float:
     if isinstance(X, CSR):
         A = abs(X)
         return math.sqrt(float(A.sum(axis=0).max()) * float(A.sum(axis=1).max()))
-    return _dense_upper(X.shape, lambda sl: X[sl])
+    return norm2_upper_blocks(X.shape, lambda sl: X[sl])
 
 
 def norm2_upper_skew(X) -> float:
@@ -108,7 +108,7 @@ def norm2_upper_skew(X) -> float:
     if X.size == 0:
         return 0.0
     if not isinstance(X, CSR):
-        return _dense_upper(X.shape, lambda sl: X[sl] - X[:, sl].T)
+        return norm2_upper_blocks(X.shape, lambda sl: X[sl] - X[:, sl].T)
     T = X.T
     D = X.shape[0]
     rows, cols = np.zeros(D), np.zeros(D)
@@ -126,7 +126,7 @@ def norm2_upper_skew(X) -> float:
     return math.sqrt(float(cols.max()) * float(rows.max()))
 
 
-def _dense_upper(shape, rows_of):
+def norm2_upper_blocks(shape, rows_of):
     """norm2_upper of the dense matrix whose rows sl are rows_of(sl), a block of rows at a time."""
     rows, cols = np.empty(shape[0]), np.zeros(shape[1])
     for sl in row_slices(shape, _DENSE_BLOCK):
@@ -700,38 +700,49 @@ def full_context(basis: HarmonicBasis) -> GalerkinContext:
     return ctx
 
 
+def taylor_split(K: int) -> int:
+    """The split s of the Paterson-Stockmeyer Taylor sum: the smallest s with the fewest products.
+
+    A split s takes s - 1 products for M^2 .. M^s and r = floor(K / s) in
+    X = M^s, one fewer when s divides K (taylor_exp_matrix), and holds
+    s - 1 powers; so of the splits with the fewest products the smallest
+    holds the fewest arrays: s = 3 at K = 12 (5 products, as s = 4).
+    """
+    return min(range(1, max(K, 1) + 1), key=lambda s: s - 1 + K // s - (K % s == 0))
+
+
 def taylor_exp_matrix(M, K: int) -> np.ndarray:
     """Sum_{k<=K} M^k / k! by Paterson and Stockmeyer; each product stays on the truncation.
 
-    With s = ceil(sqrt K) and r = floor(K / s) the sum is Horner's rule in
-    the power X = M^s,
+    With s = taylor_split(K) and r = floor(K / s) the sum is Horner's rule
+    in the power X = M^s,
 
         T_K(M) = sum_{j<=r} B_j X^j,   B_j = sum_{i<s, js+i<=K} M^i / (js+i)!,
 
     so it takes the s - 1 products M^2 .. M^s and r products in X, one
     fewer when s divides K (then B_r = I / K! and the first step is
-    X / K! + B_{r-1}): 5 dense matmuls at K = 12, where Horner's rule in M
-    takes 11 (Paterson and Stockmeyer, SIAM J. Comput. 2, 1973; Higham,
-    Functions of Matrices, 4.2).  M may be CSR or dense; the sum is dense,
-    and every product is a dense matmul on the dense M.  The coefficients
-    are 1 / k! correctly rounded, and the identity term of each B_j goes
-    on the diagonal alone.  taylor_rounding_bound bounds the rounding of
-    this evaluation order.
+    X / K! + B_{r-1}): 5 dense matmuls at K = 12 (s = 3), where Horner's
+    rule in M takes 11 (Paterson and Stockmeyer, SIAM J. Comput. 2, 1973;
+    Higham, Functions of Matrices, 4.2).  M may be CSR or dense; the sum is
+    dense, and every product is a dense matmul on the dense M.  The
+    coefficients are 1 / k! correctly rounded, and the identity term of
+    each B_j goes on the diagonal alone.  taylor_rounding_bound bounds the
+    rounding of this evaluation order.
 
-    Working memory: s + 1 dense D x D arrays, 5 at K = 12.  The powers
+    Working memory: s + 1 dense D x D arrays, 4 at K = 12.  The powers
     M^2 .. M^s stay; the dense M lives only while they are formed (a CSR M
     adds its term of each B_j from its stored entries, a dense one is the
-    caller's array).  Each step multiplies into the array the step before
-    left dead (np.matmul with out) and forms its scaled powers, one at a
-    time, in the accumulator the product has just consumed, so the sum
-    holds two work arrays besides the powers.  Every entry is rounded as
-    in the plain evaluation (products, then the scaled adds in ascending
-    i, then the diagonal), bit for bit.
+    caller's array; at s = 1 the dense M is X).  Each step multiplies into
+    the array the step before left dead (np.matmul with out) and forms its
+    scaled powers, one at a time, in the accumulator the product has just
+    consumed, so the sum holds two work arrays besides the powers.  Every
+    entry is rounded as in the plain evaluation (products, then the scaled
+    adds in ascending i, then the diagonal), bit for bit.
     """
     D = M.shape[0]
     if K == 0:
         return np.eye(D, dtype=M.dtype)
-    s = math.isqrt(K - 1) + 1
+    s = taylor_split(K)
     r = K // s
     sparse = isinstance(M, CSR)
     dense = M.toarray() if sparse else np.asarray(M)
@@ -861,7 +872,7 @@ def taylor_rounding_bound(a: float, D: int, K: int) -> float:
     It also bounds the distance of the symmetrized fl(W) from the symmetric
     part of T_K(M).
 
-    W is taylor_exp_matrix (Paterson and Stockmeyer, s = ceil(sqrt K),
+    W is taylor_exp_matrix (Paterson and Stockmeyer, s = taylor_split(K),
     X = M^s, T_K(M) = sum_j B_j X^j), symmetrized as 0.5 (W + W^*).  Every
     rounded step commits, entrywise, at most c = sqrt(2) gamma_{2D+s+2}
     times the absolute values it combines (Higham, Accuracy and Stability
@@ -894,7 +905,7 @@ def taylor_rounding_bound(a: float, D: int, K: int) -> float:
     assembled M is from the exact Galerkin matrix is the multiplier's skew
     term (GalerkinContext.assembly_rounding, InnerProductWeight).
     """
-    s = math.isqrt(K - 1) + 1 if K > 0 else 1
+    s = taylor_split(K)
     c = math.sqrt(2) * gamma(2 * D + s + 2)
     return 2 * c * math.exp(a) * (D * a * (a + 1 / s) + 2 * math.sqrt(D) * a + 1)
 
@@ -962,49 +973,24 @@ def real_matmul(A, X):
     return np.ascontiguousarray(apply(parts)).view(complex).reshape(X.shape)
 
 
-# order of the blocks positive_inverse hands to np.linalg.inv
-_INVERSE_LEAF = 256
-
-
-def positive_inverse(A):
-    """A^{-1} for a dense symmetric positive definite A, by 2 x 2 blocks in matmuls.
-
-    For A = [[A11, A21^T], [A21, A22]], X = A21 A11^{-1} and the Schur
-    complement S = A22 - X A21^T (positive definite), the inverse is
-    [[A11^{-1} + X^T S^{-1} X, -(S^{-1} X)^T], [-S^{-1} X, S^{-1}]]; A11 and
-    S recurse down to np.linalg.inv at _INVERSE_LEAF rows.  That is 4/3 D^3
-    flops, nearly all in matmuls, where np.linalg.inv (LU, then a solve
-    with the D columns of I) takes 8/3 D^3 in slower kernels.  Block
-    elimination without interchanges is stable on a positive definite
-    matrix (Higham, Accuracy and Stability of Numerical Algorithms, 13.3).
-    The result is exactly symmetric: the off-diagonal blocks are copies of
-    each other, and the blocks that are not (the leaves from np.linalg.inv
-    and the upper-left A11^{-1} + X^T S^{-1} X) are symmetrized, an add of
-    their own size.  It checks nothing: a caller certifies the result by
-    its defect A X - I.
-    """
-    D = A.shape[0]
-    if D <= _INVERSE_LEAF:
-        return _symmetrized(np.linalg.inv(A))
-    h = D // 2
-    A11_inv = positive_inverse(A[:h, :h])
-    X = A[h:, :h] @ A11_inv
-    S = A[h:, h:] - X @ A[:h, h:]
-    S_inv = positive_inverse(S)
-    Y = S_inv @ X
-    out = np.empty_like(A)
-    A11_inv += X.T @ Y
-    out[:h, :h] = _symmetrized(A11_inv)
-    out[h:, :h] = -Y
-    out[:h, h:] = out[h:, :h].T
-    out[h:, h:] = S_inv
-    return out
+# rows (and columns) of one block of _symmetrized: a float64 block of _BLOCK_BYTES
+_SYMMETRIZE_BLOCK = math.isqrt(_BLOCK_BYTES // 8)
 
 
 def _symmetrized(X):
-    """(X + X^T) / 2, in place (numpy buffers the overlapping operand)."""
-    X += X.T
-    X *= 0.5
+    """(X + X^T) / 2 in place, a pair of blocks (i, j), (j, i) at a time.
+
+    Both entries of a pair become (X_ij + X_ji) * 0.5, the same floats
+    0.5 * (X + X.T) gives (a sum does not depend on its order), and no
+    temporary larger than a block of _BLOCK_BYTES is made.
+    """
+    D, b = X.shape[0], _SYMMETRIZE_BLOCK
+    for i in range(0, D, b):
+        for j in range(i, D, b):
+            S = X[i:i + b, j:j + b] + X[j:j + b, i:i + b].T
+            S *= 0.5
+            X[i:i + b, j:j + b] = S
+            X[j:j + b, i:i + b] = S.T
     return X
 
 
@@ -1018,8 +1004,8 @@ class InnerProductWeight:
     is apply (W x), apply_transpose (W^T x, Horner on M^T), block_solve and
     the bounds below; the zero-Q solve needs nothing else.  The dense
     matrix, symmetrized, is built on first use, by the chain and the pencil
-    spectrum (matrix, solve, inverse, projector_rows, projector,
-    adjoint_defect).
+    spectrum (matrix, solve, projector_rows, projector, adjoint_defect).
+    No form of it is inverted: solve takes a block of right-hand sides.
 
     block_solve(S, b) solves with the principal block W_SS by conjugate
     gradients on apply restricted to S, from zero, until
@@ -1033,7 +1019,7 @@ class InnerProductWeight:
     accounts for where CG stopped: for any z and r = b - W_SS z,
     b^T W_SS^{-1} b = b^T z + z^T r + r^T W_SS^{-1} r, and the last term is
     at most ||r||^2 / lambda_lb (qcurvature.solvability_check).  The dense
-    forms (solve, projector_rows, inverse) test no positivity: the bounds
+    forms (solve, projector_rows) test no positivity: the bounds
     below bracket every principal block (interlacing) and every compression
     V W V^* with orthonormal rows (parametrix.szego_rows).
 
@@ -1191,18 +1177,6 @@ class InnerProductWeight:
     def solve(self, rhs):
         """W^{-1} rhs by a dense solve with the matrix."""
         return real_matmul(lambda b: np.linalg.solve(self.matrix, b), rhs)
-
-    def inverse(self) -> np.ndarray:
-        """W^{-1}, dense and exactly symmetric (positive_inverse).
-
-        No factorization gates it: min_eigenvalue_bound > 0 has already
-        certified W positive definite, and the chain certifies the computed
-        inverse V by its measured defect W V - I (parametrix.inverse_defect,
-        which refuses a defect that is not finite).  The symmetry makes
-        V W = (W V)^T exactly, which the chain's identities read from that
-        one defect.
-        """
-        return positive_inverse(self.matrix)
 
     def inner(self, u, v):
         """<u, v>_hat for coefficient vectors."""

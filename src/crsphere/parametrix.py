@@ -29,17 +29,19 @@ pencil's spectrum is |K| exact zeros plus the nonzero eigenvalues from one
 Hermitian eigensolve of the Schur complement of W_KK (nonzero_eigenvalues);
 the chain and the spectrum command read it there, and the zero-Q solver
 reports a bracket on it from the weight's eigenvalue bounds instead.  The
-matrix chain inverts the dense W once and solves with W_KK once: P_hat is
-W^{-1} with its columns scaled by P_diag (its columns in K are zero),
-A_0 follows from the Woodbury identity on I + R_0, a rank-2|K| change of
-the identity (woodbury_a0), and Pi, G, the Woodbury solve and the Schur
+matrix chain never inverts W: P_hat = W^{-1} P_diag vanishes on the
+columns K, so it needs W^{-1} only there, V_:K, from one dense solve with
+|K| right-hand sides (hatted_gjms), and it solves with W_KK once.  A_0
+follows from the Woodbury identity on I + R_0, a rank-2|K| change of the
+identity (woodbury_a0), and Pi, G, the Woodbury solve and the Schur
 complement share the rows K of Pi.  The generalized eigensolver
 (spectrum_matrix) is kept as a test oracle.
 Every chain identity is recorded as a norm on the full truncation and on
 the interior blocks, with its route: the parametrix identities, on either
-side, are certified bounds derived from the chain's factors and one
-measured inverse defect W W^{-1} - I, the cheap differences are formed
-and measured (build_chain_matrix says what each entry bounds).
+side, are certified bounds derived from the chain's factors and the
+measured defect W V_:K - E_K of the kernel columns, the cheap differences
+are formed and measured, and the identities the algebra makes exactly
+zero are recorded as zero (build_chain_matrix says what each entry bounds).
 
 The perturbed chain runs in the real frame of the basis (galerkin.RealFrame),
 where P is real and Upsilon, and so W, is real: every member is float64.
@@ -49,14 +51,15 @@ masks and the diagonal tables of P and G_0 are the same in both frames,
 and the frame change is unitary, so every norm, eigenvalue and gate means
 what it does in the basis e.
 
-The matrix chain stores two D x D arrays, W and P_hat; every other member
-is a diagonal, W, or factors with at most 2|K| rows or columns.  S, Sbar,
-Pi_0, Pi_oo and Pi are nonzero only on their rows in K (Pi is W_KK^{-1}
-W_K: there; the holomorphic and antiholomorphic coordinates are paired
-inside K), so the chain stores S, Pi_oo and Pi as those rows, about a
-fifth of the rows at n=1.  G_0 is G0_d W, R_0 = U Vf and A_0 = I - U Z
-with the Woodbury factors, and G and G_oo are P^+ W and G0_d W less
-products through |K| or 2|K| columns on the rows C, with their rows K
+The matrix chain stores one D x D array, W; every member is a diagonal,
+W, or factors with at most 2|K| rows or columns, and P_hat = W^{-1} P_diag
+is exact and never stored (ParametrixChain.member solves for it on
+request).  S, Sbar, Pi_0, Pi_oo and Pi are nonzero only on their rows in
+K (Pi is W_KK^{-1} W_K: there; the holomorphic and antiholomorphic
+coordinates are paired inside K), so the chain stores S, Pi_oo and Pi as
+those rows, about a fifth of the rows at n=1.  G_0 is G0_d W, R_0 = U Vf
+and A_0 = I - U Z with the Woodbury factors, and G and G_oo are P^+ W and
+G0_d W less products through |K| columns on the rows C, with their rows K
 stored (build_chain_matrix).  ParametrixChain.member expands any of them.
 
 Reported residual norms are upper bounds on the spectral norm, never SVD
@@ -91,7 +94,7 @@ from .galerkin import (
     norm2_lower,
     norm2_upper,
     norm2_upper_abs,
-    norm2_upper_skew,
+    norm2_upper_blocks,
     real_matmul,
     row_slices,
 )
@@ -158,7 +161,10 @@ class ParametrixChain:
         this expands the rows and forms Sbar = conj(S) and Pi0 = 2 Re S.
         G0, R0, A0, G and GInf it keeps as factors, and forms them here a
         block of rows at a time (_FactoredRows), as its norms were formed.
+        P_hat = W^{-1} P_diag it never stores: this solves for it densely.
         """
+        if self.mode == "matrix" and name == "P_hat":
+            return self.weight.solve(np.diag(self.members["P_diag"]))
         if self.mode == "matrix" and name in _FACTORED_MEMBERS:
             rows = _FactoredRows(self.members, self.weight.matrix, kernel_mask(self.basis))
             return rows.full(name)
@@ -391,95 +397,47 @@ def interior_mask(basis: HarmonicBasis, margin=4):
     return np.array([p + q <= basis.N - margin for p, q, _, _ in basis.index_blocks()])
 
 
-@dataclass
-class InverseDefect:
-    """Bounds read from the one measured defect E = W V - I of the dense inverse V of W.
-
-    With P_hat = V P_d as stored and P^+ the pseudo-inverse diagonal of
-    P_d: norm >= ||E||; hat_adjoint >= ||W P_hat - (W P_hat)^T||;
-    range_rows >= ||E_K: P_d|| and >= ||W_K: P_hat||; scaled >= ||P^+ E P_d||.
-    product_K is the computed W V[:, K], I_:K up to the defect (the chain
-    drops it once WU holds it).
-    """
-
-    norm: float
-    hat_adjoint: float
-    range_rows: float
-    scaled: float
-    product_K: np.ndarray
-
-
 def pseudo_inverse_diag(P_d, ker):
     """P_d^+ as a vector: 1 / P_d off the kernel coordinates K, 0 on them."""
     return np.where(ker, 0.0, 1.0 / np.where(ker, 1.0, P_d))
 
 
-def inverse_defect(weight: InnerProductWeight, V, P_d, ker) -> InverseDefect:
-    """Measure E = W V - I once, V the computed symmetric inverse of the dense weight W.
-
-    The product W V is summed in four blocks of the inner dimension
-    (blocked_matmul), so the computed E is within gamma_o |W| |V| +
-    gamma_1 |E| of the exact one with o = D/4 + 3, not D (Higham, Accuracy
-    and Stability of Numerical Algorithms, 3.5), and ||E|| <= (1 + gamma_1)
-    ||fl(E)|| + gamma_o ||W|| ||V||.  A defect that is not finite (a
-    failed inverse) raises NumericalError.  P_hat = V P_d is V with its
-    columns scaled, stored within u |V| P_d of exact, and W V P_d = P_d +
-    E P_d, so
-
-        W P_hat - (W P_hat)^T = E P_d - P_d E^T + (rounding of P_hat),
-        W_K: P_hat = E_K: P_d + (rounding of P_hat)       (P_d vanishes on K),
-
-    and P^+ E P_d is measured from the same Q = E P_d.  E P_d - P_d E^T is
-    Q - Q^T, formed entrywise, a block of rows at a time
-    (norm2_upper_skew).  Every rounding term carries P_d inside an
-    absolute value, as || |W| |V| P_d || or || P^+ |W| |V| P_d ||
-    (norm2_upper_abs), which is of the size of ||W|| ||P_hat|| or of
-    ||P^+ W P_hat||: P_d is never bounded apart from the rounding it scales.
-    """
-    W = weight.matrix
-    D = W.shape[0]
-    E, order = blocked_matmul(W, V, parts=4)
-    product_K = E[:, ker]
-    E.flat[:: D + 1] -= 1
-    e = norm2_upper(E)
-    if not math.isfinite(e):
-        raise NumericalError(f"weight inverse defect ||W V - I|| is not finite ({e})")
-    p = pseudo_inverse_diag(P_d, ker)
-    E *= P_d  # Q = E P_d
-    q = norm2_upper(E)
-    q_rows = norm2_upper(E[ker])
-    q_scaled = norm2_upper_abs((p, E))
-    q_skew = norm2_upper_skew(E)
-    del E
-    n_w, n_vp = weight.norm_upper, norm2_upper_abs((V, P_d))
-    return InverseDefect(
-        norm=(1 + gamma(1)) * e + gamma(order) * n_w * norm2_upper(V),
-        hat_adjoint=(1 + gamma(1)) * q_skew + gamma(5) * q + 2 * gamma(order + 1) * n_w * n_vp,
-        range_rows=(1 + gamma(3)) * q_rows + gamma(order + 1) * norm2_upper_abs((W[ker], V, P_d)),
-        scaled=(1 + gamma(3)) * q_scaled + gamma(order) * norm2_upper_abs((p, W, V, P_d)),
-        product_K=product_K,
-    )
-
-
 def hatted_gjms(basis: HarmonicBasis, weight: InnerProductWeight):
-    """Galerkin matrix of P_hat = e^{-(n+1)Upsilon} P, i.e. W^{-1} P_diag, W^{-1}[:, K] and the inverse's defect.
+    """The columns K of W^{-1}, all P_hat = e^{-(n+1)Upsilon} P = W^{-1} P_d needs, and their error.
 
     The critical-weight law makes <P_hat u, v>_hat = <P u, v>_std, so the
     hatted operator's sesquilinear form is the exact diagonal table and the
-    operator matrix is the weight inverse applied to it.  One inverse V of
-    W (weight.inverse) gives both: P_hat is V with its columns scaled by
-    P_d, so its columns in the kernel coordinates K are exactly zero, and
-    the columns K of V are kept before the scaling.  The defect W V - I is
-    measured before the scaling and dropped (inverse_defect); it certifies
-    V.  Returns (P_hat, V[:, K], InverseDefect).
+    operator is W^{-1} P_d on the stored dense W.  The chain never forms
+    it: P_d vanishes on the kernel coordinates K, so its identities need
+    W^{-1} only on the columns K, V_:K, solved for from W V_:K = E_K by one
+    LU with |K| right-hand sides (weight.solve).  The defect
+    F = W V_:K - E_K is measured from the product blocked_matmul forms,
+    within gamma_o |W| |V_:K| of the exact one, and W^{-1} E_K - V_:K =
+    -W^{-1} F exactly, so
+
+        ||W^{-1} E_K - V_:K|| <= ((1 + gamma_1) ||fl(F)|| + gamma_o || |W| |V_:K| ||)
+                                 / lambda_lb.
+
+    A defect that is not finite (a failed solve) raises NumericalError.
+    Returns V_:K, the computed W V_:K and that bound.
     """
-    P_d = critical_gjms(basis).to_diag_vector(basis)
     ker = kernel_mask(basis)
-    P_hat = weight.inverse()
-    defect = inverse_defect(weight, P_hat, P_d, ker)
-    inv_K = P_hat[:, ker]
-    P_hat *= P_d
-    return P_hat, inv_K, defect
+    at = (np.flatnonzero(ker), np.arange(int(ker.sum())))  # the entries of E_K that are 1
+    E_K = np.zeros((ker.size, at[1].size))
+    E_K[at] = 1
+    V_K = weight.solve(E_K)
+    del E_K
+    W = weight.matrix
+    WV, order = blocked_matmul(W, V_K)
+    kept = WV[at]
+    WV[at] -= 1  # F, in place; the entries are put back after its norm
+    f = norm2_upper(WV)
+    WV[at] = kept
+    if not math.isfinite(f):
+        raise NumericalError(f"defect ||W V_:K - E_K|| of the kernel columns of W^-1 "
+                             f"is not finite ({f})")
+    bound = (1 + gamma(1)) * f + gamma(order) * norm2_upper_abs((W, V_K))
+    return V_K, WV, bound / weight.min_eigenvalue_bound
 
 
 def apply_partial_inverse(P_d, weight: InnerProductWeight, ker, X):
@@ -530,34 +488,36 @@ def szego_rows(basis: HarmonicBasis, weight: InnerProductWeight) -> np.ndarray:
     return V.conj().T @ np.linalg.solve(V @ W[np.ix_(ker, ker)] @ V.conj().T, V @ W[ker])
 
 
-def woodbury_a0(Pi0_K, Pi_K, W, inv_K, ker):
-    """A_0 = (I + R_0)^{-1} as I - U Z, with Pi0_K = Pi_0[K], Pi_K = Pi_K: and inv_K = W^{-1}[:, K].
+def woodbury_a0(Pi0_K, Pi_K, W, V_K, ker):
+    """A_0 = (I + R_0)^{-1} as I - U Z, with Pi0_K = Pi_0[K], Pi_K = Pi_K: and V_K = V_:K.
 
     P_d G0_d is the indicator of C = ~K, so P_hat G_0 = W^{-1} P_d G0_d W =
-    I - W^{-1}[:, K] W_K:, and Pi_0 = E_K Pi0_K.  So I + R_0 = I + U Vf with
-    U = [E_K, -W^{-1}[:, K]] and Vf = [Pi0_K; W_K:], and by the Woodbury
-    identity A_0 = I - U Z with T Z = Vf, T = I_{2|K|} + Vf U.  With
-    Q = Pi0_K W^{-1}[:, K] and W_K: W^{-1}[:, K] = I + E_KK,
+    I - W^{-1} E_K W_K:, and Pi_0 = E_K Pi0_K.  With V_:K for W^{-1} E_K,
+    I + R_0 = I + U Vf with U = [E_K, -V_:K] and Vf = [Pi0_K; W_K:], and by
+    the Woodbury identity A_0 = I - U Z with T Z = Vf, T = I_{2|K|} + Vf U.
+    With Q = Pi0_K V_:K and W_K: V_:K = I + F_KK (F the defect of V_:K),
 
-        T = [[I + Pi0_KK, -Q], [W_KK, -E_KK]],
+        T = [[I + Pi0_KK, -Q], [W_KK, -F_KK]],
 
-    and E_KK vanishes up to the inverse defect, so the second block row
-    makes Z_1 = W_KK^{-1} W_K: = Pi_K:, already solved, and the first gives
-    Z_2 from one |K| x |K| solve, Q Z_2 = (I + Pi0_KK) Pi_K: - Pi0_K.  No
+    and F_KK vanishes up to rounding, so the second block row makes
+    Z_1 = W_KK^{-1} W_K: = Pi_K:, already solved, and the first gives Z_2
+    from one |K| x |K| solve, Q Z_2 = (I + Pi0_KK) Pi_K: - Pi0_K.  No
     inverse of order 2|K| is formed; what the shortcut and the solves
-    leave is in the measured defect F = Vf - T Z.
+    leave is in the measured defect F' = Vf - T Z, formed a block of rows
+    at a time for its norm and never kept.
 
     (I + U Vf)(I - U Z) - I = U (Vf - T Z) for the exact T, so the returned
-    solve_defect >= ||Vf - (I + Vf U) Z|| (the measured F plus the rounding
-    of T and of F, both formed by blocked_matmul) and a0_rounding >=
-    ||A_0 - (I - U Z)|| (the rounding of the member A_0, formed a block of
-    rows at a time from U and Z) bound ||(I + U Vf) A_0 - I|| with the
-    norms of U and I + U Vf.  Returns (U, Vf, Z, solve_defect, a0_rounding).
+    solve_term >= ||U (Vf - (I + Vf U) Z)|| (||U|| times the measured F'
+    plus the rounding of T and of F', both formed by blocked_matmul) and
+    a0_rounding >= ||A_0 - (I - U Z)|| (the rounding of the member A_0,
+    formed a block of rows at a time from V_:K and Z) bound
+    ||(I + U Vf) A_0 - I|| with the norm of I + U Vf.  U is formed here and
+    dropped: the chain keeps V_:K.  Returns (Vf, Z, solve_term, a0_rounding).
     """
-    D, k = inv_K.shape
+    D, k = V_K.shape
     U = np.zeros((D, 2 * k))
     U[ker, :k] = np.eye(k)
-    np.negative(inv_K, out=U[:, k:])
+    np.negative(V_K, out=U[:, k:])
     Vf = np.concatenate([Pi0_K, W[ker]])
     T, t_order = blocked_matmul(Vf, U[:, k:])
     T = np.concatenate([Vf[:, ker], T], axis=1)  # Vf U
@@ -567,14 +527,20 @@ def woodbury_a0(Pi0_K, Pi_K, W, inv_K, ker):
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Woodbury block of A0 singular: {exc}") from exc
     Z = np.concatenate([Pi_K, Z_2])
-    TZ, f_order = blocked_matmul(T, Z)
-    F = Vf - TZ
-    # T is within gamma_{t+1} (|Vf| |U| + I) of I + Vf U, F within
+    f_order = 0
+
+    def f_rows(sl):  # the rows sl of F' = Vf - T Z
+        nonlocal f_order
+        TZ, f_order = blocked_matmul(T[sl], Z)
+        return np.subtract(Vf[sl], TZ, out=TZ)
+
+    f_norm = norm2_upper_blocks(Vf.shape, f_rows)
+    # T is within gamma_{t+1} (|Vf| |U| + I) of I + Vf U, F' within
     # gamma_{f+1} (|Vf| + |T| |Z|) of Vf - T Z
-    solve_defect = (norm2_upper(F) + gamma(f_order + 1) * norm2_upper_abs((Vf,), (T, Z))
+    solve_defect = (f_norm + gamma(f_order + 1) * norm2_upper_abs((Vf,), (T, Z))
                     + gamma(t_order + 1) * norm2_upper_abs((Vf, U, Z), (Z,)))
     a0_rounding = gamma(k + 2) * norm2_upper_abs((U, Z), (np.ones(D),))
-    return U, Vf, Z, solve_defect, a0_rounding
+    return Vf, Z, norm2_upper(U) * solve_defect, a0_rounding
 
 
 def scaling_defect(P_d, *inverses):
@@ -588,26 +554,76 @@ def scaling_defect(P_d, *inverses):
     return float(max((abs(Fraction(p) * Fraction(g) - 1) for p, g in pairs), default=0))
 
 
+class _Commutator:
+    """C = [P_d, W] = P_d W - W P_d, entries (P_i - P_j) W_ij, formed a block of rows at a
+    time: norm2_upper and norm2_upper_abs read it as a dense array.  An entry is two
+    roundings from the exact one, so norms of it are scaled by ROUND."""
+
+    ROUND = 1 + gamma(2)
+    ndim = 2
+
+    def __init__(self, W, P_d):
+        self.W, self.P_d = W, P_d
+        self.shape, self.size = W.shape, W.size
+
+    def __getitem__(self, sl):
+        return self.W[sl] * (self.P_d[sl, None] - self.P_d)
+
+
+class _TimesHat:
+    """Bounds on ||X P_hat|| for P_hat = W^{-1} P_d, which is never formed.
+
+    W^{-1} P_d = P_d W^{-1} + W^{-1} C W^{-1} with C = [P_d, W], and
+    W^{-1} C = C + (W^{-1} - I) C, so
+
+        ||X P_hat|| <= (||X P_d|| + ||X C|| + omega ||X|| ||C||) / lambda_lb
+
+    with omega = max(1/lambda_lb - 1, 1 - 1/W_ub) >= ||W^{-1} - I|| (W is
+    symmetric with its spectrum in [lambda_lb, W_ub]).  P_d and C stay
+    inside the norms of X P_d and X C, whose scalings cancel near the
+    diagonal where W is large; only the omega term meets ||C|| whole.
+    """
+
+    def __init__(self, weight, P_d):
+        self.comm = _Commutator(weight.matrix, P_d)
+        self.n_comm = _Commutator.ROUND * norm2_upper(self.comm)
+        self.lam = weight.min_eigenvalue_bound
+        self.omega = max(1 / self.lam - 1, 1 - 1 / weight.max_eigenvalue_bound)
+
+    def __call__(self, x_pd, x, x_c=None):
+        """>= ||X P_hat|| from x_pd >= ||X P_d||, x >= ||X|| and x_c >= ||X C|| (or x ||C||)."""
+        if x_c is None:
+            x_c = x * self.n_comm
+        return (x_pd + x_c + self.omega * x * self.n_comm) / self.lam
+
+
 # entries of one block of rows of a factored member formed at a time:
 # 2^17 float64, 1 MB
 _ROW_BLOCK = 1 << 17
 
 
+def _row_blocks(D):
+    """The blocks of rows a factored member is formed in: at most _ROW_BLOCK
+    entries and at most an eighth of the rows, so the blocks the row pass
+    holds at once stay a small part of D^2 at small D too."""
+    return row_slices((D, D), min(_ROW_BLOCK, D * max(D // 8, 1)))
+
+
 class _FactoredRows:
     """Rows of the matrix chain's factored members, formed from the stored factors.
 
-    With E_K the columns K of I, Z = [Z_1; Z_2] and WU = W U as computed,
-    [W_:K, -W W^{-1}[:, K]]:
+    With E_K the columns K of I, U = [E_K, -V_:K], Vf = [Pi0_K; W_K:],
+    Z = [Z_1; Z_2] and WV = W V_:K as computed:
 
         G0    = diag(G0_d) W
-        R0    = U Vf                  (the block E_K of U adds Pi0_K: on the rows K)
-        A0    = I - U Z
-        G     = diag(P^+) (W - W_:K Pi_K:)      on the rows C; the rows K are G_K
-        GInf  = diag(G0_d) (W - WU Z)           on the rows C; the rows K are GInf_K
+        R0    = U Vf = E_K Pi0_K - V_:K W_K:
+        A0    = I - U Z = I - E_K Z_1 + V_:K Z_2
+        G     = diag(P^+) (W - W_:K Pi_K:)                  on the rows C; the rows K are G_K
+        GInf  = diag(G0_d) (W - W_:K Z_1 + WV Z_2)         on the rows C; the rows K are GInf_K
 
     G0_d and P^+ vanish on K, so the rows K of G and G_oo come from their
     stored blocks alone.  member() and every norm of the chain form a
-    member through the same blocks of rows (row_slices), so the norms
+    member through the same blocks of rows (_row_blocks), so the norms
     are those of the members member() returns, bit for bit.
     """
 
@@ -622,23 +638,25 @@ class _FactoredRows:
         at = self.pos[sl][ker]  # the rows of the |K|-row blocks that fall in sl
         if name == "G0":
             return m["G0_diag"][sl, None] * self.W[sl]
+        W_cK = m["Vf"][k:].T
         if name == "R0":
-            X = m["U"][sl, k:] @ m["Vf"][k:]
+            X = m["V_K"][sl] @ m["Vf"][k:]
+            np.negative(X, out=X)
             X[ker] += m["Vf"][at]
             return X
         if name == "A0":
-            X = m["U"][sl, k:] @ m["Z"][k:]
-            np.negative(X, out=X)
+            X = m["V_K"][sl] @ m["Z"][k:]
             X[ker] -= m["Z"][at]
             X[np.arange(X.shape[0]), np.arange(sl.start, sl.stop)] += 1
             return X
         if name == "G":
-            X = m["WU"][sl, :k] @ m["Pi"]
+            X = W_cK[sl] @ m["Pi"]
             np.subtract(self.W[sl], X, out=X)
             X *= m["P_plus"][sl, None]
             X[ker] = m["G_K"][at]
             return X
-        X = m["WU"][sl] @ m["Z"]  # GInf
+        X = W_cK[sl] @ m["Z"][:k]  # GInf
+        X -= m["WV_K"][sl] @ m["Z"][k:]
         np.subtract(self.W[sl], X, out=X)
         X *= m["G0_diag"][sl, None]
         X[ker] = m["GInf_K"][at]
@@ -646,7 +664,7 @@ class _FactoredRows:
 
     def full(self, name):
         D = self.W.shape[0]
-        return np.concatenate([self(name, sl) for sl in row_slices((D, D), _ROW_BLOCK)])
+        return np.concatenate([self(name, sl) for sl in _row_blocks(D)])
 
 
 class _AbsSums:
@@ -704,11 +722,12 @@ class _AbsSums:
 def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> ParametrixChain:
     """Parametrix chain with matrix arithmetic on the truncated basis.
 
-    One inverse V of W (weight.inverse, certified by its measured defect)
-    gives P_hat = V P_d by scaling columns (hatted_gjms); its columns in K,
-    the pluriharmonic coordinates (the kernel of P_hat in every frame), are
-    exactly zero.  A_0 = (I + R_0)^{-1} comes from the Woodbury identity on
-    I + R_0 = I + U Vf, U and Vf of rank 2|K| (woodbury_a0); the Neumann
+    P_hat = W^{-1} P_d is the exact operator of the stored W and is never
+    formed: its columns in K, the pluriharmonic coordinates (the kernel of
+    P_hat in every frame), are zero, so the chain needs W^{-1} only on
+    them, V_:K, solved for and certified by its measured defect
+    (hatted_gjms).  A_0 = (I + R_0)^{-1} comes from the Woodbury identity
+    on I + R_0 = I + U Vf, U and Vf of rank 2|K| (woodbury_a0); the Neumann
     series would not do: R_0 = Pi_0 - W^{-1} I_K W, whose W-adjoint
     Pi_0 - I_K fixes the constant function, has spectral radius at least
     one in every frame.  The final Pi and G are the closed forms: Pi is the
@@ -717,71 +736,75 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
     which the Schur complement of nonzero_eigenvalues and the Woodbury
     solve reuse.
 
-    What stays dense.  The chain holds two D x D arrays, W and P_hat.  Every
-    other member is a diagonal, W, or factors with at most 2|K| rows or
-    columns, expanded on request (ParametrixChain.member): G_0 = G0_d W,
-    R_0 = U Vf, A_0 = I - U Z, G and G_oo from W, W_:K, Pi_K:, WU = W U and
-    Z on the rows C and their stored rows K (_FactoredRows), Pi, Pi_oo and
-    S from their rows K.  Its D x D x D work is the Taylor sum of W, the
-    inverse V, the defect W V - I and the Schur eigvalsh; the rows K of G
-    and G_oo are one 2|K| x D x D product, and the norms of R_0, A_0, G,
-    G_oo and G - G_oo come from one pass over their blocks of rows, about
-    5 |K| D^2 multiply-adds in all.
+    What stays dense.  The chain holds one D x D array, W.  Every member
+    is a diagonal, W, or factors with at most 2|K| rows or columns,
+    expanded on request (ParametrixChain.member): G_0 = G0_d W, R_0 = U Vf,
+    A_0 = I - U Z, G and G_oo from W, W_:K, Pi_K:, W V_:K and Z on the
+    rows C and their stored rows K (_FactoredRows), Pi, Pi_oo and S from
+    their rows K, and P_hat by a dense solve.  Its D x D x D work is the
+    Taylor sum of W and the Schur eigvalsh; the solve for V_:K is one LU of
+    W with |K| right-hand sides, the rows K of G and G_oo are two
+    |K| x D x D products, and the norms of R_0, A_0, G, G_oo and G - G_oo
+    come from one pass over their blocks of rows, about 5 |K| D^2
+    multiply-adds in all.
 
-    Working memory.  The Taylor sum holds five D x D arrays at K = 12
+    Working memory.  The Taylor sum holds four D x D arrays at K = 12
     (taylor_exp_matrix), the process's peak.  After it the chain keeps W
-    and P_hat, and its largest transient is the defect E = W V - I: E and
-    one block product of blocked_matmul beside W and V, four D x D arrays
-    in all (at n=2 N=8, 4.5 D^2 doubles traced with the |K|-row factors,
-    against 5.1 for the Taylor sum).  The norms of dense arrays, E - E^T
-    among them (norm2_upper_skew), read blocks of rows of at most 1 MB
-    (galerkin._BLOCK_BYTES), and the factored members are formed in blocks
-    of _ROW_BLOCK entries (1 MB); no D x D temporary is made for a norm.  The
-    factors that repeat blocks of others are views or dropped before the
-    row pass: W_K: and Pi0_K are the blocks of Vf, and W V[:, K] is
-    -WU[:, k:].
+    and factors of |K| or 2|K| rows or columns; its one D x D transient is
+    the copy of W the LU of the solve for V_:K factors.  The norms of dense
+    arrays and of [W, P_d] read blocks of rows of at most 1 MB
+    (galerkin._BLOCK_BYTES), the Woodbury defect is formed a block of rows
+    at a time, and the factored members in blocks of at most _ROW_BLOCK
+    entries (1 MB) and D/8 rows (_row_blocks).  No factor repeats another:
+    W_K: and Pi0_K are the blocks of Vf, and of U = [E_K, -V_:K] and
+    W U = [W_:K, -W V_:K] the chain keeps V_:K and W V_:K alone.
 
     The identities are not formed.  They reduce by algebra to three small
-    defects, E = W V - I (measured once by inverse_defect, then dropped),
-    r = W_K: - W_KK Pi_K: (the equations Pi_K: solves) and F = Vf - T Z
-    (the Woodbury solve), and to c = P_d P_d^+ - 1_C (at most u per entry,
-    scaling_defect).  V is symmetric, so V W = I + E^T, and P_hat G0 =
-    I + E^T - V_:K W_K: up to c and the scalings' rounding:
+    defects, F = W V_:K - E_K (hatted_gjms: d = W^{-1} E_K - V_:K =
+    -W^{-1} F), r = W_K: - W_KK Pi_K: (the equations Pi_K: solves) and
+    F' = Vf - T Z (the Woodbury solve), and to c = P_d P^+ - 1_C (at most
+    u per entry, scaling_defect).  W^{-1} W_:K = E_K exactly, and with
+    B = W - W_:K Pi_K:, whose rows K are r:
 
-        R_0 = U Vf + E^T + ...,  formed (the member R_0) as U Vf
-        (I + R_0) A_0 - I = U (Vf - T Z) + (E^T + ...) A_0
-        P_hat G + Pi - I = E^T (I - Pi) - V_:K r + ...
+        R_0 = U Vf - d W_K: + W^{-1} (P_d G_0 - 1_C W)
+        (I + R_0) A_0 - I = U (Vf - T Z) + (R_0 - U Vf) A_0 + (I + U Vf) (A_0 - I + U Z)
+        P_hat G + Pi - I = -(V_:K + d) r + W^{-1} (c B + P_d e_G)
         G P_hat + Pi - I = -E_K W_KK^{-1} r_KK E_K^T
-                           + (I - Pi) (c + P^+ E P_d - P^+ W_:K Y) + ...,
-            Y = Pi_K: V P_d = W_KK^{-1} (E_K: P_d - r V P_d)
-        P_hat G_oo + Pi_oo - I = P_hat G + Pi - I + P_hat (G_oo - G) + (Pi_oo - Pi)
+                           + (I - Pi) (c + P^+ W_:K W_KK^{-1} r P_hat) + e_G P_hat
+        P_hat G_oo + Pi_oo - I = P_hat G + Pi - I + W^{-1} P_d (G_oo - G) + (Pi_oo - Pi)
         R_oo = G_oo P_hat + Pi_oo - I = G P_hat + Pi - I + (G_oo - G) P_hat + (Pi_oo - Pi)
-        W P_hat - (W P_hat)^T = E P_d - P_d E^T + ...
         W Pi - Pi^T W = r^T Pi_K: - Pi_K:^T r,  W G - (W G)^T from it
-        W_K: P_hat = E_K: P_d + ...
+
+    with e_G the rounding of the member G (a-priori, entrywise).  A product
+    X P_hat is bounded without P_hat: W^{-1} P_d = P_d W^{-1} +
+    W^{-1} [P_d, W] W^{-1}, so ||X P_hat|| <= ||X P_d|| / lambda_lb +
+    ||X|| ||[P_d, W]|| / lambda_lb^2, with ||[P_d, W]|| measured from the
+    entries (P_j - P_i) W_ij a block of rows at a time; P_d stays inside
+    the absolute values of ||X P_d||, never max P_d / min P_d times a
+    norm.  Three identities vanish exactly for the exact P_hat, since
+    W P_hat = P_d and P_d is zero on K: W P_hat - (W P_hat)^T = 0,
+    Pi^T W P_hat = Pi_K:^T E_K^T P_d = 0 (and so for Pi_oo, whose rows are
+    in K too), and P_hat Pi = W^{-1} P_d E_K Pi_K: = 0; they are recorded
+    as 0.0 ("structural").
 
     G_oo - G and Pi_oo - Pi are measured.  They hold only rounding: the
     rows K of Pi_0 A_0 are Pi0_K: - Pi0_K: U Z = Z_1 = Pi_K: by the first
     block row of T Z = Vf, and G_0 A_0 = G0_d (W - W_:K Z_1 + W V_:K Z_2) =
-    P^+ W (I - Pi) when W V = I (G0_d vanishes on K), so G_oo = G and
-    Pi_oo = Pi in exact arithmetic.  Each "..." is an a-priori rounding
-    term on the members as stored (gamma_k = k u / (1 - k u), Higham, 3.5),
-    written as the norm of a product of absolute values (norm2_upper_abs),
-    with the P_d and P_d^+ scalings inside it (|P_hat| |G_0| is of the size
-    of |V| |W|, P^+ |W| |P_hat| of P^+ |W| |V| P_d), never as
-    max P_d / min P_d times a rounding norm; so are the measured
-    ||P^+ E P_d||, ||(G_oo - G) P_hat|| and ||P_hat (G_oo - G)||, the last
-    two from the absolute values of G - G_oo.  Every such entry ("factored" in
-    residual_routes) is a certified upper bound on the spectral norm of the
-    identity evaluated exactly on the members as member() returns them;
+    P^+ W (I - Pi) when W V_:K = E_K (G0_d vanishes on K), so G_oo = G and
+    Pi_oo = Pi in exact arithmetic.  Every a-priori rounding term is on the
+    members as stored (gamma_k = k u / (1 - k u), Higham, 3.5), written as
+    the norm of a product of absolute values (norm2_upper_abs) with the
+    P_d and P_d^+ scalings inside it.  Every bound ("factored" in
+    residual_routes) is a certified upper bound on the spectral norm of
+    the identity evaluated exactly on the members (with the exact P_hat);
     its interior entry repeats the full bound (a restriction does not raise
     a norm), except R0_interior, which restricts the stored R_0.  The
     defects of Pi_oo and G_oo add (1 + kappa) ||Pi - Pi_oo|| and
     (1 + kappa) ||G - G_oo||, kappa = W_ub / lambda_lb, to those of Pi and
-    G.  P_hat Pi is zero by construction ("structural").  The differences
-    Pi - Pi_oo, G - G_oo, Pi_oo^2 - Pi_oo and Pi G are formed and measured
-    ("dense"), from the rows K where Pi and Pi_oo live and a block of rows
-    of G at a time.
+    G.  The differences Pi - Pi_oo, G - G_oo, Pi_oo^2 - Pi_oo and Pi G are
+    formed and measured ("dense"), from the rows K where Pi and Pi_oo live
+    and a block of rows of G at a time.  inverse_defect_bound is the bound
+    on ||d||.
 
     The members are arrays in the real frame (RealFrame), float64 except
     the complex S; Sbar and Pi_0 are formed from S on request.
@@ -797,15 +820,14 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
     P_d = P.to_diag_vector(basis)
     G0_d = P.partial_inverse().to_diag_vector(basis)
     p = pseudo_inverse_diag(P_d, ker)
-    # eta >= |x - 1| and |x - 1| / |x| for x = p g (1 + d)(1 + d'), |d|, |d'| <= u:
-    # a column scaled by P_d and a row by its float inverse, both rounded,
-    # against the indicator of C (G0_d and P^+)
-    eta = 2 * scaling_defect(P_d, G0_d, p) + gamma(4)
+    # c_max >= |P_d P^+ - 1_C| entrywise, and eta >= |x - 1| for x = p g (1 + d),
+    # |d| <= u: the member G_0 = G0_d W, rounded, scaled by P_d
+    c_max = scaling_defect(P_d, p)
+    eta = scaling_defect(P_d, G0_d) + gamma(2)
 
     S_K = szego_rows(basis, weight)
     Pi0_K = 2 * S_K.real
-    Pmat, inv_K, inv_defect = hatted_gjms(basis, weight)
-    e_E = inv_defect.norm
+    V_K, WV_K, e_v = hatted_gjms(basis, weight)
     Pi_K = weight.projector_rows(ker)
     lam = nonzero_eigenvalues(P_d, weight, ker, Pi_K)
 
@@ -815,7 +837,7 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
     diag.record("min_nonzero_abs_eigenvalue", float(lam[0]) if lam.size else None)
     diag.record("weight_min_eigenvalue_bound", weight.min_eigenvalue_bound)
     diag.record("weight_tail_bound", weight.tail_bound)
-    diag.record("inverse_defect_bound", e_E)
+    diag.record("inverse_defect_bound", e_v)
 
     def rec(name, X, rows):
         # X holds the only nonzero rows of the residual
@@ -827,39 +849,43 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
         diag.record(f"{name}_interior", full if interior_value is None else interior_value,
                     "factored")
 
-    U, Vf, Z, solve_defect, a0_rounding = woodbury_a0(Pi0_K, Pi_K, W, inv_K, ker)
+    def structural(name):
+        diag.record(name, 0.0, "structural")
+
+    Vf, Z, solve_term, a0_rounding = woodbury_a0(Pi0_K, Pi_K, W, V_K, ker)
     Pi0_K, W_K = Vf[:k], Vf[k:]  # the blocks of Vf, the same floats: no copies kept
     W_cK = W_K.T  # W_:K, W symmetric
-    n_inv_K = norm2_upper(inv_K)
-    r0_rounding = gamma(k + 1) * (norm2_upper_abs((inv_K, W_K)) + norm2_upper(Pi0_K))
-    del inv_K
-    WU = np.concatenate([W_cK, -inv_defect.product_K], axis=1)
-    inv_defect.product_K = None  # it is -WU[:, k:]
-    PiInf_K = Pi0_K - (Pi0_K @ U) @ Z  # Pi_0 A_0
-    # the rows K of G and G_oo: -(Pi_K: P^+) (W - W_:K Pi_K:) and
-    # -(PiInf_K: G0_d) (W - WU Z), with one 2|K| x D x D product
-    L = np.concatenate([Pi_K * p, PiInf_K * G0_d])
-    LW, lw_order = blocked_matmul(L, W, parts=4)
-    LWK, lwk_order = blocked_matmul(L[:k], W_cK)
-    G_K = LWK @ Pi_K - LW[:k]
-    GInf_K = (L[k:] @ WU) @ Z - LW[k:]
-    del L, LW, LWK
+    Z_1, Z_2 = Z[:k], Z[k:]
+    n_vk = norm2_upper(V_K)
+    r0_rounding = gamma(k + 1) * (norm2_upper_abs((V_K, W_K)) + norm2_upper(Pi0_K))
+    PiInf_K = Pi0_K - Pi0_K[:, ker] @ Z_1  # Pi_0 A_0 = Pi0_K (I - E_K Z_1 + V_:K Z_2)
+    PiInf_K += (Pi0_K @ V_K) @ Z_2
+    # the rows K of G and G_oo, -(Pi_K: P^+) (W - W_:K Pi_K:) and
+    # -(PiInf_K: G0_d) (W - W_:K Z_1 + WV Z_2), each from one |K| x D x D product
+    L = Pi_K * p
+    G_K, lw_order = blocked_matmul(L, W, parts=4)
+    LWK, lwk_order = blocked_matmul(L, W_cK)
+    np.negative(G_K, out=G_K)
+    G_K += LWK @ Pi_K
+    L = PiInf_K * G0_d
+    GInf_K = blocked_matmul(L, W, parts=4)[0]
+    np.negative(GInf_K, out=GInf_K)
+    GInf_K += (L @ W_cK) @ Z_1
+    GInf_K -= (L @ WV_K) @ Z_2
+    del L, LWK
     members = {
-        "P_hat": Pmat, "S": S_K, "P_diag": P_d, "G0_diag": G0_d, "P_plus": p,
-        "U": U, "Vf": Vf, "Z": Z, "WU": WU,
+        "S": S_K, "P_diag": P_d, "G0_diag": G0_d, "P_plus": p,
+        "V_K": V_K, "Vf": Vf, "Z": Z, "WV_K": WV_K,
         "Pi": Pi_K, "PiInf": PiInf_K, "G_K": G_K, "GInf_K": GInf_K,
     }
 
     # one pass over the rows of R_0, A_0, G and G_oo
     rows = _FactoredRows(members, W, ker)
-    ones = np.ones(D)
-    hat_rows = abs_matvec(Pmat, ones)  # |P_hat| 1
-    hat_cols = abs_matvec(Pmat, ones, left=True)  # 1^T |P_hat|
     s_r0, s_a0 = _AbsSums(D, interior=interior), _AbsSums(D)
-    s_g, s_ginf = _AbsSums(D, right=hat_rows, left=np.abs(P_d)), _AbsSums(D)
-    s_diff = _AbsSums(D, right=hat_rows, left=hat_cols, interior=interior)
+    s_g, s_ginf = _AbsSums(D), _AbsSums(D)
+    s_diff = _AbsSums(D, right=np.abs(P_d), left=np.abs(P_d), interior=interior)
     PiG = np.zeros((k, D))
-    for sl in row_slices((D, D), _ROW_BLOCK):
+    for sl in _row_blocks(D):
         s_r0.add(sl, rows("R0", sl))
         s_a0.add(sl, rows("A0", sl))
         G, GInf = rows("G", sl), rows("GInf", sl)
@@ -870,22 +896,18 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
         s_diff.add(sl, G)
     del G, GInf
 
-    # |P_hat| G0_d is |V| 1_C up to the scalings: P_d cancels entrywise, and
-    # || |P_hat| |G_0| || <= n_pw (G_0 = G0_d W within u); eta times that
-    # bounds ||P_hat G_0 - V 1_C W||
     n_w = weight.norm_upper
-    n_v = norm2_upper_abs((Pmat, G0_d))
-    n_pw = (1 + gamma(1)) * n_v * n_w
-    n_scaled = eta * n_pw
+    lam_lb = weight.min_eigenvalue_bound
+    times_hat = _TimesHat(weight, P_d)
+    comm, c_round = times_hat.comm, _Commutator.ROUND
 
-    # R_0 and A_0
+    # R_0 and A_0: ||R_0 - U Vf|| <= ||d|| ||W_K:|| + eta ||W|| / lambda_lb
+    e_r0 = e_v * norm2_upper(W_K) + eta * n_w / lam_lb
     n_a0 = s_a0.upper()
     n_r0 = s_r0.upper()
-    r0_defect = r0_rounding + e_E + n_scaled
+    r0_defect = r0_rounding + e_r0
     bound("R0", n_r0 + r0_defect, s_r0.upper_interior() + r0_defect)
-    # (I + R_0) A_0 - I = U (Vf - T Z) + (R_0 - U Vf) A_0 + (I + U Vf) (A_0 - I + U Z)
-    a0_residual = (norm2_upper(U) * solve_defect + (e_E + n_scaled) * n_a0
-                   + (1 + n_r0 + r0_rounding) * a0_rounding)
+    a0_residual = solve_term + e_r0 * n_a0 + (1 + n_r0 + r0_rounding) * a0_rounding
     diag.record("A0_residual", a0_residual, "factored")
 
     rec("PiInf_sq_minus_PiInf", PiInf_K[:, ker] @ PiInf_K - PiInf_K, ker)
@@ -893,56 +915,52 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
     diag.record("G_minus_GInf_full", s_diff.upper(), "dense")
     diag.record("G_minus_GInf_interior", s_diff.upper_interior(), "dense")
     rec("PiG", PiG, ker)
-    for part in ("full", "interior"):
-        diag.record(f"PPi_{part}", 0.0, "structural")  # P_hat[:, K] = 0 exactly
+    structural("PPi_full")
+    structural("PPi_interior")
 
     # r is the defect of Pi_K:; the rows C of G are P^+ (W - W_:K Pi_K:)
     # within gamma_{k+2} h, h = P^+ (|W| + |W_:K| |Pi_K:|), and its rows K
     # within gamma_g |Pi_K:| h, g = max(lw, lwk + k) + 3 (G_K above)
-    lam_lb = weight.min_eigenvalue_bound
     n_pi = norm2_upper(Pi_K)
     n_g = s_g.upper()
     W_KK = W_K[:, ker]
     r = W_K - W_KK @ Pi_K
     n_r = norm2_upper(r) + gamma(k + 1) * norm2_upper_abs((W_K,), (W_KK, Pi_K))
     g_rows = gamma(k + 2) + gamma(max(lw_order, lwk_order + k) + 3) * n_pi
+    n_eg = g_rows * norm2_upper_abs((p, W), (p, W_cK, Pi_K))  # >= ||e_G||
     diff = 1 + gamma(1)  # a computed difference against the exact one
 
-    # P_hat G + Pi - I
-    n_h = (1 + eta) * gamma(k + 1)  # times |P^+| (|W| + |W_:K| |Pi_K:|) bounds P^+ (H - exact H)
-    n_wpi = norm2_upper_abs((W_cK, Pi_K))
-    b_pg = (e_E * (1 + n_pi) + n_inv_K * n_r
-            + n_h * n_v * (n_w + n_wpi)
-            + eta * n_v * s_g.abs_after(P_d))  # |P_hat| |G| <= (|P_hat| G0_d) (P_d |G|)
+    # P_hat G + Pi - I: ||B|| <= ||W|| + || |W_:K| |Pi_K:| ||, and P_d e_G is
+    # within (1 + c_max) gamma_{k+2} (|W| + |W_:K| |Pi_K:|) on the rows C
+    n_b = n_w + norm2_upper_abs((W_cK, Pi_K))
+    b_pg = (n_vk + e_v) * n_r + (c_max + (1 + c_max) * gamma(k + 2)) * n_b / lam_lb
     bound("PG_plus_Pi_minus_I", b_pg)
 
-    # G P_hat + Pi - I: ||Y|| <= (||E_K: P_d|| + ||r V P_d||) / lambda_lb, and
-    # |r V P_d| <= (1 + u) |r| |P_hat| with r as computed or as exact
-    n_rvp = (1 + gamma(1)) * (norm2_upper_abs((r, Pmat)) + gamma(k + 1) * norm2_upper_abs(
-        (W_K, Pmat), (W_KK, Pi_K, Pmat)))
-    n_y = (inv_defect.range_rows + n_rvp) / lam_lb
-    c_max = scaling_defect(P_d, p)
-    b_gp = (n_r / lam_lb
-            + (1 + n_pi) * (c_max + inv_defect.scaled + norm2_upper_abs((p, W_cK)) * n_y)
-            + diff * g_rows * norm2_upper_abs((p, W, Pmat), (p, W_cK, Pi_K, Pmat))
-            + gamma(1) * s_g.abs_times(Pmat))
+    # G P_hat + Pi - I, with r P_d for r as computed or as exact
+    n_rp = norm2_upper_abs((r, P_d)) + gamma(k + 1) * norm2_upper_abs(
+        (W_K, P_d), (W_KK, Pi_K, P_d))
+    n_rc = c_round * (norm2_upper_abs((r, comm)) + gamma(k + 1) * norm2_upper_abs(
+        (W_K, comm), (W_KK, Pi_K, comm)))
+    n_y = times_hat(n_rp, n_r, n_rc) / lam_lb  # >= ||W_KK^{-1} r P_hat||
+    # >= ||e_G P_d|| and ||e_G C||
+    n_egp, n_egc = (g_rows * norm2_upper_abs((p, W, F), (p, W_cK, Pi_K, F)) for F in (P_d, comm))
+    b_gp = (n_r / lam_lb + (1 + n_pi) * (c_max + norm2_upper_abs((p, W_cK)) * n_y)
+            + diff * times_hat(n_egp, n_eg, c_round * n_egc))
     bound("GP_plus_Pi_minus_I", b_gp)
 
     # the identities of G_oo and Pi_oo from those of G and Pi and the measured differences
     pi_diff = diff * diag.entries["Pi_minus_PiInf_full"]
-    bound("PGInf_plus_PiInf_minus_I", b_pg + pi_diff + diff * s_diff.abs_after(Pmat))
-    bound("R_inf", b_gp + pi_diff + diff * s_diff.abs_times(Pmat))
+    bound("PGInf_plus_PiInf_minus_I", b_pg + pi_diff + diff * s_diff.abs_after(P_d) / lam_lb)
+    bound("R_inf", b_gp + pi_diff + diff * times_hat(s_diff.abs_times(P_d), s_diff.upper()))
 
     # weighted adjointness defects ||X - W^{-1} X^T W|| / ||X|| <= ||W X - (W X)^T|| / (lambda_lb ||X||)
     kappa = weight.max_eigenvalue_bound / lam_lb
     n_delta = 2 * n_pi * n_r  # >= ||W Pi - Pi^T W||
     # W G - (W G)^T = -Delta P^+ B - B^T P^+ Delta for the exact G, B = W (I - Pi),
     # with ||P^+ B|| <= ||exact G||, plus W e_G - (W e_G)^T for the rounding e_G of G
-    n_eg = g_rows * norm2_upper_abs((p, W), (p, W_cK, Pi_K))
     g_skew = 2 * n_delta * (n_g + n_eg) + 2 * n_w * n_eg
-    n_p_lower = norm2_lower(Pmat)
+    structural("P_hat_adjoint_defect")
     for name, value in (
-        ("P_hat", _ratio(inv_defect.hat_adjoint, lam_lb * n_p_lower)),
         ("G", _ratio(g_skew, lam_lb * s_g.lower())),
         ("Pi", _ratio(n_delta, lam_lb * norm2_lower(Pi_K))),
         ("PiInf", _ratio(n_delta / lam_lb + (1 + kappa) * pi_diff, norm2_lower(PiInf_K))),
@@ -951,12 +969,9 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
     ):
         diag.record(f"{name}_adjoint_defect", value, "factored")
 
-    # Ran P_hat orthogonal to Ran Pi in the weighted inner product:
-    # Pi^* W P_hat = Pi_K:^* (W_K: P_hat)
-    scale = max(norm2_lower(Pi_K) * norm2_lower(W) * n_p_lower, 1e-300)
-    diag.record("ran_orthogonality_defect", n_pi * inv_defect.range_rows / scale, "factored")
-    diag.record("ran_orthogonality_defect_PiInf",
-                norm2_upper(PiInf_K) * inv_defect.range_rows / scale, "factored")
+    # Ran P_hat orthogonal to Ran Pi and Ran Pi_oo in the weighted inner product
+    structural("ran_orthogonality_defect")
+    structural("ran_orthogonality_defect_PiInf")
 
     return ParametrixChain(n, N, "matrix", members, diag, weight=weight, basis=basis)
 

@@ -531,23 +531,25 @@ class TestQcurvAtN2:
 
 
 def test_parametrix_nan_inverse_exits_numerical(tmp_path, pert_file, monkeypatch):
-    # no factorization gates the chain's inverse of W: its measured defect
-    # W V - I certifies it, and a defect that is not finite exits 4
+    # no factorization gates the chain's solve for the columns K of W^{-1}:
+    # its measured defect W V_:K - E_K certifies it, and a defect that is
+    # not finite exits 4
     import numpy as np
 
-    from crsphere import galerkin
+    from crsphere.galerkin import InnerProductWeight
 
-    monkeypatch.setattr(galerkin, "positive_inverse", lambda A: np.full(A.shape, np.nan))
+    monkeypatch.setattr(InnerProductWeight, "solve",
+                        lambda self, rhs: np.full(np.shape(rhs), np.nan))
     assert run("parametrix-check", "--n", "1", "--degree", "6", "--perturbation", pert_file,
                "--out", str(tmp_path / "out")) == EXIT_NUMERICAL
 
 
-@pytest.mark.parametrize("routine", ["solve", "inv"])
+@pytest.mark.parametrize("routine", ["solve"])
 def test_parametrix_failed_dense_solve_exits_numerical(tmp_path, pert_file, monkeypatch,
                                                       capsys, routine):
-    # no factorization gates the chain's dense solves (W_KK, the holomorphic
-    # block, the Woodbury block) or its inverse of W: numpy's LinAlgError
-    # from a failed one exits 4
+    # no factorization gates the chain's dense solves (W for the columns K
+    # of W^{-1}, W_KK, the holomorphic block, the Woodbury block): numpy's
+    # LinAlgError from a failed one exits 4
     import numpy as np
 
     calls = []

@@ -34,6 +34,7 @@ from crsphere.galerkin import (
     taylor_apply_rounding_bound,
     taylor_exp_min,
     taylor_rounding_bound,
+    taylor_split,
 )
 from crsphere.harmonics import dim_hpq
 from crsphere.parametrix import interior_mask, kernel_mask
@@ -426,14 +427,13 @@ class TestFastPathsAgainstReference:
             assert old * (1 - 1e-12) <= got + 1e-13
 
     @pytest.mark.parametrize("D", [5, 601])
-    def test_positive_inverse_matches_the_lu_inverse(self, D):
-        # the 2 x 2 block recursion (two levels, uneven halves at D = 601)
-        # against np.linalg.inv on a positive definite matrix
-        rng = np.random.default_rng(D)
-        B = rng.standard_normal((D, D)) / math.sqrt(D)
-        A = np.eye(D) + 0.3 * (B + B.T)
-        ref = np.linalg.inv(A)
-        assert np.abs(galerkin.positive_inverse(A) - ref).max() <= 1e-13 * np.abs(ref).max()
+    def test_blocked_symmetrization_is_bit_identical(self, D):
+        # a pair of blocks at a time (one block at D = 5, uneven blocks at
+        # D = 601) against the formed 0.5 * (X + X.T), bit for bit
+        X = np.random.default_rng(D).standard_normal((D, D))
+        ref = 0.5 * (X + X.T)
+        got = galerkin._symmetrized(X)
+        assert got is X and np.array_equal(got, ref)
 
     def test_conjugate_gradient_failures_are_numerical_errors(self, weight8, monkeypatch):
         # the operator route: an indefinite block breaks CG down, and a
@@ -921,19 +921,19 @@ def test_csr_against_scipy_sparse(dtype, seed, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# bounded working memory: the streamed assembly and the five-array Taylor sum
+# bounded working memory: the streamed assembly and the four-array Taylor sum
 # ---------------------------------------------------------------------------
 
 
 def taylor_exp_matrix_plain(M, K):
     """Reference Paterson-Stockmeyer sum with every power and product kept:
     the dense M, M^2 .. M^s, the accumulator, each product and each scaled
-    power in an array of its own (7 D x D arrays at K = 12)."""
+    power in an array of its own (6 D x D arrays at K = 12, s = 3)."""
     D = M.shape[0]
     if K == 0:
         return np.eye(D, dtype=M.dtype)
     M = M.toarray() if isinstance(M, CSR) else np.asarray(M)
-    s = math.isqrt(K - 1) + 1
+    s = taylor_split(K)
     r = K // s
     powers = [None, M]
     for _ in range(s - 1):
@@ -956,6 +956,18 @@ def taylor_exp_matrix_plain(M, K):
     for j in range(top - 1, -1, -1):
         E = block(j, X @ E)
     return E
+
+
+def test_taylor_split_takes_the_fewest_products_then_the_fewest_arrays():
+    def products(s, K):
+        return s - 1 + K // s - (K % s == 0)
+
+    for K in range(1, 31):
+        s = taylor_split(K)
+        fewest = min(products(t, K) for t in range(1, K + 1))
+        assert products(s, K) == fewest
+        assert all(products(t, K) > fewest for t in range(1, s)), K
+    assert taylor_split(12) == 3 and products(3, 12) == 5
 
 
 def seeded_multiplier(basis, seed=5, sup=0.1):
@@ -1030,12 +1042,13 @@ def traced_peak(fn):
     return out, peak - kept
 
 
-def test_taylor_matrix_holds_five_dense_arrays(basis12):
+def test_taylor_matrix_holds_four_dense_arrays(basis12):
     M = seeded_multiplier(basis12).multiplier_matrix()
     D = M.shape[0]
     W, extra = traced_peak(lambda: taylor_exp_matrix(M, 12))
-    # the result is one of the five arrays; the rest is O(nnz)
-    assert extra + W.nbytes <= 8 * (5 * D * D) + 64 * M.nnz
+    # the result is one of the four arrays (s = 3: M^2, M^3 and two work
+    # arrays); the rest is O(nnz)
+    assert extra + W.nbytes <= 8 * 4.2 * D * D
 
 
 def test_dense_norms_read_blocks_of_rows():
