@@ -46,7 +46,7 @@ __version__ = "0.1.0"
 _LAZY = {
     "parametrix": (
         "ParametrixChain", "build_chain_diagonal", "build_chain_matrix", "hatted_gjms",
-        "smoothing_residual", "spectrum_diagonal", "spectrum_matrix",
+        "smoothing_residual", "spectrum_diagonal",
     ),
     "qcurvature": (
         "ContactPerturbation", "QData", "SolveReport", "qhat", "solvability_check",

@@ -33,7 +33,7 @@ conjugate gradients on that matvec, with an iteration cap from the
 certified condition bound; the zero-Q solve needs nothing more.  The dense
 matrix is built only when the chain or the pencil spectrum asks for it,
 by Paterson and Stockmeyer's evaluation of the Taylor sum on the dense M
-(taylor_exp_matrix: 5 dense matmuls and four D x D arrays at K = 12),
+(taylor_exp_matrix: 5 dense matmuls and two D x D arrays at K = 12),
 and the chain solves with it on the |K| columns of the kernel
 coordinates only (InnerProductWeight.solve): W^{-1} is never formed.  No
 eigensolver runs on the weight: W = T_K(M) is a polynomial in the
@@ -700,84 +700,99 @@ def full_context(basis: HarmonicBasis) -> GalerkinContext:
     return ctx
 
 
-def taylor_split(K: int) -> int:
-    """The split s of the Paterson-Stockmeyer Taylor sum: the smallest s with the fewest products.
-
-    A split s takes s - 1 products for M^2 .. M^s and r = floor(K / s) in
-    X = M^s, one fewer when s divides K (taylor_exp_matrix), and holds
-    s - 1 powers; so of the splits with the fewest products the smallest
-    holds the fewest arrays: s = 3 at K = 12 (5 products, as s = 4).
-    """
-    return min(range(1, max(K, 1) + 1), key=lambda s: s - 1 + K // s - (K % s == 0))
-
-
 def taylor_exp_matrix(M, K: int) -> np.ndarray:
     """Sum_{k<=K} M^k / k! by Paterson and Stockmeyer; each product stays on the truncation.
 
-    With s = taylor_split(K) and r = floor(K / s) the sum is Horner's rule
-    in the power X = M^s,
+    With the split s = 3 and r = floor(K / 3) the sum is Horner's rule
+    in the power X = M^3,
 
-        T_K(M) = sum_{j<=r} B_j X^j,   B_j = sum_{i<s, js+i<=K} M^i / (js+i)!,
+        T_K(M) = sum_{j<=r} B_j X^j,   B_j = I / (3j)! + M / (3j+1)! + M^2 / (3j+2)!
 
-    so it takes the s - 1 products M^2 .. M^s and r products in X, one
-    fewer when s divides K (then B_r = I / K! and the first step is
-    X / K! + B_{r-1}): 5 dense matmuls at K = 12 (s = 3), where Horner's
-    rule in M takes 11 (Paterson and Stockmeyer, SIAM J. Comput. 2, 1973;
-    Higham, Functions of Matrices, 4.2).  M may be CSR or dense; the sum is
-    dense, and every product is a dense matmul on the dense M.  The
-    coefficients are 1 / k! correctly rounded, and the identity term of
-    each B_j goes on the diagonal alone.  taylor_rounding_bound bounds the
-    rounding of this evaluation order.
+    (B_r without the terms past M^K), and every B_j is a polynomial in M,
+    so it commutes with X and Horner's rule runs on the right:
+    E_r = B_r, E_j = E_{j+1} X + B_j.  That takes the products M^2 and M^3
+    and r products in X, one fewer when 3 divides K (then B_r = I / K! and
+    the first step is X / K! + B_{r-1}): 5 dense matmuls at K = 12, where
+    Horner's rule in M takes 11 (Paterson and Stockmeyer, SIAM J. Comput.
+    2, 1973; Higham, Functions of Matrices, 4.2).  M may be CSR or dense;
+    the sum is dense, and every product is a dense matmul.  The
+    coefficients are 1 / k! correctly rounded, the M^2 term of each B_j is
+    added from the nonzero entries of M^2 (7% of D^2 at n=2 N=8, 15% at
+    n=1 N=12), the M term from the stored entries of a CSR M, and the
+    identity term goes on the diagonal alone.  taylor_rounding_bound bounds the rounding of this
+    evaluation order.
 
-    Working memory: s + 1 dense D x D arrays, 4 at K = 12.  The powers
-    M^2 .. M^s stay; the dense M lives only while they are formed (a CSR M
-    adds its term of each B_j from its stored entries, a dense one is the
-    caller's array; at s = 1 the dense M is X).  Each step multiplies into
-    the array the step before left dead (np.matmul with out) and forms its
-    scaled powers, one at a time, in the accumulator the product has just
-    consumed, so the sum holds two work arrays besides the powers.  Every
-    entry is rounded as in the plain evaluation (products, then the scaled
-    adds in ascending i, then the diagonal), bit for bit.
+    Working memory: two D x D arrays, X and the sum E, one block of rows
+    and the nonzero entries of M^2.  A row of Y X reads only the same row
+    of Y, so a product on the right can overwrite its left factor a block
+    of at least D/8 rows at a time (eighth_blocks): the block's product
+    goes to a buffer and is copied back.  M^2 is formed in X, its nonzero
+    entries kept, and turned into X = M^2 M so, the dense M the second
+    array while it is (a CSR M is made dense only for these two products).
+    Each Horner step overwrites E so, the block's product taking the
+    block's rows of B_j (the scaled M^2, the scaled M, then the diagonal)
+    before it is copied back.  Every
+    entry is rounded as in the same evaluation with each block's product
+    formed on its own; blocks do not round as one full product does.
     """
     D = M.shape[0]
-    if K == 0:
-        return np.eye(D, dtype=M.dtype)
-    s = taylor_split(K)
-    r = K // s
+    r = K // 3
     sparse = isinstance(M, CSR)
     dense = M.toarray() if sparse else np.asarray(M)
-    powers = [None, dense]  # powers[i] = M^i
-    for _ in range(s - 1):
-        powers.append(dense @ powers[-1])
-    if sparse and s > 1:
-        powers[1] = M  # the dense M goes; its term comes from the stored entries
-        rows = M.row_ids()
-    del dense
-    X = powers[s]
+    dtype = dense.dtype
+    blocks = eighth_blocks(D)
+    buf = np.empty((blocks[0].stop if blocks else 0, D), dtype=dtype)
+    m2 = []  # per block of rows, M^2's nonzero entries: flat index in the block, value
+    X = dense @ dense if K >= 2 else None  # M^2, then M^3 in place
+    for rows in blocks if K >= 2 else ():
+        at = np.flatnonzero(X[rows])
+        m2.append((at.astype(np.int32 if at.size < 2**31 else np.int64), X[rows].reshape(-1)[at]))
+        if K >= 3:
+            B = buf[:rows.stop - rows.start]
+            np.matmul(X[rows], dense, out=B)
+            X[rows] = B
+    if sparse:
+        del dense
 
-    def add_block(j, B, scratch):
-        """B += B_j in place; scratch is a free D x D array."""
-        for i in range(1, min(s - 1, K - j * s) + 1):
-            c = 1 / math.factorial(j * s + i)
-            if i == 1 and sparse:
-                B[rows, M.indices] += M.data * c
+    def add_block(j, B, i, rows):
+        """B += the rows `rows` (block i) of B_j, in place (B holds those rows)."""
+        k = 3 * j
+        if k + 2 <= K:
+            flat, values = m2[i]
+            B.reshape(-1)[flat] += values * (1 / math.factorial(k + 2))
+        if k + 1 <= K:
+            c = 1 / math.factorial(k + 1)
+            if sparse:
+                ptr = M.indptr[rows.start:rows.stop + 1]
+                at = np.repeat(np.arange(ptr.size - 1), np.diff(ptr))
+                B[at, M.indices[ptr[0]:ptr[-1]]] += M.data[ptr[0]:ptr[-1]] * c
             else:
-                B += np.multiply(powers[i], c, out=scratch)
-        B.flat[:: D + 1] += 1 / math.factorial(j * s)
+                B += np.multiply(dense[rows], c)
+        B[np.arange(B.shape[0]), np.arange(rows.start, rows.stop)] += 1 / math.factorial(k)
 
-    scratch = np.empty((D, D), dtype=X.dtype)
-    if r * s == K:  # B_r = I / K!: the first step needs no product
+    if r and 3 * r == K:  # B_r = I / K!: the first step needs no product
         E = np.multiply(X, 1 / math.factorial(K))
         top = r - 1
     else:
-        E = np.zeros((D, D), dtype=X.dtype)
+        E = np.zeros((D, D), dtype=dtype)
         top = r
-    add_block(top, E, scratch)
+    for i, rows in enumerate(blocks):
+        add_block(top, E[rows], i, rows)
     for j in range(top - 1, -1, -1):
-        np.matmul(X, E, out=scratch)  # E is dead once the product is formed
-        E, scratch = scratch, E
-        add_block(j, E, scratch)
+        for i, rows in enumerate(blocks):
+            B = buf[:rows.stop - rows.start]
+            np.matmul(E[rows], X, out=B)
+            add_block(j, B, i, rows)
+            E[rows] = B
     return E
+
+
+def eighth_blocks(D):
+    """Eight blocks of about D/8 rows (or columns) of a D x D array: the
+    blocks the Taylor sum's Horner steps and the chain's passes take.  A
+    product of a block of D/8 rows with a D x D matrix runs within 10% of
+    one full product (one BLAS thread), and its temporaries stay D^2 / 8."""
+    return row_slices((D, D), D * max(-(-D // 8), 1))
 
 
 def taylor_exp_apply(M, K: int, X) -> np.ndarray:
@@ -813,7 +828,7 @@ def gamma(k: int) -> float:
 _MATMUL_BLOCK = 64
 
 
-def blocked_matmul(A, B, parts=None):
+def blocked_matmul(A, B):
     """A @ B summed over blocks of the inner dimension, and the order k of its rounding bound gamma_k.
 
     With n the inner dimension, each of the m = ceil(n / b) block products,
@@ -823,16 +838,10 @@ def blocked_matmul(A, B, parts=None):
     Numerical Algorithms, 3.1 and 3.5), so the result is within
     gamma_{b+m-1} |A| |B| of the exact product, where one matmul is only
     within gamma_n.  For products whose rounding bound matters more than
-    their cost.  With parts, b = ceil(n / parts): wider blocks, for a
-    product of two D x D matrices whose cost matters too (at D = 819 four
-    parts take 26 ms against 20 ms for one matmul and 36 ms for blocks of
-    64, one BLAS thread).
+    their cost.
     """
     n = A.shape[1]
-    if parts is None:
-        b = max(math.isqrt(max(n - 1, 0)) + 1, _MATMUL_BLOCK)
-    else:
-        b = max(-(-n // parts), 1)
+    b = max(math.isqrt(max(n - 1, 0)) + 1, _MATMUL_BLOCK)
     out = A[:, :b] @ B[:b]
     for i in range(b, n, b):
         out += A[:, i:i + b] @ B[i:i + b]
@@ -872,25 +881,25 @@ def taylor_rounding_bound(a: float, D: int, K: int) -> float:
     It also bounds the distance of the symmetrized fl(W) from the symmetric
     part of T_K(M).
 
-    W is taylor_exp_matrix (Paterson and Stockmeyer, s = taylor_split(K),
+    W is taylor_exp_matrix (Paterson and Stockmeyer, s = 3,
     X = M^s, T_K(M) = sum_j B_j X^j), symmetrized as 0.5 (W + W^*).  Every
     rounded step commits, entrywise, at most c = sqrt(2) gamma_{2D+s+2}
     times the absolute values it combines (Higham, Accuracy and Stability
     of Numerical Algorithms, 3.5-3.6: the real part of a length-D complex
     inner product is a sum of 2D products; a real M commits less):
       - a power P_i = fl(M P_{i-1}), at most c |M| |P_{i-1}|;
-      - a Horner step fl(X E_{j+1} + B_j), with B_j's s terms
+      - a Horner step fl(E_{j+1} X + B_j), with B_j's s terms
         (1 / k! rounded once, its product rounded once) summed into the
-        product, at most c (|X| |E_{j+1}| + I / (js)! + sum_{i>=1} |M^i| / (js+i)!);
+        product, at most c (|E_{j+1}| |X| + I / (js)! + sum_{i>=1} |M^i| / (js+i)!);
         the identity term sits on the diagonal alone.
     With ||abs(Y)||_2 <= sqrt(D) ||Y||_2, ||M^k|| <= a^k and T_K(a) <= e^a,
     to first order in c:
       - the power errors: P_i is off by at most (i-1) c D a^i, and term
         k = js + i of the sum reaches it through (i-1) + j (s-1) <= k-1
         products, so they add at most c D sum_k (k-1) a^k / k! <= c D a^2 e^a;
-      - step j's error reaches the result through X^j (norm a^{sj}).  With
-        b_j = sum_{i>=1} a^i / (js+i)!, ||B_j|| <= 1 / (js)! + b_j and
-        ||E_{j+1}|| <= sum_{l>j} a^{s(l-j-1)} ||B_l||, so the product terms
+      - step j's error reaches the result through X^j, on the right (norm
+        a^{sj}).  With b_j = sum_{i>=1} a^i / (js+i)!, ||B_j|| <= 1 / (js)! + b_j
+        and ||E_{j+1}|| <= sum_{l>j} a^{s(l-j-1)} ||B_l||, so the product terms
         sum to c D sum_{l>=1} l a^{sl} ||B_l|| <= c D (a / s) e^a (l <= k / s
         for every term k of B_l), and the B_j terms to
         c sum_j a^{sj} (1 / (js)! + sqrt(D) b_j) <= c e^a (1 + sqrt(D) a);
@@ -905,7 +914,7 @@ def taylor_rounding_bound(a: float, D: int, K: int) -> float:
     assembled M is from the exact Galerkin matrix is the multiplier's skew
     term (GalerkinContext.assembly_rounding, InnerProductWeight).
     """
-    s = taylor_split(K)
+    s = 3  # the split of taylor_exp_matrix
     c = math.sqrt(2) * gamma(2 * D + s + 2)
     return 2 * c * math.exp(a) * (D * a * (a + 1 / s) + 2 * math.sqrt(D) * a + 1)
 
@@ -1004,7 +1013,10 @@ class InnerProductWeight:
     is apply (W x), apply_transpose (W^T x, Horner on M^T), block_solve and
     the bounds below; the zero-Q solve needs nothing else.  The dense
     matrix, symmetrized, is built on first use, by the chain and the pencil
-    spectrum (matrix, solve, projector_rows, projector, adjoint_defect).
+    spectrum (matrix, solve, projector_rows; projector and adjoint_defect
+    serve the tests).  What stays dense is that one D x D array: it is
+    built in two (taylor_exp_matrix) and symmetrized in place, a pair of
+    blocks at a time, and solve's LU copies it once more while it runs.
     No form of it is inverted: solve takes a block of right-hand sides.
 
     block_solve(S, b) solves with the principal block W_SS by conjugate
@@ -1177,10 +1189,6 @@ class InnerProductWeight:
     def solve(self, rhs):
         """W^{-1} rhs by a dense solve with the matrix."""
         return real_matmul(lambda b: np.linalg.solve(self.matrix, b), rhs)
-
-    def inner(self, u, v):
-        """<u, v>_hat for coefficient vectors."""
-        return complex(np.vdot(v, self.apply(u)))
 
     def projector_rows(self, mask):
         """The rows in mask of the W-orthogonal projector onto the coordinates in mask.

@@ -25,16 +25,18 @@ so the final Pi and G have closed forms: Pi is the W-orthogonal projector
 onto K and G = (I - Pi) P_diag^+ W (I - Pi).  Applied to a vector
 (apply_partial_inverse) G needs only the weight's operator core: W and
 W^T by Horner and solves with W_KK by conjugate gradients.  The
-pencil's spectrum is |K| exact zeros plus the nonzero eigenvalues from one
-Hermitian eigensolve of the Schur complement of W_KK (nonzero_eigenvalues);
-the chain and the spectrum command read it there, and the zero-Q solver
-reports a bracket on it from the weight's eigenvalue bounds instead.  The
+pencil's spectrum is |K| exact zeros plus the nonzero eigenvalues of the
+pencil of P_C and the Schur complement of W_KK: the spectrum command
+writes them all from one Hermitian eigensolve (nonzero_eigenvalues), the
+chain reports the smallest with a certified enclosure from a block
+iteration and no eigensolver (low_eigenvalue_enclosure), and the zero-Q
+solver reports a bracket on it from the weight's eigenvalue bounds.  The
 matrix chain never inverts W: P_hat = W^{-1} P_diag vanishes on the
 columns K, so it needs W^{-1} only there, V_:K, from one dense solve with
 |K| right-hand sides (hatted_gjms), and it solves with W_KK once.  A_0
 follows from the Woodbury identity on I + R_0, a rank-2|K| change of the
-identity (woodbury_a0), and Pi, G, the Woodbury solve and the Schur
-complement share the rows K of Pi.  The generalized eigensolver
+identity (woodbury_a0), and Pi, G, the Woodbury solve and the low
+eigenvalue share the rows K of Pi.  The generalized eigensolver
 (spectrum_matrix) is kept as a test oracle.
 Every chain identity is recorded as a norm on the full truncation and on
 the interior blocks, with its route: the parametrix identities, on either
@@ -46,21 +48,17 @@ zero are recorded as zero (build_chain_matrix says what each entry bounds).
 The perturbed chain runs in the real frame of the basis (galerkin.RealFrame),
 where P is real and Upsilon, and so W, is real: every member is float64.
 Only S is complex (szego_rows): the holomorphic functions are not real,
-Sbar = conj(S) and Pi_0 = 2 Re S.  The kernel, interior and complement
-masks and the diagonal tables of P and G_0 are the same in both frames,
-and the frame change is unitary, so every norm, eigenvalue and gate means
-what it does in the basis e.
+Sbar = conj(S) and Pi_0 = 2 Re S, so the chain keeps Pi_0 and a factor
+of Im S.  The kernel, interior and complement masks and the diagonal
+tables of P and G_0 are the same in both frames, and the frame change is
+unitary, so every norm, eigenvalue and gate means what it does in the
+basis e.
 
-The matrix chain stores one D x D array, W; every member is a diagonal,
-W, or factors with at most 2|K| rows or columns, and P_hat = W^{-1} P_diag
-is exact and never stored (ParametrixChain.member solves for it on
-request).  S, Sbar, Pi_0, Pi_oo and Pi are nonzero only on their rows in
-K (Pi is W_KK^{-1} W_K: there; the holomorphic and antiholomorphic
-coordinates are paired inside K), so the chain stores S, Pi_oo and Pi as
-those rows, about a fifth of the rows at n=1.  G_0 is G0_d W, R_0 = U Vf
-and A_0 = I - U Z with the Woodbury factors, and G and G_oo are P^+ W and
-G0_d W less products through |K| columns on the rows C, with their rows K
-stored (build_chain_matrix).  ParametrixChain.member expands any of them.
+The matrix chain stores one D x D array, W; every other member is a
+diagonal or factors with at most 2|K| rows or columns (S, Sbar, Pi_0,
+Pi_oo and Pi are nonzero only on their rows in K, where the holomorphic
+and antiholomorphic coordinates pair up), and P_hat = W^{-1} P_diag is
+exact and never stored (build_chain_matrix, ParametrixChain.member).
 
 Reported residual norms are upper bounds on the spectral norm, never SVD
 values: sqrt(||X||_1 ||X||_inf) (galerkin.norm2_upper) of a residual
@@ -86,10 +84,13 @@ import numpy as np
 
 from .errors import NumericalError
 from .galerkin import (
+    _DENSE_BLOCK,
+    UNIT_ROUNDOFF,
     InnerProductWeight,
     RealFrame,
     abs_matvec,
     blocked_matmul,
+    eighth_blocks,
     gamma,
     norm2_lower,
     norm2_upper,
@@ -156,33 +157,36 @@ class ParametrixChain:
     def member(self, name):
         """A member by name, as a full matrix.
 
-        The matrix chain stores S, Pi and Pi_oo as their rows in K, the
-        only rows that are not zero, and keeps S alone of the Szego pair:
-        this expands the rows and forms Sbar = conj(S) and Pi0 = 2 Re S.
-        G0, R0, A0, G and GInf it keeps as factors, and forms them here a
-        block of rows at a time (_FactoredRows), as its norms were formed.
-        P_hat = W^{-1} P_diag it never stores: this solves for it densely.
+        The matrix chain stores Pi and Pi_oo as their rows in K, the only
+        rows that are not zero, and of the Szego pair the |K| x |K| factor
+        S_imag of Im S_K: = S_imag W_K: alone: Re S = Pi0 / 2 exactly, and
+        Pi0's rows and W_K: are the blocks of Vf.  This expands the rows
+        and forms S, Sbar = conj(S) and Pi0.  G0, R0, A0, G and GInf it
+        keeps as factors, and forms them here a block of rows at a time
+        (_FactoredRows).  P_hat = W^{-1} P_diag it never stores: this
+        solves for it densely.
         """
-        if self.mode == "matrix" and name == "P_hat":
-            return self.weight.solve(np.diag(self.members["P_diag"]))
-        if self.mode == "matrix" and name in _FACTORED_MEMBERS:
-            rows = _FactoredRows(self.members, self.weight.matrix, kernel_mask(self.basis))
-            return rows.full(name)
-        if self.mode != "matrix" or name not in _ROW_MEMBERS:
+        if self.mode != "matrix" or name not in _ROW_MEMBERS + _FACTORED_MEMBERS + ("P_hat",):
             return self.members[name]
-        rows = self.members[_ROW_MEMBERS[name]]
-        if name == "Sbar":
-            rows = rows.conj()
-        elif name == "Pi0":
-            rows = 2 * rows.real
+        if name == "P_hat":
+            return self.weight.solve(np.diag(self.members["P_diag"]))
         ker = kernel_mask(self.basis)
+        if name in _FACTORED_MEMBERS:
+            return _FactoredRows(self.members, self.weight.matrix, ker).full(name)
+        if name in ("Pi", "PiInf"):
+            rows = self.members[name]
+        else:
+            rows, W_K = np.split(self.members["Vf"], 2)
+            if name != "Pi0":
+                im = self.members["S_imag"] @ W_K
+                rows = 0.5 * rows + 1j * (im if name == "S" else -im)
         X = np.zeros((ker.size, rows.shape[1]), dtype=rows.dtype)
         X[ker] = rows
         return X
 
 
-# members the matrix chain stores as their rows in K, by the stored name they come from
-_ROW_MEMBERS = {"S": "S", "Sbar": "S", "Pi0": "S", "Pi": "Pi", "PiInf": "PiInf"}
+# members the matrix chain stores as their rows in K (S, Sbar and Pi0 from Vf and S_imag)
+_ROW_MEMBERS = ("S", "Sbar", "Pi0", "Pi", "PiInf")
 # members the matrix chain keeps as factors
 _FACTORED_MEMBERS = ("G0", "R0", "A0", "G", "GInf")
 
@@ -339,31 +343,173 @@ def spectrum_matrix(P_diag_vec, weight: InnerProductWeight, kernel_tol=1e-10,
     return SpectrumResult(evals, clusters, kernel, evecs, tol)
 
 
-def nonzero_eigenvalues(P_d, weight: InnerProductWeight, ker, pi_rows=None):
-    """Ascending nonzero eigenvalues of the pencil P_d x = lambda W x.
+def nonzero_eigenvalues(P_d, weight: InnerProductWeight, ker):
+    """Ascending nonzero eigenvalues of the pencil P_d x = lambda W x, by one dense eigensolve.
 
     With K the kernel coordinates and C the rest, lambda != 0 forces
     x_K = -W_KK^{-1} W_KC x_C and leaves P_C x_C = lambda S x_C with the
     Schur complement S = W_CC - W_CK W_KK^{-1} W_KC.  P_C is positive, so
     the nonzero eigenvalues are 1/b for the eigenvalues b of
     P_C^{-1/2} S P_C^{-1/2}; the rest of the spectrum is |K| exact zeros.
-    W_KK^{-1} W_KC are the C columns of pi_rows, the rows K of the
-    W-orthogonal projector onto K (weight.projector_rows), solved for when
-    not given.  Returns an empty array when P_d has no nonzero entry.
+    W_KK^{-1} W_KC are the C columns of the rows K of the W-orthogonal
+    projector onto K (weight.projector_rows).  S is formed in place, its
+    product term a block of rows at a time.  Returns an empty array when
+    P_d has no nonzero entry.  The spectrum command writes every
+    eigenvalue from here; the chain reports the smallest one with a
+    certified enclosure and no eigensolver (low_eigenvalue_enclosure).
     """
     C = ~ker
     if not C.any():
         return np.zeros(0)
-    if pi_rows is None:
-        pi_rows = weight.projector_rows(ker)
     W = weight.matrix
     S = W[np.ix_(C, C)]
-    S -= W[np.ix_(C, ker)] @ pi_rows[:, C]
+    W_CK, Pi_KC = W[np.ix_(C, ker)], weight.projector_rows(ker)[:, C]
+    for sl in row_slices(S.shape, _DENSE_BLOCK):
+        S[sl] -= W_CK[sl] @ Pi_KC
     r = 1.0 / np.sqrt(P_d[C])
     S *= r[:, None]
     S *= r[None, :]
     b = np.linalg.eigvalsh(S)
     return 1.0 / b[::-1]
+
+
+# the Ritz residual the block iteration of low_eigenvalue_enclosure stops at,
+# relative to theta_1, the most iterations it takes and its guard columns
+_RITZ_TOL = 1e-13
+_RITZ_CAP = 100
+_RITZ_GUARD = 8
+
+
+def low_eigenvalue_enclosure(P_d, weight: InnerProductWeight, ker, pi_rows, n_r):
+    """The smallest nonzero eigenvalue mu_1 of P_d x = mu W x and a certified enclosure of it.
+
+    As in nonzero_eigenvalues, the nonzero eigenvalues are mu_j = 1 / b_j
+    for the eigenvalues b_1 >= b_2 >= ... of H = P_C^{-1/2} S P_C^{-1/2},
+    S the Schur complement of W_KK; here neither S nor H is formed and no
+    eigensolver of their order runs.  lambda_lb <= S <= W_ub (the weight's
+    certified bounds hold for S), so by Ostrowski's theorem mu_j lies in
+    [p_j / W_ub, p_j / lambda_lb], p_1 <= p_2 <= ... the entries of P_C,
+    and b_{m+1} <= W_ub / p_{m+1}: at most m eigenvalues of H exceed it.
+
+    A block of w = min(|C|, 2 g + _RITZ_GUARD) columns, g the multiplicity
+    of p_1, runs subspace iteration with Rayleigh-Ritz on H, from the unit
+    vectors of the w smallest p_j: H Y is the rows C of W (I - Pi) Y~, Y~
+    the block P_C^{-1/2} Y padded with zeros on K and Pi the W-orthogonal
+    projector onto K from its rows pi_rows, so each step is one product of
+    the stored W with D x w.  The width depends on P alone, not on the
+    weight, so a step costs the same at any size of the perturbation, and
+    there are at most _RITZ_CAP steps.  Y^T H Y is symmetric positive
+    definite, so its singular value decomposition (of order w) is its
+    eigendecomposition.  The cluster is the first m Ritz values, m the
+    fewest with theta_m > W_ub / p_{m+1} (1 if there is none); the
+    iteration stops once their residuals are _RITZ_TOL theta_1.
+
+    Kahan's theorem (Parlett, The Symmetric Eigenvalue Problem, 11.5): for
+    Q with m orthonormal columns and any symmetric B with eigenvalues
+    theta_j, there are eigenvalues alpha_j of H, at distinct indices, with
+    |alpha_j - theta_j| <= ||H Q - Q B||.  The Ritz block X (the cluster's
+    m columns) is orthonormal only up to eps >= ||X^T X - I||; with
+    Q = X (X^T X)^{-1/2} and B = Theta,
+
+        ||H Q - Q Theta|| <= rho = ||H X - X Theta|| / sqrt(1 - eps)
+                                   + 2 sqrt(1 + eps) theta_1 eps / (1 - eps).
+
+    ||H X - X Theta|| is the measured residual plus the rounding of the
+    apply and of P_C^{-1/2} (a-priori, gamma_{D+1} and gamma_3), plus the
+    defect of pi_rows: H less the operator applied is
+    P_C^{-1/2} W_CK W_KK^{-1} r P_C^{-1/2}, r = W_K: - W_KK pi_rows, at most
+    ||W_K:|| n_r / (lambda_lb min p) with n_r >= ||r||.  If
+    theta_m - rho > W_ub / p_{m+1}, the alpha_j all exceed b_{m+1}, so they
+    are b_1 .. b_m, b_1 lies within rho of theta_1 and mu_1 in
+    [1 / (theta_1 + rho), 1 / (theta_1 - rho)].  Otherwise (the cluster is
+    not isolated so, or did not converge) only b_1 >= alpha_1 >=
+    theta_1 - rho is known, and mu_1 lies in
+    [p_1 / W_ub, min(p_1 / lambda_lb, 1 / (theta_1 - rho))]: wider, never
+    false.  Both are rounded outward.
+
+    Returns 1 / theta_1, the enclosure [lo, hi] and the size m of the
+    isolated cluster (0 when it is not isolated); (None, None, 0) when P_d
+    has no nonzero entry.
+    """
+    C = ~ker
+    if not C.any():
+        return None, None, 0
+    W = weight.matrix
+    lam_lb, w_ub = weight.min_eigenvalue_bound, weight.max_eigenvalue_bound
+    p = P_d[C]
+    order = np.argsort(p, kind="stable")
+    ps = p[order]
+    width = min(ps.size, 2 * int(np.sum(ps == ps[0])) + _RITZ_GUARD)
+    # above[m - 1] >= b_{m+1}, for the clusters of m = 1 .. width columns
+    above = np.zeros(width)
+    above[:ps.size - 1] = w_ub / ps[1:width + 1] * (1 + gamma(1))
+    r = 1.0 / np.sqrt(p)
+
+    def apply(Y):
+        """H Y as computed, and the padded block Y~ (I - Pi) it applies W to."""
+        Yt = np.zeros((ker.size, Y.shape[1]))
+        Yt[C] = Y * r[:, None]
+        Yt[ker] = -(pi_rows @ Yt)
+        HY = (W @ Yt)[C]
+        HY *= r[:, None]
+        return HY, Yt
+
+    def cluster(theta):
+        """The fewest m whose Ritz values theta_1 .. theta_m exceed b_{m+1}, or 1."""
+        isolated = np.flatnonzero(theta > above)
+        return int(isolated[0]) + 1 if isolated.size else 1
+
+    Y = np.zeros((p.size, width))
+    Y[order[:width], np.arange(width)] = 1
+    for _ in range(_RITZ_CAP):
+        HY = apply(Y)[0]
+        T = Y.T @ HY
+        U, theta, _ = np.linalg.svd(0.5 * (T + T.T))
+        X, HX = Y @ U, HY @ U
+        m = cluster(theta)
+        if np.linalg.norm(HX[:, :m] - X[:, :m] * theta[:m], axis=0).max() <= _RITZ_TOL * theta[0]:
+            break
+        Y = np.linalg.qr(HX)[0]
+
+    X, theta = X[:, :m], theta[:m]
+    HX, Yt = apply(X)
+    R = HX - X * theta
+    fro = _frobenius_upper
+    n_x = fro(X)
+    eps = fro(X.T @ X - np.eye(m)) + gamma(p.size + 2) * n_x**2
+    kidx = np.flatnonzero(ker)
+    r_max = float(r.max())
+    n_wk = norm2_upper_blocks((kidx.size, ker.size), lambda sl: W[kidx[sl]])  # >= ||W_K:||
+    n_pi = norm2_upper(pi_rows)
+    residual = (fro(R)
+                + 2 * gamma(ker.size + 1) * r_max * (weight.norm_upper * fro(Yt)
+                                                     + n_wk * n_pi * fro(Yt[C]))
+                + gamma(3) * (fro(HX) + fro(X * theta))
+                + 2 * gamma(3) * w_ub * r_max**2 * n_x
+                + r_max**2 * n_wk * n_r / lam_lb * n_x)
+    theta_1 = float(theta[0])
+    value = 1 / theta_1
+    hi = ps[0] / lam_lb
+    if eps < 1:
+        rho = (residual / math.sqrt(1 - eps)
+               + 2 * math.sqrt(1 + eps) * theta_1 * eps / (1 - eps))
+        # the rounding of rho and of the bracket's arithmetic
+        rho = rho * (1 + gamma(8)) + 4 * UNIT_ROUNDOFF * theta_1
+        if float(theta[-1]) - rho > above[m - 1]:
+            return value, _outward(1 / (theta_1 + rho), 1 / (theta_1 - rho)), m
+        if theta_1 > rho:
+            hi = min(hi, 1 / (theta_1 - rho))
+    return value, _outward(ps[0] / w_ub, hi), 0
+
+
+def _frobenius_upper(X):
+    """An upper bound on ||X||_F, and so on ||X||_2: the computed norm and its rounding."""
+    return float(np.linalg.norm(X)) * (1 + gamma(X.size + 2))
+
+
+def _outward(lo, hi):
+    """[lo, hi] of positive floats widened by their rounding: a few units in the last place."""
+    return [float(lo) * (1 - gamma(4)), float(hi) * (1 + gamma(4))]
 
 
 def spectrum_pencil(basis: HarmonicBasis, weight: InnerProductWeight) -> SpectrumResult:
@@ -465,31 +611,32 @@ def apply_partial_inverse(P_d, weight: InnerProductWeight, ker, X):
     return Y
 
 
-def szego_rows(basis: HarmonicBasis, weight: InnerProductWeight) -> np.ndarray:
-    """The rows K of S in the real frame, S the W-orthogonal projector onto the holomorphic functions.
+def szego_rows(basis: HarmonicBasis, W_K):
+    """The |K| x |K| complex C with S_K: = C W_K:, S the W-projector onto the holomorphic functions.
 
     The holomorphic coordinates H (q = 0) are, in the frame, the columns
     F = U^*[:, H] (RealFrame), whose nonzero rows lie in the kernel
     coordinates K.  S = F (F^* W F)^{-1} F^* W is complex, its rows outside
-    K vanish, and its rows in K are V^* (V W_KK V^*)^{-1} V W_K: with
-    V = U[H, K], so only |H| x |K| and |K| x D arrays are complex on the
-    way.  U is unitary and its rows H vanish outside K, so V has
-    orthonormal rows and the weight's certified bounds bracket V W_KK V^*
-    (InnerProductWeight).  The antiholomorphic functions are the conjugates
-    of the holomorphic ones and W is real, so Sbar = conj(S) and
-    S + Sbar = 2 Re S.
+    K vanish, and its rows in K are C W_K: with C = V^* (V W_KK V^*)^{-1} V
+    and V = U[H, K], read from the sparse U (two entries a row): no complex
+    array of |K| x D is formed.  U is unitary and its rows H vanish
+    outside K, so V has orthonormal rows and the weight's certified bounds
+    bracket V W_KK V^* (InnerProductWeight).  The antiholomorphic
+    functions are the conjugates of the holomorphic ones and W is real, so
+    Sbar = conj(S) and S + Sbar = 2 Re S = 2 Re(C) W_K:.
     """
     ker = kernel_mask(basis)
     holo = np.array([q == 0 for p, q, _, _ in basis.index_blocks()])
-    E_K = np.zeros((basis.total_dim, int(ker.sum())))
-    E_K[ker] = np.eye(E_K.shape[1])
-    V = RealFrame(basis).from_frame(E_K)[holo]  # U[H, K]
-    W = weight.matrix
-    return V.conj().T @ np.linalg.solve(V @ W[np.ix_(ker, ker)] @ V.conj().T, V @ W[ker])
+    U = RealFrame(basis).unitary()
+    rows, cols = U.row_ids(), U.indices
+    keep = holo[rows]
+    V = np.zeros((int(holo.sum()), int(ker.sum())), dtype=complex)
+    V[(np.cumsum(holo) - 1)[rows[keep]], (np.cumsum(ker) - 1)[cols[keep]]] = U.data[keep]
+    return V.conj().T @ np.linalg.solve(V @ W_K[:, ker] @ V.conj().T, V)
 
 
-def woodbury_a0(Pi0_K, Pi_K, W, V_K, ker):
-    """A_0 = (I + R_0)^{-1} as I - U Z, with Pi0_K = Pi_0[K], Pi_K = Pi_K: and V_K = V_:K.
+def woodbury_a0(Vf, Pi_K, V_K, ker):
+    """A_0 = (I + R_0)^{-1} as I - U Z, with Vf = [Pi_0[K]; W_K:], Pi_K = Pi_K: and V_K = V_:K.
 
     P_d G0_d is the indicator of C = ~K, so P_hat G_0 = W^{-1} P_d G0_d W =
     I - W^{-1} E_K W_K:, and Pi_0 = E_K Pi0_K.  With V_:K for W^{-1} E_K,
@@ -501,8 +648,9 @@ def woodbury_a0(Pi0_K, Pi_K, W, V_K, ker):
 
     and F_KK vanishes up to rounding, so the second block row makes
     Z_1 = W_KK^{-1} W_K: = Pi_K:, already solved, and the first gives Z_2
-    from one |K| x |K| solve, Q Z_2 = (I + Pi0_KK) Pi_K: - Pi0_K.  No
-    inverse of order 2|K| is formed; what the shortcut and the solves
+    from one |K| x |K| solve, Q Z_2 = (I + Pi0_KK) Pi_K: - Pi0_K (_woodbury_z2).
+    No inverse of order 2|K| is formed, and neither U nor Z: U is read as
+    E_K and V_:K, Z as Pi_K: and Z_2.  What the shortcut and the solves
     leave is in the measured defect F' = Vf - T Z, formed a block of rows
     at a time for its norm and never kept.
 
@@ -511,36 +659,52 @@ def woodbury_a0(Pi0_K, Pi_K, W, V_K, ker):
     plus the rounding of T and of F', both formed by blocked_matmul) and
     a0_rounding >= ||A_0 - (I - U Z)|| (the rounding of the member A_0,
     formed a block of rows at a time from V_:K and Z) bound
-    ||(I + U Vf) A_0 - I|| with the norm of I + U Vf.  U is formed here and
-    dropped: the chain keeps V_:K.  Returns (Vf, Z, solve_term, a0_rounding).
+    ||(I + U Vf) A_0 - I|| with the norm of I + U Vf.  Returns
+    (Z_2, solve_term, a0_rounding).
     """
-    D, k = V_K.shape
-    U = np.zeros((D, 2 * k))
-    U[ker, :k] = np.eye(k)
-    np.negative(V_K, out=U[:, k:])
-    Vf = np.concatenate([Pi0_K, W[ker]])
-    T, t_order = blocked_matmul(Vf, U[:, k:])
+    k = V_K.shape[1]
+    T, t_order = blocked_matmul(Vf, V_K)
+    np.negative(T, out=T)
     T = np.concatenate([Vf[:, ker], T], axis=1)  # Vf U
     T.flat[:: 2 * k + 1] += 1
-    try:
-        Z_2 = np.linalg.solve(-T[:k, k:], T[:k, :k] @ Pi_K - Pi0_K)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Woodbury block of A0 singular: {exc}") from exc
-    Z = np.concatenate([Pi_K, Z_2])
+    Z_2 = _woodbury_z2(T, Pi_K, Vf[:k])
     f_order = 0
 
     def f_rows(sl):  # the rows sl of F' = Vf - T Z
         nonlocal f_order
-        TZ, f_order = blocked_matmul(T[sl], Z)
+        TZ, o_1 = blocked_matmul(T[sl, :k], Pi_K)
+        TZ_2, o_2 = blocked_matmul(T[sl, k:], Z_2)
+        TZ += TZ_2
+        f_order = max(o_1, o_2) + 1
         return np.subtract(Vf[sl], TZ, out=TZ)
 
     f_norm = norm2_upper_blocks(Vf.shape, f_rows)
     # T is within gamma_{t+1} (|Vf| |U| + I) of I + Vf U, F' within
-    # gamma_{f+1} (|Vf| + |T| |Z|) of Vf - T Z
-    solve_defect = (f_norm + gamma(f_order + 1) * norm2_upper_abs((Vf,), (T, Z))
-                    + gamma(t_order + 1) * norm2_upper_abs((Vf, U, Z), (Z,)))
-    a0_rounding = gamma(k + 2) * norm2_upper_abs((U, Z), (np.ones(D),))
-    return Vf, Z, norm2_upper(U) * solve_defect, a0_rounding
+    # gamma_{f+1} (|Vf| + |T| |Z|) of Vf - T Z; |U| |Z| = E_K |Pi_K:| + |V_:K| |Z_2|
+    solve_defect = (f_norm + gamma(f_order + 1) * norm2_upper_abs(
+        (Vf,), (T[:, :k], Pi_K), (T[:, k:], Z_2))
+        + gamma(t_order + 1) * (norm2_upper_abs((Vf[:, ker], Pi_K), (Vf, V_K, Z_2))
+                                + norm2_upper(Pi_K) + norm2_upper(Z_2)))
+    # ||U||^2 <= ||E_K||^2 + ||V_:K||^2, and |U| |Z| + I = E_K |Pi_K:| + |V_:K| |Z_2| + I
+    n_u = math.sqrt(1 + norm2_upper(V_K) ** 2)
+    a0_rounding = gamma(k + 2) * (norm2_upper(Pi_K) + norm2_upper_abs((V_K, Z_2)) + 1)
+    return Z_2, n_u * solve_defect, a0_rounding
+
+
+def _woodbury_z2(T, Pi_K, Pi0_K):
+    """Z_2 of woodbury_a0, from -T_12 Z_2 = T_11 Pi_K: - Pi0_K: one |K| x |K| solve
+    for [A_1, A_2] = -T_12^{-1} [T_11, I], then Z_2 = A_1 Pi_K: - A_2 Pi0_K a block
+    of columns at a time."""
+    k, D = Pi_K.shape
+    try:
+        A = np.linalg.solve(-T[:k, k:], np.concatenate([T[:k, :k], np.eye(k)], axis=1))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"Woodbury block of A0 singular: {exc}") from exc
+    Z_2 = np.empty((k, D))
+    for cols in eighth_blocks(D):
+        np.matmul(A[:, :k], Pi_K[:, cols], out=Z_2[:, cols])
+        Z_2[:, cols] -= A[:, k:] @ Pi0_K[:, cols]
+    return Z_2
 
 
 def scaling_defect(P_d, *inverses):
@@ -597,34 +761,24 @@ class _TimesHat:
         return (x_pd + x_c + self.omega * x * self.n_comm) / self.lam
 
 
-# entries of one block of rows of a factored member formed at a time:
-# 2^17 float64, 1 MB
-_ROW_BLOCK = 1 << 17
-
-
-def _row_blocks(D):
-    """The blocks of rows a factored member is formed in: at most _ROW_BLOCK
-    entries and at most an eighth of the rows, so the blocks the row pass
-    holds at once stay a small part of D^2 at small D too."""
-    return row_slices((D, D), min(_ROW_BLOCK, D * max(D // 8, 1)))
-
-
 class _FactoredRows:
     """Rows of the matrix chain's factored members, formed from the stored factors.
 
     With E_K the columns K of I, U = [E_K, -V_:K], Vf = [Pi0_K; W_K:],
-    Z = [Z_1; Z_2] and WV = W V_:K as computed:
+    Z = [Pi_K:; Z_2], WV = W V_:K as computed and B = W - W_:K Pi_K::
 
         G0    = diag(G0_d) W
         R0    = U Vf = E_K Pi0_K - V_:K W_K:
-        A0    = I - U Z = I - E_K Z_1 + V_:K Z_2
-        G     = diag(P^+) (W - W_:K Pi_K:)                  on the rows C; the rows K are G_K
-        GInf  = diag(G0_d) (W - W_:K Z_1 + WV Z_2)         on the rows C; the rows K are GInf_K
+        A0    = I - U Z = I - E_K Pi_K: + V_:K Z_2
+        G     = diag(P^+) B                    on the rows C; the rows K are G_K
+        GInf  = diag(G0_d) (B + WV Z_2)        on the rows C; the rows K are GInf_K
 
-    G0_d and P^+ vanish on K, so the rows K of G and G_oo come from their
-    stored blocks alone.  member() and every norm of the chain form a
-    member through the same blocks of rows (_row_blocks), so the norms
-    are those of the members member() returns, bit for bit.
+    G0_d and P^+ vanish on K, so the rows K of G and G_oo are zero in the
+    products and come from their stored blocks alone: G_K = -Pi_K: G and
+    GInf_K = -PiInf_K: G_oo, read on the rows C (build_chain_matrix forms
+    them so).  member() and the chain's pass form a member through the same
+    blocks of D/8 rows (eighth_blocks), so the norms the chain reports are
+    those of the entries member() returns, bit for bit.
     """
 
     def __init__(self, members, W, ker):
@@ -633,38 +787,39 @@ class _FactoredRows:
         self.pos = np.cumsum(ker) - 1  # the index of a kernel coordinate within K
 
     def __call__(self, name, sl):
+        if name in ("G", "GInf"):
+            X = self.c_rows(sl)[name == "GInf"]
+            X[self.ker[sl]] = self.m[f"{name}_K"][self.pos[sl][self.ker[sl]]]
+            return X
         m, k = self.m, self.k
         ker = self.ker[sl]
         at = self.pos[sl][ker]  # the rows of the |K|-row blocks that fall in sl
         if name == "G0":
             return m["G0_diag"][sl, None] * self.W[sl]
-        W_cK = m["Vf"][k:].T
         if name == "R0":
             X = m["V_K"][sl] @ m["Vf"][k:]
             np.negative(X, out=X)
             X[ker] += m["Vf"][at]
             return X
-        if name == "A0":
-            X = m["V_K"][sl] @ m["Z"][k:]
-            X[ker] -= m["Z"][at]
-            X[np.arange(X.shape[0]), np.arange(sl.start, sl.stop)] += 1
-            return X
-        if name == "G":
-            X = W_cK[sl] @ m["Pi"]
-            np.subtract(self.W[sl], X, out=X)
-            X *= m["P_plus"][sl, None]
-            X[ker] = m["G_K"][at]
-            return X
-        X = W_cK[sl] @ m["Z"][:k]  # GInf
-        X -= m["WV_K"][sl] @ m["Z"][k:]
-        np.subtract(self.W[sl], X, out=X)
-        X *= m["G0_diag"][sl, None]
-        X[ker] = m["GInf_K"][at]
+        X = m["V_K"][sl] @ m["Z2"]  # A0
+        X[ker] -= m["Pi"][at]
+        X[np.arange(X.shape[0]), np.arange(sl.start, sl.stop)] += 1
         return X
+
+    def c_rows(self, sl):
+        """The rows sl of G and G_oo with their rows in K zero."""
+        m = self.m
+        B = m["Vf"][self.k:].T[sl] @ m["Pi"]
+        np.subtract(self.W[sl], B, out=B)
+        GInf = m["WV_K"][sl] @ m["Z2"]
+        GInf += B
+        GInf *= m["G0_diag"][sl, None]
+        B *= m["P_plus"][sl, None]
+        return B, GInf
 
     def full(self, name):
         D = self.W.shape[0]
-        return np.concatenate([self(name, sl) for sl in _row_blocks(D)])
+        return np.concatenate([self(name, sl) for sl in eighth_blocks(D)])
 
 
 class _AbsSums:
@@ -686,17 +841,23 @@ class _AbsSums:
         self.int_cols = np.zeros(0 if interior is None else int(interior.sum()))
         self.int_rows = 0.0
 
-    def add(self, sl, X):
+    def add(self, at, X):
+        """Take in the rows `at` (a slice or indices), which X holds, a block of 1 MB at a time."""
+        at = np.arange(self.rows.size)[at]
+        for sl in row_slices(X.shape, _DENSE_BLOCK):
+            self._add(at[sl], X[sl])
+
+    def _add(self, at, X):
         A = np.abs(X)
         self.cols += A.sum(axis=0)
-        self.rows[sl] = A.sum(axis=1)
+        self.rows[at] = A.sum(axis=1)
         self.sq += np.einsum("ij,ij->j", X, X)
         if self.right is not None:
-            self.x_right[sl] = A @ self.right
+            self.x_right[at] = A @ self.right
         if self.left is not None:
-            self.left_x += self.left[sl] @ A
+            self.left_x += self.left[at] @ A
         if self.interior is not None:
-            inner = A[self.interior[sl]][:, self.interior]
+            inner = A[self.interior[at]][:, self.interior]
             self.int_cols += inner.sum(axis=0)
             self.int_rows = max(self.int_rows, float(inner.sum(axis=1).max(initial=0.0)))
 
@@ -733,31 +894,40 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
     one in every frame.  The final Pi and G are the closed forms: Pi is the
     W-orthogonal projector onto K and G = (I - Pi) P_d^+ W (I - Pi), both
     from the one solve Pi_K: = W_KK^{-1} W_K: (weight.projector_rows),
-    which the Schur complement of nonzero_eigenvalues and the Woodbury
-    solve reuse.
+    which the Woodbury solve reuses as Z_1.  The smallest nonzero eigenvalue
+    of the pencil comes with a certified enclosure from a block iteration
+    on the Schur complement of W_KK, applied through W and Pi_K:
+    (low_eigenvalue_enclosure): no eigensolver of order |C| runs.
 
     What stays dense.  The chain holds one D x D array, W.  Every member
     is a diagonal, W, or factors with at most 2|K| rows or columns,
     expanded on request (ParametrixChain.member): G_0 = G0_d W, R_0 = U Vf,
-    A_0 = I - U Z, G and G_oo from W, W_:K, Pi_K:, W V_:K and Z on the
+    A_0 = I - U Z, G and G_oo from W, W_:K, Pi_K:, W V_:K and Z_2 on the
     rows C and their stored rows K (_FactoredRows), Pi, Pi_oo and S from
     their rows K, and P_hat by a dense solve.  Its D x D x D work is the
-    Taylor sum of W and the Schur eigvalsh; the solve for V_:K is one LU of
-    W with |K| right-hand sides, the rows K of G and G_oo are two
-    |K| x D x D products, and the norms of R_0, A_0, G, G_oo and G - G_oo
-    come from one pass over their blocks of rows, about 5 |K| D^2
-    multiply-adds in all.
+    Taylor sum of W; the solve for V_:K is one LU of W with |K|
+    right-hand sides, the low eigenvalue one product of W with D x w per
+    step (w = 2 g + 8, g the multiplicity of the smallest nonzero P), and
+    one pass over the blocks of rows of R_0, A_0, G and G_oo
+    forms their norms and sums the rows K of G and G_oo (G_K = -Pi_K: G
+    on the rows C), six products of |K| x D x D in all.
 
-    Working memory.  The Taylor sum holds four D x D arrays at K = 12
-    (taylor_exp_matrix), the process's peak.  After it the chain keeps W
-    and factors of |K| or 2|K| rows or columns; its one D x D transient is
-    the copy of W the LU of the solve for V_:K factors.  The norms of dense
-    arrays and of [W, P_d] read blocks of rows of at most 1 MB
-    (galerkin._BLOCK_BYTES), the Woodbury defect is formed a block of rows
-    at a time, and the factored members in blocks of at most _ROW_BLOCK
-    entries (1 MB) and D/8 rows (_row_blocks).  No factor repeats another:
-    W_K: and Pi0_K are the blocks of Vf, and of U = [E_K, -V_:K] and
-    W U = [W_:K, -W V_:K] the chain keeps V_:K and W V_:K alone.
+    Working memory.  The Taylor sum holds two D x D arrays, X = M^3 and
+    the sum, and the nonzero entries of M^2 (taylor_exp_matrix).  After it the chain keeps W and factors
+    of |K| or 2|K| rows or columns; its one D x D transient is the copy of
+    W the LU of the solve for V_:K factors, which runs first, while
+    nothing else of size |K| D or more is alive but V_:K and its
+    right-hand sides.  The norms of dense arrays and of [W, P_d] read
+    blocks of rows of at most 1 MB (galerkin._BLOCK_BYTES), the Woodbury
+    defect is formed a block of rows at a time, and the pass forms the
+    rows of R_0, then of A_0, then of G and G_oo together in chunks of D/8
+    rows (at most two arrays of D/8 x D), as ParametrixChain.member forms
+    them; its sums of absolute values read blocks of at most 1 MB of rows
+    of these.  Each factor is stored
+    once: W_K: and Pi0_K are the blocks of Vf, Z_1 is Pi_K:, of S only the
+    |K| x |K| factor of Im S_K: = Im(C) W_K: is kept (Re S = Pi0 / 2
+    exactly; szego_rows), U = [E_K, -V_:K] is read as V_:K and never
+    formed, and of W U = [W_:K, -W V_:K] the chain keeps W V_:K alone.
 
     The identities are not formed.  They reduce by algebra to three small
     defects, F = W V_:K - E_K (hatted_gjms: d = W^{-1} E_K - V_:K =
@@ -801,17 +971,17 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
     a norm), except R0_interior, which restricts the stored R_0.  The
     defects of Pi_oo and G_oo add (1 + kappa) ||Pi - Pi_oo|| and
     (1 + kappa) ||G - G_oo||, kappa = W_ub / lambda_lb, to those of Pi and
-    G.  The differences Pi - Pi_oo, G - G_oo, Pi_oo^2 - Pi_oo and Pi G are
-    formed and measured ("dense"), from the rows K where Pi and Pi_oo live
-    and a block of rows of G at a time.  inverse_defect_bound is the bound
-    on ||d||.
+    G.  Pi G = (Pi_KK - I) G_K plus the rounding of G_K as a sum is formed
+    and bounded with its rounding.  The differences Pi - Pi_oo, G - G_oo
+    and Pi_oo^2 - Pi_oo are formed and measured ("dense"), from the rows K
+    where Pi and Pi_oo live and a block of rows of G at a time.
+    inverse_defect_bound is the bound on ||d||.
 
-    The members are arrays in the real frame (RealFrame), float64 except
-    the complex S; Sbar and Pi_0 are formed from S on request.
+    The members are float64 arrays in the real frame (RealFrame); S, Sbar
+    and Pi_0 are formed from S_imag and Vf on request.
     """
     n, N = basis.n, basis.N
     D = basis.total_dim
-    W = weight.matrix
     interior = interior_mask(basis)
     ker = kernel_mask(basis)
     k = int(ker.sum())
@@ -825,16 +995,43 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
     c_max = scaling_defect(P_d, p)
     eta = scaling_defect(P_d, G0_d) + gamma(2)
 
-    S_K = szego_rows(basis, weight)
-    Pi0_K = 2 * S_K.real
+    # the LU of W first, while W and the arrays of |K| columns are all that is alive
     V_K, WV_K, e_v = hatted_gjms(basis, weight)
+    W = weight.matrix
     Pi_K = weight.projector_rows(ker)
-    lam = nonzero_eigenvalues(P_d, weight, ker, Pi_K)
+    # Vf = [Pi0_K; W_K:], its blocks written in place: Pi0_K = 2 Re S_K: = 2 Re(C) W_K:
+    Vf = np.empty((2 * k, D))
+    Pi0_K, W_K = Vf[:k], Vf[k:]
+    np.compress(ker, W, axis=0, out=W_K)
+    C_S = szego_rows(basis, W_K)
+    np.matmul(2 * C_S.real, W_K, out=Pi0_K)
+    S_imag = np.ascontiguousarray(C_S.imag)  # Im S_K: = S_imag W_K:
+    Z_2, solve_term, a0_rounding = woodbury_a0(Vf, Pi_K, V_K, ker)
+    W_cK = W_K.T  # W_:K, W symmetric
+    W_KK = W_K[:, ker]
+
+    n_w = weight.norm_upper
+    lam_lb = weight.min_eigenvalue_bound
+    times_hat = _TimesHat(weight, P_d)
+    comm, c_round = times_hat.comm, _Commutator.ROUND
+    # r = W_K: - W_KK Pi_K: is the defect of Pi_K:; its norms, with r P_d and
+    # r [P_d, W] for r as computed or as exact, before it is dropped
+    r = W_KK @ Pi_K
+    np.subtract(W_K, r, out=r)
+    n_r = norm2_upper(r) + gamma(k + 1) * norm2_upper_abs((W_K,), (W_KK, Pi_K))
+    n_rp = norm2_upper_abs((r, P_d)) + gamma(k + 1) * norm2_upper_abs(
+        (W_K, P_d), (W_KK, Pi_K, P_d))
+    n_rc = c_round * (norm2_upper_abs((r, comm)) + gamma(k + 1) * norm2_upper_abs(
+        (W_K, comm), (W_KK, Pi_K, comm)))
+    del r
+    lam_min, lam_enclosure, group = low_eigenvalue_enclosure(P_d, weight, ker, Pi_K, n_r)
 
     diag = ChainDiagnostics("matrix")
     diag.record("A0_method", "woodbury")
     diag.record("kernel_dim", k)
-    diag.record("min_nonzero_abs_eigenvalue", float(lam[0]) if lam.size else None)
+    diag.record("min_nonzero_abs_eigenvalue", lam_min)
+    diag.record("min_nonzero_abs_eigenvalue_enclosure", lam_enclosure)
+    diag.record("min_nonzero_abs_eigenvalue_group_size", group)
     diag.record("weight_min_eigenvalue_bound", weight.min_eigenvalue_bound)
     diag.record("weight_tail_bound", weight.tail_bound)
     diag.record("inverse_defect_bound", e_v)
@@ -852,54 +1049,47 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
     def structural(name):
         diag.record(name, 0.0, "structural")
 
-    Vf, Z, solve_term, a0_rounding = woodbury_a0(Pi0_K, Pi_K, W, V_K, ker)
-    Pi0_K, W_K = Vf[:k], Vf[k:]  # the blocks of Vf, the same floats: no copies kept
-    W_cK = W_K.T  # W_:K, W symmetric
-    Z_1, Z_2 = Z[:k], Z[k:]
     n_vk = norm2_upper(V_K)
     r0_rounding = gamma(k + 1) * (norm2_upper_abs((V_K, W_K)) + norm2_upper(Pi0_K))
-    PiInf_K = Pi0_K - Pi0_K[:, ker] @ Z_1  # Pi_0 A_0 = Pi0_K (I - E_K Z_1 + V_:K Z_2)
-    PiInf_K += (Pi0_K @ V_K) @ Z_2
-    # the rows K of G and G_oo, -(Pi_K: P^+) (W - W_:K Pi_K:) and
-    # -(PiInf_K: G0_d) (W - W_:K Z_1 + WV Z_2), each from one |K| x D x D product
-    L = Pi_K * p
-    G_K, lw_order = blocked_matmul(L, W, parts=4)
-    LWK, lwk_order = blocked_matmul(L, W_cK)
-    np.negative(G_K, out=G_K)
-    G_K += LWK @ Pi_K
-    L = PiInf_K * G0_d
-    GInf_K = blocked_matmul(L, W, parts=4)[0]
-    np.negative(GInf_K, out=GInf_K)
-    GInf_K += (L @ W_cK) @ Z_1
-    GInf_K -= (L @ WV_K) @ Z_2
-    del L, LWK
+    # Pi_0 A_0 = Pi0_K (I - E_K Pi_K: + V_:K Z_2)
+    PiInf_K = Pi0_K[:, ker] @ Pi_K
+    np.subtract(Pi0_K, PiInf_K, out=PiInf_K)
+    Q = Pi0_K @ V_K
+    chunks = eighth_blocks(D)  # of rows, or of columns
+    for cols in chunks:
+        PiInf_K[:, cols] += Q @ Z_2[:, cols]
+    G_K, GInf_K = np.zeros((k, D)), np.zeros((k, D))
     members = {
-        "S": S_K, "P_diag": P_d, "G0_diag": G0_d, "P_plus": p,
-        "V_K": V_K, "Vf": Vf, "Z": Z, "WV_K": WV_K,
+        "S_imag": S_imag, "P_diag": P_d, "G0_diag": G0_d, "P_plus": p,
+        "V_K": V_K, "Vf": Vf, "Z2": Z_2, "WV_K": WV_K,
         "Pi": Pi_K, "PiInf": PiInf_K, "G_K": G_K, "GInf_K": GInf_K,
     }
 
-    # one pass over the rows of R_0, A_0, G and G_oo
+    # one pass over the rows of R_0, A_0, G and G_oo in chunks of D/8 rows:
+    # G and G_oo on the rows C, which also sum their rows K, G_K = -Pi_K: G
+    # and GInf_K = -PiInf_K: G_oo; the rows K enter the norms after the pass
     rows = _FactoredRows(members, W, ker)
     s_r0, s_a0 = _AbsSums(D, interior=interior), _AbsSums(D)
-    s_g, s_ginf = _AbsSums(D), _AbsSums(D)
+    # left: the column sums of |Pi_K:|, for || |Pi_K:| |G| || in the bound on Pi G
+    s_g, s_ginf = _AbsSums(D, left=abs_matvec(Pi_K, np.ones(k), left=True)), _AbsSums(D)
     s_diff = _AbsSums(D, right=np.abs(P_d), left=np.abs(P_d), interior=interior)
-    PiG = np.zeros((k, D))
-    for sl in _row_blocks(D):
-        s_r0.add(sl, rows("R0", sl))
-        s_a0.add(sl, rows("A0", sl))
-        G, GInf = rows("G", sl), rows("GInf", sl)
-        s_g.add(sl, G)
-        s_ginf.add(sl, GInf)
-        PiG += Pi_K[:, sl] @ G
+    for chunk in chunks:
+        # formed as member() forms them, one at a time, before G and G_oo
+        s_r0.add(chunk, rows("R0", chunk))
+        s_a0.add(chunk, rows("A0", chunk))
+        G, GInf = rows.c_rows(chunk)
+        for cols in chunks:  # the products' temporaries stay |K| x D/8
+            G_K[:, cols] -= Pi_K[:, chunk] @ G[:, cols]
+            GInf_K[:, cols] -= PiInf_K[:, chunk] @ GInf[:, cols]
+        s_g.add(chunk, G)
+        s_ginf.add(chunk, GInf)
         G -= GInf
-        s_diff.add(sl, G)
-    del G, GInf
-
-    n_w = weight.norm_upper
-    lam_lb = weight.min_eigenvalue_bound
-    times_hat = _TimesHat(weight, P_d)
-    comm, c_round = times_hat.comm, _Commutator.ROUND
+        s_diff.add(chunk, G)
+        del G, GInf  # before the next chunk's are formed
+    at = np.flatnonzero(ker)
+    s_g.add(at, G_K)
+    s_ginf.add(at, GInf_K)
+    s_diff.add(at, G_K - GInf_K)
 
     # R_0 and A_0: ||R_0 - U Vf|| <= ||d|| ||W_K:|| + eta ||W|| / lambda_lb
     e_r0 = e_v * norm2_upper(W_K) + eta * n_w / lam_lb
@@ -914,19 +1104,26 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
     rec("Pi_minus_PiInf", Pi_K - PiInf_K, ker)
     diag.record("G_minus_GInf_full", s_diff.upper(), "dense")
     diag.record("G_minus_GInf_interior", s_diff.upper_interior(), "dense")
-    rec("PiG", PiG, ker)
     structural("PPi_full")
     structural("PPi_interior")
 
-    # r is the defect of Pi_K:; the rows C of G are P^+ (W - W_:K Pi_K:)
-    # within gamma_{k+2} h, h = P^+ (|W| + |W_:K| |Pi_K:|), and its rows K
-    # within gamma_g |Pi_K:| h, g = max(lw, lwk + k) + 3 (G_K above)
+    # the rows C of G are P^+ (W - W_:K Pi_K:) within gamma_{k+2} h,
+    # h = P^+ (|W| + |W_:K| |Pi_K:|); G_K sums -Pi_K: G over the rows C of
+    # each chunk, within gamma_a |Pi_K:| |G| of the exact sum, a = (the rows
+    # of a chunk) + (chunks), so the rows K are within gamma_g |Pi_K:| h,
+    # g = k + 3 + a, of the exact G, and Pi G = Pi_K: G = (Pi_KK - I) G_K
+    # + (the rounding of G_K as a sum), formed within gamma_{k+1} of its terms
     n_pi = norm2_upper(Pi_K)
     n_g = s_g.upper()
-    W_KK = W_K[:, ker]
-    r = W_K - W_KK @ Pi_K
-    n_r = norm2_upper(r) + gamma(k + 1) * norm2_upper_abs((W_K,), (W_KK, Pi_K))
-    g_rows = gamma(k + 2) + gamma(max(lw_order, lwk_order + k) + 3) * n_pi
+    acc_order = (chunks[0].stop - chunks[0].start) + len(chunks)
+    g_order = k + 3 + acc_order
+    PiG = Pi_K[:, ker] @ G_K
+    PiG -= G_K
+    bound("PiG", norm2_upper(PiG) + gamma(k + 1) * norm2_upper_abs((Pi_K[:, ker], G_K), (G_K,))
+          + gamma(acc_order) * math.sqrt(float(abs_matvec(Pi_K, s_g.rows).max())
+                                        * float(s_g.left_x.max())))
+    del PiG
+    g_rows = gamma(k + 2) + gamma(g_order) * n_pi
     n_eg = g_rows * norm2_upper_abs((p, W), (p, W_cK, Pi_K))  # >= ||e_G||
     diff = 1 + gamma(1)  # a computed difference against the exact one
 
@@ -936,11 +1133,7 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
     b_pg = (n_vk + e_v) * n_r + (c_max + (1 + c_max) * gamma(k + 2)) * n_b / lam_lb
     bound("PG_plus_Pi_minus_I", b_pg)
 
-    # G P_hat + Pi - I, with r P_d for r as computed or as exact
-    n_rp = norm2_upper_abs((r, P_d)) + gamma(k + 1) * norm2_upper_abs(
-        (W_K, P_d), (W_KK, Pi_K, P_d))
-    n_rc = c_round * (norm2_upper_abs((r, comm)) + gamma(k + 1) * norm2_upper_abs(
-        (W_K, comm), (W_KK, Pi_K, comm)))
+    # G P_hat + Pi - I
     n_y = times_hat(n_rp, n_r, n_rc) / lam_lb  # >= ||W_KK^{-1} r P_hat||
     # >= ||e_G P_d|| and ||e_G C||
     n_egp, n_egc = (g_rows * norm2_upper_abs((p, W, F), (p, W_cK, Pi_K, F)) for F in (P_d, comm))

@@ -530,6 +530,29 @@ class TestQcurvAtN2:
         assert not solve["solvable"] and solve["obstruction_norm"] > 1
 
 
+def test_parametrix_check_runs_no_dense_eigensolver(tmp_path, pert_file, monkeypatch):
+    # the chain certifies its smallest nonzero eigenvalue by a block
+    # iteration: with numpy's dense symmetric eigensolvers refusing to run,
+    # parametrix-check exits 0 and writes every key it writes with them
+    import numpy as np
+
+    argv = ["parametrix-check", "--n", "1", "--degree", "6", "--perturbation", pert_file]
+    assert run(*argv, "--out", str(tmp_path / "ref")) == EXIT_OK
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense symmetric eigensolver was called")
+
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    assert run(*argv, "--out", str(tmp_path / "out")) == EXIT_OK
+    ref, got = (json.loads((tmp_path / d / "parametrix_matrix.json").read_text())
+                for d in ("ref", "out"))
+    assert set(got) == set(ref)
+    lo, hi = got["min_nonzero_abs_eigenvalue_enclosure"]
+    assert lo <= got["min_nonzero_abs_eigenvalue"] <= hi
+    assert got["min_nonzero_abs_eigenvalue_group_size"] == 3  # the block (1, 1) at n = 1
+
+
 def test_parametrix_nan_inverse_exits_numerical(tmp_path, pert_file, monkeypatch):
     # no factorization gates the chain's solve for the columns K of W^{-1}:
     # its measured defect W V_:K - E_K certifies it, and a defect that is
