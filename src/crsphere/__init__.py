@@ -54,8 +54,7 @@ _LAZY = {
     ),
     "spectral": (
         "DiagonalOperator", "SpectralFunction", "Truncation", "critical_gjms", "l_mu",
-        "order_diagnostic", "pluriharmonic_proj", "reeb_t", "sublaplacian", "szego",
-        "szego_bar",
+        "pluriharmonic_proj", "reeb_t", "sublaplacian", "szego", "szego_bar",
     ),
 }
 _LAZY_NAMES = {name: module for module, names in _LAZY.items() for name in names}

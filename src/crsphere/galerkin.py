@@ -789,7 +789,7 @@ def taylor_exp_matrix(M, K: int) -> np.ndarray:
 
 def eighth_blocks(D):
     """Eight blocks of about D/8 rows (or columns) of a D x D array: the
-    blocks the Taylor sum's Horner steps and the chain's passes take.  A
+    blocks the Taylor sum's Horner steps and the chain's products take.  A
     product of a block of D/8 rows with a D x D matrix runs within 10% of
     one full product (one BLAS thread), and its temporaries stay D^2 / 8."""
     return row_slices((D, D), D * max(-(-D // 8), 1))

@@ -45,7 +45,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import CapExceededError, ConfigError
-from .poly import PairingFunctional, Poly, accumulate, matched_pairing
+from .poly import PairingFunctional, Poly, accumulate, matched_pairing, sectors
 from .scalars import QI, qi
 
 BASIS_CACHE_VERSION = 1
@@ -236,16 +236,21 @@ def gram_schmidt_exact(polys, n):
     c_j = <v, w_j> / |w_j|^2 pairs the sparse raw candidate v, not the dense
     growing u.  The pairing goes through w_j's PairingFunctional, whose
     values at the block's monomials are memoized and shared by all later
-    candidates.  Exact arithmetic gives the same u as pairing u itself; the
-    subtractions keep the same order, so u's terms do too.  The functionals
-    live only for the block.
+    candidates; a pair whose sectors are disjoint pairs to zero and is
+    skipped unevaluated (most pairs: the raw candidates mostly sit in
+    distinct sectors).  Exact arithmetic gives the same u as pairing u
+    itself; the subtractions keep the same order, so u's terms do too.  The
+    functionals live only for the block.
     """
     weight = _sphere_weight(n)
     out = []
     functionals = []
     for v in polys:
         terms = dict(v.terms)
+        v_sectors = sectors(v)
         for (w, w_norm2), phi in zip(out, functionals):
+            if v_sectors.isdisjoint(phi.sectors):
+                continue
             coeff = phi(v) / w_norm2
             if coeff:
                 neg = -coeff
@@ -354,7 +359,8 @@ class HarmonicBasis:
             ],
         }
         with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
+            # dumps runs the C encoder, which dump never does; the bytes are the same
+            fh.write(json.dumps(payload, sort_keys=True))
         return path
 
     @classmethod

@@ -88,7 +88,6 @@ from .galerkin import (
     UNIT_ROUNDOFF,
     InnerProductWeight,
     RealFrame,
-    abs_matvec,
     blocked_matmul,
     eighth_blocks,
     gamma,
@@ -162,9 +161,9 @@ class ParametrixChain:
         S_imag of Im S_K: = S_imag W_K: alone: Re S = Pi0 / 2 exactly, and
         Pi0's rows and W_K: are the blocks of Vf.  This expands the rows
         and forms S, Sbar = conj(S) and Pi0.  G0, R0, A0, G and GInf it
-        keeps as factors, and forms them here a block of rows at a time
-        (_FactoredRows).  P_hat = W^{-1} P_diag it never stores: this
-        solves for it densely.
+        keeps as factors, and forms them here (_expand), W V_:K and the
+        rows K of G_oo included.  P_hat = W^{-1} P_diag it never stores:
+        this solves for it densely.
         """
         if self.mode != "matrix" or name not in _ROW_MEMBERS + _FACTORED_MEMBERS + ("P_hat",):
             return self.members[name]
@@ -172,7 +171,7 @@ class ParametrixChain:
             return self.weight.solve(np.diag(self.members["P_diag"]))
         ker = kernel_mask(self.basis)
         if name in _FACTORED_MEMBERS:
-            return _FactoredRows(self.members, self.weight.matrix, ker).full(name)
+            return _expand(self.members, self.weight.matrix, ker, name)
         if name in ("Pi", "PiInf"):
             rows = self.members[name]
         else:
@@ -549,7 +548,7 @@ def pseudo_inverse_diag(P_d, ker):
 
 
 def hatted_gjms(basis: HarmonicBasis, weight: InnerProductWeight):
-    """The columns K of W^{-1}, all P_hat = e^{-(n+1)Upsilon} P = W^{-1} P_d needs, and their error.
+    """The columns K of W^{-1}, all P_hat = e^{-(n+1)Upsilon} P = W^{-1} P_d needs, and their defect.
 
     The critical-weight law makes <P_hat u, v>_hat = <P u, v>_std, so the
     hatted operator's sesquilinear form is the exact diagonal table and the
@@ -558,14 +557,14 @@ def hatted_gjms(basis: HarmonicBasis, weight: InnerProductWeight):
     W^{-1} only on the columns K, V_:K, solved for from W V_:K = E_K by one
     LU with |K| right-hand sides (weight.solve).  The defect
     F = W V_:K - E_K is measured from the product blocked_matmul forms,
-    within gamma_o |W| |V_:K| of the exact one, and W^{-1} E_K - V_:K =
-    -W^{-1} F exactly, so
+    within gamma_o |W| |V_:K| of the exact one, so
 
-        ||W^{-1} E_K - V_:K|| <= ((1 + gamma_1) ||fl(F)|| + gamma_o || |W| |V_:K| ||)
-                                 / lambda_lb.
+        ||F|| <= n_f = (1 + gamma_1) ||fl(F)|| + gamma_o || |W| |V_:K| ||,
 
-    A defect that is not finite (a failed solve) raises NumericalError.
-    Returns V_:K, the computed W V_:K and that bound.
+    and W^{-1} E_K - V_:K = -W^{-1} F exactly, so ||W^{-1} E_K - V_:K|| is
+    at most n_f / lambda_lb.  The product is dropped once measured.  A
+    defect that is not finite (a failed solve) raises NumericalError.
+    Returns V_:K and n_f.
     """
     ker = kernel_mask(basis)
     at = (np.flatnonzero(ker), np.arange(int(ker.sum())))  # the entries of E_K that are 1
@@ -574,16 +573,14 @@ def hatted_gjms(basis: HarmonicBasis, weight: InnerProductWeight):
     V_K = weight.solve(E_K)
     del E_K
     W = weight.matrix
-    WV, order = blocked_matmul(W, V_K)
-    kept = WV[at]
-    WV[at] -= 1  # F, in place; the entries are put back after its norm
-    f = norm2_upper(WV)
-    WV[at] = kept
+    F, order = blocked_matmul(W, V_K)
+    F[at] -= 1
+    f = norm2_upper(F)
+    del F
     if not math.isfinite(f):
         raise NumericalError(f"defect ||W V_:K - E_K|| of the kernel columns of W^-1 "
                              f"is not finite ({f})")
-    bound = (1 + gamma(1)) * f + gamma(order) * norm2_upper_abs((W, V_K))
-    return V_K, WV, bound / weight.min_eigenvalue_bound
+    return V_K, (1 + gamma(1)) * f + gamma(order) * norm2_upper_abs((W, V_K))
 
 
 def apply_partial_inverse(P_d, weight: InnerProductWeight, ker, X):
@@ -761,123 +758,126 @@ class _TimesHat:
         return (x_pd + x_c + self.omega * x * self.n_comm) / self.lam
 
 
-class _FactoredRows:
-    """Rows of the matrix chain's factored members, formed from the stored factors.
+def _expand(m, W, ker, name):
+    """A factored member of the matrix chain as a full matrix (ParametrixChain.member).
 
-    With E_K the columns K of I, U = [E_K, -V_:K], Vf = [Pi0_K; W_K:],
-    Z = [Pi_K:; Z_2], WV = W V_:K as computed and B = W - W_:K Pi_K::
-
-        G0    = diag(G0_d) W
-        R0    = U Vf = E_K Pi0_K - V_:K W_K:
-        A0    = I - U Z = I - E_K Pi_K: + V_:K Z_2
-        G     = diag(P^+) B                    on the rows C; the rows K are G_K
-        GInf  = diag(G0_d) (B + WV Z_2)        on the rows C; the rows K are GInf_K
-
-    G0_d and P^+ vanish on K, so the rows K of G and G_oo are zero in the
-    products and come from their stored blocks alone: G_K = -Pi_K: G and
-    GInf_K = -PiInf_K: G_oo, read on the rows C (build_chain_matrix forms
-    them so).  member() and the chain's pass form a member through the same
-    blocks of D/8 rows (eighth_blocks), so the norms the chain reports are
-    those of the entries member() returns, bit for bit.
+    With U = [E_K, -V_:K], Vf = [Pi0_K; W_K:], Z = [Pi_K:; Z_2] and
+    B = W - W_:K Pi_K:, G0 = G0_d W, R0 = U Vf, A0 = I - U Z, and on the
+    rows C, G = P^+ B and G_oo = G0_d (B + W V_:K Z_2) (G0_d and P^+ vanish
+    on K).  The rows K of G are the stored G_K = -Pi_K: P^+ B, and those of
+    G_oo are G_K - (PiInf_K: - Pi_K:) G - PiInf_K: (G_oo - G): since
+    G_K + Pi_K: G is the rounding of G, that is -PiInf_K: G_oo up to it, as
+    in G_oo = (I - Pi_oo) G_0 A_0, and G_oo - G is a sum of products of
+    small factors (build_chain_matrix bounds it).
     """
-
-    def __init__(self, members, W, ker):
-        self.m, self.W, self.ker = members, W, ker
-        self.k = int(ker.sum())
-        self.pos = np.cumsum(ker) - 1  # the index of a kernel coordinate within K
-
-    def __call__(self, name, sl):
-        if name in ("G", "GInf"):
-            X = self.c_rows(sl)[name == "GInf"]
-            X[self.ker[sl]] = self.m[f"{name}_K"][self.pos[sl][self.ker[sl]]]
-            return X
-        m, k = self.m, self.k
-        ker = self.ker[sl]
-        at = self.pos[sl][ker]  # the rows of the |K|-row blocks that fall in sl
-        if name == "G0":
-            return m["G0_diag"][sl, None] * self.W[sl]
-        if name == "R0":
-            X = m["V_K"][sl] @ m["Vf"][k:]
-            np.negative(X, out=X)
-            X[ker] += m["Vf"][at]
-            return X
-        X = m["V_K"][sl] @ m["Z2"]  # A0
-        X[ker] -= m["Pi"][at]
-        X[np.arange(X.shape[0]), np.arange(sl.start, sl.stop)] += 1
+    k = int(ker.sum())
+    V_K, Vf = m["V_K"], m["Vf"]
+    if name == "G0":
+        return m["G0_diag"][:, None] * W
+    if name == "R0":
+        X = V_K @ Vf[k:]
+        np.negative(X, out=X)
+        X[ker] += Vf[:k]
         return X
+    if name == "A0":
+        X = V_K @ m["Z2"]
+        X[ker] -= m["Pi"]
+        X.flat[:: X.shape[0] + 1] += 1
+        return X
+    B = W - Vf[k:].T @ m["Pi"]
+    G = m["P_plus"][:, None] * B
+    if name == "G":
+        G[ker] = m["G_K"]
+        return G
+    B += blocked_matmul(W, V_K)[0] @ m["Z2"]
+    B *= m["G0_diag"][:, None]
+    PiInf = m["PiInf"]
+    B[ker] = m["G_K"] - (PiInf - m["Pi"]) @ G - PiInf @ (B - G)
+    return B
 
-    def c_rows(self, sl):
-        """The rows sl of G and G_oo with their rows in K zero."""
-        m = self.m
-        B = m["Vf"][self.k:].T[sl] @ m["Pi"]
-        np.subtract(self.W[sl], B, out=B)
-        GInf = m["WV_K"][sl] @ m["Z2"]
-        GInf += B
-        GInf *= m["G0_diag"][sl, None]
-        B *= m["P_plus"][sl, None]
-        return B, GInf
 
-    def full(self, name):
-        D = self.W.shape[0]
-        return np.concatenate([self(name, sl) for sl in eighth_blocks(D)])
+def _gram_rows(F, mask):
+    """F_M^T F_M, F_M the rows in mask of a D x m array F, a block of D/8 rows at a time."""
+    G = np.zeros((F.shape[1], F.shape[1]))
+    for sl in eighth_blocks(F.shape[0]):
+        B = F[sl][mask[sl]]
+        G += B.T @ B
+    return G
 
 
-class _AbsSums:
-    """Row and column sums of |X| for a D x D matrix X seen a block of rows at a time.
+# squarings of the Gram product for the reported norms of R_0, one product of
+# order 2|K| each: 0 .. 3 give 1.91, 1.38, 1.18, 1.086 at n=1 N=12, ||U Vf|| = 1.001
+_GRAM_SQUARINGS = 3
 
-    cols = 1^T |X| and rows = |X| 1 give norm2_upper, sq the squared column
-    norms norm2_lower.  With right = |F| 1 and left = 1^T |F| for a matrix
-    F (or |F| for a diagonal F) it also keeps |X| right and left^T |X|: the
-    inner sums of norm2_upper_abs((X, F)) and norm2_upper_abs((F, X)).
-    With interior, norm2_upper of X restricted to the interior rows and
-    columns too.
+
+def _product_norm_upper(M, f_x, f_y, depth, squarings=0):
+    """An upper bound on ||X Y||_2 from M = (X^T X)(Y Y^T) as computed, no eigensolver.
+
+    ||X Y||^2 = rho(X^T X Y Y^T) (AB and BA share their nonzero
+    eigenvalues), at most norm2_upper of the 2^s-th power, formed by s
+    squarings of M in place (Gelfand's formula), plus its rounding.  With
+    f_x >= ||X||_F^2, f_y >= ||Y||_F^2 and each Gram a sum of at most depth
+    products, a computed Gram is within gamma_depth f of the exact one
+    (|| |X|^T |X| || <= ||X||_F^2), so M, a product of order m, is within
+    e_0 = gamma_{2 depth + m} f_x f_y of the exact one, and its square
+    within e_1 = e_0 (2 n_0 + e_0) + gamma_m n_0^2 of the exact square,
+    n_0 >= ||M||.
     """
+    m = M.shape[0]
+    err = gamma(2 * depth + m) * f_x * f_y
+    spare = np.empty_like(M) if squarings else None
+    for _ in range(squarings):
+        n_m = norm2_upper(M) * (1 + gamma(m + 2))
+        np.matmul(M, M, out=spare)
+        M, spare = spare, M
+        err = err * (2 * n_m + err) + gamma(m) * n_m**2
+    power = norm2_upper(M) * (1 + gamma(m + 2)) + err
+    return power ** (0.5 ** (squarings + 1)) * (1 + gamma(2))
 
-    def __init__(self, D, right=None, left=None, interior=None):
-        self.cols, self.rows, self.sq = np.zeros(D), np.zeros(D), np.zeros(D)
-        self.right, self.left, self.interior = right, left, interior
-        self.x_right = np.zeros(D)
-        self.left_x = np.zeros(D)
-        self.int_cols = np.zeros(0 if interior is None else int(interior.sum()))
-        self.int_rows = 0.0
 
-    def add(self, at, X):
-        """Take in the rows `at` (a slice or indices), which X holds, a block of 1 MB at a time."""
-        at = np.arange(self.rows.size)[at]
-        for sl in row_slices(X.shape, _DENSE_BLOCK):
-            self._add(at[sl], X[sl])
+def _times_utu(d, V_KK, VV, F):
+    """(U^T U) F in place of F, U^T U = [[diag(d), -V_KK], [-V_KK^T, VV]] not formed."""
+    k = d.size
+    T = V_KK.T @ F[:k]
+    F[:k] *= d[:, None]
+    F[:k] -= V_KK @ F[k:]
+    np.subtract(VV @ F[k:], T, out=F[k:])
+    return F
 
-    def _add(self, at, X):
-        A = np.abs(X)
-        self.cols += A.sum(axis=0)
-        self.rows[at] = A.sum(axis=1)
-        self.sq += np.einsum("ij,ij->j", X, X)
-        if self.right is not None:
-            self.x_right[at] = A @ self.right
-        if self.left is not None:
-            self.left_x += self.left[at] @ A
-        if self.interior is not None:
-            inner = A[self.interior[at]][:, self.interior]
-            self.int_cols += inner.sum(axis=0)
-            self.int_rows = max(self.int_rows, float(inner.sum(axis=1).max(initial=0.0)))
 
-    def upper(self):
-        return math.sqrt(float(self.rows.max()) * float(self.cols.max()))
+def _r0_a0_norms(V_K, Vf, Pi_K, Z_2, ker, interior):
+    """Upper bounds on ||U Vf|| (R_0), on it on the interior rows and columns, and on
+    ||U Z|| (A_0 = I - U Z) from their Grams (_product_norm_upper).  U = [E_K, -V_:K] is
+    not formed: U^T U = [[I, -V_KK], [-V_KK^T, V_:K^T V_:K]], and the interior rows drop
+    the rows K outside them.  ||U Z|| only scales a small defect, so takes no squarings."""
+    D, k = V_K.shape
+    V_KK, VV = V_K[ker], V_K.T @ V_K
+    f_u, f_vf = k + _frobenius_upper(V_K) ** 2, _frobenius_upper(Vf) ** 2
+    ones = np.ones(k)
+    n_uvf = _product_norm_upper(_times_utu(ones, V_KK, VV, Vf @ Vf.T),
+                                f_u, f_vf, D, _GRAM_SQUARINGS)
+    pz = Pi_K @ Z_2.T
+    M = _times_utu(ones, V_KK, VV, np.block([[Pi_K @ Pi_K.T, pz], [pz.T, Z_2 @ Z_2.T]]))
+    n_uz = _product_norm_upper(M, f_u, _frobenius_upper(Pi_K) ** 2 + _frobenius_upper(Z_2) ** 2, D)
+    del pz, M, VV
+    in_k = interior[ker].astype(float)
+    V_KK *= in_k[:, None]
+    M = _times_utu(in_k, V_KK, _gram_rows(V_K, interior), _gram_rows(Vf.T, interior))
+    return n_uvf, _product_norm_upper(M, f_u, f_vf, D, _GRAM_SQUARINGS), n_uz
 
-    def upper_interior(self):
-        return math.sqrt(self.int_rows * float(self.int_cols.max(initial=0.0)))
 
-    def lower(self):
-        return math.sqrt(float(self.sq.max()))
-
-    def abs_times(self, F):
-        """norm2_upper_abs((X, F)), right = |F| 1."""
-        cols = abs_matvec(F, self.cols, left=True)
-        return math.sqrt(float(self.x_right.max()) * float(cols.max()))
-
-    def abs_after(self, F):
-        """norm2_upper_abs((F, X)), left = 1^T |F|."""
-        return math.sqrt(float(abs_matvec(F, self.rows).max()) * float(self.left_x.max()))
+def _g_column_norm(W, Pi_K, p, ker, P_d):
+    """The largest computed ||G e_j|| over the columns j of the smallest nonzero P_d, where
+    G is largest, G e_j = (I - Pi) P^+ W (I - Pi) e_j: one product of W with them."""
+    C = ~ker
+    J = np.flatnonzero(C & (P_d == P_d[C].min(initial=np.inf)))
+    X = np.zeros((ker.size, J.size))
+    X[J, np.arange(J.size)] = 1
+    X[ker] = -Pi_K[:, J]
+    Y = W @ X
+    Y *= p[:, None]
+    Y[ker] = -(Pi_K @ Y)
+    return float(np.linalg.norm(Y, axis=0).max(initial=0.0))
 
 
 def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> ParametrixChain:
@@ -901,33 +901,27 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
 
     What stays dense.  The chain holds one D x D array, W.  Every member
     is a diagonal, W, or factors with at most 2|K| rows or columns,
-    expanded on request (ParametrixChain.member): G_0 = G0_d W, R_0 = U Vf,
-    A_0 = I - U Z, G and G_oo from W, W_:K, Pi_K:, W V_:K and Z_2 on the
-    rows C and their stored rows K (_FactoredRows), Pi, Pi_oo and S from
-    their rows K, and P_hat by a dense solve.  Its D x D x D work is the
-    Taylor sum of W; the solve for V_:K is one LU of W with |K|
-    right-hand sides, the low eigenvalue one product of W with D x w per
-    step (w = 2 g + 8, g the multiplicity of the smallest nonzero P), and
-    one pass over the blocks of rows of R_0, A_0, G and G_oo
-    forms their norms and sums the rows K of G and G_oo (G_K = -Pi_K: G
-    on the rows C), six products of |K| x D x D in all.
+    expanded on request (ParametrixChain.member, _expand); no member is
+    formed to be measured.  Its D x D x D work is the Taylor sum of W; the
+    solve for V_:K is one LU of W with |K| right-hand sides and one
+    product W V_:K for its defect, the low eigenvalue one product of W
+    with D x w per step (w = 2 g + 8, g the multiplicity of the smallest
+    nonzero P), and the rows K of G one product of |K| x D x D,
+    G_K = -(Pi_K: P^+) W + ((Pi_K: P^+) W_:K) Pi_K:.
 
     Working memory.  The Taylor sum holds two D x D arrays, X = M^3 and
-    the sum, and the nonzero entries of M^2 (taylor_exp_matrix).  After it the chain keeps W and factors
-    of |K| or 2|K| rows or columns; its one D x D transient is the copy of
-    W the LU of the solve for V_:K factors, which runs first, while
-    nothing else of size |K| D or more is alive but V_:K and its
-    right-hand sides.  The norms of dense arrays and of [W, P_d] read
-    blocks of rows of at most 1 MB (galerkin._BLOCK_BYTES), the Woodbury
-    defect is formed a block of rows at a time, and the pass forms the
-    rows of R_0, then of A_0, then of G and G_oo together in chunks of D/8
-    rows (at most two arrays of D/8 x D), as ParametrixChain.member forms
-    them; its sums of absolute values read blocks of at most 1 MB of rows
-    of these.  Each factor is stored
-    once: W_K: and Pi0_K are the blocks of Vf, Z_1 is Pi_K:, of S only the
-    |K| x |K| factor of Im S_K: = Im(C) W_K: is kept (Re S = Pi0 / 2
-    exactly; szego_rows), U = [E_K, -V_:K] is read as V_:K and never
-    formed, and of W U = [W_:K, -W V_:K] the chain keeps W V_:K alone.
+    the sum, and the nonzero entries of M^2 (taylor_exp_matrix).  After
+    it the chain keeps W and factors of |K| or 2|K| rows or columns; its
+    one D x D transient is the copy of W the LU of the solve for V_:K
+    factors, which runs first, while nothing else of size |K| D or more is
+    alive but V_:K and its right-hand sides.  Its other transients are
+    blocks: of at most 1 MB for the norms of dense arrays and of [W, P_d]
+    (galerkin._BLOCK_BYTES), of rows for the Woodbury defect, D/8 of them
+    for the Gram matrices, |K|/8 for G_K, and two arrays of order 2|K|.
+    Each factor is stored once: W_K: and Pi0_K are the blocks of Vf, Z_1
+    is Pi_K:, of S only the |K| x |K| factor of Im S_K: = Im(C) W_K: is
+    kept (Re S = Pi0 / 2 exactly; szego_rows), U = [E_K, -V_:K] is read
+    as V_:K, and W V_:K is dropped once its defect is measured.
 
     The identities are not formed.  They reduce by algebra to three small
     defects, F = W V_:K - E_K (hatted_gjms: d = W^{-1} E_K - V_:K =
@@ -957,25 +951,36 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
     in K too), and P_hat Pi = W^{-1} P_d E_K Pi_K: = 0; they are recorded
     as 0.0 ("structural").
 
-    G_oo - G and Pi_oo - Pi are measured.  They hold only rounding: the
-    rows K of Pi_0 A_0 are Pi0_K: - Pi0_K: U Z = Z_1 = Pi_K: by the first
-    block row of T Z = Vf, and G_0 A_0 = G0_d (W - W_:K Z_1 + W V_:K Z_2) =
-    P^+ W (I - Pi) when W V_:K = E_K (G0_d vanishes on K), so G_oo = G and
-    Pi_oo = Pi in exact arithmetic.  Every a-priori rounding term is on the
-    members as stored (gamma_k = k u / (1 - k u), Higham, 3.5), written as
-    the norm of a product of absolute values (norm2_upper_abs) with the
-    P_d and P_d^+ scalings inside it.  Every bound ("factored" in
-    residual_routes) is a certified upper bound on the spectral norm of
-    the identity evaluated exactly on the members (with the exact P_hat);
-    its interior entry repeats the full bound (a restriction does not raise
-    a norm), except R0_interior, which restricts the stored R_0.  The
-    defects of Pi_oo and G_oo add (1 + kappa) ||Pi - Pi_oo|| and
-    (1 + kappa) ||G - G_oo||, kappa = W_ub / lambda_lb, to those of Pi and
-    G.  Pi G = (Pi_KK - I) G_K plus the rounding of G_K as a sum is formed
-    and bounded with its rounding.  The differences Pi - Pi_oo, G - G_oo
-    and Pi_oo^2 - Pi_oo are formed and measured ("dense"), from the rows K
-    where Pi and Pi_oo live and a block of rows of G at a time.
-    inverse_defect_bound is the bound on ||d||.
+    Norms of the members.  ||U Vf|| and ||U Z|| come from Gram matrices
+    of order 2|K| (_r0_a0_norms), on the interior rows and columns for
+    R0_interior.  |G| is at most h = P^+ (|W| + |W_:K| |Pi_K:|) on the
+    rows C and |Pi_K:| h on the rows K, so norm2_upper_abs bounds ||G||
+    and every rounding term of G from its factors.  The lower norm of G
+    is the largest of its columns j at the smallest nonzero P_d,
+    G e_j = (I - Pi) P^+ W (I - Pi) e_j, less the rounding of the columns
+    and of the member (a column's norm never exceeds the matrix's), and
+    ||G_oo|| >= ||G|| - ||G_oo - G||.
+
+    G_oo - G and Pi_oo - Pi hold only rounding: the rows K of Pi_0 A_0 are
+    Pi0_K: - Pi0_K: U Z = Z_1 = Pi_K: by the first block row of T Z = Vf,
+    and G_0 A_0 = G0_d (W - W_:K Z_1 + W V_:K Z_2) = P^+ W (I - Pi) when
+    W V_:K = E_K (G0_d vanishes on K), so G_oo = G and Pi_oo = Pi in exact
+    arithmetic.  Pi_oo - Pi and Pi_oo^2 - Pi_oo are formed from the rows K
+    and measured ("dense"), Pi G = (Pi_KK - I) G_K plus the rounding of G
+    is formed and bounded.  G_oo - G is bounded from its factors: on the
+    rows C it is (G0_d - P^+) B + G0_d F Z_2, on the rows K
+    -(PiInf_K: - Pi_K:) G - PiInf_K: (G_oo - G) (_expand), and the members
+    share the computed B.  Every a-priori rounding term is on the members
+    as stored (gamma_k = k u / (1 - k u), Higham, 3.5), written as the norm
+    of a product of absolute values (norm2_upper_abs) with the P_d and
+    P_d^+ scalings inside it.  Every bound ("factored" in residual_routes)
+    is a certified upper bound on the spectral norm of the identity
+    evaluated exactly on the members (with the exact P_hat); its interior
+    entry repeats the full bound (a restriction does not raise a norm),
+    except R0_interior.  The defects of Pi_oo and G_oo add
+    (1 + kappa) ||Pi - Pi_oo|| and (1 + kappa) ||G - G_oo||,
+    kappa = W_ub / lambda_lb, to those of Pi and G.  inverse_defect_bound
+    is the bound on ||d||.
 
     The members are float64 arrays in the real frame (RealFrame); S, Sbar
     and Pi_0 are formed from S_imag and Vf on request.
@@ -996,7 +1001,9 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
     eta = scaling_defect(P_d, G0_d) + gamma(2)
 
     # the LU of W first, while W and the arrays of |K| columns are all that is alive
-    V_K, WV_K, e_v = hatted_gjms(basis, weight)
+    V_K, n_f = hatted_gjms(basis, weight)
+    lam_lb = weight.min_eigenvalue_bound
+    e_v = n_f / lam_lb
     W = weight.matrix
     Pi_K = weight.projector_rows(ker)
     # Vf = [Pi0_K; W_K:], its blocks written in place: Pi0_K = 2 Re S_K: = 2 Re(C) W_K:
@@ -1007,11 +1014,11 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
     np.matmul(2 * C_S.real, W_K, out=Pi0_K)
     S_imag = np.ascontiguousarray(C_S.imag)  # Im S_K: = S_imag W_K:
     Z_2, solve_term, a0_rounding = woodbury_a0(Vf, Pi_K, V_K, ker)
+    n_uvf, n_uvf_int, n_uz = _r0_a0_norms(V_K, Vf, Pi_K, Z_2, ker, interior)
     W_cK = W_K.T  # W_:K, W symmetric
     W_KK = W_K[:, ker]
 
     n_w = weight.norm_upper
-    lam_lb = weight.min_eigenvalue_bound
     times_hat = _TimesHat(weight, P_d)
     comm, c_round = times_hat.comm, _Commutator.ROUND
     # r = W_K: - W_KK Pi_K: is the defect of Pi_K:; its norms, with r P_d and
@@ -1050,81 +1057,57 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
         diag.record(name, 0.0, "structural")
 
     n_vk = norm2_upper(V_K)
-    r0_rounding = gamma(k + 1) * (norm2_upper_abs((V_K, W_K)) + norm2_upper(Pi0_K))
     # Pi_0 A_0 = Pi0_K (I - E_K Pi_K: + V_:K Z_2)
     PiInf_K = Pi0_K[:, ker] @ Pi_K
     np.subtract(Pi0_K, PiInf_K, out=PiInf_K)
     Q = Pi0_K @ V_K
-    chunks = eighth_blocks(D)  # of rows, or of columns
-    for cols in chunks:
+    for cols in eighth_blocks(D):
         PiInf_K[:, cols] += Q @ Z_2[:, cols]
-    G_K, GInf_K = np.zeros((k, D)), np.zeros((k, D))
-    members = {
-        "S_imag": S_imag, "P_diag": P_d, "G0_diag": G0_d, "P_plus": p,
-        "V_K": V_K, "Vf": Vf, "Z2": Z_2, "WV_K": WV_K,
-        "Pi": Pi_K, "PiInf": PiInf_K, "G_K": G_K, "GInf_K": GInf_K,
-    }
-
-    # one pass over the rows of R_0, A_0, G and G_oo in chunks of D/8 rows:
-    # G and G_oo on the rows C, which also sum their rows K, G_K = -Pi_K: G
-    # and GInf_K = -PiInf_K: G_oo; the rows K enter the norms after the pass
-    rows = _FactoredRows(members, W, ker)
-    s_r0, s_a0 = _AbsSums(D, interior=interior), _AbsSums(D)
-    # left: the column sums of |Pi_K:|, for || |Pi_K:| |G| || in the bound on Pi G
-    s_g, s_ginf = _AbsSums(D, left=abs_matvec(Pi_K, np.ones(k), left=True)), _AbsSums(D)
-    s_diff = _AbsSums(D, right=np.abs(P_d), left=np.abs(P_d), interior=interior)
-    for chunk in chunks:
-        # formed as member() forms them, one at a time, before G and G_oo
-        s_r0.add(chunk, rows("R0", chunk))
-        s_a0.add(chunk, rows("A0", chunk))
-        G, GInf = rows.c_rows(chunk)
-        for cols in chunks:  # the products' temporaries stay |K| x D/8
-            G_K[:, cols] -= Pi_K[:, chunk] @ G[:, cols]
-            GInf_K[:, cols] -= PiInf_K[:, chunk] @ GInf[:, cols]
-        s_g.add(chunk, G)
-        s_ginf.add(chunk, GInf)
-        G -= GInf
-        s_diff.add(chunk, G)
-        del G, GInf  # before the next chunk's are formed
-    at = np.flatnonzero(ker)
-    s_g.add(at, G_K)
-    s_ginf.add(at, GInf_K)
-    s_diff.add(at, G_K - GInf_K)
+    del Q
 
     # R_0 and A_0: ||R_0 - U Vf|| <= ||d|| ||W_K:|| + eta ||W|| / lambda_lb
     e_r0 = e_v * norm2_upper(W_K) + eta * n_w / lam_lb
-    n_a0 = s_a0.upper()
-    n_r0 = s_r0.upper()
-    r0_defect = r0_rounding + e_r0
-    bound("R0", n_r0 + r0_defect, s_r0.upper_interior() + r0_defect)
-    a0_residual = solve_term + e_r0 * n_a0 + (1 + n_r0 + r0_rounding) * a0_rounding
+    bound("R0", n_uvf + e_r0, n_uvf_int + e_r0)
+    # A_0 as formed is within a0_rounding of I - U Z
+    a0_residual = solve_term + e_r0 * (1 + n_uz + a0_rounding) + (1 + n_uvf) * a0_rounding
     diag.record("A0_residual", a0_residual, "factored")
+
+    # the rows K of G, a block of them at a time:
+    # G_K = -(Pi_K: P^+) B = -(Pi_K: P^+) W + ((Pi_K: P^+) W_:K) Pi_K:
+    G_K = np.empty((k, D))
+    for rows in eighth_blocks(k):
+        Y, order = blocked_matmul(Pi_K[rows] * p, W)
+        np.matmul(Y[:, ker], Pi_K, out=G_K[rows])
+        G_K[rows] -= Y
+    del Y
+    members = {
+        "S_imag": S_imag, "P_diag": P_d, "G0_diag": G0_d, "P_plus": p,
+        "V_K": V_K, "Vf": Vf, "Z2": Z_2, "Pi": Pi_K, "PiInf": PiInf_K, "G_K": G_K,
+    }
 
     rec("PiInf_sq_minus_PiInf", PiInf_K[:, ker] @ PiInf_K - PiInf_K, ker)
     rec("Pi_minus_PiInf", Pi_K - PiInf_K, ker)
-    diag.record("G_minus_GInf_full", s_diff.upper(), "dense")
-    diag.record("G_minus_GInf_interior", s_diff.upper_interior(), "dense")
     structural("PPi_full")
     structural("PPi_interior")
 
     # the rows C of G are P^+ (W - W_:K Pi_K:) within gamma_{k+2} h,
-    # h = P^+ (|W| + |W_:K| |Pi_K:|); G_K sums -Pi_K: G over the rows C of
-    # each chunk, within gamma_a |Pi_K:| |G| of the exact sum, a = (the rows
-    # of a chunk) + (chunks), so the rows K are within gamma_g |Pi_K:| h,
-    # g = k + 3 + a, of the exact G, and Pi G = Pi_K: G = (Pi_KK - I) G_K
-    # + (the rounding of G_K as a sum), formed within gamma_{k+1} of its terms
+    # h = P^+ (|W| + |W_:K| |Pi_K:|), and G_K within gamma_g |Pi_K:| h,
+    # g = k + 3 + (the order of the product); Pi G = Pi_K: G =
+    # (Pi_KK - I) G_K + (the rounding of G), formed within gamma_{k+1} of its terms.
+    # Every norm of h R below is taken with gm = max(G0_d, P^+) >= P^+ in place
+    # of P^+, so that it bounds the G0_d-scaled terms of G_oo too
+    gm = np.maximum(G0_d, p)
+    n_h, n_hp, n_hc = (norm2_upper_abs((gm, W, *R), (gm, W_cK, Pi_K, *R))
+                       for R in ((), (P_d,), (comm,)))  # >= ||h||, ||h P_d||, ||h C||
     n_pi = norm2_upper(Pi_K)
-    n_g = s_g.upper()
-    acc_order = (chunks[0].stop - chunks[0].start) + len(chunks)
-    g_order = k + 3 + acc_order
-    PiG = Pi_K[:, ker] @ G_K
-    PiG -= G_K
-    bound("PiG", norm2_upper(PiG) + gamma(k + 1) * norm2_upper_abs((Pi_K[:, ker], G_K), (G_K,))
-          + gamma(acc_order) * math.sqrt(float(abs_matvec(Pi_K, s_g.rows).max())
-                                        * float(s_g.left_x.max())))
-    del PiG
+    g_order = k + 3 + order
+    Pi_KK = Pi_K[:, ker]
+    # Pi G as formed, a block of columns at a time (its transpose has the same norm2_upper)
+    n_pig = norm2_upper_blocks((D, k), lambda sl: (Pi_KK @ G_K[:, sl] - G_K[:, sl]).T)
+    bound("PiG", n_pig + gamma(k + 1) * norm2_upper_abs((Pi_KK, G_K), (G_K,))
+          + (gamma(g_order) + gamma(k + 2)) * norm2_upper_abs((Pi_K, p, W), (Pi_K, p, W_cK, Pi_K)))
     g_rows = gamma(k + 2) + gamma(g_order) * n_pi
-    n_eg = g_rows * norm2_upper_abs((p, W), (p, W_cK, Pi_K))  # >= ||e_G||
+    n_eg = g_rows * n_h  # >= ||e_G||
     diff = 1 + gamma(1)  # a computed difference against the exact one
 
     # P_hat G + Pi - I: ||B|| <= ||W|| + || |W_:K| |Pi_K:| ||, and P_d e_G is
@@ -1135,30 +1118,62 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
 
     # G P_hat + Pi - I
     n_y = times_hat(n_rp, n_r, n_rc) / lam_lb  # >= ||W_KK^{-1} r P_hat||
-    # >= ||e_G P_d|| and ||e_G C||
-    n_egp, n_egc = (g_rows * norm2_upper_abs((p, W, F), (p, W_cK, Pi_K, F)) for F in (P_d, comm))
+    # g_rows n_hp >= ||e_G P_d|| and g_rows n_hc >= ||e_G C||
     b_gp = (n_r / lam_lb + (1 + n_pi) * (c_max + norm2_upper_abs((p, W_cK)) * n_y)
-            + diff * times_hat(n_egp, n_eg, c_round * n_egc))
+            + diff * times_hat(g_rows * n_hp, n_eg, c_round * g_rows * n_hc))
     bound("GP_plus_Pi_minus_I", b_gp)
 
-    # the identities of G_oo and Pi_oo from those of G and Pi and the measured differences
+    # G_oo - G from its factors (the members share the computed B): on the rows
+    # C, (G0_d - P^+) B + G0_d F Z_2 with || |F| || <= n_f, G0_d E_K = 0, plus
+    # the rounding of the scalings, within gamma_4 gm |B|, and of W V_:K Z_2
+    # (blocked_matmul, then a product of order k), within
+    # gamma_{o+k+4} gm |W| |V_:K| |Z_2|; each term bounds the absolute values
+    # too.  On the rows K, formed as G_K - (PiInf_K: - Pi_K:) G - PiInf_K:
+    # (G_oo - G) (_expand), those two products, their rounding and that of
+    # the subtractions from G_K, within gamma_3 |G_K| <= gamma_4 |Pi_K:| h
+    n_piinf = norm2_upper(PiInf_K)
     pi_diff = diff * diag.entries["Pi_minus_PiInf_full"]
-    bound("PGInf_plus_PiInf_minus_I", b_pg + pi_diff + diff * s_diff.abs_after(P_d) / lam_lb)
-    bound("R_inf", b_gp + pi_diff + diff * times_hat(s_diff.abs_times(P_d), s_diff.upper()))
+    s = np.abs(G0_d - p) * diff
+
+    def goo_minus_g(h_r, right=(), left=()):
+        """>= ||L (G_oo - G) R|| for the members, L = left and R = right diagonals or [P_d, W],
+        from h_r >= ||L h R||; left = (P_d,) drops the rows K, where P_d vanishes."""
+        a = norm2_upper_abs
+        g_max = float(np.max(G0_d * left[0] if left else G0_d)) * diff
+        # G0_d = P^+ in every basis built so far: the terms of s are zero then
+        scaled = a((*left, s, W, *right), (*left, s, W_cK, Pi_K, *right)) if s.any() else 0.0
+        rows_c = ((1 + gamma(k + 1)) * scaled + g_max * n_f * a((Z_2, *right))
+                  + gamma(4) * h_r + gamma(order + k + 4) * a((*left, gm, W, V_K, Z_2, *right)))
+        if left:
+            return rows_c
+        return (rows_c + gamma(4) * n_pi * h_r
+                + (1 + gamma(D + k + 5)) * (pi_diff * h_r + n_piinf * rows_c))
+
+    n_diff = goo_minus_g(n_h)
+    bound("G_minus_GInf", n_diff)
+    n_pdiff = goo_minus_g(norm2_upper_abs((P_d, gm, W), (P_d, gm, W_cK, Pi_K)), left=(P_d,))
+    bound("PGInf_plus_PiInf_minus_I", b_pg + pi_diff + n_pdiff / lam_lb)
+    bound("R_inf", b_gp + pi_diff + times_hat(goo_minus_g(n_hp, (P_d,)), n_diff,
+                                              c_round * goo_minus_g(n_hc, (comm,))))
+
+    # lower norms: the computed columns of G less their rounding and that of the
+    # member, each within gamma_{2D+g} (1 + |Pi_K:|) h e_j; ||G_oo|| >= ||G|| - ||G_oo - G||
+    column = _g_column_norm(W, Pi_K, p, ker, P_d) * (1 - gamma(D + 2))
+    lower_g = max(column - 2 * gamma(2 * D + g_order) * (1 + n_pi) * n_h, 0.0)
+    lower_ginf = max(lower_g - n_diff, 0.0)
 
     # weighted adjointness defects ||X - W^{-1} X^T W|| / ||X|| <= ||W X - (W X)^T|| / (lambda_lb ||X||)
     kappa = weight.max_eigenvalue_bound / lam_lb
     n_delta = 2 * n_pi * n_r  # >= ||W Pi - Pi^T W||
     # W G - (W G)^T = -Delta P^+ B - B^T P^+ Delta for the exact G, B = W (I - Pi),
-    # with ||P^+ B|| <= ||exact G||, plus W e_G - (W e_G)^T for the rounding e_G of G
-    g_skew = 2 * n_delta * (n_g + n_eg) + 2 * n_w * n_eg
+    # with ||P^+ B|| <= n_h, plus W e_G - (W e_G)^T for the rounding e_G of G
+    g_skew = 2 * n_delta * n_h + 2 * n_w * n_eg
     structural("P_hat_adjoint_defect")
     for name, value in (
-        ("G", _ratio(g_skew, lam_lb * s_g.lower())),
+        ("G", _ratio(g_skew, lam_lb * lower_g)),
         ("Pi", _ratio(n_delta, lam_lb * norm2_lower(Pi_K))),
         ("PiInf", _ratio(n_delta / lam_lb + (1 + kappa) * pi_diff, norm2_lower(PiInf_K))),
-        ("GInf", _ratio(g_skew / lam_lb + (1 + kappa) * diff
-                        * diag.entries["G_minus_GInf_full"], s_ginf.lower())),
+        ("GInf", _ratio(g_skew / lam_lb + (1 + kappa) * n_diff, lower_ginf)),
     ):
         diag.record(f"{name}_adjoint_defect", value, "factored")
 
@@ -1170,8 +1185,11 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
 
 
 def _ratio(num, den):
-    """num / den, and 0 for a zero member (den = 0 means the member is zero)."""
-    return num / den if den > 0 else 0.0
+    """num / den; 0 for a zero member (num = den = 0), and inf where a nonzero
+    num meets a lower norm that certifies nothing (den = 0)."""
+    if den > 0:
+        return num / den
+    return 0.0 if num == 0 else math.inf
 
 
 # ---------------------------------------------------------------------------

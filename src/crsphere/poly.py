@@ -160,6 +160,12 @@ def _sector(beta, gamma):
     return tuple(x - y for x, y in zip(beta, gamma))
 
 
+def sectors(f: TermDict):
+    """The sectors beta - gamma of f's terms: a pairing of f with g is zero
+    unless they share one (PairingFunctional)."""
+    return {_sector(b, g) for _, b, g in f.terms}
+
+
 class PairingFunctional:
     """The functional f -> <f, g> of a fixed g under a monomial weight.
 
@@ -185,6 +191,11 @@ class PairingFunctional:
         for (a2, b2, g2), c2 in g.terms.items():
             self._sectors.setdefault(_sector(b2, g2), []).append((a2, g2, conj(c2)))
         self._memo = {}
+
+    @property
+    def sectors(self):
+        """The sectors of g's terms; phi vanishes on an f with none of them."""
+        return self._sectors.keys()
 
     def at(self, key):
         """phi(key): the pairing of the monomial key (coefficient 1) with g."""

@@ -10,12 +10,21 @@ payloads.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import os
 import time
 
 from .errors import ConfigError
+
+# CPython's builtin SHA-256 (the module random takes its _sha512 the same
+# way): hashlib would map OpenSSL's libcrypto into every run to hash a few files
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # before 3.12
+    except ImportError:
+        from hashlib import sha256
 
 ARTIFACT_VERSION = "0.1.0"
 # the variables that size the BLAS / OpenMP thread pool numpy loads with;
@@ -24,7 +33,7 @@ BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def sha256_file(path):
-    h = hashlib.sha256()
+    h = sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)

@@ -23,7 +23,8 @@ so that the closed forms are never trusted on their own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -484,15 +485,18 @@ class SpectralFunction:
         return Poly(self.basis.m, out)
 
     def sup_norm_estimate(self, samples=4096, seed=7):
-        """Max |f| over random sphere points: an estimate that can fall below sup|f|."""
+        """Max |f| over random sphere points: an estimate that can fall below sup|f|.
+
+        The points are normalized Gaussian vectors drawn by the standard
+        library's random.Random(seed), so no run imports numpy.random.
+        """
         poly = self.to_poly_float()
         if poly.is_zero():
             return 0.0
-        rng = np.random.default_rng(seed)
+        gauss = random.Random(seed).gauss
         m = self.basis.m
-        zre = rng.standard_normal((samples, m))
-        zim = rng.standard_normal((samples, m))
-        z = zre + 1j * zim
+        z = np.array([gauss(0.0, 1.0) for _ in range(2 * samples * m)]).view(complex)
+        z = z.reshape(samples, m)
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         vals = poly.evaluate(0.0, [z[:, j] for j in range(m)])
         return float(np.max(np.abs(vals)))
@@ -533,87 +537,3 @@ def _mix_add(a, b):
     if isinstance(a, (QI, int, Fraction)) and isinstance(b, (QI, int, Fraction)):
         return qi(a) + qi(b)
     return complex(a) + complex(b)
-
-
-# ---------------------------------------------------------------------------
-# finite-truncation order diagnostic
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class RayDiagnostic:
-    ray: str
-    n_nonzero: int
-    max_ratio: float
-    fitted_slope: float | None
-    passed: bool
-
-
-@dataclass
-class OrderReport:
-    label: str
-    order: int
-    rays: list
-    passed: bool = field(init=False)
-
-    def __post_init__(self):
-        self.passed = all(r.passed for r in self.rays)
-
-    def to_jsonable(self):
-        return {
-            "label": self.label,
-            "order": self.order,
-            "passed": self.passed,
-            "rays": [
-                {
-                    "ray": r.ray,
-                    "n_nonzero": r.n_nonzero,
-                    "max_ratio": r.max_ratio,
-                    "fitted_slope": r.fitted_slope,
-                    "passed": r.passed,
-                }
-                for r in self.rays
-            ],
-        }
-
-
-def order_diagnostic(D: DiagonalOperator, m: int, slope_slack=0.15) -> OrderReport:
-    """Growth check along the rays p = q, q = 0, p = 0.
-
-    The proxy for order <= m is that the ratio |lambda| / (1 +
-    lambda_deltab)^{m/2} stays bounded along each ray.  The tail half of the
-    nonzero samples is fitted in log-log coordinates against 1 +
-    lambda_deltab; a ratio growing like a positive power (tail slope above
-    the slack) fails.  Genuine order violations grow by half-integer powers,
-    so any slack well below 1/2 discriminates; the default leaves room for
-    the slow convergence of bounded ratios at small truncations.  Rays holding at most two nonzero values count as
-    finite rank and pass outright.  fitted_slope reports the implied growth
-    exponent of |lambda| itself, m/2 plus the ratio slope.
-    """
-    n, N = D.n, D.N
-    deltab = sublaplacian(Truncation(n, N))
-    rays = {
-        "diagonal": [(k, k) for k in range(N // 2 + 1)],
-        "holomorphic": [(k, 0) for k in range(N + 1)],
-        "antiholomorphic": [(0, k) for k in range(N + 1)],
-    }
-    out = []
-    for name, blocks in rays.items():
-        xs, ratios = [], []
-        for (p, q) in blocks:
-            lam = D.table[(p, q)]
-            if not lam:
-                continue
-            base = 1.0 + float(deltab.value(p, q))
-            ratios.append(abs(float(lam)) / base ** (m / 2.0))
-            xs.append(math.log(base))
-        if len(xs) <= 2:
-            out.append(RayDiagnostic(name, len(xs), max(ratios, default=0.0), None, True))
-            continue
-        tail = max(3, len(xs) // 2)
-        ratio_slope = float(
-            np.polyfit(xs[-tail:], [math.log(r) for r in ratios[-tail:]], 1)[0]
-        )
-        passed = ratio_slope <= slope_slack
-        out.append(RayDiagnostic(name, len(xs), max(ratios), m / 2.0 + ratio_slope, passed))
-    return OrderReport(D.label, m, out)

@@ -20,6 +20,7 @@ from crsphere.cli import (
     parse_sweep,
 )
 from crsphere.errors import ConfigError
+from crsphere.reportio import sha256_file
 
 
 def run(*argv):
@@ -327,12 +328,13 @@ class TestCommands:
 
 def test_exact_commands_load_neither_numpy_nor_scipy(tmp_path):
     # importing the CLI, building a basis and the model self-test stay free of
-    # the dense libraries; the floating layers still resolve from the package
+    # the dense libraries and of OpenSSL (the manifest takes the builtin
+    # SHA-256); the floating layers still resolve from the package
     script = (
         "import sys\n"
         "import crsphere.cli\n"
         "def dense():\n"
-        "    return sorted(m for m in ('numpy', 'scipy') if m in sys.modules)\n"
+        "    return sorted(m for m in ('numpy', 'scipy', '_hashlib') if m in sys.modules)\n"
         "assert dense() == [], dense()\n"
         f"out = {str(tmp_path)!r}\n"
         "assert crsphere.cli.main(['basis', '--n', '1', '--degree', '3', '--out', out + '/b']) == 0\n"
@@ -340,7 +342,7 @@ def test_exact_commands_load_neither_numpy_nor_scipy(tmp_path):
         "assert dense() == [], dense()\n"
         "import crsphere\n"
         "assert callable(crsphere.build_chain_matrix) and callable(crsphere.solve_zero_q)\n"
-        "assert 'numpy' in sys.modules\n"
+        "assert 'numpy' in sys.modules and '_hashlib' not in sys.modules\n"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -352,16 +354,22 @@ def test_exact_commands_load_neither_numpy_nor_scipy(tmp_path):
 
 def test_floating_commands_load_no_scipy(tmp_path, pert_file):
     # the floating layers (sparse multiplier, weight, chain, spectrum, zero-Q
-    # solve) run on numpy alone
+    # solve) run on numpy alone, without numpy.random (the sampled sup draws
+    # from the standard library) and without OpenSSL
     script = (
         "import sys\n"
         "import crsphere.cli\n"
         f"out, pert = {str(tmp_path)!r}, {pert_file!r}\n"
+        "def extra():\n"
+        "    return sorted(m for m in ('numpy.random', '_hashlib') if m in sys.modules)\n"
         "common = ['--n', '1', '--degree', '6', '--perturbation', pert]\n"
         "assert crsphere.cli.main(['qcurv', 'solve', *common, '--out', out + '/q']) == 0\n"
+        "assert extra() == [], extra()\n"
         "assert crsphere.cli.main(['parametrix-check', *common, '--out', out + '/c']) == 0\n"
+        "assert extra() == [], extra()\n"
         "assert crsphere.cli.main(['spectrum', '--sweep', '4..6', *common,\n"
         "                          '--out', out + '/s']) == 0\n"
+        "assert extra() == [], extra()\n"
         "assert 'numpy' in sys.modules\n"
         "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'scipy loaded'\n"
     )
@@ -460,6 +468,22 @@ class TestDeterminismAndManifest:
         assert manifest["blas_env"] == {"OPENBLAS_NUM_THREADS": "3",
                                         "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": None}
         assert [e["path"] for e in manifest["emitted"]] == ["basis_report.json"]
+
+    def test_manifest_digests_are_sha256(self, tmp_path, pert_file):
+        # the builtin digest the manifest takes is SHA-256 as hashlib computes
+        # it, for emitted and input files, and across the 64-KiB read blocks
+        out = tmp_path / "g"
+        assert run("parametrix-check", "--n", "1", "--degree", "4", "--perturbation", pert_file,
+                   "--out", str(out)) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["emitted"]
+        for entry in manifest["emitted"]:
+            assert entry["sha256"] == hashlib.sha256((out / entry["path"]).read_bytes()).hexdigest()
+        with open(pert_file, "rb") as fh:
+            assert manifest["input_hashes"] == {"pert.json": hashlib.sha256(fh.read()).hexdigest()}
+        big = tmp_path / "big.bin"
+        big.write_bytes(bytes(range(256)) * 1000 + b"tail")
+        assert sha256_file(str(big)) == hashlib.sha256(big.read_bytes()).hexdigest()
 
     def test_verify_without_manifest(self, tmp_path):
         assert run("spectrum", "--out", str(tmp_path / "nope"), "--verify") == EXIT_CONFIG

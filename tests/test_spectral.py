@@ -18,13 +18,13 @@ from crsphere.spectral import (
     kohn,
     kohn_bar,
     l_mu,
-    order_diagnostic,
     pluriharmonic_proj,
     reeb_t,
     sublaplacian,
     szego,
     szego_bar,
 )
+from order_diagnostic import order_diagnostic
 
 
 class TestFrameOracle:
