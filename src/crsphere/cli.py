@@ -62,8 +62,9 @@ class RunConfig:
             raise ConfigError("--taylor-depth must be >= 1")
         if self.mode not in ("exact", "float"):
             raise ConfigError("--mode must be exact or float")
-        if self.obstruction_tol <= 0:
-            raise ConfigError("tolerances must be positive")
+        if not 0 < self.obstruction_tol < float("inf"):  # refuses NaN too
+            raise ConfigError(f"--obstruction-tol must be finite and positive: "
+                              f"{self.obstruction_tol!r}")
 
     def to_dict(self):
         return asdict(self)

@@ -23,11 +23,13 @@ what the interior diagnostics measure.
 Multiplication matrices stay sparse (a degree-d multiplier couples only
 blocks whose degrees differ by at most d), in the module's own CSR type on
 numpy alone: the floating layer imports no scipy.  The assembly streams:
-the pairing matrix, the sparse products and the skew bound of the weight
-expand a block of rows of at most _BLOCK_BYTES (1 MB) at a time, so
-besides its inputs and output no array of the assembly grows with the
-problem.  The weight is an
-operator first: it applies W = T_K(M) to vectors by Horner's rule on the
+the pairing matrix, the sparse products and the symmetric part of the
+multiplier expand a block of rows of at most _BLOCK_BYTES (1 MB) at a
+time, so besides its inputs and output no array of the assembly grows
+with the problem.  The weight's multiplier M is that symmetric part,
+exactly symmetric, so W = T_K(M) is symmetric in exact arithmetic and
+one operator serves W and W^T.  The weight is an
+operator first: it applies W to vectors by Horner's rule on the
 sparse M (taylor_exp_apply) and solves with a principal block W_SS by
 conjugate gradients on that matvec, with an iteration cap from the
 certified condition bound; the zero-Q solve needs nothing more.  The dense
@@ -38,18 +40,18 @@ and the chain solves with it on the |K| columns of the kernel
 coordinates only (InnerProductWeight.solve): W^{-1} is never formed.  No
 eigensolver runs on the weight: W = T_K(M) is a polynomial in the
 multiplier M and ||M|| <= a, so min_{|x|<=a} T_K(x), less a-priori bounds
-on the rounding of the Taylor sum, of the assembly of M and on how far
-the assembled M is from a Hermitian matrix, is a lower bound on its
-smallest eigenvalue (a bound <= 0 refuses the weight), and
-T_K(a) plus the same terms an upper bound on its largest.  Residual
-sizes use the certified bounds norm2_upper / norm2_lower instead of a full
-SVD: a relative defect divides an upper bound by a lower bound, so it is
-never below the spectral-norm ratio it stands for.  The weighted
-adjointness defect needs no solve either: X - W^{-1} X^* W =
-W^{-1} (Y - Y^*) with Y = W X, bounded through the eigenvalue bound and
-an a-priori bound on the rounding of the product W X.  The weight is a
-float64 matrix; a complex right-hand side is split into its real and
-imaginary columns (real_matmul), so W is never cast to complex.
+on the rounding of the Taylor sum and of the assembly and symmetrization
+of M, is a lower bound on its smallest eigenvalue (a bound <= 0 refuses
+the weight), and T_K(a) plus the same terms an upper bound on its
+largest.  Residual sizes use the certified bounds norm2_upper /
+norm2_lower instead of a full SVD: a relative defect divides an upper
+bound by a lower bound, so it is never below the spectral-norm ratio it
+stands for.  The weighted adjointness defect needs no solve either:
+X - W^{-1} X^* W = W^{-1} (Y - Y^*) with Y = W X, bounded through the
+eigenvalue bound and an a-priori bound on the rounding of the product
+W X.  The weight is a float64 matrix; a complex right-hand side is split
+into its real and imaginary columns (real_matmul), so W is never cast to
+complex.
 """
 
 from __future__ import annotations
@@ -66,9 +68,9 @@ from .poly import Poly
 
 
 # bytes of working memory one block of a streamed computation takes: the
-# expansion of a sparse product or of the pairing matrix, a block of rows of
-# a dense array read by the norms and abs_matvec, or of X - X^T in
-# norm2_upper_skew.  1 MB (at n=2 N=10 a D x D float64 array is 200 MB);
+# expansion of a sparse product, of the pairing matrix or of a symmetric
+# part, or a block of rows of a dense array read by the norms and
+# abs_matvec.  1 MB (at n=2 N=10 a D x D float64 array is 200 MB);
 # of 1, 2, 4 and 8 MB it gave the lowest peak RSS of qcurv solve and
 # parametrix-check at n=1 N=12, with run times inside their run-to-run spread
 _BLOCK_BYTES = 1 << 20
@@ -94,36 +96,6 @@ def norm2_upper(X) -> float:
         A = abs(X)
         return math.sqrt(float(A.sum(axis=0).max()) * float(A.sum(axis=1).max()))
     return norm2_upper_blocks(X.shape, lambda sl: X[sl])
-
-
-def norm2_upper_skew(X) -> float:
-    """norm2_upper(X - X^T) for a square X, dense or CSR, without forming X - X^T.
-
-    Dense: a block of rows of X - X^T at a time.  CSR: each block of rows
-    holds the stored entries of X and of X^T in those rows, summed as
-    X - X^T would sum them.  |X - X^T| is symmetric with a symmetric
-    pattern, so the sum of column j is that of row j in the same order, and
-    both come out bit for bit as norm2_upper(X - X.T) gives them.
-    """
-    if X.size == 0:
-        return 0.0
-    if not isinstance(X, CSR):
-        return norm2_upper_blocks(X.shape, lambda sl: X[sl] - X[:, sl].T)
-    T = X.T
-    D = X.shape[0]
-    rows, cols = np.zeros(D), np.zeros(D)
-    for r0, r1 in _spans(X.indptr[1:].astype(np.int64) + T.indptr[1:], _PRODUCT_BLOCK):
-        (a, ia, ja), (b, ib, jb) = X._entries(r0, r1), T._entries(r0, r1)
-        i, j = np.concatenate([ia, ib]), np.concatenate([ja, jb])
-        order = np.argsort(i * D + j, kind="stable")
-        vals, i, _ = _sum_runs(np.concatenate([a, -b])[order], i[order], j[order])
-        if not i.size:
-            continue
-        vals = np.abs(vals)
-        starts = np.flatnonzero(np.r_[True, i[1:] != i[:-1]])
-        rows[i[starts]] = np.add.reduceat(vals, starts)
-        cols[r0:r1] = np.bincount(i - r0, vals, minlength=r1 - r0)
-    return math.sqrt(float(cols.max()) * float(rows.max()))
 
 
 def norm2_upper_blocks(shape, rows_of):
@@ -218,8 +190,8 @@ class CSR:
     without repeats, with their values data[...].  Index arrays are int32
     when they fit.  It carries what the Galerkin layer needs: assembly from
     coordinate triples with duplicates summed (from_coo), sparse products,
-    sums and differences, the transpose, the entrywise real and imaginary
-    parts, conjugate and absolute value, row and column sums, the dense
+    sums and differences, the transpose, the entrywise real part,
+    conjugate and absolute value, row and column sums, the dense
     form, and products with dense vectors and blocks (on the right).
 
     The product with a vector gathers the vector at the column indices
@@ -308,10 +280,6 @@ class CSR:
     @property
     def real(self):
         return self._with_data(self.data.real.copy())
-
-    @property
-    def imag(self):
-        return self._with_data(self.data.imag.copy())
 
     def conj(self):
         return self._with_data(self.data.conj())
@@ -434,6 +402,31 @@ def _sum_runs(vals, rows, cols, drop_zeros=False):
         keep = vals != 0
         vals, rows, cols = vals[keep], rows[keep], cols[keep]
     return np.array(vals), rows, cols
+
+
+def symmetric_part(X: CSR) -> CSR:
+    """(X + X^T) / 2 of a square CSR X, a block of rows at a time.
+
+    Each block of rows holds the stored entries of X and of X^T in those
+    rows, summed as X + X.T sums them (X_ij + X_ji, in that order) and
+    halved, so every entry is that of (X + X.T) * 0.5 bit for bit; a pair
+    that cancels is not stored.  It is exactly symmetric, entry for entry,
+    since a float sum does not depend on its order.  Besides X, its
+    transpose and the result, one block of at most _PRODUCT_BLOCK entries
+    is expanded at a time.
+    """
+    T = X.T
+    D = X.shape[0]
+    blocks = []
+    for r0, r1 in _spans(X.indptr[1:].astype(np.int64) + T.indptr[1:], _PRODUCT_BLOCK):
+        (a, ia, ja), (b, ib, jb) = X._entries(r0, r1), T._entries(r0, r1)
+        i, j = np.concatenate([ia, ib]), np.concatenate([ja, jb])
+        order = np.argsort(i * D + j, kind="stable")
+        vals, i, j = _sum_runs(np.concatenate([a, b])[order], i[order], j[order],
+                               drop_zeros=True)
+        vals *= 0.5
+        blocks.append((vals, j, np.bincount(i - r0, minlength=r1 - r0)))
+    return CSR._from_row_blocks(blocks, X.shape, X.dtype)
 
 
 class MonomialIndex:
@@ -1009,9 +1002,10 @@ class InnerProductWeight:
 
     An operator first: the weight is the real (float64) frame multiplier M
     of (n+1) Upsilon (RealFrame) with the Taylor depth K, and it acts by
-    Horner's rule (taylor_exp_apply) without forming W.  Its operator core
-    is apply (W x), apply_transpose (W^T x, Horner on M^T), block_solve and
-    the bounds below; the zero-Q solve needs nothing else.  The dense
+    Horner's rule (taylor_exp_apply) without forming W.  M is symmetric
+    (ContactPerturbation.multiplier_matrix), so W^T = W and apply serves
+    both.  Its operator core is apply (W x), block_solve and the bounds
+    below; the zero-Q solve needs nothing else.  The dense
     matrix, symmetrized, is built on first use, by the chain and the pencil
     spectrum (matrix, solve, projector_rows; projector and adjoint_defect
     serve the tests).  What stays dense is that one D x D array: it is
@@ -1035,9 +1029,9 @@ class InnerProductWeight:
     below bracket every principal block (interlacing) and every compression
     V W V^* with orthonormal rows (parametrix.szego_rows).
 
-    M = Re M_c, M_c the assembled complex frame Galerkin matrix of
-    (n+1) Upsilon, and H the exact Galerkin matrix's Hermitian part.
-    multiplier_bound is a >= ||H||_2 and multiplier_skew is
+    M = (Re M_c + Re M_c^T) / 2, M_c the assembled complex frame Galerkin
+    matrix of (n+1) Upsilon, and H the exact Galerkin matrix's Hermitian
+    part.  multiplier_bound is a >= ||H||_2 and multiplier_skew is
     s >= ||M - H||_2.  Since eig(T_K(H)) = T_K(eig(H)), ||M|| <= a + s and
     ||T_K(M) - T_K(H)|| <= s e^{a+s} (telescoping M^k - H^k), the numbers
 
@@ -1053,11 +1047,13 @@ class InnerProductWeight:
 
     ContactPerturbation.weight passes a = (n+1) B(Upsilon), a bound on the
     exact Galerkin matrix in any orthonormal frame, and
-    s = norm2_upper(M - M^T) / 2 + norm2_upper(Im M_c) + e_asm: the skew
-    part of M and the imaginary part dropped from M_c bound ||M - H_c||,
-    H_c the Hermitian part of M_c, and e_asm >= ||M_c - M_exact|| is the
-    a-priori bound on the rounding of the assembly
-    (GalerkinContext.assembly_rounding), which bounds ||H_c - H||.
+    s = e_asm + gamma_1 norm2_upper(M) + L 2^-1074.  With M_c = H + iB + E,
+    ||E|| <= e_asm (GalerkinContext.assembly_rounding) and B real symmetric
+    (from any imaginary part Upsilon keeps within ContactPerturbation's
+    tolerance), Re drops iB exactly and neither Re nor the average raises
+    ||E||; the average rounds once per entry, within gamma_1 |M|, plus at
+    most 2^-1075 where the halving leaves the normal range (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2.2).
 
     The lower bound is below T_K on the whole interval [-a, a], so it can be
     <= 0 while W is still positive definite: for odd K, T_K has a real
@@ -1080,7 +1076,6 @@ class InnerProductWeight:
     max_eigenvalue_bound: float = field(init=False)
     cg_iteration_cap: int = field(init=False)
     cg_iterations: list = field(init=False, default_factory=list)  # one entry per CG solve
-    _transpose: object = field(init=False, repr=False, default=None)
     _matrix: np.ndarray | None = field(init=False, repr=False, default=None)
     _norm_upper: float = field(init=False, repr=False, default=0.0)
 
@@ -1116,12 +1111,6 @@ class InnerProductWeight:
     def apply(self, x):
         """W x by Horner on x (a vector or a block of columns); W is not formed."""
         return taylor_exp_apply(self.multiplier, self.taylor_depth, x)
-
-    def apply_transpose(self, x):
-        """W^T x = T_K(M^T) x by Horner on M^T, kept once made."""
-        if self._transpose is None:
-            self._transpose = self.multiplier.T
-        return taylor_exp_apply(self._transpose, self.taylor_depth, x)
 
     def block_apply(self, mask, x):
         """W_MM x for the principal block on the coordinates in mask, by Horner."""

@@ -23,10 +23,10 @@ G_0 transports as G_0 M_w with w the truncated conformal volume factor.
 P_hat has exactly the kernel of P_diag, the pluriharmonic coordinates K,
 so the final Pi and G have closed forms: Pi is the W-orthogonal projector
 onto K and G = (I - Pi) P_diag^+ W (I - Pi).  Applied to a vector
-(apply_partial_inverse) G needs only the weight's operator core: W and
-W^T by Horner and solves with W_KK by conjugate gradients.  The
-pencil's spectrum is |K| exact zeros plus the nonzero eigenvalues of the
-pencil of P_C and the Schur complement of W_KK: the spectrum command
+(apply_partial_inverse) G needs only the weight's operator core: W by
+Horner and solves with W_KK by conjugate gradients.  The pencil's
+spectrum is |K| exact zeros plus the nonzero eigenvalues of the pencil
+of P_C and the Schur complement of W_KK: the spectrum command
 writes them all from one Hermitian eigensolve (nonzero_eigenvalues), the
 chain reports the smallest with a certified enclosure from a block
 iteration and no eigensolver (low_eigenvalue_enclosure), and the zero-Q
@@ -589,9 +589,8 @@ def apply_partial_inverse(P_d, weight: InnerProductWeight, ker, X):
     Pi is the W-orthogonal projector onto the kernel coordinates K; its
     nonzero rows are W_KK^{-1} W_K:, so Pi Y = E_K W_KK^{-1} (W Y)_K.  For a
     vector or a block X nothing of the size of W is formed:
-    W (I - Pi) X = W X - W E_K z with z = W_KK^{-1} (W X)_K, and the last
-    projection reads (W Y)_K as (W^T Y)_K, the rows K of Horner on M^T
-    (weight.apply_transpose), with the solves by conjugate gradients
+    W (I - Pi) X = W X - W E_K z with z = W_KK^{-1} (W X)_K, every W by
+    Horner (weight.apply) and the solves by conjugate gradients
     (weight.block_solve).  G is real (frame coordinates), and a complex X
     is applied as its real and imaginary parts.  The matrix chain keeps G
     as its factors (build_chain_matrix).
@@ -604,7 +603,7 @@ def apply_partial_inverse(P_d, weight: InnerProductWeight, ker, X):
     Z[ker] = weight.block_solve(ker, Y[ker])
     Y -= weight.apply(Z)
     Y *= p_inv.reshape((-1,) + (1,) * (Y.ndim - 1))
-    Y[ker] -= weight.block_solve(ker, weight.apply_transpose(Y)[ker])
+    Y[ker] -= weight.block_solve(ker, weight.apply(Y)[ker])
     return Y
 
 

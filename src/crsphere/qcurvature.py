@@ -48,7 +48,7 @@ from .galerkin import (
     RealFrame,
     gamma,
     norm2_upper,
-    norm2_upper_skew,
+    symmetric_part,
     taylor_exp_apply,
 )
 from .harmonics import HarmonicBasis
@@ -122,7 +122,7 @@ class ContactPerturbation:
         self.label = label or "upsilon"
         self._sup = None
         self._mult = None
-        self._mult_defect = None  # its dropped imaginary part and assembly rounding, bounded
+        self._assembly_rounding = None  # e_asm of the multiplier
         self._weight = None
 
     @classmethod
@@ -203,9 +203,10 @@ class ContactPerturbation:
         Built once, on a GalerkinContext of Upsilon's own degree (at least
         one); the context is dropped as soon as the matrix and the a-priori
         bound on its assembly rounding are formed.  Upsilon is real, so the
-        frame matrix is real: its real part is kept, and the norm bound of
-        the imaginary part it drops, plus the assembly bound, go into the
-        weight's multiplier_skew (InnerProductWeight).
+        frame matrix is real and symmetric: of the assembled matrix M_c the
+        symmetric part of Re M_c is kept (galerkin.symmetric_part), exactly
+        symmetric, and the weight's multiplier_skew charges what that drops
+        (InnerProductWeight).
         """
         if self._mult is None:
             degree = max((p + q for (p, q) in self.upsilon.coeffs), default=0)
@@ -217,9 +218,11 @@ class ContactPerturbation:
             # product's 3) and once per further term it adds; the scale by n+1
             # once more
             roundings = 8 + sum(1 for _ in self.upsilon.terms())
-            rounding = ctx.assembly_rounding(self.upsilon.abs_poly_float().scale(scale), roundings)
-            self._mult = M.real
-            self._mult_defect = norm2_upper(M.imag) + rounding
+            self._assembly_rounding = ctx.assembly_rounding(
+                self.upsilon.abs_poly_float().scale(scale), roundings)
+            del ctx
+            M = M.real  # the complex M goes before its symmetric part is built
+            self._mult = symmetric_part(M)
         return self._mult
 
     def weight(self) -> InnerProductWeight:
@@ -230,7 +233,8 @@ class ContactPerturbation:
                 M,
                 taylor_depth=self.K,
                 multiplier_bound=self.multiplier_norm_bound(),
-                multiplier_skew=0.5 * norm2_upper_skew(M) + self._mult_defect,
+                multiplier_skew=(self._assembly_rounding + gamma(1) * norm2_upper(M)
+                                 + M.max_row_length() * math.ulp(0.0)),
                 tail_bound=self.exp_tail_bound(),
             )
         return self._weight
@@ -405,7 +409,7 @@ def solve_zero_q(qdata: QData, tol=DEFAULT_OBSTRUCTION_TOL, verify_final=True) -
     reports the condition number of P on the nonzero blocks.  In a perturbed
     frame G is the closed form (I - Pi) P_d^+ W (I - Pi) applied to the
     vector Q_hat (parametrix.apply_partial_inverse) through the weight's
-    operator core alone: W and W^T by Horner on vectors and solves with
+    operator core alone: W by Horner on vectors and solves with
     W_KK by conjugate gradients; the dense W is never formed.  The
     residual ||W^{-1} P_d u + x||_W (u the solution, x = Q_hat) is reported
     as its certified bound: with y = P_d u + W x it equals

@@ -319,6 +319,13 @@ class TestCommands:
         assert run(*argv, "--degree", "2", "--out", str(tmp_path / "o")) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("configuration error:")
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_obstruction_tol_must_be_finite_and_positive(self, tmp_path, capsys, pert_file, tol):
+        # with NaN every datum reads as obstructed, with inf none does
+        assert run("qcurv", "solve", "--n", "1", "--degree", "4", "--perturbation", pert_file,
+                   f"--obstruction-tol={tol}", "--out", str(tmp_path / "o")) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("configuration error: --obstruction-tol")
+
     def test_bad_config_exit_code(self, tmp_path):
         assert run("basis", "--n", "0", "--out", str(tmp_path / "o")) == EXIT_CONFIG
         assert run("qcurv", "check", "--n", "1", "--degree", "4",

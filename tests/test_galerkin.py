@@ -25,9 +25,9 @@ from crsphere.galerkin import (
     norm2_lower,
     norm2_upper,
     norm2_upper_abs,
-    norm2_upper_skew,
     pairing_matrix,
     shift_matrix,
+    symmetric_part,
     taylor_exp_apply,
     taylor_exp_matrix,
     cg_iteration_cap,
@@ -212,15 +212,17 @@ class TestMultiplicationMatrix:
         assert c1.mult_degree == basis8.N
 
     def test_perturbation_owns_its_context(self, ctx8, basis8):
-        # the multiplier is built on a context of Upsilon's own degree; a
-        # larger context gives the same matrix, entry for entry
+        # the multiplier is built on a context of Upsilon's own degree; the
+        # symmetric part of the real matrix a larger context assembles is the
+        # same matrix, entry for entry
         f = real_test_function(basis8, 0.1)
         M = ContactPerturbation(basis8, f).multiplier_matrix()
         poly = f.to_poly_float().scale(float(basis8.n + 1))
         degree = max(p + q for p, q in f.coeffs)
         for ctx in (GalerkinContext(basis8, mult_degree=degree), ctx8, full_context(basis8)):
             other = ctx.mult_matrix(poly).real
-            assert np.array_equal(M.toarray(), other.toarray()), ctx.mult_degree
+            symmetric = (other + other.T) * 0.5
+            assert np.array_equal(M.toarray(), symmetric.toarray()), ctx.mult_degree
 
 
 class TestTaylorExponential:
@@ -519,7 +521,7 @@ def test_real_frame_unitary_and_round_trip(bases_small, n):
 def test_frame_multiplier_of_a_real_function_is_real(ctx8, basis8):
     # real up to the rounding of the assembly
     M = ctx8.mult_matrix(real_test_function(basis8).to_poly_float())
-    assert norm2_upper(M.imag) <= 1e-15 * norm2_upper(M.real)
+    assert norm2_upper(M.toarray().imag) <= 1e-15 * norm2_upper(M.real)
 
 
 @pytest.mark.parametrize("n,N", [(1, 8), (1, 12), (2, 5)])
@@ -560,14 +562,16 @@ class TestWeightEigenvalueBound:
         f = SpectralFunction.from_terms(basis, terms).realized()
         assume(f.sup_norm_bound() > 0)
         pert = ContactPerturbation(basis, f.scale(size / f.sup_norm_bound()), taylor_depth=K)
-        # the frame multiplier as assembled: the weight keeps its real part
+        # the frame multiplier as assembled: the weight keeps the symmetric
+        # part of its real part
         degree = max(p + q for p, q in f.coeffs)
         ctx = GalerkinContext(basis, mult_degree=max(1, degree))
-        M = ctx.mult_matrix(pert.upsilon.to_poly_float().scale(float(n + 1)))
-        assert np.array_equal(pert.multiplier_matrix().toarray(), M.real.toarray())
+        R = ctx.mult_matrix(pert.upsilon.to_poly_float().scale(float(n + 1))).real
+        M = pert.multiplier_matrix()
+        assert np.array_equal(M.toarray(), ((R + R.T) * 0.5).toarray())
         a = pert.multiplier_norm_bound()
-        s = 0.5 * norm2_upper(M.real - M.real.T) + (norm2_upper(M.imag)
-                                                     + assembly_rounding(ctx, pert.upsilon, n))
+        s = (assembly_rounding(ctx, pert.upsilon, n) + gamma(1) * norm2_upper(M)
+             + M.max_row_length() * math.ulp(0.0))
         expected = (taylor_exp_min(a, K) - taylor_rounding_bound(a + s, basis.total_dim, K)
                     - s * math.exp(a + s))
         if expected <= 0:
@@ -580,10 +584,11 @@ class TestWeightEigenvalueBound:
         assert weight.min_eigenvalue_bound == expected
         assert 0 < weight.min_eigenvalue_bound <= scipy.linalg.eigvalsh(weight.matrix)[0]
 
-    def test_dropped_imaginary_part_counts_in_the_skew_bound(self, basis8):
+    def test_imaginary_part_within_tolerance_leaves_the_bound_certified(self, basis8):
         # Upsilon real only to the constructor's 1e-12 tolerance: its
-        # imaginary part gives the frame multiplier an imaginary part that
-        # the weight drops with Re, so multiplier_skew must carry it
+        # imaginary part gives the frame multiplier an imaginary part far
+        # above the rounding, the multiplier of a real symmetric matrix
+        # times i, which Re drops exactly; the bounds hold without it
         f = real_test_function(basis8, 0.05)
         g = SpectralFunction.from_terms(basis8, [(1, 1, 0, QI(1)), (2, 0, 1, QI(1))])
         ups = f + g.scale(2e-13j)
@@ -591,14 +596,14 @@ class TestWeightEigenvalueBound:
         pert = ContactPerturbation(basis8, ups)
         degree = max(p + q for p, q in ups.coeffs)
         ctx = GalerkinContext(basis8, mult_degree=degree)
-        M = ctx.mult_matrix(ups.to_poly_float().scale(2.0))
-        dropped = norm2_upper(M.imag)
-        assert dropped > 1e-13
+        M_c = ctx.mult_matrix(ups.to_poly_float().scale(2.0))
+        assert norm2_upper(M_c.toarray().imag) > 1e-13
+        R = M_c.real
+        assert np.array_equal(pert.multiplier_matrix().toarray(), ((R + R.T) * 0.5).toarray())
         weight = pert.weight()
-        assert weight.multiplier_skew >= dropped
-        assert weight.multiplier_skew == (0.5 * norm2_upper(M.real - M.real.T)
-                                          + (dropped + assembly_rounding(ctx, ups, 1)))
-        assert 0 < weight.min_eigenvalue_bound <= scipy.linalg.eigvalsh(weight.matrix)[0]
+        lam = scipy.linalg.eigvalsh(weight.matrix)
+        assert 0 < weight.min_eigenvalue_bound <= lam[0]
+        assert lam[-1] <= weight.max_eigenvalue_bound
 
     def test_weight_is_real(self, basis8):
         pert = ContactPerturbation(basis8, real_test_function(basis8, 0.05))
@@ -613,13 +618,15 @@ class TestWeightEigenvalueBound:
                                multiplier_bound=1.0)
 
     def test_skew_part_of_the_multiplier_lowers_the_bound(self):
-        # M = H + S with H = -I (||H|| = 1, the minimum of T_2 at -1) and S
-        # skew: W = T_2(M) has Hermitian part (1 - t^2) / 2 I, below
-        # min T_2 = 1/2; the skew term takes the bound under it
-        t = 0.1
-        M = np.array([[-1, t], [-t, -1]], dtype=float)
-        weight = InnerProductWeight(M, taylor_depth=2, multiplier_bound=1.0, multiplier_skew=t)
-        assert 0 < weight.min_eigenvalue_bound <= scipy.linalg.eigvalsh(weight.matrix)[0]
+        # a symmetric M = -0.6 I off by s = 0.1 from H = -0.5 I (||H|| = a):
+        # W = T_2(M) = 0.58 I, below min_{|x|<=a} T_2 = T_2(-0.5) = 0.625, so
+        # the bound without s is false; the skew term takes it under 0.58
+        M = np.diag([-0.6, -0.6])
+        lam = scipy.linalg.eigvalsh(taylor_exp_matrix(M, 2))[0]
+        without = InnerProductWeight(M, taylor_depth=2, multiplier_bound=0.5)
+        assert without.min_eigenvalue_bound > lam
+        weight = InnerProductWeight(M, taylor_depth=2, multiplier_bound=0.5, multiplier_skew=0.1)
+        assert 0 < weight.min_eigenvalue_bound <= scipy.linalg.eigvalsh(weight.matrix)[0] == lam
 
     def test_positive_weight_refused_past_the_root_of_odd_taylor_sum(self, ctx8, basis8):
         # T_5 has its real root at -2.18: with a = (n+1) B(Upsilon) = 2.5 the
@@ -818,12 +825,10 @@ def test_weight_operator_core_against_the_dense_matrix(basis8):
     rng = np.random.default_rng(4)
     x = rng.standard_normal(basis8.total_dim)
     wx = weight.apply(x)
-    wtx = weight.apply_transpose(x)
     kernel_solve = weight.block_solve(ker, x[ker])  # conjugate gradients on W_KK
     assert weight.cg_iterations and max(weight.cg_iterations) <= weight.cg_iteration_cap
     W = weight.matrix
     assert np.linalg.norm(wx - W @ x) <= 1e-14 * np.linalg.norm(x)
-    assert np.linalg.norm(wtx - W @ x) <= 1e-14 * np.linalg.norm(x)
     assert np.isclose(weighted_inner(weight, x, x).real, x @ W @ x, rtol=1e-14)
     ref = np.linalg.solve(W[np.ix_(ker, ker)], x[ker])
     assert np.abs(kernel_solve - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -898,7 +903,7 @@ def test_csr_against_scipy_sparse(dtype, seed, monkeypatch):
     A_ref.sum_duplicates()
     assert np.diff(A.indptr).min() == 0  # some row is empty
     for got, ref in ((A, A_ref), (A.T, A_ref.T), (A.conj(), A_ref.conj()),
-                     (abs(A), abs(A_ref)), (A.real, A_ref.real), (A.imag, A_ref.imag),
+                     (abs(A), abs(A_ref)), (A.real, A_ref.real),
                      (A @ B, A_ref @ B_ref), (A - (A @ B) @ B.T, A_ref - (A_ref @ B_ref) @ B_ref.T),
                      (-A * 2.0, -A_ref * 2.0)):
         dense = ref.toarray()
@@ -992,8 +997,9 @@ def _csr_parts(X):
 @pytest.mark.parametrize("n,N", [(1, 8), (2, 5)])
 def test_streamed_assembly_does_not_depend_on_the_block_size(bases_small, n, N, monkeypatch):
     # the pairing matrix, the sparse products of mult_matrix (with its shift
-    # matrix) and the skew bound, with one row per block and with blocks of
-    # 2^18 entries, against the default blocks: the same arrays, bit for bit
+    # matrix) and the symmetric part of the multiplier, with one row per
+    # block and with blocks of 2^18 entries, against the default blocks: the
+    # same arrays, bit for bit
     basis = bases_small[n].restrict(N)
     f = seeded_multiplier(basis).upsilon.to_poly_float()
     rng = np.random.default_rng(N)
@@ -1003,8 +1009,8 @@ def test_streamed_assembly_does_not_depend_on_the_block_size(bases_small, n, N, 
     def outputs():
         ctx = GalerkinContext(basis, mult_degree=3)
         M = ctx.mult_matrix(f)
-        return ([_csr_parts(X) for X in (ctx.K, ctx._BK, M, M.real @ M.real, A @ B)],
-                norm2_upper_skew(M.real))
+        return [_csr_parts(X) for X in (ctx.K, ctx._BK, M, M.real @ M.real, A @ B,
+                                        symmetric_part(M.real))]
 
     default = outputs()
     for size in (1, 1 << 18):
@@ -1013,15 +1019,27 @@ def test_streamed_assembly_does_not_depend_on_the_block_size(bases_small, n, N, 
         assert outputs() == default, size
 
 
-@pytest.mark.parametrize("n,N", [(1, 8), (2, 5)])
-def test_skew_bound_is_that_of_the_formed_difference(bases_small, n, N):
-    M = seeded_multiplier(bases_small[n].restrict(N)).multiplier_matrix()
-    assert norm2_upper_skew(M) == norm2_upper(M - M.T)  # bit for bit
-    dense = M.toarray()
-    assert norm2_upper_skew(dense) == pytest.approx(norm2_upper(dense - dense.T), rel=1e-14)
-    Z = np.random.default_rng(0).standard_normal((30, 30))
-    assert norm2_upper_skew(Z) == pytest.approx(norm2_upper(Z - Z.T), rel=1e-14)
-    assert norm2_upper_skew(CSR.zeros((3, 3))) == 0.0
+@pytest.mark.parametrize("n,N", [(1, 8), (2, 5), (3, 4)])
+def test_symmetric_part_is_that_of_the_formed_sum(bases_small, basis_n3_N4, n, N):
+    # the weight's multiplier is the streamed (R + R^T) / 2 of the assembled
+    # real part R, bit for bit, with the pairs that cancel not stored, and
+    # equals its transpose array for array
+    basis = basis_n3_N4 if n == 3 else bases_small[n].restrict(N)
+    pert = seeded_multiplier(basis)
+    M = pert.multiplier_matrix()
+    degree = max(p + q for p, q in pert.upsilon.coeffs)
+    ctx = GalerkinContext(basis, mult_degree=degree)
+    R = ctx.mult_matrix(pert.upsilon.to_poly_float().scale(float(n + 1))).real
+    assert not np.array_equal(R.toarray(), R.T.toarray())  # R itself is not symmetric
+    Z = CSR.from_coo(*random_coo(np.random.default_rng(n), (30, 30), 200, float), (30, 30))
+    Z.data[:3] = 0.0  # explicit zeros: their pairs cancel unless a mirror entry is stored
+    for X, S in ((R, M), (R, symmetric_part(R)), (Z, symmetric_part(Z))):
+        formed = (X + X.T) * 0.5
+        assert np.array_equal(S.toarray(), formed.toarray())
+        assert S.data.all() and S.nnz == np.count_nonzero(formed.data)
+        assert _csr_parts(S) == _csr_parts(S.T)
+    assert _csr_parts(M) == _csr_parts(symmetric_part(R))
+    assert _csr_parts(symmetric_part(CSR.zeros((3, 3)))) == _csr_parts(CSR.zeros((3, 3)))
 
 
 def traced_peak(fn):
@@ -1048,7 +1066,7 @@ def test_taylor_matrix_holds_two_dense_arrays(basis12):
 def test_dense_norms_read_blocks_of_rows():
     D = 1200  # 11.5 MB, above the block budget
     X = np.random.default_rng(1).standard_normal((D, D))
-    for fn in (norm2_upper, norm2_lower, norm2_upper_skew):
+    for fn in (norm2_upper, norm2_lower):
         _, extra = traced_peak(lambda: fn(X))
         assert extra < 8 * D * D, fn.__name__
     Z = X + 1j * X
@@ -1059,12 +1077,20 @@ def test_dense_norms_read_blocks_of_rows():
 def test_assembly_transients_are_bounded(basis_n2_N8):
     # at n=2 N=8 the unblocked assembly held 25 MB beyond its output
     # (mult_matrix) and 17 MB (the weight, for its skew bound); streamed,
-    # what remains is of the size of the sparse outputs
+    # what remains is of the size of the sparse outputs.  The symmetric part
+    # holds 3.0 MB (the formed (R + R.T) * 0.5: 12 MB), and the weight's
+    # multiplier (its own context, the assembly, the rounding bound and the
+    # symmetric part) peaks at 11.4 MB, in the context and the assembly
     pert = seeded_multiplier(basis_n2_N8)
     ctx = GalerkinContext(basis_n2_N8, mult_degree=3)
     f = pert.upsilon.to_poly_float().scale(3.0)
     _, extra = traced_peak(lambda: ctx.mult_matrix(f))
     assert extra <= 8e6
-    pert.multiplier_matrix()
+    R = ctx.mult_matrix(f).real
+    del ctx
+    _, extra = traced_peak(lambda: symmetric_part(R))
+    assert extra <= 4e6
+    _, extra = traced_peak(pert.multiplier_matrix)
+    assert extra <= 12e6
     _, extra = traced_peak(pert.weight)
     assert extra <= 4e6

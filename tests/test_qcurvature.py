@@ -313,6 +313,39 @@ def test_operator_solve_matches_dense_partial_inverse(basis12, seed):
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def test_operator_solve_matches_dense_partial_inverse_n3(basis_n3_N4):
+    # the same agreement at n = 3, N = 4, where every Pi reads (W Y)_K
+    # from the one Horner operator (W^T = W for the symmetric multiplier)
+    pert = shaped_perturbation(basis_n3_N4, 3, sup_bound=0.1)
+    qd = qhat(pert)
+    rep = solve_zero_q(qd)
+    frame = RealFrame(basis_n3_N4)
+    P_d = critical_gjms(basis_n3_N4).to_diag_vector(basis_n3_N4)
+    x = frame.to_frame(qd.vector())
+    ref_vec = frame.from_frame(-dense_partial_inverse(P_d, pert.weight().matrix,
+                                                      kernel_mask(basis_n3_N4), x))
+    ref = SpectralFunction.from_vector(basis_n3_N4, ref_vec).realized().to_vector()
+    got = rep.upsilon_sol.to_vector()
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_obstructed_floating_datum_raises_n3(basis_n3_N4):
+    # a floating datum with pluriharmonic components in a perturbed frame at
+    # n = 3: the solve refuses it, with a weighted obstruction norm at least
+    # sqrt(y^T W_KK^{-1} y) from the dense weight
+    pert = shaped_perturbation(basis_n3_N4, 5, sup_bound=0.1)
+    rng = np.random.default_rng(3)
+    Q = SpectralFunction.from_vector(
+        basis_n3_N4, rng.standard_normal(basis_n3_N4.total_dim)).realized()
+    with pytest.raises(ObstructionError) as exc:
+        solve_zero_q(QData(Q, pert, False, pert.K, 0.0))
+    W = pert.weight().matrix
+    ker = kernel_mask(basis_n3_N4)
+    y = (W @ RealFrame(basis_n3_N4).to_frame(Q.to_vector()).real)[ker]
+    ref = math.sqrt(y @ np.linalg.solve(W[np.ix_(ker, ker)], y))
+    assert ref > 1e-8 and exc.value.obstruction_norm >= ref * (1 - 1e-13)
+
+
 def test_operator_solve_matches_dense_partial_inverse_n2(basis_n2_N8):
     # the same agreement at n = 2, N = 8 (D = 2079), and every conjugate
     # gradient solve of the route within the cap its condition bound gives
@@ -369,12 +402,12 @@ def test_solve_never_forms_the_dense_weight(basis12, monkeypatch):
         pert.weight().matrix
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_operator_bounds_dominate_dense_values(n, request):
     # every bound the matrix-free solve reports against the dense value it
-    # replaces, at N = 8: the residual, the final-Q value, the condition
-    # number and the weight's eigenvalue range
-    basis = request.getfixturevalue("basis8" if n == 1 else "basis_n2_N8")
+    # replaces, at N = 8 (N = 4 for n = 3): the residual, the final-Q value,
+    # the condition number and the weight's eigenvalue range
+    basis = request.getfixturevalue({1: "basis8", 2: "basis_n2_N8", 3: "basis_n3_N4"}[n])
     pert = shaped_perturbation(basis, seed=n, sup_bound=0.1)
     qd = qhat(pert)
     rep = solve_zero_q(qd)
