@@ -19,20 +19,16 @@ from .errors import (
     NumericalError,
     ObstructionError,
 )
-from .harmonics import HarmonicBasis, dim_hpq, sphere_integral
+from .harmonics import HarmonicBasis, dim_hpq
 from .heisenberg import (
     Dilation,
     GroupElement,
     LeftInvariantOp,
-    apply_op,
     box_b,
     box_b_bar,
-    compose,
     dilate,
-    formal_adjoint,
     group_inv,
     group_mul,
-    homogeneity_degree,
     model_identity_suite,
     sublaplacian_model,
 )

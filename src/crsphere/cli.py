@@ -18,6 +18,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 
+from .defaults import BASIS_CAP, OBSTRUCTION_TOL, TAYLOR_DEPTH
 from .errors import ConfigError, NumericalError, ObstructionError
 from .harmonics import HarmonicBasis, dim_hpq
 from .heisenberg import LeftInvariantOp, box_b, model_identity_suite, sublaplacian_model
@@ -41,7 +42,7 @@ class RunConfig:
     command: str
     n: int = 1
     degree: int = 8
-    taylor_depth: int = 12
+    taylor_depth: int = TAYLOR_DEPTH
     mode: str = "exact"
     cache_dir: str | None = None
     out_dir: str = "out"
@@ -50,8 +51,8 @@ class RunConfig:
     sweep: str | None = None
     mu: str | None = None
     subaction: str | None = None
-    cap: int = 40000
-    obstruction_tol: float = 1e-8
+    cap: int = BASIS_CAP
+    obstruction_tol: float = OBSTRUCTION_TOL
 
     def __post_init__(self):
         if self.n < 1:
@@ -398,7 +399,7 @@ def build_parser():
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--n", type=int, default=1, help="CR dimension (sphere S^{2n+1})")
         p.add_argument("--degree", type=int, default=8, help="truncation degree N")
-        p.add_argument("--taylor-depth", type=int, default=12,
+        p.add_argument("--taylor-depth", type=int, default=TAYLOR_DEPTH,
                        help="Taylor depth K for the conformal factor")
         p.add_argument("--mode", choices=["exact", "float"], default="exact")
         p.add_argument("--perturbation", help="perturbation specification JSON")
@@ -409,8 +410,8 @@ def build_parser():
                        " (selftest: sweep over n)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--mu", help="extra L_mu eigentable columns, comma separated")
-        p.add_argument("--cap", type=int, default=40000)
-        p.add_argument("--obstruction-tol", type=float, default=1e-8)
+        p.add_argument("--cap", type=int, default=BASIS_CAP)
+        p.add_argument("--obstruction-tol", type=float, default=OBSTRUCTION_TOL)
         p.add_argument("--verify", action="store_true",
                        help="verify the manifest in --out instead of running")
         if name == "qcurv":

@@ -190,9 +190,9 @@ class CSR:
     without repeats, with their values data[...].  Index arrays are int32
     when they fit.  It carries what the Galerkin layer needs: assembly from
     coordinate triples with duplicates summed (from_coo), sparse products,
-    sums and differences, the transpose, the entrywise real part,
-    conjugate and absolute value, row and column sums, the dense
-    form, and products with dense vectors and blocks (on the right).
+    the transpose, the negation, the entrywise real part, conjugate and
+    absolute value, row and column sums, the dense form, and products with
+    dense vectors and blocks (on the right).
 
     The product with a vector gathers the vector at the column indices
     (np.take) and sums each row's products in order (np.add.reduceat); a
@@ -245,11 +245,6 @@ class CSR:
                    np.concatenate([j for _, j, _ in blocks]).astype(itype, copy=False),
                    indptr, shape)
 
-    @classmethod
-    def zeros(cls, shape, dtype=float):
-        empty = np.zeros(0, dtype=np.int64)
-        return cls.from_coo(np.zeros(0, dtype=dtype), empty, empty, shape)
-
     @property
     def dtype(self):
         return self.data.dtype
@@ -290,13 +285,6 @@ class CSR:
     def __neg__(self):
         return self._with_data(-self.data)
 
-    def __mul__(self, c):
-        if not np.isscalar(c):
-            return NotImplemented
-        return self._with_data(self.data * c)
-
-    __rmul__ = __mul__
-
     @property
     def T(self):
         # a stable sort by column keeps the rows ascending inside each column
@@ -316,16 +304,6 @@ class CSR:
         if axis == 1:
             return self @ np.ones(self.shape[1])
         return np.bincount(self.indices, self.data, minlength=self.shape[1])
-
-    def __add__(self, other):
-        if not isinstance(other, CSR):
-            return NotImplemented
-        rows = np.concatenate([self.row_ids(), other.row_ids()])
-        cols = np.concatenate([self.indices, other.indices])
-        return CSR.from_coo(np.concatenate([self.data, other.data]), rows, cols, self.shape)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __matmul__(self, other):
         if isinstance(other, CSR):
@@ -632,9 +610,8 @@ class GalerkinContext:
         self.idx_basis = MonomialIndex(m, basis.N)
         self.idx_big = MonomialIndex(m, basis.N + mult_degree)
         self.B = basis_matrix(basis, self.idx_basis)
-        self.B_conj = self.B.conj()
         self.K = pairing_matrix(self.idx_basis, self.idx_big, basis.n)
-        self._BK = self.B_conj @ self.K
+        self._BK = self.B.conj() @ self.K
 
     def mult_matrix(self, f: Poly) -> CSR:
         """Sparse (CSR) frame Galerkin matrix of multiplication by f (floating coefficients ok).
@@ -707,12 +684,12 @@ def taylor_exp_matrix(M, K: int) -> np.ndarray:
     and r products in X, one fewer when 3 divides K (then B_r = I / K! and
     the first step is X / K! + B_{r-1}): 5 dense matmuls at K = 12, where
     Horner's rule in M takes 11 (Paterson and Stockmeyer, SIAM J. Comput.
-    2, 1973; Higham, Functions of Matrices, 4.2).  M may be CSR or dense;
-    the sum is dense, and every product is a dense matmul.  The
-    coefficients are 1 / k! correctly rounded, the M^2 term of each B_j is
-    added from the nonzero entries of M^2 (7% of D^2 at n=2 N=8, 15% at
-    n=1 N=12), the M term from the stored entries of a CSR M, and the
-    identity term goes on the diagonal alone.  taylor_rounding_bound bounds the rounding of this
+    2, 1973; Higham, Functions of Matrices, 4.2).  M is CSR; the sum is
+    dense, and every product is a dense matmul.  The coefficients are
+    1 / k! correctly rounded, the M^2 term of each B_j is added from the
+    nonzero entries of M^2 (7% of D^2 at n=2 N=8, 15% at n=1 N=12), the M
+    term from the stored entries of M, and the identity term goes on the
+    diagonal alone.  taylor_rounding_bound bounds the rounding of this
     evaluation order.
 
     Working memory: two D x D arrays, X and the sum E, one block of rows
@@ -721,7 +698,7 @@ def taylor_exp_matrix(M, K: int) -> np.ndarray:
     of at least D/8 rows at a time (eighth_blocks): the block's product
     goes to a buffer and is copied back.  M^2 is formed in X, its nonzero
     entries kept, and turned into X = M^2 M so, the dense M the second
-    array while it is (a CSR M is made dense only for these two products).
+    array while it is (M is made dense only for these two products).
     Each Horner step overwrites E so, the block's product taking the
     block's rows of B_j (the scaled M^2, the scaled M, then the diagonal)
     before it is copied back.  Every
@@ -730,8 +707,7 @@ def taylor_exp_matrix(M, K: int) -> np.ndarray:
     """
     D = M.shape[0]
     r = K // 3
-    sparse = isinstance(M, CSR)
-    dense = M.toarray() if sparse else np.asarray(M)
+    dense = M.toarray()
     dtype = dense.dtype
     blocks = eighth_blocks(D)
     buf = np.empty((blocks[0].stop if blocks else 0, D), dtype=dtype)
@@ -744,8 +720,7 @@ def taylor_exp_matrix(M, K: int) -> np.ndarray:
             B = buf[:rows.stop - rows.start]
             np.matmul(X[rows], dense, out=B)
             X[rows] = B
-    if sparse:
-        del dense
+    del dense
 
     def add_block(j, B, i, rows):
         """B += the rows `rows` (block i) of B_j, in place (B holds those rows)."""
@@ -755,12 +730,9 @@ def taylor_exp_matrix(M, K: int) -> np.ndarray:
             B.reshape(-1)[flat] += values * (1 / math.factorial(k + 2))
         if k + 1 <= K:
             c = 1 / math.factorial(k + 1)
-            if sparse:
-                ptr = M.indptr[rows.start:rows.stop + 1]
-                at = np.repeat(np.arange(ptr.size - 1), np.diff(ptr))
-                B[at, M.indices[ptr[0]:ptr[-1]]] += M.data[ptr[0]:ptr[-1]] * c
-            else:
-                B += np.multiply(dense[rows], c)
+            ptr = M.indptr[rows.start:rows.stop + 1]
+            at = np.repeat(np.arange(ptr.size - 1), np.diff(ptr))
+            B[at, M.indices[ptr[0]:ptr[-1]]] += M.data[ptr[0]:ptr[-1]] * c
         B[np.arange(B.shape[0]), np.arange(rows.start, rows.stop)] += 1 / math.factorial(k)
 
     if r and 3 * r == K:  # B_r = I / K!: the first step needs no product
@@ -952,10 +924,6 @@ CG_TOL = UNIT_ROUNDOFF
 CG_SLACK = 10
 
 
-def _max_row_length(M) -> int:
-    return M.max_row_length() if isinstance(M, CSR) else int(np.count_nonzero(M, axis=1).max(initial=0))
-
-
 def real_matmul(A, X):
     """A @ X for a real A without casting A to complex.
 
@@ -1062,11 +1030,12 @@ class InnerProductWeight:
     whatever the spectrum of M.  Such a weight is refused: a bound <= 0,
     like a CG breakdown, raises NumericalError (a non-positive weight means
     the conformal factor left the regime the truncation can represent).
-    Complex right-hand sides are applied and solved as their real and
-    imaginary parts (real_matmul).
+    Complex vectors are applied, solved by CG and taken by adjoint_defect
+    as their real and imaginary parts (real_matmul); the dense solve takes
+    real right-hand sides.
     """
 
-    multiplier: object  # M: real D x D, CSR or dense
+    multiplier: CSR  # M: real D x D
     taylor_depth: int
     multiplier_bound: float
     multiplier_skew: float = 0.0
@@ -1085,7 +1054,7 @@ class InnerProductWeight:
             raise TypeError("the weight is real: build its multiplier in the real frame")
         a, s, K = self.multiplier_bound, self.multiplier_skew, self.taylor_depth
         rho = taylor_rounding_bound(a + s, M.shape[0], K)
-        self.apply_rounding_bound = taylor_apply_rounding_bound(a + s, _max_row_length(M),
+        self.apply_rounding_bound = taylor_apply_rounding_bound(a + s, M.max_row_length(),
                                                                 norm2_upper(M))
         skew = s * math.exp(a + s)
         self.min_eigenvalue_bound = taylor_exp_min(a, K) - rho - skew
@@ -1099,14 +1068,6 @@ class InnerProductWeight:
             )
         self.cg_iteration_cap = cg_iteration_cap(
             self.max_eigenvalue_bound / self.min_eigenvalue_bound, CG_TOL)
-
-    @classmethod
-    def identity(cls, dim):
-        return cls(CSR.zeros((dim, dim)), taylor_depth=0, multiplier_bound=0.0)
-
-    @property
-    def dim(self):
-        return self.multiplier.shape[0]
 
     def apply(self, x):
         """W x by Horner on x (a vector or a block of columns); W is not formed."""
@@ -1176,8 +1137,8 @@ class InnerProductWeight:
         return self._norm_upper
 
     def solve(self, rhs):
-        """W^{-1} rhs by a dense solve with the matrix."""
-        return real_matmul(lambda b: np.linalg.solve(self.matrix, b), rhs)
+        """W^{-1} rhs (a real vector or block) by a dense solve with the matrix."""
+        return np.linalg.solve(self.matrix, rhs)
 
     def projector_rows(self, mask):
         """The rows in mask of the W-orthogonal projector onto the coordinates in mask.
@@ -1193,7 +1154,7 @@ class InnerProductWeight:
     def projector(self, mask):
         """W-orthogonal projector onto the coordinate subspace given by mask (projector_rows)."""
         mask = np.asarray(mask, dtype=bool)
-        P = np.zeros((self.dim, self.dim))
+        P = np.zeros(self.multiplier.shape)
         if mask.any():
             P[mask] = self.projector_rows(mask)
         return P

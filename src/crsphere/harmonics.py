@@ -44,9 +44,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .defaults import BASIS_CAP
 from .errors import CapExceededError, ConfigError
 from .poly import PairingFunctional, Poly, accumulate, matched_pairing, sectors
-from .scalars import QI, qi
+from .scalars import QI
 
 BASIS_CACHE_VERSION = 1
 
@@ -65,48 +66,17 @@ def _integral_equal_exponents(n: int, exps: tuple) -> Fraction:
     return Fraction(num, math.factorial(n + total))
 
 
-def integral_monomial(n: int, beta: tuple, gamma: tuple) -> Fraction:
-    """Exact normalized average of z^beta zbar^gamma over S^{2n+1}."""
-    if beta != gamma:
-        return Fraction(0)
-    return _integral_equal_exponents(n, tuple(beta))
-
-
-def sphere_integral(f: Poly, n: int):
-    """Exact (QI) or floating integral of an ambient polynomial over the sphere.
-
-    Returns QI iff every coefficient is exact, complex otherwise.
-    """
-    exact = all(isinstance(c, QI) for c in f.terms.values())
-    total = QI(0) if exact else 0j
-    for (a, b, g), c in f.terms.items():
-        if a:
-            raise ValueError("sphere integrand must be t-free")
-        if b == g:
-            w = _integral_equal_exponents(n, tuple(b))
-            total = total + (c * qi(w) if exact else complex(c) * float(w))
-    return total
-
-
 def inner_sphere(f: Poly, g: Poly, n: int):
     """L2(dsigma) inner product <f, g> = int f conj(g).
 
     The one exponent-matched pairing (poly.matched_pairing) with the sphere
-    monomial weight; equal to sphere_integral(f * g.conj_fn(), n) without
+    monomial weight; equal to the integral of f * g.conj_fn() without
     forming the product.  Like that integral it refuses a t term, which
     the product of two nonzero polynomials keeps whenever either has one.
     """
     if f.terms and g.terms and any(a for h in (f, g) for (a, _, _) in h.terms):
         raise ValueError("sphere integrand must be t-free")
     return matched_pairing(f, g, _sphere_weight(n))
-
-
-def amb_laplacian(f: Poly) -> Poly:
-    """Ambient Laplacian sum_j d/dz_j d/dzbar_j (the 1/4 factor is immaterial)."""
-    out = Poly.zero(f.m)
-    for j in range(f.m):
-        out = out + f.diff_z(j).diff_zbar(j)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +272,7 @@ class HarmonicBasis:
     # -- construction --------------------------------------------------------
 
     @classmethod
-    def build(cls, n, N, cap=40000, validate=True):
+    def build(cls, n, N, cap=BASIS_CAP):
         if n < 1 or N < 0:
             raise ConfigError("need n >= 1 and N >= 0")
         total = sum(dim_hpq(n, p, q) for d in range(N + 1) for p in range(d + 1) for q in [d - p])
@@ -313,7 +283,7 @@ class HarmonicBasis:
             for p in range(d, (d - 1) // 2, -1):
                 q = d - p
                 raw = harmonic_block_polys(n, p, q)
-                if validate and len(raw) != dim_hpq(n, p, q):
+                if len(raw) != dim_hpq(n, p, q):
                     raise ConfigError(f"block ({p},{q}) dimension {len(raw)} != formula")
                 if p == q:
                     raw = _real_valued_block_basis(raw)
@@ -378,7 +348,7 @@ class HarmonicBasis:
         return cls(payload["n"], payload["N"], blocks)
 
     @classmethod
-    def load_or_build(cls, n, N, cache_dir=None, cap=40000):
+    def load_or_build(cls, n, N, cache_dir=None, cap=BASIS_CAP):
         """Build with disk cache; returns (basis, cache_hit)."""
         if cache_dir:
             path = os.path.join(cache_dir, cls.cache_filename(n, N))
@@ -388,90 +358,3 @@ class HarmonicBasis:
         if cache_dir:
             basis.save(cache_dir)
         return basis, False
-
-
-# ---------------------------------------------------------------------------
-# harmonic decomposition of ambient polynomials
-# ---------------------------------------------------------------------------
-
-
-def _norm_poly(m):
-    out = Poly.zero(m)
-    for j in range(m):
-        out = out + Poly.var_z(m, j) * Poly.var_zbar(m, j)
-    return out
-
-
-def _scalar_like(poly, frac: Fraction):
-    for c in poly.terms.values():
-        if isinstance(c, QI):
-            return qi(frac)
-        return complex(float(frac))
-    return qi(frac)
-
-
-def decompose_bihomogeneous(g: Poly, m: int, a: int, b: int):
-    """Write a bidegree-(a, b) polynomial as sum_k |z|^{2k} h_k, h_k harmonic.
-
-    Returns {k: h_k}.  Uses Delta(|z|^{2k} h) = k (m + deg h + k - 1) |z|^{2k-2} h
-    for harmonic h, so the expansion of Delta g determines h_k for k >= 1 and
-    h_0 comes out by subtraction.
-    """
-    if g.is_zero():
-        return {}
-    if a == 0 or b == 0:
-        return {0: g}
-    lap = amb_laplacian(g)
-    inner = decompose_bihomogeneous(lap, m, a - 1, b - 1)
-    r2 = _norm_poly(m)
-    parts = {}
-    remainder = g
-    for j, w in inner.items():
-        k = j + 1
-        c = Fraction(k * (m + a + b - k - 1))
-        h = w.scale(_scalar_like(w, Fraction(1) / c))
-        parts[k] = h
-        remainder = remainder - (r2**k) * h
-    if not remainder.is_zero():
-        parts[0] = remainder
-    return parts
-
-
-def sphere_reduce(f: Poly):
-    """Harmonic components of the sphere restriction of f.
-
-    On the sphere |z|^2 = 1, so every |z|^{2k} h_k contributes h_k to the
-    block of its own bidegree.  Returns {(p, q): harmonic poly}.
-    """
-    m = f.m
-    out = {}
-    for (a, b), comp in f.bidegree_components().items():
-        for k, h in decompose_bihomogeneous(comp, m, a, b).items():
-            key = (a - k, b - k)
-            cur = out.get(key)
-            out[key] = h if cur is None else cur + h
-    return {k: v for k, v in out.items() if not v.is_zero()}
-
-
-def expand_in_basis(f: Poly, basis: HarmonicBasis, drop_excess=True):
-    """Exact expansion data of f over the basis.
-
-    Returns {(p, q): [coefficient of the unnormalized element v_i]} where the
-    coefficient is <h, v_i> / norm2_i; the normalized coefficient is that
-    times sqrt(norm2_i).  Blocks beyond the truncation are dropped when
-    drop_excess, else reported as an error.
-    """
-    n = basis.n
-    comps = sphere_reduce(f)
-    out = {}
-    for (p, q), h in comps.items():
-        if (p, q) not in basis.blocks:
-            if drop_excess:
-                continue
-            raise ConfigError(f"component ({p},{q}) beyond truncation N={basis.N}")
-        coeffs = []
-        for el in basis.blocks[(p, q)]:
-            val = inner_sphere(h, el.poly, n)
-            coeffs.append(val / qi(el.norm2) if isinstance(val, QI) else val / float(el.norm2))
-        out[(p, q)] = coeffs
-    return out

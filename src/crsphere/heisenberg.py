@@ -265,24 +265,6 @@ class LeftInvariantOp(TermDict):
         return None
 
 
-# spec-facing functional aliases
-
-def apply_op(op: LeftInvariantOp, f: Poly) -> Poly:
-    return op.apply(f)
-
-
-def compose(op1: LeftInvariantOp, op2: LeftInvariantOp) -> LeftInvariantOp:
-    return op1.compose(op2)
-
-
-def formal_adjoint(op: LeftInvariantOp) -> LeftInvariantOp:
-    return op.formal_adjoint()
-
-
-def homogeneity_degree(op: LeftInvariantOp):
-    return op.homogeneity_degree()
-
-
 # ---------------------------------------------------------------------------
 # model operators
 # ---------------------------------------------------------------------------
@@ -510,7 +492,13 @@ def _spanning_monomials(n, weighted_degree):
     return out
 
 
-def model_identity_suite(n, seed=0, samples=4, pbw_degree=3):
+# random draws per sampled identity, and the weighted degree of the monomials
+# the commutation relation and PBW soundness are checked on
+_SUITE_SAMPLES = 4
+_PBW_DEGREE = 3
+
+
+def model_identity_suite(n, seed=0):
     """Exact verification of the model identities; returns per-check records.
 
     Covers the group axioms, left invariance of the frame, the commutation
@@ -528,18 +516,18 @@ def model_identity_suite(n, seed=0, samples=4, pbw_degree=3):
 
     # group axioms
     ok = True
-    for _ in range(samples):
+    for _ in range(_SUITE_SAMPLES):
         g, h, k = (_random_group_element(rng, n) for _ in range(3))
         e = GroupElement.identity(n)
         ok &= group_mul(group_mul(g, h), k) == group_mul(g, group_mul(h, k))
         ok &= group_mul(e, g) == g and group_mul(g, e) == g
         ok &= group_mul(g, group_inv(g)) == e
         ok &= group_inv(group_inv(g)) == g
-    record("group_axioms", ok, f"{samples} random rational triples")
+    record("group_axioms", ok, f"{_SUITE_SAMPLES} random rational triples")
 
     # dilations: semigroup law and group homomorphism
     ok = True
-    for _ in range(samples):
+    for _ in range(_SUITE_SAMPLES):
         r = Dilation(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
         s = Dilation(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
         g, h = _random_group_element(rng, n), _random_group_element(rng, n)
@@ -554,7 +542,7 @@ def model_identity_suite(n, seed=0, samples=4, pbw_degree=3):
     # left invariance of the frame; low-degree polynomials keep the exact
     # substitution cheap without weakening the (linear in f) identity
     ok = True
-    for _ in range(max(2, samples // (1 if n < 3 else 2))):
+    for _ in range(max(2, _SUITE_SAMPLES // (1 if n < 3 else 2))):
         g = _random_group_element(rng, n)
         f = _random_poly(rng, n, 3, 1) + Poly.var_t(n) * Poly.var_z(n, 0)
         for L in gens:
@@ -562,7 +550,7 @@ def model_identity_suite(n, seed=0, samples=4, pbw_degree=3):
     record("left_invariance", ok, "generators on random polynomials")
 
     # commutation relation, by brute force on spanning monomials and in the algebra
-    span = _spanning_monomials(n, pbw_degree)
+    span = _spanning_monomials(n, _PBW_DEGREE)
     T = LeftInvariantOp.t_gen(n)
     ok = True
     for a in range(n):
@@ -588,7 +576,7 @@ def model_identity_suite(n, seed=0, samples=4, pbw_degree=3):
     for a in range(n):
         ok &= LeftInvariantOp.z_gen(n, a).formal_adjoint() == LeftInvariantOp.zbar_gen(n, a).scale(QI(-1))
     ok &= sublaplacian_model(n).formal_adjoint() == sublaplacian_model(n)
-    for _ in range(samples):
+    for _ in range(_SUITE_SAMPLES):
         L1, L2 = _random_op(rng, n), _random_op(rng, n)
         ok &= L1.formal_adjoint().formal_adjoint() == L1
         ok &= L1.compose(L2).formal_adjoint() == L2.formal_adjoint().compose(L1.formal_adjoint())
@@ -623,7 +611,7 @@ def model_identity_suite(n, seed=0, samples=4, pbw_degree=3):
             C = L1.compose(L2)
             for f in span:
                 ok &= C.apply(f) == L1.apply(L2.apply(f))
-    record("pbw_soundness", ok, f"operator pairs on monomials of weighted degree <= {pbw_degree}")
+    record("pbw_soundness", ok, f"operator pairs on monomials of weighted degree <= {_PBW_DEGREE}")
 
     # homogeneity grading and the dilation property
     ok = LeftInvariantOp.z_gen(n, 0).homogeneity_degree() == 1

@@ -58,7 +58,7 @@ The matrix chain stores one D x D array, W; every other member is a
 diagonal or factors with at most 2|K| rows or columns (S, Sbar, Pi_0,
 Pi_oo and Pi are nonzero only on their rows in K, where the holomorphic
 and antiholomorphic coordinates pair up), and P_hat = W^{-1} P_diag is
-exact and never stored (build_chain_matrix, ParametrixChain.member).
+exact and never stored (build_chain_matrix).
 
 Reported residual norms are upper bounds on the spectral norm, never SVD
 values: sqrt(||X||_1 ||X||_inf) (galerkin.norm2_upper) of a residual
@@ -154,40 +154,10 @@ class ParametrixChain:
     basis: HarmonicBasis | None = None
 
     def member(self, name):
-        """A member by name, as a full matrix.
-
-        The matrix chain stores Pi and Pi_oo as their rows in K, the only
-        rows that are not zero, and of the Szego pair the |K| x |K| factor
-        S_imag of Im S_K: = S_imag W_K: alone: Re S = Pi0 / 2 exactly, and
-        Pi0's rows and W_K: are the blocks of Vf.  This expands the rows
-        and forms S, Sbar = conj(S) and Pi0.  G0, R0, A0, G and GInf it
-        keeps as factors, and forms them here (_expand), W V_:K and the
-        rows K of G_oo included.  P_hat = W^{-1} P_diag it never stores:
-        this solves for it densely.
-        """
-        if self.mode != "matrix" or name not in _ROW_MEMBERS + _FACTORED_MEMBERS + ("P_hat",):
-            return self.members[name]
-        if name == "P_hat":
-            return self.weight.solve(np.diag(self.members["P_diag"]))
-        ker = kernel_mask(self.basis)
-        if name in _FACTORED_MEMBERS:
-            return _expand(self.members, self.weight.matrix, ker, name)
-        if name in ("Pi", "PiInf"):
-            rows = self.members[name]
-        else:
-            rows, W_K = np.split(self.members["Vf"], 2)
-            if name != "Pi0":
-                im = self.members["S_imag"] @ W_K
-                rows = 0.5 * rows + 1j * (im if name == "S" else -im)
-        X = np.zeros((ker.size, rows.shape[1]), dtype=rows.dtype)
-        X[ker] = rows
-        return X
-
-
-# members the matrix chain stores as their rows in K (S, Sbar and Pi0 from Vf and S_imag)
-_ROW_MEMBERS = ("S", "Sbar", "Pi0", "Pi", "PiInf")
-# members the matrix chain keeps as factors
-_FACTORED_MEMBERS = ("G0", "R0", "A0", "G", "GInf")
+        """A stored member by name: a DiagonalOperator of the diagonal chain;
+        of the matrix chain a diagonal, rows in K or a factor
+        (build_chain_matrix), which the tests expand to full matrices."""
+        return self.members[name]
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +247,12 @@ class EigenCluster:
     blocks: list
 
 
-def cluster_eigenvalues(values, multiplicities, rel_tol=1e-8, blocks=None):
-    """Group sorted eigenvalues whose relative distance is below rel_tol."""
+# eigenvalues closer than this, relative to the larger, form one cluster
+_CLUSTER_TOL = 1e-8
+
+
+def cluster_eigenvalues(values, multiplicities, blocks=None):
+    """Group sorted eigenvalues whose relative distance is at most _CLUSTER_TOL."""
     order = np.argsort(values)
     clusters = []
     for idx in order:
@@ -288,7 +262,7 @@ def cluster_eigenvalues(values, multiplicities, rel_tol=1e-8, blocks=None):
         if clusters:
             last = clusters[-1]
             scale = max(abs(v), abs(last.value), 1e-300)
-            if abs(v - last.value) <= rel_tol * scale:
+            if abs(v - last.value) <= _CLUSTER_TOL * scale:
                 last.multiplicity += m
                 if b is not None:
                     last.blocks.append(b)
@@ -306,24 +280,24 @@ class SpectrumResult:
     kernel_tol: float = 0.0
 
 
-def spectrum_diagonal(D: DiagonalOperator, rel_tol=1e-8) -> SpectrumResult:
+def spectrum_diagonal(D: DiagonalOperator) -> SpectrumResult:
     """Spectrum of a diagonal operator: eigentable values with block dims."""
     blocks = D.blocks()
     vals = np.array([float(D.table[b]) for b in blocks])
     mults = np.array([dim_hpq(D.n, p, q) for (p, q) in blocks])
-    clusters = cluster_eigenvalues(vals, mults, rel_tol, blocks=list(blocks))
+    clusters = cluster_eigenvalues(vals, mults, blocks=list(blocks))
     kernel = sum(m for v, m in zip(vals, mults) if v == 0.0)
     flat = np.repeat(vals, mults)
     flat.sort()
     return SpectrumResult(flat, clusters, int(kernel))
 
 
-def spectrum_matrix(P_diag_vec, weight: InnerProductWeight, kernel_tol=1e-10,
-                    rel_tol=1e-8) -> SpectrumResult:
+def spectrum_matrix(P_diag_vec, weight: InnerProductWeight) -> SpectrumResult:
     """Generalized Hermitian eigenproblem P_d x = lambda W x.
 
     Returns real eigenvalues, W-orthonormal eigenvectors, and the numerical
-    kernel dimension at the given absolute tolerance.  The program reads the
+    kernel dimension at an absolute tolerance of 1e-10, or 1e-13 of the
+    largest eigenvalue if that is more.  The program reads the
     pencil's spectrum from spectrum_pencil; this dense route is the
     reference the tests hold it to.
     """
@@ -336,9 +310,9 @@ def spectrum_matrix(P_diag_vec, weight: InnerProductWeight, kernel_tol=1e-10,
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericalError(f"generalized eigensolver failed: {exc}") from exc
     evecs = L_inv.T @ Y
-    tol = max(kernel_tol, 1e-13 * float(np.max(np.abs(evals), initial=0.0)))
+    tol = max(1e-10, 1e-13 * float(np.max(np.abs(evals), initial=0.0)))
     kernel = int(np.sum(np.abs(evals) <= tol))
-    clusters = cluster_eigenvalues(evals, np.ones(D, dtype=int), rel_tol)
+    clusters = cluster_eigenvalues(evals, np.ones(D, dtype=int))
     return SpectrumResult(evals, clusters, kernel, evecs, tol)
 
 
@@ -537,9 +511,9 @@ def kernel_mask(basis: HarmonicBasis):
     return np.array([p * q == 0 for p, q, _, _ in basis.index_blocks()])
 
 
-def interior_mask(basis: HarmonicBasis, margin=4):
-    """Blocks p + q <= N - margin, away from the truncation boundary."""
-    return np.array([p + q <= basis.N - margin for p, q, _, _ in basis.index_blocks()])
+def interior_mask(basis: HarmonicBasis):
+    """Blocks p + q <= N - 4, away from the truncation boundary."""
+    return np.array([p + q <= basis.N - 4 for p, q, _, _ in basis.index_blocks()])
 
 
 def pseudo_inverse_diag(P_d, ker):
@@ -757,44 +731,6 @@ class _TimesHat:
         return (x_pd + x_c + self.omega * x * self.n_comm) / self.lam
 
 
-def _expand(m, W, ker, name):
-    """A factored member of the matrix chain as a full matrix (ParametrixChain.member).
-
-    With U = [E_K, -V_:K], Vf = [Pi0_K; W_K:], Z = [Pi_K:; Z_2] and
-    B = W - W_:K Pi_K:, G0 = G0_d W, R0 = U Vf, A0 = I - U Z, and on the
-    rows C, G = P^+ B and G_oo = G0_d (B + W V_:K Z_2) (G0_d and P^+ vanish
-    on K).  The rows K of G are the stored G_K = -Pi_K: P^+ B, and those of
-    G_oo are G_K - (PiInf_K: - Pi_K:) G - PiInf_K: (G_oo - G): since
-    G_K + Pi_K: G is the rounding of G, that is -PiInf_K: G_oo up to it, as
-    in G_oo = (I - Pi_oo) G_0 A_0, and G_oo - G is a sum of products of
-    small factors (build_chain_matrix bounds it).
-    """
-    k = int(ker.sum())
-    V_K, Vf = m["V_K"], m["Vf"]
-    if name == "G0":
-        return m["G0_diag"][:, None] * W
-    if name == "R0":
-        X = V_K @ Vf[k:]
-        np.negative(X, out=X)
-        X[ker] += Vf[:k]
-        return X
-    if name == "A0":
-        X = V_K @ m["Z2"]
-        X[ker] -= m["Pi"]
-        X.flat[:: X.shape[0] + 1] += 1
-        return X
-    B = W - Vf[k:].T @ m["Pi"]
-    G = m["P_plus"][:, None] * B
-    if name == "G":
-        G[ker] = m["G_K"]
-        return G
-    B += blocked_matmul(W, V_K)[0] @ m["Z2"]
-    B *= m["G0_diag"][:, None]
-    PiInf = m["PiInf"]
-    B[ker] = m["G_K"] - (PiInf - m["Pi"]) @ G - PiInf @ (B - G)
-    return B
-
-
 def _gram_rows(F, mask):
     """F_M^T F_M, F_M the rows in mask of a D x m array F, a block of D/8 rows at a time."""
     G = np.zeros((F.shape[1], F.shape[1]))
@@ -899,9 +835,9 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
     (low_eigenvalue_enclosure): no eigensolver of order |C| runs.
 
     What stays dense.  The chain holds one D x D array, W.  Every member
-    is a diagonal, W, or factors with at most 2|K| rows or columns,
-    expanded on request (ParametrixChain.member, _expand); no member is
-    formed to be measured.  Its D x D x D work is the Taylor sum of W; the
+    is a diagonal, W, or factors with at most 2|K| rows or columns (the
+    tests expand them: tests/chain_members.py); no member is formed to be
+    measured.  Its D x D x D work is the Taylor sum of W; the
     solve for V_:K is one LU of W with |K| right-hand sides and one
     product W V_:K for its defect, the low eigenvalue one product of W
     with D x w per step (w = 2 g + 8, g the multiplicity of the smallest
@@ -968,8 +904,8 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
     and measured ("dense"), Pi G = (Pi_KK - I) G_K plus the rounding of G
     is formed and bounded.  G_oo - G is bounded from its factors: on the
     rows C it is (G0_d - P^+) B + G0_d F Z_2, on the rows K
-    -(PiInf_K: - Pi_K:) G - PiInf_K: (G_oo - G) (_expand), and the members
-    share the computed B.  Every a-priori rounding term is on the members
+    -(PiInf_K: - Pi_K:) G - PiInf_K: (G_oo - G) (the rows K of G_oo are
+    expanded as G_K plus these), and the members share the computed B.  Every a-priori rounding term is on the members
     as stored (gamma_k = k u / (1 - k u), Higham, 3.5), written as the norm
     of a product of absolute values (norm2_upper_abs) with the P_d and
     P_d^+ scalings inside it.  Every bound ("factored" in residual_routes)
@@ -1128,7 +1064,7 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
     # (blocked_matmul, then a product of order k), within
     # gamma_{o+k+4} gm |W| |V_:K| |Z_2|; each term bounds the absolute values
     # too.  On the rows K, formed as G_K - (PiInf_K: - Pi_K:) G - PiInf_K:
-    # (G_oo - G) (_expand), those two products, their rounding and that of
+    # (G_oo - G), those two products, their rounding and that of
     # the subtractions from G_K, within gamma_3 |G_K| <= gamma_4 |Pi_K:| h
     n_piinf = norm2_upper(PiInf_K)
     pi_diff = diff * diag.entries["Pi_minus_PiInf_full"]

@@ -346,16 +346,6 @@ class Poly(TermDict):
 
     # -- queries -------------------------------------------------------------
 
-    def bidegree_components(self):
-        """Split into bihomogeneous parts, keyed by (|beta|, |gamma|). Requires t-free."""
-        out = {}
-        for (a, b, g), c in self.terms.items():
-            if a:
-                raise ValueError("bidegree split requires a t-free polynomial")
-            key = (sum(b), sum(g))
-            out.setdefault(key, {})[(a, b, g)] = c
-        return {key: Poly(self.m, terms) for key, terms in sorted(out.items())}
-
     def map_coeff(self, fn):
         return Poly(self.m, {k: fn(c) for k, c in self.terms.items()})
 

@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .defaults import OBSTRUCTION_TOL, TAYLOR_DEPTH
 from .errors import ConfigError, ObstructionError
 from .galerkin import (
     GalerkinContext,
@@ -56,8 +57,6 @@ from .parametrix import apply_partial_inverse, interior_mask, kernel_mask
 from .scalars import QI, parse_qi
 from .spectral import SpectralFunction, critical_gjms
 
-DEFAULT_TAYLOR_DEPTH = 12
-DEFAULT_OBSTRUCTION_TOL = 1e-8
 # the keys of a perturbation file (qdata_terms is read by qcurv)
 PERTURBATION_KEYS = frozenset(
     {"label", "epsilon", "terms", "taylor_depth", "normalize_sup", "qdata_terms"})
@@ -111,7 +110,7 @@ class ContactPerturbation:
     """
 
     def __init__(self, basis: HarmonicBasis, upsilon: SpectralFunction,
-                 taylor_depth=DEFAULT_TAYLOR_DEPTH, label=""):
+                 taylor_depth=TAYLOR_DEPTH, label=""):
         if not (_is_int(taylor_depth) and taylor_depth >= 1):
             raise ConfigError(f"taylor depth must be an integer >= 1: {taylor_depth!r}")
         if not upsilon.is_real(tol=1e-12):
@@ -126,11 +125,7 @@ class ContactPerturbation:
         self._weight = None
 
     @classmethod
-    def zero(cls, basis, taylor_depth=DEFAULT_TAYLOR_DEPTH):
-        return cls(basis, SpectralFunction.zero(basis), taylor_depth, label="0")
-
-    @classmethod
-    def from_terms(cls, basis, terms, epsilon=1.0, taylor_depth=DEFAULT_TAYLOR_DEPTH,
+    def from_terms(cls, basis, terms, epsilon=1.0, taylor_depth=TAYLOR_DEPTH,
                    normalize_sup=False, label=""):
         if not (_is_number(epsilon) and math.isfinite(epsilon)):
             raise ConfigError(f"epsilon must be a finite real number: {epsilon!r}")
@@ -158,7 +153,7 @@ class ContactPerturbation:
             basis,
             parse_terms(data.get("terms", [])),
             epsilon=data.get("epsilon", 1.0),
-            taylor_depth=data.get("taylor_depth", DEFAULT_TAYLOR_DEPTH),
+            taylor_depth=data.get("taylor_depth", TAYLOR_DEPTH),
             normalize_sup=data.get("normalize_sup", False),
             label=data.get("label", "perturbation"),
         )
@@ -192,10 +187,28 @@ class ContactPerturbation:
         """Taylor tail |x|^{K+1}/(K+1)! e^|x| of e^x at x = (n+1) B(Upsilon).
 
         x bounds (n+1) |Upsilon| at every point of the sphere, so this bounds
-        the tail everywhere.
+        the tail everywhere.  Where a part of it leaves the float range
+        ((K+1)! from K = 170 on, x^{K+1} or e^x), x^{K+1}/(K+1)! is formed
+        as the product of the factors x/j and then times e^x, every step
+        rounded up, so it stays an upper bound: inf where the bound itself
+        is past the range, 0.0 at x = 0.
         """
         x = self.multiplier_norm_bound()
-        return x ** (self.K + 1) / math.factorial(self.K + 1) * math.exp(x)
+        k = self.K + 1
+        try:
+            return x ** k / math.factorial(k) * math.exp(x)
+        except OverflowError:
+            pass
+        if x == 0:
+            return 0.0
+
+        def up(v):
+            return math.nextafter(v, math.inf)
+
+        term = 1.0
+        for j in range(1, k + 1):
+            term = up(term * up(x / j))
+        return up(term * up(math.exp(x))) if x < 709 else math.inf
 
     def multiplier_matrix(self):
         """Real-frame Galerkin matrix of multiplication by (n+1) Upsilon (float64 CSR).
@@ -340,7 +353,7 @@ def _exact_kernel_norm2(q: SpectralFunction):
     return total.re
 
 
-def solvability_check(qdata: QData, tol=DEFAULT_OBSTRUCTION_TOL) -> SolveReport:
+def solvability_check(qdata: QData, tol=OBSTRUCTION_TOL) -> SolveReport:
     """Obstruction of the zero-Q problem: projection of Q_hat onto Ker P.
 
     The kernel basis is the pluriharmonic coordinate block, exactly the
@@ -400,7 +413,7 @@ def solvability_check(qdata: QData, tol=DEFAULT_OBSTRUCTION_TOL) -> SolveReport:
     )
 
 
-def solve_zero_q(qdata: QData, tol=DEFAULT_OBSTRUCTION_TOL, verify_final=True) -> SolveReport:
+def solve_zero_q(qdata: QData, tol=OBSTRUCTION_TOL) -> SolveReport:
     """Upsilon_sol = -G Q_hat, making the final frame e^{Upsilon_sol} theta_hat
     have zero Q-curvature up to the reported residual.
 
@@ -472,15 +485,14 @@ def solve_zero_q(qdata: QData, tol=DEFAULT_OBSTRUCTION_TOL, verify_final=True) -
             report.condition_bound = float(P_C.max() / P_C.min() * weight.max_eigenvalue_bound
                                            / weight.min_eigenvalue_bound)
         report.weight_min_eigenvalue_bound = weight.min_eigenvalue_bound
-        ups = SpectralFunction.from_vector(basis, frame.from_frame(ups_x), prune=0.0).realized()
+        ups = SpectralFunction.from_vector(basis, frame.from_frame(ups_x)).realized()
         report.upsilon_sol = ups
         report.notes["mode"] = "weighted_closed_form"
         report.notes["weight_form"] = "operator"
         report.notes["cg_iterations_max"] = max(weight.cg_iterations, default=0)
         report.notes["cg_iteration_cap"] = weight.cg_iteration_cap
 
-    if verify_final and report.upsilon_sol is not None:
-        report.final_q_norm = recompute_final_q_norm(qdata, report.upsilon_sol)
+    report.final_q_norm = recompute_final_q_norm(qdata, report.upsilon_sol)
     return report
 
 

@@ -11,13 +11,9 @@ bigraded block H_{p,q} the resulting exact tables are
     P        -> prod_{k=0..n} L_{n-2k}          (order 2n + 2)
 
 with L_n the Kohn Laplacian (kills q = 0) and L_{-n} its conjugate.  The
-tables are certified against the frame oracle below, which applies honest
-ambient differential operators to the basis polynomials:
-
-    iT f     = -2 sum_j (z_j d_j - zbar_j dbar_j) f
-    box_b f  = -2 sum_{j<k} Z_jk (Zbar_jk f),  Z_jk = zbar_k d_j - zbar_j d_k
-
-so that the closed forms are never trusted on their own.
+tests certify the tables against a frame oracle that applies the ambient
+differential operators to the basis polynomials in exact arithmetic
+(tests/frame_oracle.py), so the closed forms are never trusted on their own.
 """
 
 from __future__ import annotations
@@ -139,11 +135,6 @@ class DiagonalOperator:
     def is_real(self):
         return all(not isinstance(v, complex) or abs(v.imag) == 0 for v in self.table.values())
 
-    @property
-    def self_adjoint(self):
-        # diagonal operators are formally self-adjoint iff the table is real
-        return self.is_real
-
     def nonzero_blocks(self):
         return [k for k in self.blocks() if self.table[k]]
 
@@ -194,14 +185,6 @@ def l_mu(basis, mu) -> DiagonalOperator:
     )
 
 
-def kohn(basis) -> DiagonalOperator:
-    return l_mu(basis, _trunc(basis)[0]).scale(1, label="box_b")
-
-
-def kohn_bar(basis) -> DiagonalOperator:
-    return l_mu(basis, -_trunc(basis)[0]).scale(1, label="box_b_bar")
-
-
 def critical_gjms(basis) -> DiagonalOperator:
     """P as the product L_{-n} L_{-n+2} ... L_{n-2} L_n; order 2n + 2.
 
@@ -245,86 +228,6 @@ def pluriharmonic_proj(basis) -> DiagonalOperator:
 
 
 # ---------------------------------------------------------------------------
-# frame oracle: honest ambient differential operators
-# ---------------------------------------------------------------------------
-
-
-def _first_order(f: Poly, z_coeffs, zbar_coeffs) -> Poly:
-    out = Poly.zero(f.m)
-    for j, c in z_coeffs:
-        out = out + c * f.diff_z(j)
-    for j, c in zbar_coeffs:
-        out = out + c * f.diff_zbar(j)
-    return out
-
-
-def apply_reeb_it(f: Poly) -> Poly:
-    """iT f = -2 sum_j (z_j d_j - zbar_j dbar_j) f."""
-    m = f.m
-    z_coeffs = [(j, Poly.var_z(m, j).scale(QI(-2))) for j in range(m)]
-    zb_coeffs = [(j, Poly.var_zbar(m, j).scale(QI(2))) for j in range(m)]
-    return _first_order(f, z_coeffs, zb_coeffs)
-
-
-def _apply_tangent(f: Poly, j, k) -> Poly:
-    """Z_jk f = (zbar_k d_j - zbar_j d_k) f."""
-    m = f.m
-    return _first_order(
-        f, [(j, Poly.var_zbar(m, k)), (k, Poly.var_zbar(m, j).scale(QI(-1)))], []
-    )
-
-
-def _apply_tangent_bar(f: Poly, j, k) -> Poly:
-    m = f.m
-    return _first_order(
-        f, [], [(j, Poly.var_z(m, k)), (k, Poly.var_z(m, j).scale(QI(-1)))]
-    )
-
-
-def apply_kohn(f: Poly) -> Poly:
-    """box_b f = -2 sum_{j<k} Z_jk (Zbar_jk f)."""
-    m = f.m
-    out = Poly.zero(m)
-    for j in range(m):
-        for k in range(j + 1, m):
-            out = out + _apply_tangent(_apply_tangent_bar(f, j, k), j, k)
-    return out.scale(QI(-2))
-
-
-def apply_kohn_bar(f: Poly) -> Poly:
-    m = f.m
-    out = Poly.zero(m)
-    for j in range(m):
-        for k in range(j + 1, m):
-            out = out + _apply_tangent_bar(_apply_tangent(f, j, k), j, k)
-    return out.scale(QI(-2))
-
-
-def apply_sublaplacian(f: Poly) -> Poly:
-    return apply_kohn(f) + apply_kohn_bar(f)
-
-
-def certify_eigentables(basis: HarmonicBasis):
-    """Frame-oracle certification: the ambient operators act on every basis
-    polynomial as multiplication by the tabulated eigenvalue, exactly.
-
-    Returns a list of failure records; empty means certified.
-    """
-    it_table = reeb_t(basis)
-    db_table = sublaplacian(basis)
-    failures = []
-    for (p, q) in basis.block_order:
-        lam_it = qi(it_table.value(p, q))
-        lam_db = qi(db_table.value(p, q))
-        for i, el in enumerate(basis.blocks[(p, q)]):
-            if apply_reeb_it(el.poly) != el.poly.scale(lam_it):
-                failures.append(("iT", p, q, i))
-            if apply_sublaplacian(el.poly) != el.poly.scale(lam_db):
-                failures.append(("delta_b", p, q, i))
-    return failures
-
-
-# ---------------------------------------------------------------------------
 # spectral functions
 # ---------------------------------------------------------------------------
 
@@ -363,12 +266,6 @@ class SpectralFunction:
             cur = coeffs.setdefault((p, q), [_zero_like(c)] * len(basis.blocks[(p, q)]))
             cur[i] = cur[i] + c
         return cls(basis, coeffs)
-
-    def block(self, p, q):
-        got = self.coeffs.get((p, q))
-        if got is None:
-            return [QI(0)] * len(self.basis.blocks[(p, q)])
-        return got
 
     @property
     def is_exact(self):
@@ -449,12 +346,13 @@ class SpectralFunction:
         return out
 
     @classmethod
-    def from_vector(cls, basis, vec, prune=0.0):
+    def from_vector(cls, basis, vec):
+        """The function with these coefficients; a block without a nonzero one is not stored."""
         coeffs = {}
         for (p, q) in basis.block_order:
             off = basis.offsets[(p, q)]
             chunk = [complex(vec[off + i]) for i in range(len(basis.blocks[(p, q)]))]
-            if any(abs(c) > prune for c in chunk):
+            if any(abs(c) > 0 for c in chunk):
                 coeffs[(p, q)] = chunk
         return cls(basis, coeffs)
 

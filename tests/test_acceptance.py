@@ -37,10 +37,10 @@ from crsphere.scalars import QI
 from crsphere.spectral import (
     SpectralFunction,
     Truncation,
-    certify_eigentables,
     critical_gjms,
     l_mu,
 )
+from frame_oracle import certify_eigentables
 
 DIAGONAL_ZERO_KEYS = [
     "PG_plus_Pi_minus_I",
@@ -262,7 +262,7 @@ def test_criterion_7_zero_q_round_trip(basis12):
 
     # pluriharmonic datum: rejected with obstruction exactly ||Q||
     Q = SpectralFunction.from_terms(basis12, [(1, 0, 0, QI(1)), (0, 1, 0, QI(1))])
-    qdat = QData(Q, ContactPerturbation.zero(basis12), True, 12, 0.0)
+    qdat = QData(Q, ContactPerturbation(basis12, SpectralFunction.zero(basis12)), True, 12, 0.0)
     rep = solvability_check(qdat)
     assert not rep.solvable
     assert rep.obstruction_norm2_exact == str(Q.norm2().re)

@@ -1,3 +1,4 @@
+import dataclasses
 import filecmp
 import hashlib
 import json
@@ -75,6 +76,20 @@ class TestRunConfig:
             RunConfig(command="basis", mode="both")
         with pytest.raises(ConfigError):
             RunConfig(command="basis", obstruction_tol=-1.0)
+
+    def test_parser_defaults_are_the_config_defaults(self):
+        # one source for each default: every option a RunConfig field holds
+        # defaults to that field's default, for every command
+        fields = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+        sub = next(a for a in build_parser()._actions if a.choices and "basis" in a.choices)
+        for name, parser in sub.choices.items():
+            for action in parser._actions:
+                # --cache defaults to $CRSPHERE_CACHE; help, --verify and the
+                # qcurv subaction hold no default
+                if action.dest in ("cache", "help", "verify", "subaction"):
+                    continue
+                key = "out_dir" if action.dest == "out" else action.dest
+                assert action.default == fields[key], (name, key)
 
     def test_parse_sweep(self):
         assert parse_sweep("10..16") == [10, 12, 14, 16]
@@ -220,6 +235,21 @@ class TestCommands:
         assert solve["residual"] <= 1e-12
         assert solve["upsilon_sol"] == [
             {"p": 1, "q": 1, "index": 0, "re": -16.5 / 16, "im": 0.0}]
+
+    @pytest.mark.parametrize("argv", [
+        ("qcurv", "solve"), ("qcurv", "compute"), ("parametrix-check",), ("spectrum", "--mode", "float"),
+    ])
+    def test_taylor_depth_past_the_float_range_of_the_factorial(self, tmp_path, pert_file, argv):
+        # at depth 170 and above (K+1)! is no float; the tail bound, on the
+        # option or from the perturbation file, still comes out finite
+        out = str(tmp_path / "out")
+        assert run(*argv, "--n", "1", "--degree", "4", "--taylor-depth", "200",
+                   "--perturbation", pert_file, "--out", out) == EXIT_OK
+        data = json.loads(open(pert_file).read())
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(dict(data, taylor_depth=200)))
+        assert run(*argv, "--n", "1", "--degree", "4", "--perturbation", str(path),
+                   "--out", out) == EXIT_OK
 
     def test_qcurv_obstruction_exit_code(self, tmp_path, plh_file):
         out = str(tmp_path / "out")

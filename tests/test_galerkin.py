@@ -42,6 +42,7 @@ from crsphere.harmonics import _integral_equal_exponents, inner_sphere
 from crsphere.poly import Poly
 from crsphere.scalars import QI
 from crsphere.spectral import SpectralFunction
+from csr_inputs import csr, csr_zeros
 
 
 @pytest.fixture(scope="module")
@@ -221,8 +222,8 @@ class TestMultiplicationMatrix:
         degree = max(p + q for p, q in f.coeffs)
         for ctx in (GalerkinContext(basis8, mult_degree=degree), ctx8, full_context(basis8)):
             other = ctx.mult_matrix(poly).real
-            symmetric = (other + other.T) * 0.5
-            assert np.array_equal(M.toarray(), symmetric.toarray()), ctx.mult_degree
+            symmetric = (other.toarray() + other.T.toarray()) * 0.5
+            assert np.array_equal(M.toarray(), symmetric), ctx.mult_degree
 
 
 class TestTaylorExponential:
@@ -235,24 +236,20 @@ class TestTaylorExponential:
         assert np.linalg.norm(E @ v - taylor_exp_apply(M, 8, v)) < 1e-12
 
     def test_scalar_limit(self):
-        M = np.array([[0.3]])
-        E = taylor_exp_matrix(M, 15)
+        E = taylor_exp_matrix(csr([[0.3]]), 15)
         assert abs(E[0, 0] - math.exp(0.3)) < 1e-14
 
     def test_paterson_stockmeyer_against_horner_loop(self, ctx8, basis8):
         # the two evaluation orders of T_K(M) differ by at most the sum of
-        # their rounding bounds, for real and complex M; a CSR M runs as its
-        # dense form
+        # their rounding bounds, for real and complex M
         M = ctx8.mult_matrix(real_test_function(basis8, 0.1).to_poly_float())
         rng = np.random.default_rng(3)
         Z = (rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))) / 40
         for X in (M.real.toarray(), M.toarray(), Z, np.array([[0.3]])):
             a, D = norm2_upper(X), X.shape[0]
             for K in (1, 2, 12, 15):
-                diff = norm2_upper(taylor_exp_matrix(X, K) - taylor_exp_matrix_loop(X, K))
+                diff = norm2_upper(taylor_exp_matrix(csr(X), K) - taylor_exp_matrix_loop(X, K))
                 assert diff <= taylor_rounding_bound(a, D, K) + horner_rounding_bound(a, D), (D, K)
-        for X in (M.real, M):
-            assert np.array_equal(taylor_exp_matrix(X, 12), taylor_exp_matrix(X.toarray(), 12))
 
     def test_rounding_bound_covers_the_dense_weight(self, basis16):
         # the dense weight at n=1 N=6 against a 60-digit fixed-point Horner
@@ -446,7 +443,7 @@ class TestFastPathsAgainstReference:
         # solve that needs more iterations than the cap is refused
         weight = InnerProductWeight(weight8.multiplier, taylor_depth=12,
                                     multiplier_bound=weight8.multiplier_bound)
-        mask = np.arange(weight.dim) % 3 == 0
+        mask = np.arange(weight.multiplier.shape[0]) % 3 == 0
         v = np.linspace(1.0, 2.0, int(mask.sum()))
         monkeypatch.setattr(weight, "apply", lambda x: -taylor_exp_apply(weight.multiplier, 12, x))
         with pytest.raises(NumericalError, match="broke down"):
@@ -466,7 +463,6 @@ class TestFastPathsAgainstReference:
     def test_sparse_horner_matches_dense(self, ctx8, basis8):
         M = ctx8.mult_matrix(real_test_function(basis8, 0.1).to_poly_float())
         dense = M.toarray()
-        assert np.abs(taylor_exp_matrix(M, 12) - taylor_exp_matrix(dense, 12)).max() <= 1e-14
         rng = np.random.default_rng(2)
         v = rng.standard_normal(basis8.total_dim) + 1j * rng.standard_normal(basis8.total_dim)
         diff = taylor_exp_apply(-M, 12, v) - taylor_exp_apply(-dense, 12, v)
@@ -568,7 +564,7 @@ class TestWeightEigenvalueBound:
         ctx = GalerkinContext(basis, mult_degree=max(1, degree))
         R = ctx.mult_matrix(pert.upsilon.to_poly_float().scale(float(n + 1))).real
         M = pert.multiplier_matrix()
-        assert np.array_equal(M.toarray(), ((R + R.T) * 0.5).toarray())
+        assert np.array_equal(M.toarray(), (R.toarray() + R.T.toarray()) * 0.5)
         a = pert.multiplier_norm_bound()
         s = (assembly_rounding(ctx, pert.upsilon, n) + gamma(1) * norm2_upper(M)
              + M.max_row_length() * math.ulp(0.0))
@@ -599,7 +595,7 @@ class TestWeightEigenvalueBound:
         M_c = ctx.mult_matrix(ups.to_poly_float().scale(2.0))
         assert norm2_upper(M_c.toarray().imag) > 1e-13
         R = M_c.real
-        assert np.array_equal(pert.multiplier_matrix().toarray(), ((R + R.T) * 0.5).toarray())
+        assert np.array_equal(pert.multiplier_matrix().toarray(), (R.toarray() + R.T.toarray()) * 0.5)
         weight = pert.weight()
         lam = scipy.linalg.eigvalsh(weight.matrix)
         assert 0 < weight.min_eigenvalue_bound <= lam[0]
@@ -610,18 +606,18 @@ class TestWeightEigenvalueBound:
         assert pert.multiplier_matrix().dtype == np.float64
         assert pert.weight().matrix.dtype == np.float64
         with pytest.raises(TypeError):
-            InnerProductWeight(np.eye(3, dtype=complex), taylor_depth=1, multiplier_bound=0.1)
+            InnerProductWeight(csr(np.eye(3, dtype=complex)), taylor_depth=1, multiplier_bound=0.1)
 
     def test_bound_at_or_below_zero_is_numerical_error(self, basis8):
         with pytest.raises(NumericalError):
-            InnerProductWeight(np.eye(basis8.total_dim), taylor_depth=1,
+            InnerProductWeight(csr(np.eye(basis8.total_dim)), taylor_depth=1,
                                multiplier_bound=1.0)
 
     def test_skew_part_of_the_multiplier_lowers_the_bound(self):
         # a symmetric M = -0.6 I off by s = 0.1 from H = -0.5 I (||H|| = a):
         # W = T_2(M) = 0.58 I, below min_{|x|<=a} T_2 = T_2(-0.5) = 0.625, so
         # the bound without s is false; the skew term takes it under 0.58
-        M = np.diag([-0.6, -0.6])
+        M = csr(np.diag([-0.6, -0.6]))
         lam = scipy.linalg.eigvalsh(taylor_exp_matrix(M, 2))[0]
         without = InnerProductWeight(M, taylor_depth=2, multiplier_bound=0.5)
         assert without.min_eigenvalue_bound > lam
@@ -635,8 +631,8 @@ class TestWeightEigenvalueBound:
         f = real_test_function(basis8)
         pert = ContactPerturbation(basis8, f.scale(1.25 / f.sup_norm_bound()), taylor_depth=5)
         assert pert.multiplier_norm_bound() == pytest.approx(2.5)
-        M = pert.multiplier_matrix().toarray()
-        assert np.abs(scipy.linalg.eigvalsh(0.5 * (M + M.conj().T))).max() < 2.18
+        M = pert.multiplier_matrix()
+        assert np.abs(scipy.linalg.eigvalsh(M.toarray())).max() < 2.18
         assert scipy.linalg.eigvalsh(taylor_exp_matrix(M, 5))[0] > 0
         with pytest.raises(NumericalError, match="not certified positive"):
             pert.weight()
@@ -657,7 +653,7 @@ class TestSolveFreeAdjointDefect:
     @staticmethod
     def weight(w):
         # M = diag(0, w - 1): w - 1 and 1 + (w - 1) are exact for w in [0.5, 2]
-        return InnerProductWeight(np.diag([0.0, w - 1.0]), taylor_depth=1,
+        return InnerProductWeight(csr(np.diag([0.0, w - 1.0])), taylor_depth=1,
                                   multiplier_bound=abs(w - 1.0))
 
     def test_divides_by_the_eigenvalue_bound(self):
@@ -904,8 +900,7 @@ def test_csr_against_scipy_sparse(dtype, seed, monkeypatch):
     assert np.diff(A.indptr).min() == 0  # some row is empty
     for got, ref in ((A, A_ref), (A.T, A_ref.T), (A.conj(), A_ref.conj()),
                      (abs(A), abs(A_ref)), (A.real, A_ref.real),
-                     (A @ B, A_ref @ B_ref), (A - (A @ B) @ B.T, A_ref - (A_ref @ B_ref) @ B_ref.T),
-                     (-A * 2.0, -A_ref * 2.0)):
+                     (A @ B, A_ref @ B_ref), (-A, -A_ref)):
         dense = ref.toarray()
         assert got.shape == dense.shape
         assert np.abs(got.toarray() - dense).max() <= 1e-14 * max(1.0, np.abs(dense).max())
@@ -924,9 +919,9 @@ def test_csr_against_scipy_sparse(dtype, seed, monkeypatch):
     P, P_ref = A @ B, A_ref @ B_ref
     P_ref.sort_indices()
     assert np.array_equal(P.indptr, P_ref.indptr) and np.array_equal(P.indices, P_ref.indices)
-    empty = CSR.zeros((4, 3))
+    empty = csr_zeros((4, 3))
     assert empty.nnz == 0 and not (empty @ np.ones(3)).any()
-    assert (empty @ CSR.zeros((3, 5))).shape == (4, 5)
+    assert (empty @ csr_zeros((3, 5))).shape == (4, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -984,10 +979,9 @@ def seeded_multiplier(basis, seed=5, sup=0.1):
 def test_taylor_matrix_bit_identical_to_the_plain_evaluation(bases_small, n, N):
     pert = seeded_multiplier(bases_small[n].restrict(N))
     M = pert.multiplier_matrix()
-    for X in (M, M.toarray()):
-        for K in (0, 1, 2, 3, 4, 5, 6, 12):
-            got, ref = taylor_exp_matrix(X, K), taylor_exp_matrix_plain(X, K)
-            assert got.dtype == ref.dtype and np.array_equal(got, ref), (type(X), K)
+    for K in (0, 1, 2, 3, 4, 5, 6, 12):
+        got, ref = taylor_exp_matrix(M, K), taylor_exp_matrix_plain(M, K)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref), K
 
 
 def _csr_parts(X):
@@ -1034,12 +1028,12 @@ def test_symmetric_part_is_that_of_the_formed_sum(bases_small, basis_n3_N4, n, N
     Z = CSR.from_coo(*random_coo(np.random.default_rng(n), (30, 30), 200, float), (30, 30))
     Z.data[:3] = 0.0  # explicit zeros: their pairs cancel unless a mirror entry is stored
     for X, S in ((R, M), (R, symmetric_part(R)), (Z, symmetric_part(Z))):
-        formed = (X + X.T) * 0.5
-        assert np.array_equal(S.toarray(), formed.toarray())
-        assert S.data.all() and S.nnz == np.count_nonzero(formed.data)
+        formed = (X.toarray() + X.T.toarray()) * 0.5
+        assert np.array_equal(S.toarray(), formed)
+        assert S.data.all() and S.nnz == np.count_nonzero(formed)
         assert _csr_parts(S) == _csr_parts(S.T)
     assert _csr_parts(M) == _csr_parts(symmetric_part(R))
-    assert _csr_parts(symmetric_part(CSR.zeros((3, 3)))) == _csr_parts(CSR.zeros((3, 3)))
+    assert _csr_parts(symmetric_part(csr_zeros((3, 3)))) == _csr_parts(csr_zeros((3, 3)))
 
 
 def traced_peak(fn):

@@ -10,20 +10,23 @@ from crsphere.errors import CapExceededError, ConfigError
 from crsphere.harmonics import (
     HarmonicBasis,
     _real_valued_block_basis,
-    amb_laplacian,
-    decompose_bihomogeneous,
     dim_hpq,
-    expand_in_basis,
     gram_schmidt_exact,
     harmonic_block_polys,
     inner_sphere,
-    integral_monomial,
     monomials_homogeneous,
-    sphere_integral,
-    sphere_reduce,
 )
 from crsphere.poly import Poly
 from crsphere.scalars import QI, qi
+from sphere_oracle import (
+    amb_laplacian,
+    bidegree_components,
+    decompose_bihomogeneous,
+    expand_in_basis,
+    integral_monomial,
+    sphere_integral,
+    sphere_reduce,
+)
 
 
 def quadrature_integral_s3(f: Poly, ng=40):
@@ -254,6 +257,16 @@ class TestBlockConstruction:
             for el in basis.blocks[(p, q)]:
                 assert amb_laplacian(el.poly).is_zero()
 
+    def test_block_dimension_checked_against_the_formula(self, monkeypatch):
+        # a block whose nullspace lost an element is refused, not built short
+        from crsphere import harmonics
+
+        polys = harmonics.harmonic_block_polys
+        monkeypatch.setattr(harmonics, "harmonic_block_polys",
+                            lambda n, p, q: polys(n, p, q)[:-1] if (p, q) == (2, 1) else polys(n, p, q))
+        with pytest.raises(ConfigError, match=r"block \(2,1\) dimension 3 != formula"):
+            HarmonicBasis.build(1, 3)
+
     def test_cap_guard(self):
         with pytest.raises(CapExceededError):
             HarmonicBasis.build(1, 16, cap=100)
@@ -317,7 +330,7 @@ class TestHarmonicDecomposition:
                 for _ in range(3)
             }
             f = Poly(2, terms)
-            for (a, b), comp in f.bidegree_components().items():
+            for (a, b), comp in bidegree_components(f).items():
                 parts = decompose_bihomogeneous(comp, 2, a, b)
                 recon = Poly.zero(2)
                 for k, h in parts.items():

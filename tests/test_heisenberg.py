@@ -9,18 +9,14 @@ from crsphere.heisenberg import (
     Dilation,
     GroupElement,
     LeftInvariantOp,
-    apply_op,
     box_b,
     box_b_bar,
-    compose,
     contact_frame_checks,
     dilate,
     dilate_poly,
-    formal_adjoint,
     gaussian_pairing,
     group_inv,
     group_mul,
-    homogeneity_degree,
     levi_matrix,
     model_identity_suite,
     sublaplacian_model,
@@ -104,15 +100,15 @@ class TestGroupLayer:
 class TestFrameAction:
     def test_reeb_on_t(self):
         T = LeftInvariantOp.t_gen(1)
-        assert apply_op(T, Poly.var_t(1)) == Poly.const(1, QI(1))
+        assert T.apply(Poly.var_t(1)) == Poly.const(1, QI(1))
 
     def test_z_on_t_gives_izbar(self):
         Z = LeftInvariantOp.z_gen(1, 0)
-        assert apply_op(Z, Poly.var_t(1)) == Poly.var_zbar(1, 0).scale(QI(0, 1))
+        assert Z.apply(Poly.var_t(1)) == Poly.var_zbar(1, 0).scale(QI(0, 1))
 
     def test_z_kills_zbar(self):
         Z = LeftInvariantOp.z_gen(1, 0)
-        assert apply_op(Z, Poly.var_zbar(1, 0)).is_zero()
+        assert Z.apply(Poly.var_zbar(1, 0)).is_zero()
 
     def test_left_invariance_of_generators(self):
         rng = random.Random(13)
@@ -128,7 +124,7 @@ class TestFrameAction:
         for _ in range(5):
             g = rnd_element(rng, n)
             for L in gens:
-                assert apply_op(L, translate_poly(f, g)) == translate_poly(apply_op(L, f), g)
+                assert L.apply(translate_poly(f, g)) == translate_poly(L.apply(f), g)
 
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -169,7 +165,7 @@ class TestEnvelopingAlgebra:
                 Za = LeftInvariantOp.z_gen(n, a)
                 Zb = LeftInvariantOp.zbar_gen(n, b)
                 expect = T.scale(QI(0, -2)) if a == b else LeftInvariantOp.zero(n)
-                assert compose(Za, Zb) - compose(Zb, Za) == expect
+                assert Za.compose(Zb) - Zb.compose(Za) == expect
                 for f in span:
                     lhs = Za.apply(Zb.apply(f)) - Zb.apply(Za.apply(f))
                     assert lhs == expect.apply(f)
@@ -183,7 +179,7 @@ class TestEnvelopingAlgebra:
             sublaplacian_model(n),
             box_b(n),
         ]:
-            assert compose(T, L) == compose(L, T)
+            assert T.compose(L) == L.compose(T)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_kohn_identity(self, n):
@@ -206,7 +202,7 @@ class TestEnvelopingAlgebra:
         ]
         for L1 in ops:
             for L2 in ops:
-                C = compose(L1, L2)
+                C = L1.compose(L2)
                 for f in span:
                     assert C.apply(f) == L1.apply(L2.apply(f))
 
@@ -239,7 +235,7 @@ class TestAdjoint:
         gens += [LeftInvariantOp.z_gen(n, a) for a in range(n)]
         gens += [LeftInvariantOp.zbar_gen(n, a) for a in range(n)]
         for L in gens + [sublaplacian_model(n)]:
-            Ls = formal_adjoint(L)
+            Ls = L.formal_adjoint()
             for _ in range(4):
                 u = Poly.monomial(
                     n,
@@ -262,13 +258,13 @@ class TestAdjoint:
     def test_expected_generator_images(self):
         n = 2
         T = LeftInvariantOp.t_gen(n)
-        assert formal_adjoint(T) == T.scale(QI(-1))
+        assert T.formal_adjoint() == T.scale(QI(-1))
         for a in range(n):
-            assert formal_adjoint(LeftInvariantOp.z_gen(n, a)) == LeftInvariantOp.zbar_gen(
+            assert LeftInvariantOp.z_gen(n, a).formal_adjoint() == LeftInvariantOp.zbar_gen(
                 n, a
             ).scale(QI(-1))
-        assert formal_adjoint(sublaplacian_model(n)) == sublaplacian_model(n)
-        assert formal_adjoint(box_b(n)) == box_b(n)
+        assert sublaplacian_model(n).formal_adjoint() == sublaplacian_model(n)
+        assert box_b(n).formal_adjoint() == box_b(n)
 
     def test_involution_and_antihomomorphism(self):
         rng = random.Random(23)
@@ -285,9 +281,9 @@ class TestAdjoint:
                 )
             }
             L1, L2 = LeftInvariantOp(n, terms1), LeftInvariantOp(n, terms2)
-            assert formal_adjoint(formal_adjoint(L1)) == L1
-            assert formal_adjoint(compose(L1, L2)) == compose(
-                formal_adjoint(L2), formal_adjoint(L1)
+            assert L1.formal_adjoint().formal_adjoint() == L1
+            assert L1.compose(L2).formal_adjoint() == L2.formal_adjoint().compose(
+                L1.formal_adjoint()
             )
 
 
@@ -329,11 +325,11 @@ class TestGaussianPairing:
 class TestHomogeneity:
     def test_gradings(self):
         n = 1
-        assert homogeneity_degree(LeftInvariantOp.z_gen(n, 0)) == 1
-        assert homogeneity_degree(LeftInvariantOp.t_gen(n)) == 2
-        assert homogeneity_degree(sublaplacian_model(n)) == 2
+        assert LeftInvariantOp.z_gen(n, 0).homogeneity_degree() == 1
+        assert LeftInvariantOp.t_gen(n).homogeneity_degree() == 2
+        assert sublaplacian_model(n).homogeneity_degree() == 2
         mixed = sublaplacian_model(n) + LeftInvariantOp.z_gen(n, 0)
-        assert homogeneity_degree(mixed) is None
+        assert mixed.homogeneity_degree() is None
 
     def test_dilation_covariance(self):
         # apply(L, f . delta_r) = r^m (apply(L, f)) . delta_r
@@ -341,7 +337,7 @@ class TestHomogeneity:
         n = 1
         f = Poly.var_t(n) * Poly.var_z(n, 0) + Poly.var_zbar(n, 0) ** 2
         for L in [LeftInvariantOp.t_gen(n), LeftInvariantOp.z_gen(n, 0), sublaplacian_model(n)]:
-            m = homogeneity_degree(L)
+            m = L.homogeneity_degree()
             for _ in range(4):
                 r = Dilation(Fraction(rng.randint(1, 7), rng.randint(1, 7)))
                 lhs = L.apply(dilate_poly(f, r))

@@ -64,7 +64,7 @@ class TestPerturbation:
 
 class TestQhat:
     def test_zero_exponent(self, basis12):
-        q = qhat(ContactPerturbation.zero(basis12))
+        q = qhat(ContactPerturbation(basis12, SpectralFunction.zero(basis12)))
         assert q.exact and not q.qhat.coeffs
 
     def test_pluriharmonic_exponent_gives_zero(self, basis12):
@@ -117,7 +117,7 @@ class TestSolvability:
         Q = SpectralFunction.from_terms(
             basis12, [(1, 0, 0, QI(1)), (0, 1, 0, QI(1))]
         )
-        qdat = QData(Q, ContactPerturbation.zero(basis12), True, 12, 0.0)
+        qdat = QData(Q, ContactPerturbation(basis12, SpectralFunction.zero(basis12)), True, 12, 0.0)
         rep = solvability_check(qdat)
         assert not rep.solvable
         assert rep.obstruction_norm2_exact == str(Q.norm2().re)
@@ -132,7 +132,7 @@ class TestSolvability:
 
     def test_eigenblock_datum_has_zero_obstruction(self, basis12):
         Q = phi11(basis12).scale(QI(16))
-        qdat = QData(Q, ContactPerturbation.zero(basis12), True, 12, 0.0)
+        qdat = QData(Q, ContactPerturbation(basis12, SpectralFunction.zero(basis12)), True, 12, 0.0)
         rep = solvability_check(qdat)
         assert rep.solvable
         assert rep.obstruction_norm == 0.0
@@ -166,7 +166,7 @@ class TestSolvability:
 class TestSolve:
     def test_exact_eigenblock_solve(self, basis12):
         Q = phi11(basis12).scale(QI(16))
-        qdat = QData(Q, ContactPerturbation.zero(basis12), True, 12, 0.0)
+        qdat = QData(Q, ContactPerturbation(basis12, SpectralFunction.zero(basis12)), True, 12, 0.0)
         rep = solve_zero_q(qdat)
         assert rep.residual == 0.0
         assert (rep.upsilon_sol + phi11(basis12)).norm() < 1e-15
@@ -174,16 +174,15 @@ class TestSolve:
         assert rep.notes["mode"] == "exact_diagonal"
 
     def test_zero_datum(self, basis12):
-        qdat = QData(
-            SpectralFunction.zero(basis12), ContactPerturbation.zero(basis12), True, 12, 0.0
-        )
+        zero = SpectralFunction.zero(basis12)
+        qdat = QData(zero, ContactPerturbation(basis12, zero), True, 12, 0.0)
         rep = solve_zero_q(qdat)
         assert rep.residual == 0.0
         assert not rep.upsilon_sol.coeffs
 
     def test_obstructed_datum_raises(self, basis12):
         Q = SpectralFunction.from_terms(basis12, [(1, 0, 0, QI(1)), (0, 1, 0, QI(1))])
-        qdat = QData(Q, ContactPerturbation.zero(basis12), True, 12, 0.0)
+        qdat = QData(Q, ContactPerturbation(basis12, SpectralFunction.zero(basis12)), True, 12, 0.0)
         with pytest.raises(ObstructionError) as exc:
             solve_zero_q(qdat)
         assert abs(exc.value.obstruction_norm - Q.norm()) < 1e-12
@@ -215,7 +214,7 @@ class TestConformalCovariance:
         # route E_K(-M) P_diag on the interior blocks
         pert = ContactPerturbation(basis12, phi11(basis12).scale(0.05), label="cov")
         W = pert.weight()
-        P_d = np.diag(critical_gjms(basis12).to_diag_vector(basis12)).astype(complex)
+        P_d = np.diag(critical_gjms(basis12).to_diag_vector(basis12))
         route_weight = W.solve(P_d)
         M = pert.multiplier_matrix()
         route_taylor = taylor_exp_matrix(-M, pert.K) @ P_d
@@ -233,7 +232,7 @@ class TestFinalVerification:
         eps = 0.04
         pert = ContactPerturbation(basis12, phi11(basis12).scale(eps), label="fin")
         qd = qhat(pert)
-        rep = solve_zero_q(qd, verify_final=False)
+        rep = solve_zero_q(qd)
         via_law = recompute_final_q_norm(qd, rep.upsilon_sol)
         total = (pert.upsilon + rep.upsilon_sol).realized()
         pert_total = ContactPerturbation(basis12, total, taylor_depth=12)
@@ -257,7 +256,7 @@ def test_final_q_bound_dominates_galerkin_value(basis8):
     rng = random.Random(3)
     for _ in range(3):
         qd = qhat(random_small_perturbation(basis8, rng, sup_bound=0.08))
-        sol = solve_zero_q(qd, verify_final=False).upsilon_sol
+        sol = solve_zero_q(qd).upsilon_sol
         bound = recompute_final_q_norm(qd, sol)
         assert galerkin_final_q_norm(qd, sol) <= bound <= 1e-6
 
@@ -268,6 +267,40 @@ def test_tail_bound_rests_on_certified_sup(basis12):
     assert bound >= pert.sup_estimate() > 0
     x = (pert.n + 1) * bound
     assert pert.exp_tail_bound() == x ** (pert.K + 1) / math.factorial(pert.K + 1) * math.exp(x)
+
+
+class _Tail(ContactPerturbation):
+    """exp_tail_bound at a given x = (n+1) B(Upsilon) and depth K."""
+
+    def __init__(self, x, K):
+        self.x, self.K = x, K
+
+    def multiplier_norm_bound(self):
+        return self.x
+
+
+def test_tail_bound_past_the_float_range_of_the_factorial():
+    # (K+1)! leaves the float range at K = 170, where the closed form raised
+    # OverflowError; the tail stays an upper bound on x^{K+1}/(K+1)! e^x
+    # (rational, with an upper bound on e^x), inf past the range, 0 at x = 0.
+    # Rounded up, a term below the subnormal range stops at a few of the
+    # smallest subnormals, then times e^x
+    from fractions import Fraction
+
+    for x in (0.05, 0.3, 1.73, 5.0):
+        for K in (1, 12, 50, 169):
+            assert _Tail(x, K).exp_tail_bound() == x ** (K + 1) / math.factorial(K + 1) * math.exp(x)
+    for x in (0.05, 0.3, 1.73, 5.0, 100.0):
+        for K in (170, 200, 1000):
+            got = _Tail(x, K).exp_tail_bound()
+            exact = Fraction(x) ** (K + 1) / math.factorial(K + 1)
+            tail = exact * Fraction(math.exp(x))
+            floor = Fraction(2**-1072) * Fraction(math.exp(x))
+            assert tail * (1 - Fraction(2**-50)) <= Fraction(got) <= tail * Fraction(1 + 1e-12) + floor
+    for K in (12, 200):
+        assert _Tail(0.0, K).exp_tail_bound() == 0.0
+    assert _Tail(800.0, 200).exp_tail_bound() == math.inf
+    assert _Tail(1e30, 12).exp_tail_bound() == math.inf
 
 
 # the bidegrees of the benchmark's draws (perfbench.workloads.DRAW_SHAPE): a
