@@ -15,41 +15,25 @@ f is
     M_f[j, i] = <f r_i, r_j> = (conj(B) K S_f B^T)[j, i].
 
 The conformal weight exp((n+1) Upsilon) is realized as its degree-K Taylor
-polynomial projected to the truncation, i.e. as the matrix Taylor sum of
-M_{(n+1) Upsilon}; products beyond the truncation degree are dropped at each
-step, which is the same truncation leakage every Galerkin product has and is
-what the interior diagnostics measure.
+polynomial projected to the truncation, i.e. as the matrix Taylor sum
+W = T_K(M) of M = M_{(n+1) Upsilon}; products beyond the truncation degree
+are dropped at each step, which is the same truncation leakage every
+Galerkin product has and is what the interior diagnostics measure.
 
 Multiplication matrices stay sparse (a degree-d multiplier couples only
 blocks whose degrees differ by at most d), in the module's own CSR type on
-numpy alone: the floating layer imports no scipy.  The assembly streams:
-the pairing matrix, the sparse products and the symmetric part of the
-multiplier expand a block of rows of at most _BLOCK_BYTES (1 MB) at a
-time, so besides its inputs and output no array of the assembly grows
-with the problem.  The weight's multiplier M is that symmetric part,
-exactly symmetric, so W = T_K(M) is symmetric in exact arithmetic and
-one operator serves W and W^T.  The weight is an
-operator first: it applies W to vectors by Horner's rule on the
-sparse M (taylor_exp_apply) and solves with a principal block W_SS by
-conjugate gradients on that matvec, with an iteration cap from the
-certified condition bound; the zero-Q solve needs nothing more.  The dense
-matrix is built only when the chain or the pencil spectrum asks for it,
-by Paterson and Stockmeyer's evaluation of the Taylor sum on the dense M
-(taylor_exp_matrix: 5 dense matmuls and two D x D arrays at K = 12),
-and the chain solves with it on the |K| columns of the kernel
-coordinates only (InnerProductWeight.solve): W^{-1} is never formed.  No
-eigensolver runs on the weight: W = T_K(M) is a polynomial in the
-multiplier M and ||M|| <= a, so min_{|x|<=a} T_K(x), less a-priori bounds
-on the rounding of the Taylor sum and of the assembly and symmetrization
-of M, is a lower bound on its smallest eigenvalue (a bound <= 0 refuses
-the weight), and T_K(a) plus the same terms an upper bound on its
-largest.  Residual sizes use the certified bounds norm2_upper /
-norm2_lower instead of a full SVD: a relative defect divides an upper
-bound by a lower bound, so it is never below the spectral-norm ratio it
-stands for.  The weighted adjointness defect needs no solve either:
-X - W^{-1} X^* W = W^{-1} (Y - Y^*) with Y = W X, bounded through the
-eigenvalue bound and an a-priori bound on the rounding of the product
-W X.  The weight is a float64 matrix; a complex right-hand side is split
+numpy alone: the floating layer imports no scipy.  The assembly streams a
+block of rows of at most _BLOCK_BYTES (1 MB) at a time.  The weight's
+multiplier M is the symmetric part of the assembled one without its
+rounding residues (symmetric_part), exactly symmetric, so W is symmetric.
+The weight is an operator (InnerProductWeight): it applies W by Horner on
+the sparse M (taylor_exp_apply) or by the sum of the powers of M on a block
+(taylor_exp_sums), solves with a principal block by conjugate gradients,
+and bounds its spectrum with no eigensolver (taylor_exp_min).  Norms are
+certified bounds (norm2_upper / norm2_lower, and norm2_upper_abs of
+products of absolute values, where AbsTaylor stands for |W| and for the
+rounding of a pass).  Only the pencil spectrum forms the dense W
+(taylor_exp_matrix, two D x D arrays); a complex right-hand side is split
 into its real and imaginary columns (real_matmul), so W is never cast to
 complex.
 """
@@ -111,8 +95,9 @@ def norm2_upper_blocks(shape, rows_of):
 def norm2_upper_abs(*terms) -> float:
     """norm2_upper of sum_t |F_t1| |F_t2| ... |F_tk|, from its row and column sums alone.
 
-    Each term is a tuple of factors: 2-D arrays, or 1-D arrays standing for
-    the diagonal matrices they hold; every term has the same shape.  The
+    Each term is a tuple of factors: 2-D arrays, 1-D arrays standing for
+    the diagonal matrices they hold, or operators with an abs_matvec
+    (AbsTaylor, Columns); every term has the same shape.  The
     row sums of a product of nonnegative matrices are |F_1| (... (|F_k| 1))
     and its column sums (((1^T |F_1|) ...) |F_k|, so the product is never
     formed: each factor costs two matrix-vector products, with |F| taken a
@@ -137,7 +122,9 @@ def norm2_upper_abs(*terms) -> float:
 
 
 def abs_matvec(F, x, left=False):
-    """|F| x, or x^T |F| with left, for a 2-D F or a 1-D F standing for its diagonal."""
+    """|F| x, or x^T |F| with left, for a factor of norm2_upper_abs."""
+    if hasattr(F, "abs_matvec"):
+        return F.abs_matvec(x, left)
     if F.ndim == 1:
         return abs(F) * x
     out = np.zeros(F.shape[1]) if left else np.empty(F.shape[0])
@@ -148,6 +135,23 @@ def abs_matvec(F, x, left=False):
         else:
             out[sl] = block @ x
     return out
+
+
+class Columns:
+    """E_M, the D x |M| identity columns on the coordinates in mask, as a factor
+    of norm2_upper_abs: no array of that size is made."""
+
+    ndim = 2
+
+    def __init__(self, mask):
+        self.mask, self.shape = mask, (mask.size, int(mask.sum()))
+
+    def abs_matvec(self, x, left=False):
+        if left:
+            return x[self.mask]
+        out = np.zeros(self.shape[0])
+        out[self.mask] = x
+        return out
 
 
 def norm2_lower(X) -> float:
@@ -327,9 +331,12 @@ class CSR:
             self._plan = (self.indices.astype(np.intp), starts,
                           None if nonempty.all() else nonempty)
         gather, starts, nonempty = self._plan
+        dtype = np.result_type(self.dtype, x.dtype)
         if not starts.size:
-            return np.zeros(self.shape[0], dtype=np.result_type(self.dtype, x.dtype))
-        sums = np.add.reduceat(self.data * np.take(x, gather), starts)
+            return np.zeros(self.shape[0], dtype=dtype)
+        products = x.take(gather).astype(dtype, copy=False)
+        products *= self.data
+        sums = np.add.reduceat(products, starts)
         if nonempty is None:
             return sums
         out = np.zeros(self.shape[0], dtype=sums.dtype)
@@ -382,29 +389,44 @@ def _sum_runs(vals, rows, cols, drop_zeros=False):
     return np.array(vals), rows, cols
 
 
-def symmetric_part(X: CSR) -> CSR:
-    """(X + X^T) / 2 of a square CSR X, a block of rows at a time.
+# the multiplier's entries dropped as rounding residues: |M_ij| <= PRUNE_TOL max|X|
+# (2^7 u).  On the benchmark's draws the residues of exact zeros sit below
+# 2^-48 max|X| and the true entries above 1e-13 max|X|: the cut drops 35% of
+# the entries at n=1 N=12 (longest row 69 -> 39) and 44% at n=2 N=8 (114 -> 56)
+PRUNE_TOL = 2.0**-46
+
+
+def symmetric_part(X: CSR, tau=0.0):
+    """(X + X^T) / 2 of a square CSR X without its entries of size <= tau, and a
+    bound on the norm of what is dropped; a block of rows at a time.
 
     Each block of rows holds the stored entries of X and of X^T in those
     rows, summed as X + X.T sums them (X_ij + X_ji, in that order) and
     halved, so every entry is that of (X + X.T) * 0.5 bit for bit; a pair
-    that cancels is not stored.  It is exactly symmetric, entry for entry,
-    since a float sum does not depend on its order.  Besides X, its
-    transpose and the result, one block of at most _PRODUCT_BLOCK entries
-    is expanded at a time.
+    that cancels is not stored, nor is an entry with |S_ij| <= tau.  It is
+    exactly symmetric, entry for entry, since a float sum does not depend
+    on its order, and so is the dropped part: its norm is at most its
+    largest absolute row sum (norm2_upper of a symmetric matrix), returned
+    rounded up.  Besides X, its transpose and the result, one block of at
+    most _PRODUCT_BLOCK entries is expanded at a time.
     """
     T = X.T
     D = X.shape[0]
     blocks = []
+    dropped = 0.0
     for r0, r1 in _spans(X.indptr[1:].astype(np.int64) + T.indptr[1:], _PRODUCT_BLOCK):
         (a, ia, ja), (b, ib, jb) = X._entries(r0, r1), T._entries(r0, r1)
         i, j = np.concatenate([ia, ib]), np.concatenate([ja, jb])
         order = np.argsort(i * D + j, kind="stable")
-        vals, i, j = _sum_runs(np.concatenate([a, b])[order], i[order], j[order],
-                               drop_zeros=True)
+        vals, i, j = _sum_runs(np.concatenate([a, b])[order], i[order], j[order])
         vals *= 0.5
+        keep = np.abs(vals) > tau
+        if not keep.all():
+            sums = np.bincount(i[~keep] - r0, np.abs(vals[~keep]), minlength=r1 - r0)
+            dropped = max(dropped, float(sums.max()))
+            vals, i, j = vals[keep], i[keep], j[keep]
         blocks.append((vals, j, np.bincount(i - r0, minlength=r1 - r0)))
-    return CSR._from_row_blocks(blocks, X.shape, X.dtype)
+    return CSR._from_row_blocks(blocks, X.shape, X.dtype), dropped * (1 + gamma(D + 1))
 
 
 class MonomialIndex:
@@ -689,21 +711,16 @@ def taylor_exp_matrix(M, K: int) -> np.ndarray:
     1 / k! correctly rounded, the M^2 term of each B_j is added from the
     nonzero entries of M^2 (7% of D^2 at n=2 N=8, 15% at n=1 N=12), the M
     term from the stored entries of M, and the identity term goes on the
-    diagonal alone.  taylor_rounding_bound bounds the rounding of this
-    evaluation order.
+    diagonal alone.
 
     Working memory: two D x D arrays, X and the sum E, one block of rows
     and the nonzero entries of M^2.  A row of Y X reads only the same row
-    of Y, so a product on the right can overwrite its left factor a block
-    of at least D/8 rows at a time (eighth_blocks): the block's product
-    goes to a buffer and is copied back.  M^2 is formed in X, its nonzero
-    entries kept, and turned into X = M^2 M so, the dense M the second
-    array while it is (M is made dense only for these two products).
-    Each Horner step overwrites E so, the block's product taking the
-    block's rows of B_j (the scaled M^2, the scaled M, then the diagonal)
-    before it is copied back.  Every
-    entry is rounded as in the same evaluation with each block's product
-    formed on its own; blocks do not round as one full product does.
+    of Y, so a product on the right overwrites its left factor a block of
+    at least D/8 rows at a time (eighth_blocks), through a buffer: M^2 is
+    formed in X (the dense M the second array meanwhile) and turned into
+    M^3 so, and each Horner step overwrites E so, the block taking its rows
+    of B_j before it is copied back.  Every entry is rounded as in the same
+    evaluation with each block's product formed on its own.
     """
     D = M.shape[0]
     r = K // 3
@@ -780,6 +797,68 @@ def taylor_exp_apply(M, K: int, X) -> np.ndarray:
     return out
 
 
+def taylor_exp_sums(M, K: int, X, negated=False):
+    """T_K(M) X = sum_j Y_j, Y_j = M^j X / j!, in place of X (a real D x m block, best
+    with contiguous columns: the layout of M @ X); with negated it also
+    returns T_K(-M) X = sum (-1)^j Y_j from the same powers.  Each column is
+    the result for that column alone; the pass holds three or four blocks of
+    X's size, and its rounding is at most AbsTaylor.rounding() |X| entrywise.
+    """
+    V = np.array(X) if negated else None
+    Y = X
+    for j in range(1, K + 1):
+        Y = M @ Y
+        if not Y.any():  # every further power is exactly zero too
+            break
+        Y /= j
+        X += Y
+        if negated and j % 2:
+            V -= Y
+        elif negated:
+            V += Y
+    return V
+
+
+class AbsTaylor:
+    """c0 T_K(|M|) + c1 |M| T_K(|M|) >= 0, symmetric, as a factor of norm2_upper_abs: one
+    pass of the powers of |M| per distinct vector (shared by scaled()), rounded up.
+
+    |T_K(M)| <= T_K(|M|) entrywise.  rounding() bounds taylor_exp_sums: its
+    Y_j = fl(fl(M Y_{j-1}) / j) is within ((1 + gamma_{L+1})^j - 1) |M|^j |X| / j!
+    of M^j X / j! (L the longest row of M), and passes at most K additions,
+    so with u' = u / (1 - K (L + 2) u) the sum is within
+    u' sum_j (K + j (L + 1)) |M|^j |X| / j! <= u' (K T_K(|M|) + (L + 1) |M| T_K(|M|)) |X|
+    of T_K(M) X, and of T_K(-M) X too (Higham, 3.1 and 3.5).
+    """
+
+    ndim = 2
+
+    def __init__(self, M, K, c0=1.0, c1=0.0, _base=None):
+        self.c0, self.c1, self.shape, self.K = c0, c1, M.shape, K
+        if _base is None:
+            self.abs_m, self._seen = abs(M), {}
+            self.L = self.abs_m.max_row_length()
+        else:
+            self.abs_m, self.L, self._seen = _base.abs_m, _base.L, _base._seen
+
+    def scaled(self, c0, c1=0.0):
+        return AbsTaylor(self.abs_m, self.K, c0, c1, _base=self)
+
+    def rounding(self):
+        u = UNIT_ROUNDOFF / (1 - self.K * (self.L + 2) * UNIT_ROUNDOFF)
+        return self.scaled(self.K * u, (self.L + 1) * u)
+
+    def abs_matvec(self, x, left=False):
+        key = x.tobytes()
+        if key not in self._seen:
+            t = np.array(x, dtype=float)
+            taylor_exp_sums(self.abs_m, self.K, t)
+            self._seen[key] = t * (1 + gamma(self.K * (self.L + 2) + 4))
+        t = self._seen[key]
+        out = self.c0 * t + self.c1 * (self.abs_m @ t) if self.c1 else self.c0 * t
+        return out * (1 + gamma(self.L + 3))
+
+
 # unit roundoff of float64 / complex128 arithmetic
 UNIT_ROUNDOFF = 2.0**-53
 
@@ -840,48 +919,20 @@ def taylor_exp_min(a: float, K: int) -> float:
     return float(hi**K / math.factorial(K))
 
 
-def taylor_rounding_bound(a: float, D: int, K: int) -> float:
-    """Bound rho on ||fl(W) - T_K(M)||_2 for the dense weight W = T_K(M), ||M||_2 <= a.
+def taylor_exp_mismatch(a: float, K: int) -> float:
+    """mu >= max_{|x|<=a} |T_K(x) T_K(-x) - 1|, so ||T_K(M) T_K(-M) - I|| <= mu for a
+    symmetric M with ||M|| <= a.
 
-    It also bounds the distance of the symmetrized fl(W) from the symmetric
-    part of T_K(M).
-
-    W is taylor_exp_matrix (Paterson and Stockmeyer, s = 3,
-    X = M^s, T_K(M) = sum_j B_j X^j), symmetrized as 0.5 (W + W^*).  Every
-    rounded step commits, entrywise, at most c = sqrt(2) gamma_{2D+s+2}
-    times the absolute values it combines (Higham, Accuracy and Stability
-    of Numerical Algorithms, 3.5-3.6: the real part of a length-D complex
-    inner product is a sum of 2D products; a real M commits less):
-      - a power P_i = fl(M P_{i-1}), at most c |M| |P_{i-1}|;
-      - a Horner step fl(E_{j+1} X + B_j), with B_j's s terms
-        (1 / k! rounded once, its product rounded once) summed into the
-        product, at most c (|E_{j+1}| |X| + I / (js)! + sum_{i>=1} |M^i| / (js+i)!);
-        the identity term sits on the diagonal alone.
-    With ||abs(Y)||_2 <= sqrt(D) ||Y||_2, ||M^k|| <= a^k and T_K(a) <= e^a,
-    to first order in c:
-      - the power errors: P_i is off by at most (i-1) c D a^i, and term
-        k = js + i of the sum reaches it through (i-1) + j (s-1) <= k-1
-        products, so they add at most c D sum_k (k-1) a^k / k! <= c D a^2 e^a;
-      - step j's error reaches the result through X^j, on the right (norm
-        a^{sj}).  With b_j = sum_{i>=1} a^i / (js+i)!, ||B_j|| <= 1 / (js)! + b_j
-        and ||E_{j+1}|| <= sum_{l>j} a^{s(l-j-1)} ||B_l||, so the product terms
-        sum to c D sum_{l>=1} l a^{sl} ||B_l|| <= c D (a / s) e^a (l <= k / s
-        for every term k of B_l), and the B_j terms to
-        c sum_j a^{sj} (1 / (js)! + sqrt(D) b_j) <= c e^a (1 + sqrt(D) a);
-      - the symmetrization is exact on the diagonal and rounds each
-        off-diagonal entry once, at most u sqrt(D) ||offdiag(W)|| <= 2 sqrt(D) u a e^a,
-        below c sqrt(D) a e^a.
-    The sum is c e^a (D a (a + 1/s) + 2 sqrt(D) a + 1).  The factor 2 of
-    rho takes the second-order terms (errors measured on computed rather
-    than exact factors, and products of two errors), smaller than the
-    first-order ones by a factor of order c D K, below 1e-6 for D up to
-    10^4 at K = 12.  The bound is on the sum applied to M as assembled; how far the
-    assembled M is from the exact Galerkin matrix is the multiplier's skew
-    term (GalerkinContext.assembly_rounding, InnerProductWeight).
+    The product is 1 + sum_d m_d x^d, m_d = sum_{j=d-K}^{K} (-1)^j C(d, j) / d!:
+    zero for d <= K (the coefficients of e^x e^-x = 1), and for d > K, from
+    sum_{j<=m} (-1)^j C(d, j) = (-1)^m C(d-1, m), 2 (-1)^K C(d-1, K) / d! for
+    even d and 0 for odd d.  mu = sum_d |m_d| a^d in Fractions, rounded up
+    (26/14! a^14 + ... at K = 12: 5e-20 at a = 0.2, 8e-6 at a = 2).
     """
-    s = 3  # the split of taylor_exp_matrix
-    c = math.sqrt(2) * gamma(2 * D + s + 2)
-    return 2 * c * math.exp(a) * (D * a * (a + 1 / s) + 2 * math.sqrt(D) * a + 1)
+    x = Fraction(a)
+    mu = sum(Fraction(2 * math.comb(d - 1, K), math.factorial(d)) * x**d
+             for d in range(K + 2 - K % 2, 2 * K + 1, 2))
+    return math.nextafter(float(mu), math.inf)
 
 
 def taylor_apply_rounding_bound(a: float, L: int, A: float) -> float:
@@ -964,75 +1015,70 @@ def _symmetrized(X):
     return X
 
 
+# past this exponent e^(a+s) and e^(2(a+s)) of the weight's bounds overflow
+_EXP_LIMIT = math.log(np.finfo(float).max)
+
+
 @dataclass
 class InnerProductWeight:
     """Gram matrix W = T_K(M) of the truncated basis under e^{(n+1) Upsilon} dsigma.
 
-    An operator first: the weight is the real (float64) frame multiplier M
-    of (n+1) Upsilon (RealFrame) with the Taylor depth K, and it acts by
-    Horner's rule (taylor_exp_apply) without forming W.  M is symmetric
-    (ContactPerturbation.multiplier_matrix), so W^T = W and apply serves
-    both.  Its operator core is apply (W x), block_solve and the bounds
-    below; the zero-Q solve needs nothing else.  The dense
-    matrix, symmetrized, is built on first use, by the chain and the pencil
-    spectrum (matrix, solve, projector_rows; projector and adjoint_defect
-    serve the tests).  What stays dense is that one D x D array: it is
-    built in two (taylor_exp_matrix) and symmetrized in place, a pair of
-    blocks at a time, and solve's LU copies it once more while it runs.
-    No form of it is inverted: solve takes a block of right-hand sides.
+    An operator: the real, symmetric frame multiplier M of (n+1) Upsilon
+    with the Taylor depth K; W = W^T acts by Horner's rule (apply) or by
+    passes of the powers of M (taylor_exp_sums), and the zero-Q solve and
+    the chain never form it.  The pencil spectrum alone builds the dense
+    matrix (matrix, projector_rows; solve, projector and adjoint_defect
+    serve the tests), in two D x D arrays (taylor_exp_matrix).
 
     block_solve(S, b) solves with the principal block W_SS by conjugate
     gradients on apply restricted to S, from zero, until
-    ||r|| <= CG_TOL ||b||, whether or not the dense matrix exists.  W_SS is
-    symmetric positive definite with its spectrum inside
-    [min_eigenvalue_bound, max_eigenvalue_bound] (interlacing), so
-    cond(W_SS) <= kappa = max / min bound, and
+    ||r|| <= CG_TOL ||b||.  W_SS is symmetric positive definite with its
+    spectrum inside [min_eigenvalue_bound, max_eigenvalue_bound]
+    (interlacing), so cond(W_SS) <= kappa = max / min bound, and
     cg_iteration_cap (from kappa) bounds the iterations a converging run
     needs: reaching it, or a breakdown p^T W_SS p <= 0, raises
     NumericalError.  A caller that turns a solve into a number it reports
     accounts for where CG stopped: for any z and r = b - W_SS z,
     b^T W_SS^{-1} b = b^T z + z^T r + r^T W_SS^{-1} r, and the last term is
-    at most ||r||^2 / lambda_lb (qcurvature.solvability_check).  The dense
-    forms (solve, projector_rows) test no positivity: the bounds
-    below bracket every principal block (interlacing) and every compression
-    V W V^* with orthonormal rows (parametrix.szego_rows).
+    at most ||r||^2 / lambda_lb (qcurvature.solvability_check).  Dense
+    solves test no positivity: the bounds bracket every principal block and
+    every compression V W V^* with orthonormal rows (parametrix.szego_rows).
 
-    M = (Re M_c + Re M_c^T) / 2, M_c the assembled complex frame Galerkin
-    matrix of (n+1) Upsilon, and H the exact Galerkin matrix's Hermitian
-    part.  multiplier_bound is a >= ||H||_2 and multiplier_skew is
+    M = (Re M_c + Re M_c^T) / 2 less its entries of size at most tau
+    (symmetric_part), M_c the assembled complex frame Galerkin matrix of
+    (n+1) Upsilon, and H the exact Galerkin matrix's Hermitian part.
+    multiplier_bound is a >= ||H||_2 and multiplier_skew is
     s >= ||M - H||_2.  Since eig(T_K(H)) = T_K(eig(H)), ||M|| <= a + s and
     ||T_K(M) - T_K(H)|| <= s e^{a+s} (telescoping M^k - H^k), the numbers
 
-        min_eigenvalue_bound = min_{|x|<=a} T_K(x) - rho - s e^{a+s}
-        max_eigenvalue_bound = T_K(a) + rho + s e^{a+s}
+        min_eigenvalue_bound = min_{|x|<=a} T_K(x) - s e^{a+s}
+        max_eigenvalue_bound = T_K(a) + s e^{a+s}
 
-    with rho = taylor_rounding_bound(a + s, D, K) bracket the spectrum of the
-    symmetric part of T_K(M) and of the dense matrix, with no eigensolver
-    (taylor_exp_min).  apply_rounding_bound =
-    taylor_apply_rounding_bound(a + s, L, norm2_upper(M)), L the most
-    entries in a row of M, bounds the rounding of apply:
-    ||apply(x) - T_K(M) x|| <= it times ||x||.
+    bracket the spectrum of W, with no eigensolver (taylor_exp_min); the
+    dense matrix is W up to the rounding of its Taylor sum.
+    apply_rounding_bound = taylor_apply_rounding_bound(a + s, L,
+    norm2_upper(M)), L the most entries in a row of M, bounds the rounding
+    of apply: ||apply(x) - W x|| <= it times ||x||.
 
     ContactPerturbation.weight passes a = (n+1) B(Upsilon), a bound on the
     exact Galerkin matrix in any orthonormal frame, and
-    s = e_asm + gamma_1 norm2_upper(M) + L 2^-1074.  With M_c = H + iB + E,
+    s = e_asm + gamma_1 norm2_upper(M) + L 2^-1074 + p.  With M_c = H + iB + E,
     ||E|| <= e_asm (GalerkinContext.assembly_rounding) and B real symmetric
     (from any imaginary part Upsilon keeps within ContactPerturbation's
     tolerance), Re drops iB exactly and neither Re nor the average raises
     ||E||; the average rounds once per entry, within gamma_1 |M|, plus at
     most 2^-1075 where the halving leaves the normal range (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2.2).
+    Accuracy and Stability of Numerical Algorithms, 2.2), and p bounds the
+    norm of the entries the cut drops, with their rounding.
 
     The lower bound is below T_K on the whole interval [-a, a], so it can be
-    <= 0 while W is still positive definite: for odd K, T_K has a real
-    root r_K (r_1 = -1, r_3 = -1.60, r_5 = -2.18, r_7 = -2.76,
-    r_9 = -3.33, r_11 = -3.91), and every a >= |r_K| gives a bound <= 0
-    whatever the spectrum of M.  Such a weight is refused: a bound <= 0,
-    like a CG breakdown, raises NumericalError (a non-positive weight means
-    the conformal factor left the regime the truncation can represent).
-    Complex vectors are applied, solved by CG and taken by adjoint_defect
-    as their real and imaginary parts (real_matmul); the dense solve takes
-    real right-hand sides.
+    <= 0 while W is still positive definite: for odd K, T_K has a real root
+    r_K (r_5 = -2.18, r_11 = -3.91), and every a >= |r_K| gives a bound <= 0.
+    Such a weight is refused: a bound <= 0, like a CG breakdown or an
+    a + s past _EXP_LIMIT / 2, raises NumericalError (the conformal factor
+    left the regime the truncation can represent).  Complex vectors are
+    applied, solved by CG and taken by adjoint_defect as their real and
+    imaginary parts (real_matmul).
     """
 
     multiplier: CSR  # M: real D x D
@@ -1053,12 +1099,14 @@ class InnerProductWeight:
         if np.iscomplexobj(M):
             raise TypeError("the weight is real: build its multiplier in the real frame")
         a, s, K = self.multiplier_bound, self.multiplier_skew, self.taylor_depth
-        rho = taylor_rounding_bound(a + s, M.shape[0], K)
+        if not 2 * (a + s) < _EXP_LIMIT:  # NaN too
+            raise NumericalError(f"weight not certified positive: ||M|| <= {a + s:.3e} "
+                                 f"puts e^(2||M||) past the float range")
         self.apply_rounding_bound = taylor_apply_rounding_bound(a + s, M.max_row_length(),
                                                                 norm2_upper(M))
         skew = s * math.exp(a + s)
-        self.min_eigenvalue_bound = taylor_exp_min(a, K) - rho - skew
-        self.max_eigenvalue_bound = float(_taylor_sum(Fraction(a), K)) + rho + skew
+        self.min_eigenvalue_bound = taylor_exp_min(a, K) - skew
+        self.max_eigenvalue_bound = float(_taylor_sum(Fraction(a), K)) + skew
         if self.min_eigenvalue_bound <= 0:
             raise NumericalError(
                 f"weight not certified positive (lower eigenvalue bound "
@@ -1123,33 +1171,30 @@ class InnerProductWeight:
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense weight (W + W^T) / 2, W = taylor_exp_matrix(M, K), built on first use."""
+        """The dense weight (W + W^T) / 2, W = taylor_exp_matrix(M, K), built on first use.
+
+        Only the pencil spectrum (spectrum --perturbation) forms it."""
         if self._matrix is None:
             W = _symmetrized(taylor_exp_matrix(self.multiplier, self.taylor_depth))
             self._norm_upper = norm2_upper(W)
             self._matrix = W
         return self._matrix
 
-    @property
-    def norm_upper(self) -> float:
-        """norm2_upper of the dense weight (matrix)."""
-        self.matrix
-        return self._norm_upper
-
     def solve(self, rhs):
         """W^{-1} rhs (a real vector or block) by a dense solve with the matrix."""
         return np.linalg.solve(self.matrix, rhs)
 
-    def projector_rows(self, mask):
+    def projector_rows(self, mask, W_M=None):
         """The rows in mask of the W-orthogonal projector onto the coordinates in mask.
 
-        They are W_MM^{-1} W_M:, one dense solve with the block of the
-        matrix (which is symmetric); the projector's other rows are exactly
-        zero.
+        They are W_MM^{-1} W_M:, one dense solve with the block of W's rows
+        W_M: (which is W_MM, W being symmetric), taken from the matrix unless
+        given; the projector's other rows are exactly zero.
         """
         mask = np.asarray(mask, dtype=bool)
-        W = self.matrix
-        return np.linalg.solve(W[np.ix_(mask, mask)], W[mask])
+        if W_M is None:
+            W_M = self.matrix[mask]
+        return np.linalg.solve(W_M[:, mask], W_M)
 
     def projector(self, mask):
         """W-orthogonal projector onto the coordinate subspace given by mask (projector_rows)."""

@@ -15,35 +15,36 @@ projection and G_oo the partial inverse of P, with every residual
 identically zero in rational arithmetic.
 
 In the perturbed regime P_hat = e^{-(n+1)Upsilon} P acts on the truncated
-basis through the weighted Galerkin matrix W^{-1} P_diag (the critical-
-weight transformation law makes the sesquilinear form of P_hat equal the
-standard diagonal form).  S and Sbar become the weight-orthogonal
-projectors onto the unchanged holomorphic / antiholomorphic subspaces, and
-G_0 transports as G_0 M_w with w the truncated conformal volume factor.
-P_hat has exactly the kernel of P_diag, the pluriharmonic coordinates K,
-so the final Pi and G have closed forms: Pi is the W-orthogonal projector
-onto K and G = (I - Pi) P_diag^+ W (I - Pi).  Applied to a vector
+basis through the weighted Galerkin matrix W^{-1} P_diag, W = T_K(M) the
+weight (the critical-weight transformation law makes the sesquilinear
+form of P_hat equal the standard diagonal form).  S and Sbar become the
+weight-orthogonal projectors onto the unchanged holomorphic /
+antiholomorphic subspaces, and G_0 transports as G_0 M_w with w the
+truncated conformal volume factor.  P_hat has exactly the kernel of
+P_diag, the pluriharmonic coordinates K, so the final Pi and G have closed
+forms: Pi is the W-orthogonal projector onto K and
+G = (I - Pi) P_diag^+ W (I - Pi).  Applied to a vector
 (apply_partial_inverse) G needs only the weight's operator core: W by
-Horner and solves with W_KK by conjugate gradients.  The pencil's
-spectrum is |K| exact zeros plus the nonzero eigenvalues of the pencil
-of P_C and the Schur complement of W_KK: the spectrum command
-writes them all from one Hermitian eigensolve (nonzero_eigenvalues), the
-chain reports the smallest with a certified enclosure from a block
-iteration and no eigensolver (low_eigenvalue_enclosure), and the zero-Q
-solver reports a bracket on it from the weight's eigenvalue bounds.  The
-matrix chain never inverts W: P_hat = W^{-1} P_diag vanishes on the
-columns K, so it needs W^{-1} only there, V_:K, from one dense solve with
-|K| right-hand sides (hatted_gjms), and it solves with W_KK once.  A_0
-follows from the Woodbury identity on I + R_0, a rank-2|K| change of the
-identity (woodbury_a0), and Pi, G, the Woodbury solve and the low
-eigenvalue share the rows K of Pi.  The generalized eigensolver
-(spectrum_matrix) is kept as a test oracle.
-Every chain identity is recorded as a norm on the full truncation and on
-the interior blocks, with its route: the parametrix identities, on either
-side, are certified bounds derived from the chain's factors and the
-measured defect W V_:K - E_K of the kernel columns, the cheap differences
-are formed and measured, and the identities the algebra makes exactly
-zero are recorded as zero (build_chain_matrix says what each entry bounds).
+Horner and solves with W_KK by conjugate gradients.  The pencil's spectrum
+is |K| exact zeros plus the nonzero eigenvalues of the pencil of P_C and
+the Schur complement of W_KK: the spectrum command writes them all from
+one Hermitian eigensolve on the dense W (nonzero_eigenvalues), the chain
+reports the smallest with a certified enclosure from a block iteration and
+no eigensolver (low_eigenvalue_enclosure), and the zero-Q solver reports a
+bracket on it from the weight's eigenvalue bounds.  The generalized
+eigensolver (spectrum_matrix) is kept as a test oracle.
+
+The matrix chain (build_chain_matrix) forms neither W nor W^{-1} nor
+P_hat, and stores no D x D array: P_hat vanishes on the columns K, so it
+needs W and W^{-1} only there, from one pass of the powers of M
+(hatted_gjms), and every other member is a diagonal or factors with at
+most 2|K| rows or columns (S, Sbar, Pi_0, Pi_oo and Pi are nonzero only on
+their rows in K, where the holomorphic and antiholomorphic coordinates
+pair up).  Every chain identity is recorded as a norm on the full
+truncation and on the interior blocks, with its route: certified bounds
+derived from the chain's factors and their a-priori defects, the cheap
+differences formed and measured, and the identities the algebra makes
+exactly zero recorded as zero.
 
 The perturbed chain runs in the real frame of the basis (galerkin.RealFrame),
 where P is real and Upsilon, and so W, is real: every member is float64.
@@ -54,24 +55,16 @@ tables of P and G_0 are the same in both frames, and the frame change is
 unitary, so every norm, eigenvalue and gate means what it does in the
 basis e.
 
-The matrix chain stores one D x D array, W; every other member is a
-diagonal or factors with at most 2|K| rows or columns (S, Sbar, Pi_0,
-Pi_oo and Pi are nonzero only on their rows in K, where the holomorphic
-and antiholomorphic coordinates pair up), and P_hat = W^{-1} P_diag is
-exact and never stored (build_chain_matrix).
-
 Reported residual norms are upper bounds on the spectral norm, never SVD
 values: sqrt(||X||_1 ||X||_inf) (galerkin.norm2_upper) of a residual
 formed as a matrix, or a bound derived from norms of factors and defects
 plus a-priori rounding terms, so every gate on them is at least as strict
 as a gate on the spectral norm.  A relative defect divides the upper bound
 of its numerator by the lower bound max_j ||X e_j||_2
-(galerkin.norm2_lower) of its denominator, so the ratio is still an upper
-bound on the spectral-norm ratio.  The weighted adjointness defects solve
-nothing: X - W^{-1} X^* W = W^{-1} (Y - Y^*) with Y = W X, so they divide
-a bound on ||Y - Y^*|| by the weight's certified lower eigenvalue bound;
-the chain derives that bound from its factors, and
-InnerProductWeight.adjoint_defect forms Y for any other X.
+(galerkin.norm2_lower) of its denominator.  The weighted adjointness
+defects solve nothing: X - W^{-1} X^* W = W^{-1} (Y - Y^*) with Y = W X,
+so they divide a bound on ||Y - Y^*|| by the weight's certified lower
+eigenvalue bound.
 """
 
 from __future__ import annotations
@@ -86,6 +79,8 @@ from .errors import NumericalError
 from .galerkin import (
     _DENSE_BLOCK,
     UNIT_ROUNDOFF,
+    AbsTaylor,
+    Columns,
     InnerProductWeight,
     RealFrame,
     blocked_matmul,
@@ -97,6 +92,8 @@ from .galerkin import (
     norm2_upper_blocks,
     real_matmul,
     row_slices,
+    taylor_exp_mismatch,
+    taylor_exp_sums,
 )
 from .harmonics import HarmonicBasis, dim_hpq
 from .spectral import (
@@ -353,7 +350,7 @@ _RITZ_CAP = 100
 _RITZ_GUARD = 8
 
 
-def low_eigenvalue_enclosure(P_d, weight: InnerProductWeight, ker, pi_rows, n_r):
+def low_eigenvalue_enclosure(P_d, weight: InnerProductWeight, ker, pi_rows, n_rs, n_wk):
     """The smallest nonzero eigenvalue mu_1 of P_d x = mu W x and a certified enclosure of it.
 
     As in nonzero_eigenvalues, the nonzero eigenvalues are mu_j = 1 / b_j
@@ -368,10 +365,9 @@ def low_eigenvalue_enclosure(P_d, weight: InnerProductWeight, ker, pi_rows, n_r)
     of p_1, runs subspace iteration with Rayleigh-Ritz on H, from the unit
     vectors of the w smallest p_j: H Y is the rows C of W (I - Pi) Y~, Y~
     the block P_C^{-1/2} Y padded with zeros on K and Pi the W-orthogonal
-    projector onto K from its rows pi_rows, so each step is one product of
-    the stored W with D x w.  The width depends on P alone, not on the
-    weight, so a step costs the same at any size of the perturbation, and
-    there are at most _RITZ_CAP steps.  Y^T H Y is symmetric positive
+    projector onto K from its rows pi_rows, so each step is one pass of
+    the powers of M on D x w (taylor_exp_sums).  The width depends on P
+    alone, and there are at most _RITZ_CAP steps.  Y^T H Y is symmetric positive
     definite, so its singular value decomposition (of order w) is its
     eigendecomposition.  The cluster is the first m Ritz values, m the
     fewest with theta_m > W_ub / p_{m+1} (1 if there is none); the
@@ -388,15 +384,16 @@ def low_eigenvalue_enclosure(P_d, weight: InnerProductWeight, ker, pi_rows, n_r)
                                    + 2 sqrt(1 + eps) theta_1 eps / (1 - eps).
 
     ||H X - X Theta|| is the measured residual plus the rounding of the
-    apply and of P_C^{-1/2} (a-priori, gamma_{D+1} and gamma_3), plus the
-    defect of pi_rows: H less the operator applied is
-    P_C^{-1/2} W_CK W_KK^{-1} r P_C^{-1/2}, r = W_K: - W_KK pi_rows, at most
-    ||W_K:|| n_r / (lambda_lb min p) with n_r >= ||r||.  If
-    theta_m - rho > W_ub / p_{m+1}, the alpha_j all exceed b_{m+1}, so they
-    are b_1 .. b_m, b_1 lies within rho of theta_1 and mu_1 in
-    [1 / (theta_1 + rho), 1 / (theta_1 - rho)].  Otherwise (the cluster is
-    not isolated so, or did not converge) only b_1 >= alpha_1 >=
-    theta_1 - rho is known, and mu_1 lies in
+    pass (R |Y~| entrywise, AbsTaylor.rounding()), of the rows K of Y~ and
+    of P_C^{-1/2} (gamma_{D+1} and gamma_3), plus the defect of pi_rows: H
+    less the operator applied is P_C^{-1/2} W_CK W_KK^{-1} r_KC P_C^{-1/2},
+    r = W_K: - W_KK pi_rows, at most n_wk n_rs / (lambda_lb sqrt(min p)) with
+    n_wk >= ||W_K:|| and n_rs >= ||r_KC P_C^{-1/2}||.  If theta_m - rho >
+    W_ub / p_{m+1}, the alpha_j all exceed b_{m+1}, so they are b_1 .. b_m,
+    b_1 lies within rho of theta_1 and mu_1 in [1 / (theta_1 + rho),
+    1 / (theta_1 - rho)], intersected with Ostrowski's bracket.  Otherwise
+    (the cluster is not isolated so, or did not converge) only
+    b_1 >= alpha_1 >= theta_1 - rho is known, and mu_1 lies in
     [p_1 / W_ub, min(p_1 / lambda_lb, 1 / (theta_1 - rho))]: wider, never
     false.  Both are rounded outward.
 
@@ -407,7 +404,6 @@ def low_eigenvalue_enclosure(P_d, weight: InnerProductWeight, ker, pi_rows, n_r)
     C = ~ker
     if not C.any():
         return None, None, 0
-    W = weight.matrix
     lam_lb, w_ub = weight.min_eigenvalue_bound, weight.max_eigenvalue_bound
     p = P_d[C]
     order = np.argsort(p, kind="stable")
@@ -420,11 +416,12 @@ def low_eigenvalue_enclosure(P_d, weight: InnerProductWeight, ker, pi_rows, n_r)
 
     def apply(Y):
         """H Y as computed, and the padded block Y~ (I - Pi) it applies W to."""
-        Yt = np.zeros((ker.size, Y.shape[1]))
+        Yt = np.zeros((Y.shape[1], ker.size)).T
         Yt[C] = Y * r[:, None]
         Yt[ker] = -(pi_rows @ Yt)
-        HY = (W @ Yt)[C]
-        HY *= r[:, None]
+        WY = np.array(Yt)
+        taylor_exp_sums(weight.multiplier, weight.taylor_depth, WY)
+        HY = WY[C] * r[:, None]
         return HY, Yt
 
     def cluster(theta):
@@ -450,16 +447,15 @@ def low_eigenvalue_enclosure(P_d, weight: InnerProductWeight, ker, pi_rows, n_r)
     fro = _frobenius_upper
     n_x = fro(X)
     eps = fro(X.T @ X - np.eye(m)) + gamma(p.size + 2) * n_x**2
-    kidx = np.flatnonzero(ker)
     r_max = float(r.max())
-    n_wk = norm2_upper_blocks((kidx.size, ker.size), lambda sl: W[kidx[sl]])  # >= ||W_K:||
     n_pi = norm2_upper(pi_rows)
+    rounding = AbsTaylor(weight.multiplier, weight.taylor_depth).rounding()
+    n_apply = fro(np.array([rounding.abs_matvec(np.abs(y)) for y in Yt.T]))
     residual = (fro(R)
-                + 2 * gamma(ker.size + 1) * r_max * (weight.norm_upper * fro(Yt)
-                                                     + n_wk * n_pi * fro(Yt[C]))
+                + r_max * (n_apply + 2 * gamma(ker.size + 1) * n_wk * n_pi * fro(Yt[C]))
                 + gamma(3) * (fro(HX) + fro(X * theta))
                 + 2 * gamma(3) * w_ub * r_max**2 * n_x
-                + r_max**2 * n_wk * n_r / lam_lb * n_x)
+                + r_max * n_wk * n_rs / lam_lb * n_x)
     theta_1 = float(theta[0])
     value = 1 / theta_1
     hi = ps[0] / lam_lb
@@ -469,7 +465,8 @@ def low_eigenvalue_enclosure(P_d, weight: InnerProductWeight, ker, pi_rows, n_r)
         # the rounding of rho and of the bracket's arithmetic
         rho = rho * (1 + gamma(8)) + 4 * UNIT_ROUNDOFF * theta_1
         if float(theta[-1]) - rho > above[m - 1]:
-            return value, _outward(1 / (theta_1 + rho), 1 / (theta_1 - rho)), m
+            return value, _outward(max(1 / (theta_1 + rho), ps[0] / w_ub),
+                                   min(1 / (theta_1 - rho), hi)), m
         if theta_1 > rho:
             hi = min(hi, 1 / (theta_1 - rho))
     return value, _outward(ps[0] / w_ub, hi), 0
@@ -521,40 +518,60 @@ def pseudo_inverse_diag(P_d, ker):
     return np.where(ker, 0.0, 1.0 / np.where(ker, 1.0, P_d))
 
 
-def hatted_gjms(basis: HarmonicBasis, weight: InnerProductWeight):
-    """The columns K of W^{-1}, all P_hat = e^{-(n+1)Upsilon} P = W^{-1} P_d needs, and their defect.
+# refinement steps of the kernel columns of W^-1 at most, two passes each, each
+# shrinking the defect by ||T_K(M) T_K(-M) - I|| (n=1 N=8: 1e-8 at sup 1.0, 6e-3 at 1.7)
+_REFINE_STEPS = 3
 
-    The critical-weight law makes <P_hat u, v>_hat = <P u, v>_std, so the
-    hatted operator's sesquilinear form is the exact diagonal table and the
-    operator is W^{-1} P_d on the stored dense W.  The chain never forms
-    it: P_d vanishes on the kernel coordinates K, so its identities need
-    W^{-1} only on the columns K, V_:K, solved for from W V_:K = E_K by one
-    LU with |K| right-hand sides (weight.solve).  The defect
-    F = W V_:K - E_K is measured from the product blocked_matmul forms,
-    within gamma_o |W| |V_:K| of the exact one, so
 
-        ||F|| <= n_f = (1 + gamma_1) ||fl(F)|| + gamma_o || |W| |V_:K| ||,
+def hatted_gjms(basis: HarmonicBasis, weight: InnerProductWeight, abs_w: AbsTaylor, W_cK):
+    """The columns K of W and of W^{-1}, all P_hat = e^{-(n+1)Upsilon} P = W^{-1} P_d needs.
 
-    and W^{-1} E_K - V_:K = -W^{-1} F exactly, so ||W^{-1} E_K - V_:K|| is
-    at most n_f / lambda_lb.  The product is dropped once measured.  A
-    defect that is not finite (a failed solve) raises NumericalError.
-    Returns V_:K and n_f.
+    By the critical-weight law P_hat = W^{-1} P_d, W = T_K(M), and P_d
+    vanishes on K.  One pass of the powers M^j E_K gives W_:K = T_K(M) E_K,
+    written to W_cK (E_K before the pass), and V_:K = T_K(-M) E_K, each
+    within e = R E_K of the exact product, R = abs_w.rounding(), n_e >= ||e||.
+    W T_K(-M) = I + m(M) with ||m(M)|| <= mu (taylor_exp_mismatch), so
+    F = W V_:K - E_K = m(M) E_K + W (V_:K - T_K(-M) E_K) and
+    ||F|| <= n_f = mu + W_ub n_e.  Where mu is above that rounding term (a
+    large perturbation), refinement steps V' = V - T_K(-M) F^ run,
+    F^ = fl(T_K(M) V) - E_K, two passes each: W V' - E_K = (W V - E_K - F^)
+    - m(M) F^ + W (the rounding of T_K(-M) F^ and of the subtraction), so
+    n_f' = ||R |V||| + (u + mu) ||F^|| + W_ub (||R |F^||| + u ||V'||); each
+    shrinks the defect by about ||m(M)||, and they stop at the rounding
+    level, when a step no longer halves n_f, or after _REFINE_STEPS.
+    ||W^{-1} E_K - V_:K|| = ||W^{-1} F|| <= n_f / lambda_lb.  A result that
+    is not finite raises NumericalError.  Returns V_:K, n_f and n_e.
     """
+    M, K = weight.multiplier, weight.taylor_depth
     ker = kernel_mask(basis)
-    at = (np.flatnonzero(ker), np.arange(int(ker.sum())))  # the entries of E_K that are 1
-    E_K = np.zeros((ker.size, at[1].size))
-    E_K[at] = 1
-    V_K = weight.solve(E_K)
-    del E_K
-    W = weight.matrix
-    F, order = blocked_matmul(W, V_K)
-    F[at] -= 1
-    f = norm2_upper(F)
-    del F
-    if not math.isfinite(f):
-        raise NumericalError(f"defect ||W V_:K - E_K|| of the kernel columns of W^-1 "
-                             f"is not finite ({f})")
-    return V_K, (1 + gamma(1)) * f + gamma(order) * norm2_upper_abs((W, V_K))
+    at = (np.flatnonzero(ker), np.arange(W_cK.shape[1]))  # the entries of E_K that are 1
+    W_cK[...] = 0
+    W_cK[at] = 1
+    V_K = taylor_exp_sums(M, K, W_cK, negated=True)
+    if not (np.isfinite(W_cK).all() and np.isfinite(V_K).all()):
+        raise NumericalError("the kernel columns of W and W^-1 are not finite")
+    R = abs_w.rounding()
+    n_e = norm2_upper_abs((R, Columns(ker)))
+    mu = taylor_exp_mismatch(weight.multiplier_bound + weight.multiplier_skew, K)
+    w_ub = weight.max_eigenvalue_bound
+    n_f = mu + w_ub * n_e
+    for _ in range(_REFINE_STEPS):
+        if n_f <= 2 * w_ub * n_e:  # at the rounding level of the pass
+            break
+        F = np.array(V_K)
+        taylor_exp_sums(M, K, F)
+        F[at] -= 1
+        n_next = (norm2_upper_abs((R, V_K)) + (UNIT_ROUNDOFF + mu) * norm2_upper(F)
+                  + w_ub * norm2_upper_abs((R, F)))
+        taylor_exp_sums(-M, K, F)
+        V_K -= F
+        n_next += w_ub * UNIT_ROUNDOFF * norm2_upper(V_K)
+        if not math.isfinite(n_next):
+            raise NumericalError(f"the refined kernel columns of W^-1 are not finite ({n_next})")
+        n_f, improved = n_next, n_next < 0.5 * n_f
+        if not improved:
+            break
+    return V_K, n_f, n_e
 
 
 def apply_partial_inverse(P_d, weight: InnerProductWeight, ker, X):
@@ -588,10 +605,9 @@ def szego_rows(basis: HarmonicBasis, W_K):
     F = U^*[:, H] (RealFrame), whose nonzero rows lie in the kernel
     coordinates K.  S = F (F^* W F)^{-1} F^* W is complex, its rows outside
     K vanish, and its rows in K are C W_K: with C = V^* (V W_KK V^*)^{-1} V
-    and V = U[H, K], read from the sparse U (two entries a row): no complex
-    array of |K| x D is formed.  U is unitary and its rows H vanish
-    outside K, so V has orthonormal rows and the weight's certified bounds
-    bracket V W_KK V^* (InnerProductWeight).  The antiholomorphic
+    and V = U[H, K], read from the sparse U: no complex array of |K| x D is
+    formed.  U is unitary and its rows H vanish outside K, so V has
+    orthonormal rows and the weight's bounds bracket V W_KK V^*.  The antiholomorphic
     functions are the conjugates of the holomorphic ones and W is real, so
     Sbar = conj(S) and S + Sbar = 2 Re S = 2 Re(C) W_K:.
     """
@@ -624,13 +640,11 @@ def woodbury_a0(Vf, Pi_K, V_K, ker):
     leave is in the measured defect F' = Vf - T Z, formed a block of rows
     at a time for its norm and never kept.
 
-    (I + U Vf)(I - U Z) - I = U (Vf - T Z) for the exact T, so the returned
+    The member A_0 is I - U Z, never formed, and (I + U Vf)(I - U Z) - I =
+    U (Vf - T Z) for the exact T, so the returned
     solve_term >= ||U (Vf - (I + Vf U) Z)|| (||U|| times the measured F'
-    plus the rounding of T and of F', both formed by blocked_matmul) and
-    a0_rounding >= ||A_0 - (I - U Z)|| (the rounding of the member A_0,
-    formed a block of rows at a time from V_:K and Z) bound
-    ||(I + U Vf) A_0 - I|| with the norm of I + U Vf.  Returns
-    (Z_2, solve_term, a0_rounding).
+    plus the rounding of T and of F', both formed by blocked_matmul)
+    bounds ||(I + U Vf) A_0 - I||.  Returns Z_2 and solve_term.
     """
     k = V_K.shape[1]
     T, t_order = blocked_matmul(Vf, V_K)
@@ -655,10 +669,8 @@ def woodbury_a0(Vf, Pi_K, V_K, ker):
         (Vf,), (T[:, :k], Pi_K), (T[:, k:], Z_2))
         + gamma(t_order + 1) * (norm2_upper_abs((Vf[:, ker], Pi_K), (Vf, V_K, Z_2))
                                 + norm2_upper(Pi_K) + norm2_upper(Z_2)))
-    # ||U||^2 <= ||E_K||^2 + ||V_:K||^2, and |U| |Z| + I = E_K |Pi_K:| + |V_:K| |Z_2| + I
-    n_u = math.sqrt(1 + norm2_upper(V_K) ** 2)
-    a0_rounding = gamma(k + 2) * (norm2_upper(Pi_K) + norm2_upper_abs((V_K, Z_2)) + 1)
-    return Z_2, n_u * solve_defect, a0_rounding
+    # ||U||^2 <= ||E_K||^2 + ||V_:K||^2
+    return Z_2, math.sqrt(1 + norm2_upper(V_K) ** 2) * solve_defect
 
 
 def _woodbury_z2(T, Pi_K, Pi0_K):
@@ -688,47 +700,30 @@ def scaling_defect(P_d, *inverses):
     return float(max((abs(Fraction(p) * Fraction(g) - 1) for p, g in pairs), default=0))
 
 
-class _Commutator:
-    """C = [P_d, W] = P_d W - W P_d, entries (P_i - P_j) W_ij, formed a block of rows at a
-    time: norm2_upper and norm2_upper_abs read it as a dense array.  An entry is two
-    roundings from the exact one, so norms of it are scaled by ROUND."""
-
-    ROUND = 1 + gamma(2)
-    ndim = 2
-
-    def __init__(self, W, P_d):
-        self.W, self.P_d = W, P_d
-        self.shape, self.size = W.shape, W.size
-
-    def __getitem__(self, sl):
-        return self.W[sl] * (self.P_d[sl, None] - self.P_d)
-
-
 class _TimesHat:
     """Bounds on ||X P_hat|| for P_hat = W^{-1} P_d, which is never formed.
 
     W^{-1} P_d = P_d W^{-1} + W^{-1} C W^{-1} with C = [P_d, W], and
-    W^{-1} C = C + (W^{-1} - I) C, so
-
-        ||X P_hat|| <= (||X P_d|| + ||X C|| + omega ||X|| ||C||) / lambda_lb
-
-    with omega = max(1/lambda_lb - 1, 1 - 1/W_ub) >= ||W^{-1} - I|| (W is
-    symmetric with its spectrum in [lambda_lb, W_ub]).  P_d and C stay
-    inside the norms of X P_d and X C, whose scalings cancel near the
-    diagonal where W is large; only the omega term meets ||C|| whole.
+    W^{-1} C = C + (W^{-1} - I) C, so ||X P_hat|| <= (||X P_d|| +
+    (1 + omega) ||X|| ||C||) / lambda_lb with omega = max(1/lambda_lb - 1,
+    1 - 1/W_ub) >= ||W^{-1} - I||.  C is not formed: [P_d, M^k] =
+    sum_l M^l [P_d, M] M^{k-1-l}, so ||C|| <= sum_k k a^(k-1) / k! ||[P_d, M]||
+    <= e^a ||[P_d, M]|| (a >= ||M||), and [P_d, M] is sparse, its entries
+    (P_i - P_j) M_ij within gamma_2 of exact.
     """
 
     def __init__(self, weight, P_d):
-        self.comm = _Commutator(weight.matrix, P_d)
-        self.n_comm = _Commutator.ROUND * norm2_upper(self.comm)
+        M = weight.multiplier
+        comm = abs(M)
+        comm.data *= np.abs(P_d[M.row_ids()] - P_d[M.indices])
+        a = weight.multiplier_bound + weight.multiplier_skew
+        self.n_comm = math.exp(a) * (1 + gamma(4)) * norm2_upper(comm)
         self.lam = weight.min_eigenvalue_bound
         self.omega = max(1 / self.lam - 1, 1 - 1 / weight.max_eigenvalue_bound)
 
-    def __call__(self, x_pd, x, x_c=None):
-        """>= ||X P_hat|| from x_pd >= ||X P_d||, x >= ||X|| and x_c >= ||X C|| (or x ||C||)."""
-        if x_c is None:
-            x_c = x * self.n_comm
-        return (x_pd + x_c + self.omega * x * self.n_comm) / self.lam
+    def __call__(self, x_pd, x):
+        """>= ||X P_hat|| from x_pd >= ||X P_d|| and x >= ||X||."""
+        return (x_pd + (1 + self.omega) * x * self.n_comm) / self.lam
 
 
 def _gram_rows(F, mask):
@@ -801,130 +796,103 @@ def _r0_a0_norms(V_K, Vf, Pi_K, Z_2, ker, interior):
     return n_uvf, _product_norm_upper(M, f_u, f_vf, D, _GRAM_SQUARINGS), n_uz
 
 
-def _g_column_norm(W, Pi_K, p, ker, P_d):
+def _g_column_norm(apply_w, Pi_K, p, ker, P_d):
     """The largest computed ||G e_j|| over the columns j of the smallest nonzero P_d, where
-    G is largest, G e_j = (I - Pi) P^+ W (I - Pi) e_j: one product of W with them."""
+    G is largest, G e_j = (I - Pi) P^+ W (I - Pi) e_j: one product of W (apply_w) with them;
+    and the largest ||(I - Pi) e_j|| of them, rounded up."""
     C = ~ker
     J = np.flatnonzero(C & (P_d == P_d[C].min(initial=np.inf)))
     X = np.zeros((ker.size, J.size))
     X[J, np.arange(J.size)] = 1
     X[ker] = -Pi_K[:, J]
-    Y = W @ X
+    Y = apply_w(X)
     Y *= p[:, None]
     Y[ker] = -(Pi_K @ Y)
-    return float(np.linalg.norm(Y, axis=0).max(initial=0.0))
+    x_max = float(np.linalg.norm(X, axis=0).max(initial=0.0)) * (1 + gamma(ker.size + 2))
+    return float(np.linalg.norm(Y, axis=0).max(initial=0.0)), x_max
 
 
 def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> ParametrixChain:
-    """Parametrix chain with matrix arithmetic on the truncated basis.
+    """Parametrix chain with matrix arithmetic on the truncated basis, without a D x D array.
 
-    P_hat = W^{-1} P_d is the exact operator of the stored W and is never
-    formed: its columns in K, the pluriharmonic coordinates (the kernel of
-    P_hat in every frame), are zero, so the chain needs W^{-1} only on
-    them, V_:K, solved for and certified by its measured defect
-    (hatted_gjms).  A_0 = (I + R_0)^{-1} comes from the Woodbury identity
-    on I + R_0 = I + U Vf, U and Vf of rank 2|K| (woodbury_a0); the Neumann
-    series would not do: R_0 = Pi_0 - W^{-1} I_K W, whose W-adjoint
-    Pi_0 - I_K fixes the constant function, has spectral radius at least
-    one in every frame.  The final Pi and G are the closed forms: Pi is the
-    W-orthogonal projector onto K and G = (I - Pi) P_d^+ W (I - Pi), both
-    from the one solve Pi_K: = W_KK^{-1} W_K: (weight.projector_rows),
-    which the Woodbury solve reuses as Z_1.  The smallest nonzero eigenvalue
-    of the pencil comes with a certified enclosure from a block iteration
-    on the Schur complement of W_KK, applied through W and Pi_K:
-    (low_eigenvalue_enclosure): no eigensolver of order |C| runs.
+    W = T_K(M) is the exact Taylor sum of the stored multiplier and
+    P_hat = W^{-1} P_d its exact operator; neither is formed.  W acts by
+    passes of the powers of M (taylor_exp_sums).  One pass gives the
+    columns K of W (stored as the rows W_K:, within e = fl(W_:K) - W_:K,
+    ||e|| <= n_e) and V_:K, which stands in for W^{-1} E_K
+    (hatted_gjms: ||F|| <= n_f, F = W V_:K - E_K).  A_0 = (I + R_0)^{-1}
+    comes from the Woodbury identity on I + R_0 = I + U Vf, U = [E_K, -V_:K]
+    and Vf = [Pi0_K; W_K:] of rank 2|K| (woodbury_a0); the Neumann series
+    would not do: the W-adjoint Pi_0 - I_K of R_0 fixes the constant
+    function, so its spectral radius is at least one.  Pi is the
+    W-orthogonal projector onto K, from the one solve
+    Pi_K: = W_KK^{-1} W_K: (the Woodbury solve reuses it as Z_1), and the
+    smallest nonzero eigenvalue of the pencil comes with a certified
+    enclosure from a block iteration (low_eigenvalue_enclosure).
 
-    What stays dense.  The chain holds one D x D array, W.  Every member
-    is a diagonal, W, or factors with at most 2|K| rows or columns (the
-    tests expand them: tests/chain_members.py); no member is formed to be
-    measured.  Its D x D x D work is the Taylor sum of W; the
-    solve for V_:K is one LU of W with |K| right-hand sides and one
-    product W V_:K for its defect, the low eigenvalue one product of W
-    with D x w per step (w = 2 g + 8, g the multiplicity of the smallest
-    nonzero P), and the rows K of G one product of |K| x D x D,
-    G_K = -(Pi_K: P^+) W + ((Pi_K: P^+) W_:K) Pi_K:.
+    The members are diagonals, the exact W, or factors with at most 2|K|
+    rows or columns, each stored once (the tests expand them:
+    tests/chain_members.py): G0 = G0_d W, R0 = U Vf, A0 = I - U Z
+    (Z = [Pi_K:; Z_2]), G = (I - Pi) P^+ B' with B' = W - fl(W_:K) Pi_K:,
+    G_oo = (I - Pi_oo) G_0 A_0, Pi and Pi_oo as their rows in K, and of
+    the Szego pair the |K| x |K| factor of Im S_K: = Im(C) W_K:
+    (Re S = Pi0 / 2).  No D x D array is formed: the work is one pass of
+    width |K| (two more per refinement step of hatted_gjms) and the low
+    eigenvalue's passes on D x w blocks, and the transients are blocks of a
+    pass (three or four D x |K| arrays), blocks of at most 1 MB for the
+    norms of dense arrays, blocks of rows for the Woodbury defect and the
+    Gram matrices, and two arrays of order 2|K|.
 
-    Working memory.  The Taylor sum holds two D x D arrays, X = M^3 and
-    the sum, and the nonzero entries of M^2 (taylor_exp_matrix).  After
-    it the chain keeps W and factors of |K| or 2|K| rows or columns; its
-    one D x D transient is the copy of W the LU of the solve for V_:K
-    factors, which runs first, while nothing else of size |K| D or more is
-    alive but V_:K and its right-hand sides.  Its other transients are
-    blocks: of at most 1 MB for the norms of dense arrays and of [W, P_d]
-    (galerkin._BLOCK_BYTES), of rows for the Woodbury defect, D/8 of them
-    for the Gram matrices, |K|/8 for G_K, and two arrays of order 2|K|.
-    Each factor is stored once: W_K: and Pi0_K are the blocks of Vf, Z_1
-    is Pi_K:, of S only the |K| x |K| factor of Im S_K: = Im(C) W_K: is
-    kept (Re S = Pi0 / 2 exactly; szego_rows), U = [E_K, -V_:K] is read
-    as V_:K, and W V_:K is dropped once its defect is measured.
+    The identities are not formed.  With d = W^{-1} E_K - V_:K = -W^{-1} F,
+    r = W_K: - W_KK Pi_K: for the exact W (r^ - e^T + e^T E_K Pi_K:, r^ from
+    the stored rows), F' = Vf - T Z (the Woodbury solve), c = P_d P^+ - 1_C
+    (at most u per entry, scaling_defect), B = W - W_:K Pi_K: (rows K: r,
+    W^{-1} B = I - Pi) and e_G = G - (I - Pi) P^+ B = -(I - Pi) P^+ e Pi_K:,
 
-    The identities are not formed.  They reduce by algebra to three small
-    defects, F = W V_:K - E_K (hatted_gjms: d = W^{-1} E_K - V_:K =
-    -W^{-1} F), r = W_K: - W_KK Pi_K: (the equations Pi_K: solves) and
-    F' = Vf - T Z (the Woodbury solve), and to c = P_d P^+ - 1_C (at most
-    u per entry, scaling_defect).  W^{-1} W_:K = E_K exactly, and with
-    B = W - W_:K Pi_K:, whose rows K are r:
-
-        R_0 = U Vf - d W_K: + W^{-1} (P_d G_0 - 1_C W)
-        (I + R_0) A_0 - I = U (Vf - T Z) + (R_0 - U Vf) A_0 + (I + U Vf) (A_0 - I + U Z)
+        R_0 = U Vf - d W_K: + (V_:K + d) e^T + W^{-1} (P_d G_0 - 1_C W)
+        (I + R_0) A_0 - I = U (Vf - T Z) + (R_0 - U Vf) A_0
         P_hat G + Pi - I = -(V_:K + d) r + W^{-1} (c B + P_d e_G)
         G P_hat + Pi - I = -E_K W_KK^{-1} r_KK E_K^T
                            + (I - Pi) (c + P^+ W_:K W_KK^{-1} r P_hat) + e_G P_hat
         P_hat G_oo + Pi_oo - I = P_hat G + Pi - I + W^{-1} P_d (G_oo - G) + (Pi_oo - Pi)
         R_oo = G_oo P_hat + Pi_oo - I = G P_hat + Pi - I + (G_oo - G) P_hat + (Pi_oo - Pi)
         W Pi - Pi^T W = r^T Pi_K: - Pi_K:^T r,  W G - (W G)^T from it
+        Pi G = (I - Pi_KK) Pi_K: P^+ B'
+        G_oo - G = (G0_d - P^+) B + G0_d F Z_2 + P^+ e Pi_K: on the rows C,
+                   -(PiInf_K: - Pi_K:) G_C - PiInf_K: (G_oo - G)_C on the rows K
 
-    with e_G the rounding of the member G (a-priori, entrywise).  A product
-    X P_hat is bounded without P_hat: W^{-1} P_d = P_d W^{-1} +
-    W^{-1} [P_d, W] W^{-1}, so ||X P_hat|| <= ||X P_d|| / lambda_lb +
-    ||X|| ||[P_d, W]|| / lambda_lb^2, with ||[P_d, W]|| measured from the
-    entries (P_j - P_i) W_ij a block of rows at a time; P_d stays inside
-    the absolute values of ||X P_d||, never max P_d / min P_d times a
-    norm.  Three identities vanish exactly for the exact P_hat, since
-    W P_hat = P_d and P_d is zero on K: W P_hat - (W P_hat)^T = 0,
-    Pi^T W P_hat = Pi_K:^T E_K^T P_d = 0 (and so for Pi_oo, whose rows are
-    in K too), and P_hat Pi = W^{-1} P_d E_K Pi_K: = 0; they are recorded
-    as 0.0 ("structural").
+    G_oo - G and Pi_oo - Pi hold only rounding (G_oo = G and Pi_oo = Pi in
+    exact arithmetic); Pi_oo - Pi and Pi_oo^2 - Pi_oo are formed from the
+    rows K and measured ("dense").  A product X P_hat is bounded without
+    P_hat (_TimesHat), with P_d kept inside the norm of X P_d.  Three
+    identities vanish exactly for the exact P_hat (W P_hat = P_d, and P_d
+    is zero on K): W P_hat - (W P_hat)^T, Pi^T W P_hat and Pi_oo^T W P_hat,
+    and P_hat Pi; they are recorded as 0.0 ("structural").
 
-    Norms of the members.  ||U Vf|| and ||U Z|| come from Gram matrices
-    of order 2|K| (_r0_a0_norms), on the interior rows and columns for
-    R0_interior.  |G| is at most h = P^+ (|W| + |W_:K| |Pi_K:|) on the
-    rows C and |Pi_K:| h on the rows K, so norm2_upper_abs bounds ||G||
-    and every rounding term of G from its factors.  The lower norm of G
-    is the largest of its columns j at the smallest nonzero P_d,
-    G e_j = (I - Pi) P^+ W (I - Pi) e_j, less the rounding of the columns
-    and of the member (a column's norm never exceeds the matrix's), and
-    ||G_oo|| >= ||G|| - ||G_oo - G||.
-
-    G_oo - G and Pi_oo - Pi hold only rounding: the rows K of Pi_0 A_0 are
-    Pi0_K: - Pi0_K: U Z = Z_1 = Pi_K: by the first block row of T Z = Vf,
-    and G_0 A_0 = G0_d (W - W_:K Z_1 + W V_:K Z_2) = P^+ W (I - Pi) when
-    W V_:K = E_K (G0_d vanishes on K), so G_oo = G and Pi_oo = Pi in exact
-    arithmetic.  Pi_oo - Pi and Pi_oo^2 - Pi_oo are formed from the rows K
-    and measured ("dense"), Pi G = (Pi_KK - I) G_K plus the rounding of G
-    is formed and bounded.  G_oo - G is bounded from its factors: on the
-    rows C it is (G0_d - P^+) B + G0_d F Z_2, on the rows K
-    -(PiInf_K: - Pi_K:) G - PiInf_K: (G_oo - G) (the rows K of G_oo are
-    expanded as G_K plus these), and the members share the computed B.  Every a-priori rounding term is on the members
-    as stored (gamma_k = k u / (1 - k u), Higham, 3.5), written as the norm
-    of a product of absolute values (norm2_upper_abs) with the P_d and
-    P_d^+ scalings inside it.  Every bound ("factored" in residual_routes)
-    is a certified upper bound on the spectral norm of the identity
-    evaluated exactly on the members (with the exact P_hat); its interior
-    entry repeats the full bound (a restriction does not raise a norm),
-    except R0_interior.  The defects of Pi_oo and G_oo add
-    (1 + kappa) ||Pi - Pi_oo|| and (1 + kappa) ||G - G_oo||,
-    kappa = W_ub / lambda_lb, to those of Pi and G.  inverse_defect_bound
-    is the bound on ||d||.
-
-    The members are float64 arrays in the real frame (RealFrame); S, Sbar
-    and Pi_0 are formed from S_imag and Vf on request.
+    Norms with W: |W| <= T_K(|M|) entrywise and a pass is within
+    R |X| of the exact product (AbsTaylor), so every norm that reads W is a
+    norm2_upper_abs of a product of absolute values with those operators,
+    the P_d and P^+ scalings inside it; h = gm W^ (I + E_K |Pi_K:|),
+    W^ = T_K(|M|) + R and gm = max(G0_d, P^+), bounds |P^+ B| and |P^+ B'|.
+    ||U Vf|| and ||U Z|| come from Gram matrices of order 2|K|
+    (_r0_a0_norms).  The lower norm of G is its largest column j at the
+    smallest nonzero P_d, G e_j = (I - Pi) P^+ W (I - Pi) e_j with W by
+    Horner, less the rounding and e_G, and ||G_oo|| >= ||G|| - ||G_oo - G||.
+    Every bound ("factored" in residual_routes) is a certified upper bound
+    on the spectral norm of the identity evaluated exactly on the members;
+    its interior entry repeats the full bound, except R0_interior.  The
+    defects of Pi_oo and G_oo add (1 + kappa) ||Pi - Pi_oo|| and
+    (1 + kappa) ||G - G_oo||, kappa = W_ub / lambda_lb, to those of Pi and
+    G.  inverse_defect_bound is the bound on ||d||.  The members are
+    float64 arrays in the real frame (RealFrame); S, Sbar and Pi_0 are
+    formed from S_imag and Vf on request.
     """
     n, N = basis.n, basis.N
     D = basis.total_dim
     interior = interior_mask(basis)
     ker = kernel_mask(basis)
     k = int(ker.sum())
+    E_K = Columns(ker)
 
     P = critical_gjms(basis)
     P_d = P.to_diag_vector(basis)
@@ -934,39 +902,41 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
     # |d| <= u: the member G_0 = G0_d W, rounded, scaled by P_d
     c_max = scaling_defect(P_d, p)
     eta = scaling_defect(P_d, G0_d) + gamma(2)
+    lam_lb, w_ub = weight.min_eigenvalue_bound, weight.max_eigenvalue_bound
+    abs_w = AbsTaylor(weight.multiplier, weight.taylor_depth)  # >= |W|
+    R = abs_w.rounding()  # >= the rounding of a pass, on |X|
+    w_hat = abs_w.scaled(1 + R.c0, R.c1)  # >= |W| and |fl(W X)| on |X|
 
-    # the LU of W first, while W and the arrays of |K| columns are all that is alive
-    V_K, n_f = hatted_gjms(basis, weight)
-    lam_lb = weight.min_eigenvalue_bound
-    e_v = n_f / lam_lb
-    W = weight.matrix
-    Pi_K = weight.projector_rows(ker)
-    # Vf = [Pi0_K; W_K:], its blocks written in place: Pi0_K = 2 Re S_K: = 2 Re(C) W_K:
+    # Vf = [Pi0_K; W_K:], its blocks written in place: W_K: by the pass (W_:K is
+    # symmetric to it), and Pi0_K = 2 Re S_K: = 2 Re(C) W_K:
     Vf = np.empty((2 * k, D))
     Pi0_K, W_K = Vf[:k], Vf[k:]
-    np.compress(ker, W, axis=0, out=W_K)
+    V_K, n_f, n_e = hatted_gjms(basis, weight, abs_w, W_K.T)
+    e_v = n_f / lam_lb
+    Pi_K = weight.projector_rows(ker, W_K)
     C_S = szego_rows(basis, W_K)
     np.matmul(2 * C_S.real, W_K, out=Pi0_K)
     S_imag = np.ascontiguousarray(C_S.imag)  # Im S_K: = S_imag W_K:
-    Z_2, solve_term, a0_rounding = woodbury_a0(Vf, Pi_K, V_K, ker)
+    Z_2, solve_term = woodbury_a0(Vf, Pi_K, V_K, ker)
     n_uvf, n_uvf_int, n_uz = _r0_a0_norms(V_K, Vf, Pi_K, Z_2, ker, interior)
-    W_cK = W_K.T  # W_:K, W symmetric
     W_KK = W_K[:, ker]
+    n_pi = norm2_upper(Pi_K)
 
-    n_w = weight.norm_upper
     times_hat = _TimesHat(weight, P_d)
-    comm, c_round = times_hat.comm, _Commutator.ROUND
-    # r = W_K: - W_KK Pi_K: is the defect of Pi_K:; its norms, with r P_d and
-    # r [P_d, W] for r as computed or as exact, before it is dropped
+    # r = W_K: - W_KK Pi_K: for the exact W is the defect of Pi_K:; from the
+    # stored rows it is r^ - e^T + e^T E_K Pi_K:, r^ formed within gamma_{k+1}
     r = W_KK @ Pi_K
     np.subtract(W_K, r, out=r)
-    n_r = norm2_upper(r) + gamma(k + 1) * norm2_upper_abs((W_K,), (W_KK, Pi_K))
-    n_rp = norm2_upper_abs((r, P_d)) + gamma(k + 1) * norm2_upper_abs(
-        (W_K, P_d), (W_KK, Pi_K, P_d))
-    n_rc = c_round * (norm2_upper_abs((r, comm)) + gamma(k + 1) * norm2_upper_abs(
-        (W_K, comm), (W_KK, Pi_K, comm)))
+
+    def scaled_r(s):  # >= ||r diag(s)||
+        return (norm2_upper_abs((r, s)) + gamma(k + 1) * norm2_upper_abs((W_K, s), (W_KK, Pi_K, s))
+                + norm2_upper_abs((s, R, E_K)) + n_e * norm2_upper_abs((Pi_K, s)))
+
+    n_r, n_rp = scaled_r(np.ones(D)), scaled_r(P_d)
+    n_rs = scaled_r(np.sqrt(p)) * (1 + gamma(3))  # >= ||r_KC P_C^{-1/2}||
     del r
-    lam_min, lam_enclosure, group = low_eigenvalue_enclosure(P_d, weight, ker, Pi_K, n_r)
+    lam_min, lam_enclosure, group = low_eigenvalue_enclosure(  # n_wk >= ||W_K:||
+        P_d, weight, ker, Pi_K, n_rs, n_wk=norm2_upper(W_K) + n_e)
 
     diag = ChainDiagnostics("matrix")
     diag.record("A0_method", "woodbury")
@@ -1000,24 +970,14 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
         PiInf_K[:, cols] += Q @ Z_2[:, cols]
     del Q
 
-    # R_0 and A_0: ||R_0 - U Vf|| <= ||d|| ||W_K:|| + eta ||W|| / lambda_lb
-    e_r0 = e_v * norm2_upper(W_K) + eta * n_w / lam_lb
+    # R_0 and A_0: ||R_0 - U Vf|| <= ||d|| ||W_K:|| + ||W^{-1} E_K|| ||e|| + eta ||W|| / lambda_lb
+    e_r0 = e_v * norm2_upper(W_K) + (n_vk + e_v) * n_e + eta * w_ub / lam_lb
     bound("R0", n_uvf + e_r0, n_uvf_int + e_r0)
-    # A_0 as formed is within a0_rounding of I - U Z
-    a0_residual = solve_term + e_r0 * (1 + n_uz + a0_rounding) + (1 + n_uvf) * a0_rounding
-    diag.record("A0_residual", a0_residual, "factored")
+    diag.record("A0_residual", solve_term + e_r0 * (1 + n_uz), "factored")
 
-    # the rows K of G, a block of them at a time:
-    # G_K = -(Pi_K: P^+) B = -(Pi_K: P^+) W + ((Pi_K: P^+) W_:K) Pi_K:
-    G_K = np.empty((k, D))
-    for rows in eighth_blocks(k):
-        Y, order = blocked_matmul(Pi_K[rows] * p, W)
-        np.matmul(Y[:, ker], Pi_K, out=G_K[rows])
-        G_K[rows] -= Y
-    del Y
     members = {
         "S_imag": S_imag, "P_diag": P_d, "G0_diag": G0_d, "P_plus": p,
-        "V_K": V_K, "Vf": Vf, "Z2": Z_2, "Pi": Pi_K, "PiInf": PiInf_K, "G_K": G_K,
+        "V_K": V_K, "Vf": Vf, "Z2": Z_2, "Pi": Pi_K, "PiInf": PiInf_K,
     }
 
     rec("PiInf_sq_minus_PiInf", PiInf_K[:, ker] @ PiInf_K - PiInf_K, ker)
@@ -1025,84 +985,72 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
     structural("PPi_full")
     structural("PPi_interior")
 
-    # the rows C of G are P^+ (W - W_:K Pi_K:) within gamma_{k+2} h,
-    # h = P^+ (|W| + |W_:K| |Pi_K:|), and G_K within gamma_g |Pi_K:| h,
-    # g = k + 3 + (the order of the product); Pi G = Pi_K: G =
-    # (Pi_KK - I) G_K + (the rounding of G), formed within gamma_{k+1} of its terms.
-    # Every norm of h R below is taken with gm = max(G0_d, P^+) >= P^+ in place
-    # of P^+, so that it bounds the G0_d-scaled terms of G_oo too
-    gm = np.maximum(G0_d, p)
-    n_h, n_hp, n_hc = (norm2_upper_abs((gm, W, *R), (gm, W_cK, Pi_K, *R))
-                       for R in ((), (P_d,), (comm,)))  # >= ||h||, ||h P_d||, ||h C||
-    n_pi = norm2_upper(Pi_K)
-    g_order = k + 3 + order
-    Pi_KK = Pi_K[:, ker]
-    # Pi G as formed, a block of columns at a time (its transpose has the same norm2_upper)
-    n_pig = norm2_upper_blocks((D, k), lambda sl: (Pi_KK @ G_K[:, sl] - G_K[:, sl]).T)
-    bound("PiG", n_pig + gamma(k + 1) * norm2_upper_abs((Pi_KK, G_K), (G_K,))
-          + (gamma(g_order) + gamma(k + 2)) * norm2_upper_abs((Pi_K, p, W), (Pi_K, p, W_cK, Pi_K)))
-    g_rows = gamma(k + 2) + gamma(g_order) * n_pi
-    n_eg = g_rows * n_h  # >= ||e_G||
-    diff = 1 + gamma(1)  # a computed difference against the exact one
+    # ||L X (I + E_K |Pi_K:|) R|| for an operator X (T_K(|M|), W^ or R) and diagonals L, R;
+    # h = gm W^ (I + E_K |Pi_K:|), gm = max(G0_d, P^+), bounds |P^+ B| and |P^+ B'|
+    def wide(X, *right, left=()):
+        return norm2_upper_abs((*left, X, *right), (*left, X, E_K, Pi_K, *right))
 
-    # P_hat G + Pi - I: ||B|| <= ||W|| + || |W_:K| |Pi_K:| ||, and P_d e_G is
-    # within (1 + c_max) gamma_{k+2} (|W| + |W_:K| |Pi_K:|) on the rows C
-    n_b = n_w + norm2_upper_abs((W_cK, Pi_K))
-    b_pg = (n_vk + e_v) * n_r + (c_max + (1 + c_max) * gamma(k + 2)) * n_b / lam_lb
+    gm = np.maximum(G0_d, p)
+    n_h, n_hp = wide(w_hat, left=(gm,)), wide(w_hat, P_d, left=(gm,))  # >= ||h||, ||h P_d||
+    # e_G = -(I - Pi) P^+ e Pi_K:, |P^+ e Pi_K:| <= P^+ R E_K |Pi_K:|
+    n_eg = (1 + n_pi) * norm2_upper_abs((p, R, E_K, Pi_K))  # >= ||e_G||
+    n_egp = (1 + n_pi) * norm2_upper_abs((p, R, E_K, Pi_K, P_d))  # >= ||e_G P_d||
+    diff = 1 + gamma(1)  # a computed difference against the exact one
+    # Pi G = Pi_K: (I - Pi) P^+ B' = (I - Pi_KK) Pi_K: P^+ B', I - Pi_KK formed exactly
+    bound("PiG", diff * norm2_upper(np.eye(k) - Pi_K[:, ker]) * n_pi * n_h)
+
+    # P_hat G + Pi - I: |B| <= |W| (I + E_K |Pi_K:|), and P_d e_G = -(1_C + c) e Pi_K:
+    b_pg = ((n_vk + e_v) * n_r
+            + (c_max * wide(abs_w) + (1 + c_max) * norm2_upper_abs((R, E_K, Pi_K))) / lam_lb)
     bound("PG_plus_Pi_minus_I", b_pg)
 
-    # G P_hat + Pi - I
-    n_y = times_hat(n_rp, n_r, n_rc) / lam_lb  # >= ||W_KK^{-1} r P_hat||
-    # g_rows n_hp >= ||e_G P_d|| and g_rows n_hc >= ||e_G C||
-    b_gp = (n_r / lam_lb + (1 + n_pi) * (c_max + norm2_upper_abs((p, W_cK)) * n_y)
-            + diff * times_hat(g_rows * n_hp, n_eg, c_round * g_rows * n_hc))
+    # G P_hat + Pi - I, with ||W_KK^{-1} r P_hat|| <= n_y and ||P^+ W_:K|| <= n_pw
+    n_y = times_hat(n_rp, n_r) / lam_lb
+    n_pw = norm2_upper_abs((p, W_K.T), (p, R, E_K))
+    b_gp = n_r / lam_lb + (1 + n_pi) * (c_max + n_pw * n_y) + times_hat(n_egp, n_eg)
     bound("GP_plus_Pi_minus_I", b_gp)
 
-    # G_oo - G from its factors (the members share the computed B): on the rows
-    # C, (G0_d - P^+) B + G0_d F Z_2 with || |F| || <= n_f, G0_d E_K = 0, plus
-    # the rounding of the scalings, within gamma_4 gm |B|, and of W V_:K Z_2
-    # (blocked_matmul, then a product of order k), within
-    # gamma_{o+k+4} gm |W| |V_:K| |Z_2|; each term bounds the absolute values
-    # too.  On the rows K, formed as G_K - (PiInf_K: - Pi_K:) G - PiInf_K:
-    # (G_oo - G), those two products, their rounding and that of
-    # the subtractions from G_K, within gamma_3 |G_K| <= gamma_4 |Pi_K:| h
+    # G_oo - G from the factors: on the rows C, G0_d W A_0 - P^+ B' =
+    # (G0_d - P^+) B + G0_d F Z_2 + P^+ e Pi_K: with ||F|| <= n_f (G0_d E_K = 0);
+    # on the rows K, -PiInf_K: (G_0 A_0) + Pi_K: P^+ B' =
+    # -(PiInf_K: - Pi_K:) G_C - PiInf_K: (G_oo - G)_C
     n_piinf = norm2_upper(PiInf_K)
     pi_diff = diff * diag.entries["Pi_minus_PiInf_full"]
     s = np.abs(G0_d - p) * diff
 
     def goo_minus_g(h_r, right=(), left=()):
-        """>= ||L (G_oo - G) R|| for the members, L = left and R = right diagonals or [P_d, W],
-        from h_r >= ||L h R||; left = (P_d,) drops the rows K, where P_d vanishes."""
+        """>= ||L (G_oo - G) R|| for the members, L = left and R = right diagonals, from
+        h_r >= ||L h R||; left = (P_d,) drops the rows K, where P_d vanishes."""
         a = norm2_upper_abs
         g_max = float(np.max(G0_d * left[0] if left else G0_d)) * diff
         # G0_d = P^+ in every basis built so far: the terms of s are zero then
-        scaled = a((*left, s, W, *right), (*left, s, W_cK, Pi_K, *right)) if s.any() else 0.0
-        rows_c = ((1 + gamma(k + 1)) * scaled + g_max * n_f * a((Z_2, *right))
-                  + gamma(4) * h_r + gamma(order + k + 4) * a((*left, gm, W, V_K, Z_2, *right)))
+        scaled = wide(abs_w, *right, left=(*left, s)) if s.any() else 0.0
+        rows_c = scaled + g_max * n_f * a((Z_2, *right)) + a((*left, p, R, E_K, Pi_K, *right))
         if left:
             return rows_c
-        return (rows_c + gamma(4) * n_pi * h_r
-                + (1 + gamma(D + k + 5)) * (pi_diff * h_r + n_piinf * rows_c))
+        return rows_c + pi_diff * h_r + n_piinf * rows_c
 
     n_diff = goo_minus_g(n_h)
     bound("G_minus_GInf", n_diff)
-    n_pdiff = goo_minus_g(norm2_upper_abs((P_d, gm, W), (P_d, gm, W_cK, Pi_K)), left=(P_d,))
+    n_pdiff = goo_minus_g(0.0, left=(P_d,))
     bound("PGInf_plus_PiInf_minus_I", b_pg + pi_diff + n_pdiff / lam_lb)
-    bound("R_inf", b_gp + pi_diff + times_hat(goo_minus_g(n_hp, (P_d,)), n_diff,
-                                              c_round * goo_minus_g(n_hc, (comm,))))
+    bound("R_inf", b_gp + pi_diff + times_hat(goo_minus_g(n_hp, (P_d,)), n_diff))
 
-    # lower norms: the computed columns of G less their rounding and that of the
-    # member, each within gamma_{2D+g} (1 + |Pi_K:|) h e_j; ||G_oo|| >= ||G|| - ||G_oo - G||
-    column = _g_column_norm(W, Pi_K, p, ker, P_d) * (1 - gamma(D + 2))
-    lower_g = max(column - 2 * gamma(2 * D + g_order) * (1 + n_pi) * n_h, 0.0)
+    # lower norms: the computed columns of G less their rounding (the Horner
+    # products, then the scaling and the rows K) and the member's e_G;
+    # ||G_oo|| >= ||G|| - ||G_oo - G||
+    column, x_max = _g_column_norm(weight.apply, Pi_K, p, ker, P_d)
+    lower_g = max(column * (1 - gamma(D + 2)) - n_eg - (1 + n_pi) * (
+        float(p.max(initial=0.0)) * weight.apply_rounding_bound * x_max + gamma(D + 2) * n_h),
+        0.0)
     lower_ginf = max(lower_g - n_diff, 0.0)
 
     # weighted adjointness defects ||X - W^{-1} X^T W|| / ||X|| <= ||W X - (W X)^T|| / (lambda_lb ||X||)
-    kappa = weight.max_eigenvalue_bound / lam_lb
+    kappa = w_ub / lam_lb
     n_delta = 2 * n_pi * n_r  # >= ||W Pi - Pi^T W||
     # W G - (W G)^T = -Delta P^+ B - B^T P^+ Delta for the exact G, B = W (I - Pi),
-    # with ||P^+ B|| <= n_h, plus W e_G - (W e_G)^T for the rounding e_G of G
-    g_skew = 2 * n_delta * n_h + 2 * n_w * n_eg
+    # with ||P^+ B|| <= n_h, plus W e_G - (W e_G)^T for e_G
+    g_skew = 2 * n_delta * n_h + 2 * w_ub * n_eg
     structural("P_hat_adjoint_defect")
     for name, value in (
         ("G", _ratio(g_skew, lam_lb * lower_g)),

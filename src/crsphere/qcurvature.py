@@ -42,8 +42,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .defaults import OBSTRUCTION_TOL, TAYLOR_DEPTH
-from .errors import ConfigError, ObstructionError
+from .errors import ConfigError, NumericalError, ObstructionError
 from .galerkin import (
+    PRUNE_TOL,
     GalerkinContext,
     InnerProductWeight,
     RealFrame,
@@ -121,7 +122,7 @@ class ContactPerturbation:
         self.label = label or "upsilon"
         self._sup = None
         self._mult = None
-        self._assembly_rounding = None  # e_asm of the multiplier
+        self._assembly_rounding = self._pruned = None  # e_asm and the cut of the multiplier
         self._weight = None
 
     @classmethod
@@ -218,8 +219,9 @@ class ContactPerturbation:
         bound on its assembly rounding are formed.  Upsilon is real, so the
         frame matrix is real and symmetric: of the assembled matrix M_c the
         symmetric part of Re M_c is kept (galerkin.symmetric_part), exactly
-        symmetric, and the weight's multiplier_skew charges what that drops
-        (InnerProductWeight).
+        symmetric, without its rounding residues (entries of size at most
+        galerkin.PRUNE_TOL max|Re M_c|), and the weight's multiplier_skew
+        charges what that drops (InnerProductWeight).
         """
         if self._mult is None:
             degree = max((p + q for (p, q) in self.upsilon.coeffs), default=0)
@@ -235,7 +237,8 @@ class ContactPerturbation:
                 self.upsilon.abs_poly_float().scale(scale), roundings)
             del ctx
             M = M.real  # the complex M goes before its symmetric part is built
-            self._mult = symmetric_part(M)
+            self._mult, self._pruned = symmetric_part(
+                M, PRUNE_TOL * float(np.abs(M.data).max(initial=0.0)))
         return self._mult
 
     def weight(self) -> InnerProductWeight:
@@ -247,7 +250,7 @@ class ContactPerturbation:
                 taylor_depth=self.K,
                 multiplier_bound=self.multiplier_norm_bound(),
                 multiplier_skew=(self._assembly_rounding + gamma(1) * norm2_upper(M)
-                                 + M.max_row_length() * math.ulp(0.0)),
+                                 + M.max_row_length() * math.ulp(0.0) + self._pruned),
                 tail_bound=self.exp_tail_bound(),
             )
         return self._weight
@@ -295,7 +298,8 @@ def total_q(qdata: QData, tol=1e-8):
     """Total Q-curvature integral int Q_hat e^{(n+1) Upsilon} dsigma.
 
     Computed up to the fixed positive volume constant of theta ^ (dtheta)^n
-    (the measure is normalized to mass one).  Returns (value, passed).
+    (the measure is normalized to mass one).  Returns (value, passed); a
+    value that is not finite raises NumericalError.
     """
     if qdata.exact and not qdata.qhat.coeffs:
         return 0.0, True
@@ -303,6 +307,8 @@ def total_q(qdata: QData, tol=1e-8):
     # the constant function is its own frame element, coordinate 0 in both
     x = RealFrame(qdata.frame.basis).to_frame(qdata.vector())
     value = float(taylor_exp_apply(M, qdata.frame.K, x)[0].real)
+    if not math.isfinite(value):
+        raise NumericalError(f"total Q is not finite ({value}): Upsilon too large for the float range")
     return value, abs(value) <= tol
 
 

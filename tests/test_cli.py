@@ -591,6 +591,48 @@ class TestQcurvAtN2:
         assert not solve["solvable"] and solve["obstruction_norm"] > 1
 
 
+def test_qcurv_round_trip_at_n3(tmp_path, basis_n3_N4):
+    # the zero-Q solve and the total Q through the CLI at n = 3, N = 4: the
+    # datum plus the solution lies in Ker P, and the total Q of the datum vanishes
+    from crsphere.spectral import SpectralFunction, critical_gjms
+
+    cache = tmp_path / "cache"
+    basis_n3_N4.save(str(cache))
+    terms = shaped_terms(3, 11, 0.05)
+    path = perturbation_file(tmp_path / "p.json", terms)
+    argv = ("--n", "3", "--degree", "4", "--cache", str(cache), "--perturbation", path)
+    assert run("qcurv", "solve", *argv, "--out", str(tmp_path / "solve")) == EXIT_OK
+    assert run("qcurv", "compute", *argv, "--out", str(tmp_path / "compute")) == EXIT_OK
+    solve = json.loads((tmp_path / "solve" / "qcurv_solve.json").read_text())
+    assert solve["solvable"] and solve["residual"] <= 1e-8 and solve["final_q_norm"] <= 1e-6
+    sol = [(t["p"], t["q"], t["index"], complex(t["re"], t["im"])) for t in solve["upsilon_sol"]]
+    total = SpectralFunction.from_terms(basis_n3_N4, terms + sol)
+    assert total.apply_diagonal(critical_gjms(basis_n3_N4)).norm() <= 1e-7
+    compute = json.loads((tmp_path / "compute" / "qcurv_compute.json").read_text())
+    assert compute["total_q_vanishes"] and abs(compute["total_q"]) <= 1e-8
+
+
+@pytest.mark.parametrize("argv", [("qcurv", "solve"), ("qcurv", "check"), ("parametrix-check",),
+                                  ("spectrum", "--mode", "float")])
+def test_large_perturbation_exits_numerical(tmp_path, argv):
+    # epsilon 1e3 puts e^(2 ||M||) of the weight's bounds past the float range:
+    # the weight is refused (exit 4), not left to overflow
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"label": "big", "epsilon": 1e3,
+                                "terms": [{"p": 1, "q": 1, "index": 0, "coeff": 1.0}]}))
+    assert run(*argv, "--n", "1", "--degree", "4", "--perturbation", str(path),
+               "--out", str(tmp_path / "out")) == EXIT_NUMERICAL
+
+
+def test_non_finite_total_q_exits_numerical(tmp_path):
+    # at epsilon 1e30 the conformal factor overflows to a total Q of nan: exit 4
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"label": "huge", "epsilon": 1e30,
+                                "terms": [{"p": 1, "q": 1, "index": 0, "coeff": 1.0}]}))
+    assert run("qcurv", "compute", "--n", "1", "--degree", "4", "--perturbation", str(path),
+               "--out", str(tmp_path / "out")) == EXIT_NUMERICAL
+
+
 def test_parametrix_check_runs_no_dense_eigensolver(tmp_path, pert_file, monkeypatch):
     # the chain certifies its smallest nonzero eigenvalue by a block
     # iteration: with numpy's dense symmetric eigensolvers refusing to run,
@@ -615,15 +657,21 @@ def test_parametrix_check_runs_no_dense_eigensolver(tmp_path, pert_file, monkeyp
 
 
 def test_parametrix_nan_inverse_exits_numerical(tmp_path, pert_file, monkeypatch):
-    # no factorization gates the chain's solve for the columns K of W^{-1}:
-    # its measured defect W V_:K - E_K certifies it, and a defect that is
-    # not finite exits 4
+    # no factorization gates the chain's columns K of W and W^{-1}: they come
+    # from one pass of the powers of M, certified a priori, and a pass whose
+    # result is not finite exits 4
     import numpy as np
 
-    from crsphere.galerkin import InnerProductWeight
+    from crsphere import parametrix
 
-    monkeypatch.setattr(InnerProductWeight, "solve",
-                        lambda self, rhs: np.full(np.shape(rhs), np.nan))
+    sums = parametrix.taylor_exp_sums
+
+    def nan_sums(M, K, X, negated=False):
+        out = sums(M, K, X, negated)
+        X[0] = np.nan
+        return out
+
+    monkeypatch.setattr(parametrix, "taylor_exp_sums", nan_sums)
     assert run("parametrix-check", "--n", "1", "--degree", "6", "--perturbation", pert_file,
                "--out", str(tmp_path / "out")) == EXIT_NUMERICAL
 

@@ -16,6 +16,7 @@ from crsphere import galerkin
 from crsphere.galerkin import (
     CSR,
     CG_TOL,
+    PRUNE_TOL,
     GalerkinContext,
     InnerProductWeight,
     MonomialIndex,
@@ -33,7 +34,6 @@ from crsphere.galerkin import (
     cg_iteration_cap,
     taylor_apply_rounding_bound,
     taylor_exp_min,
-    taylor_rounding_bound,
 )
 from crsphere.harmonics import dim_hpq
 from crsphere.parametrix import interior_mask, kernel_mask
@@ -43,11 +43,20 @@ from crsphere.poly import Poly
 from crsphere.scalars import QI
 from crsphere.spectral import SpectralFunction
 from csr_inputs import csr, csr_zeros
+from dense_chain import taylor_rounding_bound
 
 
 @pytest.fixture(scope="module")
 def ctx8(basis8):
     return GalerkinContext(basis8, mult_degree=6)
+
+
+def kept_symmetric_part(X):
+    """(X + X^T) / 2 formed densely, less the entries the weight's multiplier drops:
+    those of size at most PRUNE_TOL max|X|."""
+    formed = (X.toarray() + X.T.toarray()) * 0.5
+    formed[np.abs(formed) <= PRUNE_TOL * np.abs(X.data).max(initial=0.0)] = 0.0
+    return formed
 
 
 def weight_from(ctx, scaled_upsilon, K):
@@ -214,16 +223,15 @@ class TestMultiplicationMatrix:
 
     def test_perturbation_owns_its_context(self, ctx8, basis8):
         # the multiplier is built on a context of Upsilon's own degree; the
-        # symmetric part of the real matrix a larger context assembles is the
-        # same matrix, entry for entry
+        # symmetric part of the real matrix a larger context assembles, less
+        # its rounding residues, is the same matrix, entry for entry
         f = real_test_function(basis8, 0.1)
         M = ContactPerturbation(basis8, f).multiplier_matrix()
         poly = f.to_poly_float().scale(float(basis8.n + 1))
         degree = max(p + q for p, q in f.coeffs)
         for ctx in (GalerkinContext(basis8, mult_degree=degree), ctx8, full_context(basis8)):
             other = ctx.mult_matrix(poly).real
-            symmetric = (other.toarray() + other.T.toarray()) * 0.5
-            assert np.array_equal(M.toarray(), symmetric), ctx.mult_degree
+            assert np.array_equal(M.toarray(), kept_symmetric_part(other)), ctx.mult_degree
 
 
 class TestTaylorExponential:
@@ -559,17 +567,17 @@ class TestWeightEigenvalueBound:
         assume(f.sup_norm_bound() > 0)
         pert = ContactPerturbation(basis, f.scale(size / f.sup_norm_bound()), taylor_depth=K)
         # the frame multiplier as assembled: the weight keeps the symmetric
-        # part of its real part
+        # part of its real part less its rounding residues, and charges them
         degree = max(p + q for p, q in f.coeffs)
         ctx = GalerkinContext(basis, mult_degree=max(1, degree))
         R = ctx.mult_matrix(pert.upsilon.to_poly_float().scale(float(n + 1))).real
         M = pert.multiplier_matrix()
-        assert np.array_equal(M.toarray(), (R.toarray() + R.T.toarray()) * 0.5)
+        assert np.array_equal(M.toarray(), kept_symmetric_part(R))
+        dropped = symmetric_part(R, PRUNE_TOL * np.abs(R.data).max())[1]
         a = pert.multiplier_norm_bound()
         s = (assembly_rounding(ctx, pert.upsilon, n) + gamma(1) * norm2_upper(M)
-             + M.max_row_length() * math.ulp(0.0))
-        expected = (taylor_exp_min(a, K) - taylor_rounding_bound(a + s, basis.total_dim, K)
-                    - s * math.exp(a + s))
+             + M.max_row_length() * math.ulp(0.0) + dropped)
+        expected = taylor_exp_min(a, K) - s * math.exp(a + s)
         if expected <= 0:
             # refused exactly when the bound is not positive (odd K, large a)
             with pytest.raises(NumericalError, match="not certified positive"):
@@ -595,7 +603,7 @@ class TestWeightEigenvalueBound:
         M_c = ctx.mult_matrix(ups.to_poly_float().scale(2.0))
         assert norm2_upper(M_c.toarray().imag) > 1e-13
         R = M_c.real
-        assert np.array_equal(pert.multiplier_matrix().toarray(), (R.toarray() + R.T.toarray()) * 0.5)
+        assert np.array_equal(pert.multiplier_matrix().toarray(), kept_symmetric_part(R))
         weight = pert.weight()
         lam = scipy.linalg.eigvalsh(weight.matrix)
         assert 0 < weight.min_eigenvalue_bound <= lam[0]
@@ -1003,8 +1011,8 @@ def test_streamed_assembly_does_not_depend_on_the_block_size(bases_small, n, N, 
     def outputs():
         ctx = GalerkinContext(basis, mult_degree=3)
         M = ctx.mult_matrix(f)
-        return [_csr_parts(X) for X in (ctx.K, ctx._BK, M, M.real @ M.real, A @ B,
-                                        symmetric_part(M.real))]
+        S, dropped = symmetric_part(M.real, PRUNE_TOL * np.abs(M.real.data).max())
+        return [_csr_parts(X) for X in (ctx.K, ctx._BK, M, M.real @ M.real, A @ B, S)] + [dropped]
 
     default = outputs()
     for size in (1, 1 << 18):
@@ -1016,8 +1024,10 @@ def test_streamed_assembly_does_not_depend_on_the_block_size(bases_small, n, N, 
 @pytest.mark.parametrize("n,N", [(1, 8), (2, 5), (3, 4)])
 def test_symmetric_part_is_that_of_the_formed_sum(bases_small, basis_n3_N4, n, N):
     # the weight's multiplier is the streamed (R + R^T) / 2 of the assembled
-    # real part R, bit for bit, with the pairs that cancel not stored, and
-    # equals its transpose array for array
+    # real part R, bit for bit, with the pairs that cancel and the entries of
+    # size at most tau = PRUNE_TOL max|R| not stored, and equals its
+    # transpose array for array; the charge returned for the entries cut
+    # bounds their norm, and the cut leaves every entry above tau
     basis = basis_n3_N4 if n == 3 else bases_small[n].restrict(N)
     pert = seeded_multiplier(basis)
     M = pert.multiplier_matrix()
@@ -1027,13 +1037,41 @@ def test_symmetric_part_is_that_of_the_formed_sum(bases_small, basis_n3_N4, n, N
     assert not np.array_equal(R.toarray(), R.T.toarray())  # R itself is not symmetric
     Z = CSR.from_coo(*random_coo(np.random.default_rng(n), (30, 30), 200, float), (30, 30))
     Z.data[:3] = 0.0  # explicit zeros: their pairs cancel unless a mirror entry is stored
-    for X, S in ((R, M), (R, symmetric_part(R)), (Z, symmetric_part(Z))):
+    tau = PRUNE_TOL * np.abs(R.data).max()
+    for X, t, S in ((R, tau, M), (R, tau, symmetric_part(R, tau)[0]), (R, 0.0, symmetric_part(R)[0]),
+                    (Z, 0.0, symmetric_part(Z)[0]), (Z, 0.3, symmetric_part(Z, 0.3)[0])):
         formed = (X.toarray() + X.T.toarray()) * 0.5
-        assert np.array_equal(S.toarray(), formed)
-        assert S.data.all() and S.nnz == np.count_nonzero(formed)
+        cut = np.where(np.abs(formed) <= t, 0.0, formed)
+        assert np.array_equal(S.toarray(), cut)
+        assert S.data.all() and S.nnz == np.count_nonzero(cut)
         assert _csr_parts(S) == _csr_parts(S.T)
-    assert _csr_parts(M) == _csr_parts(symmetric_part(R))
-    assert _csr_parts(symmetric_part(csr_zeros((3, 3)))) == _csr_parts(csr_zeros((3, 3)))
+        charge = symmetric_part(X, t)[1]
+        assert np.linalg.norm(formed - cut, 2) <= charge
+        assert (charge == 0.0) == (np.count_nonzero(formed) == S.nnz)
+    assert 0 < np.count_nonzero((R.toarray() + R.T.toarray()) * 0.5) - M.nnz
+    assert _csr_parts(M) == _csr_parts(symmetric_part(R, tau)[0])
+    zero, charge = symmetric_part(csr_zeros((3, 3)))
+    assert _csr_parts(zero) == _csr_parts(csr_zeros((3, 3))) and charge == 0.0
+
+
+def test_cut_multiplier_keeps_the_weight_bound_below_its_spectrum():
+    # M = H less the entries of H of size at most tau: here the cut moves the
+    # smallest eigenvalue of M below -||H|| (the entries cut, at (0, 2), push
+    # H's lowest eigenvector up), so a lower bound for T_K(M) from
+    # a = ||H|| alone would be false; the charge for the entries cut, in
+    # multiplier_skew, takes it below the spectrum of the dense T_K(M)
+    tau = 1e-3
+    H = np.array([[-1.0, 0.3, 0.0], [0.3, 0.5, 0.4], [0.0, 0.4, -0.8]])
+    v = np.linalg.eigh(H)[1][:, 0]
+    H[0, 2] = H[2, 0] = 0.9 * tau * np.sign(v[0] * v[2])  # cut
+    H[1, 1] += 2 * tau  # H_11 = 0.502 is kept
+    M, charge = symmetric_part(csr(H), tau)
+    assert M.nnz == np.count_nonzero(H) - 2 and charge >= 0.9 * tau
+    a = float(np.abs(scipy.linalg.eigvalsh(H)).max()) * (1 + 1e-15)
+    lam = scipy.linalg.eigvalsh(taylor_exp_matrix(M, 12))[0]
+    assert InnerProductWeight(M, taylor_depth=12, multiplier_bound=a).min_eigenvalue_bound > lam
+    weight = InnerProductWeight(M, taylor_depth=12, multiplier_bound=a, multiplier_skew=charge)
+    assert 0 < weight.min_eigenvalue_bound <= lam
 
 
 def traced_peak(fn):
@@ -1082,7 +1120,7 @@ def test_assembly_transients_are_bounded(basis_n2_N8):
     assert extra <= 8e6
     R = ctx.mult_matrix(f).real
     del ctx
-    _, extra = traced_peak(lambda: symmetric_part(R))
+    _, extra = traced_peak(lambda: symmetric_part(R, PRUNE_TOL * np.abs(R.data).max()))
     assert extra <= 4e6
     _, extra = traced_peak(pert.multiplier_matrix)
     assert extra <= 12e6
