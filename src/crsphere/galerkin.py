@@ -26,9 +26,9 @@ numpy alone: the floating layer imports no scipy.  The assembly streams a
 block of rows of at most _BLOCK_BYTES (1 MB) at a time.  The weight's
 multiplier M is the symmetric part of the assembled one without its
 rounding residues (symmetric_part), exactly symmetric, so W is symmetric.
-The weight is an operator (InnerProductWeight): it applies W by Horner on
-the sparse M (taylor_exp_apply) or by the sum of the powers of M on a block
-(taylor_exp_sums), solves with a principal block by conjugate gradients,
+The weight is an operator (InnerProductWeight): it applies W to a vector or
+a block by one pass of the powers of the sparse M (taylor_exp_apply), with
+one rounding bound, solves with a principal block by conjugate gradients,
 and bounds its spectrum with no eigensolver (taylor_exp_min).  Norms are
 certified bounds (norm2_upper / norm2_lower, and norm2_upper_abs of
 products of absolute values, where AbsTaylor stands for |W| and for the
@@ -777,53 +777,45 @@ def eighth_blocks(D):
     return row_slices((D, D), D * max(-(-D // 8), 1))
 
 
-def taylor_exp_apply(M, K: int, X) -> np.ndarray:
-    """T_K(M) X = sum_{k<=K} M^k X / k! by Horner, for a vector or a block of columns X.
+def taylor_exp_apply(M, K: int, X, negated=False, overwrite_x=False):
+    """T_K(M) X = sum_j Y_j, Y_j = M^j X / j!, by one pass of the powers of M.
 
-    The one Horner routine on vectors: the weight's matvec and the conformal
-    factors of qcurvature run here, and no matrix of the size of M is
-    formed.  Real for a real M and X; a complex X with a real M runs as its
-    real and imaginary parts (real_matmul).  With a CSR M every column of a
-    block is bit for bit the result for that column alone.
+    The one routine for W = T_K(M) on vectors and blocks of columns: the
+    weight's apply, the chain's passes and the conformal factors of
+    qcurvature run here, and no matrix of the size of M is formed.  With
+    negated it also returns T_K(-M) X = sum (-1)^j Y_j from the same powers
+    (a real X), bit for bit a separate pass on -M; with overwrite_x a
+    float64 X may hold the result.  Real for a real M and X; a complex X
+    with a real M runs as its real and imaginary parts (real_matmul).  With
+    a CSR M every column of a block is bit for bit the result for that
+    column alone.  The pass holds three or four blocks of X's size, and its
+    rounding is at most AbsTaylor.rounding() |X| entrywise.
     """
     X = np.asarray(X)
     if np.iscomplexobj(X) and not np.iscomplexobj(M):
         return real_matmul(lambda Y: taylor_exp_apply(M, K, Y), X)
-    out = np.array(X, dtype=np.result_type(M.dtype, X.dtype, np.float64))
-    for k in range(K, 0, -1):
-        out = M @ out
-        out /= k
-        out += X
-    return out
-
-
-def taylor_exp_sums(M, K: int, X, negated=False):
-    """T_K(M) X = sum_j Y_j, Y_j = M^j X / j!, in place of X (a real D x m block, best
-    with contiguous columns: the layout of M @ X); with negated it also
-    returns T_K(-M) X = sum (-1)^j Y_j from the same powers.  Each column is
-    the result for that column alone; the pass holds three or four blocks of
-    X's size, and its rounding is at most AbsTaylor.rounding() |X| entrywise.
-    """
-    V = np.array(X) if negated else None
-    Y = X
+    dtype = np.result_type(M.dtype, X.dtype, np.float64)
+    S = X if overwrite_x and X.dtype == dtype else np.array(X, dtype=dtype)
+    V = np.array(S) if negated else None
+    Y = S
     for j in range(1, K + 1):
         Y = M @ Y
         if not Y.any():  # every further power is exactly zero too
             break
         Y /= j
-        X += Y
+        S += Y
         if negated and j % 2:
             V -= Y
         elif negated:
             V += Y
-    return V
+    return (S, V) if negated else S
 
 
 class AbsTaylor:
     """c0 T_K(|M|) + c1 |M| T_K(|M|) >= 0, symmetric, as a factor of norm2_upper_abs: one
     pass of the powers of |M| per distinct vector (shared by scaled()), rounded up.
 
-    |T_K(M)| <= T_K(|M|) entrywise.  rounding() bounds taylor_exp_sums: its
+    |T_K(M)| <= T_K(|M|) entrywise.  rounding() bounds taylor_exp_apply: its
     Y_j = fl(fl(M Y_{j-1}) / j) is within ((1 + gamma_{L+1})^j - 1) |M|^j |X| / j!
     of M^j X / j! (L the longest row of M), and passes at most K additions,
     so with u' = u / (1 - K (L + 2) u) the sum is within
@@ -851,8 +843,7 @@ class AbsTaylor:
     def abs_matvec(self, x, left=False):
         key = x.tobytes()
         if key not in self._seen:
-            t = np.array(x, dtype=float)
-            taylor_exp_sums(self.abs_m, self.K, t)
+            t = taylor_exp_apply(self.abs_m, self.K, x)
             self._seen[key] = t * (1 + gamma(self.K * (self.L + 2) + 4))
         t = self._seen[key]
         out = self.c0 * t + self.c1 * (self.abs_m @ t) if self.c1 else self.c0 * t
@@ -935,26 +926,6 @@ def taylor_exp_mismatch(a: float, K: int) -> float:
     return math.nextafter(float(mu), math.inf)
 
 
-def taylor_apply_rounding_bound(a: float, L: int, A: float) -> float:
-    """Bound on ||fl(T_K(M) x) - T_K(M) x|| / ||x|| for Horner on a vector (taylor_exp_apply).
-
-    M is real with ||M||_2 <= a, at most L entries in a row, and
-    ||abs(M)||_2 <= A (norm2_upper(M) is one such A).  Horner computes
-    u_{k-1} = M u_k / k + x from u_K = x, and ||u_k|| <= e^a ||x||.  One
-    step commits at most gamma_{L+2} (|M| |u_k| / k + |x|) entrywise (an
-    inner product of length L, the division and the add: Higham, Accuracy
-    and Stability of Numerical Algorithms, 3.5), of norm at most
-    gamma_{L+2} (A e^a / k + 1) ||x||.  The error of step k reaches the
-    result through M^{k-1} / (k-1)!, of norm at most a^{k-1} / (k-1)!, so
-    the errors sum to at most gamma_{L+2} e^a (A e^a + 1) ||x||, below
-    gamma_{L+2} (A + 1) e^{2a} ||x||.  The factor 2 takes the second-order
-    terms (the computed u_k for the exact ones) and leaves a slack of at
-    least gamma_{L+2} e^{2a} ||x||.  It holds for every column of a block,
-    and for a complex x applied as its real and imaginary parts.
-    """
-    return 2 * gamma(L + 2) * (A + 1) * math.exp(2 * a)
-
-
 def cg_iteration_cap(kappa: float, tol: float) -> int:
     """Iterations within which conjugate gradients reaches ||r_k|| <= tol ||b||, cond(A) <= kappa.
 
@@ -1019,16 +990,25 @@ def _symmetrized(X):
 _EXP_LIMIT = math.log(np.finfo(float).max)
 
 
+def check_exp_range(a: float) -> None:
+    """Raise NumericalError unless 2 a < _EXP_LIMIT (a NaN too), a >= ||M||: past it
+    e^(2||M||) leaves the float range, and the conformal factor the regime the
+    truncation can represent.  The weight, qhat and total_q test it before any apply."""
+    if not 2 * a < _EXP_LIMIT:
+        raise NumericalError(f"conformal factor out of range: ||M|| <= {a:.3e} "
+                             f"puts e^(2||M||) past the float range")
+
+
 @dataclass
 class InnerProductWeight:
     """Gram matrix W = T_K(M) of the truncated basis under e^{(n+1) Upsilon} dsigma.
 
     An operator: the real, symmetric frame multiplier M of (n+1) Upsilon
-    with the Taylor depth K; W = W^T acts by Horner's rule (apply) or by
-    passes of the powers of M (taylor_exp_sums), and the zero-Q solve and
-    the chain never form it.  The pencil spectrum alone builds the dense
-    matrix (matrix, projector_rows; solve, projector and adjoint_defect
-    serve the tests), in two D x D arrays (taylor_exp_matrix).
+    with the Taylor depth K; W = W^T acts by passes of the powers of M
+    (apply, taylor_exp_apply), and the zero-Q solve and the chain never
+    form it.  The pencil spectrum alone builds the dense matrix (matrix,
+    projector_rows; solve, projector and adjoint_defect serve the tests),
+    in two D x D arrays (taylor_exp_matrix).
 
     block_solve(S, b) solves with the principal block W_SS by conjugate
     gradients on apply restricted to S, from zero, until
@@ -1055,10 +1035,12 @@ class InnerProductWeight:
         max_eigenvalue_bound = T_K(a) + s e^{a+s}
 
     bracket the spectrum of W, with no eigensolver (taylor_exp_min); the
-    dense matrix is W up to the rounding of its Taylor sum.
-    apply_rounding_bound = taylor_apply_rounding_bound(a + s, L,
-    norm2_upper(M)), L the most entries in a row of M, bounds the rounding
-    of apply: ||apply(x) - W x|| <= it times ||x||.
+    dense matrix is W up to the rounding of its Taylor sum.  A pass is
+    within R |x| of W x entrywise, R = abs_taylor.rounding() (AbsTaylor)
+    symmetric and nonnegative, and ||abs(M)|| <= A = norm2_upper(M), so
+    apply_rounding_bound = u' (K + (L + 1) A) T_K(A), rounded up (L the
+    longest row of M), bounds ||R||: ||apply(x) - W x|| <= it times ||x||,
+    for every column of a block and a complex x applied as its two parts.
 
     ContactPerturbation.weight passes a = (n+1) B(Upsilon), a bound on the
     exact Galerkin matrix in any orthonormal frame, and
@@ -1075,10 +1057,10 @@ class InnerProductWeight:
     <= 0 while W is still positive definite: for odd K, T_K has a real root
     r_K (r_5 = -2.18, r_11 = -3.91), and every a >= |r_K| gives a bound <= 0.
     Such a weight is refused: a bound <= 0, like a CG breakdown or an
-    a + s past _EXP_LIMIT / 2, raises NumericalError (the conformal factor
-    left the regime the truncation can represent).  Complex vectors are
-    applied, solved by CG and taken by adjoint_defect as their real and
-    imaginary parts (real_matmul).
+    a + s past _EXP_LIMIT / 2 (check_exp_range), raises NumericalError (the
+    conformal factor left the regime the truncation can represent).
+    Complex vectors are applied, solved by CG and taken by adjoint_defect
+    as their real and imaginary parts (real_matmul).
     """
 
     multiplier: CSR  # M: real D x D
@@ -1093,17 +1075,21 @@ class InnerProductWeight:
     cg_iterations: list = field(init=False, default_factory=list)  # one entry per CG solve
     _matrix: np.ndarray | None = field(init=False, repr=False, default=None)
     _norm_upper: float = field(init=False, repr=False, default=0.0)
+    _abs_taylor: AbsTaylor | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         M = self.multiplier
         if np.iscomplexobj(M):
             raise TypeError("the weight is real: build its multiplier in the real frame")
         a, s, K = self.multiplier_bound, self.multiplier_skew, self.taylor_depth
-        if not 2 * (a + s) < _EXP_LIMIT:  # NaN too
-            raise NumericalError(f"weight not certified positive: ||M|| <= {a + s:.3e} "
-                                 f"puts e^(2||M||) past the float range")
-        self.apply_rounding_bound = taylor_apply_rounding_bound(a + s, M.max_row_length(),
-                                                                norm2_upper(M))
+        check_exp_range(a + s)
+        L, A = M.max_row_length(), Fraction(norm2_upper(M))
+        u = Fraction(UNIT_ROUNDOFF) / (1 - K * (L + 2) * Fraction(UNIT_ROUNDOFF))
+        try:
+            rounding = float(u * (K + (L + 1) * A) * _taylor_sum(A, K))
+        except OverflowError:
+            rounding = math.inf
+        self.apply_rounding_bound = math.nextafter(rounding, math.inf)
         skew = s * math.exp(a + s)
         self.min_eigenvalue_bound = taylor_exp_min(a, K) - skew
         self.max_eigenvalue_bound = float(_taylor_sum(Fraction(a), K)) + skew
@@ -1118,11 +1104,18 @@ class InnerProductWeight:
             self.max_eigenvalue_bound / self.min_eigenvalue_bound, CG_TOL)
 
     def apply(self, x):
-        """W x by Horner on x (a vector or a block of columns); W is not formed."""
+        """W x by one pass on a copy of x (a vector or a block of columns); W is not formed."""
         return taylor_exp_apply(self.multiplier, self.taylor_depth, x)
 
+    @property
+    def abs_taylor(self) -> AbsTaylor:
+        """T_K(|M|) >= |W| entrywise, built on first use; its rounding() bounds a pass."""
+        if self._abs_taylor is None:
+            self._abs_taylor = AbsTaylor(self.multiplier, self.taylor_depth)
+        return self._abs_taylor
+
     def block_apply(self, mask, x):
-        """W_MM x for the principal block on the coordinates in mask, by Horner."""
+        """W_MM x for the principal block on the coordinates in mask, by one pass."""
         mask = np.asarray(mask, dtype=bool)
         full = np.zeros((mask.size,) + np.shape(x)[1:], dtype=np.result_type(x, np.float64))
         full[mask] = x

@@ -25,13 +25,14 @@ P_diag, the pluriharmonic coordinates K, so the final Pi and G have closed
 forms: Pi is the W-orthogonal projector onto K and
 G = (I - Pi) P_diag^+ W (I - Pi).  Applied to a vector
 (apply_partial_inverse) G needs only the weight's operator core: W by
-Horner and solves with W_KK by conjugate gradients.  The pencil's spectrum
-is |K| exact zeros plus the nonzero eigenvalues of the pencil of P_C and
-the Schur complement of W_KK: the spectrum command writes them all from
-one Hermitian eigensolve on the dense W (nonzero_eigenvalues), the chain
-reports the smallest with a certified enclosure from a block iteration and
-no eigensolver (low_eigenvalue_enclosure), and the zero-Q solver reports a
-bracket on it from the weight's eigenvalue bounds.  The generalized
+passes of the powers of M and solves with W_KK by conjugate gradients.
+The pencil's spectrum is |K| exact zeros plus the nonzero eigenvalues of
+the pencil of P_C and the Schur complement of W_KK: the spectrum command
+writes them all from one Hermitian eigensolve on the dense W
+(nonzero_eigenvalues), the chain reports the smallest with a certified
+enclosure from a block iteration and no eigensolver
+(low_eigenvalue_enclosure), and the zero-Q solver reports a bracket on
+it from the weight's eigenvalue bounds.  The generalized
 eigensolver (spectrum_matrix) is kept as a test oracle.
 
 The matrix chain (build_chain_matrix) forms neither W nor W^{-1} nor
@@ -79,7 +80,6 @@ from .errors import NumericalError
 from .galerkin import (
     _DENSE_BLOCK,
     UNIT_ROUNDOFF,
-    AbsTaylor,
     Columns,
     InnerProductWeight,
     RealFrame,
@@ -92,8 +92,8 @@ from .galerkin import (
     norm2_upper_blocks,
     real_matmul,
     row_slices,
+    taylor_exp_apply,
     taylor_exp_mismatch,
-    taylor_exp_sums,
 )
 from .harmonics import HarmonicBasis, dim_hpq
 from .spectral import (
@@ -366,7 +366,7 @@ def low_eigenvalue_enclosure(P_d, weight: InnerProductWeight, ker, pi_rows, n_rs
     vectors of the w smallest p_j: H Y is the rows C of W (I - Pi) Y~, Y~
     the block P_C^{-1/2} Y padded with zeros on K and Pi the W-orthogonal
     projector onto K from its rows pi_rows, so each step is one pass of
-    the powers of M on D x w (taylor_exp_sums).  The width depends on P
+    the powers of M on D x w (weight.apply).  The width depends on P
     alone, and there are at most _RITZ_CAP steps.  Y^T H Y is symmetric positive
     definite, so its singular value decomposition (of order w) is its
     eigendecomposition.  The cluster is the first m Ritz values, m the
@@ -384,7 +384,7 @@ def low_eigenvalue_enclosure(P_d, weight: InnerProductWeight, ker, pi_rows, n_rs
                                    + 2 sqrt(1 + eps) theta_1 eps / (1 - eps).
 
     ||H X - X Theta|| is the measured residual plus the rounding of the
-    pass (R |Y~| entrywise, AbsTaylor.rounding()), of the rows K of Y~ and
+    pass (R |Y~| entrywise, weight.abs_taylor.rounding()), of the rows K of Y~ and
     of P_C^{-1/2} (gamma_{D+1} and gamma_3), plus the defect of pi_rows: H
     less the operator applied is P_C^{-1/2} W_CK W_KK^{-1} r_KC P_C^{-1/2},
     r = W_K: - W_KK pi_rows, at most n_wk n_rs / (lambda_lb sqrt(min p)) with
@@ -419,9 +419,7 @@ def low_eigenvalue_enclosure(P_d, weight: InnerProductWeight, ker, pi_rows, n_rs
         Yt = np.zeros((Y.shape[1], ker.size)).T
         Yt[C] = Y * r[:, None]
         Yt[ker] = -(pi_rows @ Yt)
-        WY = np.array(Yt)
-        taylor_exp_sums(weight.multiplier, weight.taylor_depth, WY)
-        HY = WY[C] * r[:, None]
+        HY = weight.apply(Yt)[C] * r[:, None]
         return HY, Yt
 
     def cluster(theta):
@@ -449,7 +447,7 @@ def low_eigenvalue_enclosure(P_d, weight: InnerProductWeight, ker, pi_rows, n_rs
     eps = fro(X.T @ X - np.eye(m)) + gamma(p.size + 2) * n_x**2
     r_max = float(r.max())
     n_pi = norm2_upper(pi_rows)
-    rounding = AbsTaylor(weight.multiplier, weight.taylor_depth).rounding()
+    rounding = weight.abs_taylor.rounding()
     n_apply = fro(np.array([rounding.abs_matvec(np.abs(y)) for y in Yt.T]))
     residual = (fro(R)
                 + r_max * (n_apply + 2 * gamma(ker.size + 1) * n_wk * n_pi * fro(Yt[C]))
@@ -523,13 +521,14 @@ def pseudo_inverse_diag(P_d, ker):
 _REFINE_STEPS = 3
 
 
-def hatted_gjms(basis: HarmonicBasis, weight: InnerProductWeight, abs_w: AbsTaylor, W_cK):
+def hatted_gjms(basis: HarmonicBasis, weight: InnerProductWeight, W_cK):
     """The columns K of W and of W^{-1}, all P_hat = e^{-(n+1)Upsilon} P = W^{-1} P_d needs.
 
     By the critical-weight law P_hat = W^{-1} P_d, W = T_K(M), and P_d
     vanishes on K.  One pass of the powers M^j E_K gives W_:K = T_K(M) E_K,
     written to W_cK (E_K before the pass), and V_:K = T_K(-M) E_K, each
-    within e = R E_K of the exact product, R = abs_w.rounding(), n_e >= ||e||.
+    within e = R E_K of the exact product, R = weight.abs_taylor.rounding(),
+    n_e >= ||e||.
     W T_K(-M) = I + m(M) with ||m(M)|| <= mu (taylor_exp_mismatch), so
     F = W V_:K - E_K = m(M) E_K + W (V_:K - T_K(-M) E_K) and
     ||F|| <= n_f = mu + W_ub n_e.  Where mu is above that rounding term (a
@@ -547,10 +546,10 @@ def hatted_gjms(basis: HarmonicBasis, weight: InnerProductWeight, abs_w: AbsTayl
     at = (np.flatnonzero(ker), np.arange(W_cK.shape[1]))  # the entries of E_K that are 1
     W_cK[...] = 0
     W_cK[at] = 1
-    V_K = taylor_exp_sums(M, K, W_cK, negated=True)
+    V_K = taylor_exp_apply(M, K, W_cK, negated=True, overwrite_x=True)[1]
     if not (np.isfinite(W_cK).all() and np.isfinite(V_K).all()):
         raise NumericalError("the kernel columns of W and W^-1 are not finite")
-    R = abs_w.rounding()
+    R = weight.abs_taylor.rounding()
     n_e = norm2_upper_abs((R, Columns(ker)))
     mu = taylor_exp_mismatch(weight.multiplier_bound + weight.multiplier_skew, K)
     w_ub = weight.max_eigenvalue_bound
@@ -558,13 +557,11 @@ def hatted_gjms(basis: HarmonicBasis, weight: InnerProductWeight, abs_w: AbsTayl
     for _ in range(_REFINE_STEPS):
         if n_f <= 2 * w_ub * n_e:  # at the rounding level of the pass
             break
-        F = np.array(V_K)
-        taylor_exp_sums(M, K, F)
+        F = taylor_exp_apply(M, K, V_K)
         F[at] -= 1
         n_next = (norm2_upper_abs((R, V_K)) + (UNIT_ROUNDOFF + mu) * norm2_upper(F)
                   + w_ub * norm2_upper_abs((R, F)))
-        taylor_exp_sums(-M, K, F)
-        V_K -= F
+        V_K -= taylor_exp_apply(-M, K, F, overwrite_x=True)
         n_next += w_ub * UNIT_ROUNDOFF * norm2_upper(V_K)
         if not math.isfinite(n_next):
             raise NumericalError(f"the refined kernel columns of W^-1 are not finite ({n_next})")
@@ -581,7 +578,7 @@ def apply_partial_inverse(P_d, weight: InnerProductWeight, ker, X):
     nonzero rows are W_KK^{-1} W_K:, so Pi Y = E_K W_KK^{-1} (W Y)_K.  For a
     vector or a block X nothing of the size of W is formed:
     W (I - Pi) X = W X - W E_K z with z = W_KK^{-1} (W X)_K, every W by
-    Horner (weight.apply) and the solves by conjugate gradients
+    one pass (weight.apply) and the solves by conjugate gradients
     (weight.block_solve).  G is real (frame coordinates), and a complex X
     is applied as its real and imaginary parts.  The matrix chain keeps G
     as its factors (build_chain_matrix).
@@ -817,7 +814,7 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
 
     W = T_K(M) is the exact Taylor sum of the stored multiplier and
     P_hat = W^{-1} P_d its exact operator; neither is formed.  W acts by
-    passes of the powers of M (taylor_exp_sums).  One pass gives the
+    passes of the powers of M (taylor_exp_apply).  One pass gives the
     columns K of W (stored as the rows W_K:, within e = fl(W_:K) - W_:K,
     ||e|| <= n_e) and V_:K, which stands in for W^{-1} E_K
     (hatted_gjms: ||F|| <= n_f, F = W V_:K - E_K).  A_0 = (I + R_0)^{-1}
@@ -870,14 +867,14 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
     and P_hat Pi; they are recorded as 0.0 ("structural").
 
     Norms with W: |W| <= T_K(|M|) entrywise and a pass is within
-    R |X| of the exact product (AbsTaylor), so every norm that reads W is a
+    R |X| of the exact product (weight.abs_taylor), so every norm that reads W is a
     norm2_upper_abs of a product of absolute values with those operators,
     the P_d and P^+ scalings inside it; h = gm W^ (I + E_K |Pi_K:|),
     W^ = T_K(|M|) + R and gm = max(G0_d, P^+), bounds |P^+ B| and |P^+ B'|.
     ||U Vf|| and ||U Z|| come from Gram matrices of order 2|K|
     (_r0_a0_norms).  The lower norm of G is its largest column j at the
     smallest nonzero P_d, G e_j = (I - Pi) P^+ W (I - Pi) e_j with W by
-    Horner, less the rounding and e_G, and ||G_oo|| >= ||G|| - ||G_oo - G||.
+    one pass, less the rounding and e_G, and ||G_oo|| >= ||G|| - ||G_oo - G||.
     Every bound ("factored" in residual_routes) is a certified upper bound
     on the spectral norm of the identity evaluated exactly on the members;
     its interior entry repeats the full bound, except R0_interior.  The
@@ -903,7 +900,7 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
     c_max = scaling_defect(P_d, p)
     eta = scaling_defect(P_d, G0_d) + gamma(2)
     lam_lb, w_ub = weight.min_eigenvalue_bound, weight.max_eigenvalue_bound
-    abs_w = AbsTaylor(weight.multiplier, weight.taylor_depth)  # >= |W|
+    abs_w = weight.abs_taylor  # >= |W|
     R = abs_w.rounding()  # >= the rounding of a pass, on |X|
     w_hat = abs_w.scaled(1 + R.c0, R.c1)  # >= |W| and |fl(W X)| on |X|
 
@@ -911,7 +908,7 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
     # symmetric to it), and Pi0_K = 2 Re S_K: = 2 Re(C) W_K:
     Vf = np.empty((2 * k, D))
     Pi0_K, W_K = Vf[:k], Vf[k:]
-    V_K, n_f, n_e = hatted_gjms(basis, weight, abs_w, W_K.T)
+    V_K, n_f, n_e = hatted_gjms(basis, weight, W_K.T)
     e_v = n_f / lam_lb
     Pi_K = weight.projector_rows(ker, W_K)
     C_S = szego_rows(basis, W_K)
@@ -1036,8 +1033,8 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
     bound("PGInf_plus_PiInf_minus_I", b_pg + pi_diff + n_pdiff / lam_lb)
     bound("R_inf", b_gp + pi_diff + times_hat(goo_minus_g(n_hp, (P_d,)), n_diff))
 
-    # lower norms: the computed columns of G less their rounding (the Horner
-    # products, then the scaling and the rows K) and the member's e_G;
+    # lower norms: the computed columns of G less their rounding (the pass,
+    # then the scaling and the rows K) and the member's e_G;
     # ||G_oo|| >= ||G|| - ||G_oo - G||
     column, x_max = _g_column_norm(weight.apply, Pi_K, p, ker, P_d)
     lower_g = max(column * (1 - gamma(D + 2)) - n_eg - (1 + n_pi) * (

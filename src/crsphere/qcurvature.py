@@ -22,7 +22,8 @@ function here takes only the frame's data.
 
 The weight acts as an operator (galerkin.InnerProductWeight): the Q-datum,
 the solvability check, the solve and the final verification use W only
-applied to vectors by Horner and solves with W_KK by conjugate gradients,
+applied to vectors by one pass of the powers of M (taylor_exp_apply) and
+solves with W_KK by conjugate gradients,
 and report certified bounds built from the weight's eigenvalue bounds in
 place of values that would need the dense W.
 
@@ -45,9 +46,11 @@ from .defaults import OBSTRUCTION_TOL, TAYLOR_DEPTH
 from .errors import ConfigError, NumericalError, ObstructionError
 from .galerkin import (
     PRUNE_TOL,
+    UNIT_ROUNDOFF,
     GalerkinContext,
     InnerProductWeight,
     RealFrame,
+    check_exp_range,
     gamma,
     norm2_upper,
     symmetric_part,
@@ -275,13 +278,15 @@ def qhat(pert: ContactPerturbation) -> QData:
 
     Exact in rational mode whenever P Upsilon vanishes identically (Upsilon
     pluriharmonic or zero); otherwise the conformal factor acts through its
-    degree-K Taylor matrix and the result is floating.
+    degree-K Taylor matrix and the result is floating.  A factor past the
+    float range raises NumericalError before it is applied (check_exp_range).
     """
     basis = pert.basis
     P = critical_gjms(basis)
     p_ups = pert.upsilon.apply_diagonal(P)
     if p_ups.is_exact and not p_ups.coeffs:
         return QData(SpectralFunction.zero(basis), pert, True, pert.K, 0.0)
+    check_exp_range(pert.multiplier_norm_bound())
     frame = RealFrame(basis)
     M = pert.multiplier_matrix()
     qvec = frame.from_frame(taylor_exp_apply(-M, pert.K, frame.to_frame(p_ups.to_vector())))
@@ -299,10 +304,12 @@ def total_q(qdata: QData, tol=1e-8):
 
     Computed up to the fixed positive volume constant of theta ^ (dtheta)^n
     (the measure is normalized to mass one).  Returns (value, passed); a
-    value that is not finite raises NumericalError.
+    factor past the float range (check_exp_range) or a value that is not
+    finite raises NumericalError.
     """
     if qdata.exact and not qdata.qhat.coeffs:
         return 0.0, True
+    check_exp_range(qdata.frame.multiplier_norm_bound())
     M = qdata.frame.multiplier_matrix()
     # the constant function is its own frame element, coordinate 0 in both
     x = RealFrame(qdata.frame.basis).to_frame(qdata.vector())
@@ -428,15 +435,15 @@ def solve_zero_q(qdata: QData, tol=OBSTRUCTION_TOL) -> SolveReport:
     reports the condition number of P on the nonzero blocks.  In a perturbed
     frame G is the closed form (I - Pi) P_d^+ W (I - Pi) applied to the
     vector Q_hat (parametrix.apply_partial_inverse) through the weight's
-    operator core alone: W by Horner on vectors and solves with
+    operator core alone: W by one pass on vectors and solves with
     W_KK by conjugate gradients; the dense W is never formed.  The
     residual ||W^{-1} P_d u + x||_W (u the solution, x = Q_hat) is reported
     as its certified bound: with y = P_d u + W x it equals
     sqrt(y^T W^{-1} y) <= ||y|| / sqrt(lambda_min), and the computed W x is
     within rho ||x|| of the exact one (rho the weight's
-    apply_rounding_bound, the Horner rounding term of a matvec), so
+    apply_rounding_bound, the rounding bound of a pass), so
 
-        residual = (||y|| + rho ||x||) / sqrt(lambda_lb),
+        residual = (||y|| + (rho + 3u W_ub) ||x||) / sqrt(lambda_lb),
 
     with ||y|| taken times 1 + gamma_{D+2} for the rounding of forming it
     (_weighted_residual_bound).
@@ -503,17 +510,18 @@ def solve_zero_q(qdata: QData, tol=OBSTRUCTION_TOL) -> SolveReport:
 
 
 def _weighted_residual_bound(weight: InnerProductWeight, p_ups, x):
-    """(1 + gamma_{D+2}) ||y|| + rho ||x|| >= ||P_d u + W x||, y the computed P_d u + W x.
+    """(1 + gamma_{D+2}) ||y|| + (rho + 3u W_ub) ||x|| >= ||P_d u + W x||, y the
+    computed P_d u + W x.
 
     rho ||x|| bounds the rounding of W x (apply_rounding_bound).  The sum
     and the product P_d u commit at most 2u ||y|| + 3u ||W x|| more, and the
     norm gamma_D ||y||: the gamma_{D+2} factor takes the parts in ||y||,
-    and 3u ||W x|| <= 3u e^{a+s} ||x|| lies inside rho's slack over
-    Horner's own errors (at least gamma_{L+2} e^{2(a+s)} ||x||, L >= 1).
+    and ||W x|| <= W_ub ||x|| (max_eigenvalue_bound).
     """
     y = p_ups + weight.apply(x)
+    charge = weight.apply_rounding_bound + 3 * UNIT_ROUNDOFF * weight.max_eigenvalue_bound
     return ((1 + gamma(x.shape[0] + 2)) * float(np.linalg.norm(y))
-            + weight.apply_rounding_bound * float(np.linalg.norm(x)))
+            + charge * float(np.linalg.norm(x)))
 
 
 def recompute_final_q_norm(qdata: QData, upsilon_sol: SpectralFunction):
@@ -527,8 +535,8 @@ def recompute_final_q_norm(qdata: QData, upsilon_sol: SpectralFunction):
     e^{(n+1) B(Upsilon_sol)} ||r|| bounds ||T_K(-M) r|| without building M.
     In a perturbed frame r = W^{-1} y with y = P_d u + W q, and
     ||W^{-1} y|| <= ||y|| / lambda_min, so the bound is
-    e^{(n+1) B(Upsilon_sol)} (||y|| + rho ||q||) / lambda_lb with the
-    weight's Horner rounding term rho (see solve_zero_q); no solve with W.
+    e^{(n+1) B(Upsilon_sol)} (||y|| + (rho + 3u W_ub) ||q||) / lambda_lb with
+    the weight's rounding bound rho of a pass (see solve_zero_q); no solve with W.
     """
     basis = qdata.frame.basis
     P = critical_gjms(basis)

@@ -613,10 +613,11 @@ def test_qcurv_round_trip_at_n3(tmp_path, basis_n3_N4):
 
 
 @pytest.mark.parametrize("argv", [("qcurv", "solve"), ("qcurv", "check"), ("parametrix-check",),
-                                  ("spectrum", "--mode", "float")])
+                                  ("spectrum", "--mode", "float"), ("qcurv", "compute")])
 def test_large_perturbation_exits_numerical(tmp_path, argv):
     # epsilon 1e3 puts e^(2 ||M||) of the weight's bounds past the float range:
-    # the weight is refused (exit 4), not left to overflow
+    # the weight, or the conformal factor before it is applied, is refused
+    # (exit 4), not left to overflow
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"label": "big", "epsilon": 1e3,
                                 "terms": [{"p": 1, "q": 1, "index": 0, "coeff": 1.0}]}))
@@ -625,7 +626,8 @@ def test_large_perturbation_exits_numerical(tmp_path, argv):
 
 
 def test_non_finite_total_q_exits_numerical(tmp_path):
-    # at epsilon 1e30 the conformal factor overflows to a total Q of nan: exit 4
+    # at epsilon 1e30 the conformal factor would overflow to a total Q of nan:
+    # it is refused before it is applied, exit 4
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"label": "huge", "epsilon": 1e30,
                                 "terms": [{"p": 1, "q": 1, "index": 0, "coeff": 1.0}]}))
@@ -664,14 +666,14 @@ def test_parametrix_nan_inverse_exits_numerical(tmp_path, pert_file, monkeypatch
 
     from crsphere import parametrix
 
-    sums = parametrix.taylor_exp_sums
+    apply = parametrix.taylor_exp_apply
 
-    def nan_sums(M, K, X, negated=False):
-        out = sums(M, K, X, negated)
-        X[0] = np.nan
+    def nan_apply(M, K, X, negated=False, overwrite_x=False):
+        out = apply(M, K, X, negated, overwrite_x)
+        (out[0] if negated else out)[0] = np.nan
         return out
 
-    monkeypatch.setattr(parametrix, "taylor_exp_sums", nan_sums)
+    monkeypatch.setattr(parametrix, "taylor_exp_apply", nan_apply)
     assert run("parametrix-check", "--n", "1", "--degree", "6", "--perturbation", pert_file,
                "--out", str(tmp_path / "out")) == EXIT_NUMERICAL
 

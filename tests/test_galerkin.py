@@ -32,7 +32,6 @@ from crsphere.galerkin import (
     taylor_exp_apply,
     taylor_exp_matrix,
     cg_iteration_cap,
-    taylor_apply_rounding_bound,
     taylor_exp_min,
 )
 from crsphere.harmonics import dim_hpq
@@ -66,7 +65,7 @@ def weight_from(ctx, scaled_upsilon, K):
 
 
 def weighted_inner(weight, u, v):
-    """<u, v>_hat for coefficient vectors, by the weight's Horner matvec."""
+    """<u, v>_hat for coefficient vectors, by the weight's matvec (one pass)."""
     return complex(np.vdot(v, weight.apply(u)))
 
 
@@ -798,7 +797,7 @@ def test_assembly_rounding_bounds_the_assembly_error(bases_small, n, N):
 
 @pytest.mark.parametrize("N", [8, 12])
 def test_horner_columns_are_the_taylor_matrix_columns(basis16, N):
-    # Horner on the unit columns of the kernel coordinates gives the columns
+    # the pass on the unit columns of the kernel coordinates gives the columns
     # of the full Taylor sum (dense matmuls) up to rounding, in float64
     basis = basis16.restrict(N)
     pert = ContactPerturbation(basis, real_test_function(basis, 0.05))
@@ -845,16 +844,24 @@ def test_weight_operator_core_against_the_dense_matrix(basis8):
 
 
 def test_apply_rounding_bound_charges_the_rows_of_the_multiplier(basis8):
-    # the vector Horner term charges the longest row L and ||abs(M)||, not D
+    # the pass's bound charges the longest row L and A = norm2_upper(M) >=
+    # ||abs(M)||, not D: u' (K + (L + 1) A) T_K(A), rounded up, bounds the
+    # norm of R = AbsTaylor.rounding(), the pass's entrywise bound
     pert = ContactPerturbation(basis8, real_test_function(basis8, 0.05))
     weight = pert.weight()
-    M = pert.multiplier_matrix()
+    M, K = pert.multiplier_matrix(), pert.K
     # the stored entries of a row, explicit zeros included, bound its nonzeros
     L = M.max_row_length()
     assert np.count_nonzero(M.toarray(), axis=1).max() <= L < basis8.total_dim
-    a = weight.multiplier_bound + weight.multiplier_skew
-    assert weight.apply_rounding_bound == taylor_apply_rounding_bound(a, L, norm2_upper(M))
-    assert weight.apply_rounding_bound <= 1e-12
+    A, u = Fraction(norm2_upper(M)), Fraction(2.0**-53)
+    u = u / (1 - K * (L + 2) * u)
+    taylor = sum(A**j / math.factorial(j) for j in range(K + 1))
+    assert weight.apply_rounding_bound == math.nextafter(
+        float(u * (K + (L + 1) * A) * taylor), math.inf)
+    # R is symmetric and nonnegative, so its largest row sum bounds ||R||_2,
+    # and the scalar is at least that row sum
+    row_sums = weight.abs_taylor.rounding().abs_matvec(np.ones(basis8.total_dim))
+    assert row_sums.max() <= weight.apply_rounding_bound <= 1e-13
     # against an extended-precision Horner on one vector
     x = np.random.default_rng(8).standard_normal(basis8.total_dim)
     dense = M.toarray()
@@ -867,6 +874,31 @@ def test_apply_rounding_bound_charges_the_rows_of_the_multiplier(basis8):
         exact = np.array([float(v) for v in u])
     err = np.linalg.norm(weight.apply(x) - exact)
     assert err <= weight.apply_rounding_bound * np.linalg.norm(x)
+
+
+def test_pass_leaves_its_argument_and_negates_bit_for_bit(basis8):
+    # weight.apply and block_apply leave x as it was, real or complex (the
+    # partial inverse, the column norm of G and the residual bound read it
+    # again); overwrite_x writes the pass into X; the negated output is a
+    # separate pass on -M bit for bit, (-M)^j X / j! being (-1)^j Y_j exactly
+    weight = ContactPerturbation(basis8, real_test_function(basis8, 0.05)).weight()
+    M, K, D = weight.multiplier, weight.taylor_depth, basis8.total_dim
+    ker = kernel_mask(basis8)
+    rng = np.random.default_rng(5)
+    for x in (rng.standard_normal((D, 3)), rng.standard_normal(D) + 1j * rng.standard_normal(D)):
+        y = x[ker]
+        before, before_y = x.copy(), y.copy()
+        weight.apply(x)
+        weight.block_apply(ker, y)
+        assert np.array_equal(x, before) and np.array_equal(y, before_y)
+    X = rng.standard_normal((D, 4))
+    W_X, V_X = taylor_exp_apply(M, K, X, negated=True)
+    assert np.array_equal(W_X, weight.apply(X))
+    assert np.array_equal(V_X, taylor_exp_apply(-M, K, X))
+    assert not np.array_equal(V_X, W_X)
+    out = np.array(X)
+    assert taylor_exp_apply(M, K, out, overwrite_x=True) is out
+    assert np.array_equal(out, W_X)
 
 
 @pytest.mark.parametrize("kappa", [1.0, 1.2, 1.5, 4.0, 100.0])
