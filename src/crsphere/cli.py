@@ -286,7 +286,7 @@ def cmd_parametrix_check(cfg, manifest):
         mchain = build_chain_matrix(basis, pert.weight())
         mreport = mchain.diagnostics.to_jsonable()
         mreport["smoothing"] = smoothing_residual(mchain)
-        mreport.update(sups)
+        mreport.update(sups, weight_tail_bound=pert.exp_tail_bound())
         mreport["config"] = {"n": cfg.n, "N": cfg.degree, "mode": "float",
                              "upsilon": pert.label, "taylor_depth": pert.K}
         manifest.add(write_json(os.path.join(cfg.out_dir, "parametrix_matrix.json"), mreport))

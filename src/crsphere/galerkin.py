@@ -884,11 +884,20 @@ def blocked_matmul(A, B):
 
 
 def _taylor_sum(x: Fraction, k: int) -> Fraction:
-    return sum(x**j / math.factorial(j) for j in range(k + 1))
+    """T_k(x) = sum_{j<=k} x^j / j! exactly, in integers over one denominator d^k k!, x = n / d."""
+    n, d, f = x.numerator, x.denominator, math.factorial(k)
+    num = sum(n**j * d**(k - j) * (f // math.factorial(j)) for j in range(k + 1))
+    return Fraction(num, d**k * f)
+
+
+def float_bound(x: Fraction, up: bool) -> float:
+    """x rounded outward to a float: the least float >= x (up) or the greatest <= x."""
+    f = float(x)
+    return f if f == x or (f > x) == up else math.nextafter(f, math.inf if up else -math.inf)
 
 
 def taylor_exp_min(a: float, K: int) -> float:
-    """min over |x| <= a of T_K(x) = sum_{k<=K} x^k / k!, in rational arithmetic.
+    """min over |x| <= a of T_K(x) = sum_{k<=K} x^k / k!, in rational arithmetic, rounded down.
 
     T_K' = T_{K-1}.  For odd K, T_{K-1} has even degree and no real root,
     so T_K increases and the minimum is T_K(-a); for even K the same holds
@@ -899,7 +908,7 @@ def taylor_exp_min(a: float, K: int) -> float:
     """
     x = -Fraction(a)
     if K == 0 or K % 2 or _taylor_sum(x, K - 1) > 0:
-        return float(_taylor_sum(x, K))
+        return float_bound(_taylor_sum(x, K), up=False)
     lo, hi = x, Fraction(0)
     for _ in range(60):
         mid = (lo + hi) / 2
@@ -907,7 +916,7 @@ def taylor_exp_min(a: float, K: int) -> float:
             hi = mid
         else:
             lo = mid
-    return float(hi**K / math.factorial(K))
+    return float_bound(hi**K / math.factorial(K), up=False)
 
 
 def taylor_exp_mismatch(a: float, K: int) -> float:
@@ -986,7 +995,7 @@ def _symmetrized(X):
     return X
 
 
-# past this exponent e^(a+s) and e^(2(a+s)) of the weight's bounds overflow
+# past this exponent e^A and e^(2A) of the weight's bounds overflow
 _EXP_LIMIT = math.log(np.finfo(float).max)
 
 
@@ -1024,40 +1033,28 @@ class InnerProductWeight:
     solves test no positivity: the bounds bracket every principal block and
     every compression V W V^* with orthonormal rows (parametrix.szego_rows).
 
-    M = (Re M_c + Re M_c^T) / 2 less its entries of size at most tau
-    (symmetric_part), M_c the assembled complex frame Galerkin matrix of
-    (n+1) Upsilon, and H the exact Galerkin matrix's Hermitian part.
-    multiplier_bound is a >= ||H||_2 and multiplier_skew is
-    s >= ||M - H||_2.  Since eig(T_K(H)) = T_K(eig(H)), ||M|| <= a + s and
-    ||T_K(M) - T_K(H)|| <= s e^{a+s} (telescoping M^k - H^k), the numbers
+    multiplier_bound is A >= ||M||_2 for the stored M
+    (ContactPerturbation.multiplier_matrix forms it from a bound on the
+    exact multiplier and the charge for assembling, symmetrizing and
+    cutting M).  W = T_K(M) exactly and M is symmetric, so
+    eig(W) = T_K(eig(M)) lies in [min_{|x|<=A} T_K(x), T_K(A)]: the numbers
 
-        min_eigenvalue_bound = min_{|x|<=a} T_K(x) - s e^{a+s}
-        max_eigenvalue_bound = T_K(a) + s e^{a+s}
+        min_eigenvalue_bound = min_{|x|<=A} T_K(x), rounded down
+        max_eigenvalue_bound = T_K(A), rounded up
 
     bracket the spectrum of W, with no eigensolver (taylor_exp_min); the
     dense matrix is W up to the rounding of its Taylor sum.  A pass is
     within R |x| of W x entrywise, R = abs_taylor.rounding() (AbsTaylor)
-    symmetric and nonnegative, and ||abs(M)|| <= A = norm2_upper(M), so
-    apply_rounding_bound = u' (K + (L + 1) A) T_K(A), rounded up (L the
+    symmetric and nonnegative, and ||abs(M)|| <= m = norm2_upper(M), so
+    apply_rounding_bound = u' (K + (L + 1) m) T_K(m), rounded up (L the
     longest row of M), bounds ||R||: ||apply(x) - W x|| <= it times ||x||,
     for every column of a block and a complex x applied as its two parts.
 
-    ContactPerturbation.weight passes a = (n+1) B(Upsilon), a bound on the
-    exact Galerkin matrix in any orthonormal frame, and
-    s = e_asm + gamma_1 norm2_upper(M) + L 2^-1074 + p.  With M_c = H + iB + E,
-    ||E|| <= e_asm (GalerkinContext.assembly_rounding) and B real symmetric
-    (from any imaginary part Upsilon keeps within ContactPerturbation's
-    tolerance), Re drops iB exactly and neither Re nor the average raises
-    ||E||; the average rounds once per entry, within gamma_1 |M|, plus at
-    most 2^-1075 where the halving leaves the normal range (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2.2), and p bounds the
-    norm of the entries the cut drops, with their rounding.
-
-    The lower bound is below T_K on the whole interval [-a, a], so it can be
+    The lower bound is below T_K on the whole interval [-A, A], so it can be
     <= 0 while W is still positive definite: for odd K, T_K has a real root
-    r_K (r_5 = -2.18, r_11 = -3.91), and every a >= |r_K| gives a bound <= 0.
+    r_K (r_5 = -2.18, r_11 = -3.91), and every A >= |r_K| gives a bound <= 0.
     Such a weight is refused: a bound <= 0, like a CG breakdown or an
-    a + s past _EXP_LIMIT / 2 (check_exp_range), raises NumericalError (the
+    A past _EXP_LIMIT / 2 (check_exp_range), raises NumericalError (the
     conformal factor left the regime the truncation can represent).
     Complex vectors are applied, solved by CG and taken by adjoint_defect
     as their real and imaginary parts (real_matmul).
@@ -1066,37 +1063,33 @@ class InnerProductWeight:
     multiplier: CSR  # M: real D x D
     taylor_depth: int
     multiplier_bound: float
-    multiplier_skew: float = 0.0
-    tail_bound: float = 0.0
     apply_rounding_bound: float = field(init=False)
     min_eigenvalue_bound: float = field(init=False)
     max_eigenvalue_bound: float = field(init=False)
     cg_iteration_cap: int = field(init=False)
     cg_iterations: list = field(init=False, default_factory=list)  # one entry per CG solve
     _matrix: np.ndarray | None = field(init=False, repr=False, default=None)
-    _norm_upper: float = field(init=False, repr=False, default=0.0)
     _abs_taylor: AbsTaylor | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         M = self.multiplier
         if np.iscomplexobj(M):
             raise TypeError("the weight is real: build its multiplier in the real frame")
-        a, s, K = self.multiplier_bound, self.multiplier_skew, self.taylor_depth
-        check_exp_range(a + s)
-        L, A = M.max_row_length(), Fraction(norm2_upper(M))
+        A, K = self.multiplier_bound, self.taylor_depth
+        check_exp_range(A)
+        L, m = M.max_row_length(), Fraction(norm2_upper(M))
         u = Fraction(UNIT_ROUNDOFF) / (1 - K * (L + 2) * Fraction(UNIT_ROUNDOFF))
         try:
-            rounding = float(u * (K + (L + 1) * A) * _taylor_sum(A, K))
+            rounding = float(u * (K + (L + 1) * m) * _taylor_sum(m, K))
         except OverflowError:
             rounding = math.inf
         self.apply_rounding_bound = math.nextafter(rounding, math.inf)
-        skew = s * math.exp(a + s)
-        self.min_eigenvalue_bound = taylor_exp_min(a, K) - skew
-        self.max_eigenvalue_bound = float(_taylor_sum(Fraction(a), K)) + skew
+        self.min_eigenvalue_bound = taylor_exp_min(A, K)
+        self.max_eigenvalue_bound = float_bound(_taylor_sum(Fraction(A), K), up=True)
         if self.min_eigenvalue_bound <= 0:
             raise NumericalError(
                 f"weight not certified positive (lower eigenvalue bound "
-                f"{self.min_eigenvalue_bound:.3e} for ||M|| <= {a:.3e}, "
+                f"{self.min_eigenvalue_bound:.3e} for ||M|| <= {A:.3e}, "
                 f"Taylor depth {K}; a larger depth or a "
                 f"smaller Upsilon raises it)"
             )
@@ -1168,9 +1161,7 @@ class InnerProductWeight:
 
         Only the pencil spectrum (spectrum --perturbation) forms it."""
         if self._matrix is None:
-            W = _symmetrized(taylor_exp_matrix(self.multiplier, self.taylor_depth))
-            self._norm_upper = norm2_upper(W)
-            self._matrix = W
+            self._matrix = _symmetrized(taylor_exp_matrix(self.multiplier, self.taylor_depth))
         return self._matrix
 
     def solve(self, rhs):
@@ -1216,5 +1207,5 @@ class InnerProductWeight:
         W = self.matrix
         Y = real_matmul(W, X) if rows is None else real_matmul(W[:, rows], X[rows])
         Y -= Y.conj().T
-        rounding = 2 * math.sqrt(2) * gamma(2 * W.shape[0]) * self._norm_upper * norm2_upper(X)
+        rounding = 2 * math.sqrt(2) * gamma(2 * W.shape[0]) * norm2_upper(W) * norm2_upper(X)
         return (norm2_upper(Y) + rounding) / (self.min_eigenvalue_bound * nx)

@@ -350,7 +350,7 @@ _RITZ_CAP = 100
 _RITZ_GUARD = 8
 
 
-def low_eigenvalue_enclosure(P_d, weight: InnerProductWeight, ker, pi_rows, n_rs, n_wk):
+def low_eigenvalue_enclosure(P_d, weight: InnerProductWeight, ker, pi_rows, n_pi, n_rs, n_wk):
     """The smallest nonzero eigenvalue mu_1 of P_d x = mu W x and a certified enclosure of it.
 
     As in nonzero_eigenvalues, the nonzero eigenvalues are mu_j = 1 / b_j
@@ -384,11 +384,12 @@ def low_eigenvalue_enclosure(P_d, weight: InnerProductWeight, ker, pi_rows, n_rs
                                    + 2 sqrt(1 + eps) theta_1 eps / (1 - eps).
 
     ||H X - X Theta|| is the measured residual plus the rounding of the
-    pass (R |Y~| entrywise, weight.abs_taylor.rounding()), of the rows K of Y~ and
-    of P_C^{-1/2} (gamma_{D+1} and gamma_3), plus the defect of pi_rows: H
-    less the operator applied is P_C^{-1/2} W_CK W_KK^{-1} r_KC P_C^{-1/2},
-    r = W_K: - W_KK pi_rows, at most n_wk n_rs / (lambda_lb sqrt(min p)) with
-    n_wk >= ||W_K:|| and n_rs >= ||r_KC P_C^{-1/2}||.  If theta_m - rho >
+    pass (R |Y~| entrywise, weight.abs_taylor.rounding()), of the rows K of
+    Y~ (n_pi >= ||pi_rows||) and of P_C^{-1/2} (gamma_{D+1} and gamma_3),
+    plus the defect of pi_rows: H less the operator applied is
+    P_C^{-1/2} W_CK W_KK^{-1} r_KC P_C^{-1/2}, r = W_K: - W_KK pi_rows, at
+    most n_wk n_rs / (lambda_lb sqrt(min p)) with n_wk >= ||W_K:|| and
+    n_rs >= ||r_KC P_C^{-1/2}||.  If theta_m - rho >
     W_ub / p_{m+1}, the alpha_j all exceed b_{m+1}, so they are b_1 .. b_m,
     b_1 lies within rho of theta_1 and mu_1 in [1 / (theta_1 + rho),
     1 / (theta_1 - rho)], intersected with Ostrowski's bracket.  Otherwise
@@ -446,7 +447,6 @@ def low_eigenvalue_enclosure(P_d, weight: InnerProductWeight, ker, pi_rows, n_rs
     n_x = fro(X)
     eps = fro(X.T @ X - np.eye(m)) + gamma(p.size + 2) * n_x**2
     r_max = float(r.max())
-    n_pi = norm2_upper(pi_rows)
     rounding = weight.abs_taylor.rounding()
     n_apply = fro(np.array([rounding.abs_matvec(np.abs(y)) for y in Yt.T]))
     residual = (fro(R)
@@ -551,7 +551,7 @@ def hatted_gjms(basis: HarmonicBasis, weight: InnerProductWeight, W_cK):
         raise NumericalError("the kernel columns of W and W^-1 are not finite")
     R = weight.abs_taylor.rounding()
     n_e = norm2_upper_abs((R, Columns(ker)))
-    mu = taylor_exp_mismatch(weight.multiplier_bound + weight.multiplier_skew, K)
+    mu = taylor_exp_mismatch(weight.multiplier_bound, K)
     w_ub = weight.max_eigenvalue_bound
     n_f = mu + w_ub * n_e
     for _ in range(_REFINE_STEPS):
@@ -621,7 +621,7 @@ def szego_rows(basis: HarmonicBasis, W_K):
 def woodbury_a0(Vf, Pi_K, V_K, ker):
     """A_0 = (I + R_0)^{-1} as I - U Z, with Vf = [Pi_0[K]; W_K:], Pi_K = Pi_K: and V_K = V_:K.
 
-    P_d G0_d is the indicator of C = ~K, so P_hat G_0 = W^{-1} P_d G0_d W =
+    P_d P^+ is the indicator of C = ~K, so P_hat G_0 = W^{-1} P_d P^+ W =
     I - W^{-1} E_K W_K:, and Pi_0 = E_K Pi0_K.  With V_:K for W^{-1} E_K,
     I + R_0 = I + U Vf with U = [E_K, -V_:K] and Vf = [Pi0_K; W_K:], and by
     the Woodbury identity A_0 = I - U Z with T Z = Vf, T = I_{2|K|} + Vf U.
@@ -686,14 +686,14 @@ def _woodbury_z2(T, Pi_K, Pi0_K):
     return Z_2
 
 
-def scaling_defect(P_d, *inverses):
-    """max |p g - 1| over the nonzero p of P_d and the matching entries g of each inverse, exactly.
+def scaling_defect(P_d, p_plus):
+    """max |p g - 1| over the nonzero p of P_d and the matching entries g of p_plus, exactly.
 
-    The chain scales by P_d and by float inverses of it (G0_d, P_d^+); each
-    p g is 1 + c with |c| at most this.
+    The chain scales by P_d and by its float inverse P_d^+; each p g is
+    1 + c with |c| at most this.
     """
     nz = P_d != 0
-    pairs = {(p, g) for inv in inverses for p, g in zip(P_d[nz].tolist(), inv[nz].tolist())}
+    pairs = set(zip(P_d[nz].tolist(), p_plus[nz].tolist()))
     return float(max((abs(Fraction(p) * Fraction(g) - 1) for p, g in pairs), default=0))
 
 
@@ -713,8 +713,7 @@ class _TimesHat:
         M = weight.multiplier
         comm = abs(M)
         comm.data *= np.abs(P_d[M.row_ids()] - P_d[M.indices])
-        a = weight.multiplier_bound + weight.multiplier_skew
-        self.n_comm = math.exp(a) * (1 + gamma(4)) * norm2_upper(comm)
+        self.n_comm = math.exp(weight.multiplier_bound) * (1 + gamma(4)) * norm2_upper(comm)
         self.lam = weight.min_eigenvalue_bound
         self.omega = max(1 / self.lam - 1, 1 - 1 / weight.max_eigenvalue_bound)
 
@@ -829,12 +828,16 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
 
     The members are diagonals, the exact W, or factors with at most 2|K|
     rows or columns, each stored once (the tests expand them:
-    tests/chain_members.py): G0 = G0_d W, R0 = U Vf, A0 = I - U Z
+    tests/chain_members.py): G0 = P^+ W, R0 = U Vf, A0 = I - U Z
     (Z = [Pi_K:; Z_2]), G = (I - Pi) P^+ B' with B' = W - fl(W_:K) Pi_K:,
     G_oo = (I - Pi_oo) G_0 A_0, Pi and Pi_oo as their rows in K, and of
     the Szego pair the |K| x |K| factor of Im S_K: = Im(C) W_K:
-    (Re S = Pi0 / 2).  No D x D array is formed: the work is one pass of
-    width |K| (two more per refinement step of hatted_gjms) and the low
+    (Re S = Pi0 / 2).  The diagonal of G_0 = N_n ... N_{-n} is P^+ (the
+    partial inverses of commuting diagonals), so G_0 is stored as P^+: for
+    P < 2^53 (n <= 8 under BASIS_CAP) the float tables of both are the
+    floats 1/P, and P_d P^+ - 1_C is charged as c in any case.  No D x D
+    array is formed: the work is one pass of width |K| (two more per
+    refinement step of hatted_gjms) and the low
     eigenvalue's passes on D x w blocks, and the transients are blocks of a
     pass (three or four D x |K| arrays), blocks of at most 1 MB for the
     norms of dense arrays, blocks of rows for the Woodbury defect and the
@@ -855,7 +858,7 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
         R_oo = G_oo P_hat + Pi_oo - I = G P_hat + Pi - I + (G_oo - G) P_hat + (Pi_oo - Pi)
         W Pi - Pi^T W = r^T Pi_K: - Pi_K:^T r,  W G - (W G)^T from it
         Pi G = (I - Pi_KK) Pi_K: P^+ B'
-        G_oo - G = (G0_d - P^+) B + G0_d F Z_2 + P^+ e Pi_K: on the rows C,
+        G_oo - G = P^+ F Z_2 + P^+ e Pi_K: on the rows C,
                    -(PiInf_K: - Pi_K:) G_C - PiInf_K: (G_oo - G)_C on the rows K
 
     G_oo - G and Pi_oo - Pi hold only rounding (G_oo = G and Pi_oo = Pi in
@@ -869,8 +872,8 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
     Norms with W: |W| <= T_K(|M|) entrywise and a pass is within
     R |X| of the exact product (weight.abs_taylor), so every norm that reads W is a
     norm2_upper_abs of a product of absolute values with those operators,
-    the P_d and P^+ scalings inside it; h = gm W^ (I + E_K |Pi_K:|),
-    W^ = T_K(|M|) + R and gm = max(G0_d, P^+), bounds |P^+ B| and |P^+ B'|.
+    the P_d and P^+ scalings inside it; h = P^+ W^ (I + E_K |Pi_K:|),
+    W^ = T_K(|M|) + R, bounds |P^+ B| and |P^+ B'|.
     ||U Vf|| and ||U Z|| come from Gram matrices of order 2|K|
     (_r0_a0_norms).  The lower norm of G is its largest column j at the
     smallest nonzero P_d, G e_j = (I - Pi) P^+ W (I - Pi) e_j with W by
@@ -891,14 +894,12 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
     k = int(ker.sum())
     E_K = Columns(ker)
 
-    P = critical_gjms(basis)
-    P_d = P.to_diag_vector(basis)
-    G0_d = P.partial_inverse().to_diag_vector(basis)
+    P_d = critical_gjms(basis).to_diag_vector(basis)
     p = pseudo_inverse_diag(P_d, ker)
     # c_max >= |P_d P^+ - 1_C| entrywise, and eta >= |x - 1| for x = p g (1 + d),
-    # |d| <= u: the member G_0 = G0_d W, rounded, scaled by P_d
+    # |d| <= u: the member G_0 = P^+ W, rounded, scaled by P_d
     c_max = scaling_defect(P_d, p)
-    eta = scaling_defect(P_d, G0_d) + gamma(2)
+    eta = c_max + gamma(2)
     lam_lb, w_ub = weight.min_eigenvalue_bound, weight.max_eigenvalue_bound
     abs_w = weight.abs_taylor  # >= |W|
     R = abs_w.rounding()  # >= the rounding of a pass, on |X|
@@ -917,7 +918,7 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
     Z_2, solve_term = woodbury_a0(Vf, Pi_K, V_K, ker)
     n_uvf, n_uvf_int, n_uz = _r0_a0_norms(V_K, Vf, Pi_K, Z_2, ker, interior)
     W_KK = W_K[:, ker]
-    n_pi = norm2_upper(Pi_K)
+    n_pi, n_w = norm2_upper(Pi_K), norm2_upper(W_K)
 
     times_hat = _TimesHat(weight, P_d)
     # r = W_K: - W_KK Pi_K: for the exact W is the defect of Pi_K:; from the
@@ -933,7 +934,7 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
     n_rs = scaled_r(np.sqrt(p)) * (1 + gamma(3))  # >= ||r_KC P_C^{-1/2}||
     del r
     lam_min, lam_enclosure, group = low_eigenvalue_enclosure(  # n_wk >= ||W_K:||
-        P_d, weight, ker, Pi_K, n_rs, n_wk=norm2_upper(W_K) + n_e)
+        P_d, weight, ker, Pi_K, n_pi, n_rs, n_wk=n_w + n_e)
 
     diag = ChainDiagnostics("matrix")
     diag.record("A0_method", "woodbury")
@@ -942,7 +943,6 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
     diag.record("min_nonzero_abs_eigenvalue_enclosure", lam_enclosure)
     diag.record("min_nonzero_abs_eigenvalue_group_size", group)
     diag.record("weight_min_eigenvalue_bound", weight.min_eigenvalue_bound)
-    diag.record("weight_tail_bound", weight.tail_bound)
     diag.record("inverse_defect_bound", e_v)
 
     def rec(name, X, rows):
@@ -968,12 +968,12 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
     del Q
 
     # R_0 and A_0: ||R_0 - U Vf|| <= ||d|| ||W_K:|| + ||W^{-1} E_K|| ||e|| + eta ||W|| / lambda_lb
-    e_r0 = e_v * norm2_upper(W_K) + (n_vk + e_v) * n_e + eta * w_ub / lam_lb
+    e_r0 = e_v * n_w + (n_vk + e_v) * n_e + eta * w_ub / lam_lb
     bound("R0", n_uvf + e_r0, n_uvf_int + e_r0)
     diag.record("A0_residual", solve_term + e_r0 * (1 + n_uz), "factored")
 
     members = {
-        "S_imag": S_imag, "P_diag": P_d, "G0_diag": G0_d, "P_plus": p,
+        "S_imag": S_imag, "P_diag": P_d, "P_plus": p,
         "V_K": V_K, "Vf": Vf, "Z2": Z_2, "Pi": Pi_K, "PiInf": PiInf_K,
     }
 
@@ -983,14 +983,14 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
     structural("PPi_interior")
 
     # ||L X (I + E_K |Pi_K:|) R|| for an operator X (T_K(|M|), W^ or R) and diagonals L, R;
-    # h = gm W^ (I + E_K |Pi_K:|), gm = max(G0_d, P^+), bounds |P^+ B| and |P^+ B'|
+    # h = P^+ W^ (I + E_K |Pi_K:|) bounds |P^+ B| and |P^+ B'|
     def wide(X, *right, left=()):
         return norm2_upper_abs((*left, X, *right), (*left, X, E_K, Pi_K, *right))
 
-    gm = np.maximum(G0_d, p)
-    n_h, n_hp = wide(w_hat, left=(gm,)), wide(w_hat, P_d, left=(gm,))  # >= ||h||, ||h P_d||
+    n_h, n_hp = wide(w_hat, left=(p,)), wide(w_hat, P_d, left=(p,))  # >= ||h||, ||h P_d||
     # e_G = -(I - Pi) P^+ e Pi_K:, |P^+ e Pi_K:| <= P^+ R E_K |Pi_K:|
-    n_eg = (1 + n_pi) * norm2_upper_abs((p, R, E_K, Pi_K))  # >= ||e_G||
+    n_pe = norm2_upper_abs((p, R, E_K, Pi_K))
+    n_eg = (1 + n_pi) * n_pe  # >= ||e_G||
     n_egp = (1 + n_pi) * norm2_upper_abs((p, R, E_K, Pi_K, P_d))  # >= ||e_G P_d||
     diff = 1 + gamma(1)  # a computed difference against the exact one
     # Pi G = Pi_K: (I - Pi) P^+ B' = (I - Pi_KK) Pi_K: P^+ B', I - Pi_KK formed exactly
@@ -1007,22 +1007,20 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
     b_gp = n_r / lam_lb + (1 + n_pi) * (c_max + n_pw * n_y) + times_hat(n_egp, n_eg)
     bound("GP_plus_Pi_minus_I", b_gp)
 
-    # G_oo - G from the factors: on the rows C, G0_d W A_0 - P^+ B' =
-    # (G0_d - P^+) B + G0_d F Z_2 + P^+ e Pi_K: with ||F|| <= n_f (G0_d E_K = 0);
+    # G_oo - G from the factors: on the rows C, P^+ W A_0 - P^+ B' =
+    # P^+ F Z_2 + P^+ e Pi_K: with ||F|| <= n_f (P^+ E_K = 0);
     # on the rows K, -PiInf_K: (G_0 A_0) + Pi_K: P^+ B' =
     # -(PiInf_K: - Pi_K:) G_C - PiInf_K: (G_oo - G)_C
     n_piinf = norm2_upper(PiInf_K)
     pi_diff = diff * diag.entries["Pi_minus_PiInf_full"]
-    s = np.abs(G0_d - p) * diff
 
     def goo_minus_g(h_r, right=(), left=()):
         """>= ||L (G_oo - G) R|| for the members, L = left and R = right diagonals, from
         h_r >= ||L h R||; left = (P_d,) drops the rows K, where P_d vanishes."""
         a = norm2_upper_abs
-        g_max = float(np.max(G0_d * left[0] if left else G0_d)) * diff
-        # G0_d = P^+ in every basis built so far: the terms of s are zero then
-        scaled = wide(abs_w, *right, left=(*left, s)) if s.any() else 0.0
-        rows_c = scaled + g_max * n_f * a((Z_2, *right)) + a((*left, p, R, E_K, Pi_K, *right))
+        g_max = float(np.max(p * left[0] if left else p)) * diff
+        pe = a((*left, p, R, E_K, Pi_K, *right)) if left or right else n_pe
+        rows_c = g_max * n_f * a((Z_2, *right)) + pe
         if left:
             return rows_c
         return rows_c + pi_diff * h_r + n_piinf * rows_c

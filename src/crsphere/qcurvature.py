@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -51,6 +52,7 @@ from .galerkin import (
     InnerProductWeight,
     RealFrame,
     check_exp_range,
+    float_bound,
     gamma,
     norm2_upper,
     symmetric_part,
@@ -124,8 +126,7 @@ class ContactPerturbation:
         self.K = taylor_depth
         self.label = label or "upsilon"
         self._sup = None
-        self._mult = None
-        self._assembly_rounding = self._pruned = None  # e_asm and the cut of the multiplier
+        self._mult = self._mult_bound = None  # M and A >= ||M||_2 (multiplier_matrix)
         self._weight = None
 
     @classmethod
@@ -223,8 +224,18 @@ class ContactPerturbation:
         frame matrix is real and symmetric: of the assembled matrix M_c the
         symmetric part of Re M_c is kept (galerkin.symmetric_part), exactly
         symmetric, without its rounding residues (entries of size at most
-        galerkin.PRUNE_TOL max|Re M_c|), and the weight's multiplier_skew
-        charges what that drops (InnerProductWeight).
+        galerkin.PRUNE_TOL max|Re M_c|).
+
+        With it comes A = a + s >= ||M||_2, the weight's multiplier_bound,
+        summed in Fractions and rounded up: a = multiplier_norm_bound() bounds
+        the Hermitian part H of the exact Galerkin matrix in any orthonormal
+        frame, and s = e_asm + gamma_1 norm2_upper(M) + L 2^-1074 + p >= ||M - H||:
+        M_c = H + iB + E with ||E|| <= e_asm (GalerkinContext.assembly_rounding)
+        and B real symmetric (Upsilon's imaginary part within the constructor's
+        tolerance), which Re drops exactly; the average rounds once per entry,
+        within gamma_1 |M| plus 2^-1075 where the halving leaves the normal
+        range (Higham, Accuracy and Stability of Numerical Algorithms, 2.2; L
+        the longest row), and p bounds the entries the cut drops, with their rounding.
         """
         if self._mult is None:
             degree = max((p + q for (p, q) in self.upsilon.coeffs), default=0)
@@ -236,26 +247,23 @@ class ContactPerturbation:
             # product's 3) and once per further term it adds; the scale by n+1
             # once more
             roundings = 8 + sum(1 for _ in self.upsilon.terms())
-            self._assembly_rounding = ctx.assembly_rounding(
-                self.upsilon.abs_poly_float().scale(scale), roundings)
+            e_asm = ctx.assembly_rounding(self.upsilon.abs_poly_float().scale(scale), roundings)
             del ctx
             M = M.real  # the complex M goes before its symmetric part is built
-            self._mult, self._pruned = symmetric_part(
-                M, PRUNE_TOL * float(np.abs(M.data).max(initial=0.0)))
+            M, pruned = symmetric_part(M, PRUNE_TOL * float(np.abs(M.data).max(initial=0.0)))
+            charge = (Fraction(e_asm) + Fraction(gamma(1)) * Fraction(norm2_upper(M))
+                      + M.max_row_length() * Fraction(math.ulp(0.0)) + Fraction(pruned))
+            a = Fraction(self.multiplier_norm_bound())
+            self._mult_bound = float_bound(a + charge, up=True)
+            self._mult = M
         return self._mult
 
     def weight(self) -> InnerProductWeight:
         """Gram operator of the basis under e^{(n+1) Upsilon} dsigma (Taylor depth K), real frame."""
         if self._weight is None:
             M = self.multiplier_matrix()
-            self._weight = InnerProductWeight(
-                M,
-                taylor_depth=self.K,
-                multiplier_bound=self.multiplier_norm_bound(),
-                multiplier_skew=(self._assembly_rounding + gamma(1) * norm2_upper(M)
-                                 + M.max_row_length() * math.ulp(0.0) + self._pruned),
-                tail_bound=self.exp_tail_bound(),
-            )
+            self._weight = InnerProductWeight(M, taylor_depth=self.K,
+                                              multiplier_bound=self._mult_bound)
         return self._weight
 
 

@@ -44,14 +44,14 @@ def _expand(m, W, ker, name):
     """A factored member of the matrix chain as a full matrix.
 
     With U = [E_K, -V_:K], Vf = [Pi0_K; W_K:] (W_K: the chain's computed
-    rows K of W) and Z = [Pi_K:; Z_2]: G0 = G0_d W, R0 = U Vf, A0 = I - U Z,
+    rows K of W) and Z = [Pi_K:; Z_2]: G0 = P^+ W, R0 = U Vf, A0 = I - U Z,
     G = (I - Pi) P^+ (W - W_K:^T Pi_K:) and G_oo = (I - Pi_oo) G0 A0, where
-    P^+ and G0_d vanish on K, so the rows K of (I - Pi) X are -Pi_K: X.
+    P^+ vanishes on K, so the rows K of (I - Pi) X are -Pi_K: X.
     """
     k = int(ker.sum())
     V_K, Vf = m["V_K"], m["Vf"]
     if name == "G0":
-        return m["G0_diag"][:, None] * W
+        return m["P_plus"][:, None] * W
     if name == "R0":
         X = V_K @ Vf[k:]
         np.negative(X, out=X)
@@ -66,7 +66,7 @@ def _expand(m, W, ker, name):
         X = m["P_plus"][:, None] * (W - Vf[k:].T @ m["Pi"])
         rows = m["Pi"]
     else:
-        X = m["G0_diag"][:, None] * (W @ _expand(m, W, ker, "A0"))
+        X = m["P_plus"][:, None] * (W @ _expand(m, W, ker, "A0"))
         rows = m["PiInf"]
     X[ker] = -(rows @ X)
     return X

@@ -79,8 +79,8 @@ def taylor_rounding_bound(a: float, D: int, K: int) -> float:
     than exact factors, and products of two errors), smaller than the
     first-order ones by a factor of order c D K, below 1e-6 for D up to
     10^4 at K = 12.  The bound is on the sum applied to M as assembled; how far the
-    assembled M is from the exact Galerkin matrix is the multiplier's skew
-    term (GalerkinContext.assembly_rounding, InnerProductWeight).
+    assembled M is from the exact Galerkin matrix is charged in the weight's
+    multiplier_bound (ContactPerturbation.multiplier_matrix).
     """
     s = 3  # the split of taylor_exp_matrix
     c = math.sqrt(2) * gamma(2 * D + s + 2)
@@ -190,14 +190,12 @@ def build_chain_matrix_dense(basis, weight):
     ker = kernel_mask(basis)
     k = int(ker.sum())
 
-    P = critical_gjms(basis)
-    P_d = P.to_diag_vector(basis)
-    G0_d = P.partial_inverse().to_diag_vector(basis)
+    P_d = critical_gjms(basis).to_diag_vector(basis)
     p = pseudo_inverse_diag(P_d, ker)
     # c_max >= |P_d P^+ - 1_C| entrywise, and eta >= |x - 1| for x = p g (1 + d),
-    # |d| <= u: the member G_0 = G0_d W, rounded, scaled by P_d
+    # |d| <= u: the member G_0 = P^+ W, rounded, scaled by P_d
     c_max = scaling_defect(P_d, p)
-    eta = scaling_defect(P_d, G0_d) + gamma(2)
+    eta = c_max + gamma(2)
 
     # the LU of W first, while W and the arrays of |K| columns are all that is alive
     V_K, n_f = hatted_gjms_dense(basis, weight)
@@ -219,7 +217,7 @@ def build_chain_matrix_dense(basis, weight):
     W_cK = W_K.T  # W_:K, W symmetric
     W_KK = W_K[:, ker]
 
-    n_w = norm2_upper(W)
+    n_w, n_pi = norm2_upper(W), norm2_upper(Pi_K)
     times_hat = _TimesHat(weight, P_d)
     comm, c_round = times_hat.comm, _Commutator.ROUND
     # r = W_K: - W_KK Pi_K: is the defect of Pi_K:; its norms, with r P_d and
@@ -233,7 +231,8 @@ def build_chain_matrix_dense(basis, weight):
         (W_K, comm), (W_KK, Pi_K, comm)))
     del r
     lam_min, lam_enclosure, group = low_eigenvalue_enclosure(
-        P_d, weight, ker, Pi_K, n_r * float(np.sqrt(p).max()) * (1 + gamma(3)), norm2_upper(W_K))
+        P_d, weight, ker, Pi_K, n_pi, n_r * float(np.sqrt(p).max()) * (1 + gamma(3)),
+        norm2_upper(W_K))
 
     diag = ChainDiagnostics("matrix")
     diag.record("A0_method", "woodbury")
@@ -242,7 +241,6 @@ def build_chain_matrix_dense(basis, weight):
     diag.record("min_nonzero_abs_eigenvalue_enclosure", lam_enclosure)
     diag.record("min_nonzero_abs_eigenvalue_group_size", group)
     diag.record("weight_min_eigenvalue_bound", weight.min_eigenvalue_bound)
-    diag.record("weight_tail_bound", weight.tail_bound)
     diag.record("inverse_defect_bound", e_v)
 
     def rec(name, X, rows):
@@ -283,7 +281,7 @@ def build_chain_matrix_dense(basis, weight):
         G_K[rows] -= Y
     del Y
     members = {
-        "S_imag": S_imag, "P_diag": P_d, "G0_diag": G0_d, "P_plus": p,
+        "S_imag": S_imag, "P_diag": P_d, "P_plus": p,
         "V_K": V_K, "Vf": Vf, "Z2": Z_2, "Pi": Pi_K, "PiInf": PiInf_K, "G_K": G_K,
     }
 
@@ -296,12 +294,8 @@ def build_chain_matrix_dense(basis, weight):
     # h = P^+ (|W| + |W_:K| |Pi_K:|), and G_K within gamma_g |Pi_K:| h,
     # g = k + 3 + (the order of the product); Pi G = Pi_K: G =
     # (Pi_KK - I) G_K + (the rounding of G), formed within gamma_{k+1} of its terms.
-    # Every norm of h R below is taken with gm = max(G0_d, P^+) >= P^+ in place
-    # of P^+, so that it bounds the G0_d-scaled terms of G_oo too
-    gm = np.maximum(G0_d, p)
-    n_h, n_hp, n_hc = (norm2_upper_abs((gm, W, *R), (gm, W_cK, Pi_K, *R))
+    n_h, n_hp, n_hc = (norm2_upper_abs((p, W, *R), (p, W_cK, Pi_K, *R))
                        for R in ((), (P_d,), (comm,)))  # >= ||h||, ||h P_d||, ||h C||
-    n_pi = norm2_upper(Pi_K)
     g_order = k + 3 + order
     Pi_KK = Pi_K[:, ker]
     # Pi G as formed, a block of columns at a time (its transpose has the same norm2_upper)
@@ -326,26 +320,23 @@ def build_chain_matrix_dense(basis, weight):
     bound("GP_plus_Pi_minus_I", b_gp)
 
     # G_oo - G from its factors (the members share the computed B): on the rows
-    # C, (G0_d - P^+) B + G0_d F Z_2 with || |F| || <= n_f, G0_d E_K = 0, plus
-    # the rounding of the scalings, within gamma_4 gm |B|, and of W V_:K Z_2
+    # C, P^+ F Z_2 with || |F| || <= n_f, P^+ E_K = 0, plus
+    # the rounding of the scalings, within gamma_4 P^+ |B|, and of W V_:K Z_2
     # (blocked_matmul, then a product of order k), within
-    # gamma_{o+k+4} gm |W| |V_:K| |Z_2|; each term bounds the absolute values
+    # gamma_{o+k+4} P^+ |W| |V_:K| |Z_2|; each term bounds the absolute values
     # too.  On the rows K, formed as G_K - (PiInf_K: - Pi_K:) G - PiInf_K:
     # (G_oo - G), those two products, their rounding and that of
     # the subtractions from G_K, within gamma_3 |G_K| <= gamma_4 |Pi_K:| h
     n_piinf = norm2_upper(PiInf_K)
     pi_diff = diff * diag.entries["Pi_minus_PiInf_full"]
-    s = np.abs(G0_d - p) * diff
 
     def goo_minus_g(h_r, right=(), left=()):
         """>= ||L (G_oo - G) R|| for the members, L = left and R = right diagonals or [P_d, W],
         from h_r >= ||L h R||; left = (P_d,) drops the rows K, where P_d vanishes."""
         a = norm2_upper_abs
-        g_max = float(np.max(G0_d * left[0] if left else G0_d)) * diff
-        # G0_d = P^+ in every basis built so far: the terms of s are zero then
-        scaled = a((*left, s, W, *right), (*left, s, W_cK, Pi_K, *right)) if s.any() else 0.0
-        rows_c = ((1 + gamma(k + 1)) * scaled + g_max * n_f * a((Z_2, *right))
-                  + gamma(4) * h_r + gamma(order + k + 4) * a((*left, gm, W, V_K, Z_2, *right)))
+        g_max = float(np.max(p * left[0] if left else p)) * diff
+        rows_c = (g_max * n_f * a((Z_2, *right))
+                  + gamma(4) * h_r + gamma(order + k + 4) * a((*left, p, W, V_K, Z_2, *right)))
         if left:
             return rows_c
         return (rows_c + gamma(4) * n_pi * h_r
@@ -353,7 +344,7 @@ def build_chain_matrix_dense(basis, weight):
 
     n_diff = goo_minus_g(n_h)
     bound("G_minus_GInf", n_diff)
-    n_pdiff = goo_minus_g(norm2_upper_abs((P_d, gm, W), (P_d, gm, W_cK, Pi_K)), left=(P_d,))
+    n_pdiff = goo_minus_g(norm2_upper_abs((P_d, p, W), (P_d, p, W_cK, Pi_K)), left=(P_d,))
     bound("PGInf_plus_PiInf_minus_I", b_pg + pi_diff + n_pdiff / lam_lb)
     bound("R_inf", b_gp + pi_diff + times_hat(goo_minus_g(n_hp, (P_d,)), n_diff,
                                               c_round * goo_minus_g(n_hc, (comm,))))

@@ -75,7 +75,7 @@ def weighted_adjoint(weight, X):
 
 
 def assembly_rounding(ctx, upsilon, n):
-    """The assembly term of multiplier_skew for (n+1) upsilon: 8 roundings per
+    """The assembly term of the multiplier's charge for (n+1) upsilon: 8 roundings per
     term of to_poly_float, one per further term and one for the scale."""
     return ctx.assembly_rounding(upsilon.abs_poly_float().scale(float(n + 1)),
                                  8 + sum(1 for _ in upsilon.terms()))
@@ -265,7 +265,7 @@ class TestTaylorExponential:
         basis = basis16.restrict(6)
         weight = ContactPerturbation(basis, real_test_function(basis, 0.1)).weight()
         M, K, D = weight.multiplier, weight.taylor_depth, basis.total_dim
-        rho = taylor_rounding_bound(weight.multiplier_bound + weight.multiplier_skew, D, K)
+        rho = taylor_rounding_bound(weight.multiplier_bound, D, K)
         exact = taylor_exp_matrix_fixed_point(M, K)
         err = np.linalg.norm(fixed_point_error(taylor_exp_matrix(M, K), exact), 2)
         sym_err = np.linalg.norm(fixed_point_error(weight.matrix, (exact + exact.T) // 2), 2)
@@ -548,6 +548,31 @@ class TestWeightEigenvalueBound:
             assert got <= T.min() + 1e-12 * max(1.0, np.abs(T).max())
             assert got >= T.min() - 1e-5 * max(1.0, np.abs(T).max())
 
+    def test_bracket_is_rounded_outward(self):
+        # the weight's bracket against T_K in Fractions, for random A and K:
+        # the lower end at most min_{|x|<=A} T_K(x) (for even K past the
+        # root r of T_{K-1}, at most h^K / K! <= r^K / K! for a bisection
+        # point h in (r, 0)), the upper end at least T_K(A)
+        def taylor(x, K):
+            return sum(x**j / math.factorial(j) for j in range(K + 1))
+
+        rng = np.random.default_rng(29)
+        for A, K in zip(rng.uniform(0.0, 4.5, 900), rng.choice([3, 11, 12], 900)):
+            A, K, x = float(A), int(K), -Fraction(float(A))
+            lowest = taylor(x, K)
+            if K % 2 == 0 and taylor(x, K - 1) <= 0:  # A past |r_11| = 3.91
+                lo, hi = x, Fraction(0)
+                for _ in range(60):
+                    mid = (lo + hi) / 2
+                    lo, hi = (lo, mid) if taylor(mid, K - 1) > 0 else (mid, hi)
+                lowest = hi**K / math.factorial(K)
+            got = taylor_exp_min(A, K)
+            assert Fraction(got) <= lowest, (A, K)
+            if got > 0:
+                weight = InnerProductWeight(csr([[0.0]]), taylor_depth=K, multiplier_bound=A)
+                assert weight.min_eigenvalue_bound == got
+                assert Fraction(weight.max_eigenvalue_bound) >= taylor(Fraction(A), K), (A, K)
+
     @settings(max_examples=12, deadline=None)
     @given(n=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1),
            size=st.floats(0.01, 1.5), K=st.sampled_from([5, 8, 12]))
@@ -573,17 +598,22 @@ class TestWeightEigenvalueBound:
         M = pert.multiplier_matrix()
         assert np.array_equal(M.toarray(), kept_symmetric_part(R))
         dropped = symmetric_part(R, PRUNE_TOL * np.abs(R.data).max())[1]
-        a = pert.multiplier_norm_bound()
-        s = (assembly_rounding(ctx, pert.upsilon, n) + gamma(1) * norm2_upper(M)
-             + M.max_row_length() * math.ulp(0.0) + dropped)
-        expected = taylor_exp_min(a, K) - s * math.exp(a + s)
+        # A = a + s in Fractions, rounded up to the float just above it
+        s = (Fraction(assembly_rounding(ctx, pert.upsilon, n))
+             + Fraction(gamma(1)) * Fraction(norm2_upper(M))
+             + M.max_row_length() * Fraction(math.ulp(0.0)) + Fraction(dropped))
+        a_s = Fraction(pert.multiplier_norm_bound()) + s
+        A = float(a_s)
+        if A < a_s:
+            A = math.nextafter(A, math.inf)
+        expected = taylor_exp_min(A, K)
         if expected <= 0:
             # refused exactly when the bound is not positive (odd K, large a)
             with pytest.raises(NumericalError, match="not certified positive"):
                 pert.weight()
             return
         weight = pert.weight()
-        assert weight.multiplier_skew == s
+        assert weight.multiplier_bound == A
         assert weight.min_eigenvalue_bound == expected
         assert 0 < weight.min_eigenvalue_bound <= scipy.linalg.eigvalsh(weight.matrix)[0]
 
@@ -623,12 +653,13 @@ class TestWeightEigenvalueBound:
     def test_skew_part_of_the_multiplier_lowers_the_bound(self):
         # a symmetric M = -0.6 I off by s = 0.1 from H = -0.5 I (||H|| = a):
         # W = T_2(M) = 0.58 I, below min_{|x|<=a} T_2 = T_2(-0.5) = 0.625, so
-        # the bound without s is false; the skew term takes it under 0.58
+        # the bound from a alone is false; a + s takes it under 0.58
         M = csr(np.diag([-0.6, -0.6]))
         lam = scipy.linalg.eigvalsh(taylor_exp_matrix(M, 2))[0]
         without = InnerProductWeight(M, taylor_depth=2, multiplier_bound=0.5)
         assert without.min_eigenvalue_bound > lam
-        weight = InnerProductWeight(M, taylor_depth=2, multiplier_bound=0.5, multiplier_skew=0.1)
+        a_s = math.nextafter(0.5 + 0.1, math.inf)
+        weight = InnerProductWeight(M, taylor_depth=2, multiplier_bound=a_s)
         assert 0 < weight.min_eigenvalue_bound <= scipy.linalg.eigvalsh(weight.matrix)[0] == lam
 
     def test_positive_weight_refused_past_the_root_of_odd_taylor_sum(self, ctx8, basis8):
@@ -770,7 +801,7 @@ def mp_frame_multiplier(basis, upsilon):
 def test_assembly_rounding_bounds_the_assembly_error(bases_small, n, N):
     # the assembled frame multiplier against a 50-digit assembly of the same
     # (float) Upsilon: e_asm bounds the difference, a bounds the exact
-    # multiplier's Hermitian part H and multiplier_skew bounds ||M - H||
+    # multiplier's Hermitian part H and multiplier_bound bounds ||M||
     basis = bases_small[n].restrict(N)
     rng = np.random.default_rng(N)
     terms = []
@@ -790,9 +821,10 @@ def test_assembly_rounding_bounds_the_assembly_error(bases_small, n, N):
     e_asm = assembly_rounding(ctx, pert.upsilon, n)
     assert 0 < np.linalg.norm(err, 2) <= e_asm <= 1e-12
     weight = pert.weight()
-    assert np.linalg.norm(H, 2) <= weight.multiplier_bound
+    assert np.linalg.norm(H, 2) <= pert.multiplier_norm_bound()
     M = pert.multiplier_matrix().toarray()
-    assert np.linalg.norm(M - H, 2) <= weight.multiplier_skew
+    assert np.linalg.norm(M - H, 2) <= weight.multiplier_bound - pert.multiplier_norm_bound()
+    assert np.linalg.norm(M, 2) <= weight.multiplier_bound
 
 
 @pytest.mark.parametrize("N", [8, 12])
@@ -1091,7 +1123,7 @@ def test_cut_multiplier_keeps_the_weight_bound_below_its_spectrum():
     # smallest eigenvalue of M below -||H|| (the entries cut, at (0, 2), push
     # H's lowest eigenvector up), so a lower bound for T_K(M) from
     # a = ||H|| alone would be false; the charge for the entries cut, in
-    # multiplier_skew, takes it below the spectrum of the dense T_K(M)
+    # multiplier_bound a + s, takes it below the spectrum of the dense T_K(M)
     tau = 1e-3
     H = np.array([[-1.0, 0.3, 0.0], [0.3, 0.5, 0.4], [0.0, 0.4, -0.8]])
     v = np.linalg.eigh(H)[1][:, 0]
@@ -1102,7 +1134,8 @@ def test_cut_multiplier_keeps_the_weight_bound_below_its_spectrum():
     a = float(np.abs(scipy.linalg.eigvalsh(H)).max()) * (1 + 1e-15)
     lam = scipy.linalg.eigvalsh(taylor_exp_matrix(M, 12))[0]
     assert InnerProductWeight(M, taylor_depth=12, multiplier_bound=a).min_eigenvalue_bound > lam
-    weight = InnerProductWeight(M, taylor_depth=12, multiplier_bound=a, multiplier_skew=charge)
+    a_s = math.nextafter(a + charge, math.inf)
+    weight = InnerProductWeight(M, taylor_depth=12, multiplier_bound=a_s)
     assert 0 < weight.min_eigenvalue_bound <= lam
 
 

@@ -9,6 +9,7 @@ import scipy.sparse
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from crsphere.defaults import BASIS_CAP
 from crsphere.galerkin import (
     GalerkinContext,
     InnerProductWeight,
@@ -30,6 +31,7 @@ from crsphere.parametrix import (
     kernel_mask,
     min_nonzero_abs_eigenvalue,
     nonzero_eigenvalues,
+    pseudo_inverse_diag,
     smoothing_residual,
     spectrum_diagonal,
     spectrum_matrix,
@@ -101,6 +103,21 @@ class TestDiagonalChain:
                 assert v == 0
             else:
                 assert v == Fraction(1) / P.table[(p, q)]
+
+    def test_g0_is_p_plus_exactly(self):
+        # G_0 = N_n ... N_{-n}, the partial inverses of commuting diagonals,
+        # is the partial inverse of P table for table; and P < 2^53 on the
+        # largest basis under BASIS_CAP for n <= 8, so both round to 1/P
+        for n in (1, 2, 3):
+            for N in range(13):
+                chain = build_chain_diagonal(Truncation(n, N))
+                assert member(chain, "G0").table == member(chain, "P").partial_inverse().table
+        for n in range(1, 9):
+            N = 0
+            while sum(dim_hpq(n, p, d - p) for d in range(N + 2)
+                      for p in range(d + 1)) <= BASIS_CAP:
+                N += 1
+            assert max(critical_gjms(Truncation(n, N)).table.values()) < 2**53, (n, N)
 
     def test_order_tags(self):
         chain = build_chain_diagonal(Truncation(2, 4))
@@ -799,6 +816,17 @@ def test_p_hat_is_the_only_dense_member(request, which):
         assert member(chain, name).shape == (D, D), name
 
 
+@pytest.mark.parametrize("which", ["basis16", "bases_small", "basis_n3_N4", "basis_n2_N8"])
+def test_g0_floats_are_the_chains_p_plus(request, which):
+    # the matrix chain stores G_0 as P^+ = pseudo_inverse_diag(P_d): bit for
+    # bit the float table of G_0 (test_g0_is_p_plus_exactly: P < 2^53)
+    bases = request.getfixturevalue(which)
+    for basis in bases.values() if isinstance(bases, dict) else (bases,):
+        P = critical_gjms(basis)
+        p = pseudo_inverse_diag(P.to_diag_vector(basis), kernel_mask(basis))
+        assert np.array_equal(P.partial_inverse().to_diag_vector(basis), p)
+
+
 def test_members_follow_their_definitions_with_an_inexact_a0(basis8, monkeypatch):
     # The Woodbury solve takes Z_1 = Pi_K: and solves for Z_2, which makes
     # Pi_oo = Pi up to rounding; a Z_2 off by 1e-6 makes A0 inexact and
@@ -819,7 +847,7 @@ def test_members_follow_their_definitions_with_an_inexact_a0(basis8, monkeypatch
     ident = np.eye(D)
     G0, A0, Pi, PiInf = (member(chain, name) for name in ("G0", "A0", "Pi", "PiInf"))
     assert d["Pi_minus_PiInf_full"] > 1e-8
-    assert_close(G0, m["G0_diag"][:, None] * W)
+    assert_close(G0, m["P_plus"][:, None] * W)
     ker = kernel_mask(basis8)
     U = np.concatenate([ident[:, ker], -m["V_K"]], axis=1)
     assert_close(member(chain, "R0"), U @ m["Vf"])

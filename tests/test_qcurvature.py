@@ -59,7 +59,7 @@ class TestPerturbation:
         pert = ContactPerturbation(basis12, phi11(basis12).scale(0.05), label="small")
         W = pert.weight()
         assert W.min_eigenvalue_bound > 0.5
-        assert W.tail_bound < 1e-12
+        assert pert.exp_tail_bound() < 1e-12
 
 
 class TestQhat:
