@@ -89,6 +89,7 @@ def norm2_upper_blocks(shape, rows_of):
         A = np.abs(rows_of(sl))
         rows[sl] = A.sum(axis=1)
         cols += A.sum(axis=0)
+        del A  # one block alive at a time
     return math.sqrt(float(rows.max()) * float(cols.max()))
 
 
@@ -128,12 +129,11 @@ def abs_matvec(F, x, left=False):
     if F.ndim == 1:
         return abs(F) * x
     out = np.zeros(F.shape[1]) if left else np.empty(F.shape[0])
-    for sl in row_slices(F.shape, _DENSE_BLOCK):
-        block = abs(F[sl])
+    for sl in row_slices(F.shape, _DENSE_BLOCK):  # one block of |F| alive at a time
         if left:
-            out += x[sl] @ block
+            out += x[sl] @ abs(F[sl])
         else:
-            out[sl] = block @ x
+            out[sl] = abs(F[sl]) @ x
     return out
 
 
@@ -1171,14 +1171,17 @@ class InnerProductWeight:
     def projector_rows(self, mask, W_M=None):
         """The rows in mask of the W-orthogonal projector onto the coordinates in mask.
 
-        They are W_MM^{-1} W_M:, one dense solve with the block of W's rows
-        W_M: (which is W_MM, W being symmetric), taken from the matrix unless
-        given; the projector's other rows are exactly zero.
+        They are W_MM^{-1} W_M:, solves with the block of W's rows W_M: (W_MM
+        in its columns M), taken from the matrix unless given, an eighth of the
+        columns at a time; the projector's other rows are exactly zero.
         """
         mask = np.asarray(mask, dtype=bool)
         if W_M is None:
             W_M = self.matrix[mask]
-        return np.linalg.solve(W_M[:, mask], W_M)
+        rows, W_MM = np.empty(W_M.shape), W_M[:, mask]
+        for cols in eighth_blocks(W_M.shape[1]):
+            rows[:, cols] = np.linalg.solve(W_MM, W_M[:, cols])
+        return rows
 
     def projector(self, mask):
         """W-orthogonal projector onto the coordinate subspace given by mask (projector_rows)."""

@@ -38,14 +38,13 @@ eigensolver (spectrum_matrix) is kept as a test oracle.
 The matrix chain (build_chain_matrix) forms neither W nor W^{-1} nor
 P_hat, and stores no D x D array: P_hat vanishes on the columns K, so it
 needs W and W^{-1} only there, from one pass of the powers of M
-(hatted_gjms), and every other member is a diagonal or factors with at
-most 2|K| rows or columns (S, Sbar, Pi_0, Pi_oo and Pi are nonzero only on
-their rows in K, where the holomorphic and antiholomorphic coordinates
-pair up).  Every chain identity is recorded as a norm on the full
-truncation and on the interior blocks, with its route: certified bounds
-derived from the chain's factors and their a-priori defects, the cheap
-differences formed and measured, and the identities the algebra makes
-exactly zero recorded as zero.
+(hatted_gjms), and every other member is a diagonal, factors with at most
+2|K| rows or columns, or rows in K (S, Sbar, Pi_0, Pi_oo and Pi): Pi as
+Pi_K:, the others as coefficients on [W_K:; Pi_K:].  Every chain identity
+is recorded as a norm on the full truncation and on the interior blocks,
+with its route: certified bounds derived from the chain's factors and
+their a-priori defects, the cheap differences formed and measured, and
+the identities the algebra makes exactly zero recorded as zero.
 
 The perturbed chain runs in the real frame of the basis (galerkin.RealFrame),
 where P is real and Upsilon, and so W, is real: every member is float64.
@@ -89,7 +88,6 @@ from .galerkin import (
     norm2_lower,
     norm2_upper,
     norm2_upper_abs,
-    norm2_upper_blocks,
     real_matmul,
     row_slices,
     taylor_exp_apply,
@@ -100,6 +98,7 @@ from .spectral import (
     DiagonalOperator,
     Truncation,
     critical_gjms,
+    gjms_diag_vector,
     l_mu,
     pluriharmonic_proj,
     szego,
@@ -483,7 +482,7 @@ def _outward(lo, hi):
 def spectrum_pencil(basis: HarmonicBasis, weight: InnerProductWeight) -> SpectrumResult:
     """Spectrum of the pencil P_d x = lambda W x: the kernel coordinates K
     give |K| exact zeros, followed by nonzero_eigenvalues."""
-    P_d = critical_gjms(basis).to_diag_vector(basis)
+    P_d = gjms_diag_vector(basis)
     ker = kernel_mask(basis)
     kernel = int(ker.sum())
     evals = np.concatenate([np.zeros(kernel), nonzero_eigenvalues(P_d, weight, ker)])
@@ -618,72 +617,60 @@ def szego_rows(basis: HarmonicBasis, W_K):
     return V.conj().T @ np.linalg.solve(V @ W_K[:, ker] @ V.conj().T, V)
 
 
-def woodbury_a0(Vf, Pi_K, V_K, ker):
-    """A_0 = (I + R_0)^{-1} as I - U Z, with Vf = [Pi_0[K]; W_K:], Pi_K = Pi_K: and V_K = V_:K.
+def woodbury_a0(c_pi0, W_K, V_K, ker):
+    """A_0 = (I + R_0)^{-1} as I - U Z, its |K|-row factors coefficients on Y = [W_K:; Pi_K:].
 
-    P_d P^+ is the indicator of C = ~K, so P_hat G_0 = W^{-1} P_d P^+ W =
-    I - W^{-1} E_K W_K:, and Pi_0 = E_K Pi0_K.  With V_:K for W^{-1} E_K,
-    I + R_0 = I + U Vf with U = [E_K, -V_:K] and Vf = [Pi0_K; W_K:], and by
-    the Woodbury identity A_0 = I - U Z with T Z = Vf, T = I_{2|K|} + Vf U.
-    With Q = Pi0_K V_:K and W_K: V_:K = I + F_KK (F the defect of V_:K),
+    P_d P^+ is the indicator of C = ~K, so P_hat G_0 = I - W^{-1} E_K W_K:; with
+    V_:K for W^{-1} E_K and Pi0_K = c_pi0 W_K:, I + R_0 = I + U Vf, U = [E_K, -V_:K],
+    Vf = [Pi0_K; W_K:], and A_0 = I - U Z with T Z = Vf, T = I_{2|K|} + Vf U
+    (Woodbury).  With Q = Pi0_K V_:K and W_K: V_:K = I + F_KK (F the defect of V_:K),
+    T = [[T_11, -Q], [W_KK, T_22]] = [[I + Pi0_KK, -Q], [W_KK, -F_KK]]; F_KK vanishes
+    up to rounding, so Z_1 = Pi_K:, and Q Z_2 = T_11 Pi_K: - Pi0_K gives Z_2 = C_Z2 Y,
+    C_Z2 = Q^{-1} [-c_pi0, T_11] (_woodbury_z2).  T comes from W_K: V_:K,
+    c_pi0 (W_K: V_:K) and c_pi0 W_KK (blocked_matmul, of orders t, o and o).
 
-        T = [[I + Pi0_KK, -Q], [W_KK, -F_KK]],
-
-    and F_KK vanishes up to rounding, so the second block row makes
-    Z_1 = W_KK^{-1} W_K: = Pi_K:, already solved, and the first gives Z_2
-    from one |K| x |K| solve, Q Z_2 = (I + Pi0_KK) Pi_K: - Pi0_K (_woodbury_z2).
-    No inverse of order 2|K| is formed, and neither U nor Z: U is read as
-    E_K and V_:K, Z as Pi_K: and Z_2.  What the shortcut and the solves
-    leave is in the measured defect F' = Vf - T Z, formed a block of rows
-    at a time for its norm and never kept.
-
-    The member A_0 is I - U Z, never formed, and (I + U Vf)(I - U Z) - I =
-    U (Vf - T Z) for the exact T, so the returned
-    solve_term >= ||U (Vf - (I + Vf U) Z)|| (||U|| times the measured F'
-    plus the rounding of T and of F', both formed by blocked_matmul)
-    bounds ||(I + U Vf) A_0 - I||.  Returns Z_2 and solve_term.
+    F' = Vf - T Z is Res_1 Y on its first block row, Res_1 = Q C_Z2 - [-c_pi0, T_11]
+    (so Pi_0 A_0 = Pi_K: + Res_1 Y), and r - T_22 C_Z2 Y, r = W_K: - W_KK Pi_K:, on
+    its second; fl(Res_1) is within gamma_o |Q| |C_Z2| + u |Res_1| (a difference rounds
+    relative to itself).  (I + U Vf)(I - U Z) - I = U (Vf - T_x Z), T_x = I + Vf U
+    exactly, and T - T_x is within gamma_o |c_pi0| |W_KK| + u |T_11| on the block
+    column meeting Pi_K:, gamma_o |c_pi0| |fl(W_K: V_:K)| + gamma_{t+1} (|[c_pi0; I]|
+    |W_K:| |V_:K| + |T_22|) on the one meeting Z_2.  Returns C_Z2, Res_1,
+    solve_term(n_y, n_pi, n_z2, n_r) >= ||U (Vf - T_x Z)|| for n_y >= ||Y||,
+    n_pi >= ||Pi_K:||, n_z2 >= ||Z_2|| and n_r >= ||r||, and a bound on ||W_K: V_:K||.
     """
-    k = V_K.shape[1]
-    T, t_order = blocked_matmul(Vf, V_K)
-    np.negative(T, out=T)
-    T = np.concatenate([Vf[:, ker], T], axis=1)  # Vf U
-    T.flat[:: 2 * k + 1] += 1
-    Z_2 = _woodbury_z2(T, Pi_K, Vf[:k])
-    f_order = 0
+    a, k = norm2_upper_abs, len(c_pi0)
+    WV, t = blocked_matmul(W_K, V_K)
+    Q, o = blocked_matmul(c_pi0, WV)
+    a_wv, t_q = a((W_K, V_K)), gamma(o) * a((c_pi0, WV))
+    T_22 = np.negative(WV, out=WV)
+    T_22.flat[:: k + 1] += 1
+    n_22 = norm2_upper(T_22)
+    t_2 = t_q + gamma(t + 1) * (a((c_pi0, W_K, V_K)) + a_wv + n_22)
+    W_KK = W_K[:, ker]
+    T_11 = blocked_matmul(c_pi0, W_KK)[0]
+    T_11.flat[:: k + 1] += 1
+    t_1 = gamma(o) * a((c_pi0, W_KK)) + gamma(1) * norm2_upper(T_11)
+    C_z2 = _woodbury_z2(Q, T_11, c_pi0)
+    res_1 = blocked_matmul(Q, C_z2)[0]
+    res_1[:, :k] += c_pi0
+    res_1[:, k:] -= T_11
+    res = (math.hypot(norm2_upper(res_1), norm2_upper(blocked_matmul(T_22, C_z2)[0]))
+           * (1 + gamma(1)) + gamma(o) * (a((Q, C_z2)) + a((T_22, C_z2))))
+    n_u = math.sqrt(1 + norm2_upper(V_K) ** 2)  # >= ||U||
 
-    def f_rows(sl):  # the rows sl of F' = Vf - T Z
-        nonlocal f_order
-        TZ, o_1 = blocked_matmul(T[sl, :k], Pi_K)
-        TZ_2, o_2 = blocked_matmul(T[sl, k:], Z_2)
-        TZ += TZ_2
-        f_order = max(o_1, o_2) + 1
-        return np.subtract(Vf[sl], TZ, out=TZ)
+    def solve_term(n_y, n_pi, n_z2, n_r):
+        return n_u * (res * n_y + n_r + t_1 * n_pi + t_2 * n_z2)
 
-    f_norm = norm2_upper_blocks(Vf.shape, f_rows)
-    # T is within gamma_{t+1} (|Vf| |U| + I) of I + Vf U, F' within
-    # gamma_{f+1} (|Vf| + |T| |Z|) of Vf - T Z; |U| |Z| = E_K |Pi_K:| + |V_:K| |Z_2|
-    solve_defect = (f_norm + gamma(f_order + 1) * norm2_upper_abs(
-        (Vf,), (T[:, :k], Pi_K), (T[:, k:], Z_2))
-        + gamma(t_order + 1) * (norm2_upper_abs((Vf[:, ker], Pi_K), (Vf, V_K, Z_2))
-                                + norm2_upper(Pi_K) + norm2_upper(Z_2)))
-    # ||U||^2 <= ||E_K||^2 + ||V_:K||^2
-    return Z_2, math.sqrt(1 + norm2_upper(V_K) ** 2) * solve_defect
+    return C_z2, res_1, solve_term, 1 + n_22 + gamma(t) * a_wv
 
 
-def _woodbury_z2(T, Pi_K, Pi0_K):
-    """Z_2 of woodbury_a0, from -T_12 Z_2 = T_11 Pi_K: - Pi0_K: one |K| x |K| solve
-    for [A_1, A_2] = -T_12^{-1} [T_11, I], then Z_2 = A_1 Pi_K: - A_2 Pi0_K a block
-    of columns at a time."""
-    k, D = Pi_K.shape
+def _woodbury_z2(Q, T_11, c_pi0):
+    """C_Z2 = [-A_2 c_pi0, A_1] = Q^{-1} [-c_pi0, T_11] of woodbury_a0: one |K| x |K| solve."""
     try:
-        A = np.linalg.solve(-T[:k, k:], np.concatenate([T[:k, :k], np.eye(k)], axis=1))
+        return np.linalg.solve(Q, np.concatenate([-c_pi0, T_11], axis=1))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Woodbury block of A0 singular: {exc}") from exc
-    Z_2 = np.empty((k, D))
-    for cols in eighth_blocks(D):
-        np.matmul(A[:, :k], Pi_K[:, cols], out=Z_2[:, cols])
-        Z_2[:, cols] -= A[:, k:] @ Pi0_K[:, cols]
-    return Z_2
 
 
 def scaling_defect(P_d, p_plus):
@@ -732,7 +719,7 @@ def _gram_rows(F, mask):
 
 
 # squarings of the Gram product for the reported norms of R_0, one product of
-# order 2|K| each: 0 .. 3 give 1.91, 1.38, 1.18, 1.086 at n=1 N=12, ||U Vf|| = 1.001
+# order |K| each: 0 .. 3 give 1.037, 1.019, 1.010, 1.0056 at n=1 N=12, ||U Vf|| = 1.0012
 _GRAM_SQUARINGS = 3
 
 
@@ -761,35 +748,37 @@ def _product_norm_upper(M, f_x, f_y, depth, squarings=0):
     return power ** (0.5 ** (squarings + 1)) * (1 + gamma(2))
 
 
-def _times_utu(d, V_KK, VV, F):
-    """(U^T U) F in place of F, U^T U = [[diag(d), -V_KK], [-V_KK^T, VV]] not formed."""
-    k = d.size
-    T = V_KK.T @ F[:k]
-    F[:k] *= d[:, None]
-    F[:k] -= V_KK @ F[k:]
-    np.subtract(VV @ F[k:], T, out=F[k:])
-    return F
-
-
-def _r0_a0_norms(V_K, Vf, Pi_K, Z_2, ker, interior):
-    """Upper bounds on ||U Vf|| (R_0), on it on the interior rows and columns, and on
-    ||U Z|| (A_0 = I - U Z) from their Grams (_product_norm_upper).  U = [E_K, -V_:K] is
-    not formed: U^T U = [[I, -V_KK], [-V_KK^T, V_:K^T V_:K]], and the interior rows drop
-    the rows K outside them.  ||U Z|| only scales a small defect, so takes no squarings."""
+def _r0_norms(V_K, c_pi0, G, G_int, f_w, ker, interior):
+    """Upper bounds on ||U Vf|| (R_0), also on the interior rows and columns, from Grams
+    of order |K| (_product_norm_upper): U Vf = X W_K:, X = U [c; I] = E_K c - V_:K, with
+    X^T X = c^T c - c^T V_KK - V_KK^T c + V_:K^T V_:K within gamma_{D+3} |X|^T |X|, of
+    norm <= (||U||_F (||c|| + 1))^2, and G, G_int the Grams of W_K: and of its interior
+    columns (f_w >= ||W_K:||_F^2); the interior rows of X drop the rows K outside them."""
     D, k = V_K.shape
-    V_KK, VV = V_K[ker], V_K.T @ V_K
-    f_u, f_vf = k + _frobenius_upper(V_K) ** 2, _frobenius_upper(Vf) ** 2
-    ones = np.ones(k)
-    n_uvf = _product_norm_upper(_times_utu(ones, V_KK, VV, Vf @ Vf.T),
-                                f_u, f_vf, D, _GRAM_SQUARINGS)
-    pz = Pi_K @ Z_2.T
-    M = _times_utu(ones, V_KK, VV, np.block([[Pi_K @ Pi_K.T, pz], [pz.T, Z_2 @ Z_2.T]]))
-    n_uz = _product_norm_upper(M, f_u, _frobenius_upper(Pi_K) ** 2 + _frobenius_upper(Z_2) ** 2, D)
-    del pz, M, VV
-    in_k = interior[ker].astype(float)
-    V_KK *= in_k[:, None]
-    M = _times_utu(in_k, V_KK, _gram_rows(V_K, interior), _gram_rows(Vf.T, interior))
-    return n_uvf, _product_norm_upper(M, f_u, f_vf, D, _GRAM_SQUARINGS), n_uz
+    V_KK = V_K[ker]
+    f_x = (k + _frobenius_upper(V_K) ** 2) * (norm2_upper(c_pi0) + 1) ** 2
+    out = []
+    for d, G_ in ((np.ones(k), G), (interior[ker].astype(float), G_int)):
+        XX = _gram_rows(V_K, interior) if G_ is G_int else V_K.T @ V_K
+        t = c_pi0.T @ (d[:, None] * V_KK)
+        XX -= t
+        XX -= t.T
+        XX += c_pi0.T @ (d[:, None] * c_pi0)
+        out.append(_product_norm_upper(XX @ G_, f_x, f_w, D + 3, _GRAM_SQUARINGS))
+    return out
+
+
+def _sweep(k, D, blocks_of, count, right, left):
+    """One pass over the columns D a block at a time (64 columns, or 0.5 MB): blocks_of(sl)
+    yields the blocks sl of the count members X of |K| rows, formed from their factors one
+    at a time, each summed to |X| right and left^T |X| (nonnegative weights as columns)."""
+    sums = [(np.zeros((k, right.shape[1])), np.empty((left.shape[1], D))) for _ in range(count)]
+    for sl in row_slices((D, k), min(64 * k, _DENSE_BLOCK)):
+        for (rows, cols), X in zip(sums, blocks_of(sl)):
+            np.abs(X, out=X)
+            rows += X @ right[sl]
+            cols[:, sl] = left.T @ X
+    return sums
 
 
 def _g_column_norm(apply_w, Pi_K, p, ker, P_d):
@@ -812,36 +801,29 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
     """Parametrix chain with matrix arithmetic on the truncated basis, without a D x D array.
 
     W = T_K(M) is the exact Taylor sum of the stored multiplier and
-    P_hat = W^{-1} P_d its exact operator; neither is formed.  W acts by
-    passes of the powers of M (taylor_exp_apply).  One pass gives the
-    columns K of W (stored as the rows W_K:, within e = fl(W_:K) - W_:K,
-    ||e|| <= n_e) and V_:K, which stands in for W^{-1} E_K
-    (hatted_gjms: ||F|| <= n_f, F = W V_:K - E_K).  A_0 = (I + R_0)^{-1}
-    comes from the Woodbury identity on I + R_0 = I + U Vf, U = [E_K, -V_:K]
-    and Vf = [Pi0_K; W_K:] of rank 2|K| (woodbury_a0); the Neumann series
-    would not do: the W-adjoint Pi_0 - I_K of R_0 fixes the constant
-    function, so its spectral radius is at least one.  Pi is the
-    W-orthogonal projector onto K, from the one solve
-    Pi_K: = W_KK^{-1} W_K: (the Woodbury solve reuses it as Z_1), and the
-    smallest nonzero eigenvalue of the pencil comes with a certified
-    enclosure from a block iteration (low_eigenvalue_enclosure).
+    P_hat = W^{-1} P_d its exact operator; neither is formed.  One pass of
+    the powers of M (taylor_exp_apply) gives the columns K of W (stored as
+    the rows W_K:, within e = fl(W_:K) - W_:K, ||e|| <= n_e) and V_:K, which
+    stands in for W^{-1} E_K (hatted_gjms: ||F|| <= n_f, F = W V_:K - E_K).
+    A_0 = (I + R_0)^{-1} comes from the Woodbury identity on I + R_0 = I + U Vf
+    of rank 2|K| (woodbury_a0); the Neumann series would not do: the
+    W-adjoint Pi_0 - I_K of R_0 fixes the constant function.  Pi is the
+    W-orthogonal projector onto K, Pi_K: = W_KK^{-1} W_K:, and the smallest
+    nonzero eigenvalue of the pencil comes with a certified enclosure from a
+    block iteration (low_eigenvalue_enclosure).
 
-    The members are diagonals, the exact W, or factors with at most 2|K|
-    rows or columns, each stored once (the tests expand them:
-    tests/chain_members.py): G0 = P^+ W, R0 = U Vf, A0 = I - U Z
-    (Z = [Pi_K:; Z_2]), G = (I - Pi) P^+ B' with B' = W - fl(W_:K) Pi_K:,
-    G_oo = (I - Pi_oo) G_0 A_0, Pi and Pi_oo as their rows in K, and of
-    the Szego pair the |K| x |K| factor of Im S_K: = Im(C) W_K:
-    (Re S = Pi0 / 2).  The diagonal of G_0 = N_n ... N_{-n} is P^+ (the
-    partial inverses of commuting diagonals), so G_0 is stored as P^+: for
-    P < 2^53 (n <= 8 under BASIS_CAP) the float tables of both are the
-    floats 1/P, and P_d P^+ - 1_C is charged as c in any case.  No D x D
-    array is formed: the work is one pass of width |K| (two more per
-    refinement step of hatted_gjms) and the low
-    eigenvalue's passes on D x w blocks, and the transients are blocks of a
-    pass (three or four D x |K| arrays), blocks of at most 1 MB for the
-    norms of dense arrays, blocks of rows for the Woodbury defect and the
-    Gram matrices, and two arrays of order 2|K|.
+    The members are diagonals, the exact W, the |K| x D arrays W_K:, Pi_K:
+    and V_:K, and coefficients on Y = [W_K:; Pi_K:], each member exactly the
+    product of its stored factors (tests/chain_members.py expands them):
+    Pi0_K = c_pi0 W_K: and Im S_K: = S_imag W_K: (szego_rows), Z_2 and
+    PiInf_K: as |K| x 2|K| coefficients on Y, G0 = P^+ W (the table of
+    N_n ... N_{-n} is P^+), R0 = U Vf, A0 = I - U Z (Z = [Pi_K:; Z_2]),
+    G = (I - Pi) P^+ B' with B' = W - fl(W_:K) Pi_K:, and
+    G_oo = (I - Pi_oo) G_0 A_0.  The working set is the pass (W_:K, V_:K and
+    two powers of M on them), then W_K:, V_:K and Pi_K: with arrays of order
+    |K|, the low eigenvalue's passes on D x w blocks, and one sweep over
+    blocks of columns (_sweep) forming each block of r, Z_2, Pi_K: - PiInf_K:
+    and Pi_oo^2 - Pi_oo once for its norms.
 
     The identities are not formed.  With d = W^{-1} E_K - V_:K = -W^{-1} F,
     r = W_K: - W_KK Pi_K: for the exact W (r^ - e^T + e^T E_K Pi_K:, r^ from
@@ -861,40 +843,29 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
         G_oo - G = P^+ F Z_2 + P^+ e Pi_K: on the rows C,
                    -(PiInf_K: - Pi_K:) G_C - PiInf_K: (G_oo - G)_C on the rows K
 
-    G_oo - G and Pi_oo - Pi hold only rounding (G_oo = G and Pi_oo = Pi in
-    exact arithmetic); Pi_oo - Pi and Pi_oo^2 - Pi_oo are formed from the
-    rows K and measured ("dense").  A product X P_hat is bounded without
-    P_hat (_TimesHat), with P_d kept inside the norm of X P_d.  Three
-    identities vanish exactly for the exact P_hat (W P_hat = P_d, and P_d
-    is zero on K): W P_hat - (W P_hat)^T, Pi^T W P_hat and Pi_oo^T W P_hat,
-    and P_hat Pi; they are recorded as 0.0 ("structural").
-
-    Norms with W: |W| <= T_K(|M|) entrywise and a pass is within
-    R |X| of the exact product (weight.abs_taylor), so every norm that reads W is a
-    norm2_upper_abs of a product of absolute values with those operators,
-    the P_d and P^+ scalings inside it; h = P^+ W^ (I + E_K |Pi_K:|),
-    W^ = T_K(|M|) + R, bounds |P^+ B| and |P^+ B'|.
-    ||U Vf|| and ||U Z|| come from Gram matrices of order 2|K|
-    (_r0_a0_norms).  The lower norm of G is its largest column j at the
-    smallest nonzero P_d, G e_j = (I - Pi) P^+ W (I - Pi) e_j with W by
-    one pass, less the rounding and e_G, and ||G_oo|| >= ||G|| - ||G_oo - G||.
-    Every bound ("factored" in residual_routes) is a certified upper bound
-    on the spectral norm of the identity evaluated exactly on the members;
-    its interior entry repeats the full bound, except R0_interior.  The
-    defects of Pi_oo and G_oo add (1 + kappa) ||Pi - Pi_oo|| and
-    (1 + kappa) ||G - G_oo||, kappa = W_ub / lambda_lb, to those of Pi and
-    G.  inverse_defect_bound is the bound on ||d||.  The members are
-    float64 arrays in the real frame (RealFrame); S, Sbar and Pi_0 are
-    formed from S_imag and Vf on request.
+    G_oo - G and Pi_oo - Pi hold only rounding; Pi_oo - Pi and Pi_oo^2 - Pi_oo
+    are measured on the swept blocks ("dense"), charged the rounding of the
+    blocks (gamma_{k+1} |C| [|W_K:|; |Pi_K:|] for a coefficient C).  X P_hat
+    is bounded without P_hat (_TimesHat).  W P_hat - (W P_hat)^T, Pi^T W P_hat,
+    Pi_oo^T W P_hat and P_hat Pi vanish for the exact P_hat (W P_hat = P_d,
+    zero on K): 0.0 ("structural").  Norms that read W take |W| <= T_K(|M|)
+    and the pass's rounding R (weight.abs_taylor) into norm2_upper_abs;
+    h = P^+ W^ (I + E_K |Pi_K:|), W^ = T_K(|M|) + R, bounds |P^+ B| and
+    |P^+ B'|.  ||U Vf|| comes from Grams of order |K| (_r0_norms),
+    ||U Z|| <= ||Pi_K:|| + ||V_:K|| ||Z_2||, the lower norm of G from its
+    largest column at the smallest nonzero P_d (one pass), and
+    ||G_oo|| >= ||G|| - ||G_oo - G||.  Every bound ("factored") is a certified
+    upper bound on the spectral norm of the identity on the exact members;
+    its interior entry repeats the full bound, but R0_interior.  Pi_oo and
+    G_oo add (1 + kappa) ||Pi - Pi_oo||, (1 + kappa) ||G - G_oo||,
+    kappa = W_ub / lambda_lb, to the defects of Pi and G.
+    inverse_defect_bound bounds ||d||.  Members are float64 (RealFrame).
     """
-    n, N = basis.n, basis.N
-    D = basis.total_dim
-    interior = interior_mask(basis)
-    ker = kernel_mask(basis)
-    k = int(ker.sum())
-    E_K = Columns(ker)
+    n, N, D = basis.n, basis.N, basis.total_dim
+    interior, ker = interior_mask(basis), kernel_mask(basis)
+    k, E_K = int(ker.sum()), Columns(ker)
 
-    P_d = critical_gjms(basis).to_diag_vector(basis)
+    P_d = gjms_diag_vector(basis)
     p = pseudo_inverse_diag(P_d, ker)
     # c_max >= |P_d P^+ - 1_C| entrywise, and eta >= |x - 1| for x = p g (1 + d),
     # |d| <= u: the member G_0 = P^+ W, rounded, scaled by P_d
@@ -904,123 +875,147 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
     abs_w = weight.abs_taylor  # >= |W|
     R = abs_w.rounding()  # >= the rounding of a pass, on |X|
     w_hat = abs_w.scaled(1 + R.c0, R.c1)  # >= |W| and |fl(W X)| on |X|
+    a = norm2_upper_abs
 
-    # Vf = [Pi0_K; W_K:], its blocks written in place: W_K: by the pass (W_:K is
-    # symmetric to it), and Pi0_K = 2 Re S_K: = 2 Re(C) W_K:
-    Vf = np.empty((2 * k, D))
-    Pi0_K, W_K = Vf[:k], Vf[k:]
+    # W_K: by the pass (W_:K is symmetric to it); what needs no Pi_K: runs before it
+    W_K = np.empty((k, D))
     V_K, n_f, n_e = hatted_gjms(basis, weight, W_K.T)
-    e_v = n_f / lam_lb
-    Pi_K = weight.projector_rows(ker, W_K)
+    e_v, n_w, n_vk = n_f / lam_lb, norm2_upper(W_K), norm2_upper(V_K)
     C_S = szego_rows(basis, W_K)
-    np.matmul(2 * C_S.real, W_K, out=Pi0_K)
-    S_imag = np.ascontiguousarray(C_S.imag)  # Im S_K: = S_imag W_K:
-    Z_2, solve_term = woodbury_a0(Vf, Pi_K, V_K, ker)
-    n_uvf, n_uvf_int, n_uz = _r0_a0_norms(V_K, Vf, Pi_K, Z_2, ker, interior)
-    W_KK = W_K[:, ker]
-    n_pi, n_w = norm2_upper(Pi_K), norm2_upper(W_K)
+    c_pi0, S_imag = 2 * C_S.real, np.ascontiguousarray(C_S.imag)  # Pi0_K = 2 Re S_K:
+    del C_S
+    C_z2, C_d, solve_term, n_wv = woodbury_a0(c_pi0, W_K, V_K, ker)
+    # Pi_oo = Pi_0 A_0 is C_inf Y on its rows K, C_inf = fl([0, I] + Res_1), and
+    # Pi_K: - PiInf_K: = C_d Y with C_d = [0, I] - C_inf exactly (1 - fl(1 + x) by Sterbenz)
+    diag_2 = (np.arange(k), k + np.arange(k))
+    C_d[diag_2] += 1
+    np.negative(C_d, out=C_d)
+    C_d[diag_2] += 1
+    n_uvf, n_uvf_int = _r0_norms(V_K, c_pi0, W_K @ W_K.T, _gram_rows(W_K.T, interior),
+                                 _frobenius_upper(W_K) ** 2, ker, interior)
+    Pi_K = weight.projector_rows(ker, W_K)
+    n_pi, W_KK = norm2_upper(Pi_K), W_K[:, ker]
 
-    times_hat = _TimesHat(weight, P_d)
-    # r = W_K: - W_KK Pi_K: for the exact W is the defect of Pi_K:; from the
-    # stored rows it is r^ - e^T + e^T E_K Pi_K:, r^ formed within gamma_{k+1}
-    r = W_KK @ Pi_K
-    np.subtract(W_K, r, out=r)
+    # Pi_oo^2 - Pi_oo = X PiInf_K: with X = PiInf_KK - I = (Pi_KK - I) - C_d [W_KK; Pi_KK],
+    # within gamma_{k+2} (|Pi_KK - I| + |X| + |C_d| [|W_KK|; |Pi_KK|]) of the computed one
+    P_1 = Pi_K[:, ker]
+    X = C_d[:, :k] @ W_KK
+    X += C_d[:, k:] @ P_1
+    e_x = a((C_d[:, :k], W_KK), (C_d[:, k:], P_1))
+    P_1.flat[:: k + 1] -= 1
+    X = np.subtract(P_1, X, out=X)
+    e_x, n_p1, n_x = gamma(k + 2) * (e_x + a((P_1,), (X,))), norm2_upper(P_1), norm2_upper(X)
+    del P_1
+    # one sweep forms r^ = W_K: - W_KK Pi_K: (W_KK Pi_K: blocked, of order o), Z_2, X PiInf_K:
+    # and Pi_K: - PiInf_K:, weighted by 1, P_d, P^{+1/2} and the interior columns
+    in_k, o = interior[ker], blocked_matmul(W_KK[:0], W_KK)[1]
+    right = np.stack([np.ones(D), P_d, np.sqrt(p), interior], axis=1)
+    r_rounding = [gamma(o + 1) * a((W_K, s), (W_KK, Pi_K, s)) for s in right.T[:3]]
 
-    def scaled_r(s):  # >= ||r diag(s)||
-        return (norm2_upper_abs((r, s)) + gamma(k + 1) * norm2_upper_abs((W_K, s), (W_KK, Pi_K, s))
-                + norm2_upper_abs((s, R, E_K)) + n_e * norm2_upper_abs((Pi_K, s)))
+    def blocks_of(sl):
+        W_b, Pi_b = W_K[:, sl], Pi_K[:, sl]
+        yield W_b - blocked_matmul(W_KK, Pi_b)[0]
+        yield C_z2[:, :k] @ W_b + C_z2[:, k:] @ Pi_b
+        d_b = C_d[:, :k] @ W_b + C_d[:, k:] @ Pi_b
+        yield X @ (Pi_b - d_b)
+        yield d_b
 
-    n_r, n_rp = scaled_r(np.ones(D)), scaled_r(P_d)
-    n_rs = scaled_r(np.sqrt(p)) * (1 + gamma(3))  # >= ||r_KC P_C^{-1/2}||
-    del r
+    r_sums, z_sums, sq_sums, d_sums = _sweep(k, D, blocks_of, 4, right,
+                                             np.stack([np.ones(k), in_k], axis=1))
+    del W_KK, X
+
+    def formed(s, j=0, inner=False):  # norm2_upper of |X| diag(right[:, j]), or of its interior
+        rows, cols = ((s[0][in_k, 3], s[1][1][interior]) if inner
+                      else (s[0][:, j], s[1][0] * right[:, j]))
+        return math.sqrt(float(rows.max(initial=0.0)) * float(cols.max(initial=0.0)))
+
+    # r for the exact W is the defect of Pi_K:, from the stored rows r^ - e^T + e^T E_K Pi_K:;
+    # n_rhat[j] >= ||r^ diag(s)||, n_r, n_rp, n_rs >= ||r diag(s)||, s = right[:, j]
+    n_rhat = [formed(r_sums, j) + r_rounding[j] for j in range(3)]
+    n_r, n_rp, n_rs = (n_rhat[j] + a((s, R, E_K)) + n_e * a((Pi_K, s))
+                       for j, s in enumerate(right.T[:3]))
+    n_rs *= 1 + gamma(3)  # >= ||r_KC P_C^{-1/2}||
+    n_d = a((C_d[:, :k], W_K), (C_d[:, k:], Pi_K))  # >= ||C_d| Y|, and |PiInf_K:| <= |Pi_K:| + it
+    n_z2 = [formed(z_sums, j) + gamma(k + 1) * a((C_z2[:, :k], W_K, s), (C_z2[:, k:], Pi_K, s))
+            for j, s in enumerate(right.T[:2])]  # >= ||Z_2||, ||Z_2 P_d||
+    C_inf = np.negative(C_d, out=C_d)  # [0, I] - C_d, exactly
+    C_inf[diag_2] += 1
     lam_min, lam_enclosure, group = low_eigenvalue_enclosure(  # n_wk >= ||W_K:||
         P_d, weight, ker, Pi_K, n_pi, n_rs, n_wk=n_w + n_e)
 
     diag = ChainDiagnostics("matrix")
-    diag.record("A0_method", "woodbury")
-    diag.record("kernel_dim", k)
-    diag.record("min_nonzero_abs_eigenvalue", lam_min)
-    diag.record("min_nonzero_abs_eigenvalue_enclosure", lam_enclosure)
-    diag.record("min_nonzero_abs_eigenvalue_group_size", group)
-    diag.record("weight_min_eigenvalue_bound", weight.min_eigenvalue_bound)
-    diag.record("inverse_defect_bound", e_v)
+    for name, value in (("A0_method", "woodbury"), ("kernel_dim", k),
+                        ("min_nonzero_abs_eigenvalue", lam_min),
+                        ("min_nonzero_abs_eigenvalue_enclosure", lam_enclosure),
+                        ("min_nonzero_abs_eigenvalue_group_size", group),
+                        ("weight_min_eigenvalue_bound", lam_lb), ("inverse_defect_bound", e_v)):
+        diag.record(name, value)
 
-    def rec(name, X, rows):
-        # X holds the only nonzero rows of the residual
-        diag.record(f"{name}_full", norm2_upper(X), "dense")
-        diag.record(f"{name}_interior", norm2_upper(X[np.ix_(interior[rows], interior)]), "dense")
+    def rec(name, s, rounding):  # a swept residual, and the rounding of its blocks
+        diag.record(f"{name}_full", formed(s) + rounding, "dense")
+        diag.record(f"{name}_interior", formed(s, inner=True) + rounding, "dense")
 
-    def bound(name, full, interior_value=None):
+    def bound(name, full, inner=None):
         diag.record(f"{name}_full", full, "factored")
-        diag.record(f"{name}_interior", full if interior_value is None else interior_value,
-                    "factored")
+        diag.record(f"{name}_interior", full if inner is None else inner, "factored")
 
-    def structural(name):
+    # zero for the exact P_hat: P_hat Pi, W P_hat - (W P_hat)^T, and Ran P_hat is orthogonal
+    # to Ran Pi and Ran Pi_oo in the weighted inner product
+    for name in ("PPi_full", "PPi_interior", "P_hat_adjoint_defect", "ran_orthogonality_defect",
+                 "ran_orthogonality_defect_PiInf"):
         diag.record(name, 0.0, "structural")
 
-    n_vk = norm2_upper(V_K)
-    # Pi_0 A_0 = Pi0_K (I - E_K Pi_K: + V_:K Z_2)
-    PiInf_K = Pi0_K[:, ker] @ Pi_K
-    np.subtract(Pi0_K, PiInf_K, out=PiInf_K)
-    Q = Pi0_K @ V_K
-    for cols in eighth_blocks(D):
-        PiInf_K[:, cols] += Q @ Z_2[:, cols]
-    del Q
+    diff = 1 + gamma(1)  # a computed difference against the exact one
+    rec("Pi_minus_PiInf", d_sums, gamma(k + 1) * n_d)
+    pi_diff = diff * diag.entries["Pi_minus_PiInf_full"]
+    n_piinf = n_pi + pi_diff  # >= ||Pi_oo||
+    # fl(PiInf_K:) = fl(Pi_K: - fl(C_d Y)) is within gamma_{k+1} |C_d| |Y| + u |fl(PiInf_K:)|,
+    # |fl(PiInf_K:)| <= |Pi_K:| + 2 |C_d| |Y|, and X times it within gamma_k of |X| |fl(PiInf_K:)|
+    rec("PiInf_sq_minus_PiInf", sq_sums, e_x * n_piinf + gamma(k + 1) * n_x * (n_pi + 3 * n_d))
 
-    # R_0 and A_0: ||R_0 - U Vf|| <= ||d|| ||W_K:|| + ||W^{-1} E_K|| ||e|| + eta ||W|| / lambda_lb
-    e_r0 = e_v * n_w + (n_vk + e_v) * n_e + eta * w_ub / lam_lb
-    bound("R0", n_uvf + e_r0, n_uvf_int + e_r0)
-    diag.record("A0_residual", solve_term + e_r0 * (1 + n_uz), "factored")
-
-    members = {
-        "S_imag": S_imag, "P_diag": P_d, "P_plus": p,
-        "V_K": V_K, "Vf": Vf, "Z2": Z_2, "Pi": Pi_K, "PiInf": PiInf_K,
-    }
-
-    rec("PiInf_sq_minus_PiInf", PiInf_K[:, ker] @ PiInf_K - PiInf_K, ker)
-    rec("Pi_minus_PiInf", Pi_K - PiInf_K, ker)
-    structural("PPi_full")
-    structural("PPi_interior")
+    # R_0 and A_0: R_0 - U Vf = -d W_K: + (V_:K + d) e^T + W^{-1} c W, so ||R_0 - U Vf|| <=
+    # ||d|| ||W_K:|| + ||W^{-1} E_K|| ||e|| + eta ||W|| / lambda_lb; W_K: A_0 = r^ + W_K: V_:K Z_2,
+    # and ||A_0|| <= 1 + ||Pi_K:|| + ||V_:K|| ||Z_2||
+    e_r0 = (n_vk + e_v) * n_e + eta * w_ub / lam_lb
+    bound("R0", n_uvf + e_r0 + e_v * n_w, n_uvf_int + e_r0 + e_v * n_w)
+    diag.record("A0_residual", solve_term(math.hypot(n_w, n_pi), n_pi, n_z2[0], n_rhat[0])
+                + e_v * (n_rhat[0] + n_wv * n_z2[0]) + e_r0 * (1 + n_pi + n_vk * n_z2[0]),
+                "factored")
 
     # ||L X (I + E_K |Pi_K:|) R|| for an operator X (T_K(|M|), W^ or R) and diagonals L, R;
     # h = P^+ W^ (I + E_K |Pi_K:|) bounds |P^+ B| and |P^+ B'|
     def wide(X, *right, left=()):
-        return norm2_upper_abs((*left, X, *right), (*left, X, E_K, Pi_K, *right))
+        return a((*left, X, *right), (*left, X, E_K, Pi_K, *right))
 
     n_h, n_hp = wide(w_hat, left=(p,)), wide(w_hat, P_d, left=(p,))  # >= ||h||, ||h P_d||
     # e_G = -(I - Pi) P^+ e Pi_K:, |P^+ e Pi_K:| <= P^+ R E_K |Pi_K:|
-    n_pe = norm2_upper_abs((p, R, E_K, Pi_K))
+    n_pe = a((p, R, E_K, Pi_K))
     n_eg = (1 + n_pi) * n_pe  # >= ||e_G||
-    n_egp = (1 + n_pi) * norm2_upper_abs((p, R, E_K, Pi_K, P_d))  # >= ||e_G P_d||
-    diff = 1 + gamma(1)  # a computed difference against the exact one
+    n_egp = (1 + n_pi) * a((p, R, E_K, Pi_K, P_d))  # >= ||e_G P_d||
     # Pi G = Pi_K: (I - Pi) P^+ B' = (I - Pi_KK) Pi_K: P^+ B', I - Pi_KK formed exactly
-    bound("PiG", diff * norm2_upper(np.eye(k) - Pi_K[:, ker]) * n_pi * n_h)
+    bound("PiG", diff * n_p1 * n_pi * n_h)
 
     # P_hat G + Pi - I: |B| <= |W| (I + E_K |Pi_K:|), and P_d e_G = -(1_C + c) e Pi_K:
-    b_pg = ((n_vk + e_v) * n_r
-            + (c_max * wide(abs_w) + (1 + c_max) * norm2_upper_abs((R, E_K, Pi_K))) / lam_lb)
+    b_pg = ((n_vk + e_v) * n_r + (c_max * wide(abs_w) + (1 + c_max) * a((R, E_K, Pi_K))) / lam_lb)
     bound("PG_plus_Pi_minus_I", b_pg)
 
-    # G P_hat + Pi - I, with ||W_KK^{-1} r P_hat|| <= n_y and ||P^+ W_:K|| <= n_pw
-    n_y = times_hat(n_rp, n_r) / lam_lb
-    n_pw = norm2_upper_abs((p, W_K.T), (p, R, E_K))
-    b_gp = n_r / lam_lb + (1 + n_pi) * (c_max + n_pw * n_y) + times_hat(n_egp, n_eg)
+    # G P_hat + Pi - I, with ||W_KK^{-1} r P_hat|| <= n_rh and ||P^+ W_:K|| <= n_pw
+    times_hat = _TimesHat(weight, P_d)
+    n_rh = times_hat(n_rp, n_r) / lam_lb
+    n_pw = a((p, W_K.T), (p, R, E_K))
+    b_gp = n_r / lam_lb + (1 + n_pi) * (c_max + n_pw * n_rh) + times_hat(n_egp, n_eg)
     bound("GP_plus_Pi_minus_I", b_gp)
 
     # G_oo - G from the factors: on the rows C, P^+ W A_0 - P^+ B' =
     # P^+ F Z_2 + P^+ e Pi_K: with ||F|| <= n_f (P^+ E_K = 0);
     # on the rows K, -PiInf_K: (G_0 A_0) + Pi_K: P^+ B' =
     # -(PiInf_K: - Pi_K:) G_C - PiInf_K: (G_oo - G)_C
-    n_piinf = norm2_upper(PiInf_K)
-    pi_diff = diff * diag.entries["Pi_minus_PiInf_full"]
-
     def goo_minus_g(h_r, right=(), left=()):
-        """>= ||L (G_oo - G) R|| for the members, L = left and R = right diagonals, from
+        """>= ||L (G_oo - G) R|| for the members, L = left and R = right diagonals (P_d), from
         h_r >= ||L h R||; left = (P_d,) drops the rows K, where P_d vanishes."""
-        a = norm2_upper_abs
         g_max = float(np.max(p * left[0] if left else p)) * diff
         pe = a((*left, p, R, E_K, Pi_K, *right)) if left or right else n_pe
-        rows_c = g_max * n_f * a((Z_2, *right)) + pe
+        rows_c = g_max * n_f * n_z2[len(right)] + pe
         if left:
             return rows_c
         return rows_c + pi_diff * h_r + n_piinf * rows_c
@@ -1046,19 +1041,17 @@ def build_chain_matrix(basis: HarmonicBasis, weight: InnerProductWeight) -> Para
     # W G - (W G)^T = -Delta P^+ B - B^T P^+ Delta for the exact G, B = W (I - Pi),
     # with ||P^+ B|| <= n_h, plus W e_G - (W e_G)^T for e_G
     g_skew = 2 * n_delta * n_h + 2 * w_ub * n_eg
-    structural("P_hat_adjoint_defect")
     for name, value in (
         ("G", _ratio(g_skew, lam_lb * lower_g)),
         ("Pi", _ratio(n_delta, lam_lb * norm2_lower(Pi_K))),
-        ("PiInf", _ratio(n_delta / lam_lb + (1 + kappa) * pi_diff, norm2_lower(PiInf_K))),
+        ("PiInf", _ratio(n_delta / lam_lb + (1 + kappa) * pi_diff,
+                         max(norm2_lower(Pi_K) - pi_diff, 0.0))),
         ("GInf", _ratio(g_skew / lam_lb + (1 + kappa) * n_diff, lower_ginf)),
     ):
         diag.record(f"{name}_adjoint_defect", value, "factored")
 
-    # Ran P_hat orthogonal to Ran Pi and Ran Pi_oo in the weighted inner product
-    structural("ran_orthogonality_defect")
-    structural("ran_orthogonality_defect_PiInf")
-
+    members = {"S_imag": S_imag, "P_diag": P_d, "P_plus": p, "V_K": V_K, "W_K": W_K,
+               "Pi": Pi_K, "Pi0": c_pi0, "Z2": C_z2, "PiInf": C_inf}
     return ParametrixChain(n, N, "matrix", members, diag, weight=weight, basis=basis)
 
 

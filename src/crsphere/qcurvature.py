@@ -61,7 +61,7 @@ from .galerkin import (
 from .harmonics import HarmonicBasis
 from .parametrix import apply_partial_inverse, interior_mask, kernel_mask
 from .scalars import QI, parse_qi
-from .spectral import SpectralFunction, critical_gjms
+from .spectral import SpectralFunction, critical_gjms, gjms_diag_vector
 
 # the keys of a perturbation file (qdata_terms is read by qcurv)
 PERTURBATION_KEYS = frozenset(
@@ -490,7 +490,7 @@ def solve_zero_q(qdata: QData, tol=OBSTRUCTION_TOL) -> SolveReport:
     else:
         weight = qdata.frame.weight()
         frame = RealFrame(basis)
-        P_d = P.to_diag_vector(basis)
+        P_d = gjms_diag_vector(basis)
         ker = kernel_mask(basis)
         x = frame.to_frame(qdata.vector())
         ups_x = -apply_partial_inverse(P_d, weight, ker, x)
@@ -554,7 +554,7 @@ def recompute_final_q_norm(qdata: QData, upsilon_sol: SpectralFunction):
         if not resid.coeffs:
             return 0.0
         return factor * float(np.linalg.norm(resid.to_vector()))
-    p_ups = P.to_diag_vector(basis) * upsilon_sol.to_vector()
+    p_ups = gjms_diag_vector(basis) * upsilon_sol.to_vector()
     # in the frame, where the weight acts; the frame change is unitary, so
     # the norms are the same in either coordinates
     frame = RealFrame(basis)

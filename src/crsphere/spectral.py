@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError
+from .errors import ConfigError, DimensionMismatchError, NumericalError
 from .harmonics import HarmonicBasis, dim_hpq
 from .poly import Poly
 from .scalars import QI, qi
@@ -202,6 +202,14 @@ def critical_gjms(basis) -> DiagonalOperator:
         return out
 
     return DiagonalOperator.from_fn(n, N, val, order_tag=2 * n + 2, label="P")
+
+
+def gjms_diag_vector(basis):
+    """P_d, critical_gjms as float64; NumericalError if some P is not a float64 (n >= 12)."""
+    P = critical_gjms(basis)
+    if inexact := sorted(b for b, v in P.table.items() if Fraction(float(v)) != v):
+        raise NumericalError(f"P is not exact in float64 on the blocks {inexact[:4]}")
+    return P.to_diag_vector(basis)
 
 
 def szego(basis) -> DiagonalOperator:

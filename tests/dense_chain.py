@@ -7,8 +7,12 @@ W with |K| right-hand sides and its measured defect W V_:K - E_K
 (hatted_gjms_dense), Pi_K: from the dense W_KK, the rows K of G from one
 |K| x D x D product, the commutator [P_d, W] formed a block of rows at a
 time (_Commutator) and the norms of every term that reads W taken from the
-dense array.  It shares the chain's other steps (the Szego rows, the
-Woodbury solve, the Gram norms, the low eigenvalue's block iteration).
+dense array, and the Woodbury solve on D-wide rows: Z_2, Pi_oo's rows K and
+the defect Vf - T Z formed, the norms of R_0 and A_0 from the Grams of those
+rows (woodbury_a0_dense, r0_a0_norms_dense), where the chain keeps every
+member of |K| rows but W_K: and Pi_K: as a coefficient on them.  It shares
+the chain's other steps (the Szego rows, the low eigenvalue's block
+iteration).
 taylor_rounding_bound bounds the rounding of the dense Taylor sum
 (crsphere.galerkin.taylor_exp_matrix) that route rests on.
 """
@@ -28,9 +32,12 @@ from crsphere.galerkin import (
     norm2_upper_blocks,
 )
 from crsphere.parametrix import (
+    _GRAM_SQUARINGS,
     ChainDiagnostics,
     ParametrixChain,
-    _r0_a0_norms,
+    _frobenius_upper,
+    _gram_rows,
+    _product_norm_upper,
     _ratio,
     interior_mask,
     kernel_mask,
@@ -38,7 +45,6 @@ from crsphere.parametrix import (
     pseudo_inverse_diag,
     scaling_defect,
     szego_rows,
-    woodbury_a0,
 )
 from crsphere.spectral import critical_gjms
 
@@ -121,6 +127,105 @@ def hatted_gjms_dense(basis, weight):
         raise NumericalError(f"defect ||W V_:K - E_K|| of the kernel columns of W^-1 "
                              f"is not finite ({f})")
     return V_K, (1 + gamma(1)) * f + gamma(order) * norm2_upper_abs((W, V_K))
+
+
+def woodbury_a0_dense(Vf, Pi_K, V_K, ker):
+    """A_0 = (I + R_0)^{-1} as I - U Z, with Vf = [Pi_0[K]; W_K:], Pi_K = Pi_K: and V_K = V_:K.
+
+    P_d P^+ is the indicator of C = ~K, so P_hat G_0 = W^{-1} P_d P^+ W =
+    I - W^{-1} E_K W_K:, and Pi_0 = E_K Pi0_K.  With V_:K for W^{-1} E_K,
+    I + R_0 = I + U Vf with U = [E_K, -V_:K] and Vf = [Pi0_K; W_K:], and by
+    the Woodbury identity A_0 = I - U Z with T Z = Vf, T = I_{2|K|} + Vf U.
+    With Q = Pi0_K V_:K and W_K: V_:K = I + F_KK (F the defect of V_:K),
+
+        T = [[I + Pi0_KK, -Q], [W_KK, -F_KK]],
+
+    and F_KK vanishes up to rounding, so the second block row makes
+    Z_1 = W_KK^{-1} W_K: = Pi_K:, already solved, and the first gives Z_2
+    from one |K| x |K| solve, Q Z_2 = (I + Pi0_KK) Pi_K: - Pi0_K (_woodbury_z2_dense).
+    No inverse of order 2|K| is formed, and neither U nor Z: U is read as
+    E_K and V_:K, Z as Pi_K: and Z_2.  What the shortcut and the solves
+    leave is in the measured defect F' = Vf - T Z, formed a block of rows
+    at a time for its norm and never kept.
+
+    The member A_0 is I - U Z, never formed, and (I + U Vf)(I - U Z) - I =
+    U (Vf - T Z) for the exact T, so the returned
+    solve_term >= ||U (Vf - (I + Vf U) Z)|| (||U|| times the measured F'
+    plus the rounding of T and of F', both formed by blocked_matmul)
+    bounds ||(I + U Vf) A_0 - I||.  Returns Z_2 and solve_term.
+    """
+    k = V_K.shape[1]
+    T, t_order = blocked_matmul(Vf, V_K)
+    np.negative(T, out=T)
+    T = np.concatenate([Vf[:, ker], T], axis=1)  # Vf U
+    T.flat[:: 2 * k + 1] += 1
+    Z_2 = _woodbury_z2_dense(T, Pi_K, Vf[:k])
+    f_order = 0
+
+    def f_rows(sl):  # the rows sl of F' = Vf - T Z
+        nonlocal f_order
+        TZ, o_1 = blocked_matmul(T[sl, :k], Pi_K)
+        TZ_2, o_2 = blocked_matmul(T[sl, k:], Z_2)
+        TZ += TZ_2
+        f_order = max(o_1, o_2) + 1
+        return np.subtract(Vf[sl], TZ, out=TZ)
+
+    f_norm = norm2_upper_blocks(Vf.shape, f_rows)
+    # T is within gamma_{t+1} (|Vf| |U| + I) of I + Vf U, F' within
+    # gamma_{f+1} (|Vf| + |T| |Z|) of Vf - T Z; |U| |Z| = E_K |Pi_K:| + |V_:K| |Z_2|
+    solve_defect = (f_norm + gamma(f_order + 1) * norm2_upper_abs(
+        (Vf,), (T[:, :k], Pi_K), (T[:, k:], Z_2))
+        + gamma(t_order + 1) * (norm2_upper_abs((Vf[:, ker], Pi_K), (Vf, V_K, Z_2))
+                                + norm2_upper(Pi_K) + norm2_upper(Z_2)))
+    # ||U||^2 <= ||E_K||^2 + ||V_:K||^2
+    return Z_2, math.sqrt(1 + norm2_upper(V_K) ** 2) * solve_defect
+
+
+def _woodbury_z2_dense(T, Pi_K, Pi0_K):
+    """Z_2 of woodbury_a0_dense, from -T_12 Z_2 = T_11 Pi_K: - Pi0_K: one |K| x |K| solve
+    for [A_1, A_2] = -T_12^{-1} [T_11, I], then Z_2 = A_1 Pi_K: - A_2 Pi0_K a block
+    of columns at a time."""
+    k, D = Pi_K.shape
+    try:
+        A = np.linalg.solve(-T[:k, k:], np.concatenate([T[:k, :k], np.eye(k)], axis=1))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"Woodbury block of A0 singular: {exc}") from exc
+    Z_2 = np.empty((k, D))
+    for cols in eighth_blocks(D):
+        np.matmul(A[:, :k], Pi_K[:, cols], out=Z_2[:, cols])
+        Z_2[:, cols] -= A[:, k:] @ Pi0_K[:, cols]
+    return Z_2
+
+
+def _times_utu(d, V_KK, VV, F):
+    """(U^T U) F in place of F, U^T U = [[diag(d), -V_KK], [-V_KK^T, VV]] not formed."""
+    k = d.size
+    T = V_KK.T @ F[:k]
+    F[:k] *= d[:, None]
+    F[:k] -= V_KK @ F[k:]
+    np.subtract(VV @ F[k:], T, out=F[k:])
+    return F
+
+
+def r0_a0_norms_dense(V_K, Vf, Pi_K, Z_2, ker, interior):
+    """Upper bounds on ||U Vf|| (R_0), on it on the interior rows and columns, and on
+    ||U Z|| (A_0 = I - U Z) from the Grams of the D-wide rows Vf and Z (_product_norm_upper).  U = [E_K, -V_:K] is
+    not formed: U^T U = [[I, -V_KK], [-V_KK^T, V_:K^T V_:K]], and the interior rows drop
+    the rows K outside them.  ||U Z|| only scales a small defect, so takes no squarings."""
+    D, k = V_K.shape
+    V_KK, VV = V_K[ker], V_K.T @ V_K
+    f_u, f_vf = k + _frobenius_upper(V_K) ** 2, _frobenius_upper(Vf) ** 2
+    ones = np.ones(k)
+    n_uvf = _product_norm_upper(_times_utu(ones, V_KK, VV, Vf @ Vf.T),
+                                f_u, f_vf, D, _GRAM_SQUARINGS)
+    pz = Pi_K @ Z_2.T
+    M = _times_utu(ones, V_KK, VV, np.block([[Pi_K @ Pi_K.T, pz], [pz.T, Z_2 @ Z_2.T]]))
+    n_uz = _product_norm_upper(M, f_u, _frobenius_upper(Pi_K) ** 2 + _frobenius_upper(Z_2) ** 2, D)
+    del pz, M, VV
+    in_k = interior[ker].astype(float)
+    V_KK *= in_k[:, None]
+    M = _times_utu(in_k, V_KK, _gram_rows(V_K, interior), _gram_rows(Vf.T, interior))
+    return n_uvf, _product_norm_upper(M, f_u, f_vf, D, _GRAM_SQUARINGS), n_uz
 
 
 class _Commutator:
@@ -210,10 +315,10 @@ def build_chain_matrix_dense(basis, weight):
     C_S = szego_rows(basis, W_K)
     np.matmul(2 * C_S.real, W_K, out=Pi0_K)
     S_imag = np.ascontiguousarray(C_S.imag)  # Im S_K: = S_imag W_K:
-    Z_2, solve_term = woodbury_a0(Vf, Pi_K, V_K, ker)
+    Z_2, solve_term = woodbury_a0_dense(Vf, Pi_K, V_K, ker)
     # the member A_0 formed a block of rows at a time from V_:K and Z
     a0_rounding = gamma(k + 2) * (norm2_upper(Pi_K) + norm2_upper_abs((V_K, Z_2)) + 1)
-    n_uvf, n_uvf_int, n_uz = _r0_a0_norms(V_K, Vf, Pi_K, Z_2, ker, interior)
+    n_uvf, n_uvf_int, n_uz = r0_a0_norms_dense(V_K, Vf, Pi_K, Z_2, ker, interior)
     W_cK = W_K.T  # W_:K, W symmetric
     W_KK = W_K[:, ker]
 
@@ -282,7 +387,8 @@ def build_chain_matrix_dense(basis, weight):
     del Y
     members = {
         "S_imag": S_imag, "P_diag": P_d, "P_plus": p,
-        "V_K": V_K, "Vf": Vf, "Z2": Z_2, "Pi": Pi_K, "PiInf": PiInf_K, "G_K": G_K,
+        "V_K": V_K, "W_K": W_K, "Pi0": Pi0_K, "Z2": Z_2, "Pi": Pi_K, "PiInf": PiInf_K,
+        "G_K": G_K,
     }
 
     rec("PiInf_sq_minus_PiInf", PiInf_K[:, ker] @ PiInf_K - PiInf_K, ker)

@@ -625,6 +625,19 @@ def test_large_perturbation_exits_numerical(tmp_path, argv):
                "--out", str(tmp_path / "out")) == EXIT_NUMERICAL
 
 
+@pytest.mark.parametrize("argv", [("parametrix-check",), ("qcurv", "solve"),
+                                  ("spectrum", "--mode", "float")])
+def test_inexact_p_exits_numerical(tmp_path, argv):
+    # at n = 14, N = 2 the eigenvalue of P on the block (1, 1) is not a
+    # float64: the float layer would run on a rounded P that no bound
+    # charges, so every command that reads P_d exits 4
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"label": "small", "epsilon": 1.0,
+                                "terms": [{"p": 1, "q": 1, "index": 0, "coeff": 0.05}]}))
+    assert run(*argv, "--n", "14", "--degree", "2", "--cache", str(tmp_path / "cache"),
+               "--perturbation", str(path), "--out", str(tmp_path / "out")) == EXIT_NUMERICAL
+
+
 def test_non_finite_total_q_exits_numerical(tmp_path):
     # at epsilon 1e30 the conformal factor would overflow to a total Q of nan:
     # it is refused before it is applied, exit 4

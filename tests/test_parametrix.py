@@ -22,7 +22,7 @@ from crsphere.galerkin import (
 from crsphere.harmonics import dim_hpq
 from crsphere.parametrix import (
     _g_column_norm,
-    _r0_a0_norms,
+    _r0_norms,
     _TimesHat,
     apply_partial_inverse,
     build_chain_diagonal,
@@ -40,7 +40,7 @@ from crsphere.parametrix import (
 from crsphere.qcurvature import ContactPerturbation, qhat, solve_zero_q, total_q
 from crsphere.scalars import QI
 from crsphere.spectral import SpectralFunction, Truncation, critical_gjms, l_mu
-from chain_members import member
+from chain_members import member, rows
 from csr_inputs import csr, csr_zeros
 import dense_chain
 from dense_chain import _Commutator, build_chain_matrix_dense
@@ -292,19 +292,27 @@ def p_hat_oracle(chain):
 
 def dense_residuals(chain):
     """Every residual of the matrix chain formed densely from its members, R0 from its
-    definition, with P_hat from p_hat_oracle."""
+    definition, with P_hat from p_hat_oracle.  Pi_oo^2 - Pi_oo and Pi - Pi_oo, which
+    the chain measures to within their rounding, are formed from the rows K of the
+    members in extended precision (np.longdouble): in float64 the product's own
+    rounding is of the size of the residual."""
     P = p_hat_oracle(chain)
     G, Pi, GInf, PiInf, G0, A0 = (
         member(chain, name) for name in ("G", "Pi", "GInf", "PiInf", "G0", "A0"))
     ident = np.eye(P.shape[0])
     R0 = P @ G0 + member(chain, "Pi0") - ident
+    ker = kernel_mask(chain.basis)
+    PiInf_K = rows(chain, "PiInf", np.longdouble)
+    sq, diff = np.zeros_like(P), np.zeros_like(P)
+    sq[ker] = PiInf_K[:, ker] @ PiInf_K - PiInf_K
+    diff[ker] = rows(chain, "Pi", np.longdouble) - PiInf_K
     return {
         "PG_plus_Pi_minus_I": P @ G + Pi - ident,
         "GP_plus_Pi_minus_I": G @ P + Pi - ident,
         "PGInf_plus_PiInf_minus_I": P @ GInf + PiInf - ident,
         "R_inf": GInf @ P + PiInf - ident,
-        "PiInf_sq_minus_PiInf": PiInf @ PiInf - PiInf,
-        "Pi_minus_PiInf": Pi - PiInf,
+        "PiInf_sq_minus_PiInf": sq,
+        "Pi_minus_PiInf": diff,
         "G_minus_GInf": G - GInf,
         "PiG": Pi @ G,
         "PPi": P @ Pi,
@@ -391,8 +399,9 @@ def check_chain_bounds(chain):
 
 @pytest.mark.parametrize("which", ["n1_N8", "n2_N5"])
 def test_factor_norms_against_the_dense_products(request, which):
-    # the chain's norms of R_0 = U Vf (also on the interior rows and columns),
-    # of U Z (A_0 = I - U Z) and the lower norm of G, against the SVD of the
+    # the chain's norms of R_0 = U Vf (also on the interior rows and columns)
+    # from Grams of order |K|, the bound ||Pi_K:|| + ||V_:K|| ||Z_2|| on U Z
+    # (A_0 = I - U Z) and the lower norm of G, against the SVD of the
     # matrices formed densely: each Gram bound is at least its value and
     # within 10% of it after the squarings, also with Vf and Z scaled by 10
     # (where ||U|| alone is below them), and the largest column the chain
@@ -405,13 +414,17 @@ def test_factor_norms_against_the_dense_products(request, which):
     interior = np.array([p + q <= basis.N - 4 for p, q, _, _ in basis.index_blocks()])
     U = np.concatenate([np.eye(basis.total_dim)[:, ker], -m["V_K"]], axis=1)
     inner = np.ix_(interior, interior)
+    k = len(m["Pi"])
     for c in (1.0, 10.0):
-        Vf, Z = c * m["Vf"], c * np.concatenate([m["Pi"], m["Z2"]])
-        n_uvf, n_uvf_int, n_uz = _r0_a0_norms(m["V_K"], Vf, Z[:len(Z) // 2], Z[len(Z) // 2:],
-                                              ker, interior)
+        W_K = c * m["W_K"]
+        G, G_int = W_K @ W_K.T, W_K[:, interior] @ W_K[:, interior].T
+        n_uvf, n_uvf_int = _r0_norms(m["V_K"], m["Pi0"], G, G_int,
+                                     np.linalg.norm(W_K) ** 2 * (1 + 1e-12), ker, interior)
+        Vf = np.concatenate([m["Pi0"] @ W_K, W_K])
+        Z = c * np.concatenate([m["Pi"], rows(chain, "Z2")])
         assert svd(U @ Vf) <= n_uvf <= 1.1 * svd(U @ Vf)
         assert svd((U @ Vf)[inner]) <= n_uvf_int <= 1.1 * svd((U @ Vf)[inner])
-        assert svd(U @ Z) <= n_uz
+        assert svd(U @ Z) <= norm2_upper(Z[:k]) + norm2_upper(m["V_K"]) * norm2_upper(Z[k:])
     G = member(chain, "G")
     column = _g_column_norm(chain.weight.apply, m["Pi"], m["P_plus"], ker, m["P_diag"])[0]
     assert 0.999 * np.linalg.norm(G, axis=0).max() <= column <= svd(G) * (1 + 1e-12)
@@ -558,16 +571,41 @@ def test_chain_allocates_no_dense_array(basis12):
     assert 0 < max(rises) < 8 * D * D
 
 
-def test_matrix_free_chain_matches_the_dense_oracle(basis8):
+def test_chain_working_set_is_four_kernel_arrays(basis12):
+    # n=1 N=12 (D = 819, |K| = 181), the weight built first: the chain's
+    # traced peak stays within four |K| x D arrays plus 2 MB.  The pass holds
+    # W_:K, V_:K and two powers of M on them; after it the chain keeps W_K:,
+    # V_:K and Pi_K:, and every other member of |K| rows as a coefficient of
+    # order |K| on [W_K:; Pi_K:], formed a block of columns at a time; the
+    # chain that stored Vf, Z_2, r and the rows of Pi_oo traced 9.1 arrays
+    weight = perturbation(basis12, 0.08).weight()
+    k, D = int(kernel_mask(basis12).sum()), basis12.total_dim
+    tracemalloc.start()
+    try:
+        build_chain_matrix(basis12, weight)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * k * D + 2**21, peak / (8 * k * D)
+
+
+@pytest.mark.parametrize("which", ["n1_N8", *sorted(ORACLE_BASES)])
+def test_matrix_free_chain_matches_the_dense_oracle(request, which):
     # the chain without W against the chain that formed it (tests/dense_chain.py),
-    # on one weight: the same kernel columns, projector rows, Woodbury factor
-    # and Pi_oo up to rounding, the same exact entries and eigenvalue
-    weight = perturbation(basis8, 0.08).weight()
-    chain = build_chain_matrix(basis8, weight)
-    dense = build_chain_matrix_dense(basis8, weight)
-    for name in ("V_K", "Vf", "Pi", "PiInf", "Z2"):
+    # on one weight, at n=1 N=8, n=2 N=5 and n=3 N=4 (|K| = 89, 111 and 139 of
+    # D = 285, 378 and 450): the same kernel columns and projector rows, and the rows of
+    # Vf, Z_2 and Pi_oo the chain keeps as coefficients on [W_K:; Pi_K:], and
+    # its G and G_oo, up to rounding; the same exact entries and eigenvalue
+    basis = (request.getfixturevalue("basis8") if which == "n1_N8"
+             else ORACLE_BASES[which](request))
+    weight = perturbation(basis, 0.08).weight()
+    chain = build_chain_matrix(basis, weight)
+    dense = build_chain_matrix_dense(basis, weight)
+    for name in ("V_K", "Pi"):
         assert_close(chain.members[name], dense.members[name])
-    for name in ("G", "GInf"):
+    for name in ("Vf", "PiInf", "Z2"):
+        assert_close(rows(chain, name), rows(dense, name))
+    for name in ("G", "GInf", "A0"):
         assert_close(member(chain, name), member(dense, name))
     d, ref = chain.diagnostics.entries, dense.diagnostics.entries
     for key in ("kernel_dim", "min_nonzero_abs_eigenvalue_group_size", "A0_method"):
@@ -850,8 +888,8 @@ def test_members_follow_their_definitions_with_an_inexact_a0(basis8, monkeypatch
     assert_close(G0, m["P_plus"][:, None] * W)
     ker = kernel_mask(basis8)
     U = np.concatenate([ident[:, ker], -m["V_K"]], axis=1)
-    assert_close(member(chain, "R0"), U @ m["Vf"])
-    assert_close(A0, ident - U @ np.concatenate([m["Pi"], m["Z2"]]))
+    assert_close(member(chain, "R0"), U @ rows(chain, "Vf"))
+    assert_close(A0, ident - U @ np.concatenate([m["Pi"], rows(chain, "Z2")]))
     assert_close(PiInf, member(chain, "Pi0") @ A0)
     assert_close(member(chain, "GInf"), (ident - PiInf) @ G0 @ A0)
     assert_close(member(chain, "G"), (ident - Pi) @ (m["P_plus"][:, None] * W) @ (ident - Pi))

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from crsphere.errors import NumericalError
 from crsphere.harmonics import HarmonicBasis
 from crsphere.scalars import QI, qi
 from crsphere.spectral import (
@@ -10,6 +11,7 @@ from crsphere.spectral import (
     SpectralFunction,
     Truncation,
     critical_gjms,
+    gjms_diag_vector,
     l_mu,
     pluriharmonic_proj,
     reeb_t,
@@ -129,6 +131,16 @@ class TestCriticalGJMS:
         for n in (1, 2, 3):
             P = critical_gjms(Truncation(n, 8))
             assert all(v >= 0 for v in P.table.values())
+
+    def test_float_diagonal_is_p_exactly_or_refused(self, basis8):
+        # the float layer's P_d is the table itself; where some P is not a
+        # float64 (n = 12 at N = 4 on (1, 3) and (3, 1), n = 14 already on
+        # (1, 1) at N = 2) it is refused, without building a basis
+        P = critical_gjms(basis8)
+        assert np.array_equal(gjms_diag_vector(basis8), P.to_diag_vector(basis8))
+        for n, N, block in ((12, 4, "(1, 3)"), (14, 2, "(1, 1)")):
+            with pytest.raises(NumericalError, match=block.replace("(", r"\(").replace(")", r"\)")):
+                gjms_diag_vector(Truncation(n, N))
 
     def test_order_tag(self):
         assert critical_gjms(Truncation(2, 4)).order_tag == 6
