@@ -23,9 +23,14 @@ Galerkin product has and is what the interior diagnostics measure.
 Multiplication matrices stay sparse (a degree-d multiplier couples only
 blocks whose degrees differ by at most d), in the module's own CSR type on
 numpy alone: the floating layer imports no scipy.  The assembly streams a
-block of rows of at most _BLOCK_BYTES (1 MB) at a time.  The weight's
-multiplier M is the symmetric part of the assembled one without its
-rounding residues (symmetric_part), exactly symmetric, so W is symmetric.
+block of rows of at most _BLOCK_BYTES (1 MB) at a time.  A product with a
+vector or a narrow block runs row by row, in each row's stored order; the
+weight's multiplier also carries its rows grouped by torus sector
+(sector_groups), and a product with a block of _WIDE_BLOCK or more columns
+runs as one batched GEMM per shape of dense block (CSR._block_product), with
+the same rounding bound.  The weight's multiplier M is the symmetric part of
+the assembled one without its rounding residues (symmetric_part), exactly
+symmetric, so W is symmetric.
 The weight is an operator (InnerProductWeight): it applies W to a vector or
 a block by one pass of the powers of the sparse M (taylor_exp_apply), with
 one rounding bound, solves with a principal block by conjugate gradients,
@@ -48,7 +53,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .harmonics import HarmonicBasis, _integral_equal_exponents, monomials_homogeneous
-from .poly import Poly
+from .poly import Poly, sectors
 
 
 # bytes of working memory one block of a streamed computation takes: the
@@ -168,6 +173,22 @@ def norm2_lower(X) -> float:
     return math.sqrt(float(sq.max()))
 
 
+# the narrowest block of columns a CSR with row_groups multiplies by block rows
+# (CSR._block_product); narrower blocks run column by column.  ms per product
+# of the weight's multiplier, column by column against block rows, one BLAS
+# thread: at n=1 N=12 0.11 / 0.21 at width 3, 0.29 / 0.20 at 8, 0.50 / 0.22 at
+# 14, 7.0 / 1.2 at |K| = 181; at n=2 N=10 0.82 / 0.98 at 3, 2.2 / 0.97 at 8,
+# 185 / 29 at |K| = 571
+_WIDE_BLOCK = 8
+# the column count of a block is padded to a multiple of this, so groups of one
+# row count and like column counts share one batched GEMM
+_BLOCK_PAD = 8
+# bytes of one chunk of a block-row product, its gathered rows of X and its
+# product together, and at most X's own size: of 128 KB, 256 KB, 512 KB and
+# 1 MB, the smallest budget at full speed (at n=1 N=12 the product of width
+# |K| took 2.2 ms at 128 KB and 1.6-1.7 ms at the others, within their spread)
+_GATHER_BYTES = _BLOCK_BYTES // 4
+
 # pairs of one block of a sparse product (CSR.__matmul__) expanded at a time:
 # about 128 bytes each (the gathered indices, keys, sort order and values,
 # int64 and complex128), so 2^13 pairs in _BLOCK_BYTES
@@ -199,9 +220,19 @@ class CSR:
     dense vectors and blocks (on the right).
 
     The product with a vector gathers the vector at the column indices
-    (np.take) and sums each row's products in order (np.add.reduceat); a
-    block of columns runs column by column, so every column of a block is
-    bit for bit the product with that column alone.
+    (np.take) and sums each row's products in order (np.add.reduceat), and
+    so does every column of a block narrower than _WIDE_BLOCK, or of any
+    block when the matrix has no row_groups: such a column is bit for bit
+    the product with that column alone.  A matrix with row_groups (a
+    function labelling its rows; the weight's multiplier's labels come from
+    sector_groups, made on first use) multiplies a
+    float64 block of _WIDE_BLOCK or more columns by block rows: each group
+    of rows is one dense block over the union of its columns, packed on the
+    first wide product, and groups of one shape run as one batched GEMM
+    (_block_product).  There a column is the product with that column up to
+    the GEMM's summation order: every entry still sums the row's stored
+    products and exact zeros, so it keeps the rounding bound of the row's
+    stored length (AbsTaylor).  The negation carries the layout, negated.
     """
 
     __array_ufunc__ = None  # an ndarray operand raises instead of looping over this object
@@ -212,6 +243,8 @@ class CSR:
         self.indptr = indptr
         self.shape = (int(shape[0]), int(shape[1]))
         self._plan = None  # the matvec's gather indices and row starts, made on first use
+        self.row_groups = None  # a function giving a label per row: the block-row groups
+        self._blocks = None  # that layout, packed on the first wide product
 
     @classmethod
     def from_coo(cls, vals, rows, cols, shape, dtype=None):
@@ -287,7 +320,11 @@ class CSR:
         return self._with_data(np.abs(self.data))
 
     def __neg__(self):
-        return self._with_data(-self.data)
+        out = self._with_data(-self.data)
+        out.row_groups = self.row_groups
+        if self._blocks is not None:
+            out._blocks = [(-B, rows, cols) for B, rows, cols in self._blocks]
+        return out
 
     @property
     def T(self):
@@ -315,6 +352,9 @@ class CSR:
         X = np.asarray(other)
         if X.ndim == 1:
             return self._matvec(X)
+        if (self.row_groups is not None and X.shape[1] >= _WIDE_BLOCK
+                and X.dtype == self.dtype == np.float64):
+            return self._block_product(X)
         out = np.empty((X.shape[1], self.shape[0]), dtype=np.result_type(self.dtype, X.dtype))
         for j, x in enumerate(np.ascontiguousarray(X.T)):
             out[j] = self._matvec(x)
@@ -342,6 +382,55 @@ class CSR:
         out = np.zeros(self.shape[0], dtype=sums.dtype)
         out[nonempty] = sums
         return out
+
+    def _block_product(self, X):
+        """self @ X by block rows: per bin one gather X[cols] and one batched GEMM,
+        a chunk of the bin's groups of at most _GATHER_BYTES at a time."""
+        if X.shape[0] != self.shape[1]:
+            raise ValueError(f"dimension mismatch: {self.shape} @ {X.shape}")
+        X, w = np.ascontiguousarray(X), X.shape[1]  # a gather of rows reads each row in one run
+        out = np.empty((self.shape[0], w))
+        for B, rows, cols in self._block_rows():
+            step = max(1, min(_GATHER_BYTES, X.nbytes) // (8 * w * (B.shape[1] + B.shape[2])))
+            for i in range(0, len(B), step):
+                part = np.matmul(B[i:i + step], X[cols[i:i + step]])
+                out[rows[i:i + step].ravel()] = part.reshape(-1, w)
+        return out
+
+    def _block_rows(self):
+        """The block-row layout, packed from row_groups on first use.
+
+        The rows of one group form one dense block over the union of their
+        columns, a row's explicit zeros stored as zeros.  Groups of one shape
+        (rows, columns padded to a multiple of _BLOCK_PAD) are stacked into
+        a bin (blocks, rows, columns): block g of a bin holds the rows
+        rows[g], in order, on the columns cols[g], its padding columns
+        pointing at column 0 with zero entries.
+        """
+        if self._blocks is None:
+            C, itype = self.shape[1], self.indices.dtype
+            group = np.unique(self.row_groups(), return_inverse=True)[1].ravel()
+            rank, size = _ranks(group, 0)  # a row's place in its group
+            row_of = self.row_ids()
+            e_group = group[row_of]
+            # the (group, column) pairs, ascending, and each entry's pair
+            pairs, pair_of = np.unique(e_group * C + self.indices, return_inverse=True)
+            pos, count = _ranks(pairs // C, size.size)  # a pair's place in its group
+            width = -(-count // _BLOCK_PAD) * _BLOCK_PAD
+            self._blocks = []
+            for r, w in sorted(set(zip(size.tolist(), width.tolist()))):
+                in_bin = (size == r) & (width == w)
+                slot = np.cumsum(in_bin) - 1  # a group's place in the bin
+                B = np.zeros((int(in_bin.sum()), r, w), self.dtype)
+                rows, cols = np.empty(B.shape[:2], itype), np.zeros((len(B), w), itype)
+                e = in_bin[e_group]
+                B[slot[e_group[e]], rank[row_of[e]], pos[pair_of[e]]] = self.data[e]
+                i = np.flatnonzero(in_bin[group])
+                rows[slot[group[i]], rank[i]] = i
+                p = np.flatnonzero(in_bin[pairs // C])
+                cols[slot[pairs[p] // C], pos[p]] = pairs[p] % C
+                self._blocks.append((B, rows, cols))
+        return self._blocks
 
     def _sparse_product(self, other):
         """self @ other, expanded a block of rows at a time.
@@ -372,6 +461,16 @@ class CSR:
             v, i, j = _sum_runs(v, i[order], j[order], drop_zeros=True)
             blocks.append((v, j, np.bincount(i - r0, minlength=r1 - r0)))
         return CSR._from_row_blocks(blocks, (R, C), np.result_type(self.dtype, other.dtype))
+
+
+def _ranks(labels, n):
+    """Each element's place among the elements with its label, in order, and
+    the count of every label (at least n of them)."""
+    count = np.bincount(labels, minlength=n)
+    rank = np.empty(labels.size, dtype=np.intp)
+    rank[np.argsort(labels, kind="stable")] = (np.arange(labels.size)
+                                              - np.repeat(np.cumsum(count) - count, count))
+    return rank, count
 
 
 def _sum_runs(vals, rows, cols, drop_zeros=False):
@@ -590,6 +689,27 @@ class RealFrame:
         return CSR.from_coo(vals, rows, cols, (self.dim, self.dim), dtype=complex)
 
 
+def sector_groups(basis: HarmonicBasis):
+    """A label per frame coordinate: the row groups of the multiplier's block rows (CSR).
+
+    Coordinates share a label when their elements have one set of torus
+    sectors beta - gamma (poly.sectors), closed under negation, so both
+    rows r_a, r_b of a conjugate pair share one.  A term of Upsilon shifts
+    every sector by its own, so the rows of one label meet nearly the same
+    columns of the multiplier, whatever their degree.  Splitting the groups
+    by bidegree pair {p, q} as well gave 1466 groups at n=2 N=10 (781
+    without): 63664 gathered rows per product against 34480, and the
+    product of width |K| = 571 took 37 ms against 30 (0.31 against 0.22 ms
+    at width 14, n=1 N=12), though it stored 274k entries against 380k.
+    """
+    labels, out = {}, np.empty(basis.total_dim, dtype=np.intp)
+    for p, q, i, g in basis.index_blocks():
+        s = sectors(basis.blocks[(p, q)][i].poly)
+        key = frozenset(s | {tuple(-x for x in t) for t in s})
+        out[g] = labels.setdefault(key, len(labels))
+    return out
+
+
 def basis_matrix(basis: HarmonicBasis, idx: MonomialIndex):
     """Frame rows as a sparse (total_dim x monomials) matrix: row k is r_k.
 
@@ -787,15 +907,18 @@ def taylor_exp_apply(M, K: int, X, negated=False, overwrite_x=False):
     (a real X), bit for bit a separate pass on -M; with overwrite_x a
     float64 X may hold the result.  Real for a real M and X; a complex X
     with a real M runs as its real and imaginary parts (real_matmul).  With
-    a CSR M every column of a block is bit for bit the result for that
-    column alone.  The pass holds three or four blocks of X's size, and its
-    rounding is at most AbsTaylor.rounding() |X| entrywise.
+    a CSR M, a column of a block narrower than _WIDE_BLOCK is bit for bit
+    the result for that column alone; a wider block of a multiplier with
+    row groups runs by block rows (CSR), and its column is that result up to
+    the order of each sum.  The pass holds three or four blocks of X's
+    size, a block product's chunk besides, and its rounding is at most
+    AbsTaylor.rounding() |X| entrywise either way.
     """
     X = np.asarray(X)
     if np.iscomplexobj(X) and not np.iscomplexobj(M):
         return real_matmul(lambda Y: taylor_exp_apply(M, K, Y), X)
     dtype = np.result_type(M.dtype, X.dtype, np.float64)
-    S = X if overwrite_x and X.dtype == dtype else np.array(X, dtype=dtype)
+    S = X if overwrite_x and X.dtype == dtype else np.array(X, dtype=dtype, order="C")
     V = np.array(S) if negated else None
     Y = S
     for j in range(1, K + 1):
@@ -821,6 +944,17 @@ class AbsTaylor:
     so with u' = u / (1 - K (L + 2) u) the sum is within
     u' sum_j (K + j (L + 1)) |M|^j |X| / j! <= u' (K T_K(|M|) + (L + 1) |M| T_K(|M|)) |X|
     of T_K(M) X, and of T_K(-M) X too (Higham, 3.1 and 3.5).
+
+    L stays the longest stored row of the CSR M when a product runs by
+    block rows (CSR._block_product).  There a GEMM sums each entry over the
+    block's columns, in an order of its own: the row's stored entries and
+    exact zeros (the group's other columns and the padding).  A zero times
+    a finite entry of X is an exact zero, and adding an exact zero to a
+    partial sum is exact, so the computed entry is the sum of the row's at
+    most L stored products in some order, which gamma_L bounds whatever the
+    order (Higham, 3.1); a fused multiply-add rounds once where a product
+    and a sum round twice.  Charging the widest padded block instead (192 at
+    n=2 N=10, against L = 69) would nearly triple the bound for nothing.
     """
 
     ndim = 2

@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -55,6 +56,7 @@ from .galerkin import (
     float_bound,
     gamma,
     norm2_upper,
+    sector_groups,
     symmetric_part,
     taylor_exp_apply,
 )
@@ -224,7 +226,10 @@ class ContactPerturbation:
         frame matrix is real and symmetric: of the assembled matrix M_c the
         symmetric part of Re M_c is kept (galerkin.symmetric_part), exactly
         symmetric, without its rounding residues (entries of size at most
-        galerkin.PRUNE_TOL max|Re M_c|).
+        galerkin.PRUNE_TOL max|Re M_c|).  Its rows carry their torus-sector
+        groups (galerkin.sector_groups), labelled and packed into block rows
+        on the first product with a wide block (CSR), so a run whose products
+        are all vectors never builds them.
 
         With it comes A = a + s >= ||M||_2, the weight's multiplier_bound,
         summed in Fractions and rounded up: a = multiplier_norm_bound() bounds
@@ -251,6 +256,7 @@ class ContactPerturbation:
             del ctx
             M = M.real  # the complex M goes before its symmetric part is built
             M, pruned = symmetric_part(M, PRUNE_TOL * float(np.abs(M.data).max(initial=0.0)))
+            M.row_groups = partial(sector_groups, self.basis)
             charge = (Fraction(e_asm) + Fraction(gamma(1)) * Fraction(norm2_upper(M))
                       + M.max_row_length() * Fraction(math.ulp(0.0)) + Fraction(pruned))
             a = Fraction(self.multiplier_norm_bound())

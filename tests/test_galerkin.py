@@ -841,9 +841,18 @@ def test_horner_columns_are_the_taylor_matrix_columns(basis16, N):
     cols = weight.apply(E)
     assert cols.dtype == np.float64
     assert np.abs(cols - full[:, ker]).max() <= weight.apply_rounding_bound
-    # each column of a block is the product with that column alone
+    # each column of a block narrower than _WIDE_BLOCK is the product with
+    # that column alone, bit for bit; a wider block runs by block rows, in
+    # the GEMM's summation order, and its column is that product up to the
+    # pass's rounding (each is within the bound of W's column, so twice it
+    # would be the guarantee; the column is held to once)
     j = int(ker.sum()) // 2
-    assert np.array_equal(cols[:, j], weight.apply(E[:, j]))
+    single = weight.apply(E[:, j])
+    narrow = weight.apply(E[:, j:j + galerkin._WIDE_BLOCK - 1])
+    assert np.array_equal(narrow[:, 0], single)
+    assert cols.shape[1] >= galerkin._WIDE_BLOCK
+    assert np.abs(cols[:, j] - single).max() <= weight.apply_rounding_bound
+    assert np.abs(single - full[:, ker][:, j]).max() <= weight.apply_rounding_bound
     # a real vector stays real; a complex one is its real and imaginary parts
     rng = np.random.default_rng(N)
     x, y = rng.standard_normal((2, basis.total_dim))
@@ -923,14 +932,120 @@ def test_pass_leaves_its_argument_and_negates_bit_for_bit(basis8):
         weight.apply(x)
         weight.block_apply(ker, y)
         assert np.array_equal(x, before) and np.array_equal(y, before_y)
-    X = rng.standard_normal((D, 4))
-    W_X, V_X = taylor_exp_apply(M, K, X, negated=True)
-    assert np.array_equal(W_X, weight.apply(X))
-    assert np.array_equal(V_X, taylor_exp_apply(-M, K, X))
-    assert not np.array_equal(V_X, W_X)
-    out = np.array(X)
-    assert taylor_exp_apply(M, K, out, overwrite_x=True) is out
-    assert np.array_equal(out, W_X)
+    # a block narrower than _WIDE_BLOCK runs column by column, a wider one by
+    # block rows: -M made before M's layout is packed packs its own, and one
+    # made after carries M's blocks negated; either pass on -M is the negated
+    # output bit for bit
+    neg_before = -M
+    assert M._blocks is None
+    for width in (4, galerkin._WIDE_BLOCK + 2):
+        X = rng.standard_normal((D, width))
+        W_X, V_X = taylor_exp_apply(M, K, X, negated=True)
+        assert np.array_equal(W_X, weight.apply(X))
+        assert np.array_equal(V_X, taylor_exp_apply(-M, K, X))
+        assert np.array_equal(V_X, taylor_exp_apply(neg_before, K, X))
+        assert not np.array_equal(V_X, W_X)
+        out = np.array(X)
+        assert taylor_exp_apply(M, K, out, overwrite_x=True) is out
+        assert np.array_equal(out, W_X)
+    assert M._blocks is not None and neg_before._blocks is not None
+    assert all(np.array_equal(-B, nB) for (B, _, _), (nB, _, _) in zip(M._blocks, (-M)._blocks))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_block_rows_scatter_back_to_the_multiplier(request, n):
+    # the multiplier's block-row layout, packed on the first wide product
+    # and not on a vector's: its blocks, scattered back through their rows
+    # and columns, are M entry for entry (a dropped block, or a dropped
+    # column of one, loses stored entries), every row sits in one block,
+    # padding columns are multiples of _BLOCK_PAD, and a conjugate pair of
+    # frame rows shares its group
+    basis = {1: "basis8", 2: "bases_small", 3: "basis_n3_N4"}[n]
+    basis = request.getfixturevalue(basis)
+    basis = basis[2] if n == 2 else basis
+    weight = ContactPerturbation(basis, real_test_function(basis, 0.05)).weight()
+    M, D = weight.multiplier, basis.total_dim
+    weight.apply(np.ones(D))
+    weight.apply(np.ones((D, galerkin._WIDE_BLOCK - 1)))
+    assert M._blocks is None
+    labels = M.row_groups()
+    frame = RealFrame(basis)
+    assert np.array_equal(labels[frame.lo], labels[frame.hi])
+    weight.apply(np.ones((D, galerkin._WIDE_BLOCK)))
+    dense, seen = np.zeros((D, D)), np.zeros(D, dtype=int)
+    for B, rows, cols in M._blocks:
+        assert B.shape[2] % galerkin._BLOCK_PAD == 0
+        assert all(np.unique(labels[r]).size == 1 for r in rows)
+        np.add.at(dense, (rows[:, :, None], cols[:, None, :]), B)
+        np.add.at(seen, rows.ravel(), 1)
+    assert np.array_equal(dense, M.toarray())
+    assert np.all(seen == 1)
+    assert sum(B.size for B, _, _ in M._blocks) < D * D // 2
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_block_rows_of_any_labels_against_scipy_sparse(seed):
+    # arbitrary row labels, empty rows and a group with no stored entry:
+    # a block of _WIDE_BLOCK or more columns runs by block rows and matches
+    # the product to rounding; a narrower block runs column by column, bit
+    # for bit the product with each column alone
+    rng = np.random.default_rng(seed)
+    A_coo = random_coo(rng, (30, 20), 80, float)
+    A = CSR.from_coo(*A_coo, (30, 20))
+    labels = rng.integers(0, 5, 30)
+    labels[np.diff(A.indptr) == 0] = 7
+    A.row_groups = lambda: labels
+    ref = scipy.sparse.csr_matrix((A_coo[0], (A_coo[1], A_coo[2])), shape=(30, 20)).toarray()
+    narrow = rng.standard_normal((20, galerkin._WIDE_BLOCK - 1))
+    got = A @ narrow
+    assert A._blocks is None
+    assert all(np.array_equal(got[:, j], A @ narrow[:, j]) for j in range(narrow.shape[1]))
+    for X in (rng.standard_normal((20, galerkin._WIDE_BLOCK)),
+              np.asfortranarray(rng.standard_normal((20, 13)))):
+        got = A @ X
+        assert A._blocks is not None and got.shape == (30, X.shape[1])
+        assert np.abs(got - ref @ X).max() <= 1e-14 * np.abs(ref).sum(axis=1).max() * np.abs(X).max()
+    with pytest.raises(ValueError):
+        A @ np.ones((19, galerkin._WIDE_BLOCK))
+
+
+def _exact_ints(values):
+    """Float values as Python ints times one power of two: (ints, shift), value = int / 2^shift."""
+    fr = [Fraction(float(v)) for v in np.ravel(values)]
+    shift = max(f.denominator for f in fr).bit_length() - 1
+    ints = [f.numerator * (2**shift // f.denominator) for f in fr]
+    return np.array(ints, dtype=object).reshape(np.shape(values)), shift
+
+
+def test_block_row_pass_within_its_bound_of_the_exact_sum(basis8):
+    # T_K(M) X for a block of _WIDE_BLOCK + 1 columns, which runs by block
+    # rows, against the exact rational sum of the stored M and X (integers
+    # over one power of two and K!): entrywise within R |X|, R the pass's
+    # rounding (AbsTaylor), which charges the longest CSR row L, not the
+    # longer padded block row; each column within apply_rounding_bound ||x||
+    weight = ContactPerturbation(basis8, real_test_function(basis8, 0.05)).weight()
+    M, K, D = weight.multiplier, weight.taylor_depth, basis8.total_dim
+    X = np.random.default_rng(9).standard_normal((D, galerkin._WIDE_BLOCK + 1))
+    got = weight.apply(X)
+    assert M._blocks is not None
+    assert max(B.shape[2] for B, _, _ in M._blocks) > M.max_row_length()
+    m, a = _exact_ints(M.data)
+    Z, b = _exact_ints(X)
+    total = Z * (math.factorial(K) * 2**(a * K))  # sum_j M^j X K! / j!, over 2^(b + aK) K!
+    for j in range(1, K + 1):
+        Z = np.array([(m[lo:hi, None] * Z[M.indices[lo:hi]]).sum(axis=0) if hi > lo
+                      else np.zeros(Z.shape[1], dtype=object) for lo, hi in
+                      zip(M.indptr[:-1], M.indptr[1:])], dtype=object)
+        total = total + Z * (math.factorial(K) // math.factorial(j) * 2**(a * (K - j)))
+    den = 2**(b + a * K) * math.factorial(K)
+    err = np.array([[abs(Fraction(g) - Fraction(t, den)) for g, t in zip(gr, tr)]
+                    for gr, tr in zip(got.tolist(), total.tolist())])
+    R = weight.abs_taylor.rounding()
+    for col, x in zip(err.T, X.T):
+        bound = R.abs_matvec(np.abs(x))
+        assert all(e <= Fraction(float(v)) for e, v in zip(col, bound))
+        norm = math.sqrt(sum(float(e)**2 for e in col))
+        assert 0 < norm <= weight.apply_rounding_bound * np.linalg.norm(x)
 
 
 @pytest.mark.parametrize("kappa", [1.0, 1.2, 1.5, 4.0, 100.0])
