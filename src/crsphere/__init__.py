@@ -20,26 +20,19 @@ from .errors import (
     ObstructionError,
 )
 from .harmonics import HarmonicBasis, dim_hpq
-from .heisenberg import (
-    Dilation,
-    GroupElement,
-    LeftInvariantOp,
-    box_b,
-    box_b_bar,
-    dilate,
-    group_inv,
-    group_mul,
-    model_identity_suite,
-    sublaplacian_model,
-)
 from .poly import Poly
 from .scalars import QI, parse_qi
 
 __version__ = "0.1.0"
 
-# The floating layers load numpy; they are imported on first use,
-# so the exact layers (and the CLI commands built on them) start without.
+# The floating layers load numpy, and only heisenberg-selftest needs the
+# Heisenberg model; they are imported on first use, so the exact layers (and
+# the CLI commands built on them) start without.
 _LAZY = {
+    "heisenberg": (
+        "Dilation", "GroupElement", "LeftInvariantOp", "box_b", "box_b_bar", "dilate",
+        "group_inv", "group_mul", "model_identity_suite", "sublaplacian_model",
+    ),
     "parametrix": (
         "ParametrixChain", "build_chain_diagonal", "build_chain_matrix", "hatted_gjms",
         "smoothing_residual", "spectrum_diagonal",

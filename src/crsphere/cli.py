@@ -21,13 +21,12 @@ from dataclasses import asdict, dataclass
 from .defaults import BASIS_CAP, OBSTRUCTION_TOL, TAYLOR_DEPTH
 from .errors import ConfigError, NumericalError, ObstructionError
 from .harmonics import HarmonicBasis, dim_hpq
-from .heisenberg import LeftInvariantOp, box_b, model_identity_suite, sublaplacian_model
 from .reportio import RunManifest, verify_manifest, write_csv, write_json
 from .scalars import parse_qi
 
 # galerkin, parametrix, qcurvature and spectral load numpy, so the
 # commands import them where they are used: `basis` and `heisenberg-selftest`
-# run without it.
+# run without it.  heisenberg is imported by `heisenberg-selftest` alone.
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -352,6 +351,8 @@ def cmd_qcurv(cfg, manifest):
 
 
 def cmd_heisenberg_selftest(cfg, manifest):
+    from .heisenberg import LeftInvariantOp, box_b, model_identity_suite, sublaplacian_model
+
     ns = parse_sweep(cfg.sweep, default_step=1) or [cfg.n]
     if ns[0] < 1:
         raise ConfigError(f"--sweep over n needs n >= 1: {cfg.sweep!r}")

@@ -187,7 +187,7 @@ def _real_valued_block_basis(polys):
     matrix = [[Fraction(0)] * len(candidates) for _ in keys]
     for col, cand in enumerate(candidates):
         for k, c in cand.terms.items():
-            matrix[key_index[k]][col] = c.re if c.re else c.im
+            matrix[key_index[k]][col] = c.re or c.im
     pivots = _gauss_jordan(matrix, len(candidates), max_rank=len(polys))
     if len(pivots) != len(polys):
         raise ConfigError("real rebasing of a diagonal block failed to span")
@@ -340,9 +340,10 @@ class HarmonicBasis:
         if payload.get("version") != BASIS_CACHE_VERSION:
             raise ConfigError("basis cache version mismatch")
         blocks = {}
+        coeffs = {}  # QI is immutable: equal coefficients share one instance
         for blk in payload["blocks"]:
             blocks[(blk["p"], blk["q"])] = [
-                BasisElement(Poly.from_jsonable(el["poly"]), Fraction(el["norm2"]))
+                BasisElement(Poly.from_jsonable(el["poly"], coeffs), Fraction(el["norm2"]))
                 for el in blk["elements"]
             ]
         return cls(payload["n"], payload["N"], blocks)

@@ -545,8 +545,9 @@ def model_identity_suite(n, seed=0):
     for _ in range(max(2, _SUITE_SAMPLES // (1 if n < 3 else 2))):
         g = _random_group_element(rng, n)
         f = _random_poly(rng, n, 3, 1) + Poly.var_t(n) * Poly.var_z(n, 0)
+        fg = translate_poly(f, g)
         for L in gens:
-            ok &= L.apply(translate_poly(f, g)) == translate_poly(L.apply(f), g)
+            ok &= L.apply(fg) == translate_poly(L.apply(f), g)
     record("left_invariance", ok, "generators on random polynomials")
 
     # commutation relation, by brute force on spanning monomials and in the algebra
@@ -606,11 +607,12 @@ def model_identity_suite(n, seed=0):
     # PBW soundness on a spanning set
     ok = True
     pbw_ops = gens + [box_b(n), _random_op(rng, n)]
+    applied = [[L.apply(f) for f in span] for L in pbw_ops]
     for i, L1 in enumerate(pbw_ops):
-        for L2 in pbw_ops[i:]:
+        for L2, L2_span in zip(pbw_ops[i:], applied[i:]):
             C = L1.compose(L2)
-            for f in span:
-                ok &= C.apply(f) == L1.apply(L2.apply(f))
+            for f, L2f in zip(span, L2_span):
+                ok &= C.apply(f) == L1.apply(L2f)
     record("pbw_soundness", ok, f"operator pairs on monomials of weighted degree <= {_PBW_DEGREE}")
 
     # homogeneity grading and the dilation property

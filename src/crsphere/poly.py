@@ -149,10 +149,17 @@ class TermDict:
         return {self.dim_key: self.m, "terms": items}
 
     @classmethod
-    def from_jsonable(cls, data):
+    def from_jsonable(cls, data, coeffs=None):
+        """The inverse of to_jsonable.  A dict ``coeffs`` (string -> QI), shared
+        across calls, parses each distinct coefficient string once."""
+        coeffs = {} if coeffs is None else coeffs
         terms = {}
         for item in data["terms"]:
-            terms[(item["t"], tuple(item["z"]), tuple(item["zbar"]))] = parse_qi(item["coeff"])
+            text = item["coeff"]
+            c = coeffs.get(text)
+            if c is None:
+                c = coeffs[text] = parse_qi(text)
+            terms[(item["t"], tuple(item["z"]), tuple(item["zbar"]))] = c
         return cls(data[cls.dim_key], terms)
 
 

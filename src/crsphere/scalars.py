@@ -1,20 +1,16 @@
 """Exact scalars: rationals and Gaussian rationals.
 
 The exact layer of the package does all of its arithmetic in QI, the field
-of Gaussian rationals a + b*i with Fraction components.  Identity checks in
-exact mode are therefore binary: a residual either is the zero scalar or it
-is not.
+of Gaussian rationals.  A QI is three ints (a, b, d) standing for
+(a + b i) / d, with d > 0 and gcd(a, b, d) == 1.  The form is canonical, so
+``==`` compares the three ints, and identity checks in exact mode are
+binary: a residual either is the zero scalar or it is not.
 
-The ring operations take fast paths that give the same values as the
-textbook formulas:
-
-* their results are made by the unchecked constructor :func:`_of`, since
-  Fraction arithmetic yields Fractions; the public ``QI(...)`` constructor
-  still validates (and rejects floats);
-* ``+``, ``-`` and ``*`` skip zero components, so a real times a real costs
-  one Fraction product, not four products and two sums;
-* a real divisor divides each component once, with no squared norm;
-* an ``int`` or ``Fraction`` operand is used as it is, not coerced to QI.
+Each ring operation is a few int products and one multi-argument gcd, as
+rationals are kept in lowest terms (Knuth, TAOCP vol. 2, 4.5.1).  An
+``int`` or ``Fraction`` operand is read as (numerator, 0, denominator),
+with no QI built.  The public ``QI(re, im)`` constructor validates its
+components (and rejects floats); ``re`` and ``im`` read back as Fractions.
 
 Serialized form is the string "a/b+c/di" (e.g. "1/2-3/4i", "2", "i"),
 parsed back by :func:`parse_qi`.
@@ -24,8 +20,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
-_F0 = Fraction(0)
 _RATIONAL = (int, Fraction)
 
 
@@ -38,89 +34,95 @@ def _frac(x) -> Fraction:
     return Fraction(x)
 
 
-def _of(re: Fraction, im: Fraction) -> "QI":
-    """QI from two Fractions, unchecked: for results of Fraction arithmetic."""
+def _new(a: int, b: int, d: int) -> "QI":
+    """The QI (a + b i) / d, unchecked: (a, b, d) is already canonical."""
     z = object.__new__(QI)
-    z.re = re
-    z.im = im
+    z._a, z._b, z._d = a, b, d
     return z
 
 
-def _sum(x: Fraction, y: Fraction) -> Fraction:
-    return y if not x else x if not y else x + y
+def _canon(a: int, b: int, d: int) -> "QI":
+    """The QI (a + b i) / d for d > 0, reduced by one gcd."""
+    g = gcd(a, b, d)
+    z = object.__new__(QI)
+    if g == 1:
+        z._a, z._b, z._d = a, b, d
+    else:
+        z._a, z._b, z._d = a // g, b // g, d // g
+    return z
 
 
-def _diff(x: Fraction, y: Fraction) -> Fraction:
-    return x if not y else -y if not x else x - y
+def _parts(x):
+    """(a, b, d) of an exact scalar; an int or a Fraction builds no QI."""
+    if isinstance(x, QI):
+        return x._a, x._b, x._d
+    if isinstance(x, _RATIONAL):
+        return x.numerator, 0, x.denominator
+    return _parts(QI(x))  # validates: floats and complex raise TypeError
+
+
+def _quotient(a, b, d, c, e, f) -> "QI":
+    """((a + b i) / d) / ((c + e i) / f) = (a + b i)(c - e i) f / (d (c^2 + e^2))."""
+    if not e:  # a real divisor c / f: (a + b i) f / (d c), no squared norm
+        if not c:
+            raise ZeroDivisionError("division by zero Gaussian rational")
+        return _canon(a * f, b * f, d * c) if c > 0 else _canon(-a * f, -b * f, -d * c)
+    n2 = c * c + e * e
+    return _canon((a * c + b * e) * f, (b * c - a * e) * f, d * n2)
 
 
 class QI:
-    """Gaussian rational re + im*i with exact components."""
+    """Gaussian rational (a + b i) / d: three ints in lowest terms, d > 0."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        self.re = _frac(re)
-        self.im = _frac(im)
+        if isinstance(re, _RATIONAL) and type(im) is int and not im:
+            # a rational is in lowest terms already
+            self._a, self._b, self._d = re.numerator, 0, re.denominator
+            return
+        re, im = _frac(re), _frac(im)
+        d = lcm(re.denominator, im.denominator)
+        self._a = re.numerator * (d // re.denominator)
+        self._b = im.numerator * (d // im.denominator)
+        self._d = d
 
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, _RATIONAL):
-            return _of(self.re + other, self.im)
-        other = qi(other)
-        return _of(_sum(self.re, other.re), _sum(self.im, other.im))
+        a, b, d = self._a, self._b, self._d
+        c, e, f = (other._a, other._b, other._d) if type(other) is QI else _parts(other)
+        if d == f:
+            return _canon(a + c, b + e, d)
+        return _canon(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, _RATIONAL):
-            return _of(self.re - other, self.im)
-        other = qi(other)
-        return _of(_diff(self.re, other.re), _diff(self.im, other.im))
+        a, b, d = self._a, self._b, self._d
+        c, e, f = (other._a, other._b, other._d) if type(other) is QI else _parts(other)
+        if d == f:
+            return _canon(a - c, b - e, d)
+        return _canon(a * f - c * d, b * f - e * d, d * f)
 
     def __rsub__(self, other):
-        return qi(other) - self
+        return -self + other
 
     def __mul__(self, other):
-        if isinstance(other, _RATIONAL):
-            a, b = self.re, self.im
-            return _of(a * other if a else _F0, b * other if b else _F0)
-        other = qi(other)
-        a, b, c, d = self.re, self.im, other.re, other.im
-        if not b:
-            return _of(a * c, a * d if d else _F0)
-        if not d:
-            return _of(a * c if a else _F0, b * c)
-        if not a:
-            return _of(-(b * d), b * c if c else _F0)
-        if not c:
-            return _of(-(b * d), a * d)
-        return _of(a * c - b * d, a * d + b * c)
+        a, b, d = self._a, self._b, self._d
+        c, e, f = (other._a, other._b, other._d) if type(other) is QI else _parts(other)
+        return _canon(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, _RATIONAL):
-            c, d = other, 0
-        else:
-            other = qi(other)
-            c, d = other.re, other.im
-        if not d:
-            if not c:
-                raise ZeroDivisionError("division by zero Gaussian rational")
-            return _of(self.re / c if self.re else _F0, self.im / c if self.im else _F0)
-        n2 = c * c + d * d
-        return _of(
-            (self.re * c + self.im * d) / n2,
-            (self.im * c - self.re * d) / n2,
-        )
+        return _quotient(self._a, self._b, self._d, *_parts(other))
 
     def __rtruediv__(self, other):
-        return qi(other) / self
+        return _quotient(*_parts(other), self._a, self._b, self._d)
 
     def __neg__(self):
-        return _of(-self.re, -self.im)
+        return _new(-self._a, -self._b, self._d)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -136,45 +138,55 @@ class QI:
 
     # -- structure -------------------------------------------------------
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
     def conjugate(self) -> "QI":
-        return _of(self.re, -self.im)
+        return _new(self._a, -self._b, self._d)
 
     def norm2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     @property
     def is_real(self) -> bool:
-        return not self.im
+        return not self._b
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self._a or self._b)
 
     def __eq__(self, other):
         if isinstance(other, QI):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
+            return self._a == other._a and self._b == other._b and self._d == other._d
+        if isinstance(other, _RATIONAL):
+            return not self._b and self._a == other.numerator and self._d == other.denominator
         return NotImplemented
 
     def __hash__(self):
-        if not self.im:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        if not self._b:
+            return hash(Fraction(self._a, self._d))
+        return hash((self._a, self._b, self._d))
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        # int true division rounds correctly, as float(Fraction) does
+        return complex(self._a / self._d, self._b / self._d)
 
     # -- formatting --------------------------------------------------------
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        im_abs = abs(self.im)
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        im_abs = abs(im)
         im_str = "i" if im_abs == 1 else f"{im_abs}i"
-        sign = "-" if self.im < 0 else "+"
-        if self.re == 0:
-            return f"{'-' if self.im < 0 else ''}{im_str}"
-        return f"{self.re}{sign}{im_str}"
+        sign = "-" if im < 0 else "+"
+        if not re:
+            return f"{'-' if im < 0 else ''}{im_str}"
+        return f"{re}{sign}{im_str}"
 
     def __repr__(self):
         return f"QI({self.re!r}, {self.im!r})"

@@ -366,19 +366,24 @@ class TestCommands:
 def test_exact_commands_load_neither_numpy_nor_scipy(tmp_path):
     # importing the CLI, building a basis and the model self-test stay free of
     # the dense libraries and of OpenSSL (the manifest takes the builtin
-    # SHA-256); the floating layers still resolve from the package
+    # SHA-256); only the self-test loads the Heisenberg model; the floating
+    # layers and the model still resolve from the package
     script = (
         "import sys\n"
         "import crsphere.cli\n"
         "def dense():\n"
         "    return sorted(m for m in ('numpy', 'scipy', '_hashlib') if m in sys.modules)\n"
         "assert dense() == [], dense()\n"
+        "assert 'crsphere.heisenberg' not in sys.modules\n"
         f"out = {str(tmp_path)!r}\n"
         "assert crsphere.cli.main(['basis', '--n', '1', '--degree', '3', '--out', out + '/b']) == 0\n"
+        "assert 'crsphere.heisenberg' not in sys.modules\n"
         "assert crsphere.cli.main(['heisenberg-selftest', '--n', '1', '--out', out + '/h']) == 0\n"
+        "assert 'crsphere.heisenberg' in sys.modules\n"
         "assert dense() == [], dense()\n"
         "import crsphere\n"
         "assert callable(crsphere.build_chain_matrix) and callable(crsphere.solve_zero_q)\n"
+        "assert callable(crsphere.model_identity_suite)\n"
         "assert 'numpy' in sys.modules and '_hashlib' not in sys.modules\n"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -435,6 +440,8 @@ def test_lazy_exports_resolve():
 PINNED_SHA256 = {
     "basis_n1_N6_v1_exact.json":
         "362776f826d8ad0fac42db7f78ea06567aaadd21e93bb55cd6581c896a2529e4",
+    "basis_n1_N8_v1_exact.json":
+        "cc85255ecc7d5dcdae4b4d2f8957f8923f2c549023e5e267ebad96ac97419a7f",
     "basis_n2_N3_v1_exact.json":
         "13f72deed3b663bfea606e0d4e60e7e5f544807591706a0170ed253c77f37b64",
     # the two bases of the exact_cold benchmark workload
@@ -449,7 +456,7 @@ PINNED_SHA256 = {
 
 def test_exact_outputs_are_pinned(tmp_path):
     cache, out = tmp_path / "cache", tmp_path / "out"
-    for n, degree in (("1", "6"), ("2", "3"), ("2", "5"), ("3", "4")):
+    for n, degree in (("1", "6"), ("1", "8"), ("2", "3"), ("2", "5"), ("3", "4")):
         assert run("basis", "--n", n, "--degree", degree, "--cache", str(cache),
                    "--out", str(out)) == EXIT_OK
     assert run("heisenberg-selftest", "--sweep", "1..2", "--out", str(out)) == EXIT_OK

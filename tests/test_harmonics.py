@@ -290,6 +290,16 @@ class TestCache:
                 assert e1.poly == e2.poly
                 assert e1.norm2 == e2.norm2
 
+    def test_load_shares_equal_coefficients(self, tmp_path, basis8):
+        # each distinct coefficient string is parsed once: equal values are one object
+        loaded = HarmonicBasis.load(basis8.save(tmp_path))
+        coeffs = [c for els in loaded.blocks.values() for el in els
+                  for c in el.poly.terms.values()]
+        by_text = {}
+        for c in coeffs:
+            assert by_text.setdefault(str(c), c) is c
+        assert len(by_text) < len(coeffs)
+
     def test_load_or_build_hits_cache(self, tmp_path):
         b1, hit1 = HarmonicBasis.load_or_build(1, 2, cache_dir=str(tmp_path))
         b2, hit2 = HarmonicBasis.load_or_build(1, 2, cache_dir=str(tmp_path))

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -377,3 +379,10 @@ def test_identity_suite_all_pass():
     for n in (1, 2):
         records = model_identity_suite(n, seed=1)
         assert all(r["passed"] for r in records), [r for r in records if not r["passed"]]
+
+
+def test_identity_suite_records_are_pinned():
+    # sha256 of the records of model_identity_suite(1) and (2), as first recorded
+    records = [model_identity_suite(n) for n in (1, 2)]
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+    assert digest == "c8102773043fac8943307a9a6e1fc3f7401696ad65e2d015df3e954cda975c3b"

@@ -1,10 +1,13 @@
+import math
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from crsphere.scalars import QI, parse_qi, qi
+from crsphere.scalars import I, QI, parse_qi, qi
+from qi_oracle import FractionQI
 
 
 def test_field_arithmetic():
@@ -60,10 +63,10 @@ def test_parse_rejects_garbage():
             parse_qi(bad)
 
 
-# -- fast paths against the textbook formulas ----------------------------------
+# -- the ring operations against the textbook formulas -------------------------
 
-# components are zero with positive probability, so every zero-skipping
-# branch of +, -, * and / is drawn
+# components are zero with positive probability, so real, imaginary and
+# zero operands of +, -, * and / are all drawn
 components = st.one_of(st.just(Fraction(0)), st.integers(-3, 3).map(Fraction),
                        st.fractions(max_denominator=12))
 gaussian = st.builds(QI, components, components)
@@ -143,3 +146,82 @@ def test_zero_division_by_every_zero():
         1 / QI(0)
     with pytest.raises(ZeroDivisionError):
         QI(0) ** -1
+
+
+# -- the int representation against the Fraction-pair oracle --------------------
+
+# small components draw the zero, unit and equal-denominator cases; wide ones
+# carry numerators and denominators past 2**64 for the gcd and complex()
+small = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+wide = st.builds(Fraction, st.integers(-2**80, 2**80), st.integers(1, 2**70))
+parts = st.tuples(st.one_of(small, wide), st.one_of(small, wide))
+operands = st.one_of(
+    st.tuples(st.just("QI"), parts),
+    st.tuples(st.just("int"), st.integers(-9, 9)),
+    st.tuples(st.just("Fraction"), st.one_of(small, wide)),
+    st.tuples(st.just("i"), st.just(None)),
+)
+
+
+def both(kind, value):
+    """An operand of the given kind for QI and for the oracle."""
+    if kind == "QI":
+        return QI(*value), FractionQI(*value)
+    if kind == "i":
+        return I, FractionQI(0, 1)
+    return value, value
+
+
+def assert_canonical(z, expect):
+    """z is (a + b i) / d in lowest terms, d > 0, and has the oracle's value."""
+    assert type(z) is QI
+    a, b, d = z._a, z._b, z._d
+    assert type(a) is int and type(b) is int and type(d) is int
+    assert d > 0 and math.gcd(a, b, d) == 1
+    assert (z.re, z.im) == (expect.re, expect.im)
+
+
+@given(parts, operands)
+def test_operations_match_the_fraction_pair_oracle(xp, operand):
+    x, ox = QI(*xp), FractionQI(*xp)
+    assert_canonical(x, ox)
+    y, oy = both(*operand)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for left, right, oleft, oright in ((x, y, ox, oy), (y, x, oy, ox)):
+            if op is operator.truediv and not oright:
+                with pytest.raises(ZeroDivisionError):
+                    op(left, right)
+                continue
+            assert_canonical(op(left, right), op(oleft, oright))
+    assert_canonical(-x, -ox)
+    assert_canonical(x.conjugate(), ox.conjugate())
+    assert x.norm2() == ox.norm2() and type(x.norm2()) is Fraction
+    assert bool(x) == bool(ox) and x.is_real == ox.is_real
+
+
+@given(st.tuples(small, small), st.integers(-4, 5))
+def test_powers_match_the_oracle(xp, k):
+    x, ox = QI(*xp), FractionQI(*xp)
+    if k < 0 and not ox:
+        with pytest.raises(ZeroDivisionError):
+            x ** k
+    else:
+        assert_canonical(x ** k, ox ** k)
+
+
+@given(parts)
+def test_equality_hash_complex_and_text(xp):
+    x, ox = QI(*xp), FractionQI(*xp)
+    # one value reached by two routes is one canonical form
+    y = (x * 3 + QI(0, 2)) / 3 - QI(0, Fraction(2, 3))
+    assert y == x and hash(y) == hash(x) and (y._a, y._b, y._d) == (x._a, x._b, x._d)
+    re = x.re
+    real = QI(re)
+    assert real == re and re == real and hash(real) == hash(re)
+    assert (x == re) == ox.is_real
+    if re.denominator == 1:
+        assert real == int(re) and hash(real) == hash(int(re))
+    # complex() is float() of each Fraction component, bit for bit
+    z = complex(x)
+    assert (z.real, z.imag) == (float(ox.re), float(ox.im))
+    assert str(x) == str(ox) and parse_qi(str(x)) == x
